@@ -140,20 +140,13 @@ def build_lan(
     nodes=("a", "b"),
     cpu_policy: str = "edf",
     observe: bool = False,
-    batch_dispatch: bool = True,
     **net_kwargs,
 ) -> DashSystem:
-    """A DASH system on one Ethernet segment.
-
-    ``batch_dispatch`` reaches the event loop; ``link_batching`` (via
-    ``net_kwargs``) reaches the Ethernet segment -- together they are the
-    E20 ablation knobs.
-    """
+    """A DASH system on one Ethernet segment."""
     defaults = dict(trusted=True)
     defaults.update(net_kwargs)
     system = DashSystem(
-        seed=seed, st_config=st_config, cpu_policy=cpu_policy,
-        observe=observe, batch_dispatch=batch_dispatch,
+        seed=seed, st_config=st_config, cpu_policy=cpu_policy, observe=observe,
     )
     system.add_ethernet(**defaults)
     for name in nodes:
@@ -171,7 +164,6 @@ def build_wan(
     receiver: str = "z",
     st_config: Optional[StConfig] = None,
     observe: bool = False,
-    batch_dispatch: bool = True,
     **net_kwargs,
 ) -> DashSystem:
     """A DASH system on a dumbbell internetwork.
@@ -181,10 +173,7 @@ def build_wan(
     """
     defaults = dict(trusted=True)
     defaults.update(net_kwargs)
-    system = DashSystem(
-        seed=seed, st_config=st_config, observe=observe,
-        batch_dispatch=batch_dispatch,
-    )
+    system = DashSystem(seed=seed, st_config=st_config, observe=observe)
     internet = system.add_internet(**defaults)
     internet.add_router("g1")
     internet.add_router("g2")

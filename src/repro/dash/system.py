@@ -32,7 +32,6 @@ from repro.netsim.topology import (
 from repro.sched.cpu import CpuCostModel
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
-from repro.sim.events import DEFAULT_IDLE_MAX_EVENTS
 from repro.subtransport.config import StConfig
 from repro.dash.node import DashNode
 from repro.transport.rkom import RkomConfig
@@ -53,12 +52,8 @@ class DashSystem:
         cpu_policy: str = "edf",
         cost_model: Optional[CpuCostModel] = None,
         observe: bool = False,
-        batch_dispatch: bool = True,
     ) -> None:
-        self.context = SimContext(
-            seed=seed, trace=trace, observe=observe,
-            batch_dispatch=batch_dispatch,
-        )
+        self.context = SimContext(seed=seed, trace=trace, observe=observe)
         self.keys = KeyRegistry()
         self.networks: Dict[str, Network] = {}
         self.nodes: Dict[str, DashNode] = {}
@@ -282,7 +277,7 @@ class DashSystem:
         - ``run(until=t)`` -- execute every event with time <= t and
           leave the clock exactly at ``t``.
         - ``run(while_pending=True)`` -- drain the whole schedule in one
-          call (the old ``run_until_idle``); raises
+          call; raises
           :class:`~repro.errors.SchedulingError` if ``max_events``
           (default ``DEFAULT_IDLE_MAX_EVENTS``) runs out first.
         - ``run(while_pending=True, idle_grace=g)`` -- stop as soon as
@@ -294,15 +289,6 @@ class DashSystem:
             until=until, while_pending=while_pending,
             idle_grace=idle_grace, max_events=max_events,
         )
-
-    def run_until_idle(self, max_events: int = DEFAULT_IDLE_MAX_EVENTS) -> float:
-        """Deprecated: use :meth:`run` with ``while_pending=True``."""
-        warn_once(
-            "DashSystem.run_until_idle",
-            "DashSystem.run_until_idle is deprecated; use "
-            "DashSystem.run(while_pending=True, max_events=...)",
-        )
-        return self.run(while_pending=True, max_events=max_events)
 
     @property
     def now(self) -> float:

@@ -44,7 +44,6 @@ class EthernetNetwork(Network):
         bit_error_rate: float = 0.0,
         frame_loss_rate: float = 0.0,
         queue_policy: str = "edf",
-        link_batching: bool = True,
     ) -> None:
         properties = NetworkProperties(
             trusted=trusted,
@@ -67,7 +66,6 @@ class EthernetNetwork(Network):
             impairment=ImpairmentModel(
                 bit_error_rate=bit_error_rate, frame_loss_rate=frame_loss_rate
             ),
-            batch_transmit=link_batching,
         )
         self.segment.on_down.listen(
             lambda _link: self.fail_all("Ethernet segment down")

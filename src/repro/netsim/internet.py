@@ -53,7 +53,6 @@ class InternetNetwork(Network):
         source_quench: bool = False,
         quench_threshold: float = 0.75,
         queue_policy: str = "edf",
-        link_batching: bool = True,
         route_engine: bool = True,
         ecmp: bool = False,
         ecmp_max_paths: int = 8,
@@ -91,7 +90,6 @@ class InternetNetwork(Network):
         #: engine, one per cache-missing pair without it).
         self.route_resolutions = 0
         self.queue_policy = queue_policy
-        self.link_batching = link_batching
         self.source_quench = source_quench
         self.quench_threshold = quench_threshold
         self.quenches_sent = 0
@@ -136,7 +134,6 @@ class InternetNetwork(Network):
                 impairment=ImpairmentModel(
                     bit_error_rate=bit_error_rate, frame_loss_rate=frame_loss_rate
                 ),
-                batch_transmit=self.link_batching,
             )
             self._links[(src, dst)] = link
             self._pools[(src, dst)] = AdmissionController(

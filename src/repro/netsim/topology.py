@@ -32,31 +32,6 @@ __all__ = [
     "build_two_tier",
 ]
 
-#: Upper bound on frames committed per transmit burst; bounds both the
-#: worst-case burst-break cost and how far ahead of the clock delivery
-#: events are scheduled.
-_BURST_FRAMES = 16
-
-# _Burst.entries columns: (end_time, frame, deliver, on_drop,
-# delivery_handle, queue_key, queue_seq).
-_B_END = 0
-_B_FRAME = 1
-_B_KEY = 5
-
-
-class _Burst:
-    """One committed multi-frame transmission on an idle, clean link."""
-
-    __slots__ = ("entries", "settled", "completion")
-
-    def __init__(self, entries, completion) -> None:
-        self.entries = entries
-        #: Index of the first entry whose transmission end lies in the
-        #: future; everything before it has been accounted (stats and
-        #: queued-byte settlement happen lazily, at observation points).
-        self.settled = 0
-        self.completion = completion
-
 
 class LinkStats:
     """Counters for one link."""
@@ -96,7 +71,6 @@ class Link:
         buffer_bytes: int = 256 * 1024,
         policy: str = "edf",
         impairment: Optional[ImpairmentModel] = None,
-        batch_transmit: bool = False,
     ) -> None:
         if bandwidth <= 0:
             raise NetworkError(f"link bandwidth must be > 0: {bandwidth}")
@@ -113,18 +87,6 @@ class Link:
         self._queued_bytes = 0
         self._busy = False
         self._up = True
-        #: Transmit batching: when the link goes idle with several frames
-        #: queued and the impairment is inert (no loss, no corruption --
-        #: so no RNG draws are elided), commit a burst of up to
-        #: _BURST_FRAMES transmissions as ONE completion event plus one
-        #: pre-scheduled delivery per frame, instead of a completion/
-        #: delivery event pair per frame.  Per-frame end and delivery
-        #: times are the bit-identical floats of the per-frame path; a
-        #: burst is broken back to per-frame service when a new arrival
-        #: would have preempted an uncommitted frame under the queue
-        #: policy, or when the link goes down.
-        self._batch = batch_transmit
-        self._burst: Optional[_Burst] = None
         self.stats = LinkStats()
         self.on_down: Signal = Signal(context.loop)
         self.on_up: Signal = Signal(context.loop)
@@ -138,20 +100,10 @@ class Link:
 
     @property
     def queued_bytes(self) -> int:
-        if self._burst is not None:
-            self._settle_burst()
         return self._queued_bytes
 
     @property
     def queue_length(self) -> int:
-        burst = self._burst
-        if burst is not None:
-            self._settle_burst()
-            # Committed-but-untransmitted burst frames are logically still
-            # queued; the one on the wire is not (it matches the popped
-            # in-flight frame of per-frame service).
-            waiting = len(burst.entries) - burst.settled - 1
-            return len(self._queue) + (waiting if waiting > 0 else 0)
         return len(self._queue)
 
     def transmission_time(self, size_bytes: int) -> float:
@@ -168,8 +120,6 @@ class Link:
             if on_drop is not None:
                 on_drop(frame, "link down")
             return False
-        if self._burst is not None:
-            self._settle_burst()
         size = frame.size
         queued = self._queued_bytes + size
         if queued > self.buffer_bytes:
@@ -186,21 +136,6 @@ class Link:
         self._queued_bytes = queued
         if queued > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = queued
-        burst = self._burst
-        if burst is not None:
-            entries = burst.entries
-            if (
-                len(entries) - burst.settled > 1
-                and self._queue.order_key(frame.deadline) < entries[-1][_B_KEY]
-            ):
-                # Per-frame service would have transmitted this frame
-                # before an uncommitted burst frame: un-commit the tail
-                # (restoring exact queue positions) and fall through to
-                # the normal busy-link enqueue below.
-                self._break_burst()
-            else:
-                self._queue.push((frame, deliver, on_drop), deadline=frame.deadline)
-                return True
         if self._busy or self._queue:
             self._queue.push((frame, deliver, on_drop), deadline=frame.deadline)
         else:
@@ -212,90 +147,8 @@ class Link:
     def _start_next(self) -> None:
         if self._busy or not self._queue or not self._up:
             return
-        if self._batch and len(self._queue) > 1 and self.impairment.is_clean:
-            self._begin_burst()
-            return
         frame, deliver, on_drop = self._queue.pop()
         self._begin(frame, deliver, on_drop)
-
-    def _begin_burst(self) -> None:
-        """Commit up to _BURST_FRAMES queued frames as one transmission
-        burst: a single completion event at the last frame's end, one
-        pre-scheduled delivery per frame at its exact per-frame time."""
-        loop = self.context.loop
-        queue = self._queue
-        bandwidth = self.bandwidth
-        prop = self.propagation_delay
-        count = len(queue)
-        if count > _BURST_FRAMES:
-            count = _BURST_FRAMES
-        entries = []
-        end = loop._now
-        for _ in range(count):
-            key, seq, (frame, deliver, on_drop) = queue.pop_entry()
-            # The same float operations, in the same order, as per-frame
-            # service (call_after at each boundary): delivery times are
-            # bit-identical.
-            end += frame.size / bandwidth
-            handle = loop.call_at(end + prop, deliver, frame)
-            entries.append((end, frame, deliver, on_drop, handle, key, seq))
-        self._busy = True
-        completion = loop.call_at(end, self._burst_done)
-        self._burst = _Burst(entries, completion)
-
-    def _settle_burst(self) -> None:
-        """Account burst frames whose transmission has ended by now: the
-        per-frame path updated stats and queued bytes at each frame's
-        completion event; the burst settles the same numbers lazily at
-        every observation point (transmit, queue introspection, break,
-        completion)."""
-        burst = self._burst
-        now = self.context.loop._now
-        entries = burst.entries
-        i = burst.settled
-        total = len(entries)
-        stats = self.stats
-        while i < total and entries[i][_B_END] <= now:
-            size = entries[i][_B_FRAME].size
-            self._queued_bytes -= size
-            stats.frames_transmitted += 1
-            stats.bytes_transmitted += size
-            i += 1
-        burst.settled = i
-
-    def _burst_done(self) -> None:
-        self._settle_burst()
-        self._burst = None
-        self._busy = False
-        self._start_next()
-
-    def _break_burst(self) -> None:
-        """Revert an in-progress burst to per-frame service.
-
-        The frame on the wire gets back its legacy completion event (and
-        re-creates its delivery there, exactly as per-frame service
-        would); uncommitted frames return to the interface queue in their
-        original positions, original tie-break order included."""
-        burst = self._burst
-        self._settle_burst()
-        burst.completion.cancel()
-        self._burst = None
-        entries = burst.entries
-        i = burst.settled
-        if i == len(entries):
-            # Every frame already finished transmitting (break raced the
-            # completion event at its exact timestamp): nothing is on the
-            # wire and the deliveries are already in flight.
-            self._busy = False
-            return
-        end, frame, deliver, on_drop, handle, _key, _seq = entries[i]
-        handle.cancel()
-        self.context.loop.call_at(end, self._transmission_done, frame, deliver, on_drop)
-        # _busy stays True until that completion fires.
-        for j in range(i + 1, len(entries)):
-            entry = entries[j]
-            entry[4].cancel()
-            self._queue.push_entry((entry[5], entry[6], (entry[1], entry[2], entry[3])))
 
     def _begin(
         self,
@@ -347,13 +200,6 @@ class Link:
         if not self._up:
             return
         self._up = False
-        if self._burst is not None:
-            # Un-commit the burst first: its waiting frames rejoin the
-            # queue (original positions) and are discarded below exactly
-            # like per-frame service would discard them; the frame on the
-            # wire keeps transmitting and its completion event applies
-            # the usual link-down rules.
-            self._break_burst()
         while self._queue:
             frame, _deliver, on_drop = self._queue.pop()
             self._queued_bytes -= frame.size

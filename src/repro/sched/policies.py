@@ -46,23 +46,6 @@ class ReadyQueue(Generic[T]):
     def peek(self) -> T:
         raise NotImplementedError
 
-    def order_key(self, deadline: float = 0.0, priority: int = 0) -> Any:
-        """The policy's sort key for the given hints (ties break by
-        insertion order).  Lets callers that drain entries ahead of time
-        (link transmit batching) compare a new arrival against entries
-        they already hold."""
-        raise NotImplementedError
-
-    def pop_entry(self) -> Tuple[Any, int, T]:
-        """Pop the front as its raw ``(key, seq, item)`` entry so it can
-        later be re-queued with :meth:`push_entry` in its exact original
-        position, including tie-break order."""
-        raise NotImplementedError
-
-    def push_entry(self, entry: Tuple[Any, int, T]) -> None:
-        """Re-queue a raw entry taken by :meth:`pop_entry`."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -94,17 +77,6 @@ class _HeapQueue(ReadyQueue[T]):
         if not self._heap:
             raise SchedulingError(f"{self.policy_name} queue is empty")
         return self._heap[0][2]
-
-    def order_key(self, deadline: float = 0.0, priority: int = 0) -> Any:
-        return self._key(deadline, priority)
-
-    def pop_entry(self) -> Tuple[Any, int, T]:
-        if not self._heap:
-            raise SchedulingError(f"{self.policy_name} queue is empty")
-        return heapq.heappop(self._heap)
-
-    def push_entry(self, entry: Tuple[Any, int, T]) -> None:
-        heapq.heappush(self._heap, entry)
 
     def __len__(self) -> int:
         return len(self._heap)

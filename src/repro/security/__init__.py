@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 #: Legacy direct-primitive names, still importable from this package but
-#: deprecated in favour of the provider API (warn-once, like the
-#: ``run_until_idle`` shim in :mod:`repro.dash._deprecation`).
+#: deprecated in favour of the provider API (warn-once, via
+#: :mod:`repro.dash._deprecation`).
 _DEPRECATED = {
     "StreamCipher": (
         "repro.security.cipher",

@@ -11,7 +11,7 @@ from typing import Optional, Set, Union
 
 from repro.errors import ParameterError
 from repro.obs import NullObservability, Observability
-from repro.sim.events import DEFAULT_IDLE_MAX_EVENTS, EventLoop, Signal
+from repro.sim.events import EventLoop, Signal
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import NullTracer, Tracer
@@ -29,9 +29,8 @@ class SimContext:
         trace_categories: Optional[Set[str]] = None,
         observe: bool = False,
         obs: Optional[Union[Observability, NullObservability]] = None,
-        batch_dispatch: bool = True,
     ) -> None:
-        self.loop = EventLoop(batch_dispatch=batch_dispatch)
+        self.loop = EventLoop()
         self.rng = RandomStreams(seed)
         self.tracer: Union[Tracer, NullTracer]
         if trace:
@@ -87,9 +86,6 @@ class SimContext:
         if idle_grace is not None:
             raise ParameterError("idle_grace requires while_pending=True")
         return self.loop.run(until=until, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = DEFAULT_IDLE_MAX_EVENTS) -> float:
-        return self.loop.run_until_idle(max_events=max_events)
 
     def __repr__(self) -> str:
         return f"<SimContext now={self.now:.6f} seed={self.rng.master_seed}>"

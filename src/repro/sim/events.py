@@ -17,7 +17,9 @@ timestamp into one of ``_WHEEL_SLOTS`` per-slot heaps of
 ``(time, seq, handle)`` tuples, so ordering comparisons happen on
 C-level tuples rather than via ``EventHandle.__lt__``.  Events beyond
 the horizon wait in a single overflow heap and migrate into the wheel as
-the clock advances.  The dispatch order is the exact total order of the
+the clock advances.  When the clock reaches a timer it joins the back of
+the (then empty) deque, so one loop dispatches everything, one event at
+a time.  The dispatch order is the exact total order of the
 original single-heap implementation -- ``(time, seq)`` with FIFO at
 equal timestamps -- so seeded runs reproduce bit-identically.
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
-from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
@@ -49,8 +50,8 @@ __all__ = [
 ]
 
 #: Runaway guard shared by every drain-until-idle entry point
-#: (``EventLoop.run_while_pending``/``run_until_idle``, ``SimContext``,
-#: ``DashSystem``) so the layers cannot drift apart.
+#: (``EventLoop.run_while_pending``, ``SimContext.run``,
+#: ``DashSystem.run``) so the layers cannot drift apart.
 DEFAULT_IDLE_MAX_EVENTS = 10_000_000
 
 # Wheel geometry: 512 slots of 1 ms cover a 512 ms horizon, comfortably
@@ -133,16 +134,11 @@ class EventLoop:
     which keeps protocol traces deterministic.
     """
 
-    def __init__(self, start_time: float = 0.0, batch_dispatch: bool = True) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = itertools.count()
         self._running = False
         self._events_run = 0
-        #: Batch dispatch drains the now-bucket and each due wheel slot as
-        #: one block (bulk accounting, no per-entry heappop).  The flag
-        #: exists for the E20 ablation and for the trace-equivalence
-        #: tests; both modes execute the identical (time, seq) order.
-        self._batch_dispatch = batch_dispatch
         #: True when the previous run() stopped because the next live
         #: event lay beyond the idle grace, rather than on an exhausted
         #: event budget (run_while_pending distinguishes the two).
@@ -162,15 +158,6 @@ class EventLoop:
         # iteration.  Maintained by insertions (which may lower it) and
         # by the scan itself (which raises it past empty slots).
         self._scan_slot = self._base
-        #: Absolute slot number whose list is known fully sorted (the
-        #: remainder of a batch cut stays sorted), or -1.  Lets repeated
-        #: batch drains of one dense slot skip the re-sort; every push
-        #: into the slot and every structural rebuild invalidates it.
-        self._sorted_slot = -1
-        #: True while a dispatch batch is mid-execution: its entries are
-        #: outside every container, so compaction (which rebuilds the
-        #: counters from the containers) must wait for the batch to end.
-        self._in_batch = False
         self._wheel_count = 0
         self._queued_count = 0
         self._cancelled_in_queue = 0
@@ -232,25 +219,13 @@ class EventLoop:
         else:
             slot_no = int(when * self._inv_gran)
             if slot_no - self._base < _WHEEL_SLOTS:
-                if self._batch_dispatch:
-                    # Batched slots are plain dirty lists: O(1) appends
-                    # here, one lazy sort when the dispatch scan reaches
-                    # the slot -- half the ordering work of push+drain
-                    # heap discipline, and cheaper scheduling on the
-                    # message path.
-                    self._slots[slot_no % _WHEEL_SLOTS].append(
-                        (when, handle._seq, handle)
-                    )
-                else:
-                    heapq.heappush(
-                        self._slots[slot_no % _WHEEL_SLOTS],
-                        (when, handle._seq, handle),
-                    )
+                heapq.heappush(
+                    self._slots[slot_no % _WHEEL_SLOTS],
+                    (when, handle._seq, handle),
+                )
                 self._wheel_count += 1
                 if slot_no < self._scan_slot:
                     self._scan_slot = slot_no
-                if slot_no == self._sorted_slot:
-                    self._sorted_slot = -1
             else:
                 heapq.heappush(self._far, (when, handle._seq, handle))
         return handle
@@ -283,24 +258,16 @@ class EventLoop:
             horizon = self._base + _WHEEL_SLOTS
             inv_gran = self._inv_gran
             slots = self._slots
-            batched = self._batch_dispatch
             while far and int(far[0][0] * inv_gran) < horizon:
                 entry = heapq.heappop(far)
                 slot_no = int(entry[0] * inv_gran)
-                if batched:
-                    slots[slot_no % _WHEEL_SLOTS].append(entry)
-                else:
-                    heapq.heappush(slots[slot_no % _WHEEL_SLOTS], entry)
+                heapq.heappush(slots[slot_no % _WHEEL_SLOTS], entry)
                 self._wheel_count += 1
                 if slot_no < self._scan_slot:
                     self._scan_slot = slot_no
-                if slot_no == self._sorted_slot:
-                    self._sorted_slot = -1
 
     def _note_cancel(self) -> None:
         self._cancelled_in_queue += 1
-        if self._in_batch:
-            return  # compaction resumes at the next cancel after the batch
         count = self._cancelled_in_queue
         if count >= _COMPACT_MIN and count * 4 >= self._queued_count:
             self._compact()
@@ -346,8 +313,7 @@ class EventLoop:
                         entry[2]._queued = False
                         dropped.append(entry[2])
                 slot[:] = live
-                if not self._batch_dispatch:
-                    heapq.heapify(slot)
+                heapq.heapify(slot)
             wheel_count += len(live)
         far = self._far
         if far:
@@ -362,7 +328,6 @@ class EventLoop:
         self._wheel_count = wheel_count
         self._queued_count = len(bucket) + wheel_count + len(far)
         self._cancelled_in_queue = 0
-        self._sorted_slot = -1
         self._release(dropped)
 
     # -- dispatch ------------------------------------------------------
@@ -382,6 +347,10 @@ class EventLoop:
         after ``max_events`` callbacks.  Returns the simulated time at
         which the run stopped.  ``until`` and ``idle_grace`` are mutually
         exclusive.
+
+        Every queued event sits in a container until the instant it is
+        popped to run, so a callback that raises loses nothing: the next
+        ``run()`` resumes with the event after it.
         """
         if self._running:
             raise SchedulingError("event loop is already running (reentrant run())")
@@ -394,25 +363,48 @@ class EventLoop:
                 raise SchedulingError(f"negative idle_grace {idle_grace!r}")
         self._running = True
         self._stopped_on_grace = False
-        executed = 0
         ran = 0
         budget = -1 if max_events is None else max_events
-        batched = self._batch_dispatch
         # Hoisted locals: every container is mutated strictly in place
         # (including by _compact), so these bindings stay valid across
         # arbitrary callback re-entry into the scheduler.
         bucket = self._bucket
+        bucket_append = bucket.append
         bucket_popleft = bucket.popleft
         slots = self._slots
         far = self._far
         pool = self._pool
         getref = _getrefcount or _no_refcount
         heappop = heapq.heappop
-        inf = float("inf")
         self._rebase()
         try:
             while True:
-                now = self._now
+                if bucket:
+                    # The one dispatch path: everything due, FIFO, popped
+                    # and accounted one event at a time.
+                    while bucket and ran != budget:
+                        handle = bucket_popleft()
+                        self._queued_count -= 1
+                        handle._queued = False
+                        if handle._cancelled:
+                            self._cancelled_in_queue -= 1
+                        else:
+                            handle._callback(*handle._args)
+                            ran += 1
+                        if len(pool) < _POOL_CAP and getref(handle) == 2:
+                            # Pooled as it is: _acquire overwrites every
+                            # field, so what the handle last ran is freed
+                            # beside the allocation that replaces it and
+                            # the collector's young-object count sees the
+                            # two cancel (DESIGN 8.1).
+                            pool.append(handle)
+                        else:
+                            # Somebody kept the handle: let go of the
+                            # closure now rather than when they drop it.
+                            handle._callback = _noop
+                            handle._args = ()
+                    if bucket:
+                        break  # event budget spent with work still due
                 # Next wheel/overflow event, if any.  The slot hash is
                 # monotone in time, so the first occupied slot from the
                 # wheel origin holds the wheel minimum.
@@ -426,14 +418,6 @@ class EventLoop:
                     for slot_no in range(start, base + _WHEEL_SLOTS):
                         slot = slots[slot_no % _WHEEL_SLOTS]
                         if slot:
-                            if batched and slot_no != self._sorted_slot:
-                                # Batched slots are append-only dirty
-                                # lists; the scan is the single point
-                                # that orders them (a sorted list is a
-                                # valid min-view, and the memo makes
-                                # repeat visits free).
-                                slot.sort()
-                                self._sorted_slot = slot_no
                             nxt_slot = slot
                             nxt_time = slot[0][0]
                             self._scan_slot = slot_no
@@ -444,232 +428,10 @@ class EventLoop:
                     in_far = True
                 else:
                     in_far = False
-                if nxt_slot is not None and nxt_time <= now:
-                    # Timer events that became due: they predate (in seq
-                    # order) anything in the now-bucket, so drain them
-                    # first.
-                    if batched and not in_far:
-                        # Batch dispatch: the scan already sorted this
-                        # slot, so the due prefix splits off in one
-                        # bisect + slice (the (now, inf) boundary never
-                        # compares handles), the whole block is accounted
-                        # at once, then executed.  Execution order is the
-                        # exact heappop order of the per-entry path.
-                        hi = bisect_right(nxt_slot, (now, inf))
-                        batch = nxt_slot[:hi]
-                        del nxt_slot[:hi]
-                        self._queued_count -= hi
-                        self._wheel_count -= hi
-                        if budget < 0 or budget - ran >= hi:
-                            # The whole block fits in the budget: one
-                            # pass, no per-event budget checks or
-                            # counter updates.  Flags clear as entries
-                            # are consumed; a mid-batch cancel() of a
-                            # later entry still counts into the gauge
-                            # (its flag is still set) and is reconciled
-                            # via `skipped` below -- _note_cancel defers
-                            # compaction while _in_batch, since these
-                            # entries are outside every container it
-                            # would rebuild from.  Recycling compares
-                            # against 3 because the batch entry tuple
-                            # still holds one reference.
-                            self._in_batch = True
-                            skipped = 0
-                            for entry in batch:
-                                handle = entry[2]
-                                handle._queued = False
-                                if handle._cancelled:
-                                    skipped += 1
-                                    continue
-                                args = handle._args
-                                if args:
-                                    handle._callback(*args)
-                                else:
-                                    handle._callback()
-                                if len(pool) < _POOL_CAP and getref(handle) == 3:
-                                    # _acquire overwrites the fields; no
-                                    # need to clear them first.  Handles
-                                    # not recycled die with the batch
-                                    # list, so eager field clearing is
-                                    # skipped here too -- a handle the
-                                    # caller retained releases its
-                                    # closure at the next GC instead.
-                                    pool.append(handle)
-                            self._in_batch = False
-                            if skipped:
-                                self._cancelled_in_queue -= skipped
-                            live = hi - skipped
-                            executed += live
-                            ran += live
-                        else:
-                            # Budget may lapse mid-batch: two passes, so
-                            # every flag is already clear when a requeue
-                            # restores the unexecuted tail, with a
-                            # per-event budget check.
-                            if self._cancelled_in_queue:
-                                dead = 0
-                                for entry in batch:
-                                    handle = entry[2]
-                                    handle._queued = False
-                                    if handle._cancelled:
-                                        dead += 1
-                                if dead:
-                                    self._cancelled_in_queue -= dead
-                            else:
-                                for entry in batch:
-                                    entry[2]._queued = False
-                            for idx, entry in enumerate(batch):
-                                handle = entry[2]
-                                if not handle._cancelled:
-                                    if ran == budget:
-                                        self._requeue_slot(
-                                            nxt_slot, batch, idx, entry
-                                        )
-                                        raise _Stop
-                                    handle._callback(*handle._args)
-                                    executed += 1
-                                    ran += 1
-                                    handle._callback = _noop
-                                    handle._args = ()
-                                if len(pool) < _POOL_CAP and getref(handle) == 3:
-                                    pool.append(handle)
-                        continue
-                    while nxt_slot and nxt_slot[0][0] <= now:
-                        if ran == budget:
-                            raise _Stop
-                        handle = heappop(nxt_slot)[2]
-                        self._queued_count -= 1
-                        if not in_far:
-                            self._wheel_count -= 1
-                        handle._queued = False
-                        if handle._cancelled:
-                            self._cancelled_in_queue -= 1
-                        else:
-                            handle._callback(*handle._args)
-                            executed += 1
-                            ran += 1
-                            handle._callback = _noop
-                            handle._args = ()
-                        if (
-                            getref is not None
-                            and len(pool) < _POOL_CAP
-                            and getref(handle) == 2
-                        ):
-                            pool.append(handle)
-                    continue
-                if bucket:
-                    # The fast path: call_soon events at the current
-                    # instant, FIFO, no heap involved.
-                    if batched:
-                        # Batch dispatch: snapshot the whole bucket in one
-                        # C-level copy and account for it as a block.
-                        # Events appended by the callbacks land in the
-                        # emptied deque and drain on the next round --
-                        # the same FIFO order the per-entry path yields.
-                        while bucket:
-                            batch = list(bucket)
-                            bucket.clear()
-                            n = len(batch)
-                            self._queued_count -= n
-                            if budget < 0 or budget - ran >= n:
-                                # Single pass; same reconciliation as
-                                # the slot batch above.
-                                self._in_batch = True
-                                skipped = 0
-                                for handle in batch:
-                                    handle._queued = False
-                                    if handle._cancelled:
-                                        skipped += 1
-                                        continue
-                                    args = handle._args
-                                    if args:
-                                        handle._callback(*args)
-                                    else:
-                                        handle._callback()
-                                    if len(pool) < _POOL_CAP and getref(handle) == 3:
-                                        pool.append(handle)
-                                self._in_batch = False
-                                if skipped:
-                                    self._cancelled_in_queue -= skipped
-                                live = n - skipped
-                                executed += live
-                                ran += live
-                            else:
-                                # Two passes (see the slot batch above).
-                                if self._cancelled_in_queue:
-                                    dead = 0
-                                    for handle in batch:
-                                        handle._queued = False
-                                        if handle._cancelled:
-                                            dead += 1
-                                    if dead:
-                                        self._cancelled_in_queue -= dead
-                                else:
-                                    for handle in batch:
-                                        handle._queued = False
-                                for idx, handle in enumerate(batch):
-                                    if not handle._cancelled:
-                                        if ran == budget:
-                                            self._requeue_bucket(batch, idx, handle)
-                                            raise _Stop
-                                        handle._callback(*handle._args)
-                                        executed += 1
-                                        ran += 1
-                                        handle._callback = _noop
-                                        handle._args = ()
-                                    if len(pool) < _POOL_CAP and getref(handle) == 3:
-                                        pool.append(handle)
-                        continue
-                    while bucket:
-                        if ran == budget:
-                            raise _Stop
-                        handle = bucket_popleft()
-                        self._queued_count -= 1
-                        handle._queued = False
-                        if handle._cancelled:
-                            self._cancelled_in_queue -= 1
-                        else:
-                            handle._callback(*handle._args)
-                            executed += 1
-                            ran += 1
-                            handle._callback = _noop
-                            handle._args = ()
-                        if (
-                            getref is not None
-                            and len(pool) < _POOL_CAP
-                            and getref(handle) == 2
-                        ):
-                            pool.append(handle)
-                    continue
-                if nxt_slot is None:
-                    break
-                if nxt_slot[0][2]._cancelled:
+                if nxt_slot is not None and nxt_slot[0][2]._cancelled:
                     # Discard dead queue heads without advancing the
                     # clock -- matches the original lazy-cancel heap,
-                    # where skipped events never moved `now`.  Batch
-                    # dispatch amortizes consecutive dead heads into one
-                    # pass.
-                    if batched and not in_far:
-                        # Scan-sorted slot: strip the dead prefix with
-                        # one slice (keeps sortedness, so the memo
-                        # stays valid).  Recycling compares against 3
-                        # while the entry tuple still holds its
-                        # reference.
-                        k = 0
-                        ln = len(nxt_slot)
-                        while k < ln:
-                            handle = nxt_slot[k][2]
-                            if not handle._cancelled:
-                                break
-                            handle._queued = False
-                            if len(pool) < _POOL_CAP and getref(handle) == 3:
-                                pool.append(handle)
-                            k += 1
-                        del nxt_slot[:k]
-                        self._queued_count -= k
-                        self._wheel_count -= k
-                        self._cancelled_in_queue -= k
-                        continue
+                    # where skipped events never moved `now`.
                     while nxt_slot and nxt_slot[0][2]._cancelled:
                         handle = heappop(nxt_slot)[2]
                         self._queued_count -= 1
@@ -677,16 +439,16 @@ class EventLoop:
                             self._wheel_count -= 1
                         self._cancelled_in_queue -= 1
                         handle._queued = False
-                        if (
-                            getref is not None
-                            and len(pool) < _POOL_CAP
-                            and getref(handle) == 2
-                        ):
+                        if len(pool) < _POOL_CAP and getref(handle) == 2:
                             pool.append(handle)
-                        if not batched:
-                            break
                     continue
-                if until is not None and nxt_time > until:
+                now = self._now
+                if nxt_slot is None or (until is not None and nxt_time > until):
+                    # Nothing left at or before `until`: the clock lands
+                    # exactly there.  (A budget stop leaves it at the
+                    # last event run, never past events still queued.)
+                    if until is not None and now < until:
+                        self._now = until
                     break
                 if idle_grace is not None and nxt_time - now > idle_grace:
                     self._stopped_on_grace = True
@@ -695,70 +457,19 @@ class EventLoop:
                     break
                 self._now = nxt_time
                 self._rebase()
-        except _Stop:
-            pass
+                if in_far:
+                    continue  # _rebase moved it into the wheel; rescan
+                # Timers due at the new instant join the (empty) bucket:
+                # they predate, in seq order, anything their callbacks
+                # will append, and no callback can add to their slot's
+                # due set (call_at(now) goes to the bucket).
+                while nxt_slot and nxt_slot[0][0] <= nxt_time:
+                    bucket_append(heappop(nxt_slot)[2])
+                    self._wheel_count -= 1
         finally:
             self._running = False
-            self._in_batch = False
-            self._events_run += executed
-        if until is not None and self._now < until:
-            self._now = until
+            self._events_run += ran
         return self._now
-
-    def _requeue_slot(
-        self,
-        slot: List[Tuple[float, int, EventHandle]],
-        batch: List[Optional[Tuple[float, int, EventHandle]]],
-        idx: int,
-        entry: Tuple[float, int, EventHandle],
-    ) -> None:
-        """Return the unexecuted tail of a slot batch to its slot when the
-        event budget runs out mid-batch (cold path)."""
-        rest = [entry]
-        for j in range(idx + 1, len(batch)):
-            rest.append(batch[j])
-        restored_dead = 0
-        for item in rest:
-            handle = item[2]
-            handle._queued = True
-            if handle._cancelled:
-                restored_dead += 1
-        self._queued_count += len(rest)
-        self._wheel_count += len(rest)
-        self._cancelled_in_queue += restored_dead
-        # Only the batched drain calls this.  `rest` is sorted and every
-        # entry is due, so prepending preserves slot order; appends made
-        # by the already-run callbacks invalidated the memo themselves.
-        slot[:0] = rest
-
-    def _requeue_bucket(
-        self,
-        batch: List[Optional[EventHandle]],
-        idx: int,
-        handle: EventHandle,
-    ) -> None:
-        """Return the unexecuted tail of a bucket batch to the front of
-        the now-bucket when the event budget runs out mid-batch."""
-        rest = [handle]
-        for j in range(idx + 1, len(batch)):
-            rest.append(batch[j])
-        restored_dead = 0
-        for item in rest:
-            item._queued = True
-            if item._cancelled:
-                restored_dead += 1
-        self._queued_count += len(rest)
-        self._cancelled_in_queue += restored_dead
-        self._bucket.extendleft(reversed(rest))
-
-    def run_until(
-        self, until: float, max_events: Optional[int] = None
-    ) -> float:
-        """Batch-run every event with ``time <= until`` and leave the
-        clock exactly at ``until``.  Equivalent to ``run(until=until)``;
-        the explicit name documents the batching entry point used by the
-        benches."""
-        return self.run(until=until, max_events=max_events)
 
     def run_while_pending(
         self,
@@ -767,8 +478,8 @@ class EventLoop:
     ) -> float:
         """Drive the loop in one call while work remains pending.
 
-        With ``idle_grace=None`` this drains the queue completely (the
-        old ``run_until_idle`` contract).  With a grace, the run stops as
+        With ``idle_grace=None`` this drains the queue completely.  With
+        a grace, the run stops as
         soon as the next live event lies more than ``idle_grace`` seconds
         past the clock -- "the simulation went quiet" -- leaving far-out
         events (chaos schedules, stale coalesced timers) unexecuted.
@@ -785,19 +496,11 @@ class EventLoop:
             )
         return end
 
-    def run_until_idle(self, max_events: int = DEFAULT_IDLE_MAX_EVENTS) -> float:
-        """Run until no events remain.  ``max_events`` guards runaway loops."""
-        return self.run_while_pending(max_events=max_events)
-
     def __repr__(self) -> str:
         return (
             f"<EventLoop now={self._now:.6f} pending={self.pending_events} "
             f"run={self._events_run}>"
         )
-
-
-class _Stop(Exception):
-    """Internal: unwind the dispatch loop when max_events is reached."""
 
 
 class GroupTimer:

@@ -163,6 +163,55 @@ class TestLink:
         context.run()
         assert len(drops) >= 2
 
+    def test_shared_downstream_link_serves_ties_in_loop_order(self):
+        # Two FIFO source links feed one EDF link.  All times are
+        # multiples of u = 1/128 s, so every float below is exact: a
+        # 128 B frame takes 2u on a source (+1u propagation) and 4u on
+        # the shared link.
+        u = 1 / 128
+        context = SimContext()
+        loop = context.loop
+        src_a = Link(context, "a", bandwidth=8192, propagation_delay=u, policy="fifo")
+        src_b = Link(context, "b", bandwidth=8192, propagation_delay=u, policy="fifo")
+        shared = Link(context, "d", bandwidth=4096, propagation_delay=0.0, policy="edf")
+        seen = []
+
+        def delivered(frame):
+            stats = shared.stats
+            seen.append((frame.src_host, loop.now / u, shared.queued_bytes,
+                         shared.queue_length, stats.frames_transmitted,
+                         stats.bytes_transmitted))
+
+        def forward(frame):
+            shared.transmit(frame, deliver=delivered)
+
+        def send(link, name, deadline=1.0):
+            frame = make_frame(size=128 - FRAME_OVERHEAD_BYTES, deadline=deadline)
+            frame.src_host = name
+            link.transmit(frame, deliver=forward)
+
+        # b's frames are offered one at a time, each ahead (in loop seq)
+        # of a's same-instant completion; a holds its three from t=0.
+        loop.call_at(2 * u, send, src_b, "b1")
+        loop.call_at(4 * u, send, src_b, "b2")
+        send(src_a, "a0")
+        send(src_a, "a1")
+        send(src_a, "a2", deadline=0.5)
+        context.run()
+        # a0 arrives alone at 3u and holds the wire until 7u.  b1 and a1
+        # both arrive at 5u, b1 first in (time, seq) order; b2 and a2 at
+        # 7u, after the completion event scheduled back at 3u.  The
+        # urgent a2 overtakes a1 and b2 in the queue, but not b1, which
+        # that completion had already put on the wire.
+        assert seen == [
+            ("a0", 7.0, 512, 3, 1, 128),
+            ("b1", 11.0, 384, 2, 2, 256),
+            ("a2", 15.0, 256, 1, 3, 384),
+            ("a1", 19.0, 128, 0, 4, 512),
+            ("b2", 23.0, 0, 0, 5, 640),
+        ]
+        assert shared.stats.max_queue_bytes == 512
+
     def test_invalid_parameters_rejected(self):
         context = SimContext()
         with pytest.raises(NetworkError):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import weakref
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SchedulingError
 from repro.sim.events import EventLoop, Signal, TimerGroup
@@ -126,7 +131,7 @@ class TestEventLoop:
 
         loop.call_after(1.0, forever)
         with pytest.raises(SchedulingError):
-            loop.run_until_idle(max_events=100)
+            loop.run_while_pending(max_events=100)
 
     def test_pending_events_counts_uncancelled(self):
         loop = EventLoop()
@@ -170,7 +175,7 @@ class TestRunUntil:
         ran = []
         loop.call_after(1.0, lambda: ran.append("a"))
         loop.call_after(3.0, lambda: ran.append("b"))
-        end = loop.run_until(2.0)
+        end = loop.run(until=2.0)
         assert ran == ["a"]
         assert end == 2.0 == loop.now
 
@@ -179,8 +184,201 @@ class TestRunUntil:
         count = []
         for _ in range(10):
             loop.call_after(0.5, lambda: count.append(1))
-        loop.run_until(1.0, max_events=4)
+        loop.run(until=1.0, max_events=4)
         assert len(count) == 4
+
+
+class TestRaisingCallback:
+    def test_raising_callback_loses_no_other_event(self):
+        # A callback that raises must cost exactly itself: everything
+        # queued beside it still runs, once, and the counters stay true.
+        loop = EventLoop()
+        ran = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        loop.call_soon(ran.append, 1)
+        loop.call_soon(boom)
+        loop.call_soon(ran.append, 2)
+        loop.call_soon(ran.append, 3)
+        loop.call_at(0.25, ran.append, "t1")
+        loop.call_at(0.25, boom)
+        loop.call_at(0.25, ran.append, "t2")
+        for handle in [loop.call_soon(ran.append, "dead") for _ in range(3)]:
+            handle.cancel()
+        raised = 0
+        while True:
+            try:
+                loop.run()
+                break
+            except RuntimeError:
+                raised += 1
+        assert raised == 2
+        assert ran == [1, 2, 3, "t1", "t2"]
+        assert loop.pending_events == 0
+        assert loop.queue_depth == 0
+        assert loop.run_while_pending() == 0.25
+
+
+class _Target:
+    def hit(self):
+        pass
+
+
+class TestHandleRelease:
+    def test_kept_handle_drops_its_callback_once_run(self):
+        # Whoever keeps a handle must not keep the closure alive with it.
+        loop = EventLoop()
+        target = _Target()
+        ref = weakref.ref(target)
+        handle = loop.call_soon(target.hit)
+        del target
+        loop.run()
+        assert ref() is None
+        assert not handle.cancelled
+
+    def test_recycled_handle_drops_its_callback_on_reuse(self):
+        # An unreferenced handle returns to the pool as it is; the next
+        # schedule overwrites, and so releases, what it last ran.
+        loop = EventLoop()
+        target = _Target()
+        ref = weakref.ref(target)
+        loop.call_soon(target.hit)
+        del target
+        loop.run()
+        loop.call_soon(int)
+        assert ref() is None
+
+
+class _RefHandle:
+    def __init__(self, callback, args):
+        self.callback, self.args, self.cancelled = callback, args, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _HeapReference:
+    """The oracle: one heapq of (time, seq, handle), nothing else.  It
+    has the part of the EventLoop surface that ``_Driver`` uses."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def call_at(self, when, callback, *args):
+        handle = _RefHandle(callback, args)
+        heapq.heappush(self._heap, (when, next(self._seq), handle))
+        return handle
+
+    def call_soon(self, callback, *args):
+        return self.call_at(self.now, callback, *args)
+
+    @property
+    def pending_events(self):
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
+
+    def run(self, until=None, max_events=None):
+        ran = 0
+        heap = self._heap
+        while True:
+            while heap and heap[0][2].cancelled:
+                heapq.heappop(heap)
+            if not heap or (until is not None and heap[0][0] > until):
+                if until is not None and self.now < until:
+                    self.now = until
+                return
+            if ran == max_events:
+                return
+            self.now, _, handle = heapq.heappop(heap)
+            ran += 1
+            handle.callback(*handle.args)
+
+
+class _Driver:
+    """Applies one program to a loop; tags number the scheduled events in
+    scheduling order, so equal logs mean equal dispatch order."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.log = []
+        self.plans = {}    # tag -> actions to perform when it fires
+        self.handles = {}  # tag -> handle, for the tags that can be cancelled
+
+    def apply(self, action):
+        kind = action[0]
+        if kind == "schedule":
+            _, delay, children = action
+            tag = len(self.plans)
+            self.plans[tag] = children
+            if delay is None:
+                handle = self.loop.call_soon(self._fire, tag)
+            else:
+                handle = self.loop.call_at(self.loop.now + delay, self._fire, tag)
+            # Every third handle is dropped, so the free pool recycles.
+            if tag % 3:
+                self.handles[tag] = handle
+        elif kind == "cancel":
+            handle = self.handles.get(action[1] % max(len(self.plans), 1))
+            if handle is not None:
+                handle.cancel()
+        elif kind == "churn":
+            # Enough schedule-and-cancel to push the loop into compaction.
+            first = len(self.plans)
+            for i in range(90):
+                self.apply(("schedule", action[1] + i * 0.0004, ()))
+            for tag in range(first, first + 90):
+                if tag % 9:
+                    self.apply(("cancel", tag))
+        else:
+            _, delta, max_events = action
+            until = None if delta is None else self.loop.now + delta
+            self.loop.run(until=until, max_events=max_events)
+
+    def _fire(self, tag):
+        self.log.append((tag, self.loop.now))
+        for action in self.plans[tag]:
+            self.apply(action)
+
+    def state(self):
+        return self.log, self.loop.now, self.loop.pending_events
+
+
+_DELAYS = st.one_of(
+    st.none(),  # call_soon
+    st.sampled_from([0.0, 0.0003, 0.0007, 0.001, 0.0042, 0.25, 0.6, 1.5]),
+    st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
+)
+_CANCELS = st.tuples(st.just("cancel"), st.integers(0, 1000))
+_CHURNS = st.tuples(st.just("churn"), st.sampled_from([0.0005, 0.3, 0.7]))
+_SCHEDULES = st.recursive(
+    st.tuples(st.just("schedule"), _DELAYS, st.just(())),
+    lambda inner: st.tuples(
+        st.just("schedule"), _DELAYS,
+        st.lists(st.one_of(inner, _CANCELS, _CHURNS), max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+_RUNS = st.tuples(
+    st.just("run"),
+    st.one_of(st.none(), st.sampled_from([0.0, 0.0005, 0.01, 0.7]),
+              st.floats(min_value=0.0, max_value=2.0, allow_nan=False)),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+
+
+class TestAgainstHeapReference:
+    @given(st.lists(st.one_of(_SCHEDULES, _SCHEDULES, _CANCELS, _CHURNS, _RUNS),
+                    max_size=30))
+    def test_order_clock_and_pending_match_reference(self, program):
+        real, reference = _Driver(EventLoop()), _Driver(_HeapReference())
+        for action in program + [("run", None, None)]:
+            real.apply(action)
+            reference.apply(action)
+            assert real.state() == reference.state()
+        assert real.loop.pending_events == 0
 
 
 class TestCancellationCompaction:

@@ -131,7 +131,7 @@ class TestSimContext:
     def test_run_until_idle(self):
         context = SimContext()
         context.loop.call_after(1.0, lambda: None)
-        assert context.run_until_idle() == 1.0
+        assert context.run(while_pending=True) == 1.0
 
     def test_signal_factory(self):
         context = SimContext()
