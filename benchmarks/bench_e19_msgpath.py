@@ -3,10 +3,10 @@
 E18 established that the event loop itself runs ~840k events/sec, yet
 the message path it measured delivered only ~9.8k msgs/sec -- roughly 85
 loop events and 2.36 allocations per delivered client message.  This
-bench measures the message-path engine built to close that gap:
-per-peer ``TimerGroup`` deadline coalescing, security contexts cached at
-negotiation time, the flow-control ``try_admit`` fast path, and the
-fused send/deliver datapath (``fast_message``, ``send_data_fast``).
+bench measures the message path built to close that gap: per-peer
+``TimerGroup`` deadline coalescing, security contexts cached at
+negotiation time, the flow-control ``try_admit`` fast path, and per-size
+memos of the stage costs and deadlines.
 
 The headline workload is the one the paper's piggybacking argument is
 about: sustained bursts of small messages on a trusted LAN, where
@@ -18,13 +18,10 @@ claim, asserted by ``test_e19_msgpath``:
 * <= 20 loop events per delivered message (down from ~85),
 * with timer events per message reported (TimerGroup loop-timer fires).
 
-An in-process ablation (``StConfig(coalesced_timers=False,
-message_fastpath=False)``) runs the same workload with the engine off
-and is reported as ``legacy_msgs_per_sec`` / ``speedup_vs_legacy`` --
-a same-interpreter, same-machine sanity ratio alongside the recorded
-cross-PR baseline.  Results go to the repo-root ``BENCH_e19.json`` for
-the CI perf-smoke job; see DESIGN.md's "Performance" section for the
-schema.
+There is one message path, so there is no in-process ablation: the
+reference is the recorded cross-PR baseline.  Results go to the
+repo-root ``BENCH_e19.json`` for the CI perf-smoke job; see DESIGN.md's
+"Performance" section for the schema.
 """
 
 from __future__ import annotations
@@ -33,13 +30,12 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from common import Table, bench_main, build_lan, make_run, open_st_rms, report
-from repro.subtransport.config import StConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON_SCHEMA = "dash-bench-e19/1"
+BENCH_JSON_SCHEMA = "dash-bench-e19/2"
 
 #: The PR 3 message-path baseline: ``msgs_per_sec`` from BENCH_e18.json
 #: as committed by the fast-path-engine PR (its LAN end-to-end row, the
@@ -59,8 +55,6 @@ BIG_PAYLOAD = 1400
 BIG_BURSTS = 300
 BIG_BURST_WIDTH = 10
 
-LEGACY_CONFIG = StConfig(coalesced_timers=False, message_fastpath=False)
-
 
 def _timer_fires(system) -> int:
     """Loop-timer firings of every TimerGroup in the system (ST per-peer
@@ -68,21 +62,16 @@ def _timer_fires(system) -> int:
     fires = 0
     for node in system.nodes.values():
         for peer in node.st._peers.values():
-            if peer.timers is not None:
-                fires += peer.timers.fires
+            fires += peer.timers.fires
         fires += node.rkom._timers.fires
     return fires
 
 
 def _run_workload(
-    seed: int,
-    st_config: Optional[StConfig],
-    payload_bytes: int,
-    bursts: int,
-    burst_width: int,
+    seed: int, payload_bytes: int, bursts: int, burst_width: int
 ) -> Dict[str, float]:
     """Push ``bursts * burst_width`` messages a->b; return rates."""
-    system = build_lan(seed=seed, st_config=st_config)
+    system = build_lan(seed=seed)
     rms = open_st_rms(system, "a", "b", port="e19")
     delivered = [0]
     rms.port.set_handler(lambda message: delivered.__setitem__(0, delivered[0] + 1))
@@ -129,26 +118,18 @@ def run_experiment(seed: int = SEED):
         ("small bursts (bundled)", SMALL_PAYLOAD, BURSTS, BURST_WIDTH),
         ("MTU-filling (unbundled)", BIG_PAYLOAD, BIG_BURSTS, BIG_BURST_WIDTH),
     ):
-        fast = _run_workload(seed, None, size, bursts, width)
-        legacy = _run_workload(seed, LEGACY_CONFIG, size, bursts, width)
-        rows.append({
-            "workload": name,
-            "fast": fast,
-            "legacy": legacy,
-            "speedup": fast["msgs_per_sec"] / max(legacy["msgs_per_sec"], 1e-9),
-        })
+        row = _run_workload(seed, size, bursts, width)
+        row["workload"] = name
+        rows.append(row)
     headline = rows[0]
-    fast = headline["fast"]
     result = {
         "rows": rows,
-        "msgs_per_sec": fast["msgs_per_sec"],
-        "legacy_msgs_per_sec": headline["legacy"]["msgs_per_sec"],
-        "speedup_vs_legacy": headline["speedup"],
+        "msgs_per_sec": headline["msgs_per_sec"],
         "pr3_recorded_msgs_per_sec": PR3_MSGS_PER_SEC,
-        "speedup_vs_pr3_recorded": fast["msgs_per_sec"] / PR3_MSGS_PER_SEC,
-        "loop_events_per_msg": fast["loop_events_per_msg"],
-        "timer_events_per_msg": fast["timer_events_per_msg"],
-        "allocs_per_msg": fast["allocs_per_msg"],
+        "speedup_vs_pr3_recorded": headline["msgs_per_sec"] / PR3_MSGS_PER_SEC,
+        "loop_events_per_msg": headline["loop_events_per_msg"],
+        "timer_events_per_msg": headline["timer_events_per_msg"],
+        "allocs_per_msg": headline["allocs_per_msg"],
         "seed": seed,
     }
     _write_bench_json(result)
@@ -159,8 +140,6 @@ def _write_bench_json(result) -> None:
     payload = {
         "schema": BENCH_JSON_SCHEMA,
         "msgs_per_sec": round(result["msgs_per_sec"], 1),
-        "legacy_msgs_per_sec": round(result["legacy_msgs_per_sec"], 1),
-        "speedup_vs_legacy": round(result["speedup_vs_legacy"], 3),
         "pr3_recorded_msgs_per_sec": result["pr3_recorded_msgs_per_sec"],
         "speedup_vs_pr3_recorded": round(result["speedup_vs_pr3_recorded"], 3),
         "loop_events_per_msg": round(result["loop_events_per_msg"], 2),
@@ -175,26 +154,20 @@ def _write_bench_json(result) -> None:
 
 def render(result) -> Table:
     table = Table(
-        "E19: message-path engine vs per-message timers",
-        ["workload", "msgs", "engine msg/s", "ablation msg/s", "speedup",
-         "ev/msg", "timer-ev/msg", "allocs/msg"],
+        "E19: message-path throughput",
+        ["workload", "msgs", "msg/s", "ev/msg", "timer-ev/msg", "allocs/msg"],
     )
     for row in result["rows"]:
-        fast = row["fast"]
         table.add_row(
-            row["workload"], fast["messages"],
-            round(fast["msgs_per_sec"]),
-            round(row["legacy"]["msgs_per_sec"]),
-            round(row["speedup"], 2),
-            round(fast["loop_events_per_msg"], 2),
-            round(fast["timer_events_per_msg"], 3),
-            round(fast["allocs_per_msg"], 2),
+            row["workload"], row["messages"],
+            round(row["msgs_per_sec"]),
+            round(row["loop_events_per_msg"], 2),
+            round(row["timer_events_per_msg"], 3),
+            round(row["allocs_per_msg"], 2),
         )
     table.add_row(
-        "vs PR 3 recorded", "",
-        round(result["msgs_per_sec"]),
+        f"PR 3 recorded (x{result['speedup_vs_pr3_recorded']:.2f})", "",
         round(result["pr3_recorded_msgs_per_sec"]),
-        round(result["speedup_vs_pr3_recorded"], 2),
         "", "", "",
     )
     return table
@@ -208,8 +181,6 @@ def test_e19_msgpath(run_once):
     assert result["speedup_vs_pr3_recorded"] >= 2.0
     assert result["loop_events_per_msg"] <= 20.0
     assert result["timer_events_per_msg"] >= 0.0
-    # The in-process ablation must not be a regression either.
-    assert result["speedup_vs_legacy"] >= 1.0
 
 
 run = make_run("e19_msgpath", run_experiment, render)

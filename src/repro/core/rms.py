@@ -120,10 +120,7 @@ class Rms:
         self.on_failure: Signal = Signal(context.loop)
         self.outstanding_bytes = 0
         self._last_delivered_id = 0
-        #: Providers set this to route deliveries through
-        #: :meth:`deliver_fast` (same bookkeeping, gated tracing).
-        self.fast_path = False
-        #: Per-size lateness thresholds memoized by :meth:`deliver_fast`.
+        #: Per-size lateness thresholds memoized by :meth:`_deliver`.
         self._late_threshold: Dict[int, float] = {}
         self.created_at = context.now
         self.closed_at: Optional[float] = None
@@ -163,78 +160,45 @@ class Rms:
         (section 4.3.1); when omitted, providers derive one from the
         RMS delay bound.
         """
-        if self.state is RmsState.FAILED:
-            raise RmsFailedError(f"{self.name} has failed")
-        if self.state is RmsState.DELETED:
-            raise RmsFailedError(f"{self.name} has been deleted")
+        if self.state is not RmsState.OPEN:
+            raise RmsFailedError(
+                f"{self.name} has failed"
+                if self.state is RmsState.FAILED
+                else f"{self.name} has been deleted"
+            )
         if isinstance(payload, Message):
             message = payload
         else:
             message = Message(payload, source=self.sender, target=self.receiver)
-        if message.size > self.params.max_message_size:
+        params = self.params
+        size = len(message.payload)
+        if size > params.max_message_size:
             raise MessageTooLargeError(
-                f"{self.name}: message of {message.size}B exceeds maximum "
-                f"message size {self.params.max_message_size}B"
+                f"{self.name}: message of {size}B exceeds maximum "
+                f"message size {params.max_message_size}B"
             )
-        message.send_time = self.context.now
+        context = self.context
+        now = context.loop._now
+        message.send_time = now
         if deadline is not None:
             message.deadline = deadline
-        elif not self.params.delay_bound.is_unbounded:
-            message.deadline = self.context.now + self.params.delay_bound.bound_for(
-                message.size
-            )
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += message.size
-        self.outstanding_bytes += message.size
-        violated = self.outstanding_bytes > self.params.capacity
-        if violated:
-            # Client capacity violation: guarantees are void (section 4.4)
-            # but the provider does not block -- it only counts.
-            self.stats.capacity_violations += 1
-        self.context.tracer.record(
-            "rms", "send", rms=self.name, id=message.message_id, size=message.size
-        )
-        obs = self.context.obs
-        if obs.enabled:
-            if message.trace_id is None:
-                message.trace_id = obs.spans.new_trace()
-            self._m_sent.inc()
-            self._m_bytes_sent.inc(message.size)
-            if violated:
-                self._m_violations.inc()
-            obs.spans.event(
-                message.trace_id, self.layer, "send",
-                rms=self.name, size=message.size,
-            )
-        self._transmit(message)
-        return message
-
-    def send_fast(self, message: Message, size: int, deadline: float) -> None:
-        """Hot-path send: a prepared message, precomputed size and deadline.
-
-        Behaviour-identical to :meth:`send` (same stats, same stamps,
-        same transmit) minus the per-call re-derivation; anything
-        unusual -- closed stream, oversized message -- falls back to the
-        full path so every error and edge case stays in one place.
-        """
-        if self.state is not RmsState.OPEN or size > self.params.max_message_size:
-            self.send(message, deadline)
-            return
-        message.send_time = self.context.now
-        message.deadline = deadline
+        elif not params.delay_bound.is_unbounded:
+            message.deadline = now + params.delay_bound.bound_for(size)
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
         self.outstanding_bytes += size
-        violated = self.outstanding_bytes > self.params.capacity
+        violated = self.outstanding_bytes > params.capacity
         if violated:
+            # Client capacity violation: guarantees are void (section 4.4)
+            # but the provider does not block -- it only counts.
             stats.capacity_violations += 1
-        tracer = self.context.tracer
+        tracer = context.tracer
         if tracer.enabled:
             tracer.record(
                 "rms", "send", rms=self.name, id=message.message_id, size=size
             )
-        obs = self.context.obs
+        obs = context.obs
         if obs.enabled:
             if message.trace_id is None:
                 message.trace_id = obs.spans.new_trace()
@@ -243,10 +207,10 @@ class Rms:
             if violated:
                 self._m_violations.inc()
             obs.spans.event(
-                message.trace_id, self.layer, "send",
-                rms=self.name, size=size,
+                message.trace_id, self.layer, "send", rms=self.name, size=size
             )
         self._transmit(message)
+        return message
 
     # -- provider side ----------------------------------------------------
 
@@ -258,52 +222,9 @@ class Rms:
         """Deliver ``message`` at the receiver (enqueue on the port)."""
         if self.state is not RmsState.OPEN:
             return
-        message.deliver_time = self.context.now
-        self.outstanding_bytes = max(0, self.outstanding_bytes - message.size)
-        self.stats.messages_delivered += 1
-        self.stats.bytes_delivered += message.size
-        delay = message.delay
-        late = False
-        if delay is not None:
-            self.stats.delays.append(delay)
-            if not self.params.delay_bound.is_unbounded:
-                if delay > self.params.delay_bound.bound_for(message.size) + 1e-12:
-                    self.stats.messages_late += 1
-                    late = True
-        obs = self.context.obs
-        if obs.enabled:
-            self._m_delivered.inc()
-            self._m_bytes_delivered.inc(message.size)
-            if delay is not None:
-                self._m_delay.observe(delay)
-            obs.spans.event(
-                message.trace_id, self.layer, "deliver",
-                rms=self.name, delay=delay,
-            )
-            if late:
-                self._m_late.inc()
-                obs.spans.event(
-                    message.trace_id, self.layer, "late", rms=self.name
-                )
-        if message.message_id < self._last_delivered_id:
-            # In-sequence delivery is a basic property; a violation is a
-            # provider bug, surfaced loudly in tests via the trace.
-            self.context.tracer.record(
-                "rms", "out_of_order", rms=self.name, id=message.message_id
-            )
-        self._last_delivered_id = max(self._last_delivered_id, message.message_id)
-        self.context.tracer.record(
-            "rms", "deliver", rms=self.name, id=message.message_id, delay=delay
-        )
-        self.port.deliver(message)
-
-    def deliver_fast(self, message: Message, size: int) -> None:
-        """Hot-path delivery: same bookkeeping as :meth:`_deliver` with
-        the tracer gated on whether it is actually collecting."""
-        if self.state is not RmsState.OPEN:
-            return
         context = self.context
         now = context.loop._now
+        size = len(message.payload)
         send_time = message.send_time
         message.deliver_time = now
         outstanding = self.outstanding_bytes - size
@@ -317,9 +238,9 @@ class Rms:
         else:
             delay = now - send_time
             stats.delays.append(delay)
-            # Per-size lateness threshold, memoized from the same
-            # ``bound_for`` the legacy path calls (bit-identical floats;
-            # ``inf`` marks an unbounded stream).
+            # Lateness threshold per message size, memoized: ``bound_for``
+            # is a pure function of the size, so the memo holds the very
+            # float a per-message call returns (``inf`` = unbounded).
             threshold = self._late_threshold.get(size)
             if threshold is None:
                 bound = self.params.delay_bound
@@ -349,6 +270,8 @@ class Rms:
         message_id = message.message_id
         tracer = context.tracer
         if message_id < self._last_delivered_id:
+            # In-sequence delivery is a basic property; a violation is a
+            # provider bug, surfaced loudly in tests via the trace.
             tracer.record(
                 "rms", "out_of_order", rms=self.name, id=message_id
             )

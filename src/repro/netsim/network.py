@@ -113,85 +113,24 @@ class NetworkRms(Rms):
         # Data follows the route the stream was admitted on -- its
         # reservations live on those links, not on whatever path is
         # currently shortest.
-        plan = self.plan
-        frame = self.network._acquire_data_frame(
-            message=message,
-            src_host=self.sender.host,
-            dst_host=self.receiver.host,
-            rms_id=self.rms_id,
-            deadline=message.deadline if message.deadline is not None else float("inf"),
-            route=plan.route if plan is not None else list(self.route),
-        )
-        if plan is not None:
-            self.network._transmit_plan(frame, plan, self._frame_dropped)
-        else:
-            self.network._transmit_frame(frame, on_drop=self._frame_dropped)
-
-    def _frame_dropped(self, frame: Frame, reason: str) -> None:
-        self._drop(frame.message, reason)
-
-    def send_data_fast(self, message: Message, size: int, deadline: float) -> None:
-        """:meth:`Rms.send_fast` with the frame build fused in.
-
-        Used by the ST fast flusher when observability is off: same
-        stats, same stamps, same frame fields and transmit call as
-        ``send_fast`` -> ``_transmit``, minus one dispatch layer and the
-        keyword-argument frame acquisition.  Anything unusual falls back
-        to the full path.
-        """
-        if self.state is not RmsState.OPEN or size > self.params.max_message_size:
-            self.send(message, deadline)
-            return
-        context = self.context
-        message.send_time = context.loop._now
-        message.deadline = deadline
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        outstanding = self.outstanding_bytes + size
-        self.outstanding_bytes = outstanding
-        if outstanding > self.params.capacity:
-            stats.capacity_violations += 1
-        tracer = context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "rms", "send", rms=self.name, id=message.message_id, size=size
-            )
         network = self.network
         plan = self.plan
-        pooling = network._pool_frames and not context.obs.enabled
-        if pooling:
-            frame = network._frame_pool.acquire()
-            if frame is not None:
-                frame.message = message
-                frame.src_host = self.sender.host
-                frame.dst_host = self.receiver.host
-                frame.rms_id = self.rms_id
-                frame.kind = "data"
-                frame.deadline = deadline
-                frame.route = plan.route if plan is not None else list(self.route)
-                frame.hops_taken = 0
-                frame.corrupted = False
-                frame.frame_id = next_frame_id()
-                frame.enqueued_at = None
-                frame.pooled = True
-                frame._size = None
-                if plan is not None:
-                    network._transmit_plan(frame, plan, self._frame_dropped)
-                else:
-                    network._transmit_frame_fast(frame, self._frame_dropped)
-                return
-        frame = Frame(
-            message=message, src_host=self.sender.host,
-            dst_host=self.receiver.host, rms_id=self.rms_id, kind="data",
-            deadline=deadline,
-            route=plan.route if plan is not None else list(self.route),
+        deadline = message.deadline
+        frame = network._acquire_data_frame(
+            message,
+            self.sender.host,
+            self.receiver.host,
+            self.rms_id,
+            deadline if deadline is not None else float("inf"),
+            plan.route if plan is not None else list(self.route),
         )
-        frame.pooled = pooling
         if plan is not None:
             network._transmit_plan(frame, plan, self._frame_dropped)
         else:
             network._transmit_frame_fast(frame, self._frame_dropped)
+
+    def _frame_dropped(self, frame: Frame, reason: str) -> None:
+        self._drop(frame.message, reason)
 
     def _frame_arrived(self, frame: Frame) -> None:
         """Called by the network when a data frame reaches the receiver."""
@@ -199,11 +138,7 @@ class NetworkRms(Rms):
             # Hardware checksum: corrupted frames never reach clients.
             self._drop(frame.message, "checksum failure")
             return
-        message = frame.message
-        if self.fast_path and not self.context.obs.enabled:
-            self.deliver_fast(message, len(message.payload))
-        else:
-            self._deliver(message)
+        self._deliver(frame.message)
 
     def close(self) -> None:
         """Tear down through the owning network (releases reservations)."""

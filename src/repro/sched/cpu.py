@@ -67,12 +67,12 @@ class WorkItem:
     cpu_time: float
     deadline: float
     callback: Callable[..., None]
-    #: Positional arguments for ``callback`` -- the fast path passes the
-    #: stage state here instead of closing over it in a lambda.
+    #: Positional arguments for ``callback`` -- the ST passes the stage
+    #: state here instead of closing over it in a lambda.
     args: Tuple[Any, ...] = ()
     #: Context-switch accounting owner.  ``None`` means "derive from the
-    #: name prefix" (everything before the first ``/``); the fast path
-    #: passes it explicitly to skip the per-dispatch string split.
+    #: name prefix" (everything before the first ``/``); the ST passes
+    #: it explicitly to skip the per-dispatch string split.
     owner: Optional[str] = None
     priority: int = 0
     submitted_at: float = 0.0
@@ -152,28 +152,6 @@ class HostCpu:
         if not self._busy:
             self._dispatch()
         return item
-
-    def submit_protocol_stage(
-        self,
-        name: str,
-        size: int,
-        deadline: float,
-        callback: Callable[[], None],
-        checksum: bool = False,
-        encrypt: bool = False,
-        mac: bool = False,
-        copies: int = 1,
-        priority: int = 0,
-        trace_id: Optional[int] = None,
-    ) -> WorkItem:
-        """Queue a protocol stage costed by the CPU's cost model."""
-        cpu_time = self.costs.protocol_cost(
-            size, checksum=checksum, encrypt=encrypt, mac=mac, copies=copies
-        )
-        return self.submit(
-            name, cpu_time, deadline, callback, priority=priority,
-            trace_id=trace_id,
-        )
 
     def submit_fast(
         self,

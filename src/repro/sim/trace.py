@@ -40,6 +40,8 @@ class Tracer:
     records lost.
     """
 
+    enabled = True
+
     def __init__(
         self,
         loop: EventLoop,
@@ -55,10 +57,6 @@ class Tracer:
         self.keep = keep
         self.records: Deque[TraceRecord] = deque()
         self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def wants(self, category: str) -> bool:
         return self._categories is None or category in self._categories
@@ -98,15 +96,13 @@ class Tracer:
 class NullTracer:
     """A tracer that records nothing; the default for benchmarks."""
 
+    enabled = False
+
     def __init__(self) -> None:
         # Per-instance, never class-level: a shared mutable list would
         # leak state across every simulation using the null tracer.
         self.records: List[TraceRecord] = []
         self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def wants(self, category: str) -> bool:
         return False

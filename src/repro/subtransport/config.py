@@ -60,19 +60,6 @@ class StConfig:
     #: Authentication handshake retransmission.
     auth_retry_timeout: float = 0.3
     auth_max_retries: int = 5
-    #: Coalesce per-message protocol timers (piggyback flushes, control
-    #: retransmissions, auth retries) onto one per-peer
-    #: :class:`repro.sim.events.TimerGroup` instead of one loop timer per
-    #: pending message.  Behaviour-preserving: deadlines fire at the
-    #: same simulated times either way (bench E19 measures the
-    #: difference; tests assert the equivalence).
-    coalesced_timers: bool = True
-    #: Run the message data path through the fast path: per-ST-RMS cached
-    #: security contexts, precomputed CPU-stage names/costs, and trimmed
-    #: send/receive bookkeeping.  Simulated behaviour is identical to the
-    #: legacy path; only wall-clock cost changes.  Off = the PR 3
-    #: baseline that bench E19 compares against.
-    message_fastpath: bool = True
     #: Which :mod:`repro.security.providers` engine negotiated channels
     #: bind for their software transforms: ``"xtea-ct"`` (vectorized
     #: default), ``"xtea-ct-ref"`` (scalar oracle, byte-identical

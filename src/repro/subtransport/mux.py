@@ -97,7 +97,7 @@ class MuxBinding:
         self.network_rms = network_rms
         self.st_rms: Dict[int, "StRms"] = {}
         #: The piggyback queue feeding this binding's network RMS, set by
-        #: the ST at creation (saves two dict hops on the send path).
+        #: the ST when it creates the binding.
         self.queue = None
         #: Last transmission deadline handed to the network per ST RMS
         #: (the *minimum transmission deadline* rule of section 4.3.1).

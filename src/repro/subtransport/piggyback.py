@@ -49,9 +49,8 @@ class PiggybackQueue:
         max_bundle_payload: int,
         flush_fn: FlushCallback,
         ordering_floor: Callable[[List[int]], float],
+        timer_group: TimerGroup,
         enabled: bool = True,
-        timer_group: Optional[TimerGroup] = None,
-        fast: bool = False,
     ) -> None:
         if max_bundle_payload <= _BUNDLE_HEADER_BYTES:
             raise TransportError(
@@ -66,15 +65,8 @@ class PiggybackQueue:
         #: (entry, network transmission deadline, flush-by time).
         self._entries: List[Tuple[BundleEntry, float, float]] = []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
-        #: Where flush timers are scheduled: a per-peer TimerGroup when
-        #: the ST coalesces timers, else the loop itself.  Both expose
-        #: ``call_at`` returning a handle with ``time``/``cancel()``/
-        #: ``cancelled``, and fire at identical simulated times.
-        self._timers = timer_group if timer_group is not None else context.loop
-        #: Skip the generic multi-entry reductions for single-component
-        #: bundles (set from StConfig.message_fastpath; the flushed
-        #: bytes and deadlines are identical).
-        self._fast = fast
+        #: Flush deadlines share the owning peer's coalesced timer group.
+        self._timers = timer_group
         self._timer: Optional[EventHandle] = None
         # Statistics.
         self.flushes_timer = 0
@@ -105,67 +97,35 @@ class PiggybackQueue:
         cap), so that waiting for companions does not consume the whole
         slack.
         """
-        if flush_by is None:
+        if flush_by is None or flush_by > max_deadline:
             flush_by = max_deadline
-        flush_by = min(flush_by, max_deadline)
-        if entry.encoded_size + _BUNDLE_HEADER_BYTES > self.max_bundle_payload:
+        size = entry.encoded_size
+        limit = self.max_bundle_payload
+        if size + _BUNDLE_HEADER_BYTES > limit:
             raise TransportError(
-                f"component of {entry.encoded_size}B cannot fit a bundle of "
-                f"{self.max_bundle_payload}B; fragment it first"
+                f"component of {size}B cannot fit a bundle of "
+                f"{limit}B; fragment it first"
             )
         if not self.enabled:
             # Piggybacking off: every component ships alone, immediately.
             self.flushes_immediate += 1
             self._send([(entry, max_deadline, flush_by)])
             return
+        if self._encoded_bytes + size > limit:
+            # Does not fit: the queue goes first, the component follows,
+            # still in order.
+            self.flushes_overflow += 1
+            self.flush("overflow")
+        self._entries.append((entry, max_deadline, flush_by))
+        self._encoded_bytes += size
         if flush_by <= self.context.now:
             # No queueing slack left: flush everything queued together
             # with this component (sending it *after* the queue would
-            # break arrival order on the shared network RMS) -- unless
-            # it does not fit, in which case the queue goes first and
-            # the component follows alone, still in order.
-            if self._encoded_bytes + entry.encoded_size > self.max_bundle_payload:
-                self.flushes_overflow += 1
-                self.flush("overflow")
-            self._entries.append((entry, max_deadline, flush_by))
-            self._encoded_bytes += entry.encoded_size
+            # break arrival order on the shared network RMS).
             self.flushes_immediate += 1
             self.flush("immediate")
-            return
-        if self._encoded_bytes + entry.encoded_size > self.max_bundle_payload:
-            self.flushes_overflow += 1
-            self.flush("overflow")
-        self._entries.append((entry, max_deadline, flush_by))
-        self._encoded_bytes += entry.encoded_size
-        self._arm_timer()
-
-    def submit_fast(
-        self, entry: BundleEntry, entry_size: int, max_deadline: float,
-        flush_by: float,
-    ) -> None:
-        """Hot-path submit: the caller precomputed ``entry.encoded_size``
-        and clamped ``flush_by <= max_deadline``.  Decision structure and
-        flush times are identical to :meth:`submit`."""
-        if not self.enabled:
-            self.flushes_immediate += 1
-            self._send([(entry, max_deadline, flush_by)])
-            return
-        encoded = self._encoded_bytes
-        if flush_by <= self.context.now:
-            if encoded + entry_size > self.max_bundle_payload:
-                self.flushes_overflow += 1
-                self.flush("overflow")
-            self._entries.append((entry, max_deadline, flush_by))
-            self._encoded_bytes += entry_size
-            self.flushes_immediate += 1
-            self.flush("immediate")
-            return
-        if encoded + entry_size > self.max_bundle_payload:
-            self.flushes_overflow += 1
-            self.flush("overflow")
-        self._entries.append((entry, max_deadline, flush_by))
-        self._encoded_bytes += entry_size
-        self._arm_timer()
+        else:
+            self._arm_timer()
 
     def flush(self, reason: str = "forced") -> None:
         """Send every queued component as one bundle now."""
@@ -182,21 +142,19 @@ class PiggybackQueue:
         self._send(entries)
 
     def _send(self, entries: List[Tuple[BundleEntry, float, float]]) -> None:
-        if self._fast and len(entries) == 1 and not self.context.obs.enabled:
-            # Single-component bundle: the reductions below collapse.
-            entry, deadline, _ = entries[0]
-            st_ids = [entry.st_rms_id]
-            floor = self.ordering_floor(st_ids)
-            if floor > deadline:
-                deadline = floor
-            self.flush_fn(encode_single(entry), deadline, st_ids, 1)
-            return
-        payload = encode_bundle([entry for entry, _, _ in entries])
-        st_ids = sorted({entry.st_rms_id for entry, _, _ in entries})
         # The deadline passed to the network layer is the queue's maximum
         # transmission deadline, floored by the per-stream ordering rule.
-        deadline = max(max_deadline for _, max_deadline, _ in entries)
-        deadline = max(deadline, self.ordering_floor(st_ids))
+        if len(entries) == 1:
+            entry, deadline, _ = entries[0]
+            payload = encode_single(entry)
+            st_ids = [entry.st_rms_id]
+        else:
+            payload = encode_bundle([entry for entry, _, _ in entries])
+            st_ids = sorted({entry.st_rms_id for entry, _, _ in entries})
+            deadline = max(max_deadline for _, max_deadline, _ in entries)
+        floor = self.ordering_floor(st_ids)
+        if floor > deadline:
+            deadline = floor
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter(

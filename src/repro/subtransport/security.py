@@ -34,6 +34,7 @@ from repro.netsim.network import Network
 from repro.security.checksum import crc32
 from repro.security.mac import MAC_BYTES
 from repro.security.providers import SecurityProvider, resolve_provider
+from repro.subtransport.wire import FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC
 
 __all__ = ["DEFAULT_PROVIDER", "SecurityContext", "SecurityPlan", "plan_security"]
 
@@ -103,37 +104,29 @@ def plan_security(
 class SecurityContext:
     """Per-ST-RMS security state, built once at negotiation time.
 
-    The legacy data path re-derived everything per message: a fresh
-    cipher (key-schedule check), an f-string MAC context, and one branch
-    per plan flag.  The context hoists all of it to creation: the bound
-    provider instance (key schedule and round constants derived once),
-    the encoded MAC-context prefix, the wire-flag word, and the tag
-    overhead are computed here exactly once.  ``seal``/``open``/``mac``/
-    ``verify`` are the *provider's* bound methods -- swapping
+    Everything a message would otherwise re-derive is hoisted to
+    creation: the bound provider instance (key schedule and round
+    constants derived once), the encoded MAC-context prefix, the
+    wire-flag word, and the tag overhead.  ``_seal``/``_open``/``_mac``/
+    ``_verify`` are the *provider's* bound methods -- swapping
     ``StConfig(security_provider=...)`` swaps the whole transform engine
     with no change to this class or its callers.
 
     On a parameter-elided channel (section 2.4: the client asked for no
-    security, or the medium provides it) ``protect`` and ``unprotect``
-    are ``None`` -- the hot path tests a single attribute and pays zero
-    security branches.  Wire bytes are identical to the legacy path in
-    every configuration.
+    security, or the medium provides it) ``protect`` is ``None`` -- the
+    send path tests a single attribute and pays zero security branches.
+    The receive path is driven by the flags on the wire, so
+    :meth:`unprotect` works on every channel.
     """
 
     __slots__ = ("plan", "key", "rms_id", "flags", "overhead", "provider",
                  "_seal", "_open", "_mac", "_verify", "_mac_prefix",
-                 "protect", "unprotect")
+                 "protect")
 
     def __init__(
         self, plan: SecurityPlan, session_key: bytes, sender_label: object,
         rms_id: int,
     ) -> None:
-        # Imported here (not at module top) to keep this module free of a
-        # wire-format dependency for its plain plan_security users.
-        from repro.subtransport.wire import (
-            FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC,
-        )
-
         self.plan = plan
         self.key = session_key
         self.rms_id = rms_id
@@ -163,34 +156,10 @@ class SecurityContext:
         self._mac_prefix = (
             f"{sender_label}|".encode("utf-8") if plan.mac else b""
         )
-        if plan.any_software_mechanism:
-            self.protect = self._protect
-            self.unprotect = self._unprotect
-        else:
-            # Elided channel: the data path checks one attribute and
-            # skips security entirely.
-            self.protect = None
-            self.unprotect = None
+        self.protect = self._protect if plan.any_software_mechanism else None
 
     def _mac_context(self, seq: int) -> bytes:
-        # Identical bytes to the legacy f"{sender}|{seq}" construction.
         return self._mac_prefix + str(seq).encode("utf-8")
-
-    # -- granular helpers (the ST's legacy/accounting path uses these so
-    # -- both datapaths run the *same* negotiated provider) -------------
-
-    def transform(self, seq: int, data: Union[bytes, memoryview]) -> bytes:
-        """Encrypt/decrypt one component (counter mode: one transform)."""
-        nonce = (self.rms_id << 32) | (seq & 0xFFFFFFFF)
-        return self._seal(nonce, data)
-
-    def mac_tag(self, seq: int, data: Union[bytes, memoryview]) -> bytes:
-        return self._mac(data, self._mac_context(seq))
-
-    def mac_ok(
-        self, seq: int, data: Union[bytes, memoryview], tag: bytes
-    ) -> bool:
-        return self._verify(data, tag, self._mac_context(seq))
 
     def _protect(
         self, seq: int, data: Union[bytes, memoryview]
@@ -214,33 +183,31 @@ class SecurityContext:
             data = data + _PACK_U32(crc32(data))
         return data
 
-    def _unprotect(
+    def unprotect(
         self, flags: int, seq: int, data: Union[bytes, memoryview]
-    ) -> Tuple[Optional[bytes], Optional[str]]:
+    ) -> Tuple[bytes, Optional[str]]:
         """Undo the transforms named by ``flags`` on one received component.
 
-        Returns ``(payload, None)`` on success or ``(None, reason)`` with
-        ``reason`` in {"checksum", "auth"} on a verification failure.
+        Returns ``(payload, None)`` on success.  On a verification
+        failure returns ``(rest, reason)``: ``reason`` is "checksum
+        failure" or "authentication failure" and ``rest`` the bytes that
+        failed, without their tag (all of them when shorter than a tag).
         """
-        from repro.subtransport.wire import (
-            FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC,
-        )
-
         if type(data) is not bytes:
             data = bytes(data)
         if flags & FLAG_CHECKSUM:
             if len(data) < _CHECKSUM_BYTES:
-                return None, "checksum"
+                return data, "checksum failure"
             body, tag = data[:-_CHECKSUM_BYTES], data[-_CHECKSUM_BYTES:]
             if _PACK_U32(crc32(body)) != tag:
-                return None, "checksum"
+                return body, "checksum failure"
             data = body
         if flags & FLAG_MAC:
             if len(data) < MAC_BYTES:
-                return None, "auth"
+                return data, "authentication failure"
             body, tag = data[:-MAC_BYTES], data[-MAC_BYTES:]
             if not self._verify(body, tag, self._mac_context(seq)):
-                return None, "auth"
+                return body, "authentication failure"
             data = body
         if flags & FLAG_ENCRYPTED:
             nonce = (self.rms_id << 32) | (seq & 0xFFFFFFFF)

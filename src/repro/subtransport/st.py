@@ -24,9 +24,8 @@ message is discarded", section 4.3).
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.message import Label, Message, fast_message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
@@ -47,18 +46,17 @@ from repro.errors import (
 )
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
-from repro.security.checksum import crc32
 from repro.security.keys import KeyRegistry
 # The control channel keeps the legacy CBC-MAC envelope; the *data* path
 # runs whatever provider the channel negotiated (see SecurityContext).
-from repro.security.mac import MAC_BYTES, compute_mac, verify_mac
+from repro.security.mac import compute_mac, verify_mac
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.config import StConfig
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.piggyback import PiggybackQueue
-from repro.subtransport.security import SecurityPlan, plan_security
+from repro.subtransport.security import plan_security
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
     BundleEntry,
@@ -69,7 +67,6 @@ from repro.subtransport.wire import (
     FRAG_HEADER_BYTES,
     SUBHEADER_BYTES,
     control_mac_material,
-    decode_bundle,
     decode_bundle_flat,
     decode_control,
     encode_control,
@@ -81,8 +78,8 @@ __all__ = ["SubtransportLayer", "StStats"]
 CONTROL_PORT = "st-ctl"
 DATA_PORT = "st-data"
 
-_CHECKSUM_BYTES = 4
 _BUNDLE_COUNT_BYTES = 2
+_SECURITY_FLAGS = FLAG_CHECKSUM | FLAG_MAC | FLAG_ENCRYPTED
 
 
 @dataclass
@@ -142,11 +139,9 @@ class _RxStream:
     #: smaller (hence earlier-deadline) later message could overtake its
     #: predecessor in the EDF CPU queue, violating in-sequence delivery.
     last_cpu_deadline: float = 0.0
-    #: Receiving host CPU, resolved lazily on the fast path.
-    cpu: Any = None
-    #: Per-size memo of the delay bound (-1.0 marks unbounded) and the
-    #: receive-stage CPU cost -- both computed by the same functions the
-    #: legacy path calls per message, so values are bit-identical.
+    #: Per-size memos of the delay bound (-1.0 marks unbounded) and of
+    #: the receive-stage CPU cost: both pure functions of the size, so a
+    #: hit is the float a per-message call would compute.
     bound_cache: Dict[int, float] = field(default_factory=dict)
     cost_cache: Dict[int, float] = field(default_factory=dict)
 
@@ -154,7 +149,9 @@ class _RxStream:
 class _PeerState:
     """Everything the ST knows about one remote host."""
 
-    def __init__(self, host_name: str, network: Network) -> None:
+    def __init__(
+        self, host_name: str, network: Network, timers: TimerGroup
+    ) -> None:
         self.host_name = host_name
         self.network = network
         self.control_out: Optional[NetworkRms] = None
@@ -174,8 +171,8 @@ class _PeerState:
         self.queues: Dict[int, PiggybackQueue] = {}  # binding net rms id -> queue
         #: One coalesced deadline heap for every protocol timer aimed at
         #: this peer (piggyback flushes, control retransmissions, auth
-        #: retries); ``None`` when StConfig.coalesced_timers is off.
-        self.timers: Optional[TimerGroup] = None
+        #: retries).
+        self.timers = timers
 
     @property
     def ready(self) -> bool:
@@ -201,10 +198,6 @@ class SubtransportLayer:
         self.keys = key_registry or KeyRegistry()
         self.config = config or StConfig()
         self.stats = StStats()
-        # Hot-path switches and constants, resolved once.
-        self._fast = self.config.message_fastpath
-        self._coalesce = self.config.coalesced_timers
-        self._window_cap = self.config.piggyback_window_cap
         self._peers: Dict[str, _PeerState] = {}
         self._network_preference: Dict[str, str] = {}
         self._rx: Dict[int, _RxStream] = {}
@@ -265,19 +258,15 @@ class SubtransportLayer:
     def _peer(self, peer_host: str) -> _PeerState:
         peer = self._peers.get(peer_host)
         if peer is None:
-            peer = _PeerState(peer_host, self.network_for(peer_host))
-            if self._coalesce:
-                peer.timers = TimerGroup(self.context.loop)
+            peer = _PeerState(
+                peer_host,
+                self.network_for(peer_host),
+                TimerGroup(self.context.loop),
+            )
             self._peers[peer_host] = peer
         else:
             self._maybe_retarget(peer)
         return peer
-
-    def _peer_timers(self, peer: _PeerState):
-        """Where this peer's protocol timers go: its TimerGroup when
-        coalescing, else the loop (identical firing semantics)."""
-        timers = peer.timers
-        return timers if timers is not None else self.context.loop
 
     def _maybe_retarget(self, peer: _PeerState) -> None:
         """Re-point a peer at a usable network after its old one died.
@@ -426,6 +415,12 @@ class SubtransportLayer:
             )
         binding = yield from self._assign_binding(peer, actual)
         binding.attach(st_rms)
+        st_rms.max_component = (
+            binding.network_rms.params.max_message_size
+            - _BUNDLE_COUNT_BYTES
+            - SUBHEADER_BYTES
+            - st_rms.security.overhead
+        )
         st_rms.on_failure.listen(lambda rms, reason: self._st_failed(peer, rms))
         self.stats.st_rms_created += 1
         obs = self.context.obs
@@ -473,9 +468,9 @@ class SubtransportLayer:
         """Tear down all state toward one peer, leaving zero live timers.
 
         Every pending control request fails, its retransmission timer is
-        cancelled (and, with coalesced timers, dropped from the peer's
-        group eagerly), queued components are flushed, and the control
-        and cached network RMSs are closed.
+        cancelled (and dropped from the peer's group eagerly), queued
+        components are flushed, and the control and cached network RMSs
+        are closed.
         """
         peer = self._peers.pop(peer_host, None)
         if peer is None:
@@ -508,8 +503,7 @@ class SubtransportLayer:
             peer.network.delete_rms(peer.control_out)
         peer.control_out = None
         peer.control_out_state = "none"
-        if peer.timers is not None:
-            peer.timers.cancel_all()
+        peer.timers.cancel_all()
 
     # ------------------------------------------------------------------
     # Control channel (section 3.2)
@@ -593,7 +587,7 @@ class SubtransportLayer:
         self._send_control(
             peer, {"op": "auth1", "from": self.host.name, "na": nonce}
         )
-        peer.auth_timer = self._peer_timers(peer).call_after(
+        peer.auth_timer = peer.timers.call_after(
             self.config.auth_retry_timeout, self._auth_timeout, peer
         )
 
@@ -615,7 +609,7 @@ class SubtransportLayer:
             peer,
             {"op": "auth1", "from": self.host.name, "na": peer.initiator_nonce},
         )
-        peer.auth_timer = self._peer_timers(peer).call_after(
+        peer.auth_timer = peer.timers.call_after(
             self.config.auth_retry_timeout * (2 ** peer.auth_attempts),
             self._auth_timeout,
             peer,
@@ -659,7 +653,7 @@ class SubtransportLayer:
         pending = _PendingRequest(future=Future(self.context.loop), fields=fields)
         peer.pending_replies[req_id] = pending
         self._send_control(peer, fields)
-        pending.timer = self._peer_timers(peer).call_after(
+        pending.timer = peer.timers.call_after(
             self.config.control_retry_timeout, self._request_timeout, peer, req_id
         )
         return pending.future
@@ -678,7 +672,7 @@ class SubtransportLayer:
             )
             return
         self._send_control(peer, pending.fields)
-        pending.timer = self._peer_timers(peer).call_after(
+        pending.timer = peer.timers.call_after(
             self.config.control_retry_timeout * (2 ** pending.attempts),
             self._request_timeout,
             peer,
@@ -829,19 +823,12 @@ class SubtransportLayer:
         queue = PiggybackQueue(
             self.context,
             max_bundle_payload=network_rms.params.max_message_size,
-            flush_fn=(
-                self._make_fast_flusher(binding)
-                if self._fast
-                else self._make_flusher(binding)
-            ),
+            flush_fn=self._make_flusher(binding),
             ordering_floor=binding.ordering_floor,
-            enabled=self.config.piggyback_enabled,
             timer_group=peer.timers,
-            fast=self._fast,
+            enabled=self.config.piggyback_enabled,
         )
         binding.queue = queue
-        if self._fast:
-            network_rms.fast_path = True
         peer.queues[network_rms.rms_id] = queue
         peer.bindings.append(binding)
         network_rms.on_failure.listen(
@@ -929,56 +916,26 @@ class SubtransportLayer:
         return desired, acceptable
 
     def _make_flusher(self, binding: MuxBinding):
-        def flush(payload: bytes, deadline: float, st_ids: List[int], count: int):
-            message = Message(
-                payload,
-                source=Label(self.host.name, DATA_PORT),
-                target=Label(binding.network_rms.receiver.host, DATA_PORT),
-            )
-            binding.network_rms.send(message, deadline=deadline)
-            binding.record_deadline(st_ids, deadline)
-            binding.bundles_sent += 1
-            binding.components_sent += count
-            self.stats.bundles_sent += 1
-            self.stats.components_sent += count
-            obs = self.context.obs
-            if obs.enabled:
-                obs.metrics.counter("st_bundles_sent", host=self.host.name).inc()
-                obs.metrics.counter(
-                    "st_components_sent", host=self.host.name
-                ).inc(count)
-
-        return flush
-
-    def _make_fast_flusher(self, binding: MuxBinding):
-        """Like :meth:`_make_flusher` with the per-flush lookups hoisted:
-        labels, network RMS, deadline table, and stats are captured once
-        and the network send goes through :meth:`Rms.send_fast`."""
-        source = Label(self.host.name, DATA_PORT)
+        """The binding's one way onto its network RMS, built once: the
+        piggyback queue flushes bundles through it and fragments go out
+        through it directly."""
         network_rms = binding.network_rms
-        target = Label(network_rms.receiver.host, DATA_PORT)
-        last_deadline = binding.last_network_deadline
         stats = self.stats
         context = self.context
+        host_name = self.host.name
 
         def flush(payload: bytes, deadline: float, st_ids: List[int], count: int):
-            obs = context.obs
-            if obs.enabled:
-                message = Message(payload, source=source, target=target)
-                network_rms.send_fast(message, len(payload), deadline)
-            else:
-                message = fast_message(payload, source, target)
-                network_rms.send_data_fast(message, len(payload), deadline)
-            for st_id in st_ids:
-                last_deadline[st_id] = deadline
+            network_rms.send(payload, deadline)
+            binding.record_deadline(st_ids, deadline)
             binding.bundles_sent += 1
             binding.components_sent += count
             stats.bundles_sent += 1
             stats.components_sent += count
+            obs = context.obs
             if obs.enabled:
-                obs.metrics.counter("st_bundles_sent", host=self.host.name).inc()
+                obs.metrics.counter("st_bundles_sent", host=host_name).inc()
                 obs.metrics.counter(
-                    "st_components_sent", host=self.host.name
+                    "st_components_sent", host=host_name
                 ).inc(count)
 
         return flush
@@ -986,36 +943,12 @@ class SubtransportLayer:
     # -- send path ----------------------------------------------------------
 
     def _st_send(self, st_rms: StRms, message: Message) -> None:
-        """Entry point from :meth:`StRms._transmit`."""
-        binding = st_rms.binding
-        if binding is None:
-            raise RmsError(f"{st_rms.name} has no network binding yet")
-        arrival = self.context.now
-        plan = st_rms.plan
-        stage_deadline = arrival + self.config.send_stage_allowance
-        self.host.cpu.submit_protocol_stage(
-            f"st/send:{st_rms.rms_id}",
-            message.size,
-            stage_deadline,
-            lambda: self._send_stage_done(st_rms, message, arrival),
-            checksum=plan.checksum,
-            encrypt=plan.encrypt,
-            mac=plan.mac,
-            trace_id=message.trace_id,
-        )
-
-    def _st_send_fast(
-        self, st_rms: StRms, message: Message, size: int, arrival: float
-    ) -> None:
-        """Hot-path entry from :meth:`StRms.send`: precomputed size, no
-        closures, stage cost memoized per message size.
-
-        The cost memo calls the same :meth:`CpuCostModel.protocol_cost`
-        the legacy path calls per message, so stage times (and therefore
-        every downstream simulated timestamp) are bit-identical.
-        """
+        """Entry point from :meth:`StRms._transmit`: queue the send-side
+        protocol stage (section 4.1) on this host's CPU."""
         if st_rms.binding is None:
             raise RmsError(f"{st_rms.name} has no network binding yet")
+        size = len(message.payload)
+        arrival = message.send_time
         cpu = self.host.cpu
         cost = st_rms._send_cost_cache.get(size)
         if cost is None:
@@ -1028,207 +961,89 @@ class SubtransportLayer:
             st_rms._send_stage_name,
             cost,
             arrival + self.config.send_stage_allowance,
-            self._send_stage_done_fast,
+            self._send_stage_done,
             (st_rms, message, size, arrival),
             owner="st",
             trace_id=message.trace_id,
         )
 
-    def _send_stage_done_fast(
+    def _send_stage_done(
         self, st_rms: StRms, message: Message, size: int, arrival: float
     ) -> None:
         binding = st_rms.binding
         if binding is None or not binding.network_rms.is_open:
             st_rms._drop(message, "binding lost")
             return
-        security = st_rms.security
         slack = st_rms._slack_cache.get(size)
         if slack is None:
-            # arrival=0.0 turns _max_transmission_deadline into the pure
-            # per-size slack; adding it back reproduces the same float.
-            slack = self._max_transmission_deadline(
-                st_rms, binding.network_rms.params, size, 0.0
+            slack = self._transmission_slack(
+                st_rms, binding.network_rms.params, size
             )
             st_rms._slack_cache[size] = slack
+        # Maximum transmission deadline (4.3.1): arrival plus the slack.
         max_deadline = arrival + slack
-        window_close = arrival + self._window_cap
-        flush_by = window_close if window_close < max_deadline else max_deadline
-        cached = st_rms._max_component_cache
-        if cached is None or cached[0] is not binding:
-            st_rms._max_component_cache = cached = (
-                binding,
-                binding.network_rms.params.max_message_size
-                - _BUNDLE_COUNT_BYTES
-                - SUBHEADER_BYTES
-                - security.overhead,
-            )
-        max_component = cached[1]
-        if size > max_component:
-            queue = binding.queue
-            self._send_fragments(
-                st_rms, binding, queue, message, max_component, max_deadline,
-                arrival,
-            )
+        if size > st_rms.max_component:
+            self._send_fragments(st_rms, binding, message, max_deadline, arrival)
             return
-        seq = st_rms.next_seq
-        st_rms.next_seq = seq + 1
-        protect = security.protect
-        if protect is None:
-            data = message.payload
-            flags = 0
-        else:
-            data = protect(seq, message.payload)
-            flags = security.flags
+        entry = self._make_entry(st_rms, message.payload, 0, arrival, message)
         obs = self.context.obs
         if obs.enabled:
-            if message.trace_id is not None:
-                obs.spans.stash((st_rms.rms_id, seq), message.trace_id)
             obs.spans.event(
-                message.trace_id, "st", "enqueue",
-                st=st_rms.name, queued=binding.queue is not None,
+                message.trace_id, "st", "enqueue", st=st_rms.name, queued=True
             )
-        entry = BundleEntry(
-            st_rms_id=st_rms.rms_id,
-            seq=seq,
-            flags=flags,
-            payload=data,
-            send_time=arrival,
-            trace_id=message.trace_id,
+        binding.queue.submit(
+            entry, max_deadline, arrival + self.config.piggyback_window_cap
         )
-        queue = binding.queue
-        if queue is not None:
-            queue.submit_fast(
-                entry, SUBHEADER_BYTES + len(data), max_deadline, flush_by
-            )
-        else:
-            self._emit_tx(entry)
-            self._make_flusher(binding)(
-                _encode_single(entry), max_deadline, [st_rms.rms_id], 1
-            )
 
-    def _send_stage_done(
-        self, st_rms: StRms, message: Message, arrival: float
-    ) -> None:
-        binding = st_rms.binding
-        if binding is None or not binding.network_rms.is_open:
-            st_rms._drop(message, "binding lost")
-            return
-        peer = self._peer(st_rms.receiver.host)
-        queue = peer.queues.get(binding.network_rms.rms_id)
-        net_params = binding.network_rms.params
-        max_deadline = self._max_transmission_deadline(
-            st_rms, net_params, message.size, arrival
-        )
-        flush_by = min(
-            max_deadline, arrival + self.config.piggyback_window_cap
-        )
-        overhead = self._security_overhead(st_rms.plan)
-        max_component = (
-            net_params.max_message_size
-            - _BUNDLE_COUNT_BYTES
-            - SUBHEADER_BYTES
-            - overhead
-        )
-        if message.size <= max_component:
-            entry = self._make_entry(
-                st_rms, message.payload, 0, arrival, trace_id=message.trace_id
-            )
-            obs = self.context.obs
-            if obs.enabled:
-                obs.spans.event(
-                    message.trace_id, "st", "enqueue",
-                    st=st_rms.name, queued=queue is not None,
-                )
-            if queue is not None:
-                queue.submit(entry, max_deadline, flush_by=flush_by)
-            else:
-                self._emit_tx(entry)
-                self._make_flusher(binding)(
-                    _encode_single(entry), max_deadline, [st_rms.rms_id], 1
-                )
-        else:
-            self._send_fragments(
-                st_rms, binding, queue, message, max_component, max_deadline, arrival
-            )
-
-    def _security_overhead(self, plan: SecurityPlan) -> int:
-        overhead = 0
-        if plan.mac:
-            overhead += MAC_BYTES
-        if plan.checksum:
-            overhead += _CHECKSUM_BYTES
-        return overhead
-
-    def _max_transmission_deadline(
-        self, st_rms: StRms, net_params: RmsParams, size: int, arrival: float
+    def _transmission_slack(
+        self, st_rms: StRms, net_params: RmsParams, size: int
     ) -> float:
-        """Arrival time plus the ST-minus-network delay slack (4.3.1)."""
+        """The ST-minus-network delay slack of a message (4.3.1)."""
         st_bound = st_rms.params.delay_bound
         if st_bound.is_unbounded or net_params.delay_bound.is_unbounded:
             # Best-effort traffic has no bound; give it a generous
             # scheduling deadline so bounded traffic outranks it.
-            return arrival + 1.0
+            return 1.0
         slack = st_bound.bound_for(size) - net_params.delay_bound.bound_for(size)
         slack -= (
             self.config.send_stage_allowance + self.config.recv_stage_allowance
         )
-        return arrival + max(slack, 0.0)
-
-    def _emit_tx(self, entry: BundleEntry) -> None:
-        """Span event for a component shipped outside a piggyback queue."""
-        obs = self.context.obs
-        if obs.enabled:
-            obs.spans.event(
-                entry.trace_id, "net", "tx",
-                st_rms=entry.st_rms_id, seq=entry.seq, bundled=1,
-            )
+        return max(slack, 0.0)
 
     def _make_entry(
         self,
         st_rms: StRms,
-        chunk: bytes,
-        base_flags: int,
+        chunk: Union[bytes, memoryview],
+        flags: int,
         arrival: float,
+        message: Message,
         frag_offset: int = 0,
         frag_total: int = 0,
-        trace_id: Optional[int] = None,
     ) -> BundleEntry:
-        """Apply the security plan to one component and wrap it."""
-        seq = st_rms.take_seq()
-        obs = self.context.obs
-        if obs.enabled and trace_id is not None:
+        """Number one component of ``message``, apply the stream's
+        negotiated security transform and wrap it for the wire."""
+        seq = st_rms.next_seq
+        st_rms.next_seq = seq + 1
+        trace_id = message.trace_id
+        if trace_id is not None:
             # Correlate the in-flight component with its span so the
             # receiving ST can rejoin the trace (no wire-format change).
-            obs.spans.stash((st_rms.rms_id, seq), trace_id)
-        # The context's protect runs the provider this channel
-        # negotiated, so the legacy and fast datapaths emit identical
-        # wire bytes whichever engine is configured.
+            self.context.obs.spans.stash((st_rms.rms_id, seq), trace_id)
         security = st_rms.security
         protect = security.protect
-        if protect is None:
-            flags = base_flags
-            data = chunk
-        else:
-            flags = base_flags | security.flags
-            data = protect(seq, chunk)
+        if protect is not None:
+            flags |= security.flags
+            chunk = protect(seq, chunk)
         return BundleEntry(
-            st_rms_id=st_rms.rms_id,
-            seq=seq,
-            flags=flags,
-            payload=data,
-            send_time=arrival,
-            frag_offset=frag_offset,
-            frag_total=frag_total,
-            trace_id=trace_id,
+            st_rms.rms_id, seq, flags, chunk, arrival, frag_offset, frag_total,
+            trace_id,
         )
 
     def _send_fragments(
         self,
         st_rms: StRms,
         binding: MuxBinding,
-        queue: Optional[PiggybackQueue],
         message: Message,
-        max_component: int,
         max_deadline: float,
         arrival: float,
     ) -> None:
@@ -1237,15 +1052,14 @@ class SubtransportLayer:
         Fragments are never piggybacked; the queue is flushed first so
         per-stream ordering survives the direct sends.
         """
-        if queue is not None:
-            queue.flush("forced")
-        chunk_size = max_component - FRAG_HEADER_BYTES
+        queue = binding.queue
+        queue.flush("forced")
+        chunk_size = st_rms.max_component - FRAG_HEADER_BYTES
         if chunk_size <= 0:
             raise TransportError(
                 "network maximum message size too small for fragments"
             )
-        total = message.size
-        flusher = self._make_flusher(binding)
+        total = len(message.payload)
         st_rms.messages_fragmented += 1
         obs = self.context.obs
         if obs.enabled:
@@ -1253,103 +1067,72 @@ class SubtransportLayer:
                 message.trace_id, "st", "enqueue",
                 st=st_rms.name, fragmented=True, total=total,
             )
+        st_ids = [st_rms.rms_id]
         # One view over the client payload; each fragment is a zero-copy
         # slice of it all the way through encode_bundle's join.
         payload_view = memoryview(message.payload)
-        offset = 0
-        while offset < total:
-            chunk = payload_view[offset : offset + chunk_size]
+        for offset in range(0, total, chunk_size):
             entry = self._make_entry(
                 st_rms,
-                chunk,
+                payload_view[offset : offset + chunk_size],
                 FLAG_FRAGMENT,
                 arrival,
+                message,
                 frag_offset=offset,
                 frag_total=total,
-                trace_id=message.trace_id,
             )
-            deadline = max(max_deadline, binding.ordering_floor([st_rms.rms_id]))
-            self._emit_tx(entry)
-            flusher(_encode_single(entry), deadline, [st_rms.rms_id], 1)
+            if obs.enabled:
+                obs.spans.event(
+                    entry.trace_id, "net", "tx",
+                    st_rms=entry.st_rms_id, seq=entry.seq, bundled=1,
+                )
+            queue.flush_fn(
+                encode_single(entry),
+                max(max_deadline, binding.ordering_floor(st_ids)),
+                st_ids,
+                1,
+            )
             self.stats.fragments_sent += 1
             st_rms.fragments_sent += 1
             if obs.enabled:
                 obs.metrics.counter(
                     "st_fragments_sent", host=self.host.name
                 ).inc()
-            offset += len(chunk)
 
     # -- receive path ----------------------------------------------------------
 
     def _data_arrived(self, network_rms: NetworkRms, message: Message) -> None:
-        if self._fast and not self.context.obs.enabled:
-            # Flat decode: the same wire validation, no per-component
-            # BundleEntry objects on the hot path.
-            try:
-                flat = decode_bundle_flat(message.payload)
-            except TransportError:
-                self.stats.garbled_bundles += 1
-                return
-            self.stats.bundles_received += 1
-            rx_map = self._rx
-            for fields in flat:
-                rx = rx_map.get(fields[0])
-                if rx is None:
-                    self.stats.orphan_components += 1
-                    continue
-                self._receive_fields_fast(rx, fields)
-            return
         try:
-            entries = decode_bundle(message.payload)
+            components = decode_bundle_flat(message.payload)
         except TransportError:
             self.stats.garbled_bundles += 1
             return
         self.stats.bundles_received += 1
-        for entry in entries:
-            self._receive_entry(entry)
+        for fields in components:
+            self._receive_component(*fields)
 
-    def _receive_fields_fast(self, rx: _RxStream, fields: tuple) -> None:
-        """Hot-path component receive: one attribute test replaces the
-        per-flag security branches; fragments and anything unusual
-        (flags on a security-elided stream, failed verification) fall
-        back to the legacy path -- rebuilding the BundleEntry it wants --
-        for identical accounting."""
-        st_rms_id, seq, flags, payload, send_time, frag_offset, frag_total = fields
-        st_rms = rx.st_rms
-        if flags:
-            unprotect = st_rms.security.unprotect
-            if flags & FLAG_FRAGMENT or unprotect is None:
-                self._receive_entry(BundleEntry(
-                    st_rms_id=st_rms_id, seq=seq, flags=flags,
-                    payload=payload, send_time=send_time,
-                    frag_offset=frag_offset, frag_total=frag_total,
-                ))
-                return
-            data, _ = unprotect(flags, seq, payload)
-            if data is None:
-                # Legacy-exact drop accounting.
-                self._receive_entry(BundleEntry(
-                    st_rms_id=st_rms_id, seq=seq, flags=flags,
-                    payload=payload, send_time=send_time,
-                    frag_offset=frag_offset, frag_total=frag_total,
-                ))
-                return
-        else:
-            data = payload
-        self.stats.components_received += 1
-        self._deliver_after_cpu_fast(rx, data, len(data), send_time, None)
-
-    def _receive_entry(self, entry: BundleEntry) -> None:
+    def _receive_component(
+        self,
+        st_rms_id: int,
+        seq: int,
+        flags: int,
+        data: Union[bytes, memoryview],
+        send_time: float,
+        frag_offset: int,
+        frag_total: int,
+    ) -> None:
+        """Demultiplex, verify and decrypt one decoded component."""
         obs = self.context.obs
+        trace_id = None
         if obs.enabled:
-            # Decoded entries lost their span on the wire; rejoin it from
-            # the tracer's side table.
-            entry.trace_id = obs.spans.claim((entry.st_rms_id, entry.seq))
+            # Trace ids never cross the wire; rejoin the component's span
+            # from the tracer's side table.
+            trace_id = obs.spans.claim((st_rms_id, seq))
             obs.spans.event(
-                entry.trace_id, "net", "rx",
-                st_rms=entry.st_rms_id, seq=entry.seq, host=self.host.name,
+                trace_id, "net", "rx",
+                st_rms=st_rms_id, seq=seq, host=self.host.name,
             )
-        rx = self._rx.get(entry.st_rms_id)
+        rx = self._rx.get(st_rms_id)
         if rx is None:
             self.stats.orphan_components += 1
             if obs.enabled:
@@ -1357,47 +1140,35 @@ class SubtransportLayer:
                     "st_orphan_components", host=self.host.name
                 ).inc()
             return
-        st_rms = rx.st_rms
-        security = st_rms.security
-        data = entry.payload
-        if (
-            entry.flags & (FLAG_CHECKSUM | FLAG_MAC | FLAG_ENCRYPTED)
-            and type(data) is not bytes
-        ):
-            # Security transforms concatenate and compare; materialize
-            # the decoded view once.  The plain (security-elided) path
-            # below stays zero-copy.
-            data = bytes(data)
-        if entry.flags & FLAG_CHECKSUM:
-            if len(data) < _CHECKSUM_BYTES:
-                self.stats.checksum_drops += 1
+        if flags & _SECURITY_FLAGS:
+            # The flags on the wire, not the plan, say what to undo: a
+            # flagged component on a security-elided stream is verified
+            # too rather than trusted.
+            st_rms = rx.st_rms
+            data, failure = st_rms.security.unprotect(flags, seq, data)
+            if failure is not None:
+                if failure == "checksum failure":
+                    self.stats.checksum_drops += 1
+                else:
+                    self.stats.auth_drops += 1
+                st_rms._drop(Message(data, trace_id=trace_id), failure)
                 return
-            body, tag = data[:-_CHECKSUM_BYTES], data[-_CHECKSUM_BYTES:]
-            if struct.pack(">I", crc32(body)) != tag:
-                self.stats.checksum_drops += 1
-                st_rms._drop(_phantom(body, entry.trace_id), "checksum failure")
-                return
-            data = body
-        if entry.flags & FLAG_MAC:
-            if len(data) < MAC_BYTES:
-                self.stats.auth_drops += 1
-                return
-            body, tag = data[:-MAC_BYTES], data[-MAC_BYTES:]
-            if not security.mac_ok(entry.seq, body, tag):
-                self.stats.auth_drops += 1
-                st_rms._drop(_phantom(body, entry.trace_id), "authentication failure")
-                return
-            data = body
-        if entry.flags & FLAG_ENCRYPTED:
-            data = security.transform(entry.seq, data)
         self.stats.components_received += 1
-        if entry.is_fragment:
-            self._receive_fragment(rx, entry, data)
+        if flags & FLAG_FRAGMENT:
+            self._receive_fragment(
+                rx, data, send_time, frag_offset, frag_total, trace_id
+            )
         else:
-            self._deliver_after_cpu(rx, data, entry.send_time, entry.trace_id)
+            self._deliver_after_cpu(rx, data, send_time, trace_id)
 
     def _receive_fragment(
-        self, rx: _RxStream, entry: BundleEntry, data: bytes
+        self,
+        rx: _RxStream,
+        data: Union[bytes, memoryview],
+        send_time: float,
+        frag_offset: int,
+        frag_total: int,
+        trace_id: Optional[int],
     ) -> None:
         self.stats.fragments_received += 1
         obs = self.context.obs
@@ -1405,7 +1176,7 @@ class SubtransportLayer:
             obs.metrics.counter(
                 "st_fragments_received", host=self.host.name
             ).inc()
-        if entry.frag_offset == 0:
+        if frag_offset == 0:
             if rx.partial_expected and len(rx.partial) < rx.partial_expected:
                 # A fragment of the next message arrived while a message
                 # was incomplete: discard the partial (section 4.3).
@@ -1415,15 +1186,15 @@ class SubtransportLayer:
                         "st_partials_discarded", host=self.host.name
                     ).inc()
                 rx.st_rms._drop(
-                    _phantom(bytes(rx.partial), rx.partial_trace),
+                    Message(bytes(rx.partial), trace_id=rx.partial_trace),
                     "partial discarded",
                 )
             rx.partial = bytearray()
-            rx.partial_expected = entry.frag_total
+            rx.partial_expected = frag_total
             rx.partial_offset = 0
-            rx.partial_send_time = entry.send_time
-            rx.partial_trace = entry.trace_id
-        if entry.frag_offset != rx.partial_offset or rx.partial_expected == 0:
+            rx.partial_send_time = send_time
+            rx.partial_trace = trace_id
+        if frag_offset != rx.partial_offset or rx.partial_expected == 0:
             # A gap (lost fragment): the message can never complete.
             # Leave the partial to be discarded on the next first-fragment.
             rx.partial_offset = -1
@@ -1442,59 +1213,13 @@ class SubtransportLayer:
     def _deliver_after_cpu(
         self,
         rx: _RxStream,
-        payload: bytes,
-        send_time: float,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        st_rms = rx.st_rms
-        receiver_host = st_rms.receiver.host
-        network = self._peer(rx.sender_host).network
-        host = network.hosts.get(receiver_host)
-        if host is None:  # pragma: no cover - receiver always attached
-            return
-        bound = st_rms.params.delay_bound
-        deadline = (
-            send_time + bound.bound_for(len(payload))
-            if not bound.is_unbounded
-            else self.context.now + self.config.recv_stage_allowance
-        )
-        # In-sequence delivery (basic property 2): CPU-stage deadlines on
-        # one stream never decrease, so stable EDF keeps stream order.
-        deadline = max(deadline, rx.last_cpu_deadline)
-        rx.last_cpu_deadline = deadline
-        plan = st_rms.plan
-        obs = self.context.obs
-        if obs.enabled:
-            obs.spans.event(
-                trace_id, "st", "rx", st=st_rms.name, size=len(payload)
-            )
-        host.cpu.submit_protocol_stage(
-            f"st/recv:{st_rms.rms_id}",
-            len(payload),
-            deadline,
-            lambda: self._final_deliver(rx, payload, send_time, trace_id),
-            checksum=plan.checksum,
-            encrypt=plan.encrypt,
-            mac=plan.mac,
-            trace_id=trace_id,
-        )
-
-    def _deliver_after_cpu_fast(
-        self,
-        rx: _RxStream,
-        payload: bytes,
-        size: int,
+        payload: Union[bytes, memoryview],
         send_time: float,
         trace_id: Optional[int],
     ) -> None:
+        """Queue the receive-side protocol stage of one whole message."""
         st_rms = rx.st_rms
-        cpu = rx.cpu
-        if cpu is None:
-            network = self._peer(rx.sender_host).network
-            host = network.hosts.get(st_rms.receiver.host)
-            if host is None:  # pragma: no cover - receiver always attached
-                return
-            cpu = rx.cpu = host.cpu
+        size = len(payload)
         bound = rx.bound_cache.get(size)
         if bound is None:
             delay_bound = st_rms.params.delay_bound
@@ -1508,11 +1233,13 @@ class SubtransportLayer:
             deadline = send_time + bound
         else:
             deadline = self.context.now + self.config.recv_stage_allowance
-        last = rx.last_cpu_deadline
-        if deadline < last:
-            deadline = last
+        # In-sequence delivery (basic property 2): CPU-stage deadlines on
+        # one stream never decrease, so stable EDF keeps stream order.
+        if deadline < rx.last_cpu_deadline:
+            deadline = rx.last_cpu_deadline
         else:
             rx.last_cpu_deadline = deadline
+        cpu = self.host.cpu
         cost = rx.cost_cache.get(size)
         if cost is None:
             plan = st_rms.plan
@@ -1520,21 +1247,23 @@ class SubtransportLayer:
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
             rx.cost_cache[size] = cost
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.event(trace_id, "st", "rx", st=st_rms.name, size=size)
         cpu.submit_fast(
             st_rms._recv_stage_name,
             cost,
             deadline,
-            self._final_deliver_fast,
-            (rx, payload, size, send_time, trace_id),
+            self._final_deliver,
+            (rx, payload, send_time, trace_id),
             owner="st",
             trace_id=trace_id,
         )
 
-    def _final_deliver_fast(
+    def _final_deliver(
         self,
         rx: _RxStream,
-        payload: bytes,
-        size: int,
+        payload: Union[bytes, memoryview],
         send_time: float,
         trace_id: Optional[int],
     ) -> None:
@@ -1545,52 +1274,12 @@ class SubtransportLayer:
             # Client-delivery boundary: hand applications real bytes, not
             # a view pinned to the network message's buffer.
             payload = bytes(payload)
-        message = fast_message(
-            payload, st_rms.sender, st_rms.receiver,
-            send_time=send_time, trace_id=trace_id,
-        )
-        st_rms.deliver_fast(message, size)
-        if rx.fast_ack:
-            peer = self._peer(rx.sender_host)
-            self._send_control(
-                peer,
-                {
-                    "op": "fast_ack",
-                    "st_id": st_rms.rms_id,
-                    "seq": st_rms.stats.messages_delivered,
-                },
+        st_rms._deliver(
+            fast_message(
+                payload, st_rms.sender, st_rms.receiver,
+                send_time=send_time, trace_id=trace_id,
             )
-            self.stats.fast_acks_sent += 1
-            obs = self.context.obs
-            if obs.enabled:
-                obs.metrics.counter(
-                    "st_fast_acks_sent", host=self.host.name
-                ).inc()
-                obs.spans.event(
-                    trace_id, "st", "ack",
-                    st=st_rms.name, seq=st_rms.stats.messages_delivered,
-                )
-
-    def _final_deliver(
-        self,
-        rx: _RxStream,
-        payload: bytes,
-        send_time: float,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        st_rms = rx.st_rms
-        if st_rms.state is not RmsState.OPEN:
-            return
-        if type(payload) is not bytes:
-            # Client-delivery boundary: hand applications real bytes, not
-            # a view pinned to the network message's buffer.
-            payload = bytes(payload)
-        message = Message(
-            payload, source=st_rms.sender, target=st_rms.receiver
         )
-        message.send_time = send_time
-        message.trace_id = trace_id
-        st_rms._deliver(message)
         if rx.fast_ack:
             peer = self._peer(rx.sender_host)
             self._send_control(
@@ -1628,12 +1317,3 @@ def _pipe(source: Future, sink: Future) -> None:
             sink.set_exception(error)
     else:
         sink.set_result(source.result())
-
-
-def _encode_single(entry: BundleEntry) -> bytes:
-    return encode_single(entry)
-
-
-def _phantom(payload: bytes, trace_id: Optional[int] = None) -> Message:
-    """A placeholder message for drop accounting of undecodable data."""
-    return Message(payload, trace_id=trace_id)

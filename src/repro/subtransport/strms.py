@@ -16,11 +16,11 @@ establishment.
 from __future__ import annotations
 
 import weakref
-from typing import ClassVar, Dict, Optional, TYPE_CHECKING, Union
+from typing import ClassVar, Dict, Optional, TYPE_CHECKING
 
-from repro.core.message import Label, Message, fast_message
+from repro.core.message import Label, Message
 from repro.core.params import RmsParams
-from repro.core.rms import Rms, RmsLevel, RmsState
+from repro.core.rms import Rms, RmsLevel
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
@@ -72,75 +72,23 @@ class StRms(Rms):
         #: engine; ``security.protect`` is ``None`` on parameter-elided
         #: channels.
         self.security = SecurityContext(plan, session_key, sender, self.rms_id)
-        # Hot-path caches: CPU stage names and per-size derived floats.
-        # The float caches memoize the *same* functions the legacy path
-        # calls per message, so cached values are bit-identical.
+        #: Largest component that fits a bundle on the bound network RMS;
+        #: bigger messages fragment.  Set by the ST with the binding.
+        self.max_component = 0
+        # Resolved once for the send path: the CPU stage names and, per
+        # message size, the send-stage cost and the section-4.3.1 slack.
+        # The memos hold what the pure per-size functions return, so a
+        # hit is the very float a per-message call would compute.
         self._send_stage_name = f"st/send:{self.rms_id}"
         self._recv_stage_name = f"st/recv:{self.rms_id}"
         self._send_cost_cache: Dict[int, float] = {}
         self._slack_cache: Dict[int, float] = {}
-        #: (binding, largest bundle-able component) -- recomputed when
-        #: the stream is rebound to a different network RMS.
-        self._max_component_cache: Optional[tuple] = None
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)
         self.fragments_sent = 0
         self.messages_fragmented = 0
         StRms.registry[self.rms_id] = self
-
-    def take_seq(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
-
-    def send(
-        self,
-        payload: Union[bytes, Message],
-        deadline: Optional[float] = None,
-    ) -> Message:
-        """Send one message; takes the trimmed path when the ST allows it.
-
-        The fast branch performs exactly the bookkeeping of
-        :meth:`Rms.send` -- same stats, stamps, and deadline derivation
-        -- and defers every unusual case (closed stream, oversize
-        payload, observability on) to the base implementation.
-        """
-        context = self.context
-        if (
-            not self.sender_st._fast
-            or context.obs.enabled
-            or self.state is not RmsState.OPEN
-        ):
-            return super().send(payload, deadline)
-        if isinstance(payload, Message):
-            message = payload
-        else:
-            message = fast_message(payload, self.sender, self.receiver)
-        params = self.params
-        size = len(message.payload)
-        if size > params.max_message_size:
-            return super().send(message, deadline)
-        now = context.now
-        message.send_time = now
-        bound = params.delay_bound
-        if deadline is not None:
-            message.deadline = deadline
-        elif not bound.is_unbounded:
-            message.deadline = now + bound.bound_for(size)
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size
-        self.outstanding_bytes += size
-        if self.outstanding_bytes > params.capacity:
-            stats.capacity_violations += 1
-        tracer = context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "rms", "send", rms=self.name, id=message.message_id, size=size
-            )
-        self.sender_st._st_send_fast(self, message, size, now)
-        return message
 
     def _transmit(self, message: Message) -> None:
         self.sender_st._st_send(self, message)

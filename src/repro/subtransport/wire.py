@@ -82,7 +82,7 @@ class BundleEntry:
     @property
     def encoded_size(self) -> int:
         size = SUBHEADER_BYTES + len(self.payload)
-        if self.is_fragment:
+        if self.flags & FLAG_FRAGMENT:
             size += FRAG_HEADER_BYTES
         return size
 
@@ -140,16 +140,15 @@ def encode_single(entry: BundleEntry) -> bytes:
     ))
 
 
-def decode_bundle_flat(
-    data: bytes,
-) -> List[tuple]:
-    """:func:`decode_bundle` without the :class:`BundleEntry` objects.
+def decode_bundle_flat(data: bytes) -> List[tuple]:
+    """Parse a bundle payload; raises :class:`TransportError` if mangled.
 
-    Returns ``(st_rms_id, seq, flags, payload, send_time, frag_offset,
-    frag_total)`` tuples (payloads are zero-copy memoryviews), with the
-    same validation and the same exceptions.  The ST hot path iterates
-    these directly and rebuilds a :class:`BundleEntry` only for the rare
-    component that needs the legacy (flagged/fragment) machinery.
+    Returns one ``(st_rms_id, seq, flags, payload, send_time,
+    frag_offset, frag_total)`` tuple per component -- the field order of
+    :class:`BundleEntry`, which the ST receive path iterates without
+    building the objects.  Payloads are ``memoryview`` slices of
+    ``data`` (zero-copy); callers that retain one past the lifetime of
+    the network message must materialize it with ``bytes()``.
     """
     total = len(data)
     if total < _BUNDLE_COUNT.size:
@@ -183,49 +182,8 @@ def decode_bundle_flat(
 
 
 def decode_bundle(data: bytes) -> List[BundleEntry]:
-    """Parse a bundle payload; raises :class:`TransportError` if mangled.
-
-    Component payloads are returned as ``memoryview`` slices of ``data``
-    (zero-copy); callers that retain a payload past the lifetime of the
-    network message must materialize it with ``bytes()``.
-    """
-    total = len(data)
-    if total < _BUNDLE_COUNT.size:
-        raise TransportError("bundle truncated: no count")
-    (count,) = _BUNDLE_COUNT.unpack_from(data, 0)
-    view = memoryview(data)
-    offset = _BUNDLE_COUNT.size
-    entries: List[BundleEntry] = []
-    for _ in range(count):
-        if offset + SUBHEADER_BYTES > total:
-            raise TransportError("bundle truncated: bad subheader")
-        st_rms_id, seq, flags, length, send_time = _SUBHEADER.unpack_from(data, offset)
-        offset += SUBHEADER_BYTES
-        if offset + length > total:
-            raise TransportError("bundle truncated: bad component length")
-        body = view[offset : offset + length]
-        offset += length
-        frag_offset = 0
-        frag_total = 0
-        if flags & FLAG_FRAGMENT:
-            if len(body) < FRAG_HEADER_BYTES:
-                raise TransportError("fragment truncated")
-            frag_offset, frag_total = _FRAG_HEADER.unpack_from(body, 0)
-            body = body[FRAG_HEADER_BYTES:]
-        entries.append(
-            BundleEntry(
-                st_rms_id=st_rms_id,
-                seq=seq,
-                flags=flags,
-                payload=body,
-                send_time=send_time,
-                frag_offset=frag_offset,
-                frag_total=frag_total,
-            )
-        )
-    if offset != len(data):
-        raise TransportError("bundle has trailing garbage")
-    return entries
+    """:func:`decode_bundle_flat` as :class:`BundleEntry` objects."""
+    return [BundleEntry(*fields) for fields in decode_bundle_flat(data)]
 
 
 _CONTROL_TAG = b"\x01"

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.context import SimContext
+from repro.sim.events import TimerGroup
 from repro.subtransport.piggyback import PiggybackQueue
 from repro.subtransport.wire import BundleEntry, decode_bundle
 
@@ -53,6 +54,7 @@ def drive(items, enabled=True):
             [floors.__setitem__(st_id, d) for st_id in ids],
         ),
         ordering_floor=ordering_floor,
+        timer_group=TimerGroup(context.loop),
         enabled=enabled,
     )
 

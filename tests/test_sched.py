@@ -164,18 +164,23 @@ class TestHostCpu:
         assert order == ["long", "urgent"]
 
     def test_protocol_stage_uses_cost_model(self):
+        """A protocol stage runs for what the cost model charges it."""
         context = SimContext()
         cpu = HostCpu(context, charge_context_switches=False)
+        costs = cpu.costs
+        cost = costs.protocol_cost(1000, checksum=True)
+        assert cost == pytest.approx(
+            costs.per_message
+            + 1000 * (costs.copy_per_byte + costs.checksum_per_byte)
+        )
         done = []
-        item = cpu.submit_protocol_stage(
-            "x/stage", 1000, deadline=1.0, callback=lambda: done.append(1),
-            checksum=True,
+        cpu.submit(
+            "x/stage", cost, deadline=1.0,
+            callback=lambda: done.append(context.now),
         )
         context.run()
-        assert done == [1]
-        assert item.cpu_time == pytest.approx(
-            cpu.costs.protocol_cost(1000, checksum=True)
-        )
+        assert done == [pytest.approx(cost)]
+        assert cpu.busy_time == pytest.approx(cost)
 
     def test_keep_history(self):
         context = SimContext()

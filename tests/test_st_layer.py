@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.message import Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
 from repro.subtransport.st import SubtransportLayer
+from repro.subtransport.wire import (
+    BundleEntry,
+    FLAG_CHECKSUM,
+    FLAG_MAC,
+    encode_bundle,
+)
 
 
 def build_pair(seed=77, st_config=None, **net_kwargs):
@@ -231,20 +239,23 @@ class TestStFragmentation:
         rms = open_rms(context, st_a)
         got = []
         rms.port.set_handler(got.append)
-        # Drop exactly one data frame in flight by monkeypatching the
-        # entry pipeline: corrupt the third fragment's arrival.
-        original = st_b._receive_entry
-        dropped = []
 
-        def dropper(entry):
-            if entry.is_fragment and entry.frag_offset > 0 and not dropped:
-                dropped.append(entry)
-                return  # simulate loss of a middle fragment
-            original(entry)
+        class LoseSecondFrame(ImpairmentModel):
+            """The medium eats exactly the second frame it carries."""
 
-        st_b._receive_entry = dropper
-        rms.send(b"x" * 4000)  # fragmented; first fragment lost
+            carried = 0
+
+            def loses_frame(self, rng):
+                self.carried += 1
+                return self.carried == 2
+
+        # The stream is up, so the next three frames on the segment are
+        # the first message's fragments: the middle one is lost.
+        network.segment.impairment = LoseSecondFrame()
+        rms.send(b"x" * 4000)
         context.run(until=context.now + 1.0)
+        assert st_a.stats.fragments_sent == 3
+        assert st_b.stats.fragments_received == 2
         rms.send(b"y" * 4000)  # next message's fragments arrive
         context.run(until=context.now + 2.0)
         assert len(got) == 1  # only the second message completes
@@ -299,6 +310,27 @@ class TestStSecurityPath:
         # corrupted payload passes through to the client.
         rms = open_rms(context, st_a)
         assert not rms.plan.checksum
+
+    @pytest.mark.parametrize("flag, counter", [
+        (FLAG_MAC, "auth_drops"),
+        (FLAG_CHECKSUM, "checksum_drops"),
+    ], ids=["mac", "checksum"])
+    def test_component_shorter_than_its_tag_is_dropped(
+        self, flag, counter
+    ):
+        """A component too short to hold the tag its flags announce fails
+        verification like a bad tag does: the ST counter *and* the
+        stream's drop accounting both see it."""
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        rms = open_rms(context, st_a, p=params().with_(authentication=True))
+        crafted = BundleEntry(
+            st_rms_id=rms.rms_id, seq=0, flags=flag, payload=b"abc",
+            send_time=context.now,
+        )
+        st_b._data_arrived(None, Message(encode_bundle([crafted])))
+        assert getattr(st_b.stats, counter) == 1
+        assert rms.stats.messages_dropped == 1
+        assert st_b.stats.components_received == 0
 
     def test_fast_ack_service(self):
         """Section 3.2: the ST arranges fast acknowledgement."""

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import TransportError
 from repro.sim.context import SimContext
+from repro.sim.events import TimerGroup
 from repro.subtransport.piggyback import PiggybackQueue
 from repro.subtransport.wire import (
     BundleEntry,
@@ -138,6 +139,7 @@ class TestPiggybackQueue:
             max_bundle_payload=max_payload,
             flush_fn=flush,
             ordering_floor=lambda ids: 0.0,
+            timer_group=TimerGroup(context.loop),
             enabled=enabled,
         )
         return queue, flushes
@@ -190,6 +192,7 @@ class TestPiggybackQueue:
             max_bundle_payload=500,
             flush_fn=lambda p, d, ids, c: flushes.append(d),
             ordering_floor=lambda ids: 9.0,
+            timer_group=TimerGroup(context.loop),
         )
         queue.submit(entry(payload=b"a"), max_deadline=0.5)
         context.run()
