@@ -70,6 +70,9 @@ class InternetNetwork(Network):
         self._links: Dict[Tuple[str, str], Link] = {}
         self._pools: Dict[Tuple[str, str], AdmissionController] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        #: Per directed edge, the cost of one MTU frame over it, fixed at
+        #: :meth:`add_link` (only ``is_up`` changes after build).
+        self._weights: Dict[Tuple[str, str], float] = {}
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
         #: The scale-out resolver: per-source forwarding tables, compiled
         #: route plans, scoped invalidation.  ``route_engine=False``
@@ -86,8 +89,9 @@ class InternetNetwork(Network):
             self, ecmp=self.ecmp, max_paths=ecmp_max_paths
         )
         self._link_edges: Dict[Link, Tuple[str, str]] = {}
-        #: Shortest-path searches run (one per table build with the
-        #: engine, one per cache-missing pair without it).
+        #: Shortest-path searches run (with the engine one per gateway
+        #: and access-link weight, shared by the hosts behind it, or one
+        #: per multi-homed source; one per cache-missing pair without it).
         self.route_resolutions = 0
         self.queue_policy = queue_policy
         self.source_quench = source_quench
@@ -136,6 +140,9 @@ class InternetNetwork(Network):
                 ),
             )
             self._links[(src, dst)] = link
+            self._weights[(src, dst)] = propagation_delay + (
+                link.transmission_time(self.properties.mtu + FRAME_OVERHEAD_BYTES)
+            )
             self._pools[(src, dst)] = AdmissionController(
                 total_bandwidth=bandwidth, total_buffer_bytes=buffer_bytes
             )
@@ -223,12 +230,9 @@ class InternetNetwork(Network):
     # -- routing ------------------------------------------------------------
 
     def _link_weight(self, src: str, dst: str) -> float:
-        link = self._links[(src, dst)]
-        if not link.is_up:
+        if not self._links[(src, dst)].is_up:
             return float("inf")
-        return link.propagation_delay + link.transmission_time(
-            self.properties.mtu + FRAME_OVERHEAD_BYTES
-        )
+        return self._weights[(src, dst)]
 
     def route_between(self, src: str, dst: str) -> List[str]:
         """Shortest path (by latency) between two nodes, cached.

@@ -24,6 +24,7 @@ from repro.netsim.routing import flow_hash
 from repro.netsim.topology import Host, MeshSpec, build_two_tier
 from repro.obs import LinkUtilizationCollector, jain_fairness
 from repro.sim.context import SimContext
+from tests.test_routing_engine import assert_bounded, soak
 
 # Weights drawn from a tiny discrete set so random graphs are dense
 # with exact cost ties -- the case ECMP exists for.
@@ -339,6 +340,29 @@ class TestDagScopedInvalidation:
         network.link("spine1", "leaf0").set_down()
         context.run(until=context.now + 0.5)
         assert set(failed) == pinned_through
+
+
+class TestSoakBound:
+    def test_thousand_flaps_leave_every_index_bounded(self):
+        context = SimContext(seed=17)
+        network = InternetNetwork(context, trusted=True, ecmp=True)
+        mesh = build_two_tier(network, spines=3, leaves=3, hosts_per_leaf=2)
+        engine = network._engine
+        trunks = [("leaf0", "spine1"), ("leaf1", "spine0"), ("leaf2", "spine2")]
+
+        def resolve():
+            for src in mesh.hosts:
+                for dst in mesh.hosts:
+                    for flow in range(3):
+                        engine.plan_for_flow(src, dst, flow)
+
+        sizes = soak(network, trunks, resolve)
+        assert engine.dag_prunes > 0  # the in-place path really ran
+        for name in ("edge_plans", "src_plans", "edge_pathsets",
+                     "src_pathsets", "edge_tables"):
+            assert sizes[-1][name] > 0
+        assert sizes[-2]["edge_pruned"] > 0  # trunk down: pruned sets indexed
+        assert_bounded(sizes)
 
 
 class TestLinkUtilization:

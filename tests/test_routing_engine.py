@@ -13,7 +13,7 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import RoutingError
 from repro.netsim.admission import NULL_POOLS
 from repro.netsim.internet import InternetNetwork
-from repro.netsim.topology import Host
+from repro.netsim.topology import Host, build_grid
 from repro.sim.context import SimContext
 
 edge_lists = st.lists(
@@ -295,6 +295,47 @@ class TestScopedInvalidation:
         network.link("g1", "g2").set_up()
         assert engine.table("h3") is region2_table
         assert network.route_between("h1", "h2") == ["h1", "g1", "g2", "h2"]
+
+
+def soak(network, trunks, resolve, flaps=1000):
+    """Flap ``trunks`` in turn, ``resolve()`` after every transition;
+    returns the engine's index sizes after each (two per flap)."""
+    sizes = []
+    for flap in range(flaps):
+        u, v = trunks[flap % len(trunks)]
+        for up in (False, True):
+            for link in (network.link(u, v), network.link(v, u)):
+                link.set_up() if up else link.set_down()
+            resolve()
+            sizes.append(network._engine.index_sizes())
+    return sizes
+
+
+def assert_bounded(sizes, factor=2):
+    """Every index stays within a constant factor of its size after the
+    first ten flaps -- nothing grows with the number of flaps."""
+    early = {name: max(s[name] for s in sizes[:20]) for name in sizes[0]}
+    for step, snapshot in enumerate(sizes[20:], start=20):
+        for name, size in snapshot.items():
+            assert size <= factor * max(early[name], 1), (step, name, snapshot)
+
+
+class TestSoakBound:
+    def test_thousand_flaps_leave_every_index_bounded(self):
+        context = SimContext(seed=11)
+        network = InternetNetwork(context, trusted=True)
+        mesh = build_grid(network, rows=2, cols=3, hosts_per_router=2)
+        trunks = [("g0x0", "g0x1"), ("g1x1", "g1x2"), ("g0x2", "g1x2")]
+
+        def resolve():
+            for src in mesh.hosts:
+                for dst in mesh.hosts:
+                    network.route_between(src, dst)
+
+        sizes = soak(network, trunks, resolve)
+        assert sizes[-1]["edge_plans"] > 0 and sizes[-1]["edge_tables"] > 0
+        assert_bounded(sizes)
+        assert "indexes={" in repr(network._engine)
 
 
 class TestCanReachProbe:

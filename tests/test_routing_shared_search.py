@@ -1,0 +1,248 @@
+"""The shared leaf search must be exact where it is hardest to be: on
+topologies built to tie.
+
+Hosts behind one gateway take their forwarding table from one Dijkstra
+run rooted at the gateway (`ForwardingEngine._search`), and degree-1
+nodes are settled without the heap.  Both are claimed to change no pop
+order and no float.  Random float weights almost never tie, so these
+tests use equal-weight grids and fabrics -- every tie-break is live --
+plus the shapes the shortcut has to get right: a multi-homed host, a
+host-host link, a degree-1 router, a dark host, two siblings with
+different access bandwidths.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import RoutingError
+from repro.netsim.internet import InternetNetwork
+from repro.netsim.topology import Host, build_grid, build_two_tier
+from repro.sim.context import SimContext
+
+ACCESS = dict(bandwidth=2.5e6, propagation_delay=2e-4)  # MeshSpec's
+
+shapes = st.fixed_dictionaries({
+    "kind": st.sampled_from(["grid", "fabric"]),
+    "a": st.integers(2, 3),
+    "b": st.integers(2, 3),
+    "hosts": st.lists(st.integers(1, 4), min_size=9, max_size=9),
+    "dark": st.sampled_from(["out", "in", "both"]),
+})
+flap_lists = st.lists(st.integers(0, 10**6), min_size=0, max_size=4)
+
+
+def build(shape, route_engine=True, ecmp=False):
+    """An equal-weight mesh per ``shape`` with every awkward leaf shape
+    hung on it.  Deterministic in ``shape``, so twins are identical."""
+    context = SimContext(seed=1)
+    network = InternetNetwork(context, route_engine=route_engine, ecmp=ecmp)
+
+    def host(name, *gateways, **access):
+        network.attach(Host(context, name))
+        for gateway in gateways:
+            network.add_link(name, gateway, **{**ACCESS, **access})
+
+    if shape["kind"] == "grid":
+        mesh = build_grid(network, shape["a"], shape["b"], hosts_per_router=0)
+    else:
+        mesh = build_two_tier(network, shape["a"], shape["b"], hosts_per_leaf=0)
+    routers = mesh.routers
+    network.add_router("stub")  # a degree-1 router
+    network.add_link("stub", routers[0], bandwidth=1.25e6,
+                     propagation_delay=1e-3)
+    count = 0
+    for router, hosts in zip(routers, shape["hosts"]):
+        for _ in range(hosts):
+            host(f"h{count}", router)
+            count += 1
+    host("multi", routers[0], routers[-1])
+    host("slow", routers[0], bandwidth=1e6)  # sibling, other access weight
+    host("dark", routers[1])
+    network.attach(Host(context, "p0"))
+    host("p1", "p0")  # both ends degree 1, an island
+    if shape["dark"] in ("out", "both"):
+        network.link("dark", routers[1]).set_down()
+    if shape["dark"] in ("in", "both"):
+        network.link(routers[1], "dark").set_down()
+    return network
+
+
+def toggle(network, pick):
+    edges = sorted(network._links)
+    link = network._links[edges[pick % len(edges)]]
+    if link.is_up:
+        link.set_down()
+    else:
+        link.set_up()
+
+
+def route_or_none(network, src, dst):
+    try:
+        return list(network.route_between(src, dst))
+    except RoutingError:
+        return None
+
+
+def nodes_of(network):
+    return sorted(network.hosts) + sorted(network.routers)
+
+
+class TestSharedSearchExactness:
+    @settings(max_examples=12, deadline=None)
+    @given(shape=shapes, flaps=flap_lists)
+    def test_fresh_engine_equals_legacy_after_every_flap(self, shape, flaps):
+        """Fresh twins per step, driven through the same flaps, so no
+        table survives a link-up and the accepted tie divergence of
+        DESIGN 8.7 does not enter: everything must be *equal*."""
+        for step in range(len(flaps) + 1):
+            engine = build(shape)
+            legacy = build(shape, route_engine=False)
+            for pick in flaps[:step]:
+                toggle(engine, pick)
+                toggle(legacy, pick)
+            nodes = nodes_of(legacy)
+            for src in nodes:
+                for dst in nodes:
+                    route = route_or_none(legacy, src, dst)
+                    assert route_or_none(engine, src, dst) == route
+                    assert (engine.can_reach(src, dst)
+                            == legacy.can_reach(src, dst))
+                    if route is not None:
+                        assert (tuple(engine._path_profile(src, dst))
+                                == tuple(legacy._path_profile(src, dst)))
+            assert engine._engine.searches <= engine._engine.table_builds
+            assert engine.route_resolutions == engine._engine.searches
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=shapes, flaps=flap_lists)
+    def test_ecmp_dag_keeps_the_canonical_route_first(self, shape, flaps):
+        for step in range(len(flaps) + 1):
+            ecmp = build(shape, ecmp=True)
+            legacy = build(shape, route_engine=False)
+            for pick in flaps[:step]:
+                toggle(ecmp, pick)
+                toggle(legacy, pick)
+            engine = ecmp._engine
+            nodes = nodes_of(legacy)
+            for src in nodes:
+                table = engine.table(src)
+                assert set(table.preds) == set(table.prev)
+                for node, plist in table.preds.items():
+                    assert plist[0] == table.prev[node]
+                for dst in nodes:
+                    route = route_or_none(legacy, src, dst)
+                    if route is not None and src != dst:
+                        assert engine.pathset(src, dst).routes[0] == route
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=shapes, flaps=flap_lists)
+    def test_warm_engine_stays_cost_exact_through_flaps(self, shape, flaps):
+        """One engine kept warm across the flaps (every pair resolved
+        after every transition, so the memo and the tables are live when
+        the next link changes): ties may break differently after a
+        link-up, reachability and cost may not."""
+        engine = build(shape)
+        legacy = build(shape, route_engine=False)
+        hosts = sorted(legacy.hosts)
+
+        def cost(route):
+            return [legacy._weights[hop] for hop in zip(route, route[1:])]
+
+        for pick in [None] + flaps:
+            if pick is not None:
+                toggle(engine, pick)
+                toggle(legacy, pick)
+            for src in hosts:
+                for dst in hosts:
+                    route = route_or_none(legacy, src, dst)
+                    mine = route_or_none(engine, src, dst)
+                    assert (mine is None) == (route is None)
+                    if route is not None:
+                        assert sum(cost(mine)) == sum(cost(route))
+
+
+def sibling_network(ecmp, route_engine=True):
+    shape = {"kind": "grid", "a": 2, "b": 3, "hosts": [3] * 9, "dark": "both"}
+    return build(shape, route_engine=route_engine, ecmp=ecmp)
+
+
+class TestSiblingTables:
+    def test_siblings_differ_only_in_the_three_fixups(self):
+        network = sibling_network(ecmp=True)
+        engine = network._engine
+        first, second = engine.table("h0"), engine.table("h1")
+        assert engine.searches == 1 and engine.table_builds == 2
+        gateway = "g0x0"
+        assert first.dist["h0"] == second.dist["h1"] == 0.0
+        assert first.prev[gateway] == "h0" and second.prev[gateway] == "h1"
+        assert "h0" not in first.prev and "h1" not in second.prev
+        assert first.preds[gateway] == ["h0"]
+        assert second.preds[gateway] == ["h1"]
+        assert "h0" not in first.preds and "h1" not in second.preds
+        # The sibling itself is an ordinary leaf of the other's tree.
+        assert first.dist["h1"] == second.dist["h0"]
+        assert first.prev["h1"] == second.prev["h0"] == gateway
+        rest = set(first.dist) - {"h0", "h1"}
+        assert rest == set(second.dist) - {"h0", "h1"}
+        for node in rest:
+            assert first.dist[node] == second.dist[node]
+            if node != gateway:
+                assert first.prev[node] == second.prev[node]
+                assert first.preds[node] == second.preds[node]
+
+    def test_siblings_share_no_mutable_preds_list(self):
+        network = sibling_network(ecmp=True)
+        engine = network._engine
+        first, second = engine.table("h0"), engine.table("h1")
+        for node in set(first.preds) & set(second.preds):
+            assert first.preds[node] is not second.preds[node]
+        before = {node: list(p) for node, p in second.preds.items()}
+        for plist in first.preds.values():
+            plist.append("poison")
+        first.dist.clear()
+        first.prev.clear()
+        assert second.preds == before
+        third = engine.table("h2")  # built from the memo after the damage
+        assert engine.searches == 1
+        assert all("poison" not in p for p in third.preds.values())
+        assert third.dist["h2"] == 0.0 and third.dist["h1"] == second.dist["h0"]
+
+    def test_other_access_weight_gets_its_own_search(self):
+        network = sibling_network(ecmp=False)
+        engine = network._engine
+        engine.table("h0")
+        engine.table("slow")  # same gateway, slower access link
+        assert engine.searches == 2
+        assert engine.index_sizes()["search_memo"] == 2
+        engine.table("multi")  # degree 2: its own full search, no memo
+        assert engine.searches == 3
+        assert engine.index_sizes()["search_memo"] == 2
+
+    def test_memo_is_emptied_by_every_link_state_change(self):
+        network = sibling_network(ecmp=False)
+        legacy = sibling_network(ecmp=False, route_engine=False)
+        engine = network._engine
+
+        def flip(up):
+            for net in (network, legacy):
+                link = net.link("g0x0", "g0x1")
+                link.set_up() if up else link.set_down()
+
+        flip(up=False)  # the first change switches tracking on
+        flip(up=True)
+        direct = ["h0", "g0x0", "g0x1", "h3"]
+        assert network.route_between("h0", "h3") == direct
+        assert engine.index_sizes()["search_memo"] == 1
+        flip(up=False)
+        assert engine.index_sizes()["search_memo"] == 0
+        # A sibling first resolved *after* the change must see it.
+        detour = network.route_between("h1", "h3")
+        assert detour == legacy.route_between("h1", "h3")
+        assert detour[1:3] != ["g0x0", "g0x1"]
+        assert engine.index_sizes()["search_memo"] == 1
+        flip(up=True)
+        assert engine.index_sizes()["search_memo"] == 0
+        assert network.route_between("h2", "h3") == ["h2"] + direct[1:]
+        network.add_link("h0", "g1x2", **ACCESS)  # topology grew
+        assert engine.index_sizes()["search_memo"] == 0
