@@ -8,7 +8,11 @@ that gap (``repro.security.providers``): the ``"xtea-ct"`` provider
 generates keystream in wide batches -- many counter blocks packed into
 64-bit lanes of one big int, the round loop run once per batch -- XORs
 it in one big-int operation, and computes the polynomial MAC in a single
-pass over a memoryview.
+pass over a memoryview, sixteen blocks per step in eight 128-bit lanes.
+Both ends of an in-process stream hold one provider object, so ``seal``
+leaves the keystream it generated for the matching ``open`` (the
+in-flight map): the "open hits" column counts how many ``open`` calls
+were served from it and how many had to regenerate.
 
 The headline workload is bulk transfer over an *untrusted* Ethernet
 with privacy and authentication requested, so every fragment is sealed
@@ -22,9 +26,10 @@ claim, asserted by ``test_e21_securedpath``:
 * the ``"null"`` provider row bounds what the crypto costs end-to-end.
 
 A piggybacked small-message mix is reported (not gated: small messages
-amortize little per-call overhead) plus raw transform microbenches.
-Results go to the repo-root ``BENCH_e21.json`` for the CI perf-smoke
-job; see DESIGN.md section 8.5 for the schema.
+amortize little per-call overhead) plus raw transform microbenches;
+``benchmarks/check_baselines.py`` holds the MAC microbench to >= 4x the
+scalar loop.  Results go to the repo-root ``BENCH_e21.json`` for the CI
+perf-smoke job; see DESIGN.md section 8.5 for the schema.
 """
 
 from __future__ import annotations
@@ -110,7 +115,11 @@ def _run_workload(
     run(until=system.now + 1.0)
     elapsed = time.perf_counter() - started
     assert delivered[0] == total, (provider, delivered[0], total)
+    engine = rms.security.provider
     return {
+        # Only the wide engine keeps the map and its two counters.
+        "keystream_hits": getattr(engine, "keystream_hits", None),
+        "keystream_misses": getattr(engine, "keystream_misses", None),
         "bytes_per_sec": delivered[1] / max(elapsed, 1e-9),
         "msgs_per_sec": total / max(elapsed, 1e-9),
         "messages": total,
@@ -205,8 +214,16 @@ def _write_bench_json(result) -> None:
 def render(result) -> Table:
     table = Table(
         "E21: secured-channel throughput by provider (untrusted LAN)",
-        ["workload", "provider", "msgs", "bytes/s", "msg/s", "vs scalar"],
+        ["workload", "provider", "msgs", "bytes/s", "msg/s", "vs scalar",
+         "open hits"],
     )
+
+    def open_hits(row) -> str:
+        hits = row["keystream_hits"]
+        if hits is None:
+            return ""
+        return f"{hits}/{hits + row['keystream_misses']}"
+
     scalar_bulk = result["bulk"]["xtea-ct-ref"]["bytes_per_sec"]
     for name in PROVIDERS:
         row = result["bulk"][name]
@@ -215,6 +232,7 @@ def render(result) -> Table:
             round(row["bytes_per_sec"]),
             round(row["msgs_per_sec"]),
             round(row["bytes_per_sec"] / max(scalar_bulk, 1e-9), 2),
+            open_hits(row),
         )
     for name in ("xtea-ct", "xtea-ct-ref"):
         row = result["small"][name]
@@ -223,6 +241,7 @@ def render(result) -> Table:
             round(row["bytes_per_sec"]),
             round(row["msgs_per_sec"]),
             "",
+            open_hits(row),
         )
     micro_table = Table(
         "E21: raw transform rates (64 KiB calls)",

@@ -54,6 +54,7 @@ correct-but-costly byte transformations, not security.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from typing import Callable, Dict, Iterable, List, Tuple, Union
 
@@ -189,10 +190,7 @@ class _ProviderBase:
                 f"MAC tag must be {MAC_BYTES} bytes, got {len(tag)}"
             )
         expected = self.mac(data, context)  # type: ignore[attr-defined]
-        result = 0
-        for a, b in zip(expected, tag):
-            result |= a ^ b
-        return result == 0
+        return hmac.compare_digest(expected, tag)
 
 
 class _XteaProviderBase(_ProviderBase):
@@ -201,15 +199,9 @@ class _XteaProviderBase(_ProviderBase):
     def __init__(self, key: bytes) -> None:
         self.key = key
         self._k = _check_key(key)
-        self._rc = _round_constants(self._k)
         #: Polynomial-hash evaluation point: key-derived, forced odd so
         #: it is never 0 (a degenerate hash).
         self._mac_r = (int.from_bytes(key[:8], "big") | 1) % _POLY_P
-
-    def _finish_mac(self, h: int) -> bytes:
-        """Bind the full key: one XTEA block encryption of the hash."""
-        v0, v1 = _encrypt_words(self._k, h >> 32, h & _MASK)
-        return _PACK_2U32(v0, v1)
 
 
 class XteaScalarProvider(_XteaProviderBase):
@@ -261,6 +253,11 @@ class XteaScalarProvider(_XteaProviderBase):
             h = (h * r + from_bytes(material[off : off + 8], "big")) % _POLY_P
         return self._finish_mac(h)
 
+    def _finish_mac(self, h: int) -> bytes:
+        """Bind the full key: one XTEA block encryption of the hash."""
+        v0, v1 = _encrypt_words(self._k, h >> 32, h & _MASK)
+        return _PACK_2U32(v0, v1)
+
 
 #: Lane-constant cache shared across keys: ``ones`` (the base-2^64
 #: repunit that replicates a scalar into every lane), the per-lane
@@ -284,6 +281,31 @@ def _lane_constants(width: int) -> Tuple[int, int, int]:
     return cached
 
 
+#: Lanes of the packed polynomial hash: one step reads ``2 * _MAC_LANES``
+#: blocks.  Of 2 ... 16, 8 measured best at 400 B components and within
+#: a tenth of the best (12) at 1,400 B.
+_MAC_LANES = 8
+_MAC_CHUNK = 16 * _MAC_LANES
+#: Key-independent lane constants of the packed hash: the 128-bit
+#: repunit times the low-64 mask, the low-61 mask (= the modulus) and
+#: the 67 bits one fold carries down from above bit 61.
+_MAC_ONES = ((1 << (128 * _MAC_LANES)) - 1) // ((1 << 128) - 1)
+_MAC_LOW64 = _MAC_ONES * ((1 << 64) - 1)
+_MAC_LOW61 = _MAC_ONES * _POLY_P
+_MAC_CARRY = _MAC_ONES * ((1 << 67) - 1)
+_MAC_LANE_MASK = (1 << 128) - 1
+#: Most-significant lane first: the order the final Horner pass reads.
+_MAC_LANE_SHIFTS = tuple(range(128 * (_MAC_LANES - 1), -1, -128))
+
+
+def _xor(data: Buffer, stream: bytes, length: int) -> bytes:
+    """One wide XOR of two ``length``-byte strings: int.from_bytes reads
+    memoryviews without a copy of the payload into intermediate bytes."""
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(length, "big")
+
+
 class XteaVectorProvider(_XteaProviderBase):
     """The wide engine: many counter blocks per XTEA round sweep.
 
@@ -302,18 +324,46 @@ class XteaVectorProvider(_XteaProviderBase):
     mask clears everything above bit 31.  The result is bit-identical to
     running the scalar rounds per block (the property suite proves it).
 
-    **Keystream tails.**  Batch widths are powers of two up to 64, so
-    the final batch of a message usually overshoots; the unused tail is
-    cached per provider (hence per :class:`SecurityContext`) keyed by
-    ``(nonce, stream offset)``, and a chunked caller that continues the
-    same nonce's stream -- fragments of one logical message sealed with
-    ``offset=`` -- picks it up without regenerating the batch.
+    **In-flight keystreams.**  Counter mode generates the same keystream
+    to seal a component and to open it, and both ends of an in-process
+    ``StRms`` hold this one provider object (one
+    :class:`~repro.subtransport.security.SecurityContext` per stream).
+    ``seal`` therefore leaves the keystream it generated in a map under
+    ``(nonce, offset)`` and the matching ``open`` pops it: a prefix if
+    the request is shorter, a fresh :meth:`keystream` if nothing is
+    there or the request is longer.  Each entry serves one ``open``, the
+    map is insertion-ordered and holds at most :attr:`INFLIGHT` entries
+    (the oldest is evicted first), so the keystream of a component lost
+    on the wire ages out.  A miss only costs the regeneration; the
+    bytes are those of the scalar oracle either way.
 
     **MAC.**  The polynomial hash runs single-pass over ``memoryview``
     slices: the ``context || len`` head absorbs the first payload bytes
-    to reach block alignment, the aligned middle is unpacked 64 bits at
-    a time with one C-level ``struct`` call, and only the final partial
-    block is ever copied for padding.
+    to reach block alignment, then the aligned middle is read
+    ``2 * L`` blocks at a time (``L`` = ``_MAC_LANES``) as one big
+    integer of ``L`` 128-bit lanes, two blocks ``(hi, lo)`` per lane,
+    and every lane advances its own Horner chain by ``2 * L`` blocks::
+
+        g = g * r**(2 * L) + hi * r + lo         # lane-wise
+        g = (g & low61) + ((g >> 61) & carry)    # twice
+
+    At the end lane ``j`` (most significant first) holds the hash of
+    block pairs ``j, j + L, j + 2L, ...`` and the lanes are combined by
+    Horner in ``r**2``; the hash of the head rides in as the initial
+    value of the last lane.  What is left (under ``2 * L`` blocks and
+    the padded partial block) goes through the scalar loop.
+
+    Lane isolation: ``P = 2**61 - 1`` so ``2**61 = 1 (mod P)`` and a
+    fold keeps the residue.  A lane below ``2**128`` folds to less than
+    ``2**61 + 2**67`` and folds again to at most ``2**61 + 64``; with
+    ``r, r**(2L) <= P - 1`` and ``hi, lo < 2**64`` the next step is at
+    most ``(2**61 + 64) * 2**61 + 2**64 * 2**61 + 2**64 < 2**126``,
+    inside the lane.  One fold is not enough: ``(2**61 + 2**67) *
+    r**(2L) + 2**125`` can pass ``2**128`` once ``r**(2L) > 0.86 P``,
+    and does on all-ones data within a few percent of ``P`` -- keys
+    random tests rarely draw and the adversarial-key test searches for.
+    ``>> 61`` drags the lane above into bits 67-127, which ``carry``
+    clears.
     """
 
     name = "xtea-ct"
@@ -321,14 +371,24 @@ class XteaVectorProvider(_XteaProviderBase):
     #: Full batch width (blocks): 64 lanes = 512 keystream bytes.
     BATCH = 64
 
+    #: Most keystreams kept between ``seal`` and ``open``.  A stream has
+    #: at most its capacity in flight (a few dozen components on the
+    #: secured workloads); at the 1,400 B a LAN component holds this
+    #: bounds the map near 90 KB per stream.
+    INFLIGHT = 64
+
     def __init__(self, key: bytes) -> None:
         super().__init__(key)
+        self._rc = _round_constants(self._k)
         #: Per-width replicated round constants (key-dependent, built
         #: lazily: real runs see a handful of widths <= 64).
         self._wide_rc: Dict[int, List[Tuple[int, int]]] = {}
-        self._tail_nonce: int = -1
-        self._tail_offset: int = 0
-        self._tail: bytes = b""
+        self._mac_r2 = self._mac_r * self._mac_r % _POLY_P
+        self._mac_rw = pow(self._mac_r, 2 * _MAC_LANES, _POLY_P)
+        self._inflight: Dict[Tuple[int, int], bytes] = {}
+        #: ``open`` calls served from the in-flight map / regenerated.
+        self.keystream_hits = 0
+        self.keystream_misses = 0
 
     def _wide_round_constants(self, width: int, ones: int):
         cached = self._wide_rc.get(width)
@@ -354,68 +414,48 @@ class XteaVectorProvider(_XteaProviderBase):
         if length <= 0:
             return b""
         nonce32 = nonce & _MASK
-        parts: List[bytes] = []
-        pos = offset
-        end = offset + length
-        if (
-            nonce32 == self._tail_nonce
-            and pos == self._tail_offset
-            and self._tail
-        ):
-            tail = self._tail
-            take = min(len(tail), end - pos)
-            parts.append(tail[:take])
-            pos += take
-            if take < len(tail):
-                self._tail = tail[take:]
-                self._tail_offset = pos
-            else:
-                self._tail = b""
-                self._tail_nonce = -1
+        block = offset >> 3
+        skip = offset & 7
+        blocks_needed = (skip + length + 7) >> 3
         batch = self.BATCH
-        while pos < end:
-            block = pos >> 3
-            skip = pos & 7
-            need = end - pos + skip  # bytes from the start of `block`
-            blocks_needed = (need + 7) >> 3
+        parts: List[bytes] = []
+        while blocks_needed > 0:
             if blocks_needed >= batch:
                 width = batch
             else:
-                width = 1
-                while width < blocks_needed:
-                    width <<= 1
-            # Never let a pow2 round-up push a lane past the counter
-            # guard (only reachable within a whisker of the 32 GiB
-            # per-nonce limit).
-            if block + width > _MAX_COUNTER_BLOCKS:
-                width = _MAX_COUNTER_BLOCKS - block
-            chunk = self._batch(nonce32, block, width)
-            usable = chunk[skip:] if skip else chunk
-            take = min(len(usable), end - pos)
-            if take < len(usable):
-                parts.append(usable[:take])
-                # Cache the overshoot for a caller continuing this
-                # nonce's stream (chunked seal of one logical message).
-                self._tail_nonce = nonce32
-                self._tail_offset = end
-                self._tail = usable[take:]
-            else:
-                parts.append(usable)
-            pos += take
-        if len(parts) == 1:
-            return parts[0]
-        return b"".join(parts)
+                width = 1 << (blocks_needed - 1).bit_length()
+                # Never let a pow2 round-up push a lane past the counter
+                # guard (only reachable within a whisker of the 32 GiB
+                # per-nonce limit).
+                if block + width > _MAX_COUNTER_BLOCKS:
+                    width = _MAX_COUNTER_BLOCKS - block
+            parts.append(self._batch(nonce32, block, width))
+            block += width
+            blocks_needed -= width
+        return b"".join(parts)[skip : skip + length]
 
     def seal(self, nonce: int, data: Buffer, offset: int = 0) -> bytes:
         length = len(data)
         if length == 0:
             return b""
         stream = self.keystream(nonce, length, offset)
-        # One wide XOR: int.from_bytes reads memoryviews without a copy
-        # of the payload into an intermediate bytes object.
-        return (
-            int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-        ).to_bytes(length, "big")
+        inflight = self._inflight
+        inflight[(nonce & _MASK, offset)] = stream
+        if len(inflight) > self.INFLIGHT:
+            del inflight[next(iter(inflight))]
+        return _xor(data, stream, length)
+
+    def open(self, nonce: int, data: Buffer, offset: int = 0) -> bytes:
+        length = len(data)
+        if length == 0:
+            return b""
+        stream = self._inflight.pop((nonce & _MASK, offset), None)
+        if stream is None or len(stream) < length:
+            self.keystream_misses += 1
+            stream = self.keystream(nonce, length, offset)
+        else:
+            self.keystream_hits += 1
+        return _xor(data, stream[:length], length)
 
     def mac(self, data: Buffer, context: bytes = b"") -> bytes:
         head = context + _PACK_U32(len(data))
@@ -435,6 +475,22 @@ class XteaVectorProvider(_XteaProviderBase):
         from_bytes = int.from_bytes
         for off in range(0, len(head), 8):
             h = (h * r + from_bytes(head[off : off + 8], "big")) % _POLY_P
+        packed = n - n % _MAC_CHUNK
+        if packed:
+            rw = self._mac_rw
+            low64, low61, carry = _MAC_LOW64, _MAC_LOW61, _MAC_CARRY
+            g = h  # the last lane: its chain ends at the last block
+            for off in range(0, packed, _MAC_CHUNK):
+                c = from_bytes(view[off : off + _MAC_CHUNK], "big")
+                g = g * rw + ((c >> 64) & low64) * r + (c & low64)
+                g = (g & low61) + ((g >> 61) & carry)
+                g = (g & low61) + ((g >> 61) & carry)
+            r2 = self._mac_r2
+            h = 0
+            for shift in _MAC_LANE_SHIFTS:
+                h = (h * r2 + ((g >> shift) & _MAC_LANE_MASK)) % _POLY_P
+            view = view[packed:]
+            n -= packed
         full_blocks = n >> 3
         if full_blocks:
             for m in _u64_struct(full_blocks).unpack_from(view):
@@ -444,6 +500,16 @@ class XteaVectorProvider(_XteaProviderBase):
             last = bytes(view[n - tail :]) + b"\x00" * (8 - tail)
             h = (h * r + from_bytes(last, "big")) % _POLY_P
         return self._finish_mac(h)
+
+    def _finish_mac(self, h: int) -> bytes:
+        """Bind the full key: one XTEA block encryption of the hash,
+        over the hoisted round constants."""
+        v0 = h >> 32
+        v1 = h & _MASK
+        for c0, c1 in self._rc:
+            v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ c0)) & _MASK
+            v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ c1)) & _MASK
+        return _PACK_2U32(v0, v1)
 
 
 class NullProvider(_ProviderBase):

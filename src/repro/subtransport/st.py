@@ -393,7 +393,6 @@ class SubtransportLayer:
             receiver=Label(peer_host, port),
             sender_st=self,
             plan=plan,
-            session_key=self._session_key(peer_host),
             fast_ack=fast_ack and self.config.fast_ack_enabled,
             receiver_port=receiver_host.bind_port(port),
             name=f"st:{self.host.name}->{peer_host}:{port}",

@@ -50,7 +50,6 @@ class StRms(Rms):
         receiver: Label,
         sender_st: "SubtransportLayer",
         plan: SecurityPlan,
-        session_key: bytes,
         fast_ack: bool = False,
         receiver_port: Optional[Port] = None,
         name: Optional[str] = None,
@@ -60,7 +59,12 @@ class StRms(Rms):
         )
         self.sender_st = sender_st
         self.plan = plan
-        self.session_key = session_key
+        #: Keyed per stream, from the host pair's key and this stream's
+        #: id: the nonce both engines use is the 32-bit sequence number
+        #: alone, so streams sharing a key would share keystream.
+        self.session_key = sender_st.keys.session_key(
+            sender.host, receiver.host, self.rms_id
+        )
         self.fast_ack = fast_ack
         self.binding: Optional["MuxBinding"] = None
         self.next_seq = 0
@@ -71,7 +75,9 @@ class StRms(Rms):
         #: object, so sender and receiver always run the same transform
         #: engine; ``security.protect`` is ``None`` on parameter-elided
         #: channels.
-        self.security = SecurityContext(plan, session_key, sender, self.rms_id)
+        self.security = SecurityContext(
+            plan, self.session_key, sender, self.rms_id
+        )
         #: Largest component that fits a bundle on the bound network RMS;
         #: bigger messages fragment.  Set by the ST with the binding.
         self.max_component = 0

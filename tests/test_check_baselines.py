@@ -56,6 +56,7 @@ def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
         e22__churn_speedup=1.5,            # < 0.8 x committed and < 2.0 floor
         e22__static_trace_identical=False,  # exact flag
         e19__loop_events_per_msg=25.0,     # simulation-exact ceiling
+        e21__mac_speedup=2.1,              # the scalar-era MAC ratio
         e23__jain_ecmp=0.1,                # key-vs-key check
     )
     result = run_check(base, current)
@@ -68,8 +69,9 @@ def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
     assert "BENCH_e22.json: churn_speedup >= 2.0 does not hold" in errors
     assert "BENCH_e22.json: static_trace_identical is True" in errors
     assert "BENCH_e19.json: loop_events_per_msg <= 20.0" in errors
+    assert "BENCH_e21.json: mac_speedup >= 4.0 does not hold" in errors
     assert "BENCH_e23.json: jain_ecmp > jain_single" in errors
-    assert errors.count("FAIL ") == 5
+    assert errors.count("FAIL ") == 6
 
 
 def test_schema_drift_fails(tmp_path):

@@ -20,6 +20,9 @@ from repro.dash._deprecation import reset_deprecation_warnings
 from repro.dash.system import DashSystem
 from repro.errors import ParameterError, SecurityError
 from repro.security.providers import (
+    _MAC_CHUNK,
+    _MAC_LANES,
+    _POLY_P,
     MAC_BYTES,
     HardwareProvider,
     NullProvider,
@@ -125,8 +128,7 @@ class TestVectorScalarEquivalence:
 
     def test_chunked_seal_matches_whole_stream(self):
         """The ``offset=`` continuation API: sealing in chunks at the
-        right offsets equals sealing the whole buffer at once (this is
-        what the keystream tail cache accelerates)."""
+        right offsets equals sealing the whole buffer at once."""
         rng = _rng()
         payload = rng.randbytes(3000)
         vector = XteaVectorProvider(KEY)
@@ -140,15 +142,129 @@ class TestVectorScalarEquivalence:
             offset += len(chunk)
         assert b"".join(pieces) == whole
 
-    def test_tail_cache_does_not_leak_between_nonces(self):
+    def test_mac_identical_at_every_length_and_alignment(self):
+        """Every payload length across the scalar / lane-packed seam
+        (0 ... three packed steps and a ragged end) at every alignment
+        of the ``context || len`` head, on the data that drives the
+        lanes highest."""
+        scalar = XteaScalarProvider(KEY)
+        vector = XteaVectorProvider(KEY)
+        rng = _rng()
+        ones = b"\xff" * (3 * _MAC_CHUNK + 9)
+        noise = rng.randbytes(len(ones))
+        for length in range(len(ones) + 1):
+            for context_length in range(8):
+                context = ones[:context_length]
+                assert vector.mac(
+                    memoryview(ones)[:length], context
+                ) == scalar.mac(ones[:length], context), (length, context_length)
+            context = rng.randbytes(length % 11)
+            assert vector.mac(noise[:length], context) == scalar.mac(
+                noise[:length], context
+            ), length
+
+    def test_mac_lanes_keep_headroom_on_adversarial_keys(self):
+        """Keys that put both multipliers of the packed step just under
+        the modulus: the lane bound in the class docstring has to hold
+        there, not only on random keys (a single fold per step fails
+        every one of these)."""
+        rng = _rng()
+        keys = []
+        while len(keys) < 16:
+            r = rng.randrange(_POLY_P * 9 // 10, _POLY_P) | 1
+            if r < _POLY_P and pow(r, 2 * _MAC_LANES, _POLY_P) * 100 > _POLY_P * 97:
+                keys.append(r.to_bytes(8, "big") + rng.randbytes(8))
+        for key in keys:
+            scalar = XteaScalarProvider(key)
+            vector = XteaVectorProvider(key)
+            assert vector._mac_r * 10 > _POLY_P * 9
+            assert vector._mac_rw * 100 > _POLY_P * 97
+            for size in (1 << 16, 1400):
+                data = b"\xff" * size
+                assert vector.mac(data, b"ctx") == scalar.mac(data, b"ctx"), (
+                    key.hex(), size
+                )
+
+
+class TestInflightKeystreams:
+    """``seal`` leaves its keystream for the matching ``open``; whatever
+    the map holds or lacks, the bytes are the scalar oracle's."""
+
+    def test_open_after_seal_hits(self):
+        rng = _rng()
         vector = XteaVectorProvider(KEY)
         scalar = XteaScalarProvider(KEY)
-        # Interleave nonces and odd lengths so cached tails from one
-        # stream would corrupt another if keying were wrong.
-        for nonce, length in [(1, 5), (2, 5), (1, 11), (2, 3), (1, 40)]:
-            assert vector.keystream(nonce, length) == scalar.keystream(
-                nonce, length
-            )
+        for nonce, length in enumerate([1, 8, 9, 400, 1400, 1403]):
+            payload = rng.randbytes(length)
+            sealed = vector.seal(nonce, payload)
+            assert sealed == scalar.seal(nonce, payload)
+            assert vector.open(nonce, sealed) == payload
+        assert (vector.keystream_hits, vector.keystream_misses) == (6, 0)
+        assert not vector._inflight
+
+    def test_open_without_seal_and_duplicate_open_regenerate(self):
+        rng = _rng()
+        vector = XteaVectorProvider(KEY)
+        scalar = XteaScalarProvider(KEY)
+        payload = rng.randbytes(300)
+        sealed = scalar.seal(4, payload)
+        assert vector.open(4, sealed) == payload  # never sealed here
+        assert vector.seal(4, payload) == sealed
+        assert vector.open(4, sealed) == payload
+        assert vector.open(4, sealed) == payload  # a duplicate on the wire
+        assert (vector.keystream_hits, vector.keystream_misses) == (1, 2)
+
+    def test_open_of_another_length(self):
+        rng = _rng()
+        vector = XteaVectorProvider(KEY)
+        scalar = XteaScalarProvider(KEY)
+        payload = rng.randbytes(600)
+        sealed = scalar.seal(7, payload)
+        vector.seal(7, payload[:200])
+        assert vector.open(7, sealed[:50]) == payload[:50]  # a prefix
+        assert (vector.keystream_hits, vector.keystream_misses) == (1, 0)
+        vector.seal(7, payload[:200])
+        assert vector.open(7, sealed) == payload  # longer: regenerated
+        assert (vector.keystream_hits, vector.keystream_misses) == (1, 1)
+
+    def test_interleaved_nonces_and_offsets(self):
+        rng = _rng()
+        vector = XteaVectorProvider(KEY)
+        scalar = XteaScalarProvider(KEY)
+        spans = [
+            (nonce, offset, rng.randrange(1, 700))
+            for nonce in (1, 2, (9 << 32) | 1)  # the last aliases nonce 1
+            for offset in (0, 5, 8, 512)
+        ]
+        payloads = {span: rng.randbytes(span[2]) for span in spans}
+        sealed = {}
+        for span in spans:
+            nonce, offset, _ = span
+            sealed[span] = vector.seal(nonce, payloads[span], offset)
+            assert sealed[span] == scalar.seal(nonce, payloads[span], offset)
+        rng.shuffle(spans)
+        for span in spans:
+            nonce, offset, _ = span
+            assert vector.open(nonce, sealed[span], offset) == payloads[span]
+
+    def test_unopened_seals_age_out(self):
+        vector = XteaVectorProvider(KEY)
+        scalar = XteaScalarProvider(KEY)
+        for nonce in range(1000):
+            vector.seal(nonce, b"lost on the wire")
+            assert len(vector._inflight) <= XteaVectorProvider.INFLIGHT
+        # Oldest first: the latest seal is still there, the first is not.
+        first = scalar.seal(0, b"lost on the wire")
+        latest = scalar.seal(999, b"lost on the wire")
+        assert vector.open(999, latest) == b"lost on the wire"
+        assert vector.open(0, first) == b"lost on the wire"
+        assert (vector.keystream_hits, vector.keystream_misses) == (1, 1)
+
+    def test_scalar_oracle_keeps_no_map(self):
+        scalar = XteaScalarProvider(KEY)
+        scalar.open(1, scalar.seal(1, b"payload"))
+        assert not hasattr(scalar, "_inflight")
+        assert not hasattr(scalar, "keystream_hits")
 
 
 class TestCounterWraparound:

@@ -16,7 +16,9 @@ from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.wire import (
     BundleEntry,
     FLAG_CHECKSUM,
+    FLAG_ENCRYPTED,
     FLAG_MAC,
+    decode_bundle,
     encode_bundle,
 )
 
@@ -276,6 +278,62 @@ class TestStSecurityPath:
         context.run(until=context.now + 1.0)
         assert got[0].payload == b"SECRET-MESSAGE-CONTENT"
         assert not any(b"SECRET" in w for w in wire)
+
+    def test_streams_of_one_host_pair_do_not_share_keystream(self):
+        """Two private streams a->b send the same plaintext under the
+        same sequence number: an eavesdropper holding both ciphertexts
+        must not be able to XOR the keystream away."""
+        context, network, st_a, st_b = build_pair(trusted=False)
+        secret = params().with_(privacy=True)
+        streams = [
+            open_rms(context, st_a, port=port, p=secret)
+            for port in ("one", "two")
+        ]
+        got = []
+        for rms in streams:
+            rms.port.set_handler(got.append)
+        sealed = {}
+
+        def sniff(frame):
+            for entry in decode_bundle(bytes(frame.message.payload)):
+                if entry.flags & FLAG_ENCRYPTED:
+                    sealed[entry.st_rms_id] = (entry.seq, bytes(entry.payload))
+
+        network.add_sniffer(sniff)
+        plaintext = b"SAME-PLAINTEXT-ON-BOTH-STREAMS"
+        for rms in streams:
+            rms.send(plaintext)
+        context.run(until=context.now + 1.0)
+        assert [m.payload for m in got] == [plaintext, plaintext]
+        (seq_one, wire_one), (seq_two, wire_two) = (
+            sealed[rms.rms_id] for rms in streams
+        )
+        assert seq_one == seq_two == 0
+        assert len(wire_one) == len(wire_two) == len(plaintext)
+        assert wire_one != wire_two
+
+    def test_fragmented_secured_send_opens_from_the_inflight_map(self):
+        """Both ends of an in-process stream hold one provider, so the
+        keystream a fragment was sealed with is the one it is opened
+        with: the receiver regenerates (almost) nothing."""
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        secured = params(capacity=65_536, max_message_size=8_000).with_(
+            privacy=True, authentication=True
+        )
+        rms = open_rms(context, st_a, p=secured)
+        got = []
+        rms.port.set_handler(got.append)
+        bodies = [bytes([index]) * 8_000 for index in range(12)]
+        for start in range(0, len(bodies), 4):
+            for body in bodies[start:start + 4]:
+                rms.send(body)
+            context.run(until=context.now + 0.5)
+        assert [m.payload for m in got] == bodies
+        assert st_a.stats.fragments_sent >= 6 * len(bodies)
+        provider = rms.security.provider
+        opens = provider.keystream_hits + provider.keystream_misses
+        assert opens == st_a.stats.fragments_sent
+        assert provider.keystream_hits >= 0.99 * opens
 
     def test_trusted_stream_plaintext_on_wire(self):
         context, network, st_a, st_b = build_pair(trusted=True)
