@@ -8,9 +8,7 @@ subtransport layer) and the kernel request/reply facility (RKOM).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
-
-from repro.dash._deprecation import warn_once
+from typing import List, Optional
 
 from repro.netsim.network import Network
 from repro.netsim.topology import Host
@@ -47,63 +45,10 @@ class DashNode:
             context, self.host, networks, key_registry=key_registry, config=st_config
         )
         self.rkom = RkomService(context, self.st, config=rkom_config)
-        #: Back-pointer set by DashSystem.add_node; the deprecated
-        #: conveniences route through DashSystem.connect when present.
-        self.system = None
 
     @property
     def cpu(self):
         return self.host.cpu
-
-    @staticmethod
-    def _peer_name(peer: Union["DashNode", str]) -> str:
-        return peer.name if isinstance(peer, DashNode) else peer
-
-    def create_st_rms(self, peer: Union["DashNode", str], **kwargs):
-        """Deprecated: use ``DashSystem.connect(self, peer, kind="st")``.
-
-        Forwards through the facade (returning the session's
-        ``established`` future, which resolves to the ``StRms`` exactly
-        as before) when the node belongs to a system; standalone nodes
-        fall back to the subtransport layer directly.
-        """
-        warn_once(
-            "DashNode.create_st_rms",
-            "DashNode.create_st_rms is deprecated; use "
-            "DashSystem.connect(sender, receiver, kind='st')",
-        )
-        peer_name = self._peer_name(peer)
-        if self.system is None:
-            return self.st.create_st_rms(peer_name, **kwargs)
-        session = self.system.connect(
-            self.name,
-            peer_name,
-            kind="st",
-            port=kwargs.pop("port", "default"),
-            desired=kwargs.pop("desired", None),
-            acceptable=kwargs.pop("acceptable", None),
-            request=kwargs.pop("request", None),
-            fast_ack=kwargs.pop("fast_ack", False),
-            **kwargs,
-        )
-        return session.established
-
-    def call(self, peer: Union["DashNode", str], op: str, payload: bytes = b"", **kwargs):
-        """Deprecated: use ``DashSystem.connect(self, peer, kind="rkom")``.
-
-        Forwards through the facade's shared RKOM session (same reply
-        future as before); standalone nodes fall back to the service.
-        """
-        warn_once(
-            "DashNode.call",
-            "DashNode.call is deprecated; use "
-            "DashSystem.connect(sender, receiver, kind='rkom').call(op, ...)",
-        )
-        peer_name = self._peer_name(peer)
-        if self.system is None:
-            return self.rkom.call(peer_name, op, payload, **kwargs)
-        session = self.system.connect(self.name, peer_name, kind="rkom")
-        return session.call(op, payload, **kwargs)
 
     def __repr__(self) -> str:
         return f"<DashNode {self.name}>"

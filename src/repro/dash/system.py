@@ -11,7 +11,6 @@ import itertools
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.params import RmsParams, RmsRequest
-from repro.dash._deprecation import warn_once
 from repro.errors import NetworkError, ParameterError
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.session import (
@@ -147,7 +146,6 @@ class DashSystem:
             cpu_policy=self.cpu_policy,
             cost_model=self.cost_model,
         )
-        node.system = self
         self.nodes[name] = node
         return node
 
@@ -248,21 +246,6 @@ class DashSystem:
                 self._rkom_sessions[key] = session
             return session
         raise ParameterError(f"unknown session kind {kind!r}")
-
-    def open_stream(self, sender: str, receiver: str, config: Optional[StreamConfig] = None):
-        """Deprecated: use :meth:`connect` with ``kind="stream"``.
-
-        Kept as a thin shim: returns the session's ``established``
-        future, which resolves to the raw
-        :class:`~repro.transport.stream.StreamSession` exactly as the
-        old entry point did.
-        """
-        warn_once(
-            "DashSystem.open_stream",
-            "DashSystem.open_stream is deprecated; use "
-            "DashSystem.connect(sender, receiver, kind='stream')",
-        )
-        return self.connect(sender, receiver, kind="stream", config=config).established
 
     def run(
         self,

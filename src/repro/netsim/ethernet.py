@@ -82,18 +82,12 @@ class EthernetNetwork(Network):
     # -- medium -------------------------------------------------------------
 
     def _transmit_frame(
-        self, frame: Frame, on_drop: Optional[Callable[[Frame, str], None]] = None
+        self,
+        frame: Frame,
+        on_drop: Optional[Callable[[Frame, str], None]] = None,
+        plan=None,
     ) -> None:
-        self._require_host(frame.src_host)
-        self._require_host(frame.dst_host)
-        self.segment.transmit(frame, deliver=self._medium_delivered, on_drop=on_drop)
-
-    def _transmit_frame_fast(
-        self, frame: Frame, on_drop: Optional[Callable[[Frame, str], None]]
-    ) -> None:
-        # Hosts attach once and never detach, and an open RMS's endpoints
-        # were validated at creation -- the per-frame _require_host checks
-        # of :meth:`_transmit_frame` cannot fail here.
+        # One shared segment: there is no route to follow.
         self.segment.transmit(frame, deliver=self._medium_delivered, on_drop=on_drop)
 
     def _medium_delivered(self, frame: Frame) -> None:

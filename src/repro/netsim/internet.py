@@ -16,11 +16,10 @@ scratch -- no external graph library.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.message import Message
-from repro.errors import NetworkError, RoutingError
+from repro.errors import NetworkError
 from repro.netsim.admission import NULL_POOLS, AdmissionController
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.network import Network, NetworkProperties
@@ -53,7 +52,6 @@ class InternetNetwork(Network):
         source_quench: bool = False,
         quench_threshold: float = 0.75,
         queue_policy: str = "edf",
-        route_engine: bool = True,
         ecmp: bool = False,
         ecmp_max_paths: int = 8,
     ) -> None:
@@ -73,25 +71,19 @@ class InternetNetwork(Network):
         #: Per directed edge, the cost of one MTU frame over it, fixed at
         #: :meth:`add_link` (only ``is_up`` changes after build).
         self._weights: Dict[Tuple[str, str], float] = {}
-        self._route_cache: Dict[Tuple[str, str], List[str]] = {}
-        #: The scale-out resolver: per-source forwarding tables, compiled
-        #: route plans, scoped invalidation.  ``route_engine=False``
-        #: falls back to the per-pair Dijkstra with whole-cache clears
-        #: (kept as the E22 ablation baseline).
-        self.route_engine = route_engine
         #: Spread distinct flows across equal-cost shortest paths.  Off
-        #: by default: the single-path engine is the ablation arm and
-        #: byte-identical with the legacy resolver.  Requires the route
-        #: engine (ECMP lives in its predecessor-DAG bookkeeping).
-        self.ecmp = ecmp and route_engine
+        #: by default: the single-path engine is the ablation arm.
+        self.ecmp = ecmp
         self.ecmp_max_paths = ecmp_max_paths
+        #: The resolver and the forwarder: per-source forwarding tables,
+        #: compiled route plans, scoped invalidation.
         self._engine = ForwardingEngine(
             self, ecmp=self.ecmp, max_paths=ecmp_max_paths
         )
         self._link_edges: Dict[Link, Tuple[str, str]] = {}
-        #: Shortest-path searches run (with the engine one per gateway
-        #: and access-link weight, shared by the hosts behind it, or one
-        #: per multi-homed source; one per cache-missing pair without it).
+        #: Shortest-path searches run: one per gateway and access-link
+        #: weight, shared by the hosts behind it, or one per multi-homed
+        #: source.
         self.route_resolutions = 0
         self.queue_policy = queue_policy
         self.source_quench = source_quench
@@ -156,7 +148,6 @@ class InternetNetwork(Network):
             links.append(link)
         self._adjacency.setdefault(node_a, []).append(node_b)
         self._adjacency.setdefault(node_b, []).append(node_a)
-        self._route_cache.clear()
         self._engine.invalidate_all()
         self.medium_bit_error_rate = max(
             self.medium_bit_error_rate, bit_error_rate
@@ -166,19 +157,13 @@ class InternetNetwork(Network):
     def can_reach(self, src: str, dst: str) -> bool:
         """True when a route of live links currently exists.
 
-        With the forwarding engine this is a dict probe into the
-        source's (lazily built, scoped-invalidated) table -- no path
-        search and no exception control flow per call.
+        A dict probe into the source's (lazily built,
+        scoped-invalidated) table -- no path search and no exception
+        control flow per call.
         """
         if src not in self.hosts or dst not in self.hosts:
             return False
-        if self.route_engine:
-            return src == dst or dst in self._engine.table(src).dist
-        try:
-            self.route_between(src, dst)
-        except RoutingError:
-            return False
-        return True
+        return src == dst or dst in self._engine.table(src).dist
 
     def link(self, src: str, dst: str) -> Link:
         """The simplex link from ``src`` to ``dst``."""
@@ -189,18 +174,12 @@ class InternetNetwork(Network):
 
     def _on_link_down(self, link: Link) -> None:
         src, dst = self._link_edges[link]
-        if self.route_engine:
-            self._engine.link_down(src, dst)
-        else:
-            self._route_cache.clear()
+        self._engine.link_down(src, dst)
         self._fail_rms_on_route((src, dst), f"link {src}->{dst} down")
 
     def _on_link_up(self, link: Link) -> None:
         src, dst = self._link_edges[link]
-        if self.route_engine:
-            self._engine.link_up(src, dst)
-        else:
-            self._route_cache.clear()
+        self._engine.link_up(src, dst)
 
     def _make_overrun_handler(self, src: str, dst: str) -> Callable[[Frame], None]:
         def on_overrun(frame: Frame) -> None:
@@ -235,129 +214,45 @@ class InternetNetwork(Network):
         return self._weights[(src, dst)]
 
     def route_between(self, src: str, dst: str) -> List[str]:
-        """Shortest path (by latency) between two nodes, cached.
+        """Shortest path (by latency) between two nodes.
 
-        The forwarding engine serves this from the source's table (one
-        Dijkstra amortized over all destinations); the legacy resolver
-        runs one early-exit Dijkstra per pair.  Both return the exact
-        same node sequence on the same topology.
+        Served from the source's forwarding table (one Dijkstra
+        amortized over all destinations); raises :class:`RoutingError`
+        when no route of live links exists.
         """
-        if self.route_engine:
-            return self._engine.plan(src, dst).route
-        key = (src, dst)
-        if key in self._route_cache:
-            return self._route_cache[key]
-        if not self._node_exists(src) or not self._node_exists(dst):
-            raise RoutingError(f"unknown endpoint in {src}->{dst}")
-        if src == dst:
-            return [src]
-        self.route_resolutions += 1
-        distances: Dict[str, float] = {src: 0.0}
-        previous: Dict[str, str] = {}
-        heap: List[Tuple[float, str]] = [(0.0, src)]
-        visited: Set[str] = set()
-        while heap:
-            dist, node = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            if node == dst:
-                break
-            for neighbor in self._adjacency.get(node, []):
-                if (node, neighbor) not in self._links:
-                    continue
-                weight = self._link_weight(node, neighbor)
-                if weight == float("inf"):
-                    continue
-                candidate = dist + weight
-                if candidate < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = candidate
-                    previous[neighbor] = node
-                    heapq.heappush(heap, (candidate, neighbor))
-        if dst not in distances:
-            raise RoutingError(f"no route from {src} to {dst} in {self.name}")
-        route = [dst]
-        while route[-1] != src:
-            route.append(previous[route[-1]])
-        route.reverse()
-        self._route_cache[key] = route
-        return route
+        return self._engine.plan(src, dst).route
 
     # -- frame forwarding -------------------------------------------------------
 
     def _transmit_frame(
-        self, frame: Frame, on_drop: Optional[Callable[[Frame, str], None]] = None
+        self,
+        frame: Frame,
+        on_drop: Optional[Callable[[Frame, str], None]] = None,
+        plan: Optional[RoutePlan] = None,
     ) -> None:
-        if self.route_engine and not frame.route:
-            # Control traffic and quenches: resolve through the compiled
-            # plan (data frames of engine-routed RMSs enter via
-            # :meth:`_transmit_plan` directly).
+        if plan is None:
+            # Control traffic and quenches take the current shortest
+            # path; a data frame arrives with the plan its RMS was
+            # admitted on (or re-pinned to).
             plan = self._engine.plan(frame.src_host, frame.dst_host)
             frame.route = plan.route
-            self._engine.transmit(frame, plan, on_drop)
-            return
-        route = frame.route or self.route_between(frame.src_host, frame.dst_host)
-        frame.route = route
-        self._forward(frame, 0, on_drop)
-
-    def _transmit_plan(
-        self,
-        frame: Frame,
-        plan: RoutePlan,
-        on_drop: Optional[Callable[[Frame, str], None]],
-    ) -> None:
-        """Data-path transmit along a compiled plan (zero per-frame
-        allocation: cached deliver callbacks, shared route list)."""
         self._engine.transmit(frame, plan, on_drop)
-
-    def _forward(
-        self,
-        frame: Frame,
-        hop_index: int,
-        on_drop: Optional[Callable[[Frame, str], None]],
-    ) -> None:
-        if hop_index >= len(frame.route) - 1:
-            self._frame_arrived(frame)
-            return
-        src = frame.route[hop_index]
-        dst = frame.route[hop_index + 1]
-        link = self._links.get((src, dst))
-        if link is None or not link.is_up:
-            if on_drop is not None:
-                on_drop(frame, f"no usable link {src}->{dst}")
-            return
-        frame.hops_taken = hop_index + 1
-        link.transmit(
-            frame,
-            deliver=lambda f, i=hop_index + 1: self._forward(f, i, on_drop),
-            on_drop=on_drop,
-        )
 
     # -- shared-network interface -------------------------------------------------
 
     def _path_profile(self, src: str, dst: str) -> Tuple[float, float, List[str]]:
-        if self.route_engine:
-            # Fixed/per-byte costs are memoized on the compiled plan
-            # (link bandwidth and propagation never change post-build).
-            plan = self._engine.plan(src, dst)
-            return plan.fixed_delay, plan.per_byte_delay, plan.route
-        route = self.route_between(src, dst)
-        fixed = 0.0
-        per_byte = 0.0
-        for i in range(len(route) - 1):
-            link = self._links[(route[i], route[i + 1])]
-            fixed += link.propagation_delay + link.transmission_time(
-                FRAME_OVERHEAD_BYTES
-            )
-            per_byte += 1.0 / link.bandwidth
-        return fixed, per_byte, route
+        # Fixed/per-byte costs are memoized on the compiled plan (link
+        # bandwidth and propagation never change post-build).
+        plan = self._engine.plan(src, dst)
+        return plan.fixed_delay, plan.per_byte_delay, plan.route
 
     def _route_plan(
         self, src: str, dst: str, flow: Optional[int] = None
-    ) -> Optional[RoutePlan]:
-        if self.route_engine:
-            return self._engine.plan_for_flow(src, dst, flow)
-        return None
+    ) -> RoutePlan:
+        return self._engine.plan_for_flow(src, dst, flow)
+
+    def _pinned_plan(self, route: List[str]) -> RoutePlan:
+        return self._engine.compile_route(route)
 
     def _admission_pools(self, route: List[str]) -> List[AdmissionController]:
         pools = []

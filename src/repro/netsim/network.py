@@ -82,17 +82,18 @@ class NetworkRms(Rms):
     ) -> None:
         super().__init__(context, params, sender, receiver, name=name)
         self.network = network
-        #: Compiled forwarding plan (routed networks with the engine):
-        #: pre-resolved links and cached per-hop deliver callbacks.
-        #: Data keeps following it even after topology changes -- the
-        #: admitted route is the contract -- and a dead on-route link
-        #: fails the RMS through the usual notification path.
+        #: Compiled forwarding plan (routed networks; ``None`` on a
+        #: shared segment): pre-resolved links and cached per-hop
+        #: deliver callbacks.  Data keeps following it even after
+        #: topology changes -- the admitted route is the contract -- and
+        #: a dead on-route link fails the RMS through the usual
+        #: notification path.
         self.plan = None
         #: Flow identity used for ECMP plan pinning: a small per-(src,
         #: dst) sequence number assigned at creation, deterministic per
         #: run (unlike the process-global rms_id counter).
         self.flow_key = 0
-        self.route = []  # filled by routed networks
+        self._route: List[str] = []  # filled by ``create_rms``
         self.established = False
 
     @property
@@ -102,19 +103,19 @@ class NetworkRms(Rms):
 
     @route.setter
     def route(self, value: List[str]) -> None:
-        # Re-pinning the route (downward-mux path diversity, tests) must
-        # drop any compiled plan: the plan encodes the previous path.
-        # ``create_rms`` assigns the plan *after* the route, so the
-        # normal setup sequence is unaffected.
+        # Re-pinning the route (downward-mux path diversity): the plan
+        # encodes the previous path, so a routed network compiles one
+        # for the new node list, raising :class:`RoutingError` here if a
+        # hop is not a link.  ``create_rms`` installs the admitted route
+        # and its plan together, without coming through this setter.
+        self.plan = self.network._pinned_plan(value)
         self._route = value
-        self.plan = None
 
     def _transmit(self, message: Message) -> None:
         # Data follows the route the stream was admitted on -- its
         # reservations live on those links, not on whatever path is
         # currently shortest.
         network = self.network
-        plan = self.plan
         deadline = message.deadline
         frame = network._acquire_data_frame(
             message,
@@ -122,12 +123,9 @@ class NetworkRms(Rms):
             self.receiver.host,
             self.rms_id,
             deadline if deadline is not None else float("inf"),
-            plan.route if plan is not None else list(self.route),
+            self._route,
         )
-        if plan is not None:
-            network._transmit_plan(frame, plan, self._frame_dropped)
-        else:
-            network._transmit_frame_fast(frame, self._frame_dropped)
+        network._transmit_frame(frame, self._frame_dropped, self.plan)
 
     def _frame_dropped(self, frame: Frame, reason: str) -> None:
         self._drop(frame.message, reason)
@@ -273,20 +271,20 @@ class Network:
     # -- subclass interface -------------------------------------------------
 
     def _transmit_frame(
-        self, frame: Frame, on_drop: Optional[Callable[[Frame, str], None]] = None
+        self,
+        frame: Frame,
+        on_drop: Optional[Callable[[Frame, str], None]] = None,
+        plan=None,
     ) -> None:
-        raise NotImplementedError
+        """Put one frame on the medium.
 
-    def _transmit_frame_fast(
-        self, frame: Frame, on_drop: Optional[Callable[[Frame, str], None]]
-    ) -> None:
-        """Data-path transmit for frames of an established RMS.
-
-        Media that re-validate per frame may override this to skip
-        checks that cannot fail for an open stream (endpoints were
-        validated at ``create_rms`` and hosts are never detached).
+        Data frames carry the ``plan`` of their RMS; control frames
+        carry none and a routed network resolves the current path.
+        Endpoints need no per-frame check: every frame is built from an
+        RMS whose hosts ``create_rms`` validated, and hosts are never
+        detached.
         """
-        self._transmit_frame(frame, on_drop=on_drop)
+        raise NotImplementedError
 
     def _path_profile(self, src: str, dst: str) -> Tuple[float, float, List[str]]:
         """(fixed seconds, seconds/byte, route node names) for a pair."""
@@ -295,12 +293,14 @@ class Network:
     def _route_plan(self, src: str, dst: str, flow: Optional[int] = None):
         """Compiled forwarding plan for a pair (and flow), or ``None``.
 
-        Networks without hop-by-hop forwarding (or with the engine
-        disabled) return ``None`` and streams use the generic
-        ``_transmit_frame`` path.  ``flow`` selects among equal-cost
-        plans when the network runs ECMP; ``None`` always resolves the
-        canonical single path.
+        Networks without hop-by-hop forwarding return ``None``.
+        ``flow`` selects among equal-cost plans when the network runs
+        ECMP; ``None`` always resolves the canonical single path.
         """
+        return None
+
+    def _pinned_plan(self, route: List[str]):
+        """Compiled plan for an explicit node list, or ``None`` as above."""
         return None
 
     def _next_flow(self, src: str, dst: str) -> int:
@@ -396,7 +396,7 @@ class Network:
             # sibling of the canonical shortest path under ECMP).
             route = plan.route
         rms.flow_key = flow
-        rms.route = route
+        rms._route = route
         rms.plan = plan
         admitted: List[AdmissionController] = []
         try:

@@ -1,10 +1,11 @@
 """Scale-out routing: forwarding tables, compiled plans, scoped repair.
 
-The internetwork's original resolver ran one Dijkstra per (src, dst)
-pair on demand and cleared the *entire* route cache whenever any link
-changed state.  At a handful of nodes that is invisible; at hundreds of
-hosts over a router mesh with link churn it is an O(N^2) recompute storm
-on the hot path.  This module amortizes and scopes that work:
+A resolver that runs one Dijkstra per (src, dst) pair on demand and
+clears its *entire* route cache whenever any link changes state (the
+internetwork's first; now the oracle in ``tests/routing_reference.py``)
+is invisible at a handful of nodes; at hundreds of hosts over a router
+mesh with link churn it is an O(N^2) recompute storm on the hot path.
+This module amortizes and scopes that work:
 
 * **Forwarding tables** -- one full-run Dijkstra covers every
   destination at once (`ForwardingTable`: final distances plus the
@@ -14,7 +15,7 @@ on the hot path.  This module amortizes and scopes that work:
   is popped, the route reconstructed from a full-run table is *exactly*
   the route the per-pair early-exit search would have produced -- not
   merely cost-equal -- so fixed-seed traces on static topologies are
-  byte-identical with the legacy resolver.
+  byte-identical with that resolver's.
 
 * **One search per gateway, not per host** -- a node of degree 1 (a
   host behind its gateway) relays nothing: popped, it could only relax
@@ -236,7 +237,7 @@ class ForwardingEngine:
     ) -> None:
         self.network = network
         #: Spread flows across equal-cost routes when True; the default
-        #: single-path mode reproduces the legacy resolver exactly.
+        #: single-path mode reproduces the per-pair reference exactly.
         self.ecmp = ecmp
         #: Cap on enumerated equal-cost routes per (src, dst); the DFS
         #: over the predecessor DAG stops once the bound is reached, in
@@ -289,7 +290,7 @@ class ForwardingEngine:
     def _search(self, root: str, d0: float):
         # One full-run Dijkstra from ``root`` at distance ``d0``:
         # identical float operations, relaxation order, and tie-breaking
-        # as the legacy per-pair search, minus the early exit and the
+        # as the per-pair reference search, minus the early exit and the
         # heap traffic of degree-1 neighbours (module docstring).
         # Under ECMP the only extra work is the equal-cost bookkeeping:
         # a strict improvement resets preds[v], an exact tie appends, so
@@ -376,11 +377,7 @@ class ForwardingEngine:
         if not network._node_exists(src) or not network._node_exists(dst):
             raise RoutingError(f"unknown endpoint in {src}->{dst}")
         if src == dst:
-            plan = RoutePlan(src, dst, [src], self.epoch)
-            plan.pools = NULL_POOLS
-            plan.delivers = ()
-            self._plans[key] = plan
-            self.plan_compiles += 1
+            plan = self._plans[key] = self.compile_route([src])
             return plan
         table = self.table(src)
         if dst not in table.prev:
@@ -390,7 +387,7 @@ class ForwardingEngine:
         while route[-1] != src:
             route.append(prev[route[-1]])
         route.reverse()
-        plan = self._compile_plan(src, dst, route)
+        plan = self._compile_plan(route)
         self._plans[key] = plan
         return plan
 
@@ -412,7 +409,7 @@ class ForwardingEngine:
         index = flow_hash(src, dst, flow) % len(routes)
         plan = pathset.plans[index]
         if plan is None or plan.dead:
-            plan = self._compile_plan(src, dst, routes[index])
+            plan = self._compile_plan(routes[index])
             pathset.plans[index] = plan
         self.flow_pins += 1
         return plan
@@ -473,16 +470,30 @@ class ForwardingEngine:
         walk(dst)
         return routes
 
-    def _compile_plan(self, src: str, dst: str, route: List[str]) -> RoutePlan:
+    def compile_route(self, route: List[str]) -> RoutePlan:
+        """Compile a plan for an explicit node list.
+
+        This is how a re-pinned ``NetworkRms.route`` (downward-mux path
+        diversity) gets onto the datapath.  The plan belongs to its
+        caller alone: it is not entered into ``_plans`` or any reverse
+        index, so it is never handed out for a resolution and scoped
+        invalidation never sees it.  Raises :class:`RoutingError` when
+        a hop is not a link of the network.
+        """
         network = self.network
-        plan = RoutePlan(src, dst, route, self.epoch)
+        if not route:
+            raise RoutingError(f"empty route in {network.name}")
+        plan = RoutePlan(route[0], route[-1], route, self.epoch)
         links = []
         pools = []
         fixed = 0.0
         per_byte = 0.0
-        for i in range(len(route) - 1):
-            hop = (route[i], route[i + 1])
-            link = network._links[hop]
+        for hop in zip(route, route[1:]):
+            link = network._links.get(hop)
+            if link is None:
+                raise RoutingError(
+                    f"no link {hop[0]}->{hop[1]} in {network.name}"
+                )
             links.append(link)
             pool = network._pools.get(hop)
             if pool is not None:
@@ -499,10 +510,16 @@ class ForwardingEngine:
             self._make_deliver(plan, i + 1) for i in range(len(links))
         )
         self.plan_compiles += 1
+        return plan
+
+    def _compile_plan(self, route: List[str]) -> RoutePlan:
+        # A resolved route: compiled, then filed under every edge it
+        # crosses so scoped invalidation can find it.
+        plan = self.compile_route(route)
         if self._track:
             for hop in zip(route, route[1:]):
                 _index(self._edge_plans, hop, plan)
-            _index(self._src_plans, src, plan)
+            _index(self._src_plans, plan.src, plan)
         return plan
 
     # -- forwarding ---------------------------------------------------------

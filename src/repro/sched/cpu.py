@@ -128,47 +128,17 @@ class HostCpu:
         name: str,
         cpu_time: float,
         deadline: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        trace_id: Optional[int] = None,
-    ) -> WorkItem:
-        """Queue one work item; ``callback`` runs when it completes."""
-        item = WorkItem(
-            name=name,
-            cpu_time=cpu_time,
-            deadline=deadline,
-            callback=callback,
-            priority=priority,
-            submitted_at=self.context.now,
-            trace_id=trace_id,
-        )
-        self._queue.push(item, deadline=deadline, priority=priority)
-        self.context.tracer.record(
-            "cpu", "submit", cpu=self.name, item=name, deadline=deadline
-        )
-        obs = self.context.obs
-        if obs.enabled:
-            obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
-        if not self._busy:
-            self._dispatch()
-        return item
-
-    def submit_fast(
-        self,
-        name: str,
-        cpu_time: float,
-        deadline: float,
         callback: Callable[..., None],
         args: Tuple[Any, ...] = (),
         owner: Optional[str] = None,
+        priority: int = 0,
         trace_id: Optional[int] = None,
     ) -> WorkItem:
-        """Hot-path submit: precomputed cost, positional-args callback.
+        """Queue one work item; ``callback(*args)`` runs when it completes.
 
-        Identical scheduling semantics to :meth:`submit`; the stage
-        state travels in ``args`` (no closure allocation), ``owner``
-        skips the name split at dispatch, and tracing is only recorded
-        when the tracer is actually collecting.
+        The stage state travels in ``args`` (no closure allocation),
+        ``owner`` skips the name split at dispatch, and tracing is only
+        recorded when the tracer is actually collecting.
         """
         item = WorkItem(
             name=name,
@@ -177,6 +147,7 @@ class HostCpu:
             callback=callback,
             args=args,
             owner=owner,
+            priority=priority,
             submitted_at=self.context.loop._now,
             trace_id=trace_id,
         )
@@ -192,7 +163,7 @@ class HostCpu:
             # Push/pop through the policy heap only when the item has
             # company; an idle CPU starts its only item directly (any
             # policy pops a singleton heap identically).
-            self._queue.push(item, deadline=deadline, priority=0)
+            self._queue.push(item, deadline=deadline, priority=priority)
             if not self._busy:
                 self._dispatch()
         else:

@@ -168,7 +168,6 @@ class _PeerState:
         self.initiator_nonce: Optional[int] = None
         self.bindings: List[MuxBinding] = []
         self.cached: List[MuxBinding] = []
-        self.queues: Dict[int, PiggybackQueue] = {}  # binding net rms id -> queue
         #: One coalesced deadline heap for every protocol timer aimed at
         #: this peer (piggyback flushes, control retransmissions, auth
         #: retries).
@@ -296,7 +295,6 @@ class SubtransportLayer:
         for binding in list(peer.cached):
             if binding.network_rms.network is not target:
                 peer.cached.remove(binding)
-                peer.queues.pop(binding.network_rms.rms_id, None)
                 binding.network_rms.close()
         peer.network = target
         peer.authenticated = False
@@ -447,9 +445,7 @@ class SubtransportLayer:
         if not binding.is_idle or binding not in peer.bindings:
             return
         peer.bindings.remove(binding)
-        queue = peer.queues.get(binding.network_rms.rms_id)
-        if queue is not None:
-            queue.flush("forced")
+        binding.queue.flush("forced")
         if (
             self.config.cache_enabled
             and len(peer.cached) < self.config.cache_size_per_peer
@@ -457,7 +453,6 @@ class SubtransportLayer:
         ):
             peer.cached.append(binding)
         else:
-            peer.queues.pop(binding.network_rms.rms_id, None)
             peer.network.delete_rms(binding.network_rms)
 
     def _st_failed(self, peer: _PeerState, st_rms: StRms) -> None:
@@ -488,9 +483,7 @@ class SubtransportLayer:
                 request.future.set_exception(error)
         self._fail_waiters(peer, error)
         for binding in list(peer.bindings) + list(peer.cached):
-            queue = peer.queues.pop(binding.network_rms.rms_id, None)
-            if queue is not None:
-                queue.flush("forced")
+            binding.queue.flush("forced")
             for st_rms in list(binding.st_rms.values()):
                 binding.detach(st_rms)
                 st_rms.delete()
@@ -819,7 +812,7 @@ class SubtransportLayer:
             )
         network_rms = yield future
         binding = MuxBinding(network_rms)
-        queue = PiggybackQueue(
+        binding.queue = PiggybackQueue(
             self.context,
             max_bundle_payload=network_rms.params.max_message_size,
             flush_fn=self._make_flusher(binding),
@@ -827,8 +820,6 @@ class SubtransportLayer:
             timer_group=peer.timers,
             enabled=self.config.piggyback_enabled,
         )
-        binding.queue = queue
-        peer.queues[network_rms.rms_id] = queue
         peer.bindings.append(binding)
         network_rms.on_failure.listen(
             lambda rms, reason, b=binding, p=peer: self._network_rms_failed(
@@ -851,7 +842,6 @@ class SubtransportLayer:
             peer.bindings.remove(binding)
         if binding in peer.cached:
             peer.cached.remove(binding)
-        peer.queues.pop(binding.network_rms.rms_id, None)
 
     def _network_params_for(self, peer: _PeerState, st_params: RmsParams):
         """Derive the network RMS request for a new binding (section 4.2)."""
@@ -956,7 +946,7 @@ class SubtransportLayer:
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
             st_rms._send_cost_cache[size] = cost
-        cpu.submit_fast(
+        cpu.submit(
             st_rms._send_stage_name,
             cost,
             arrival + self.config.send_stage_allowance,
@@ -1249,7 +1239,7 @@ class SubtransportLayer:
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "st", "rx", st=st_rms.name, size=size)
-        cpu.submit_fast(
+        cpu.submit(
             st_rms._recv_stage_name,
             cost,
             deadline,

@@ -92,7 +92,8 @@ class LayeredRms(Rms):
             f"{self.level.name.lower()}/send:{self.rms_id}",
             cpu_time,
             deadline,
-            lambda: self._forward(message),
+            self._forward,
+            (message,),
         )
 
     def _forward(self, message: Message) -> None:
@@ -116,7 +117,8 @@ class LayeredRms(Rms):
             f"{self.level.name.lower()}/recv:{self.rms_id}",
             cpu_time,
             deadline,
-            lambda: self._finish(inner_message),
+            self._finish,
+            (inner_message,),
         )
 
     def _finish(self, inner_message: Message) -> None:

@@ -42,19 +42,20 @@ def test_committed_files_pass_against_themselves(tmp_path):
     result = run_check(*fixture_dirs(tmp_path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("(ratio 1.00)") == 5
-    assert "churn_speedup: committed" in result.stdout
+    assert "churn_msgs_per_sec: committed" in result.stdout
 
 
 def test_a_faster_run_passes(tmp_path):
-    result = run_check(*fixture_dirs(tmp_path, e22__churn_speedup=30.0))
+    result = run_check(*fixture_dirs(tmp_path, e22__churn_msgs_per_sec=3e4))
     assert result.returncode == 0, result.stderr
 
 
 def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
     base, current = fixture_dirs(
         tmp_path,
-        e22__churn_speedup=1.5,            # < 0.8 x committed and < 2.0 floor
-        e22__static_trace_identical=False,  # exact flag
+        e22__churn_msgs_per_sec=1500.0,    # < 0.8 x committed
+        e22__churn_recovery_ratio=0.99,    # simulation-exact
+        e22__soak_cached_tables=217,       # key-vs-key bound (216 hosts)
         e19__loop_events_per_msg=25.0,     # simulation-exact ceiling
         e21__mac_speedup=2.1,              # the scalar-era MAC ratio
         e23__jain_ecmp=0.1,                # key-vs-key check
@@ -63,11 +64,11 @@ def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
     assert result.returncode == 1
     errors = result.stderr
     committed = json.loads((base / "BENCH_e22.json").read_text())
-    share = 1.5 / committed["churn_speedup"]
-    assert (f"scale-out routing regression: churn speedup fell to {share:.0%}"
+    share = 1500.0 / committed["churn_msgs_per_sec"]
+    assert (f"scale-out routing regression: churn msgs/sec fell to {share:.0%}"
             " of the committed baseline") in errors
-    assert "BENCH_e22.json: churn_speedup >= 2.0 does not hold" in errors
-    assert "BENCH_e22.json: static_trace_identical is True" in errors
+    assert "BENCH_e22.json: churn_recovery_ratio == 1.0 does not hold" in errors
+    assert "BENCH_e22.json: soak_cached_tables <= hosts" in errors
     assert "BENCH_e19.json: loop_events_per_msg <= 20.0" in errors
     assert "BENCH_e21.json: mac_speedup >= 4.0 does not hold" in errors
     assert "BENCH_e23.json: jain_ecmp > jain_single" in errors

@@ -11,8 +11,6 @@ only flows pinned through the flapped edge reroute.
 
 from __future__ import annotations
 
-import heapq
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +22,8 @@ from repro.netsim.routing import flow_hash
 from repro.netsim.topology import Host, MeshSpec, build_two_tier
 from repro.obs import LinkUtilizationCollector, jain_fairness
 from repro.sim.context import SimContext
-from tests.test_routing_engine import assert_bounded, soak
+from tests.routing_reference import reference_distances
+from tests.test_routing_engine import assert_bounded, build_network, soak
 
 # Weights drawn from a tiny discrete set so random graphs are dense
 # with exact cost ties -- the case ECMP exists for.
@@ -48,45 +47,6 @@ def best_effort(mms: int = 500) -> RmsParams:
     )
 
 
-def build_ecmp_network(edges, seed: int = 1):
-    """An ECMP internetwork over the deduplicated edge list."""
-    context = SimContext(seed=seed)
-    network = InternetNetwork(context, route_engine=True, ecmp=True)
-    nodes = sorted({n for a, b, _ in edges for n in (a, b)})
-    for node in nodes:
-        network.attach(Host(context, f"n{node}"))
-    seen = set()
-    for a, b, weight in edges:
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        network.add_link(f"n{a}", f"n{b}", bandwidth=1e5,
-                         propagation_delay=weight)
-    return network, [f"n{n}" for n in nodes]
-
-
-def reference_distances(network, src):
-    """An independent textbook Dijkstra over the network's link weights."""
-    dist = {src: 0.0}
-    heap = [(0.0, src)]
-    done = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
-        for neighbor in network._adjacency.get(node, []):
-            if (node, neighbor) not in network._links:
-                continue
-            weight = network._link_weight(node, neighbor)
-            candidate = d + weight
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
-    return dist
-
-
 def route_cost(network, route):
     return sum(
         network._link_weight(route[i], route[i + 1])
@@ -102,7 +62,7 @@ class TestEcmpOptimality:
     def test_every_flow_route_is_cost_optimal(self, edges):
         if not edges:
             return
-        network, nodes = build_ecmp_network(edges)
+        network, nodes = build_network(edges, ecmp=True)
         engine = network._engine
         for src in nodes:
             reference = reference_distances(network, src)
@@ -123,7 +83,7 @@ class TestEcmpOptimality:
     def test_every_enumerated_route_is_cost_optimal_and_unique(self, edges):
         if not edges:
             return
-        network, nodes = build_ecmp_network(edges)
+        network, nodes = build_network(edges, ecmp=True)
         engine = network._engine
         src, dst = nodes[0], nodes[-1]
         if src == dst:
@@ -149,8 +109,8 @@ class TestEcmpDeterminism:
     def test_pinning_is_identical_across_rebuilds(self, edges, seed):
         if not edges:
             return
-        first, nodes = build_ecmp_network(edges, seed=seed)
-        second, _ = build_ecmp_network(edges, seed=seed)
+        first, nodes = build_network(edges, ecmp=True, seed=seed)
+        second, _ = build_network(edges, ecmp=True, seed=seed)
         src, dst = nodes[0], nodes[-1]
         if src == dst or not first.can_reach(src, dst):
             return

@@ -139,7 +139,6 @@ class TestFailurePropagation:
         internet.link("g1", "g2").set_down()
         system.run(until=system.now + 1.0)
         internet.link("g1", "g2").set_up()
-        internet._route_cache.clear()
         replacement = open_rms(system, port="two")
         got = []
         replacement.port.set_handler(got.append)

@@ -1,15 +1,12 @@
 """The unified session API and its resilience machinery.
 
-Covers the ``DashSystem.connect`` facade for every session kind, the
-deprecated entry points (forwarding semantics plus the exactly-once
-``DeprecationWarning`` contract), RMS lifetime conveniences, the
-``RmsRequest`` creation shape, the resilience policy / degradation
-ladder, chaos schedules, and session continuity for streams and RKOM.
+Covers the ``DashSystem.connect`` facade for every session kind, RMS
+lifetime conveniences, the ``RmsRequest`` creation shape, the resilience
+policy / degradation ladder, chaos schedules, and session continuity
+for streams and RKOM.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -20,7 +17,6 @@ from repro.core.params import (
     RmsRequest,
     is_compatible,
 )
-from repro.dash._deprecation import reset_deprecation_warnings
 from repro.dash.system import DashSystem
 from repro.errors import NetworkError, ParameterError, RmsFailedError
 from repro.netsim.chaos import ChaosSchedule
@@ -132,63 +128,6 @@ class TestConnectFacade:
         assert session.state is SessionState.CLOSED
         with pytest.raises(RmsFailedError):
             session.send(b"closed")
-
-
-class TestDeprecatedEntryPoints:
-    def test_create_st_rms_shim_forwards_and_preserves_contract(self):
-        reset_deprecation_warnings()
-        system = lan_system()
-        params = be_params()
-        with pytest.warns(DeprecationWarning):
-            future = system.nodes["a"].create_st_rms(
-                "b", port="shim", desired=params, acceptable=params
-            )
-        system.run(until=system.now + 2.0)
-        rms = future.result()
-        got = []
-        rms.port.set_handler(got.append)
-        rms.send(b"legacy path")
-        system.run(until=system.now + 1.0)
-        assert len(got) == 1
-
-    def test_open_stream_shim_forwards(self):
-        reset_deprecation_warnings()
-        system = lan_system()
-        with pytest.warns(DeprecationWarning):
-            future = system.open_stream("a", "b", StreamConfig())
-        system.run(until=system.now + 2.0)
-        assert isinstance(future.result(), StreamSession)
-
-    def test_call_shim_forwards(self):
-        reset_deprecation_warnings()
-        system = lan_system()
-        system.nodes["b"].rkom.register_handler("echo", lambda p, s: p)
-        with pytest.warns(DeprecationWarning):
-            reply = system.nodes["a"].call(system.nodes["b"], "echo", b"hi")
-        system.run(until=system.now + 2.0)
-        assert reply.result() == b"hi"
-
-    def test_each_entry_point_warns_exactly_once(self):
-        reset_deprecation_warnings()
-        system = lan_system()
-        system.nodes["b"].rkom.register_handler("echo", lambda p, s: p)
-        params = be_params()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            system.nodes["a"].create_st_rms(
-                "b", port="w1", desired=params, acceptable=params
-            )
-            system.nodes["a"].create_st_rms(
-                "b", port="w2", desired=params, acceptable=params
-            )
-            system.open_stream("a", "b")
-            system.open_stream("a", "b")
-            system.nodes["a"].call("b", "echo", b"x")
-            system.nodes["a"].call("b", "echo", b"y")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 3  # one per distinct entry point
 
 
 class TestRmsLifecycle:

@@ -5,6 +5,8 @@ repairs only the routes that crossed the flapped link."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,16 @@ from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import RoutingError
 from repro.netsim.admission import NULL_POOLS
+from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host, build_grid
 from repro.sim.context import SimContext
+from repro.sim.trace import Tracer
+from tests.routing_reference import (
+    reference_can_reach,
+    reference_profile,
+    reference_route,
+)
 
 edge_lists = st.lists(
     st.tuples(
@@ -36,25 +45,22 @@ def best_effort(mms: int = 500) -> RmsParams:
     )
 
 
-def build_pair(edges):
-    """Two identical networks, engine on and off, plus the node names."""
-    networks = []
+def build_network(edges, ecmp: bool = False, seed: int = 1):
+    """An internetwork over the deduplicated edge list, plus node names."""
     nodes = sorted({n for a, b, _ in edges for n in (a, b)})
-    for route_engine in (True, False):
-        context = SimContext(seed=1)
-        network = InternetNetwork(context, route_engine=route_engine)
-        for node in nodes:
-            network.attach(Host(context, f"n{node}"))
-        seen = set()
-        for a, b, weight in edges:
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            network.add_link(f"n{a}", f"n{b}", bandwidth=1e5,
-                             propagation_delay=weight)
-        networks.append(network)
-    return networks[0], networks[1], [f"n{n}" for n in nodes]
+    context = SimContext(seed=seed)
+    network = InternetNetwork(context, ecmp=ecmp)
+    for node in nodes:
+        network.attach(Host(context, f"n{node}"))
+    seen = set()
+    for a, b, weight in edges:
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            continue
+        seen.add(key)
+        network.add_link(f"n{a}", f"n{b}", bandwidth=1e5,
+                         propagation_delay=weight)
+    return network, [f"n{n}" for n in nodes]
 
 
 class TestTableRouteExactness:
@@ -67,49 +73,46 @@ class TestTableRouteExactness:
     def test_engine_routes_equal_legacy_routes(self, edges):
         if not edges:
             return
-        engine_net, legacy_net, nodes = build_pair(edges)
+        network, nodes = build_network(edges)
         for src in nodes:
             for dst in nodes:
-                try:
-                    legacy_route = legacy_net.route_between(src, dst)
-                except RoutingError:
+                route = reference_route(network, src, dst)
+                if route is None:
                     with pytest.raises(RoutingError):
-                        engine_net.route_between(src, dst)
+                        network.route_between(src, dst)
                     continue
-                assert engine_net.route_between(src, dst) == legacy_route
+                assert network.route_between(src, dst) == route
 
     @settings(max_examples=40, deadline=None)
     @given(edges=edge_lists)
     def test_can_reach_matches_route_existence(self, edges):
         if not edges:
             return
-        engine_net, legacy_net, nodes = build_pair(edges)
+        network, nodes = build_network(edges)
         for src in nodes:
             for dst in nodes:
-                assert (engine_net.can_reach(src, dst)
-                        == legacy_net.can_reach(src, dst))
+                assert (network.can_reach(src, dst)
+                        == reference_can_reach(network, src, dst))
 
     @settings(max_examples=40, deadline=None)
     @given(edges=edge_lists)
     def test_path_profiles_equal(self, edges):
         if not edges:
             return
-        engine_net, legacy_net, nodes = build_pair(edges)
+        network, nodes = build_network(edges)
         src, dst = nodes[0], nodes[-1]
-        if not legacy_net.can_reach(src, dst):
+        route = reference_route(network, src, dst)
+        if route is None:
             return
-        engine_profile = engine_net._path_profile(src, dst)
-        legacy_profile = legacy_net._path_profile(src, dst)
-        assert engine_profile[0] == legacy_profile[0]  # fixed delay
-        assert engine_profile[1] == legacy_profile[1]  # per-byte delay
-        assert list(engine_profile[2]) == list(legacy_profile[2])
+        fixed, per_byte, engine_route = network._path_profile(src, dst)
+        assert (fixed, per_byte) == reference_profile(network, route)
+        assert list(engine_route) == route
 
 
-def diamond(route_engine: bool, seed: int = 7):
+def diamond(seed: int = 7):
     """a -- r1 -- (lossy r2 path | slow direct) -- r3 -- b."""
     context = SimContext(seed=seed)
-    network = InternetNetwork(context, trusted=True,
-                              route_engine=route_engine)
+    network = InternetNetwork(context, trusted=True)
     for name in ("a", "b"):
         network.attach(Host(context, name))
     for name in ("r1", "r2", "r3"):
@@ -124,9 +127,9 @@ def diamond(route_engine: bool, seed: int = 7):
     return context, network
 
 
-def lossy_trace(route_engine: bool, messages: int = 60):
+def lossy_trace(messages: int = 60):
     """Fixed-seed delivery trace of the lossy diamond."""
-    context, network = diamond(route_engine)
+    context, network = diamond()
     params = best_effort()
     future = network.create_rms(Label("a"), Label("b"), params, params)
     context.run(until=context.now + 2.0)
@@ -145,52 +148,51 @@ def lossy_trace(route_engine: bool, messages: int = 60):
     return deliveries, rms.stats.messages_sent, rms.stats.messages_delivered
 
 
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 class TestEngineTraceEquivalence:
-    """Engine on vs off on one seed: byte-identical delivery traces.
+    """Fixed-seed delivery traces over compiled plans, pinned.
+
+    Each digest is the sha256 of ``repr(deliveries)`` recorded at the
+    last commit that still had the per-pair resolver and its per-hop
+    forwarder behind a constructor switch; there both arms produced it.
     The engine may change how fast the host simulates a static topology,
     never what the topology does."""
 
     def test_lossy_trace_identical(self):
-        engine = lossy_trace(route_engine=True)
-        legacy = lossy_trace(route_engine=False)
-        assert engine == legacy
-        deliveries, sent, delivered = engine
+        deliveries, sent, delivered = lossy_trace()
+        assert digest(deliveries) == (
+            "3300b229547e29b69df641a07cec8725cd461d5c0812758c7b6a84ad59078ffb"
+        )
         assert sent == 60
         assert 0 < delivered < sent  # the loss model really fired
         assert len(deliveries) == delivered
 
     def test_lossless_trace_identical_and_complete(self):
-        def clean(route_engine):
-            context = SimContext(seed=3)
-            network = InternetNetwork(context, trusted=True,
-                                      route_engine=route_engine)
-            network.attach(Host(context, "a"))
-            network.attach(Host(context, "b"))
-            network.add_router("g")
-            network.add_link("a", "g", bandwidth=1e5,
-                             propagation_delay=1e-3)
-            network.add_link("g", "b", bandwidth=1e5,
-                             propagation_delay=1e-3)
-            params = best_effort()
-            future = network.create_rms(Label("a"), Label("b"),
-                                        params, params)
-            context.run(until=context.now + 1.0)
-            rms = future.result()
-            got = []
-            rms.port.set_handler(
-                lambda message: got.append(
-                    (bytes(message.payload), context.now)
-                )
-            )
-            for index in range(30):
-                rms.send(bytes([index]) * 64)
-            context.run(until=context.now + 3.0)
-            return got
-
-        engine = clean(True)
-        legacy = clean(False)
-        assert engine == legacy
-        assert len(engine) == 30
+        context = SimContext(seed=3)
+        network = InternetNetwork(context, trusted=True)
+        network.attach(Host(context, "a"))
+        network.attach(Host(context, "b"))
+        network.add_router("g")
+        network.add_link("a", "g", bandwidth=1e5, propagation_delay=1e-3)
+        network.add_link("g", "b", bandwidth=1e5, propagation_delay=1e-3)
+        params = best_effort()
+        future = network.create_rms(Label("a"), Label("b"), params, params)
+        context.run(until=context.now + 1.0)
+        rms = future.result()
+        got = []
+        rms.port.set_handler(
+            lambda message: got.append((bytes(message.payload), context.now))
+        )
+        for index in range(30):
+            rms.send(bytes([index]) * 64)
+        context.run(until=context.now + 3.0)
+        assert digest(got) == (
+            "abb60ff3645a9c763a32e4ff4c661049bd82f9f978c9274188d29a7149ffe584"
+        )
+        assert len(got) == 30
 
 
 def two_region_network():
@@ -401,34 +403,94 @@ class TestPlanDatapath:
         context.run(until=context.now + 1.0)
         assert len(got) == 1
 
-    def test_repinning_route_drops_plan(self):
+    def pinned(self, route):
+        """An established h1 -> h2 RMS re-pinned to ``route``."""
         context, network = two_region_network()
         params = best_effort()
         future = network.create_rms(Label("h1"), Label("h2"),
                                     params, params)
         context.run(until=context.now + 1.0)
         rms = future.result()
-        assert rms.plan is not None
-        rms.route = ["h1", "g3", "h2"]  # downmux-style pinning
-        assert rms.plan is None
+        admitted = rms.plan
+        rms.route = route  # downmux-style pinning
+        assert rms.plan is not admitted
+        return context, network, rms
+
+    def test_repinning_route_compiles_a_private_plan(self):
+        bypass = ["h1", "g3", "h2"]
+        context, network, rms = self.pinned(bypass)
+        engine = network._engine
+        plan = rms.plan
+        assert plan.route is bypass and rms.route is bypass
+        assert plan.links == (network.link("h1", "g3"),
+                              network.link("g3", "h2"))
+        assert plan.pools == network._admission_pools(bypass)
+        assert (plan.fixed_delay, plan.per_byte_delay) == reference_profile(
+            network, bypass)
+        assert len(plan.delivers) == 2
+        # Never handed out for a resolution.
+        assert engine.plan("h1", "h2") is not plan
+        assert engine.plan("h1", "h2").route == ["h1", "g1", "g2", "h2"]
         got = []
         rms.port.set_handler(got.append)
         rms.send(b"y" * 100)
         context.run(until=context.now + 1.0)
         assert len(got) == 1  # forwarded along the pinned route
+        assert network.link("h1", "g3").stats.frames_transmitted == 1
+        assert network.link("g3", "h2").stats.frames_transmitted == 1
 
-    def test_engine_off_leaves_plan_none(self):
+    def test_pinned_plan_stays_out_of_every_index(self):
+        context, network = two_region_network()
+        engine = network._engine
+        network.link("g1", "g2").set_down()  # tracking on: plans are indexed
+        network.link("g1", "g2").set_up()
+        params = best_effort()
+        future = network.create_rms(Label("h3"), Label("h4"), params, params)
+        context.run(until=context.now + 1.0)
+        rms = future.result()
+        sizes, drops = engine.index_sizes(), engine.scoped_plan_drops
+        rms.route = ["h3", "g4", "h4"]
+        assert engine.index_sizes() == sizes
+        # A flap on the pinned route kills the resolved plan, not this one.
+        pinned = rms.plan
+        network.link("g4", "h4").set_down()
+        assert engine.scoped_plan_drops == drops + 1
+        assert not pinned.dead
+
+    def test_pinning_through_a_missing_link_raises_at_assignment(self):
+        context, network = two_region_network()
+        params = best_effort()
+        future = network.create_rms(Label("h1"), Label("h2"),
+                                    params, params)
+        context.run(until=context.now + 1.0)
+        rms = future.result()
+        admitted_route, admitted_plan = rms.route, rms.plan
+        with pytest.raises(RoutingError, match="no link h1->g4"):
+            rms.route = ["h1", "g4", "h2"]
+        with pytest.raises(RoutingError, match="empty route"):
+            rms.route = []
+        assert rms.route is admitted_route and rms.plan is admitted_plan
+
+    def test_pinned_plan_drops_at_a_downed_mid_route_link(self):
+        context, network, rms = self.pinned(["h1", "g3", "h2"])
+        context.tracer = Tracer(context.loop, {"rms"})
+        rms.send(b"z" * 100)
+        # Down while the frame is in flight on h1->g3: the RMS fails
+        # (its route crosses the link) and the frame drops at g3.
+        network.link("g3", "h2").set_down()
+        context.run(until=context.now + 1.0)
+        drops = [r.fields["reason"] for r in context.tracer.select("rms", "drop")]
+        assert drops == ["no usable link g3->h2"]
+
+    def test_ethernet_rms_has_no_plan_to_repin(self):
         context = SimContext(seed=2)
-        network = InternetNetwork(context, trusted=True,
-                                  route_engine=False)
+        network = EthernetNetwork(context, trusted=True)
         network.attach(Host(context, "a"))
         network.attach(Host(context, "b"))
-        network.add_router("g")
-        network.add_link("a", "g", bandwidth=1e5, propagation_delay=1e-3)
-        network.add_link("g", "b", bandwidth=1e5, propagation_delay=1e-3)
         params = best_effort()
         future = network.create_rms(Label("a"), Label("b"), params, params)
         context.run(until=context.now + 1.0)
         rms = future.result()
         assert rms.plan is None
-        assert network._route_plan("a", "b") is None
+        rms.route = ["a", "b"]
+        assert rms.plan is None

@@ -19,6 +19,11 @@ from repro.errors import RoutingError
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host, build_grid, build_two_tier
 from repro.sim.context import SimContext
+from tests.routing_reference import (
+    reference_can_reach,
+    reference_profile,
+    reference_route,
+)
 
 ACCESS = dict(bandwidth=2.5e6, propagation_delay=2e-4)  # MeshSpec's
 
@@ -32,11 +37,11 @@ shapes = st.fixed_dictionaries({
 flap_lists = st.lists(st.integers(0, 10**6), min_size=0, max_size=4)
 
 
-def build(shape, route_engine=True, ecmp=False):
+def build(shape, ecmp=False):
     """An equal-weight mesh per ``shape`` with every awkward leaf shape
-    hung on it.  Deterministic in ``shape``, so twins are identical."""
+    hung on it."""
     context = SimContext(seed=1)
-    network = InternetNetwork(context, route_engine=route_engine, ecmp=ecmp)
+    network = InternetNetwork(context, ecmp=ecmp)
 
     def host(name, *gateways, **access):
         network.attach(Host(context, name))
@@ -89,49 +94,50 @@ def nodes_of(network):
 
 
 class TestSharedSearchExactness:
+    """The engine against ``tests/routing_reference.py``, the per-pair
+    early-exit Dijkstra run on the same network's graph and link state."""
+
     @settings(max_examples=12, deadline=None)
     @given(shape=shapes, flaps=flap_lists)
     def test_fresh_engine_equals_legacy_after_every_flap(self, shape, flaps):
-        """Fresh twins per step, driven through the same flaps, so no
-        table survives a link-up and the accepted tie divergence of
+        """A fresh network per step, driven through the flaps so far, so
+        no table survives a link-up and the accepted tie divergence of
         DESIGN 8.7 does not enter: everything must be *equal*."""
         for step in range(len(flaps) + 1):
-            engine = build(shape)
-            legacy = build(shape, route_engine=False)
+            network = build(shape)
             for pick in flaps[:step]:
-                toggle(engine, pick)
-                toggle(legacy, pick)
-            nodes = nodes_of(legacy)
+                toggle(network, pick)
+            nodes = nodes_of(network)
             for src in nodes:
                 for dst in nodes:
-                    route = route_or_none(legacy, src, dst)
-                    assert route_or_none(engine, src, dst) == route
-                    assert (engine.can_reach(src, dst)
-                            == legacy.can_reach(src, dst))
+                    route = reference_route(network, src, dst)
+                    assert route_or_none(network, src, dst) == route
+                    assert (network.can_reach(src, dst)
+                            == reference_can_reach(network, src, dst))
                     if route is not None:
-                        assert (tuple(engine._path_profile(src, dst))
-                                == tuple(legacy._path_profile(src, dst)))
-            assert engine._engine.searches <= engine._engine.table_builds
-            assert engine.route_resolutions == engine._engine.searches
+                        fixed, per_byte, path = network._path_profile(src, dst)
+                        assert (fixed, per_byte) == reference_profile(
+                            network, route)
+                        assert path == route
+            assert network._engine.searches <= network._engine.table_builds
+            assert network.route_resolutions == network._engine.searches
 
     @settings(max_examples=12, deadline=None)
     @given(shape=shapes, flaps=flap_lists)
     def test_ecmp_dag_keeps_the_canonical_route_first(self, shape, flaps):
         for step in range(len(flaps) + 1):
-            ecmp = build(shape, ecmp=True)
-            legacy = build(shape, route_engine=False)
+            network = build(shape, ecmp=True)
             for pick in flaps[:step]:
-                toggle(ecmp, pick)
-                toggle(legacy, pick)
-            engine = ecmp._engine
-            nodes = nodes_of(legacy)
+                toggle(network, pick)
+            engine = network._engine
+            nodes = nodes_of(network)
             for src in nodes:
                 table = engine.table(src)
                 assert set(table.preds) == set(table.prev)
                 for node, plist in table.preds.items():
                     assert plist[0] == table.prev[node]
                 for dst in nodes:
-                    route = route_or_none(legacy, src, dst)
+                    route = reference_route(network, src, dst)
                     if route is not None and src != dst:
                         assert engine.pathset(src, dst).routes[0] == route
 
@@ -142,29 +148,27 @@ class TestSharedSearchExactness:
         after every transition, so the memo and the tables are live when
         the next link changes): ties may break differently after a
         link-up, reachability and cost may not."""
-        engine = build(shape)
-        legacy = build(shape, route_engine=False)
-        hosts = sorted(legacy.hosts)
+        network = build(shape)
+        hosts = sorted(network.hosts)
 
         def cost(route):
-            return [legacy._weights[hop] for hop in zip(route, route[1:])]
+            return [network._weights[hop] for hop in zip(route, route[1:])]
 
         for pick in [None] + flaps:
             if pick is not None:
-                toggle(engine, pick)
-                toggle(legacy, pick)
+                toggle(network, pick)
             for src in hosts:
                 for dst in hosts:
-                    route = route_or_none(legacy, src, dst)
-                    mine = route_or_none(engine, src, dst)
+                    route = reference_route(network, src, dst)
+                    mine = route_or_none(network, src, dst)
                     assert (mine is None) == (route is None)
                     if route is not None:
                         assert sum(cost(mine)) == sum(cost(route))
 
 
-def sibling_network(ecmp, route_engine=True):
+def sibling_network(ecmp):
     shape = {"kind": "grid", "a": 2, "b": 3, "hosts": [3] * 9, "dark": "both"}
-    return build(shape, route_engine=route_engine, ecmp=ecmp)
+    return build(shape, ecmp=ecmp)
 
 
 class TestSiblingTables:
@@ -221,13 +225,11 @@ class TestSiblingTables:
 
     def test_memo_is_emptied_by_every_link_state_change(self):
         network = sibling_network(ecmp=False)
-        legacy = sibling_network(ecmp=False, route_engine=False)
         engine = network._engine
 
         def flip(up):
-            for net in (network, legacy):
-                link = net.link("g0x0", "g0x1")
-                link.set_up() if up else link.set_down()
+            link = network.link("g0x0", "g0x1")
+            link.set_up() if up else link.set_down()
 
         flip(up=False)  # the first change switches tracking on
         flip(up=True)
@@ -238,7 +240,7 @@ class TestSiblingTables:
         assert engine.index_sizes()["search_memo"] == 0
         # A sibling first resolved *after* the change must see it.
         detour = network.route_between("h1", "h3")
-        assert detour == legacy.route_between("h1", "h3")
+        assert detour == reference_route(network, "h1", "h3")
         assert detour[1:3] != ["g0x0", "g0x1"]
         assert engine.index_sizes()["search_memo"] == 1
         flip(up=True)

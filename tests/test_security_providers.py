@@ -11,12 +11,10 @@ property-testing dependency).
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
 from repro.core.params import RmsParams
-from repro.dash._deprecation import reset_deprecation_warnings
 from repro.dash.system import DashSystem
 from repro.errors import ParameterError, SecurityError
 from repro.security.providers import (
@@ -414,38 +412,12 @@ class TestSecuredTraceEquivalence:
 
 
 class TestDeprecationShims:
-    def test_package_primitive_import_warns_once(self):
-        import repro.security as package
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cipher_cls = package.StreamCipher
-            package.StreamCipher  # second access: no second warning
-        from repro.security.cipher import StreamCipher
-
-        assert cipher_cls is StreamCipher
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "provider" in str(deprecations[0].message)
-
-    def test_all_shimmed_names_resolve(self):
-        import repro.security as package
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from repro.security.cipher import xtea_encrypt_block
-            from repro.security.mac import compute_mac, verify_mac
-
-            assert package.xtea_encrypt_block is xtea_encrypt_block
-            assert package.compute_mac is compute_mac
-            assert package.verify_mac is verify_mac
+    """The shims are gone: the package exports the provider API only."""
 
     def test_unknown_attribute_raises(self):
         import repro.security as package
 
         with pytest.raises(AttributeError):
             package.does_not_exist
+        with pytest.raises(AttributeError):
+            package.StreamCipher  # import it from repro.security.cipher
