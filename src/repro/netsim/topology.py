@@ -136,11 +136,15 @@ class Link:
         self._queued_bytes = queued
         if queued > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = queued
-        if self._busy or self._queue:
+        if self._busy:
             self._queue.push((frame, deliver, on_drop), deadline=frame.deadline)
         else:
-            # Idle link, empty interface queue: start transmitting
-            # directly (any policy pops a singleton heap identically).
+            # Idle link: start transmitting directly (any policy pops a
+            # singleton heap identically).  ``_busy`` alone says whether
+            # the frame has company: a non-empty queue implies it, since
+            # ``set_down`` drains the queue, ``transmit`` refuses while
+            # down, ``set_up`` calls ``_start_next`` and a completion
+            # holds ``_busy`` until it starts the next frame.
             self._begin(frame, deliver, on_drop)
         return True
 
@@ -171,16 +175,18 @@ class Link:
         deliver: Callable[[Frame], None],
         on_drop: Optional[Callable[[Frame, str], None]],
     ) -> None:
-        self._busy = False
-        self._queued_bytes -= frame.size
+        size = frame.size
+        self._queued_bytes -= size
         if not self._up:
+            self._busy = False
             if on_drop is not None:
                 on_drop(frame, "link down")
             return
-        self.stats.frames_transmitted += 1
-        self.stats.bytes_transmitted += frame.size
+        stats = self.stats
+        stats.frames_transmitted += 1
+        stats.bytes_transmitted += size
         if self.impairment.loses_frame(self._rng):
-            self.stats.frames_dropped_loss += 1
+            stats.frames_dropped_loss += 1
             self.context.tracer.record(
                 "link", "loss", link=self.name, frame=frame.frame_id
             )
@@ -188,12 +194,16 @@ class Link:
                 on_drop(frame, "medium loss")
         else:
             if self.impairment.maybe_corrupt(frame, self._rng):
-                self.stats.frames_corrupted += 1
+                stats.frames_corrupted += 1
                 self.context.tracer.record(
                     "link", "corrupt", link=self.name, frame=frame.frame_id
                 )
             self.context.loop.call_after(self.propagation_delay, deliver, frame)
-        self._start_next()
+        # Cleared only now: a frame offered by a drop callback above
+        # queues behind what is already waiting instead of jumping it.
+        self._busy = False
+        if self._queue:
+            self._start_next()
 
     def set_down(self) -> None:
         """Fail the link; queued frames are discarded, listeners notified."""

@@ -59,27 +59,47 @@ class CpuCostModel:
         return cost
 
 
-@dataclass
 class WorkItem:
-    """One unit of protocol processing queued on a CPU."""
+    """One unit of protocol processing queued on a CPU.
 
-    name: str
-    cpu_time: float
-    deadline: float
-    callback: Callable[..., None]
-    #: Positional arguments for ``callback`` -- the ST passes the stage
-    #: state here instead of closing over it in a lambda.
-    args: Tuple[Any, ...] = ()
-    #: Context-switch accounting owner.  ``None`` means "derive from the
-    #: name prefix" (everything before the first ``/``); the ST passes
-    #: it explicitly to skip the per-dispatch string split.
-    owner: Optional[str] = None
-    priority: int = 0
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    trace_id: Optional[int] = None  # observability span, if the work
-    # item carries one message's protocol stage
+    ``args`` are the positional arguments for ``callback`` -- the ST
+    passes the stage state here instead of closing over it in a lambda.
+    ``owner`` is the context-switch accounting owner: ``None`` means
+    "derive from the name prefix" (everything before the first ``/``);
+    the ST passes it explicitly to skip the per-dispatch string split.
+    ``trace_id`` is the observability span, if the work item carries one
+    message's protocol stage.
+    """
+
+    __slots__ = ("name", "cpu_time", "deadline", "callback", "args", "owner",
+                 "priority", "submitted_at", "started_at", "finished_at",
+                 "trace_id")
+
+    def __init__(
+        self,
+        name: str,
+        cpu_time: float,
+        deadline: float,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+        owner: Optional[str] = None,
+        priority: int = 0,
+        submitted_at: float = 0.0,
+        started_at: Optional[float] = None,
+        finished_at: Optional[float] = None,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.name = name
+        self.cpu_time = cpu_time
+        self.deadline = deadline
+        self.callback = callback
+        self.args = args
+        self.owner = owner
+        self.priority = priority
+        self.submitted_at = submitted_at
+        self.started_at = started_at
+        self.finished_at = finished_at
+        self.trace_id = trace_id
 
     @property
     def missed_deadline(self) -> Optional[bool]:
@@ -140,17 +160,8 @@ class HostCpu:
         ``owner`` skips the name split at dispatch, and tracing is only
         recorded when the tracer is actually collecting.
         """
-        item = WorkItem(
-            name=name,
-            cpu_time=cpu_time,
-            deadline=deadline,
-            callback=callback,
-            args=args,
-            owner=owner,
-            priority=priority,
-            submitted_at=self.context.loop._now,
-            trace_id=trace_id,
-        )
+        item = WorkItem(name, cpu_time, deadline, callback, args, owner,
+                        priority, self.context.loop._now, trace_id=trace_id)
         tracer = self.context.tracer
         if tracer.enabled:
             tracer.record(
@@ -252,7 +263,8 @@ class HostCpu:
                 cpu=self.name, item=item.name, missed=missed,
             )
         item.callback(*item.args)
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
 
     def __repr__(self) -> str:
         return (

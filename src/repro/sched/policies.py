@@ -47,10 +47,10 @@ class ReadyQueue(Generic[T]):
         raise NotImplementedError
 
     def __len__(self) -> int:
+        # Also the truth test, and deliberately the only one: the CPU and
+        # link models ask "anything queued?" once per work item, and a
+        # ``__bool__`` that calls ``len()`` would make that two calls.
         raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
 
 class _HeapQueue(ReadyQueue[T]):

@@ -9,19 +9,17 @@ experiment reproducible bit-for-bit from its random seed.
 
 Times are floats in *seconds* of simulated time.
 
-Implementation: a hybrid calendar-wheel / heap timer queue.  Events due
-*now* (``call_soon`` and ``call_at(now)``) go to a plain FIFO deque --
-the dominant case on the protocol fast path, serviced without any heap
-comparison.  Future events within the wheel horizon are hashed by
-timestamp into one of ``_WHEEL_SLOTS`` per-slot heaps of
-``(time, seq, handle)`` tuples, so ordering comparisons happen on
-C-level tuples rather than via ``EventHandle.__lt__``.  Events beyond
-the horizon wait in a single overflow heap and migrate into the wheel as
-the clock advances.  When the clock reaches a timer it joins the back of
-the (then empty) deque, so one loop dispatches everything, one event at
-a time.  The dispatch order is the exact total order of the
-original single-heap implementation -- ``(time, seq)`` with FIFO at
-equal timestamps -- so seeded runs reproduce bit-identically.
+Implementation: a FIFO deque beside one binary heap.  Events due *now*
+(``call_soon`` and ``call_at(now)``) go to the deque and are serviced
+without any heap comparison.  Every later event is a ``(time, seq,
+handle)`` tuple in the heap, so ordering comparisons happen on C-level
+tuples and never reach the handle.  Because ``call_at(now)`` goes to the
+deque, a heap entry due at the current instant was scheduled before the
+clock got there, hence before everything in the deque: the loop runs the
+due heap entries first, then the deque, and moves the clock only when
+both are empty.  The dispatch order is therefore the exact total order
+of a single lazy-cancel heap -- ``(time, seq)`` with FIFO at equal
+timestamps -- so seeded runs reproduce bit-identically.
 
 Cancelled events are removed lazily; when more than a quarter of the
 queued entries are dead the queue compacts in place.  Executed handles
@@ -54,12 +52,6 @@ __all__ = [
 #: ``DashSystem.run``) so the layers cannot drift apart.
 DEFAULT_IDLE_MAX_EVENTS = 10_000_000
 
-# Wheel geometry: 512 slots of 1 ms cover a 512 ms horizon, comfortably
-# wider than any single timer used by the protocol stack (propagation
-# delays, retransmission timers, delay bounds are all well under that).
-_WHEEL_SLOTS = 512
-_WHEEL_GRANULARITY = 0.001
-
 # Compaction threshold: rebuild the queue when at least _COMPACT_MIN
 # cancelled entries make up over a quarter of everything queued.
 _COMPACT_MIN = 64
@@ -68,29 +60,33 @@ _COMPACT_MIN = 64
 # dropped for the garbage collector.
 _POOL_CAP = 4096
 
-_getrefcount = getattr(sys, "getrefcount", None)
+_heappush = heapq.heappush
+_INF = float("inf")
 
 
 class EventHandle:
-    """A cancellable reference to one scheduled callback."""
+    """A cancellable reference to one scheduled callback.
 
-    __slots__ = ("time", "_seq", "_callback", "_args", "_cancelled",
-                 "_queued", "_loop")
+    Made by the loop, queued from birth.  The loop orders events by the
+    ``(time, seq)`` head of their heap entries, so a handle carries no
+    sequence number and is never compared."""
+
+    __slots__ = ("time", "_callback", "_args", "_cancelled", "_queued",
+                 "_loop")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., None],
         args: Tuple[Any, ...],
+        loop: "EventLoop",
     ) -> None:
         self.time = time
-        self._seq = seq
         self._callback = callback
         self._args = args
         self._cancelled = False
-        self._queued = False
-        self._loop: Optional["EventLoop"] = None
+        self._queued = True
+        self._loop = loop
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
@@ -99,18 +95,12 @@ class EventHandle:
         self._cancelled = True
         self._callback = _noop
         self._args = ()
-        if self._queued and self._loop is not None:
+        if self._queued:
             self._loop._note_cancel()
 
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def _run(self) -> None:
-        self._callback(*self._args)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self._seq) < (other.time, other._seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"
@@ -125,6 +115,9 @@ def _no_refcount(_obj: Any) -> int:
     """Stand-in when ``sys.getrefcount`` is unavailable (non-CPython):
     reports an impossible count so handles are never recycled."""
     return 0
+
+
+_getrefcount = getattr(sys, "getrefcount", _no_refcount)
 
 
 class EventLoop:
@@ -145,21 +138,7 @@ class EventLoop:
         self._stopped_on_grace = False
         # Timer queue state -- see the module docstring.
         self._bucket: Deque[EventHandle] = deque()
-        self._slots: List[List[Tuple[float, int, EventHandle]]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        self._far: List[Tuple[float, int, EventHandle]] = []
-        self._gran = _WHEEL_GRANULARITY
-        self._inv_gran = 1.0 / _WHEEL_GRANULARITY
-        self._base = int(self._now * self._inv_gran)
-        # Occupancy hint: no occupied wheel slot has an absolute index in
-        # [_base, _scan_slot), so the next-event scan may start there
-        # instead of walking every empty slot from the origin each
-        # iteration.  Maintained by insertions (which may lower it) and
-        # by the scan itself (which raises it past empty slots).
-        self._scan_slot = self._base
-        self._wheel_count = 0
-        self._queued_count = 0
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._cancelled_in_queue = 0
         self._pool: List[EventHandle] = []
 
@@ -176,159 +155,118 @@ class EventLoop:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return self._queued_count - self._cancelled_in_queue
+        return self.queue_depth - self._cancelled_in_queue
 
     @property
     def queue_depth(self) -> int:
         """Total queued entries, including cancelled ones awaiting
         compaction (introspection for tests and telemetry)."""
-        return self._queued_count
+        return len(self._bucket) + len(self._heap)
 
     # -- scheduling ----------------------------------------------------
-
-    def _acquire(
-        self, when: float, callback: Callable[..., None], args: Tuple[Any, ...]
-    ) -> EventHandle:
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = when
-            handle._seq = next(self._seq)
-            handle._callback = callback
-            handle._args = args
-            handle._cancelled = False
-        else:
-            handle = EventHandle(when, next(self._seq), callback, args)
-            handle._loop = self
-        handle._queued = True
-        self._queued_count += 1
-        return handle
+    #
+    # Each entry point validates, takes a pooled handle and queues it in
+    # its own body: a shared helper would be one more Python call on the
+    # most-called code in the library.  Nothing is touched before the
+    # time is known to be valid; a NaN would silently break heap order.
 
     def call_at(
         self, when: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
         now = self._now
-        if when < now:
+        if not now <= when < _INF:
             raise SchedulingError(
-                f"cannot schedule event at {when:.6f}, now is {now:.6f}"
+                f"cannot schedule event at {when!r}, now is {now:.6f}"
             )
-        handle = self._acquire(when, callback, args)
+        pool = self._pool
+        if pool:
+            handle = pool.pop()
+            handle.time = when
+            handle._callback = callback
+            handle._args = args
+            handle._cancelled = False
+            handle._queued = True
+        else:
+            handle = EventHandle(when, callback, args, self)
         if when == now:
             self._bucket.append(handle)
         else:
-            slot_no = int(when * self._inv_gran)
-            if slot_no - self._base < _WHEEL_SLOTS:
-                heapq.heappush(
-                    self._slots[slot_no % _WHEEL_SLOTS],
-                    (when, handle._seq, handle),
-                )
-                self._wheel_count += 1
-                if slot_no < self._scan_slot:
-                    self._scan_slot = slot_no
-            else:
-                heapq.heappush(self._far, (when, handle._seq, handle))
+            _heappush(self._heap, (when, next(self._seq), handle))
         return handle
 
     def call_after(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, callback, *args)
+        now = self._now
+        when = now + delay
+        if not (delay >= 0 and when < _INF):
+            raise SchedulingError(f"negative or non-finite delay {delay!r}")
+        pool = self._pool
+        if pool:
+            handle = pool.pop()
+            handle.time = when
+            handle._callback = callback
+            handle._args = args
+            handle._cancelled = False
+            handle._queued = True
+        else:
+            handle = EventHandle(when, callback, args, self)
+        if when == now:
+            self._bucket.append(handle)
+        else:
+            _heappush(self._heap, (when, next(self._seq), handle))
+        return handle
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at the current time, after pending
         same-time events."""
-        handle = self._acquire(self._now, callback, args)
+        pool = self._pool
+        if pool:
+            handle = pool.pop()
+            handle.time = self._now
+            handle._callback = callback
+            handle._args = args
+            handle._cancelled = False
+            handle._queued = True
+        else:
+            handle = EventHandle(self._now, callback, args, self)
         self._bucket.append(handle)
         return handle
 
     # -- queue maintenance ---------------------------------------------
 
-    def _rebase(self) -> None:
-        """Advance the wheel origin to the current time and migrate
-        overflow events that fell inside the horizon."""
-        slot_no = int(self._now * self._inv_gran)
-        if slot_no > self._base:
-            self._base = slot_no
-        far = self._far
-        if far:
-            horizon = self._base + _WHEEL_SLOTS
-            inv_gran = self._inv_gran
-            slots = self._slots
-            while far and int(far[0][0] * inv_gran) < horizon:
-                entry = heapq.heappop(far)
-                slot_no = int(entry[0] * inv_gran)
-                heapq.heappush(slots[slot_no % _WHEEL_SLOTS], entry)
-                self._wheel_count += 1
-                if slot_no < self._scan_slot:
-                    self._scan_slot = slot_no
-
     def _note_cancel(self) -> None:
-        self._cancelled_in_queue += 1
-        count = self._cancelled_in_queue
-        if count >= _COMPACT_MIN and count * 4 >= self._queued_count:
+        self._cancelled_in_queue = count = self._cancelled_in_queue + 1
+        if count >= _COMPACT_MIN and count * 4 >= self.queue_depth:
             self._compact()
 
-    def _release(self, dropped: List[EventHandle]) -> None:
-        """Recycle handles nobody else references.  Mutates structures in
-        place only -- safe mid-``run``."""
-        pool = self._pool
-        getref = _getrefcount
-        while dropped:
-            handle = dropped.pop()
-            if (
-                getref is not None
-                and len(pool) < _POOL_CAP
-                and getref(handle) == 2
-            ):
-                pool.append(handle)
-
     def _compact(self) -> None:
-        """Physically remove cancelled entries.  All containers are
+        """Physically remove cancelled entries.  Both containers are
         filtered in place so references hoisted by a running ``run()``
         stay valid."""
         dropped: List[EventHandle] = []
         bucket = self._bucket
-        if bucket:
-            kept = []
-            for handle in bucket:
-                if handle._cancelled:
-                    handle._queued = False
-                    dropped.append(handle)
-                else:
-                    kept.append(handle)
+        kept = [handle for handle in bucket if not handle._cancelled]
+        if len(kept) != len(bucket):
+            dropped.extend(handle for handle in bucket if handle._cancelled)
             bucket.clear()
             bucket.extend(kept)
-        wheel_count = 0
-        for slot in self._slots:
-            if not slot:
-                continue
-            live = [entry for entry in slot if not entry[2]._cancelled]
-            if len(live) != len(slot):
-                for entry in slot:
-                    if entry[2]._cancelled:
-                        entry[2]._queued = False
-                        dropped.append(entry[2])
-                slot[:] = live
-                heapq.heapify(slot)
-            wheel_count += len(live)
-        far = self._far
-        if far:
-            live = [entry for entry in far if not entry[2]._cancelled]
-            if len(live) != len(far):
-                for entry in far:
-                    if entry[2]._cancelled:
-                        entry[2]._queued = False
-                        dropped.append(entry[2])
-                far[:] = live
-                heapq.heapify(far)
-        self._wheel_count = wheel_count
-        self._queued_count = len(bucket) + wheel_count + len(far)
+        heap = self._heap
+        live = [entry for entry in heap if not entry[2]._cancelled]
+        if len(live) != len(heap):
+            dropped.extend(entry[2] for entry in heap if entry[2]._cancelled)
+            heap[:] = live
+            heapq.heapify(heap)
         self._cancelled_in_queue = 0
-        self._release(dropped)
+        # Recycle the handles nobody else references.
+        pool = self._pool
+        while dropped:
+            handle = dropped.pop()
+            handle._queued = False
+            if len(pool) < _POOL_CAP and _getrefcount(handle) == 2:
+                pool.append(handle)
 
     # -- dispatch ------------------------------------------------------
 
@@ -365,107 +303,74 @@ class EventLoop:
         self._stopped_on_grace = False
         ran = 0
         budget = -1 if max_events is None else max_events
-        # Hoisted locals: every container is mutated strictly in place
+        # Hoisted locals: both containers are mutated strictly in place
         # (including by _compact), so these bindings stay valid across
         # arbitrary callback re-entry into the scheduler.
         bucket = self._bucket
-        bucket_append = bucket.append
         bucket_popleft = bucket.popleft
-        slots = self._slots
-        far = self._far
+        heap = self._heap
         pool = self._pool
-        getref = _getrefcount or _no_refcount
+        getref = _getrefcount
         heappop = heapq.heappop
-        self._rebase()
+        now = self._now
         try:
             while True:
-                if bucket:
-                    # The one dispatch path: everything due, FIFO, popped
-                    # and accounted one event at a time.
-                    while bucket and ran != budget:
-                        handle = bucket_popleft()
-                        self._queued_count -= 1
-                        handle._queued = False
-                        if handle._cancelled:
-                            self._cancelled_in_queue -= 1
-                        else:
-                            handle._callback(*handle._args)
-                            ran += 1
-                        if len(pool) < _POOL_CAP and getref(handle) == 2:
-                            # Pooled as it is: _acquire overwrites every
-                            # field, so what the handle last ran is freed
-                            # beside the allocation that replaces it and
-                            # the collector's young-object count sees the
-                            # two cancel (DESIGN 8.1).
-                            pool.append(handle)
-                        else:
-                            # Somebody kept the handle: let go of the
-                            # closure now rather than when they drop it.
-                            handle._callback = _noop
-                            handle._args = ()
-                    if bucket:
+                # The dispatch rule: heap entries due at `now` were
+                # scheduled before the clock got here (call_at(now) goes
+                # to the deque), so they precede everything in the deque.
+                if heap and heap[0][0] <= now:
+                    if ran == budget:
+                        break
+                    handle = heappop(heap)[2]
+                elif bucket:
+                    if ran == budget:
                         break  # event budget spent with work still due
-                # Next wheel/overflow event, if any.  The slot hash is
-                # monotone in time, so the first occupied slot from the
-                # wheel origin holds the wheel minimum.
-                nxt_slot = None
-                nxt_time = 0.0
-                if self._wheel_count:
-                    base = self._base
-                    start = self._scan_slot
-                    if start < base:
-                        start = base
-                    for slot_no in range(start, base + _WHEEL_SLOTS):
-                        slot = slots[slot_no % _WHEEL_SLOTS]
-                        if slot:
-                            nxt_slot = slot
-                            nxt_time = slot[0][0]
-                            self._scan_slot = slot_no
-                            break
-                if far and (nxt_slot is None or far[0][0] < nxt_time):
-                    nxt_slot = far
-                    nxt_time = far[0][0]
-                    in_far = True
-                else:
-                    in_far = False
-                if nxt_slot is not None and nxt_slot[0][2]._cancelled:
-                    # Discard dead queue heads without advancing the
-                    # clock -- matches the original lazy-cancel heap,
-                    # where skipped events never moved `now`.
-                    while nxt_slot and nxt_slot[0][2]._cancelled:
-                        handle = heappop(nxt_slot)[2]
-                        self._queued_count -= 1
-                        if not in_far:
-                            self._wheel_count -= 1
-                        self._cancelled_in_queue -= 1
-                        handle._queued = False
-                        if len(pool) < _POOL_CAP and getref(handle) == 2:
-                            pool.append(handle)
-                    continue
-                now = self._now
-                if nxt_slot is None or (until is not None and nxt_time > until):
-                    # Nothing left at or before `until`: the clock lands
-                    # exactly there.  (A budget stop leaves it at the
-                    # last event run, never past events still queued.)
+                    handle = bucket_popleft()
+                elif not heap:
                     if until is not None and now < until:
                         self._now = until
                     break
-                if idle_grace is not None and nxt_time - now > idle_grace:
-                    self._stopped_on_grace = True
-                    break
-                if ran == budget:
-                    break
-                self._now = nxt_time
-                self._rebase()
-                if in_far:
-                    continue  # _rebase moved it into the wheel; rescan
-                # Timers due at the new instant join the (empty) bucket:
-                # they predate, in seq order, anything their callbacks
-                # will append, and no callback can add to their slot's
-                # due set (call_at(now) goes to the bucket).
-                while nxt_slot and nxt_slot[0][0] <= nxt_time:
-                    bucket_append(heappop(nxt_slot)[2])
-                    self._wheel_count -= 1
+                else:
+                    # Nothing due: move the clock to the heap's head and
+                    # run it.  A dead head is discarded without advancing
+                    # the clock -- in a lazy-cancel heap, skipped events
+                    # never move `now`.
+                    when, _, handle = heap[0]
+                    if handle._cancelled:
+                        pass
+                    elif until is not None and when > until:
+                        # Nothing left at or before `until`: the clock
+                        # lands exactly there.  (A budget stop leaves it
+                        # at the last event run, never past events still
+                        # queued.)
+                        if now < until:
+                            self._now = until
+                        break
+                    elif idle_grace is not None and when - now > idle_grace:
+                        self._stopped_on_grace = True
+                        break
+                    elif ran == budget:
+                        break
+                    else:
+                        self._now = now = when
+                    heappop(heap)
+                handle._queued = False
+                if handle._cancelled:
+                    self._cancelled_in_queue -= 1
+                else:
+                    handle._callback(*handle._args)
+                    ran += 1
+                if len(pool) < _POOL_CAP and getref(handle) == 2:
+                    # Pooled as it is: the next schedule overwrites every
+                    # field, so what the handle last ran is freed beside
+                    # the allocation that replaces it and the collector's
+                    # young-object count sees the two cancel (DESIGN 8.1).
+                    pool.append(handle)
+                else:
+                    # Somebody kept the handle: let go of the closure now
+                    # rather than when they drop it.
+                    handle._callback = _noop
+                    handle._args = ()
         finally:
             self._running = False
             self._events_run += ran
@@ -604,11 +509,13 @@ class TimerGroup:
     def call_at(
         self, when: float, callback: Callable[..., None], *args: Any
     ) -> GroupTimer:
-        """Run ``callback(*args)`` at simulated time ``when`` (clamped to
-        now)."""
+        """Run ``callback(*args)`` at simulated time ``when`` (a past
+        time is clamped to now)."""
         now = self._loop._now
         if when < now:
             when = now
+        elif not when < _INF:
+            raise SchedulingError(f"cannot schedule deadline at {when!r}")
         entry = GroupTimer(when, next(self._seq), callback, args, self)
         heapq.heappush(self._heap, (when, entry._seq, entry))
         self._live += 1

@@ -67,12 +67,12 @@ class TestRunWhilePending:
 
     def test_timer_only_schedule_terminates(self):
         # Nothing but timers: the drain must advance the clock through
-        # every slot and the far heap, then stop on its own.
+        # every one of them, near and far, then stop on its own.
         loop = EventLoop()
         fired = []
         for i in range(200):
             loop.call_at(i * 0.01, fired.append, i)
-        loop.call_at(600.0, fired.append, "far")  # beyond the wheel horizon
+        loop.call_at(600.0, fired.append, "far")  # an ordinary far timer
         end = loop.run_while_pending()
         assert end == 600.0
         assert fired[-1] == "far"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.message import Message
@@ -211,6 +213,80 @@ class TestLink:
             ("b2", 23.0, 0, 0, 5, 640),
         ]
         assert shared.stats.max_queue_bytes == 512
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonempty_queue_implies_busy(self, seed):
+        # ``transmit`` tests ``_busy`` alone, which is sound only while a
+        # non-empty interface queue implies a busy transmitter -- at every
+        # point where foreign code can run, callbacks included.
+        rng = random.Random(seed)
+        context = SimContext(seed=seed)
+        loop = context.loop
+        link = Link(context, "l", bandwidth=1e4, propagation_delay=0.001,
+                    policy=rng.choice(["edf", "fifo"]), buffer_bytes=2000,
+                    impairment=ImpairmentModel(frame_loss_rate=0.3))
+        offered, delivered, dropped = [0], [], []
+
+        def check():
+            assert link.queue_length == 0 or link._busy
+            assert link.queued_bytes >= 0
+
+        def offer():
+            offered[0] += 1
+            link.transmit(make_frame(size=rng.randrange(1, 200),
+                                     deadline=rng.random()),
+                          deliver=on_deliver, on_drop=on_drop)
+            check()
+
+        def on_deliver(frame):
+            check()
+            delivered.append(frame)
+
+        def on_drop(frame, reason):
+            check()
+            dropped.append(frame)
+            if reason == "medium loss" and rng.random() < 0.5:
+                offer()  # re-offered from inside the completion
+
+        for _ in range(400):
+            step = rng.random()
+            if step < 0.55:
+                offer()
+            elif step < 0.65:
+                link.set_down()
+            elif step < 0.80:
+                link.set_up()
+            else:
+                loop.run(until=loop.now + rng.choice([0.0, 0.004, 0.03]))
+            check()
+        link.set_up()
+        context.run()
+        check()
+        assert not link._busy and link.queued_bytes == 0
+        assert len(delivered) + len(dropped) == offered[0]
+        assert len({id(frame) for frame in delivered + dropped}) == offered[0]
+
+    def test_frame_offered_from_drop_callback_does_not_jump_the_queue(self):
+        context = SimContext()
+        link = Link(context, "l", bandwidth=1e4, propagation_delay=0.0,
+                    policy="fifo",
+                    impairment=ImpairmentModel(frame_loss_rate=1.0))
+        order = []
+
+        def lost(tag, again=False):
+            def on_drop(frame, reason):
+                order.append(tag)
+                if again:
+                    link.transmit(make_frame(), deliver=order.append,
+                                  on_drop=lost("again"))
+            return on_drop
+
+        link.transmit(make_frame(), deliver=order.append,
+                      on_drop=lost(0, again=True))
+        link.transmit(make_frame(), deliver=order.append, on_drop=lost(1))
+        link.transmit(make_frame(), deliver=order.append, on_drop=lost(2))
+        context.run()
+        assert order == [0, 1, 2, "again"]
 
     def test_invalid_parameters_rejected(self):
         context = SimContext()

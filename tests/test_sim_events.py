@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
+import time
 import weakref
 
 import pytest
@@ -188,6 +190,74 @@ class TestRunUntil:
         assert len(count) == 4
 
 
+class TestBudgetStopInsideOneInstant:
+    def test_heap_and_deque_entries_of_one_instant_keep_their_order(self):
+        # Three timers fall due at t=1 (queued before the clock got
+        # there); what they and the caller add at t=1 goes behind them.
+        # Stepping one event at a time must not reorder the two sources
+        # nor let the clock leave t=1 while anything due there is queued.
+        loop = EventLoop()
+        order = []
+
+        def first():
+            order.append("h0")
+            loop.call_soon(order.append, "d0")
+            loop.call_at(loop.now, order.append, "d1")
+            loop.call_after(0.0, order.append, "d2")
+
+        loop.call_at(1.0, first)
+        loop.call_at(1.0, order.append, "h1")
+        dead = loop.call_at(1.0, order.append, "dead")
+        loop.call_at(1.0, order.append, "h2")
+        loop.call_at(2.0, order.append, "later")
+        loop.run(max_events=1)
+        assert order == ["h0"] and loop.now == 1.0
+        # Between two runs, still at t=1: behind everything queued.
+        loop.call_soon(order.append, "d3")
+        dead.cancel()
+        expected = ["h0", "h1", "h2", "d0", "d1", "d2", "d3"]
+        while len(order) < len(expected):
+            assert loop.pending_events == len(expected) - len(order) + 1
+            loop.run(max_events=1)
+            assert loop.now == 1.0
+        assert order == expected
+        loop.run(until=1.5, max_events=0)
+        assert loop.now == 1.5  # nothing queued at or before 1.5
+        loop.run(max_events=1)
+        assert order == expected + ["later"] and loop.now == 2.0
+        assert loop.queue_depth == 0
+
+
+class TestNonFiniteTimes:
+    """A time that is not ``now <= when < inf`` is refused before any
+    state is touched: a counted-but-unqueued handle would keep the loop
+    from ever reading idle, and a NaN would break heap order silently."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_loop_rejects_and_keeps_its_accounting(self, bad):
+        loop = EventLoop()
+        loop.call_after(1.0, lambda: None)
+        for schedule in (loop.call_at, loop.call_after):
+            with pytest.raises(SchedulingError):
+                schedule(bad, lambda: None)
+            assert loop.pending_events == 1
+            assert loop.queue_depth == 1
+        assert loop.run_while_pending() == 1.0
+        assert loop.pending_events == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_timer_group_rejects_and_stays_empty(self, bad):
+        loop = EventLoop()
+        group = TimerGroup(loop)
+        for schedule in (group.call_at, group.call_after):
+            with pytest.raises(SchedulingError):
+                schedule(bad, lambda: None)
+            assert group.live == 0
+            assert not group.armed
+            assert loop.pending_events == 0
+            assert loop.queue_depth == 0
+
+
 class TestRaisingCallback:
     def test_raising_callback_loses_no_other_event(self):
         # A callback that raises must cost exactly itself: everything
@@ -273,6 +343,9 @@ class _HeapReference:
         heapq.heappush(self._heap, (when, next(self._seq), handle))
         return handle
 
+    def call_after(self, delay, callback, *args):
+        return self.call_at(self.now + delay, callback, *args)
+
     def call_soon(self, callback, *args):
         return self.call_at(self.now, callback, *args)
 
@@ -280,7 +353,7 @@ class _HeapReference:
     def pending_events(self):
         return sum(1 for entry in self._heap if not entry[2].cancelled)
 
-    def run(self, until=None, max_events=None):
+    def run(self, until=None, max_events=None, idle_grace=None):
         ran = 0
         heap = self._heap
         while True:
@@ -290,6 +363,8 @@ class _HeapReference:
                 if until is not None and self.now < until:
                     self.now = until
                 return
+            if idle_grace is not None and heap[0][0] - self.now > idle_grace:
+                return  # gone quiet: the clock stays at the last event run
             if ran == max_events:
                 return
             self.now, _, handle = heapq.heappop(heap)
@@ -315,6 +390,8 @@ class _Driver:
             self.plans[tag] = children
             if delay is None:
                 handle = self.loop.call_soon(self._fire, tag)
+            elif tag % 2:
+                handle = self.loop.call_after(delay, self._fire, tag)
             else:
                 handle = self.loop.call_at(self.loop.now + delay, self._fire, tag)
             # Every third handle is dropped, so the free pool recycles.
@@ -333,9 +410,9 @@ class _Driver:
                 if tag % 9:
                     self.apply(("cancel", tag))
         else:
-            _, delta, max_events = action
+            _, delta, max_events, grace = action
             until = None if delta is None else self.loop.now + delta
-            self.loop.run(until=until, max_events=max_events)
+            self.loop.run(until=until, max_events=max_events, idle_grace=grace)
 
     def _fire(self, tag):
         self.log.append((tag, self.loop.now))
@@ -361,11 +438,24 @@ _SCHEDULES = st.recursive(
     ),
     max_leaves=8,
 )
-_RUNS = st.tuples(
-    st.just("run"),
-    st.one_of(st.none(), st.sampled_from([0.0, 0.0005, 0.01, 0.7]),
-              st.floats(min_value=0.0, max_value=2.0, allow_nan=False)),
-    st.one_of(st.none(), st.integers(0, 6)),
+_BUDGETS = st.one_of(st.none(), st.integers(0, 6))
+_RUNS = st.one_of(
+    # run(until=now + delta, max_events=...)
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.0005, 0.01, 0.7]),
+                  st.floats(min_value=0.0, max_value=2.0, allow_nan=False)),
+        _BUDGETS,
+        st.none(),
+    ),
+    # run(idle_grace=..., max_events=...): until and grace are exclusive
+    st.tuples(
+        st.just("run"),
+        st.none(),
+        _BUDGETS,
+        st.one_of(st.sampled_from([0.0, 0.0004, 0.001, 0.25, 0.6]),
+                  st.floats(min_value=0.0, max_value=1.5, allow_nan=False)),
+    ),
 )
 
 
@@ -374,7 +464,7 @@ class TestAgainstHeapReference:
                     max_size=30))
     def test_order_clock_and_pending_match_reference(self, program):
         real, reference = _Driver(EventLoop()), _Driver(_HeapReference())
-        for action in program + [("run", None, None)]:
+        for action in program + [("run", None, None, None)]:
             real.apply(action)
             reference.apply(action)
             assert real.state() == reference.state()
@@ -423,6 +513,35 @@ class TestCancellationCompaction:
         loop.run()
         assert order == sorted(order, key=lambda pair: pair[0])
         assert len(order) == len(keep)
+
+    def test_hundred_thousand_timers_half_cancelled(self):
+        # A depth no workload reaches (the ledger's queue_depth_max is
+        # 1-78): timers spread over 600 s, half cancelled in random order.
+        rng = random.Random(17)
+        loop = EventLoop()
+        order = []
+        started = time.perf_counter()
+        entries = []
+        for seq in range(100_000):
+            when = rng.uniform(0.0, 600.0)
+            entries.append((when, seq, loop.call_at(when, order.append, seq)))
+        assert loop.queue_depth == 100_000
+        doomed = rng.sample(range(100_000), 50_000)
+        for seq in doomed:
+            entries[seq][2].cancel()
+            # The compaction rule: dead entries stay below a quarter of
+            # the queue (or below the floor of 64).
+            assert loop.queue_depth <= loop.pending_events * 4 / 3 + 64
+        assert loop.pending_events == 50_000
+        dead = set(doomed)
+        survivors = sorted(entry[:2] for entry in entries if entry[1] not in dead)
+        del entries
+        end = loop.run()
+        assert order == [seq for _, seq in survivors]
+        assert end == survivors[-1][0]
+        assert loop.queue_depth == 0
+        # An O(queue) step per event would take minutes here.
+        assert time.perf_counter() - started < 60.0
 
     def test_cancel_after_run_does_not_corrupt_queue(self):
         loop = EventLoop()
