@@ -51,12 +51,6 @@ BENCHES = (
     Bench("BENCH_e19.json", "dash-bench-e19/2", "msgs_per_sec",
           "message-path regression: msgs/sec",
           (("loop_events_per_msg", "<=", 20.0),), show="{:.0f}"),
-    # Both providers run on the same box; the floors are the tentpoles'
-    # (PR 6 end to end, PR 15 the lane-packed MAC against the scalar loop).
-    Bench("BENCH_e21.json", "dash-bench-e21/1", "speedup_vs_scalar",
-          "secured-path regression: speedup",
-          (("speedup_vs_scalar", ">=", 3.0),
-           ("mac_speedup", ">=", 4.0))),
     # One resolver, so an absolute rate; the search count, recovery and
     # the soak's cache bound are simulation-exact.
     Bench("BENCH_e22.json", "dash-bench-e22/2", "churn_msgs_per_sec",

@@ -2,11 +2,12 @@
 
 The data-path transforms live behind the :mod:`repro.security.providers`
 registry -- select one by name (``StConfig(security_provider=...)``) and
-the subtransport binds its ``keystream``/``seal``/``open``/``mac``
-methods at negotiation time.  The low-level primitives live in
-:mod:`repro.security.cipher` and :mod:`repro.security.mac`, for the
-reference/oracle implementations and the control channel; new code
-negotiates a provider instead of hard-wiring a transform.
+the subtransport binds its ``seal``/``open``/``mac``/``verify`` methods
+at negotiation time.  The default, ``"shake-blake2"``, is the standard
+library's SHAKE-128 and keyed BLAKE2b.  :mod:`repro.security.mac` (a
+CBC-MAC over the XTEA rounds of :mod:`repro.security.cipher`) serves the
+ST control channel only; new code negotiates a provider instead of
+hard-wiring a transform.
 """
 
 from repro.security.checksum import (
@@ -22,8 +23,7 @@ from repro.security.providers import (
     HardwareProvider,
     NullProvider,
     SecurityProvider,
-    XteaScalarProvider,
-    XteaVectorProvider,
+    ShakeBlake2Provider,
     provider_names,
     register_provider,
     resolve_provider,
@@ -36,8 +36,7 @@ __all__ = [
     "MAC_BYTES",
     "NullProvider",
     "SecurityProvider",
-    "XteaScalarProvider",
-    "XteaVectorProvider",
+    "ShakeBlake2Provider",
     "checksum_bytes",
     "crc32",
     "fletcher16",

@@ -8,6 +8,7 @@ and its source label; a toy CBC-MAC built on the XTEA block cipher.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.errors import SecurityError
@@ -15,7 +16,8 @@ from repro.security.cipher import _check_key, _encrypt_words
 
 __all__ = ["compute_mac", "verify_mac", "MAC_BYTES"]
 
-#: Width of the MAC tag carried in message headers.
+#: Width of the MAC tag carried in message headers: the one definition,
+#: shared by the control channel here and every data-path provider.
 MAC_BYTES = 8
 
 _MASK32 = 0xFFFFFFFF
@@ -50,9 +52,4 @@ def verify_mac(key: bytes, data: bytes, tag: bytes, context: bytes = b"") -> boo
     """Check a tag; returns False rather than raising on mismatch."""
     if len(tag) != MAC_BYTES:
         raise SecurityError(f"MAC tag must be {MAC_BYTES} bytes, got {len(tag)}")
-    expected = compute_mac(key, data, context)
-    # Constant-time comparison is irrelevant in a simulator, but cheap.
-    result = 0
-    for a, b in zip(expected, tag):
-        result |= a ^ b
-    return result == 0
+    return hmac.compare_digest(compute_mac(key, data, context), tag)

@@ -60,12 +60,12 @@ class StConfig:
     #: Authentication handshake retransmission.
     auth_retry_timeout: float = 0.3
     auth_max_retries: int = 5
-    #: Which :mod:`repro.security.providers` engine negotiated channels
-    #: bind for their software transforms: ``"xtea-ct"`` (vectorized
-    #: default), ``"xtea-ct-ref"`` (scalar oracle, byte-identical
-    #: output -- the bench E21 ablation), ``"null"``/``"hw"`` (elided).
+    #: Which :mod:`repro.security.providers` entry negotiated channels
+    #: bind for their software transforms: ``"shake-blake2"`` (the
+    #: default: SHAKE-128 keystream, keyed BLAKE2b tag) or
+    #: ``"null"``/``"hw"`` (elided).
     #: Resolved once per ST RMS at negotiation time.
-    security_provider: str = "xtea-ct"
+    security_provider: str = "shake-blake2"
 
     def __post_init__(self) -> None:
         if self.send_stage_allowance < 0 or self.recv_stage_allowance < 0:

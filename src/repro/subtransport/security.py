@@ -39,7 +39,7 @@ from repro.subtransport.wire import FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC
 __all__ = ["DEFAULT_PROVIDER", "SecurityContext", "SecurityPlan", "plan_security"]
 
 #: The provider negotiated when the host configuration names none.
-DEFAULT_PROVIDER = "xtea-ct"
+DEFAULT_PROVIDER = "shake-blake2"
 
 _CHECKSUM_BYTES = 4
 _PACK_U32 = struct.Struct(">I").pack
@@ -105,9 +105,9 @@ class SecurityContext:
     """Per-ST-RMS security state, built once at negotiation time.
 
     Everything a message would otherwise re-derive is hoisted to
-    creation: the bound provider instance (key schedule and round
-    constants derived once), the encoded MAC-context prefix, the
-    wire-flag word, and the tag overhead.  ``_seal``/``_open``/``_mac``/
+    creation: the bound provider instance (keyed hash states derived
+    once), the encoded MAC-context prefix, the wire-flag word, and the
+    tag overhead.  ``_seal``/``_open``/``_mac``/
     ``_verify`` are the *provider's* bound methods -- swapping
     ``StConfig(security_provider=...)`` swaps the whole transform engine
     with no change to this class or its callers.

@@ -212,6 +212,12 @@ def decode_control(data: bytes) -> Dict[str, Any]:
         fields = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(f"mangled control message: {error}") from error
+    if not isinstance(fields, dict):
+        raise TransportError("control message is not a JSON object")
+    # "_mac" is reserved for the positional tag: whatever the body says
+    # under that key is the sender's to forge, so it never reaches the
+    # verifier.  A frame without a tag decodes without the key.
+    fields.pop("_mac", None)
     if mac is not None:
         fields["_mac"] = mac.hex()
     return fields

@@ -41,7 +41,7 @@ def fixture_dirs(tmp_path, **edits):
 def test_committed_files_pass_against_themselves(tmp_path):
     result = run_check(*fixture_dirs(tmp_path))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("(ratio 1.00)") == 5
+    assert result.stdout.count("(ratio 1.00)") == 4
     assert "churn_msgs_per_sec: committed" in result.stdout
 
 
@@ -57,7 +57,6 @@ def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
         e22__churn_recovery_ratio=0.99,    # simulation-exact
         e22__soak_cached_tables=217,       # key-vs-key bound (216 hosts)
         e19__loop_events_per_msg=25.0,     # simulation-exact ceiling
-        e21__mac_speedup=2.1,              # the scalar-era MAC ratio
         e23__jain_ecmp=0.1,                # key-vs-key check
     )
     result = run_check(base, current)
@@ -70,9 +69,8 @@ def test_regressed_ratio_floor_and_flag_each_fail(tmp_path):
     assert "BENCH_e22.json: churn_recovery_ratio == 1.0 does not hold" in errors
     assert "BENCH_e22.json: soak_cached_tables <= hosts" in errors
     assert "BENCH_e19.json: loop_events_per_msg <= 20.0" in errors
-    assert "BENCH_e21.json: mac_speedup >= 4.0 does not hold" in errors
     assert "BENCH_e23.json: jain_ecmp > jain_single" in errors
-    assert errors.count("FAIL ") == 6
+    assert errors.count("FAIL ") == 5
 
 
 def test_schema_drift_fails(tmp_path):

@@ -1,15 +1,16 @@
-"""Security-provider engine tests (bench E21's correctness side).
+"""Security-provider tests.
 
-The vectorized ``"xtea-ct"`` provider must be byte-identical to the
-scalar ``"xtea-ct-ref"`` oracle on every output -- keystream,
-ciphertext, MAC tag -- for random keys, nonces, offsets, and lengths
-(including empty and non-multiple-of-8 payloads).  Seeded-random
-property style, matching the repo's other property suites (no external
-property-testing dependency).
+The ``"shake-blake2"`` provider must be byte-identical to the one-shot
+definitions in ``tests/security_reference.py`` on every output --
+keystream, ciphertext, MAC tag -- for random keys, nonces and lengths
+(including empty payloads and ``memoryview`` slices at every alignment).
+Seeded-random property style, matching the repo's other property suites
+(no external property-testing dependency).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -18,20 +19,21 @@ from repro.core.params import RmsParams
 from repro.dash.system import DashSystem
 from repro.errors import ParameterError, SecurityError
 from repro.security.providers import (
-    _MAC_CHUNK,
-    _MAC_LANES,
-    _POLY_P,
     MAC_BYTES,
     HardwareProvider,
     NullProvider,
-    XteaScalarProvider,
-    XteaVectorProvider,
+    ShakeBlake2Provider,
     provider_names,
     register_provider,
     resolve_provider,
 )
 from repro.subtransport.config import StConfig
 from repro.subtransport.security import SecurityContext, plan_security
+from tests.security_reference import (
+    reference_keystream,
+    reference_mac,
+    reference_seal,
+)
 
 SEED = 20260808
 
@@ -59,230 +61,149 @@ def _random_cases(rng, count=40, max_len=1200):
 
 
 class TestVectorScalarEquivalence:
-    """The tentpole invariant: same bytes out of both engines."""
+    """The tentpole invariant: the provider's bytes are the oracle's."""
 
     def test_keystream_identical(self):
         rng = _rng()
         for key, nonce, length in _random_cases(rng):
-            scalar = XteaScalarProvider(key)
-            vector = XteaVectorProvider(key)
-            assert vector.keystream(nonce, length) == scalar.keystream(
-                nonce, length
+            provider = ShakeBlake2Provider(key)
+            assert provider.keystream(nonce, length) == reference_keystream(
+                key, nonce, length
             ), (nonce, length)
-
-    def test_keystream_identical_at_offsets(self):
-        rng = _rng()
-        for key, nonce, _ in _random_cases(rng, count=12):
-            scalar = XteaScalarProvider(key)
-            vector = XteaVectorProvider(key)
-            near_limit = (1 << 32) * 8 - 16
-            for offset in (0, 1, 7, 8, 9, 64, 1000, near_limit):
-                # Stay inside the per-nonce counter span at the limit.
-                length = 16 if offset == near_limit else rng.randrange(1, 200)
-                assert vector.keystream(
-                    nonce, length, offset=offset
-                ) == scalar.keystream(nonce, length, offset=offset)
 
     def test_seal_open_roundtrip_and_equivalence(self):
         rng = _rng()
         for key, nonce, length in _random_cases(rng):
             payload = rng.randbytes(length)
-            scalar = XteaScalarProvider(key)
-            vector = XteaVectorProvider(key)
-            sealed = vector.seal(nonce, payload)
-            assert sealed == scalar.seal(nonce, payload)
-            assert vector.open(nonce, sealed) == payload
-            assert scalar.open(nonce, sealed) == payload
+            provider = ShakeBlake2Provider(key)
+            sealed = provider.seal(nonce, payload)
+            assert sealed == reference_seal(key, nonce, payload)
+            assert provider.open(nonce, sealed) == payload
+            assert reference_seal(key, nonce, sealed) == payload
 
     def test_seal_accepts_memoryview(self):
         rng = _rng()
         payload = rng.randbytes(777)
         view = memoryview(payload)[100:600]
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        assert vector.seal(9, view) == scalar.seal(9, bytes(view))
-        assert vector.mac(view, b"ctx") == scalar.mac(bytes(view), b"ctx")
+        provider = ShakeBlake2Provider(KEY)
+        assert provider.seal(9, view) == reference_seal(KEY, 9, bytes(view))
+        assert provider.mac(view, b"ctx") == reference_mac(
+            KEY, bytes(view), b"ctx"
+        )
 
     def test_mac_identical(self):
         rng = _rng()
         for key, _, length in _random_cases(rng):
             payload = rng.randbytes(length)
             context = rng.randbytes(rng.randrange(0, 24))
-            scalar = XteaScalarProvider(key)
-            vector = XteaVectorProvider(key)
-            tag = vector.mac(payload, context)
-            assert tag == scalar.mac(payload, context)
+            provider = ShakeBlake2Provider(key)
+            tag = provider.mac(payload, context)
+            assert tag == reference_mac(key, payload, context)
             assert len(tag) == MAC_BYTES
-            assert vector.verify(payload, tag, context)
-            assert scalar.verify(payload, tag, context)
+            assert provider.verify(payload, tag, context)
 
     def test_mac_binds_context_and_data(self):
-        vector = XteaVectorProvider(KEY)
-        tag = vector.mac(b"payload", b"ctx")
-        assert not vector.verify(b"payload", tag, b"ctx2")
-        assert not vector.verify(b"payloae", tag, b"ctx")
+        provider = ShakeBlake2Provider(KEY)
+        tag = provider.mac(b"payload", b"ctx")
+        assert not provider.verify(b"payload", tag, b"ctx2")
+        assert not provider.verify(b"payloae", tag, b"ctx")
         with pytest.raises(SecurityError):
-            vector.verify(b"payload", tag[:-1], b"ctx")
-
-    def test_chunked_seal_matches_whole_stream(self):
-        """The ``offset=`` continuation API: sealing in chunks at the
-        right offsets equals sealing the whole buffer at once."""
-        rng = _rng()
-        payload = rng.randbytes(3000)
-        vector = XteaVectorProvider(KEY)
-        whole = vector.seal(5, payload)
-        pieces = []
-        offset = 0
-        while offset < len(payload):
-            step = rng.randrange(1, 400)
-            chunk = payload[offset : offset + step]
-            pieces.append(vector.seal(5, chunk, offset=offset))
-            offset += len(chunk)
-        assert b"".join(pieces) == whole
+            provider.verify(b"payload", tag[:-1], b"ctx")
 
     def test_mac_identical_at_every_length_and_alignment(self):
-        """Every payload length across the scalar / lane-packed seam
-        (0 ... three packed steps and a ragged end) at every alignment
-        of the ``context || len`` head, on the data that drives the
-        lanes highest."""
-        scalar = XteaScalarProvider(KEY)
-        vector = XteaVectorProvider(KEY)
-        rng = _rng()
-        ones = b"\xff" * (3 * _MAC_CHUNK + 9)
-        noise = rng.randbytes(len(ones))
-        for length in range(len(ones) + 1):
+        """Every payload length 0 ... 400 (past three BLAKE2b blocks and
+        a ragged end) under eight context lengths, read through a
+        ``memoryview`` slice starting at every alignment of the buffer:
+        the ``update`` chain over views against the one-shot
+        concatenation."""
+        provider = ShakeBlake2Provider(KEY)
+        noise = _rng().randbytes(400 + 8)
+        view = memoryview(noise)
+        for length in range(401):
             for context_length in range(8):
-                context = ones[:context_length]
-                assert vector.mac(
-                    memoryview(ones)[:length], context
-                ) == scalar.mac(ones[:length], context), (length, context_length)
-            context = rng.randbytes(length % 11)
-            assert vector.mac(noise[:length], context) == scalar.mac(
-                noise[:length], context
-            ), length
-
-    def test_mac_lanes_keep_headroom_on_adversarial_keys(self):
-        """Keys that put both multipliers of the packed step just under
-        the modulus: the lane bound in the class docstring has to hold
-        there, not only on random keys (a single fold per step fails
-        every one of these)."""
-        rng = _rng()
-        keys = []
-        while len(keys) < 16:
-            r = rng.randrange(_POLY_P * 9 // 10, _POLY_P) | 1
-            if r < _POLY_P and pow(r, 2 * _MAC_LANES, _POLY_P) * 100 > _POLY_P * 97:
-                keys.append(r.to_bytes(8, "big") + rng.randbytes(8))
-        for key in keys:
-            scalar = XteaScalarProvider(key)
-            vector = XteaVectorProvider(key)
-            assert vector._mac_r * 10 > _POLY_P * 9
-            assert vector._mac_rw * 100 > _POLY_P * 97
-            for size in (1 << 16, 1400):
-                data = b"\xff" * size
-                assert vector.mac(data, b"ctx") == scalar.mac(data, b"ctx"), (
-                    key.hex(), size
-                )
+                context = noise[:context_length]
+                for start in range(8):
+                    assert provider.mac(
+                        view[start : start + length], context
+                    ) == reference_mac(
+                        KEY, noise[start : start + length], context
+                    ), (length, context_length, start)
 
 
-class TestInflightKeystreams:
-    """``seal`` leaves its keystream for the matching ``open``; whatever
-    the map holds or lacks, the bytes are the scalar oracle's."""
+class TestShakeBlake2Definition:
+    """What the construction must be and must refuse, pinned without
+    reference to any implementation."""
 
-    def test_open_after_seal_hits(self):
-        rng = _rng()
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        for nonce, length in enumerate([1, 8, 9, 400, 1400, 1403]):
-            payload = rng.randbytes(length)
-            sealed = vector.seal(nonce, payload)
-            assert sealed == scalar.seal(nonce, payload)
-            assert vector.open(nonce, sealed) == payload
-        assert (vector.keystream_hits, vector.keystream_misses) == (6, 0)
-        assert not vector._inflight
+    def test_primitives_ship_with_every_cpython(self):
+        assert {"shake_128", "blake2b"} <= hashlib.algorithms_guaranteed
 
-    def test_open_without_seal_and_duplicate_open_regenerate(self):
-        rng = _rng()
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        payload = rng.randbytes(300)
-        sealed = scalar.seal(4, payload)
-        assert vector.open(4, sealed) == payload  # never sealed here
-        assert vector.seal(4, payload) == sealed
-        assert vector.open(4, sealed) == payload
-        assert vector.open(4, sealed) == payload  # a duplicate on the wire
-        assert (vector.keystream_hits, vector.keystream_misses) == (1, 2)
+    def test_known_answer(self):
+        """One ciphertext and one tag as literals: a change to the
+        prefix, the personalization, the nonce encoding or the framing
+        cannot pass by changing provider and oracle together."""
+        provider = ShakeBlake2Provider(KEY)
+        nonce = (7 << 32) | 3
+        sealed = provider.seal(nonce, b"DASH real-time message stream")
+        assert sealed.hex() == (
+            "ff3cdd1df7e74601d0d8efb171192a3d41e6879be20782b5775319d6df"
+        )
+        assert provider.keystream(nonce, 16).hex() == (
+            "bb7d8e55d7952360bcf59bd81c7c0a50"
+        )
+        assert provider.mac(sealed, b"a|3").hex() == "691ece5396b201be"
 
-    def test_open_of_another_length(self):
-        rng = _rng()
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        payload = rng.randbytes(600)
-        sealed = scalar.seal(7, payload)
-        vector.seal(7, payload[:200])
-        assert vector.open(7, sealed[:50]) == payload[:50]  # a prefix
-        assert (vector.keystream_hits, vector.keystream_misses) == (1, 0)
-        vector.seal(7, payload[:200])
-        assert vector.open(7, sealed) == payload  # longer: regenerated
-        assert (vector.keystream_hits, vector.keystream_misses) == (1, 1)
+    def test_keystream_separates_keys_nonces_and_streams(self):
+        provider = ShakeBlake2Provider(KEY)
+        other_key = ShakeBlake2Provider(bytes(range(1, 17)))
+        seq = 5
+        base = provider.keystream((1 << 32) | seq, 64)
+        assert other_key.keystream((1 << 32) | seq, 64) != base
+        assert provider.keystream((1 << 32) | (seq + 1), 64) != base
+        # Two streams (rms ids) at one sequence number under one key:
+        # the nonce is used at its full 64 bits, not reduced to ``seq``.
+        assert provider.keystream((2 << 32) | seq, 64) != base
+        assert provider.seal((2 << 32) | seq, b"x" * 64) != provider.seal(
+            (1 << 32) | seq, b"x" * 64
+        )
 
-    def test_interleaved_nonces_and_offsets(self):
-        rng = _rng()
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        spans = [
-            (nonce, offset, rng.randrange(1, 700))
-            for nonce in (1, 2, (9 << 32) | 1)  # the last aliases nonce 1
-            for offset in (0, 5, 8, 512)
-        ]
-        payloads = {span: rng.randbytes(span[2]) for span in spans}
-        sealed = {}
-        for span in spans:
-            nonce, offset, _ = span
-            sealed[span] = vector.seal(nonce, payloads[span], offset)
-            assert sealed[span] == scalar.seal(nonce, payloads[span], offset)
-        rng.shuffle(spans)
-        for span in spans:
-            nonce, offset, _ = span
-            assert vector.open(nonce, sealed[span], offset) == payloads[span]
+    def test_tag_separates_keys_and_contexts(self):
+        provider = ShakeBlake2Provider(KEY)
+        other_key = ShakeBlake2Provider(bytes(range(1, 17)))
+        tag = provider.mac(b"payload", b"a|5")
+        assert other_key.mac(b"payload", b"a|5") != tag
+        assert provider.mac(b"payload", b"a|6") != tag
+        assert provider.mac(b"payload", b"b|5") != tag
 
-    def test_unopened_seals_age_out(self):
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        for nonce in range(1000):
-            vector.seal(nonce, b"lost on the wire")
-            assert len(vector._inflight) <= XteaVectorProvider.INFLIGHT
-        # Oldest first: the latest seal is still there, the first is not.
-        first = scalar.seal(0, b"lost on the wire")
-        latest = scalar.seal(999, b"lost on the wire")
-        assert vector.open(999, latest) == b"lost on the wire"
-        assert vector.open(0, first) == b"lost on the wire"
-        assert (vector.keystream_hits, vector.keystream_misses) == (1, 1)
+    def test_length_word_keeps_context_and_data_apart(self):
+        provider = ShakeBlake2Provider(KEY)
+        assert provider.mac(b"bc", b"a") != provider.mac(b"c", b"ab")
 
-    def test_scalar_oracle_keeps_no_map(self):
-        scalar = XteaScalarProvider(KEY)
-        scalar.open(1, scalar.seal(1, b"payload"))
-        assert not hasattr(scalar, "_inflight")
-        assert not hasattr(scalar, "keystream_hits")
+    @pytest.mark.parametrize("size", [0, 15, 17, 32])
+    def test_key_of_the_wrong_size_raises(self, size):
+        with pytest.raises(SecurityError, match="16 bytes"):
+            ShakeBlake2Provider(bytes(size))
+
+    @pytest.mark.parametrize("nonce", [-1, 2**64])
+    def test_nonce_out_of_range_raises(self, nonce):
+        provider = ShakeBlake2Provider(KEY)
+        with pytest.raises(SecurityError, match="nonce"):
+            provider.keystream(nonce, 8)
+        with pytest.raises(SecurityError, match="nonce"):
+            provider.seal(nonce, b"payload")
+        with pytest.raises(SecurityError, match="nonce"):
+            provider.open(nonce, b"payload")
+
+    def test_nonce_at_both_ends_of_the_range(self):
+        provider = ShakeBlake2Provider(KEY)
+        for nonce in (0, 2**64 - 1):
+            assert provider.keystream(nonce, 24) == reference_keystream(
+                KEY, nonce, 24
+            )
 
 
 class TestCounterWraparound:
-    """Overflowing the 64-bit counter block must raise, not wrap."""
-
-    def test_keystream_overflow_raises(self):
-        limit_bytes = (1 << 32) * 8
-        for provider in (XteaScalarProvider(KEY), XteaVectorProvider(KEY)):
-            with pytest.raises(SecurityError):
-                provider.keystream(0, limit_bytes + 8)
-            with pytest.raises(SecurityError):
-                provider.keystream(0, 16, offset=limit_bytes - 8)
-
-    def test_keystream_at_the_limit_is_fine(self):
-        vector = XteaVectorProvider(KEY)
-        scalar = XteaScalarProvider(KEY)
-        offset = (1 << 32) * 8 - 8
-        assert vector.keystream(3, 8, offset=offset) == scalar.keystream(
-            3, 8, offset=offset
-        )
+    """``cipher.py``'s counter mode (the control channel's substrate)
+    must raise on a counter overflow, not wrap."""
 
     def test_legacy_streamcipher_guard(self):
         from repro.security.cipher import StreamCipher
@@ -293,9 +214,7 @@ class TestCounterWraparound:
 
 class TestRegistry:
     def test_known_names(self):
-        names = provider_names()
-        for name in ("xtea-ct", "xtea-ct-ref", "null", "hw"):
-            assert name in names
+        assert provider_names() == ("hw", "null", "shake-blake2")
 
     def test_resolve_unknown_raises(self):
         with pytest.raises(SecurityError, match="unknown security provider"):
@@ -337,11 +256,15 @@ class TestNegotiation:
         system = DashSystem(seed=1)
         network = system.add_ethernet(trusted=False)
         params = RmsParams(privacy=True, authentication=True)
-        plan = plan_security(params, network, "xtea-ct-ref")
-        assert plan.provider == "xtea-ct-ref"
-        assert plan.factory is XteaScalarProvider
+        assert StConfig().security_provider == "shake-blake2"
+        default = plan_security(params, network)
+        assert default.provider == "shake-blake2"
+        assert default.factory is ShakeBlake2Provider
+        plan = plan_security(params, network, "null")
+        assert plan.provider == "null"
+        assert plan.factory is NullProvider
         context = SecurityContext(plan, KEY, "a", 7)
-        assert isinstance(context.provider, XteaScalarProvider)
+        assert isinstance(context.provider, NullProvider)
 
     def test_context_resolves_handbuilt_plan(self):
         from repro.subtransport.security import SecurityPlan
@@ -349,26 +272,27 @@ class TestNegotiation:
         plan = SecurityPlan(
             encrypt=True, mac=False, checksum=False,
             network_privacy=False, network_authentication=False,
-            provider="xtea-ct",
+            provider="shake-blake2",
         )
         context = SecurityContext(plan, KEY, "a", 7)
-        assert isinstance(context.provider, XteaVectorProvider)
+        assert isinstance(context.provider, ShakeBlake2Provider)
 
     def test_context_transform_roundtrip(self):
+        """The wire bytes of one component, built by hand from the
+        oracle: sealed under ``(rms_id << 32) | seq``, tagged over the
+        ciphertext with the sender label and sequence number as
+        context."""
         system = DashSystem(seed=1)
         network = system.add_ethernet(trusted=False)
         params = RmsParams(privacy=True, authentication=True)
-        contexts = [
-            SecurityContext(plan_security(params, network, name), KEY, "a", 7)
-            for name in ("xtea-ct", "xtea-ct-ref")
-        ]
+        context = SecurityContext(plan_security(params, network), KEY, "a", 7)
         payload = b"x" * 100
-        wires = [c.protect(3, payload) for c in contexts]
-        assert wires[0] == wires[1]
-        for context in contexts:
-            data, reason = context.unprotect(context.flags, 3, wires[0])
-            assert reason is None
-            assert data == payload
+        wire = context.protect(3, memoryview(payload))
+        sealed = reference_seal(KEY, (7 << 32) | 3, payload)
+        assert wire == sealed + reference_mac(KEY, sealed, b"a|3")
+        data, reason = context.unprotect(context.flags, 3, wire)
+        assert reason is None
+        assert data == payload
 
 
 def _secured_trace(provider, messages=40, loss=0.04):
@@ -401,14 +325,15 @@ def _secured_trace(provider, messages=40, loss=0.04):
 
 
 class TestSecuredTraceEquivalence:
-    """Swapping the engine must not change *anything* observable: same
-    deliveries at the same simulated times on a lossy secured channel."""
+    """The transform is invisible to the model: with the byte transforms
+    elided (``"null"``) the lossy secured channel makes the same
+    deliveries at the same simulated times."""
 
     def test_vectorized_matches_scalar_oracle(self):
-        fast = _secured_trace("xtea-ct")
-        oracle = _secured_trace("xtea-ct-ref")
-        assert len(fast) > 0
-        assert fast == oracle
+        real = _secured_trace("shake-blake2")
+        elided = _secured_trace("null")
+        assert len(real) > 0
+        assert real == elided
 
 
 class TestDeprecationShims:

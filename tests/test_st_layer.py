@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.message import Message
+from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
+from repro.security.mac import MAC_BYTES
 from repro.sim.context import SimContext
+from repro.sim.trace import Tracer
 from repro.subtransport.config import StConfig
-from repro.subtransport.st import SubtransportLayer
+from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
 from repro.subtransport.wire import (
     BundleEntry,
     FLAG_CHECKSUM,
@@ -56,6 +60,20 @@ def open_rms(context, st, peer="b", port="app", p=None, fast_ack=False, until=5.
                               fast_ack=fast_ack)
     context.run(until=context.now + until)
     return future.result()
+
+
+#: Privacy + authentication on a message size that fragments (~6 frames
+#: of an Ethernet's maximum component each).
+SECURED_BULK = params(capacity=65_536, max_message_size=8_000).with_(
+    privacy=True, authentication=True
+)
+
+
+def _flip_bit(payload, index):
+    """``payload`` with the low bit of byte ``index`` flipped."""
+    flipped = bytearray(payload)
+    flipped[index] ^= 0x01
+    return bytes(flipped)
 
 
 class TestStEstablishment:
@@ -312,28 +330,102 @@ class TestStSecurityPath:
         assert len(wire_one) == len(wire_two) == len(plaintext)
         assert wire_one != wire_two
 
-    def test_fragmented_secured_send_opens_from_the_inflight_map(self):
-        """Both ends of an in-process stream hold one provider, so the
-        keystream a fragment was sealed with is the one it is opened
-        with: the receiver regenerates (almost) nothing."""
-        context, _net, st_a, st_b = build_pair(trusted=False)
-        secured = params(capacity=65_536, max_message_size=8_000).with_(
-            privacy=True, authentication=True
-        )
-        rms = open_rms(context, st_a, p=secured)
+    def test_every_fragment_is_sealed_on_the_wire(self):
+        """Fragments are sealed per component: each one on the wire
+        differs from the plaintext slice it carries, and no two of them
+        were sealed with the same keystream."""
+        context, network, st_a, st_b = build_pair(trusted=False)
+        rms = open_rms(context, st_a, p=SECURED_BULK)
         got = []
         rms.port.set_handler(got.append)
-        bodies = [bytes([index]) * 8_000 for index in range(12)]
-        for start in range(0, len(bodies), 4):
-            for body in bodies[start:start + 4]:
-                rms.send(body)
-            context.run(until=context.now + 0.5)
-        assert [m.payload for m in got] == bodies
-        assert st_a.stats.fragments_sent >= 6 * len(bodies)
-        provider = rms.security.provider
-        opens = provider.keystream_hits + provider.keystream_misses
-        assert opens == st_a.stats.fragments_sent
-        assert provider.keystream_hits >= 0.99 * opens
+        fragments = []
+
+        def sniff(frame):
+            fragments.extend(decode_bundle(bytes(frame.message.payload)))
+
+        network.add_sniffer(sniff)
+        body = b"\x07" * 8_000
+        rms.send(body)
+        context.run(until=context.now + 0.5)
+        assert [m.payload for m in got] == [body]
+        assert len(fragments) == st_a.stats.fragments_sent >= 6
+        assert sum(len(f.payload) - MAC_BYTES for f in fragments) == len(body)
+        sealed = []
+        for fragment in fragments:
+            assert fragment.flags & FLAG_ENCRYPTED and fragment.flags & FLAG_MAC
+            ciphertext = bytes(fragment.payload)[:-MAC_BYTES]
+            start = fragment.frag_offset
+            assert ciphertext != body[start : start + len(ciphertext)]
+            sealed.append(ciphertext[:64])
+        # The plaintext is one repeated byte, so equal ciphertext
+        # prefixes would mean a reused keystream.
+        assert len(set(sealed)) == len(sealed)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda entry, previous, other_id: replace(
+            entry, payload=_flip_bit(entry.payload, 0)),
+        lambda entry, previous, other_id: replace(
+            entry, payload=_flip_bit(entry.payload, -1)),
+        lambda entry, previous, other_id: replace(
+            entry, payload=bytes(previous.payload)),
+        lambda entry, previous, other_id: replace(
+            entry, st_rms_id=other_id),
+    ], ids=["ciphertext-bit", "tag-bit", "replayed-under-next-seq",
+            "relabelled-stream"])
+    def test_tampered_component_fails_authentication(self, tamper):
+        """An active adversary on the untrusted medium rewrites one
+        fragment of one message: it is dropped as an authentication
+        failure, counted once, its message is never delivered, nothing
+        raises, and every untampered message arrives whole and in
+        order -- on the stream attacked and on its neighbour."""
+        context, network, st_a, st_b = build_pair(trusted=False)
+        context.tracer = Tracer(context.loop, {"rms"})
+        rms, other = (
+            open_rms(context, st_a, port=port, p=SECURED_BULK)
+            for port in ("one", "two")
+        )
+        got, got_other = [], []
+        rms.port.set_handler(got.append)
+        other.port.set_handler(got_other.append)
+
+        class RewriteThirdFragment(ImpairmentModel):
+            """The medium alters the third frame it carries for ``rms``;
+            ``tamper`` also sees the component before it."""
+
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def maybe_corrupt(self, frame, rng):
+                (entry,) = decode_bundle(bytes(frame.message.payload))
+                if entry.st_rms_id == rms.rms_id:
+                    self.seen.append(entry)
+                    if len(self.seen) == 3:
+                        forged = tamper(entry, self.seen[-2], other.rms_id)
+                        frame.message.payload = encode_bundle([forged])
+                return False
+
+        bodies = [bytes([index + 1]) * 8_000 for index in range(4)]
+        other_bodies = [b"o" * 8_000, b"p" * 8_000]
+        rms.send(bodies[0])
+        other.send(other_bodies[0])
+        context.run(until=context.now + 0.5)
+        network.segment.impairment = RewriteThirdFragment()
+        for body in bodies[1:]:
+            rms.send(body)
+        other.send(other_bodies[1])
+        context.run(until=context.now + 0.5)
+
+        assert [m.payload for m in got] == [bodies[0], bodies[2], bodies[3]]
+        assert [m.payload for m in got_other] == other_bodies
+        assert st_b.stats.auth_drops == 1
+        assert st_b.stats.partials_discarded == 1
+        assert st_b.stats.checksum_drops == st_b.stats.garbled_bundles == 0
+        reasons = [
+            record.fields["reason"]
+            for record in context.tracer.select("rms", "drop")
+        ]
+        assert reasons == ["authentication failure", "partial discarded"]
 
     def test_trusted_stream_plaintext_on_wire(self):
         context, network, st_a, st_b = build_pair(trusted=True)
@@ -400,6 +492,42 @@ class TestStSecurityPath:
         context.run(until=context.now + 1.0)
         assert len(acks) == 1
         assert st_b.stats.fast_acks_sent == 1
+
+
+class TestStHostileControlFrames:
+    """Anyone on an untrusted medium can write to the control port: a
+    frame that is not a tagged JSON object is a counted, typed drop --
+    never an exception out of the event loop."""
+
+    @pytest.mark.parametrize("body, counter", [
+        (b'{"op":"st_close","st_id":%d,"_mac":"zz"}', "auth_drops"),
+        (b'{"op":"st_close","st_id":%d,"_mac":"ab"}', "auth_drops"),
+        (b'{"op":"st_close","st_id":%d,"_mac":5}', "auth_drops"),
+        (b"[1,%d]", "garbled_bundles"),
+    ], ids=["mac-not-hex", "mac-too-short", "mac-not-a-string", "not-an-object"])
+    def test_untagged_frame_is_a_typed_drop(self, body, counter):
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        first = open_rms(context, st_a, port="before")
+        counters = ("auth_drops", "garbled_bundles")
+        before = {name: getattr(st_b.stats, name) for name in counters}
+        hostile = Message(
+            b"\x01" + body % first.rms_id,
+            source=Label("a", CONTROL_PORT),
+            target=Label("b", CONTROL_PORT),
+        )
+        st_a._peer("b").control_out.send(hostile, deadline=context.now + 0.05)
+        context.run(until=context.now + 1.0)  # nothing raises
+        after = {name: getattr(st_b.stats, name) for name in counters}
+        before[counter] += 1
+        assert after == before
+        # The forged "st_close" did not take the open stream down.
+        assert first.rms_id in st_b._rx
+        rms = open_rms(context, st_a, port="after")
+        got = []
+        rms.port.set_handler(got.append)
+        rms.send(b"still here")
+        context.run(until=context.now + 1.0)
+        assert [m.payload for m in got] == [b"still here"]
 
 
 class TestStFailure:

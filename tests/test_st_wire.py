@@ -121,6 +121,22 @@ class TestControlCodec:
         with pytest.raises(TransportError):
             decode_control(b"\x07{}")
 
+    @pytest.mark.parametrize("body", [b"[1,2]", b"5", b'"st_close"', b"null"])
+    def test_body_that_is_not_an_object_rejected(self, body):
+        with pytest.raises(TransportError, match="not a JSON object"):
+            decode_control(b"\x01" + body)
+
+    @pytest.mark.parametrize("forged", ['"zz"', '"ab"', "5", "null"])
+    def test_mac_key_in_the_body_is_discarded(self, forged):
+        """``"_mac"`` is reserved for the positional tag: a body cannot
+        plant its own, with or without a real tag behind it."""
+        body = b'\x01{"op":"st_close","_mac":' + forged.encode() + b"}"
+        assert decode_control(body) == {"op": "st_close"}
+        mac = bytes(range(8))
+        assert decode_control(body + b"\x02" + mac) == {
+            "op": "st_close", "_mac": mac.hex(),
+        }
+
     def test_mac_material_excludes_mac_and_is_canonical(self):
         one = control_mac_material({"b": 2, "a": 1, "_mac": "ff"})
         two = control_mac_material({"a": 1, "b": 2})
