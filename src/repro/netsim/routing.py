@@ -59,10 +59,13 @@ This module amortizes and scopes that work:
   the tables whose shortest-path tree uses it and the plans that
   traverse it.  A link going *down* only removes paths, so every
   cached route that avoids it is still shortest: only the indexed
-  dependents are dropped.  A link coming *up* can improve any route,
-  but only for sources where ``dist(src, u) + w(u, v) < dist(src, v)``
-  -- an O(sources) probe against the cached distance maps identifies
-  exactly those, and disjoint routes are untouched.  Under ECMP the
+  dependents are dropped.  A search that leaves share is filed once,
+  when it runs, under its memo key; a leaf that copies it joins the
+  key's leaf set and files only its own up-link.  A link coming *up*
+  can improve any route, but only for sources where ``dist(src, u) +
+  w(u, v) < dist(src, v)`` -- an O(sources) probe against the cached
+  distance maps identifies exactly those, and disjoint routes are
+  untouched.  Under ECMP the
   down case gets gentler still: if a flapped edge (u, v) leaves
   ``preds[v]`` non-empty, the distances are all still optimal, so the
   table survives with the DAG pruned in place (no rebuild) and only
@@ -253,7 +256,11 @@ class ForwardingEngine:
         #: (the fixed-topology fast path skips this bookkeeping).  Plan
         #: and path-set buckets are insertion-ordered dicts keyed by the
         #: object, which leaves every bucket it is in when it is killed.
-        self._edge_tables: Dict[_EdgeKey, Set[str]] = {}
+        #: Per edge, who owns a search whose tree (DAG under ECMP) uses
+        #: it: a source name, or the memo key of a shared search, which
+        #: ``_search_leaves`` maps to the leaves that took a copy.
+        self._edge_tables: Dict[_EdgeKey, set] = {}
+        self._search_leaves: Dict[Tuple[str, float], Set[str]] = {}
         self._edge_plans: Dict[_EdgeKey, Dict[RoutePlan, None]] = {}
         self._src_plans: Dict[str, Dict[RoutePlan, None]] = {}
         self._edge_pathsets: Dict[_EdgeKey, Dict[PathSet, None]] = {}
@@ -341,6 +348,8 @@ class ForwardingEngine:
             shared = self._search_memo.get(key)
             if shared is None:
                 shared = self._search_memo[key] = self._search(*key)
+                if self._track:
+                    self._file_search(key, shared[1], shared[2])
             distances, previous, preds = dict(shared[0]), dict(shared[1]), shared[2]
             distances[src] = 0.0
             previous[gateway] = src
@@ -349,23 +358,37 @@ class ForwardingEngine:
                 preds = {node: list(plist) for node, plist in preds.items()}
                 preds[gateway] = [src]
                 preds.pop(src, None)
+            if self._track:
+                # The copy is found through the key; the one edge that is
+                # the leaf's alone is filed under the leaf.
+                self._search_leaves.setdefault(key, set()).add(src)
+                self._edge_tables.setdefault((src, gateway), set()).add(src)
         else:
             distances, previous, preds = self._search(src, 0.0)
+            if self._track:
+                self._file_search(src, previous, preds)
         table = ForwardingTable(src, distances, previous, self.epoch, preds)
         self._tables[src] = table
         self.table_builds += 1
-        if self._track:
-            edge_tables = self._edge_tables
-            if preds is not None:
-                # Every DAG edge, not just the tree: pruning needs to
-                # find the table from any flapped equal-cost sibling.
-                for node, plist in preds.items():
-                    for pred_node in plist:
-                        edge_tables.setdefault((pred_node, node), set()).add(src)
-            else:
-                for edge in zip(previous.values(), previous):
-                    edge_tables.setdefault(edge, set()).add(src)
         return table
+
+    def _file_search(self, owner, previous, preds) -> None:
+        # File one search under every edge of its tree -- under ECMP
+        # every DAG edge, not just the tree: pruning needs to find the
+        # table from any flapped equal-cost sibling.  ``owner`` is the
+        # source that ran the search for itself, or the memo key of a
+        # search its leaves copy (``_search_leaves``).
+        if preds is not None:
+            edges = ((p, node) for node, plist in preds.items() for p in plist)
+        else:
+            edges = zip(previous.values(), previous)
+        edge_tables = self._edge_tables
+        for edge in edges:
+            bucket = edge_tables.get(edge)
+            if bucket is None:
+                edge_tables[edge] = {owner}
+            else:
+                bucket.add(owner)
 
     def plan(self, src: str, dst: str) -> RoutePlan:
         """The compiled canonical plan for (src, dst); raises RoutingError."""
@@ -580,6 +603,7 @@ class ForwardingEngine:
         self._pathsets.clear()
         self._search_memo.clear()
         self._edge_tables.clear()
+        self._search_leaves.clear()
         for index in self._object_indexes:
             for bucket in index.values():
                 bucket.clear()  # dead plans may outlive us in an RMS
@@ -651,7 +675,15 @@ class ForwardingEngine:
             return
         self._search_memo.clear()
         edge = (u, v)
-        for src in self._edge_tables.pop(edge, ()):
+        sources: Set[str] = set()
+        for owner in self._edge_tables.pop(edge, ()):
+            # A memo key stands for every leaf that copied its search.
+            leaves = self._search_leaves.get(owner)
+            if leaves is None:
+                sources.add(owner)
+            else:
+                sources.update(leaves)
+        for src in sources:
             table = self._tables.get(src)
             if table is None:
                 continue
@@ -711,6 +743,7 @@ class ForwardingEngine:
                  "edge_pruned", "edge_tables")
         indexes = self._object_indexes + (self._edge_tables,)
         sizes = {n: sum(map(len, i.values())) for n, i in zip(names, indexes)}
+        sizes["search_leaves"] = sum(map(len, self._search_leaves.values()))
         sizes["search_memo"] = len(self._search_memo)
         return sizes
 

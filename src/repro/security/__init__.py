@@ -4,10 +4,10 @@ The data-path transforms live behind the :mod:`repro.security.providers`
 registry -- select one by name (``StConfig(security_provider=...)``) and
 the subtransport binds its ``seal``/``open``/``mac``/``verify`` methods
 at negotiation time.  The default, ``"shake-blake2"``, is the standard
-library's SHAKE-128 and keyed BLAKE2b.  :mod:`repro.security.mac` (a
-CBC-MAC over the XTEA rounds of :mod:`repro.security.cipher`) serves the
-ST control channel only; new code negotiates a provider instead of
-hard-wiring a transform.
+library's SHAKE-128 and keyed BLAKE2b.  :mod:`repro.security.mac` (keyed
+BLAKE2b under its own personalization, tagging the source label with
+the message) serves the ST control channel only; new code negotiates a
+provider instead of hard-wiring a transform.
 """
 
 from repro.security.checksum import (

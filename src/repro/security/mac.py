@@ -1,18 +1,20 @@
-"""Authentication: message authentication codes.
+"""Authentication: the control channel's message authentication code.
 
 The RMS authentication parameter guarantees that "impersonation
 (delivery of a message with incorrect source label) is impossible"
-(section 2.1).  The ST realizes this with a keyed MAC over the message
-and its source label; a toy CBC-MAC built on the XTEA block cipher.
+(section 2.1).  The ST realizes this on its control channel with a
+keyed MAC over the message and its source label: the standard library's
+keyed BLAKE2b, its digest size set to the tag width every data-path
+provider shares.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import struct
 
 from repro.errors import SecurityError
-from repro.security.cipher import _check_key, _encrypt_words
 
 __all__ = ["compute_mac", "verify_mac", "MAC_BYTES"]
 
@@ -20,32 +22,29 @@ __all__ = ["compute_mac", "verify_mac", "MAC_BYTES"]
 #: shared by the control channel here and every data-path provider.
 MAC_BYTES = 8
 
-_MASK32 = 0xFFFFFFFF
+_KEY_BYTES = 16
+#: Domain separation from the data-path providers' tag: the same key,
+#: context and data never yield the same tag on both channels.
+_PERSON = b"dash/ctl"
+_PACK_U32 = struct.Struct(">I").pack
 
 
 def compute_mac(key: bytes, data: bytes, context: bytes = b"") -> bytes:
-    """An 8-byte CBC-MAC tag over ``context || len || data``.
+    """An 8-byte keyed BLAKE2b tag over ``context || len || data``.
 
     The length prefix prevents trivial extension ambiguity between the
-    context (e.g. the source label) and the payload.  ``data`` may be
-    any bytes-like object: the material is assembled with one ``join``
-    (no concatenation chain), so ``memoryview`` payloads from the
-    zero-copy datapath are read without an intermediate ``bytes()``.
+    context (the source label) and the payload.  ``data`` may be any
+    bytes-like object: it is fed to the hash by ``update()``, so
+    ``memoryview`` payloads are read without an intermediate ``bytes()``.
     """
-    material = b"".join((context, struct.pack(">I", len(data)), data))
-    if len(material) % 8:
-        material += b"\x00" * (8 - len(material) % 8)
-    # CBC chaining on 64-bit integers: the key schedule is unpacked once
-    # and the XOR mixes whole blocks, with byte-identical tags to the
-    # original per-byte implementation.
-    k = _check_key(key)
-    state = 0
-    from_bytes = int.from_bytes
-    for offset in range(0, len(material), 8):
-        mixed = state ^ from_bytes(material[offset : offset + 8], "big")
-        v0, v1 = _encrypt_words(k, mixed >> 32, mixed & _MASK32)
-        state = (v0 << 32) | v1
-    return state.to_bytes(8, "big")
+    if len(key) != _KEY_BYTES:
+        raise SecurityError(
+            f"control key must be {_KEY_BYTES} bytes, got {len(key)}"
+        )
+    state = hashlib.blake2b(key=key, person=_PERSON, digest_size=MAC_BYTES)
+    state.update(context + _PACK_U32(len(data)))
+    state.update(data)
+    return state.digest()
 
 
 def verify_mac(key: bytes, data: bytes, tag: bytes, context: bytes = b"") -> bool:

@@ -47,8 +47,9 @@ from repro.errors import (
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
-# The control channel keeps the legacy CBC-MAC envelope; the *data* path
-# runs whatever provider the channel negotiated (see SecurityContext).
+# The control channel tags its frames with this module function; the
+# *data* path runs whatever provider the channel negotiated (see
+# SecurityContext).
 from repro.security.mac import compute_mac, verify_mac
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
@@ -616,7 +617,11 @@ class SubtransportLayer:
 
     def _send_control(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
         key = self._session_key(peer.host_name)
-        mac = compute_mac(key, control_mac_material(fields))
+        # The pairwise key is symmetric: the tag binds the source label,
+        # or a host's own frames would verify when played back to it.
+        mac = compute_mac(
+            key, control_mac_material(fields), self.host.name.encode()
+        )
         message = Message(
             encode_control(fields, mac=mac),
             source=Label(self.host.name, CONTROL_PORT),
@@ -694,7 +699,10 @@ class SubtransportLayer:
         key = self._session_key(peer.host_name)
         mac_hex = fields.get("_mac")
         if mac_hex is None or not verify_mac(
-            key, control_mac_material(fields), bytes.fromhex(mac_hex)
+            key,
+            control_mac_material(fields),
+            bytes.fromhex(mac_hex),
+            peer.host_name.encode(),
         ):
             self.stats.auth_drops += 1
             return

@@ -13,6 +13,7 @@ different access bandwidths.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
@@ -248,3 +249,142 @@ class TestSiblingTables:
         assert network.route_between("h2", "h3") == ["h2"] + direct[1:]
         network.add_link("h0", "g1x2", **ACCESS)  # topology grew
         assert engine.index_sizes()["search_memo"] == 0
+
+
+def all_pairs_cost_exact(network):
+    """Every host pair of a warm engine: reachability and cost as the
+    reference has them (ties may break differently after a link-up)."""
+    def cost(route):
+        return sum(network._weights[hop] for hop in zip(route, route[1:]))
+
+    hosts = sorted(network.hosts)
+    for src in hosts:
+        for dst in hosts:
+            route = reference_route(network, src, dst)
+            mine = route_or_none(network, src, dst)
+            assert (mine is None) == (route is None), (src, dst)
+            assert network.can_reach(src, dst) == (route is not None)
+            if route is not None:
+                assert cost(mine) == cost(route), (src, dst)
+
+
+class TestSharedRegistration:
+    """A shared search is filed once, under its memo key; a leaf is found
+    through the key and owns only its up-link.  These are the cases where
+    that index can answer differently from one filed per host."""
+
+    # (leaf -> gateway) alone, (gateway -> leaf) alone, both, both back.
+    ACCESS_STEPS = [("out", False), ("out", True), ("in", False),
+                    ("out", False), ("in", True), ("out", True)]
+
+    @staticmethod
+    def access_network(ecmp, steps, warm):
+        shape = {"kind": "grid", "a": 2, "b": 3, "hosts": [2] * 9,
+                 "dark": "both"}
+        network = build(shape, ecmp=ecmp)
+        trunk = network.link("g0x1", "g0x2")
+        trunk.set_down()  # tracking on before the first access flap
+        trunk.set_up()
+        for direction, up in steps:
+            if warm:
+                all_pairs_cost_exact(network)
+            edge = ("h0", "g0x0") if direction == "out" else ("g0x0", "h0")
+            link = network.link(*edge)
+            link.set_up() if up else link.set_down()
+        return network
+
+    @pytest.mark.parametrize("ecmp", [False, True], ids=["single", "ecmp"])
+    def test_directed_access_link_flaps(self, ecmp):
+        for step in range(1, len(self.ACCESS_STEPS) + 1):
+            steps = self.ACCESS_STEPS[:step]
+            # Warm: every table and the memo live when the link changes.
+            warm = self.access_network(ecmp, steps, warm=True)
+            all_pairs_cost_exact(warm)
+            # Fresh: no table survives a link-up, so routes are *equal*.
+            fresh = self.access_network(ecmp, steps, warm=False)
+            for src in nodes_of(fresh):
+                for dst in nodes_of(fresh):
+                    assert (route_or_none(fresh, src, dst)
+                            == reference_route(fresh, src, dst))
+
+    def test_down_link_of_a_leaf_drops_every_table_that_reaches_it(self):
+        network = self.access_network(False, [], warm=True)
+        engine = network._engine
+        all_pairs_cost_exact(network)
+        network.link("g0x0", "h0").set_down()
+        # Whoever could reach h0 did so over this edge (the parent's drop
+        # set); h0's own table may go with its siblings', never stay
+        # where theirs would not.
+        assert not set(engine._tables) - {"h0", "dark", "p0", "p1"}
+        assert not network.can_reach("h1", "h0")
+        assert network.can_reach("h0", "h1")
+
+    @staticmethod
+    def tie_square():
+        """h0, h1 behind g0x0; two equal-cost ways round to g1x1."""
+        context = SimContext(seed=1)
+        network = InternetNetwork(context)
+        build_grid(network, 2, 2, hosts_per_router=2)
+        return network
+
+    @pytest.mark.parametrize("victim", ["older", "newer"])
+    def test_siblings_built_in_different_link_states(self, victim):
+        network = self.tie_square()
+        engine = network._engine
+        far = "h6"  # behind g1x1
+        network.link("g0x1", "g1x1").set_down()  # tracking on
+        older = ["h0", "g0x0", "g1x0", "g1x1", far]
+        assert network.route_between("h0", far) == older
+        # The restored trunk only ties: h0's table is spared, h1's is
+        # built from a new search under the same key, which takes it.
+        network.link("g0x1", "g1x1").set_up()
+        spared = engine.table("h0")
+        newer = ["h1", "g0x0", "g0x1", "g1x1", far]
+        assert network.route_between("h1", far) == newer
+        assert network.route_between("h1", far) == reference_route(
+            network, "h1", far)
+        assert engine._tables["h0"] is spared
+        assert network.route_between("h0", far) == older
+        all_pairs_cost_exact(network)
+        # An edge only one of the two trees uses: its user is dropped, as
+        # it was when each host filed its own copy (the other may be).
+        if victim == "older":
+            network.link("g1x0", "g1x1").set_down()
+            assert "h0" not in engine._tables
+            assert network.route_between("h0", far) == ["h0"] + newer[1:]
+        else:
+            network.link("g0x1", "g1x1").set_down()
+            assert "h1" not in engine._tables
+            assert network.route_between("h1", far) == ["h1"] + older[1:]
+        all_pairs_cost_exact(network)
+
+    def test_a_search_is_filed_once_not_once_per_host(self):
+        """The 6x6 grid with 6 hosts a router, plus one two-homed host,
+        after a tracked full sweep: one registration per search edge."""
+        context = SimContext(seed=1)
+        network = InternetNetwork(context)
+        mesh = build_grid(network, 6, 6, hosts_per_router=6)
+        network.attach(Host(context, "multi"))
+        for gateway in ("g0x0", "g5x5"):
+            network.add_link("multi", gateway, **ACCESS)
+        engine = network._engine
+        trunk = network.link("g2x2", "g2x3")
+        trunk.set_down()  # tracking on, every cache empty
+        trunk.set_up()
+        before = engine.searches
+        for src in sorted(network.hosts):
+            engine.table(src)
+        nodes = len(network.hosts) + len(network.routers)
+        leaves = len(mesh.hosts)
+        searches = engine.searches - before
+        assert (nodes, leaves, searches) == (253, 216, 36 + 1)
+        sizes = engine.index_sizes()
+        assert sizes["search_leaves"] == leaves
+        # 36 shared searches and multi's own, a spanning tree each, and
+        # every leaf's up-link: 9,540 (54,684 when each of the 217
+        # sources filed its own 252 edges).
+        assert sizes["edge_tables"] == searches * (nodes - 1) + leaves
+        # A full invalidation empties the map with the index.
+        network.add_link("multi", "g3x3", **ACCESS)
+        sizes = engine.index_sizes()
+        assert sizes["search_leaves"] == sizes["edge_tables"] == 0

@@ -1,10 +1,10 @@
-"""Tests for the security substrate: checksums, ciphers, MACs, keys.
+"""Tests for the security substrate: checksums, MACs, keys.
 
-The raw primitives are imported from their *submodules* deliberately
-(the ``repro.security`` package exports the provider API only); they
-serve the ST control channel.  Data-path behaviour goes through the
-provider API, tested in :class:`TestProviderApi` and
-``test_security_providers.py`` against ``tests/security_reference.py``.
+The control channel's MAC is imported from its *submodule* deliberately
+(the ``repro.security`` package exports the provider API only).
+Data-path behaviour goes through the provider API, tested in
+:class:`TestProviderApi` and ``test_security_providers.py``; both are
+checked against ``tests/security_reference.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from repro.security.checksum import (
     fletcher16,
     internet_checksum,
 )
-from repro.security.cipher import StreamCipher, xtea_decrypt_block, xtea_encrypt_block
 from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac, verify_mac
-from tests.security_reference import reference_mac, reference_seal
+from tests.security_reference import (
+    reference_control_mac,
+    reference_mac,
+    reference_seal,
+)
 
 KEY = b"0123456789abcdef"
 
@@ -64,56 +67,6 @@ class TestChecksums:
         assert crc32(bytes(flipped)) != crc32(data)
 
 
-class TestXtea:
-    def test_block_roundtrip(self):
-        block = b"8bytes!!"
-        encrypted = xtea_encrypt_block(KEY, block)
-        assert encrypted != block
-        assert xtea_decrypt_block(KEY, encrypted) == block
-
-    def test_wrong_key_size_rejected(self):
-        with pytest.raises(SecurityError):
-            xtea_encrypt_block(b"short", b"8bytes!!")
-
-    def test_wrong_block_size_rejected(self):
-        with pytest.raises(SecurityError):
-            xtea_encrypt_block(KEY, b"toolongblock")
-
-    def test_different_keys_differ(self):
-        other_key = b"fedcba9876543210"
-        block = b"8bytes!!"
-        assert xtea_encrypt_block(KEY, block) != xtea_encrypt_block(other_key, block)
-
-    @given(st.binary(min_size=8, max_size=8))
-    def test_roundtrip_property(self, block):
-        assert xtea_decrypt_block(KEY, xtea_encrypt_block(KEY, block)) == block
-
-
-class TestStreamCipher:
-    def test_apply_roundtrips(self):
-        cipher = StreamCipher(KEY)
-        plaintext = b"attack at dawn" * 10
-        ciphertext = cipher.apply(7, plaintext)
-        assert ciphertext != plaintext
-        assert cipher.apply(7, ciphertext) == plaintext
-
-    def test_different_nonces_differ(self):
-        cipher = StreamCipher(KEY)
-        assert cipher.apply(1, b"same data") != cipher.apply(2, b"same data")
-
-    def test_keystream_length(self):
-        cipher = StreamCipher(KEY)
-        assert len(cipher.keystream(0, 13)) == 13
-
-    def test_empty_data(self):
-        assert StreamCipher(KEY).apply(0, b"") == b""
-
-    @given(st.binary(max_size=512), st.integers(min_value=0, max_value=2**40))
-    def test_roundtrip_property(self, data, nonce):
-        cipher = StreamCipher(KEY)
-        assert cipher.apply(nonce, cipher.apply(nonce, data)) == data
-
-
 class TestMac:
     def test_verify_accepts_valid_tag(self):
         tag = compute_mac(KEY, b"payload", context=b"ctx")
@@ -147,6 +100,36 @@ class TestMac:
     def test_roundtrip_property(self, data, context):
         tag = compute_mac(KEY, data, context)
         assert verify_mac(KEY, data, tag, context)
+
+    def test_known_answer(self):
+        """Two tags as literals: a change to the key handling, the
+        personalization, the framing or the width shows here even if it
+        were made to the oracle too."""
+        tag = compute_mac(KEY, b'{"na":1,"op":"auth1"}', context=b"host-a")
+        assert tag.hex() == "4e844457228402f4"
+        assert compute_mac(KEY, b"").hex() == "7a90f7037bebeb23"
+
+    @given(st.binary(max_size=512), st.binary(max_size=32), st.booleans())
+    def test_equals_the_one_shot_reference(self, data, context, as_view):
+        expected = reference_control_mac(KEY, data, context)
+        fed = memoryview(data) if as_view else data
+        assert compute_mac(KEY, fed, context) == expected
+        assert verify_mac(KEY, fed, expected, context)
+
+    def test_control_tag_is_not_the_data_path_tag(self):
+        """Same key, context and data on both channels: the
+        personalization keeps a data-path tag from being replayed as a
+        control frame's, and the other way round."""
+        provider = resolve_provider("shake-blake2")(KEY)
+        for data, context in [(b"", b""), (b"payload", b"a"), (b"x" * 400, b"")]:
+            assert compute_mac(KEY, data, context) != provider.mac(data, context)
+
+    @pytest.mark.parametrize("length", [0, 15, 17, 32])
+    def test_bad_key_length_raises(self, length):
+        with pytest.raises(SecurityError):
+            compute_mac(b"k" * length, b"data")
+        with pytest.raises(SecurityError):
+            verify_mac(b"k" * length, b"data", b"\x00" * MAC_BYTES)
 
 
 class TestProviderApi:

@@ -201,17 +201,6 @@ class TestShakeBlake2Definition:
             )
 
 
-class TestCounterWraparound:
-    """``cipher.py``'s counter mode (the control channel's substrate)
-    must raise on a counter overflow, not wrap."""
-
-    def test_legacy_streamcipher_guard(self):
-        from repro.security.cipher import StreamCipher
-
-        with pytest.raises(SecurityError):
-            StreamCipher(KEY).keystream(0, (1 << 32) * 8 + 8)
-
-
 class TestRegistry:
     def test_known_names(self):
         assert provider_names() == ("hw", "null", "shake-blake2")
@@ -345,4 +334,4 @@ class TestDeprecationShims:
         with pytest.raises(AttributeError):
             package.does_not_exist
         with pytest.raises(AttributeError):
-            package.StreamCipher  # import it from repro.security.cipher
+            package.StreamCipher  # deleted with cipher.py

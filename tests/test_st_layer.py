@@ -8,11 +8,12 @@ import pytest
 
 from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.errors import AuthenticationError
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
-from repro.security.mac import MAC_BYTES
+from repro.security.mac import MAC_BYTES, compute_mac
 from repro.sim.context import SimContext
 from repro.sim.trace import Tracer
 from repro.subtransport.config import StConfig
@@ -22,8 +23,10 @@ from repro.subtransport.wire import (
     FLAG_CHECKSUM,
     FLAG_ENCRYPTED,
     FLAG_MAC,
+    control_mac_material,
     decode_bundle,
     encode_bundle,
+    encode_control,
 )
 
 
@@ -528,6 +531,71 @@ class TestStHostileControlFrames:
         rms.send(b"still here")
         context.run(until=context.now + 1.0)
         assert [m.payload for m in got] == [b"still here"]
+
+    def test_wrong_source_label_under_the_right_key_is_an_auth_drop(self):
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        first = open_rms(context, st_a, port="before")
+        fields = {"op": "st_close", "st_id": first.rms_id}
+        key = st_a._session_key("b")
+
+        def send_labelled(label):
+            tag = compute_mac(key, control_mac_material(fields), context=label)
+            st_a._peer("b").control_out.send(
+                Message(encode_control(fields, mac=tag),
+                        source=Label("a", CONTROL_PORT),
+                        target=Label("b", CONTROL_PORT)),
+                deadline=context.now + 0.05,
+            )
+            context.run(until=context.now + 1.0)
+
+        for label in (b"", b"b", b"mallory"):
+            before = st_b.stats.auth_drops
+            send_labelled(label)
+            assert st_b.stats.auth_drops == before + 1
+            assert first.rms_id in st_b._rx
+        send_labelled(b"a")  # the sender's own label: accepted
+        assert first.rms_id not in st_b._rx
+
+    def test_reflected_frames_do_not_authenticate(self):
+        """Section 2.1: "delivery of a message with incorrect source
+        label is impossible".  The pairwise key is symmetric, so the tag
+        has to bind who is speaking: with ``b`` silent, an attacker who
+        plays ``a``'s own frames back to it under ``b``'s label must not
+        be able to walk ``a`` through the handshake."""
+        context, network, st_a, st_b = build_pair(trusted=False)
+        control = st_a._control_params()
+        future = network.create_rms(
+            Label("b", CONTROL_PORT), Label("a", CONTROL_PORT), control, control
+        )
+        context.run(until=context.now + 1.0)
+        back = future.result()
+
+        def reflect(peer, message):  # b is deaf; the attacker is not
+            back.send(
+                Message(message.payload, source=Label("b", CONTROL_PORT),
+                        target=Label("a", CONTROL_PORT)),
+                deadline=context.now + 0.05,
+            )
+
+        st_b._control_arrived = reflect
+        ready = st_a.ensure_control("b")
+        context.run(until=context.now + 0.2)  # before the first retry
+        peer = st_a._peer("b")
+        # a's own auth1 came back: dropped, not answered with an auth2.
+        assert st_a.stats.auth_drops == 1
+        assert st_a.stats.control_messages == 1
+        # The auth2 a would have answered with, reflected in its turn.
+        st_a._handle_auth1(peer, {"na": peer.initiator_nonce})
+        context.run(until=context.now + 0.05)
+        assert st_a.stats.auth_drops == 2
+        assert not peer.authenticated and not ready.done
+        context.run(until=context.now + 60.0)  # the whole retry budget
+        retries = st_a.config.auth_max_retries
+        assert st_a.stats.auth_drops == 2 + retries
+        assert st_b.stats.control_messages == 0
+        assert not peer.authenticated
+        with pytest.raises(AuthenticationError):
+            ready.result()
 
 
 class TestStFailure:
