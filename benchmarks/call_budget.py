@@ -1,0 +1,169 @@
+"""Python-level calls per delivered message, module by module.
+
+A wall-clock-free reading of ROADMAP aim 1's "layer by layer": two small
+scenarios on a trusted-Ethernet pair are run under ``sys.setprofile`` and
+every Python ``call`` event (a function body entered, a generator
+resumed) is counted under the module that defines the code.  C functions
+are not frames and are not counted.  The simulator is deterministic, so
+the counts repeat exactly on any host, which makes them a budget CI can
+hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
+
+* ``burst`` -- rounds of 40 x 100 B one-way messages (what
+  ``lan_small_burst`` sends), per delivered message;
+* ``rkom``  -- 8 closed-loop RKOM callers echoing 64 B (what
+  ``lan_rkom_closed`` does), per completed call.
+
+Only public ``DashSystem`` attributes are used.  Counting starts after
+one warm-up round, so establishment and the per-size memos are paid.
+
+Usage: ``PYTHONPATH=src python benchmarks/call_budget.py [--rounds N]``
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+from collections import Counter
+from typing import Callable, Dict
+
+from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
+
+BURST, BURST_BYTES, BURST_ROUND_S = 40, 100, 0.02
+CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
+
+
+def _pair(seed: int) -> DashSystem:
+    system = DashSystem(seed=seed)
+    system.add_ethernet(trusted=True)
+    system.add_node("a")
+    system.add_node("b")
+    return system
+
+
+def _counted(system: DashSystem, one_round: Callable[[], None],
+             rounds: int, delivered: list) -> dict:
+    """Run ``rounds`` rounds under the profiler (after one warm-up)."""
+    one_round()
+    nodes = list(system.nodes.values())
+    before = (len(delivered),
+              sum(node.cpu.items_run for node in nodes),
+              sum(node.st.stats.components_sent for node in nodes))
+    calls: Counter = Counter()
+
+    def profiler(frame, event, arg) -> None:
+        if event == "call":
+            calls[frame.f_globals.get("__name__", "?")] += 1
+
+    previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()  # a collection runs whatever gc.callbacks a host registered
+    sys.setprofile(profiler)
+    try:
+        for _ in range(rounds):
+            one_round()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    calls["driver"] = calls.pop(__name__, 0)  # this file's rounds and handlers
+    return {
+        "messages": len(delivered) - before[0],
+        "items": sum(node.cpu.items_run for node in nodes) - before[1],
+        "components":
+            sum(node.st.stats.components_sent for node in nodes) - before[2],
+        "calls": dict(calls),
+    }
+
+
+def burst(rounds: int = 5, seed: int = 1) -> dict:
+    """One-way bursts of 40 x 100 B; per delivered message."""
+    system = _pair(seed)
+    params = RmsParams(
+        capacity=32 * 1024, max_message_size=4000,
+        delay_bound=DelayBound(0.1, 1e-5),
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+    )
+    session = system.connect("a", "b", desired=params, acceptable=params)
+    system.run(until=2.0)
+    session.established.result()
+    delivered: list = []
+    session.port.set_handler(delivered.append)
+    payload = bytes(BURST_BYTES)
+
+    def one_round() -> None:
+        for _ in range(BURST):
+            session.send(payload)
+        system.run(until=system.now + BURST_ROUND_S)
+
+    return _counted(system, one_round, rounds, delivered)
+
+
+def rkom(rounds: int = 2, seed: int = 1) -> dict:
+    """Eight closed-loop callers echoing 64 B; per completed call."""
+    system = _pair(seed)
+    system.nodes["b"].rkom.register_handler(
+        "echo", lambda payload, sender: payload)
+    sessions = [system.connect("a", "b", kind="rkom") for _ in range(CALLERS)]
+    payload = bytes(CALL_BYTES)
+    done: list = []
+    left = [0]
+
+    def issue(session) -> None:
+        left[0] -= 1
+        session.call("echo", payload).add_done_callback(
+            lambda handle: finished(session, handle))
+
+    def finished(session, handle) -> None:
+        done.append(handle.result())
+        if left[0] > 0:
+            issue(session)
+
+    def one_round() -> None:
+        left[0] = CALLS_PER_ROUND
+        for session in sessions:
+            issue(session)
+        system.run(until=system.now + CALL_ROUND_S)
+
+    return _counted(system, one_round, rounds, done)
+
+
+def per(result: dict, unit: str, *modules: str) -> float:
+    """Calls per ``unit`` ('messages' / 'items' / 'components') inside the
+    modules whose names start with one of ``modules`` (all when empty)."""
+    total = sum(
+        count for module, count in result["calls"].items()
+        if not modules or module.startswith(modules)
+    )
+    return total / result[unit]
+
+
+def table(result: dict, what: str) -> str:
+    messages = result["messages"]
+    lines = [f"{'module':<36}{'calls/' + what:>12}"]
+    rows: Dict[str, int] = result["calls"]
+    for module in sorted(rows, key=lambda name: (-rows[name], name)):
+        lines.append(f"{module:<36}{rows[module] / messages:>12.2f}")
+    lines.append(f"{'TOTAL':<36}{per(result, 'messages'):>12.2f}")
+    lines.append(
+        f"{messages} {what}s; repro.sched per work item "
+        f"{per(result, 'items', 'repro.sched'):.2f}; piggyback.py per "
+        f"component {per(result, 'components', 'repro.subtransport.piggyback'):.2f}"
+    )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    print(f"# burst: {BURST} x {BURST_BYTES} B one-way per round")
+    print(table(burst(args.rounds, args.seed), "message"))
+    print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B")
+    print(table(rkom(args.rounds, args.seed), "call"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.core.message import Label, Message
+from repro.core.message import Label, Message, fast_message
 from repro.core.params import RmsParams
 from repro.errors import MessageTooLargeError, RmsFailedError
 from repro.sim.context import SimContext
@@ -122,6 +122,8 @@ class Rms:
         self._last_delivered_id = 0
         #: Per-size lateness thresholds memoized by :meth:`_deliver`.
         self._late_threshold: Dict[int, float] = {}
+        #: Per-size delay bound memoized by :meth:`send` (-1.0 = unbounded).
+        self._send_bound: Dict[int, float] = {}
         self.created_at = context.now
         self.closed_at: Optional[float] = None
         self.layer = self.level.layer
@@ -166,7 +168,10 @@ class Rms:
                 if self.state is RmsState.FAILED
                 else f"{self.name} has been deleted"
             )
-        if isinstance(payload, Message):
+        if type(payload) is bytes:
+            # Nothing for ``Message.__post_init__`` to validate or copy.
+            message = fast_message(payload, self.sender, self.receiver)
+        elif isinstance(payload, Message):
             message = payload
         else:
             message = Message(payload, source=self.sender, target=self.receiver)
@@ -182,8 +187,15 @@ class Rms:
         message.send_time = now
         if deadline is not None:
             message.deadline = deadline
-        elif not params.delay_bound.is_unbounded:
-            message.deadline = now + params.delay_bound.bound_for(size)
+        else:
+            # Memoized like the lateness threshold: ``bound_for`` is pure.
+            bound = self._send_bound.get(size)
+            if bound is None:
+                delay = params.delay_bound
+                bound = -1.0 if delay.is_unbounded else delay.bound_for(size)
+                self._send_bound[size] = bound
+            if bound >= 0.0:
+                message.deadline = now + bound
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size

@@ -55,6 +55,8 @@ class ImpairmentModel:
 
         Returns True when the frame was corrupted.
         """
+        if self.bit_error_rate <= 0.0:
+            return False  # the common medium: no size read, nothing drawn
         probability = self.corruption_probability(frame.size)
         if probability > 0.0 and rng.random() < probability:
             frame.corrupt_payload(rng.getrandbits(20))

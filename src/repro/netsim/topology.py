@@ -10,13 +10,15 @@ its network attachments.
 
 from __future__ import annotations
 
+import itertools
+from heapq import heappop, heappush
 from typing import Callable, Dict, Optional
 
 from repro.errors import NetworkError
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.packet import Frame
 from repro.sched.cpu import CpuCostModel, HostCpu
-from repro.sched.policies import ReadyQueue, make_queue
+from repro.sched.policies import key_slot
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
@@ -60,6 +62,10 @@ class Link:
     ``buffer_bytes`` are dropped as buffer overruns.  Queue order follows
     the configured policy; EDF realizes the paper's deadline-based
     interface scheduling, FIFO is the ablation baseline.
+
+    A frame costs two bodies per hop, :meth:`transmit` and
+    ``_transmission_done``, which push and pop the stable ``(key, seq,
+    frame, size, deliver, on_drop)`` heap themselves (DESIGN 8.3).
     """
 
     def __init__(
@@ -82,7 +88,9 @@ class Link:
         self.propagation_delay = propagation_delay
         self.buffer_bytes = buffer_bytes
         self.impairment = impairment or ImpairmentModel()
-        self._queue: ReadyQueue = make_queue(policy)
+        self._ready: list = []
+        self._key_slot = key_slot(policy)
+        self._seq = itertools.count()
         self.policy = policy
         self._queued_bytes = 0
         self._busy = False
@@ -104,7 +112,7 @@ class Link:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._ready)
 
     def transmission_time(self, size_bytes: int) -> float:
         return size_bytes / self.bandwidth
@@ -137,45 +145,30 @@ class Link:
         if queued > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = queued
         if self._busy:
-            self._queue.push((frame, deliver, on_drop), deadline=frame.deadline)
+            key = (0, frame.deadline, 0)[self._key_slot]
+            heappush(self._ready,
+                     (key, next(self._seq), frame, size, deliver, on_drop))
         else:
             # Idle link: start transmitting directly (any policy pops a
             # singleton heap identically).  ``_busy`` alone says whether
             # the frame has company: a non-empty queue implies it, since
             # ``set_down`` drains the queue, ``transmit`` refuses while
-            # down, ``set_up`` calls ``_start_next`` and a completion
-            # holds ``_busy`` until it starts the next frame.
-            self._begin(frame, deliver, on_drop)
+            # down, ``set_up`` restarts a stranded queue and a completion
+            # holds ``_busy`` until it has started the next frame.
+            self._busy = True
+            self.context.loop.call_after(
+                size / self.bandwidth, self._transmission_done,
+                frame, size, deliver, on_drop,
+            )
         return True
-
-    def _start_next(self) -> None:
-        if self._busy or not self._queue or not self._up:
-            return
-        frame, deliver, on_drop = self._queue.pop()
-        self._begin(frame, deliver, on_drop)
-
-    def _begin(
-        self,
-        frame: Frame,
-        deliver: Callable[[Frame], None],
-        on_drop: Optional[Callable[[Frame, str], None]],
-    ) -> None:
-        self._busy = True
-        self.context.loop.call_after(
-            frame.size / self.bandwidth,
-            self._transmission_done,
-            frame,
-            deliver,
-            on_drop,
-        )
 
     def _transmission_done(
         self,
         frame: Frame,
+        size: int,
         deliver: Callable[[Frame], None],
         on_drop: Optional[Callable[[Frame, str], None]],
     ) -> None:
-        size = frame.size
         self._queued_bytes -= size
         if not self._up:
             self._busy = False
@@ -185,34 +178,45 @@ class Link:
         stats = self.stats
         stats.frames_transmitted += 1
         stats.bytes_transmitted += size
-        if self.impairment.loses_frame(self._rng):
-            stats.frames_dropped_loss += 1
-            self.context.tracer.record(
-                "link", "loss", link=self.name, frame=frame.frame_id
-            )
-            if on_drop is not None:
-                on_drop(frame, "medium loss")
-        else:
-            if self.impairment.maybe_corrupt(frame, self._rng):
-                stats.frames_corrupted += 1
+        loop = self.context.loop
+        try:
+            if self.impairment.loses_frame(self._rng):
+                stats.frames_dropped_loss += 1
                 self.context.tracer.record(
-                    "link", "corrupt", link=self.name, frame=frame.frame_id
+                    "link", "loss", link=self.name, frame=frame.frame_id
                 )
-            self.context.loop.call_after(self.propagation_delay, deliver, frame)
-        # Cleared only now: a frame offered by a drop callback above
-        # queues behind what is already waiting instead of jumping it.
-        self._busy = False
-        if self._queue:
-            self._start_next()
+                if on_drop is not None:
+                    on_drop(frame, "medium loss")
+            else:
+                if self.impairment.maybe_corrupt(frame, self._rng):
+                    stats.frames_corrupted += 1
+                    self.context.tracer.record(
+                        "link", "corrupt", link=self.name, frame=frame.frame_id
+                    )
+                loop.call_after(self.propagation_delay, deliver, frame)
+        finally:
+            # ``_busy`` is held across the drop callback -- a frame it
+            # offers queues behind what is already waiting instead of
+            # jumping it -- and released here even when it raises.
+            ready = self._ready
+            if ready and self._up:
+                _, _, frame, size, deliver, on_drop = heappop(ready)
+                loop.call_after(
+                    size / self.bandwidth, self._transmission_done,
+                    frame, size, deliver, on_drop,
+                )
+            else:
+                self._busy = False
 
     def set_down(self) -> None:
         """Fail the link; queued frames are discarded, listeners notified."""
         if not self._up:
             return
         self._up = False
-        while self._queue:
-            frame, _deliver, on_drop = self._queue.pop()
-            self._queued_bytes -= frame.size
+        ready = self._ready
+        while ready:
+            _, _, frame, size, _deliver, on_drop = heappop(ready)
+            self._queued_bytes -= size
             if on_drop is not None:
                 on_drop(frame, "link down")
         self.on_down.fire(self)
@@ -222,7 +226,15 @@ class Link:
         if self._up:
             return
         self._up = True
-        self._start_next()
+        if self._ready and not self._busy:
+            # Only a drain that a raising ``on_drop`` cut short leaves
+            # frames queued on a down link.
+            self._busy = True
+            _, _, frame, size, deliver, on_drop = heappop(self._ready)
+            self.context.loop.call_after(
+                size / self.bandwidth, self._transmission_done,
+                frame, size, deliver, on_drop,
+            )
         self.on_up.fire(self)
 
     def __repr__(self) -> str:

@@ -14,11 +14,13 @@ for checksumming, encryption, and per-message protocol overhead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.context import SimContext
-from repro.sched.policies import ReadyQueue, make_queue
+from repro.sched.policies import key_slot
 
 __all__ = ["CpuCostModel", "WorkItem", "HostCpu"]
 
@@ -116,6 +118,9 @@ class HostCpu:
     switch cost is charged whenever the CPU moves between items of
     different ``owner`` names, modeling the protocol-process context
     switching that section 4.3 trades off against fragmentation.
+
+    An item costs two bodies, :meth:`submit` and ``_finish``, which push
+    and pop the stable ``(key, seq, item)`` heap themselves (DESIGN 8.3).
     """
 
     def __init__(
@@ -129,7 +134,9 @@ class HostCpu:
         self.context = context
         self.name = name
         self.costs = cost_model or CpuCostModel()
-        self._queue: ReadyQueue[WorkItem] = make_queue(policy)
+        self._ready: List[Tuple[Any, int, WorkItem]] = []
+        self._key_slot = key_slot(policy)
+        self._seq = itertools.count()
         self.policy = policy
         self._busy = False
         self._paused = False
@@ -170,20 +177,23 @@ class HostCpu:
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
-        if self._busy or self._paused or self._queue:
-            # Push/pop through the policy heap only when the item has
-            # company; an idle CPU starts its only item directly (any
-            # policy pops a singleton heap identically).
-            self._queue.push(item, deadline=deadline, priority=priority)
-            if not self._busy:
-                self._dispatch()
+        ready = self._ready
+        if self._busy or self._paused or ready:
+            key = (0, deadline, priority)[self._key_slot]
+            heappush(ready, (key, next(self._seq), item))
+            if not (self._busy or self._paused):
+                # Offered by a completion callback over a backlog: the
+                # newcomer competes with it, the best of them runs.
+                self._begin(heappop(ready)[2])
         else:
+            # An idle CPU starts its only item directly and draws no
+            # sequence number (any policy pops a singleton identically).
             self._begin(item)
         return item
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._ready)
 
     @property
     def utilization_window(self) -> float:
@@ -202,12 +212,8 @@ class HostCpu:
         if not self._paused:
             return
         self._paused = False
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        if self._busy or self._paused or not self._queue:
-            return
-        self._begin(self._queue.pop())
+        if self._ready and not self._busy:
+            self._begin(heappop(self._ready)[2])
 
     def _begin(self, item: WorkItem) -> None:
         context = self.context
@@ -262,9 +268,14 @@ class HostCpu:
                 item.trace_id, "cpu", "done",
                 cpu=self.name, item=item.name, missed=missed,
             )
-        item.callback(*item.args)
-        if self._queue:
-            self._dispatch()
+        try:
+            item.callback(*item.args)
+        finally:
+            # Also when the callback raises: the backlog must not wait for
+            # a submit that may never come.  The callback may itself have
+            # offered work and started it, hence the ``_busy`` test.
+            if self._ready and not self._busy and not self._paused:
+                self._begin(heappop(self._ready)[2])
 
     def __repr__(self) -> str:
         return (

@@ -10,13 +10,19 @@ Every policy is *stable*: equal keys pop in insertion order.  For EDF
 this realizes the refinement of section 4.3.1 -- if message A is sent
 after message B with a transmission deadline greater than or equal to
 B's, then B is delivered first.
+
+A policy is one number: which of ``(0, deadline, priority)`` is the sort
+key (``key_slot``).  The queues below index that triple by it, and so do
+the two servers that run their own ``(key, seq, ...)`` heap in their own
+bodies (:class:`~repro.sched.cpu.HostCpu`, ``netsim.topology.Link``), so
+each order is stated once and chosen at construction, not per push.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Generic, List, Tuple, Type, TypeVar
 
 from repro.errors import SchedulingError
 
@@ -26,6 +32,7 @@ __all__ = [
     "EdfQueue",
     "PriorityQueue",
     "make_queue",
+    "key_slot",
     "POLICIES",
 ]
 
@@ -33,45 +40,25 @@ T = TypeVar("T")
 
 
 class ReadyQueue(Generic[T]):
-    """Interface: push items with ordering hints, pop in policy order."""
+    """A stable heap: push items with ordering hints, pop in policy order."""
 
     policy_name = "abstract"
-
-    def push(self, item: T, deadline: float = 0.0, priority: int = 0) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> T:
-        raise NotImplementedError
-
-    def peek(self) -> T:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        # Also the truth test, and deliberately the only one: the CPU and
-        # link models ask "anything queued?" once per work item, and a
-        # ``__bool__`` that calls ``len()`` would make that two calls.
-        raise NotImplementedError
-
-
-class _HeapQueue(ReadyQueue[T]):
-    """Shared heap machinery; subclasses define the sort key."""
+    #: Index into ``(0, deadline, priority)`` of this policy's sort key.
+    key_slot = 0
 
     def __init__(self) -> None:
         self._heap: List[Tuple[Any, int, T]] = []
         self._seq = itertools.count()
 
-    def _key(self, deadline: float, priority: int) -> Any:
-        raise NotImplementedError
-
     def push(self, item: T, deadline: float = 0.0, priority: int = 0) -> None:
-        heapq.heappush(
-            self._heap, (self._key(deadline, priority), next(self._seq), item)
-        )
+        key = (0, deadline, priority)[self.key_slot]
+        heapq.heappush(self._heap, (key, next(self._seq), item))
 
     def pop(self) -> T:
-        if not self._heap:
-            raise SchedulingError(f"{self.policy_name} queue is empty")
-        return heapq.heappop(self._heap)[2]
+        try:
+            return heapq.heappop(self._heap)[2]
+        except IndexError:
+            raise SchedulingError(f"{self.policy_name} queue is empty") from None
 
     def peek(self) -> T:
         if not self._heap:
@@ -86,31 +73,25 @@ class _HeapQueue(ReadyQueue[T]):
         return [entry[2] for entry in sorted(self._heap)]
 
 
-class FifoQueue(_HeapQueue[T]):
+class FifoQueue(ReadyQueue[T]):
     """First-in first-out: ignores deadlines and priorities."""
 
     policy_name = "fifo"
-
-    def _key(self, deadline: float, priority: int) -> Any:
-        return 0
+    key_slot = 0
 
 
-class EdfQueue(_HeapQueue[T]):
+class EdfQueue(ReadyQueue[T]):
     """Earliest deadline first, stable on ties (section 4.1/4.3.1)."""
 
     policy_name = "edf"
-
-    def _key(self, deadline: float, priority: int) -> Any:
-        return deadline
+    key_slot = 1
 
 
-class PriorityQueue(_HeapQueue[T]):
+class PriorityQueue(ReadyQueue[T]):
     """Static priorities (lower value runs first), stable on ties."""
 
     policy_name = "priority"
-
-    def _key(self, deadline: float, priority: int) -> Any:
-        return priority
+    key_slot = 2
 
 
 POLICIES = {
@@ -120,11 +101,20 @@ POLICIES = {
 }
 
 
-def make_queue(policy: str) -> ReadyQueue:
-    """Build a ready queue by policy name ('fifo', 'edf', 'priority')."""
+def _policy(policy: str) -> Type[ReadyQueue]:
     try:
-        return POLICIES[policy]()
+        return POLICIES[policy]
     except KeyError:
         raise SchedulingError(
             f"unknown scheduling policy {policy!r}; choose from {sorted(POLICIES)}"
         ) from None
+
+
+def make_queue(policy: str) -> ReadyQueue:
+    """Build a ready queue by policy name ('fifo', 'edf', 'priority')."""
+    return _policy(policy)()
+
+
+def key_slot(policy: str) -> int:
+    """The sort-key slot of a policy name, for a server's own heap."""
+    return _policy(policy).key_slot

@@ -31,6 +31,8 @@ __all__ = ["PiggybackQueue"]
 
 #: Encoded bytes of the bundle count header.
 _BUNDLE_HEADER_BYTES = 2
+#: The flush-by time of an empty queue.
+_NEVER = float("inf")
 
 FlushCallback = Callable[[bytes, float, List[int], int], None]
 
@@ -65,6 +67,8 @@ class PiggybackQueue:
         #: (entry, network transmission deadline, flush-by time).
         self._entries: List[Tuple[BundleEntry, float, float]] = []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
+        #: Earliest flush-by time among ``_entries`` (inf when empty).
+        self._flush_by = _NEVER
         #: Flush deadlines share the owning peer's coalesced timer group.
         self._timers = timer_group
         self._timer: Optional[EventHandle] = None
@@ -118,14 +122,27 @@ class PiggybackQueue:
             self.flush("overflow")
         self._entries.append((entry, max_deadline, flush_by))
         self._encoded_bytes += size
-        if flush_by <= self.context.now:
+        if flush_by < self._flush_by:
+            self._flush_by = flush_by
+        now = self.context.loop._now
+        if flush_by <= now:
             # No queueing slack left: flush everything queued together
             # with this component (sending it *after* the queue would
             # break arrival order on the shared network RMS).
             self.flushes_immediate += 1
             self.flush("immediate")
-        else:
-            self._arm_timer()
+            return
+        # The flush timer sits at the earliest flush-by time queued; a
+        # live one that already fires by then stays.
+        earliest = self._flush_by
+        timer = self._timer
+        if timer is not None:
+            if timer.time <= earliest and not timer.cancelled:
+                return
+            timer.cancel()
+        self._timer = self._timers.call_at(
+            earliest if earliest > now else now, self._timer_fired
+        )
 
     def flush(self, reason: str = "forced") -> None:
         """Send every queued component as one bundle now."""
@@ -138,7 +155,10 @@ class PiggybackQueue:
             obs.metrics.counter("st_piggyback_flushes", reason=reason).inc()
         entries, self._entries = self._entries, []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
-        self._disarm_timer()
+        self._flush_by = _NEVER
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         self._send(entries)
 
     def _send(self, entries: List[Tuple[BundleEntry, float, float]]) -> None:
@@ -151,7 +171,7 @@ class PiggybackQueue:
         else:
             payload = encode_bundle([entry for entry, _, _ in entries])
             st_ids = sorted({entry.st_rms_id for entry, _, _ in entries})
-            deadline = max(max_deadline for _, max_deadline, _ in entries)
+            deadline = max([max_deadline for _, max_deadline, _ in entries])
         floor = self.ordering_floor(st_ids)
         if floor > deadline:
             deadline = floor
@@ -167,25 +187,6 @@ class PiggybackQueue:
                     bundled=len(entries),
                 )
         self.flush_fn(payload, deadline, st_ids, len(entries))
-
-    def _arm_timer(self) -> None:
-        entries = self._entries
-        if len(entries) == 1:
-            earliest = entries[0][2]
-        else:
-            earliest = min(flush_by for _, _, flush_by in entries)
-        if self._timer is not None:
-            if self._timer.time <= earliest and not self._timer.cancelled:
-                return
-            self._timer.cancel()
-        self._timer = self._timers.call_at(
-            max(earliest, self.context.now), self._timer_fired
-        )
-
-    def _disarm_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def _timer_fired(self) -> None:
         self._timer = None

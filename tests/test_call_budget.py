@@ -1,0 +1,66 @@
+"""The per-message call budget (`benchmarks/call_budget.py`), held by CI.
+
+Python-level frames per delivered message are exact on any host, so the
+"fixed price per small message" is asserted as counts, not nanoseconds.
+Each budget sits between the tree that introduced it and its parent
+(PR 20, CPython 3.11: 4.0 / 1.75 / 138 / 34 against 10.3 / 9.1 / 216 /
+61; from 3.12 comprehensions are no longer frames and the counts only
+fall).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "call_budget.py"
+spec = importlib.util.spec_from_file_location("call_budget", SCRIPT)
+call_budget = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(call_budget)
+
+
+@pytest.fixture(scope="module")
+def burst():
+    return call_budget.burst(rounds=2)
+
+
+@pytest.fixture(scope="module")
+def rkom():
+    return call_budget.rkom(rounds=1)
+
+
+def test_scenarios_deliver_everything(burst, rkom):
+    assert burst["messages"] == 2 * call_budget.BURST
+    assert rkom["messages"] == call_budget.CALLS_PER_ROUND
+    assert burst["items"] == 2 * burst["messages"]  # send + receive stage
+    assert rkom["items"] == 6 * rkom["messages"]  # request, reply, ack
+
+
+def test_sched_frames_per_work_item_on_a_busy_cpu(burst, rkom):
+    assert call_budget.per(burst, "items", "repro.sched") <= 6
+    assert call_budget.per(rkom, "items", "repro.sched") <= 6
+
+
+def test_piggyback_frames_per_component(rkom):
+    piggyback = "repro.subtransport.piggyback"
+    assert call_budget.per(rkom, "components", piggyback) <= 4.5
+
+
+def test_total_frames_per_rkom_call(rkom):
+    assert call_budget.per(rkom, "messages") <= 160
+
+
+def test_total_frames_per_burst_message(burst):
+    assert call_budget.per(burst, "messages") <= 44
+
+
+def test_two_fresh_systems_count_the_same(burst, rkom):
+    assert call_budget.burst(rounds=2) == burst
+    assert call_budget.rkom(rounds=1) == rkom
+
+
+def test_table_names_every_module(rkom):
+    text = call_budget.table(rkom, "call")
+    assert "repro.sched.cpu" in text and "TOTAL" in text

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.accounting import AccountingLedger, Tariff
 from repro.core.message import Label, Message
@@ -185,6 +186,67 @@ class TestRmsEnforcement:
 
     def test_levels_enumeration(self):
         assert RmsLevel.NETWORK < RmsLevel.SUBTRANSPORT < RmsLevel.SUBUSER < RmsLevel.USER
+
+
+class TestRmsSend:
+    """``Rms.send`` on the per-size bound memo and ``fast_message``."""
+
+    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8))
+    def test_deadline_is_now_plus_bound_exactly(self, sizes):
+        context = SimContext(seed=9)
+        bound = DelayBound(0.1, 1e-6)
+        rms = LoopbackRms(context, RmsParams(
+            capacity=10**6, max_message_size=1000, delay_bound=bound,
+            delay_bound_type=DelayBoundType.BEST_EFFORT))
+        for size in sizes + sizes:  # the second pass reads the memo
+            now = context.run(until=context.now + 0.013)
+            message = rms.send(b"x" * size)
+            assert message.send_time == now
+            assert message.deadline == now + bound.bound_for(size)
+        assert set(rms._send_bound) == set(sizes)
+
+    def test_unbounded_stream_leaves_deadline_unset(self, context):
+        rms = LoopbackRms(context, RmsParams(
+            capacity=10_000, max_message_size=1_000))
+        assert rms.params.delay_bound.is_unbounded
+        assert rms.send(b"x" * 10).deadline is None
+        assert rms.send(b"x" * 10).deadline is None
+
+    def test_explicit_deadline_wins_and_fills_no_memo(self, context, params):
+        rms = LoopbackRms(context, params)
+        assert rms.send(b"x" * 10, deadline=0.042).deadline == 0.042
+        assert rms._send_bound == {}
+
+    def test_payload_types_keep_their_validation(self, context, params):
+        rms = LoopbackRms(context, params)
+        buffer = bytearray(b"abc")
+        snapshot = rms.send(buffer)
+        buffer[0] = 0
+        assert snapshot.payload == b"abc" and type(snapshot.payload) is bytes
+        view = memoryview(b"defg")
+        assert rms.send(view).payload is view
+        with pytest.raises(ParameterError):
+            rms.send("text")  # type: ignore[arg-type]
+        prepared = Message(b"hi")
+        assert rms.send(prepared) is prepared
+        sent = rms.send(b"raw")
+        assert (sent.source, sent.target) == (rms.sender, rms.receiver)
+        assert (sent.headers, sent.deliver_time, sent.trace_id) == ({}, None, None)
+
+    def test_too_large_raises_before_any_counter_moves(self, context, params):
+        rms = LoopbackRms(context, params)
+        for payload in (b"x" * 1001, bytearray(1001)):
+            with pytest.raises(MessageTooLargeError):
+                rms.send(payload)
+        stats = rms.stats
+        assert (stats.messages_sent, stats.bytes_sent, rms.outstanding_bytes,
+                rms._send_bound) == (0, 0, 0, {})
+
+    def test_consecutive_sends_draw_consecutive_ids(self, context, params):
+        rms = LoopbackRms(context, params)
+        payloads = [b"a", bytearray(b"b"), b"c", memoryview(b"d"), b"e"]
+        ids = [rms.send(payload).message_id for payload in payloads]
+        assert ids == list(range(ids[0], ids[0] + len(payloads)))
 
 
 class TestAccounting:

@@ -288,6 +288,36 @@ class TestLink:
         context.run()
         assert order == [0, 1, 2, "again"]
 
+    def test_raising_drop_callback_does_not_wedge_the_link(self):
+        # The completion releases the transmitter in a ``finally``: the
+        # frames queued behind a lost one whose ``on_drop`` raises are
+        # sent by the next ``run()``.
+        context = SimContext()
+        link = Link(context, "l", bandwidth=1e4, propagation_delay=0.0,
+                    policy="fifo",
+                    impairment=ImpairmentModel(frame_loss_rate=1.0))
+        delivered = []
+
+        def boom(frame, reason):
+            raise RuntimeError(reason)
+
+        second, third, fresh = make_frame(), make_frame(), make_frame()
+        link.transmit(make_frame(), deliver=delivered.append, on_drop=boom)
+        link.transmit(second, deliver=delivered.append)
+        link.transmit(third, deliver=delivered.append)
+        with pytest.raises(RuntimeError, match="medium loss"):
+            context.run()
+        assert link.queued_bytes == second.size + third.size
+        link.impairment.frame_loss_rate = 0.0
+        assert link.transmit(fresh, deliver=delivered.append)
+        context.run()
+        assert delivered == [second, third, fresh]
+        assert link.queue_length == 0 and not link._busy
+        assert link.queued_bytes == 0
+        stats = link.stats
+        assert (stats.frames_transmitted, stats.frames_dropped_loss) == (4, 1)
+        assert stats.bytes_transmitted == 4 * fresh.size
+
     def test_invalid_parameters_rejected(self):
         context = SimContext()
         with pytest.raises(NetworkError):

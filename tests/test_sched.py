@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from repro.errors import SchedulingError
 from repro.sched.cpu import CpuCostModel, HostCpu
 from repro.sched.policies import EdfQueue, FifoQueue, PriorityQueue, make_queue
 from repro.sim.context import SimContext
+from tests.sched_reference import Job, ReferenceCpu
 
 
 class TestPolicies:
@@ -190,3 +194,116 @@ class TestHostCpu:
         context.run()
         assert len(cpu.completed) == 1
         assert cpu.completed[0].finished_at == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
+    def test_raising_callback_does_not_wedge_the_cpu(self, policy):
+        """What ``EventLoop.run`` promises for events holds for items: a
+        callback that raises loses nothing, the next ``run()`` resumes
+        with the item after it."""
+        context = SimContext()
+        cpu = HostCpu(context, policy=policy, charge_context_switches=False)
+        ran = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        cpu.submit("x/0", 0.01, deadline=1.0, callback=boom)
+        cpu.submit("x/1", 0.01, 2.0, ran.append, (1,), priority=1)
+        cpu.submit("x/2", 0.01, 3.0, ran.append, (2,), priority=2)
+        with pytest.raises(RuntimeError, match="boom"):
+            context.run()
+        assert cpu.items_run == 1 and ran == []
+        context.run()
+        assert ran == [1, 2]
+        assert cpu.items_run == 3 and cpu.busy_time == pytest.approx(0.03)
+        assert cpu.queue_length == 0 and not cpu._busy
+        assert context.loop.pending_events == 0
+
+
+class TestHostCpuOracle:
+    """``HostCpu`` against ``tests/sched_reference.py``, step by step."""
+
+    OWNERS = ("st", "rkom", "app")
+
+    def _job(self, rng, names, depth=0):
+        owner = rng.choice(self.OWNERS)
+        children = ()
+        if depth < 2 and rng.random() < 0.35:
+            children = tuple(self._job(rng, names, depth + 1)
+                             for _ in range(rng.randint(1, 3)))
+        # A coarse grid, so equal deadlines and priorities are common.
+        return Job(f"{owner}/{next(names)}", owner,
+                   cpu_time=rng.choice([0.0005, 0.001, 0.002, 0.003]),
+                   deadline=rng.randrange(12) * 0.005,
+                   priority=rng.randrange(3), children=children)
+
+    def _drive(self, seed, policy, observe):
+        rng = random.Random(seed)
+        context = SimContext(seed=seed, observe=observe)
+        cpu = HostCpu(context, policy=policy)
+        cpu.keep_history = True
+        ref = ReferenceCpu(policy, cpu.costs.per_context_switch)
+        names = itertools.count()
+        items = {}
+
+        def submit(job):
+            # Half the jobs leave the owner to the name prefix.
+            explicit = int(job.name.split("/")[1]) % 2 == 0
+            items[job.name] = cpu.submit(
+                job.name, job.cpu_time, job.deadline, completed, (job,),
+                owner=job.owner if explicit else None, priority=job.priority)
+
+        def completed(job):
+            for child in job.children:
+                submit(child)
+
+        def check():
+            assert cpu.queue_length == len(ref.waiting)
+            assert cpu._busy == (ref.running is not None)
+            assert sorted((key, seq, item.name)
+                          for key, seq, item in cpu._ready) == ref.queued()
+            assert [item.name for item in cpu.completed] == [
+                job.name for job in ref.done]
+            assert (cpu.items_run, cpu.context_switches, cpu.busy_time,
+                    cpu.deadline_misses) == (
+                len(ref.done), ref.context_switches, ref.busy_time, ref.misses)
+            running = [ref.running] if ref.running else []
+            for job in ref.done + running + ref.waiting:
+                item = items[job.name]
+                assert (item.submitted_at, item.started_at,
+                        item.finished_at, item.missed_deadline) == (
+                    job.submitted, job.started, job.finished, job.missed)
+
+        for _ in range(80):
+            step = rng.random()
+            if step < 0.45:
+                job = self._job(rng, names)
+                submit(job)
+                ref.submit(job)
+            elif step < 0.55:
+                cpu.pause()
+                ref.pause()
+            elif step < 0.70:
+                cpu.resume()
+                ref.resume()
+            else:
+                until = context.now + rng.choice([0.0, 0.0005, 0.002, 0.01])
+                context.run(until=until)
+                ref.run(until)
+            check()
+        cpu.resume()
+        ref.resume()
+        context.run()
+        ref.run(float("inf"))
+        check()
+        assert cpu.queue_length == 0 and not cpu._busy
+        assert len(ref.done) == len(items) > 40
+        return [(item.name, item.submitted_at, item.started_at,
+                 item.finished_at, item.missed_deadline)
+                for item in cpu.completed]
+
+    @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_step_by_step(self, seed, policy):
+        trace = self._drive(seed, policy, observe=False)
+        assert self._drive(seed, policy, observe=True) == trace

@@ -245,3 +245,69 @@ class TestPiggybackQueue:
         assert context.now == pytest.approx(0.1)
         assert len(flushes) == 1
         assert flushes[0][3] == 2
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("submit"), st.integers(0, 200),
+                    st.sampled_from([0.0, 0.001, 0.002, 0.005, 0.01, 0.05]),
+                    st.sampled_from([None, 0.0, 0.0005, 0.002, 0.004, 0.08]),
+                ),
+                st.tuples(st.just("flush")),
+                st.tuples(st.just("run"),
+                          st.sampled_from([0.0, 0.0005, 0.001, 0.003, 0.02])),
+            ),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_flush_timer_matches_the_scan(self, steps, enabled):
+        """The O(1) timer against the scan it replaced: after every step
+        the armed timer sits at ``max(min(flush_by of the queued), now)``,
+        an empty queue holds no live timer, a disabled queue never arms
+        one, and the flush counts by reason are the model's."""
+        context = SimContext()
+        queue, flushes = self.make_queue(context, enabled=enabled)
+        queued = []  # (flush_by, encoded size) of what should be waiting
+        expected = []  # component count of every flush, in order
+        reasons = dict(timer=0, overflow=0, immediate=0, forced=0)
+
+        def flushed(reason):
+            reasons[reason] += 1
+            expected.append(len(queued))
+            queued.clear()
+
+        for seq, step in enumerate(steps):
+            now = context.now
+            if step[0] == "submit":
+                _, size, slack, window = step
+                flush_by = now + slack if window is None else min(
+                    now + slack, now + window)
+                queue.submit(
+                    entry(seq=seq, payload=b"x" * size), now + slack,
+                    None if window is None else now + window)
+                if 2 + sum(n for _, n in queued) + 22 + size > 500:
+                    flushed("overflow")
+                queued.append((flush_by, 22 + size))
+                if flush_by <= now or not enabled:
+                    flushed("immediate")
+            elif step[0] == "flush":
+                queue.flush()
+                if queued:
+                    flushed("forced")
+            else:
+                context.run(until=now + step[1])
+                if queued and min(queued)[0] <= context.now:
+                    flushed("timer")
+            assert len(queue) == len(queued)
+            assert [count for _, _, _, count in flushes] == expected
+            if queued:
+                scan = min(flush_by for flush_by, _ in queued)
+                assert not queue._timer.cancelled
+                assert queue._timer.time == max(scan, context.now)
+            else:
+                assert queue._timer is None and queue._timers.live == 0
+        assert reasons == dict(
+            timer=queue.flushes_timer, overflow=queue.flushes_overflow,
+            immediate=queue.flushes_immediate, forced=queue.flushes_forced)
