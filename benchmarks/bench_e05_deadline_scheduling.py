@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from common import Table, bench_main, build_lan, make_run, open_st_rms, report
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
-from repro.metrics.stats import summarize
+from repro.obs.stats import summarize
 
 RT_MESSAGES = 150
 RT_PERIOD = 0.02

@@ -17,8 +17,8 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
-from repro.metrics.report import Table
 from repro.obs.export import flight_recorder, write_metrics_json
+from repro.obs.report import Table
 from repro.subtransport.config import StConfig
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")

@@ -17,7 +17,8 @@ from-scratch discrete-event network simulator:
   control, sub-user/user RMS levels;
 - :mod:`repro.baselines` -- datagrams, TCP-like stream, datagram RPC;
 - :mod:`repro.apps` -- voice/video/window/bulk/RPC workloads;
-- :mod:`repro.metrics` -- statistics and table rendering;
+- :mod:`repro.obs` -- the one recorder (``observe=True``: metrics registry
+  and message spans) plus summary statistics and table rendering;
 - :mod:`repro.resilience` -- supervised sessions: retry, failover,
   parameter degradation;
 - :mod:`repro.dash` -- whole-system assembly.

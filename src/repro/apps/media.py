@@ -16,8 +16,7 @@ from typing import Optional
 
 from repro.core.params import RmsParams
 from repro.core.rms import Rms
-from repro.metrics.collectors import DelayRecorder
-from repro.metrics.stats import SummaryStats
+from repro.obs.stats import DelayRecorder, SummaryStats
 from repro.sim.context import SimContext
 from repro.apps.sources import PeriodicSource
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.metrics.stats import SummaryStats, summarize
+from repro.obs.stats import SummaryStats, summarize
 from repro.sim.context import SimContext
 
 __all__ = ["RpcWorkload", "RpcReport"]

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.core.rms import Rms, RmsState
-from repro.metrics.collectors import DelayRecorder
-from repro.metrics.stats import SummaryStats
+from repro.obs.stats import DelayRecorder, SummaryStats
 from repro.sim.context import SimContext
 
 __all__ = ["WindowSystemWorkload", "WindowReport", "event_rms_params", "graphics_rms_params"]

@@ -1,17 +1,17 @@
 """Object pools for hot-path allocation elision.
 
 The simulator's steady-state send path creates one frame per network
-message; with observability off, those objects carry no externally
-retained state, so they can be recycled instead of churned through the
-allocator.  Pools here are deliberately dumb: a bounded free list with
-no locking (the simulator is single-threaded) and no automatic reset --
-the acquiring site owns re-initialization, the releasing site owns
-clearing references so pooled objects never pin payloads.
+message; those objects carry no externally retained state (observability
+records ids and sizes, never the frame), so they can be recycled instead
+of churned through the allocator.  Pools here are deliberately dumb: a
+bounded free list with no locking (the simulator is single-threaded) and
+no automatic reset -- the acquiring site owns re-initialization, the
+releasing site owns clearing references so pooled objects never pin
+payloads.
 
 Pooling is *conservative by construction*: failing to release an object
 merely falls back to garbage collection, so any code path unsure about
-outstanding references (drops, sniffers, observability consumers) simply
-skips the release.
+outstanding references (drops, sniffers) simply skips the release.
 """
 
 from __future__ import annotations

@@ -65,6 +65,7 @@ class RmsStats:
     messages_delivered: int = 0
     messages_dropped: int = 0  # lost, corrupted-and-discarded, or overrun
     messages_late: int = 0  # delivered after their delay bound
+    out_of_order: int = 0  # delivered behind a later id; must stay 0
     bytes_sent: int = 0
     bytes_delivered: int = 0
     capacity_violations: int = 0
@@ -205,11 +206,6 @@ class Rms:
             # Client capacity violation: guarantees are void (section 4.4)
             # but the provider does not block -- it only counts.
             stats.capacity_violations += 1
-        tracer = context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "rms", "send", rms=self.name, id=message.message_id, size=size
-            )
         obs = context.obs
         if obs.enabled:
             if message.trace_id is None:
@@ -280,31 +276,34 @@ class Rms:
                     message.trace_id, self.layer, "late", rms=self.name
                 )
         message_id = message.message_id
-        tracer = context.tracer
         if message_id < self._last_delivered_id:
             # In-sequence delivery is a basic property; a violation is a
-            # provider bug, surfaced loudly in tests via the trace.
-            tracer.record(
-                "rms", "out_of_order", rms=self.name, id=message_id
-            )
+            # provider bug, so this is a must-be-0 counter.
+            stats.out_of_order += 1
+            if obs.enabled:
+                # Created on first use: an eager zero series per stream
+                # would sit in every exported snapshot.
+                obs.metrics.counter(
+                    "rms_messages_out_of_order", layer=self.layer, rms=self.name
+                ).inc()
+                obs.spans.event(
+                    message.trace_id, self.layer, "out_of_order", rms=self.name
+                )
         else:
             self._last_delivered_id = message_id
-        if tracer.enabled:
-            tracer.record(
-                "rms", "deliver", rms=self.name, id=message_id, delay=delay
-            )
         self.port.deliver(message)
 
     def _drop(self, message: Message, reason: str) -> None:
         """Record the loss of ``message`` (never delivered)."""
         self.outstanding_bytes = max(0, self.outstanding_bytes - message.size)
         self.stats.messages_dropped += 1
-        self.context.tracer.record(
-            "rms", "drop", rms=self.name, id=message.message_id, reason=reason
-        )
         obs = self.context.obs
         if obs.enabled:
             self._m_dropped.inc()
+            if message.trace_id is None:
+                # A forged or replayed component rejoins no trace; open
+                # one so the drop and its reason are never invisible.
+                message.trace_id = obs.spans.new_trace()
             obs.spans.event(
                 message.trace_id, self.layer, "drop",
                 rms=self.name, reason=reason,
@@ -316,7 +315,6 @@ class Rms:
             return
         self.state = RmsState.FAILED
         self.closed_at = self.context.now
-        self.context.tracer.record("rms", "fail", rms=self.name, reason=reason)
         self.on_failure.fire(self, reason)
 
     def delete(self) -> None:
@@ -324,7 +322,6 @@ class Rms:
         if self.state is RmsState.OPEN:
             self.state = RmsState.DELETED
             self.closed_at = self.context.now
-            self.context.tracer.record("rms", "delete", rms=self.name)
 
     def close(self) -> None:
         """Idempotent teardown; already-failed or -deleted streams are a no-op.

@@ -45,14 +45,13 @@ class DashSystem:
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = False,
         st_config: Optional[StConfig] = None,
         rkom_config: Optional[RkomConfig] = None,
         cpu_policy: str = "edf",
         cost_model: Optional[CpuCostModel] = None,
         observe: bool = False,
     ) -> None:
-        self.context = SimContext(seed=seed, trace=trace, observe=observe)
+        self.context = SimContext(seed=seed, observe=observe)
         self.keys = KeyRegistry()
         self.networks: Dict[str, Network] = {}
         self.nodes: Dict[str, DashNode] = {}

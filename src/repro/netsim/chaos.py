@@ -38,8 +38,6 @@ class ChaosSchedule:
 
     def _record(self, kind: str, target: str) -> None:
         self.log.append(ChaosEvent(self.context.now, kind, target))
-        self.context.tracer.record("chaos", kind, schedule=self.name,
-                                   target=target)
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter(

@@ -177,10 +177,10 @@ class Network:
         self.frames_delivered = 0
         self.frames_corrupted_delivered = 0
         self.setup_count = 0
-        #: Data-frame recycling: with observability off nothing outside
-        #: the network retains a delivered frame, so it is reusable.
-        #: Ethernet sniffers *do* retain frames; registering one flips
-        #: this off (see EthernetNetwork.add_sniffer).
+        #: Data-frame recycling: nothing outside the network retains a
+        #: delivered frame (spans and counters take ids and sizes), so it
+        #: is reusable.  Ethernet sniffers *do* retain frames; registering
+        #: one flips this off (see EthernetNetwork.add_sniffer).
         self._frame_pool = ObjectPool(cap=256)
         self._pool_frames = True
         #: Per-(src, dst) flow sequence numbers: deterministic per run,
@@ -224,8 +224,8 @@ class Network:
         deadline: float,
         route: List[str],
     ) -> Frame:
-        """A data frame, recycled from the pool when tracing is off."""
-        if self._pool_frames and not self.context.obs.enabled:
+        """A data frame, recycled from the pool unless a sniffer retains them."""
+        if self._pool_frames:
             frame = self._frame_pool.acquire()
             if frame is not None:
                 frame.message = message
@@ -419,9 +419,6 @@ class Network:
         pending.timer = self.context.loop.call_after(
             self.setup_timeout, self._setup_timeout, rms.rms_id
         )
-        self.context.tracer.record(
-            "net", "setup_start", net=self.name, rms=rms.name
-        )
         return future
 
     def _setup_timeout(self, rms_id: int) -> None:
@@ -480,9 +477,6 @@ class Network:
 
     def _control_dropped(self, frame: Frame, reason: str) -> None:
         """A dropped control frame; the setup retry timer recovers."""
-        self.context.tracer.record(
-            "net", "control_drop", net=self.name, kind=frame.kind, reason=reason
-        )
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter(
@@ -539,9 +533,6 @@ class Network:
                 if pending.timer is not None:
                     pending.timer.cancel()
                 rms.established = True
-                self.context.tracer.record(
-                    "net", "setup_done", net=self.name, rms=rms.name
-                )
                 pending.future.set_result(rms)
         elif frame.kind == "teardown":
             rms = self._rms_table.get(frame.rms_id)

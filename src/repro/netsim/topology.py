@@ -132,9 +132,6 @@ class Link:
         queued = self._queued_bytes + size
         if queued > self.buffer_bytes:
             self.stats.frames_dropped_overrun += 1
-            self.context.tracer.record(
-                "link", "overrun", link=self.name, frame=frame.frame_id
-            )
             if self.on_overrun is not None:
                 self.on_overrun(frame)
             if on_drop is not None:
@@ -182,17 +179,11 @@ class Link:
         try:
             if self.impairment.loses_frame(self._rng):
                 stats.frames_dropped_loss += 1
-                self.context.tracer.record(
-                    "link", "loss", link=self.name, frame=frame.frame_id
-                )
                 if on_drop is not None:
                     on_drop(frame, "medium loss")
             else:
                 if self.impairment.maybe_corrupt(frame, self._rng):
                     stats.frames_corrupted += 1
-                    self.context.tracer.record(
-                        "link", "corrupt", link=self.name, frame=frame.frame_id
-                    )
                 loop.call_after(self.propagation_delay, deliver, frame)
         finally:
             # ``_busy`` is held across the drop callback -- a frame it

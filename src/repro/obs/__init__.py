@@ -18,6 +18,10 @@ off::
 The disabled path is a :class:`NullObservability` whose registry and
 tracer are stateless no-ops, so benchmarks with observability off run at
 full speed.
+
+The package also holds what workloads and benches summarise with:
+:mod:`repro.obs.stats` (percentiles, :class:`SummaryStats`,
+:class:`DelayRecorder`) and :mod:`repro.obs.report` (table rendering).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
 )
+from repro.obs.report import Table, format_table
 from repro.obs.spans import (
     NullSpanTracer,
     Segment,
@@ -47,6 +52,7 @@ from repro.obs.spans import (
     SpanEvent,
     SpanTracer,
 )
+from repro.obs.stats import DelayRecorder, SummaryStats, percentile, summarize
 
 __all__ = [
     "Counter",
@@ -69,6 +75,12 @@ __all__ = [
     "span_lines",
     "write_spans_jsonl",
     "flight_recorder",
+    "Table",
+    "format_table",
+    "DelayRecorder",
+    "SummaryStats",
+    "percentile",
+    "summarize",
 ]
 
 

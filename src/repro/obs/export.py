@@ -18,6 +18,8 @@ import json
 import os
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from repro.obs.report import format_table
+
 __all__ = [
     "metrics_payload",
     "write_metrics_json",
@@ -103,10 +105,6 @@ def write_spans_jsonl(path: str, tracer: Any) -> int:
 
 def flight_recorder(obs: Any, top_n: int = 10) -> str:
     """The operator report: slowest messages, layer by layer."""
-    # Imported here: repro.metrics pulls in core.rms, which needs
-    # sim.context -> repro.obs; a module-level import would be circular.
-    from repro.metrics.report import format_table
-
     spans = obs.spans
     lines: List[str] = ["== flight recorder =="]
     lines.append(

@@ -1,8 +1,8 @@
 """Summary statistics for experiment results (pure Python, no numpy).
 
-The benchmark harness reports mean/percentile delay, jitter, loss and
-throughput series; keeping the math here self-contained makes the
-library dependency-free.
+The workloads and the benchmark harness report mean/percentile delay and
+jitter; keeping the math here self-contained makes the library
+dependency-free.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-__all__ = ["percentile", "SummaryStats", "summarize"]
+__all__ = ["percentile", "SummaryStats", "summarize", "DelayRecorder"]
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -83,3 +83,32 @@ def summarize(values: Iterable[float]) -> SummaryStats:
         p99=percentile(data, 0.99),
         maximum=max(data),
     )
+
+
+class DelayRecorder:
+    """Collects per-message delays (seconds)."""
+
+    def __init__(self) -> None:
+        self.delays: List[float] = []
+
+    def record(self, delay: float) -> None:
+        self.delays.append(delay)
+
+    def record_message(self, message) -> None:
+        if message.delay is not None:
+            self.delays.append(message.delay)
+
+    def summary(self) -> SummaryStats:
+        return summarize(self.delays)
+
+    def jitter(self) -> float:
+        """Mean absolute successive delay difference."""
+        if len(self.delays) < 2:
+            return 0.0
+        diffs = [
+            abs(b - a) for a, b in zip(self.delays, self.delays[1:])
+        ]
+        return sum(diffs) / len(diffs)
+
+    def __len__(self) -> int:
+        return len(self.delays)

@@ -119,10 +119,6 @@ class Session:
         if self.state is new_state or self.state is SessionState.CLOSED:
             return
         old, self.state = self.state, new_state
-        self.context.tracer.record(
-            "resilience", "session_state", session=self.name,
-            frm=old.value, to=new_state.value, reason=reason,
-        )
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(

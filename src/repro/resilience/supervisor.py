@@ -44,9 +44,6 @@ def record_transition(
     recovered / gave_up -- together they form the ``rms_failovers_total``
     metric family.
     """
-    context.tracer.record(
-        "resilience", kind, session=session, detail=detail
-    )
     obs = context.obs
     if obs.enabled:
         obs.metrics.counter(

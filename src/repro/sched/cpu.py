@@ -163,17 +163,11 @@ class HostCpu:
     ) -> WorkItem:
         """Queue one work item; ``callback(*args)`` runs when it completes.
 
-        The stage state travels in ``args`` (no closure allocation),
-        ``owner`` skips the name split at dispatch, and tracing is only
-        recorded when the tracer is actually collecting.
+        The stage state travels in ``args`` (no closure allocation) and
+        ``owner`` skips the name split at dispatch.
         """
         item = WorkItem(name, cpu_time, deadline, callback, args, owner,
                         priority, self.context.loop._now, trace_id=trace_id)
-        tracer = self.context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "cpu", "submit", cpu=self.name, item=name, deadline=deadline
-            )
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
@@ -246,15 +240,6 @@ class HostCpu:
             self.deadline_misses += 1
         if self.keep_history:
             self.completed.append(item)
-        tracer = context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "cpu",
-                "finish",
-                cpu=self.name,
-                item=item.name,
-                missed=missed,
-            )
         obs = context.obs
         if obs.enabled:
             metrics = obs.metrics

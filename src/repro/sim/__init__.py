@@ -5,20 +5,16 @@ from repro.sim.events import EventHandle, EventLoop, Signal
 from repro.sim.ports import FlowControlledPort, Port
 from repro.sim.process import Future, Process, all_of
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "EventHandle",
     "EventLoop",
     "FlowControlledPort",
     "Future",
-    "NullTracer",
     "Port",
     "Process",
     "RandomStreams",
     "Signal",
     "SimContext",
-    "TraceRecord",
-    "Tracer",
     "all_of",
 ]

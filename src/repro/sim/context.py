@@ -1,4 +1,4 @@
-"""Simulation context: one bundle of clock, randomness, and tracing.
+"""Simulation context: one bundle of clock, randomness, and observability.
 
 Every layer of the reproduced DASH stack receives a :class:`SimContext`
 instead of reaching for globals, so several independent simulations can
@@ -7,14 +7,13 @@ coexist in one Python process (the benchmark harness relies on this).
 
 from __future__ import annotations
 
-from typing import Optional, Set, Union
+from typing import Optional, Union
 
 from repro.errors import ParameterError
 from repro.obs import NullObservability, Observability
 from repro.sim.events import EventLoop, Signal
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
 
 __all__ = ["SimContext"]
 
@@ -25,18 +24,11 @@ class SimContext:
     def __init__(
         self,
         seed: int = 0,
-        trace: bool = False,
-        trace_categories: Optional[Set[str]] = None,
         observe: bool = False,
         obs: Optional[Union[Observability, NullObservability]] = None,
     ) -> None:
         self.loop = EventLoop()
         self.rng = RandomStreams(seed)
-        self.tracer: Union[Tracer, NullTracer]
-        if trace:
-            self.tracer = Tracer(self.loop, trace_categories)
-        else:
-            self.tracer = NullTracer()
         #: Metrics registry + span tracer; a stateless null facade unless
         #: ``observe=True`` (or a prebuilt facade is injected).
         self.obs: Union[Observability, NullObservability]

@@ -282,10 +282,6 @@ class SubtransportLayer:
         target = self.network_for(peer.host_name)
         if target is peer.network:
             return
-        self.context.tracer.record(
-            "st", "retarget", host=self.host.name, peer=peer.host_name,
-            frm=peer.network.name, to=target.name,
-        )
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter(
@@ -424,9 +420,6 @@ class SubtransportLayer:
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter("st_rms_created", host=self.host.name).inc()
-        self.context.tracer.record(
-            "st", "st_rms_open", st=st_rms.name, net=binding.network_rms.name
-        )
         return st_rms
 
     def close_st_rms(self, st_rms: StRms) -> None:

@@ -436,10 +436,6 @@ class RkomService:
         channel.state = "none"
         channel.low = None
         channel.high = None
-        self.context.tracer.record(
-            "rkom", "channel_failed", host=self.st.host.name, peer=peer_host,
-            reason=reason,
-        )
         obs = self.context.obs
         if obs.enabled:
             obs.metrics.counter(

@@ -20,11 +20,6 @@ def context():
 
 
 @pytest.fixture
-def traced_context():
-    return SimContext(seed=1234, trace=True)
-
-
-@pytest.fixture
 def ethernet_pair(context):
     """An Ethernet with two hosts 'a' and 'b' attached."""
     network = EthernetNetwork(context, trusted=True)

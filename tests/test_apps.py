@@ -14,9 +14,8 @@ from repro.apps.window import (
     graphics_rms_params,
 )
 from repro.dash.system import DashSystem
-from repro.metrics.stats import SummaryStats, percentile, summarize
-from repro.metrics.collectors import DelayRecorder, ThroughputMeter, rms_scorecard
-from repro.metrics.report import Table, format_table
+from repro.obs.report import Table, format_table
+from repro.obs.stats import DelayRecorder, SummaryStats, percentile, summarize
 from repro.transport.stream import StreamConfig
 
 
@@ -70,13 +69,6 @@ class TestMetrics:
             recorder.record(delay)
         assert recorder.jitter() == pytest.approx(0.002)
         assert len(recorder) == 3
-
-    def test_throughput_meter(self):
-        meter = ThroughputMeter(start_time=0.0)
-        meter.record(1000, now=1.0)
-        meter.record(1000, now=2.0)
-        assert meter.throughput() == pytest.approx(1000.0)
-        assert meter.throughput(end_time=4.0) == pytest.approx(500.0)
 
     def test_format_table_alignment(self):
         text = format_table(
@@ -227,12 +219,3 @@ class TestSources:
         system.run(until=system.now + 0.5)
         assert source.process.done  # ended cleanly, no crash
 
-    def test_scorecard_snapshot(self):
-        system = lan_system()
-        rms = open_st(system)
-        rms.send(b"x" * 100)
-        system.run(until=system.now + 1.0)
-        card = rms_scorecard(rms)
-        assert card.sent == 1 and card.delivered == 1
-        assert card.loss_rate == 0.0
-        assert card.on_time_fraction == 1.0

@@ -87,10 +87,14 @@ class TestFramePoolGating:
         for frame in seen:
             assert frame.message is not None
 
-    def test_observability_disables_pooling(self):
+    def test_observability_keeps_pooling(self):
         system, network = _lan(observe=True)
-        _run_traffic(system, "observed")
-        assert len(network._frame_pool) == 0
+        observed = _run_traffic(system, "observed")
+        assert len(network._frame_pool) > 0
+        plain = _run_traffic(_lan()[0], "observed")
+        assert [(m.payload, m.deliver_time) for m in observed] == [
+            (m.payload, m.deliver_time) for m in plain
+        ]
 
     def test_fresh_run_rearms_pooling(self):
         system, network = _lan()

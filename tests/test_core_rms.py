@@ -106,6 +106,41 @@ class TestRmsBasicProperties:
         context.run()
         assert got == list(range(20))
 
+    @pytest.mark.parametrize("observe", [False, True])
+    def test_out_of_order_delivery_is_counted(self, params, observe):
+        """A provider that breaks property 2 is counted, never silent:
+        both messages still reach the client, and the counter, span and
+        registry series name the violation."""
+
+        class SwappingRms(Rms):
+            """Holds each odd message and delivers it after the next."""
+
+            held = None
+
+            def _transmit(self, message):
+                if self.held is None:
+                    self.held = message
+                else:
+                    self._deliver(message)
+                    self._deliver(self.held)
+                    self.held = None
+
+        context = SimContext(seed=9, observe=observe)
+        rms = SwappingRms(context, params, Label("a", "p"), Label("b", "p"))
+        got = []
+        rms.port.set_handler(lambda m: got.append(m.payload))
+        first = rms.send(b"one")
+        rms.send(b"two")
+        context.run()
+        assert got == [b"two", b"one"]
+        assert rms.stats.out_of_order == 1
+        assert rms.stats.messages_delivered == 2
+        if observe:
+            events = [e.event for e in context.obs.spans.events_for(first.trace_id)]
+            assert events == ["send", "deliver", "out_of_order"]
+            series = context.obs.metrics.snapshot()["rms_messages_out_of_order"]
+            assert [s["value"] for s in series["series"]] == [1]
+
     def test_failure_notifies_clients(self, context, params):
         """Basic property 3: clients are notified of RMS failure."""
         rms = LoopbackRms(context, params)

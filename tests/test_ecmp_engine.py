@@ -16,13 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.dash.system import DashSystem
 from repro.errors import RoutingError
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.routing import flow_hash
 from repro.netsim.topology import Host, MeshSpec, build_two_tier
 from repro.obs import LinkUtilizationCollector, jain_fairness
+from repro.resilience import ResiliencePolicy
 from repro.sim.context import SimContext
 from tests.routing_reference import reference_distances
+from tests.streams import assert_in_sequence
 from tests.test_routing_engine import assert_bounded, build_network, soak
 
 # Weights drawn from a tiny discrete set so random graphs are dense
@@ -300,6 +303,70 @@ class TestDagScopedInvalidation:
         network.link("spine1", "leaf0").set_down()
         context.run(until=context.now + 0.5)
         assert set(failed) == pinned_through
+
+
+class TestRepinKeepsOrder:
+    """ST assumes per-flow FIFO of the network RMS below it: when a flap
+    kills a flow's pinned plan and the supervised session comes back on
+    a sibling spine, nothing of that flow may overtake anything else."""
+
+    def test_repin_after_flap_does_not_reorder_within_a_flow(self):
+        system = DashSystem(seed=13, observe=True)
+        network, _ = system.add_mesh(
+            "two_tier", ecmp=True, spines=3, leaves=3, hosts_per_leaf=2,
+            network_kwargs=dict(trusted=True),
+        )
+        primer = network.link("leaf2", "spine2")
+        primer.set_down()
+        primer.set_up()
+        params = best_effort()
+        sessions = {
+            peer: system.connect(
+                "h0", peer, port="flow", desired=params, acceptable=params,
+                resilience=ResiliencePolicy(max_attempts=12),
+            )
+            for peer in ("h2", "h3", "h4", "h5")
+        }
+        system.run(until=2.0)
+        got = {peer: [] for peer in sessions}
+        for peer, session in sessions.items():
+            session.established.result()
+            session.port.set_handler(
+                lambda message, peer=peer: got[peer].append(
+                    int.from_bytes(message.payload[:2], "big")
+                )
+            )
+
+        def producer():
+            for index in range(300):
+                for session in sessions.values():
+                    session.send(index.to_bytes(2, "big") * 32)
+                yield 0.005
+
+        trunk = [network.link("leaf0", "spine1"), network.link("spine1", "leaf0")]
+        before = {
+            rms.rms_id for rms in network._rms_table.values()
+            if "spine1" in rms.route and rms.route[0] == "h0"
+        }
+        assert before
+        system.context.spawn(producer())
+        loop = system.context.loop
+        for link in trunk:
+            loop.call_after(0.3, link.set_down)
+            loop.call_after(0.9, link.set_up)
+        system.run(until=system.now + 10.0)
+
+        # The flap did re-pin: the flows through spine1 are gone and a
+        # session recovered onto a sibling.
+        assert before.isdisjoint(network._rms_table)
+        assert sum(s.stats.recoveries for s in sessions.values()) >= 1
+        for peer, indexes in got.items():
+            assert len(indexes) >= 290, peer
+            assert indexes == sorted(set(indexes)), peer
+        assert_in_sequence(node.st for node in system.nodes.values())
+        # Streams the flap tore down are in no table any more; the
+        # registry series exists only once a violation was counted.
+        assert "rms_messages_out_of_order" not in system.obs.metrics.snapshot()
 
 
 class TestSoakBound:

@@ -1,11 +1,8 @@
-"""Tests for the plain-text table renderer and throughput meter."""
+"""Tests for the plain-text table renderer."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.metrics.collectors import ThroughputMeter
-from repro.metrics.report import Table, format_table
+from repro.obs.report import Table, format_table
 
 
 class TestFormatTable:
@@ -67,22 +64,3 @@ class TestTable:
             "rows": [[1, 0.5]],
         }
 
-
-class TestThroughputMeter:
-    def test_normal_window(self):
-        meter = ThroughputMeter(start_time=0.0)
-        meter.record(1000, now=2.0)
-        assert meter.throughput() == pytest.approx(500.0)
-
-    def test_zero_width_window_uses_epsilon(self):
-        """Bytes recorded at the start instant must not report 0 B/s."""
-        meter = ThroughputMeter(start_time=1.0)
-        meter.record(500, now=1.0)
-        rate = meter.throughput()
-        assert rate > 0.0
-        assert rate == pytest.approx(500 / ThroughputMeter.MIN_WINDOW)
-
-    def test_no_bytes_is_zero(self):
-        meter = ThroughputMeter(start_time=0.0)
-        assert meter.throughput() == 0.0
-        assert meter.throughput(end_time=5.0) == 0.0

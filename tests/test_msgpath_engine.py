@@ -12,6 +12,7 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.errors import RkomTimeoutError
 from repro.sim.events import TimerGroup
+from tests.streams import assert_in_sequence
 
 
 #: Simulated time by which ``_drive`` has the stream established.
@@ -129,6 +130,20 @@ def _span_stream(system):
         if tracer.events_for(trace_id)[0].time >= _ESTABLISHED_BY
         for event in tracer.events_for(trace_id)
     ]
+
+
+class TestInSequence:
+    """Basic property 2 at every level, on the pinned scenarios: loss
+    and reassembly discard may drop, never reorder."""
+
+    @pytest.mark.parametrize(
+        "scenario", [_lossy_trace, _secured_fragmented_trace],
+        ids=["bundled-small", "secured-frag"],
+    )
+    def test_no_stream_delivers_out_of_order_under_loss(self, scenario):
+        deliveries, _, system = scenario(loss=0.05)
+        assert deliveries
+        assert_in_sequence(node.st for node in system.nodes.values())
 
 
 class TestObservedPath:

@@ -10,6 +10,7 @@ from repro.errors import ParameterError
 from repro.obs.export import flight_recorder, metrics_payload, span_lines
 from repro.obs.spans import NullSpanTracer, SpanBreakdown, SpanEvent, SpanTracer
 from repro.sim.events import EventLoop
+from repro.subtransport.wire import FLAG_MAC
 
 
 def make_tracer(**kwargs) -> SpanTracer:
@@ -173,3 +174,37 @@ class TestEndToEndBreakdown:
         text = flight_recorder(obs)
         assert "flight recorder" in text
         assert "slowest" in text
+
+
+class TestForgedComponentDrop:
+    def test_component_rejoining_no_trace_leaves_a_drop_span(self):
+        """A forged component claims no stashed trace id; its drop opens
+        a fresh trace so the reason is never invisible."""
+        system = DashSystem(seed=7, observe=True)
+        system.add_ethernet(trusted=False)
+        system.add_node("a")
+        system.add_node("b")
+        params = RmsParams(
+            capacity=16384,
+            max_message_size=1400,
+            delay_bound=DelayBound(0.1, 1e-5),
+            delay_bound_type=DelayBoundType.BEST_EFFORT,
+            authentication=True,
+        )
+        session = system.connect("a", "b", port="forged", desired=params)
+        system.run(until=2.0)
+        rms = session.established.result()
+        rms.send(b"genuine")
+        system.run(until=3.0)
+        spans = system.obs.spans
+        known = set(spans.traces())
+        receiver = system.nodes["b"].st
+        # Never sent under this (stream, seq): nothing to claim.
+        receiver._receive_component(
+            rms.rms_id, 999, FLAG_MAC, b"\x00" * 40, system.now, 0, 0
+        )
+        assert receiver.stats.auth_drops == 1
+        (fresh,) = set(spans.traces()) - known
+        (drop,) = [e for e in spans.events_for(fresh) if e.event == "drop"]
+        assert drop.fields["reason"] == "authentication failure"
+        assert drop.fields["rms"] == rms.name

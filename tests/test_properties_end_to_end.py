@@ -19,6 +19,7 @@ from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.wire import BundleEntry, decode_bundle, encode_bundle
+from tests.streams import assert_in_sequence
 
 slow = settings(
     max_examples=15,
@@ -68,6 +69,7 @@ def test_boundaries_and_order_preserved(seed, sizes):
         rms.send(payload)
     context.run(until=context.now + 10.0)
     assert got == expected  # exact boundaries, exact order, no loss
+    assert_in_sequence([st_a, st_b])
 
 
 @slow
@@ -104,6 +106,7 @@ def test_order_preserved_under_loss(seed, count):
     context.run(until=context.now + 10.0)
     assert got == sorted(got)
     assert len(set(got)) == len(got)  # no duplicates either
+    assert_in_sequence([st_a, st_b])
 
 
 @slow

@@ -18,12 +18,12 @@ from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host, build_grid
 from repro.sim.context import SimContext
-from repro.sim.trace import Tracer
 from tests.routing_reference import (
     reference_can_reach,
     reference_profile,
     reference_route,
 )
+from tests.streams import drop_reasons
 
 edge_lists = st.lists(
     st.tuples(
@@ -195,13 +195,13 @@ class TestEngineTraceEquivalence:
         assert len(got) == 30
 
 
-def two_region_network():
+def two_region_network(observe=False):
     """Two link-disjoint regions on one internetwork.
 
     Region 1: h1 -- g1 -- g2 -- h2, with a slower bypass h1 -- g3 -- h2.
     Region 2: h3 -- g4 -- h4 (no links shared with region 1).
     """
-    context = SimContext(seed=5)
+    context = SimContext(seed=5, observe=observe)
     network = InternetNetwork(context, trusted=True)
     for name in ("h1", "h2", "h3", "h4"):
         network.attach(Host(context, name))
@@ -403,9 +403,9 @@ class TestPlanDatapath:
         context.run(until=context.now + 1.0)
         assert len(got) == 1
 
-    def pinned(self, route):
+    def pinned(self, route, observe=False):
         """An established h1 -> h2 RMS re-pinned to ``route``."""
-        context, network = two_region_network()
+        context, network = two_region_network(observe=observe)
         params = best_effort()
         future = network.create_rms(Label("h1"), Label("h2"),
                                     params, params)
@@ -472,15 +472,13 @@ class TestPlanDatapath:
         assert rms.route is admitted_route and rms.plan is admitted_plan
 
     def test_pinned_plan_drops_at_a_downed_mid_route_link(self):
-        context, network, rms = self.pinned(["h1", "g3", "h2"])
-        context.tracer = Tracer(context.loop, {"rms"})
+        context, network, rms = self.pinned(["h1", "g3", "h2"], observe=True)
         rms.send(b"z" * 100)
         # Down while the frame is in flight on h1->g3: the RMS fails
         # (its route crosses the link) and the frame drops at g3.
         network.link("g3", "h2").set_down()
         context.run(until=context.now + 1.0)
-        drops = [r.fields["reason"] for r in context.tracer.select("rms", "drop")]
-        assert drops == ["no usable link g3->h2"]
+        assert drop_reasons(context) == ["no usable link g3->h2"]
 
     def test_ethernet_rms_has_no_plan_to_repin(self):
         context = SimContext(seed=2)

@@ -1,4 +1,4 @@
-"""Tests for RNG streams, tracing, and the simulation context."""
+"""Tests for RNG streams and the simulation context."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.context import SimContext
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
 
 
 class TestRandomStreams:
@@ -51,67 +50,7 @@ class TestRandomStreams:
         ).stream("x").random()
 
 
-class TestTracer:
-    def test_records_with_time(self):
-        context = SimContext(trace=True)
-        context.loop.call_after(1.5, lambda: context.tracer.record(
-            "cat", "evt", key="value"))
-        context.run()
-        assert context.tracer.count("cat", "evt") == 1
-        record = next(context.tracer.select("cat"))
-        assert record.time == pytest.approx(1.5)
-        assert record.fields == {"key": "value"}
-
-    def test_category_filter(self):
-        context = SimContext(trace=True, trace_categories={"keep"})
-        context.tracer.record("keep", "a")
-        context.tracer.record("drop", "b")
-        assert context.tracer.count() == 1
-
-    def test_select_by_event(self):
-        context = SimContext(trace=True)
-        context.tracer.record("c", "one")
-        context.tracer.record("c", "two")
-        assert context.tracer.count(event="one") == 1
-
-    def test_max_records_drops_overflow(self):
-        context = SimContext()
-        tracer = Tracer(context.loop, max_records=2)
-        for index in range(5):
-            tracer.record("c", "e", i=index)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
-
-    def test_clear(self):
-        context = SimContext(trace=True)
-        context.tracer.record("c", "e")
-        context.tracer.clear()
-        assert context.tracer.count() == 0
-
-    def test_dump_renders_lines(self):
-        context = SimContext(trace=True)
-        context.tracer.record("cat", "evt", n=3)
-        assert "cat.evt" in context.tracer.dump()
-        assert "n=3" in context.tracer.dump()
-
-    def test_null_tracer_is_inert(self):
-        tracer = NullTracer()
-        tracer.record("c", "e", x=1)
-        assert tracer.count() == 0
-        assert list(tracer.select()) == []
-        assert tracer.dump() == ""
-        assert not tracer.enabled
-
-
 class TestSimContext:
-    def test_default_is_null_tracer(self):
-        context = SimContext()
-        assert isinstance(context.tracer, NullTracer)
-
-    def test_trace_enables_tracer(self):
-        context = SimContext(trace=True)
-        assert isinstance(context.tracer, Tracer)
-
     def test_now_tracks_loop(self):
         context = SimContext()
         context.loop.call_after(3.0, lambda: None)

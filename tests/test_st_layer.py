@@ -15,7 +15,6 @@ from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac
 from repro.sim.context import SimContext
-from repro.sim.trace import Tracer
 from repro.subtransport.config import StConfig
 from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
 from repro.subtransport.wire import (
@@ -28,10 +27,11 @@ from repro.subtransport.wire import (
     encode_bundle,
     encode_control,
 )
+from tests.streams import drop_reasons
 
 
-def build_pair(seed=77, st_config=None, **net_kwargs):
-    context = SimContext(seed=seed)
+def build_pair(seed=77, st_config=None, observe=False, **net_kwargs):
+    context = SimContext(seed=seed, observe=observe)
     net_defaults = dict(trusted=True)
     net_defaults.update(net_kwargs)
     network = EthernetNetwork(context, **net_defaults)
@@ -381,8 +381,7 @@ class TestStSecurityPath:
         failure, counted once, its message is never delivered, nothing
         raises, and every untampered message arrives whole and in
         order -- on the stream attacked and on its neighbour."""
-        context, network, st_a, st_b = build_pair(trusted=False)
-        context.tracer = Tracer(context.loop, {"rms"})
+        context, network, st_a, st_b = build_pair(trusted=False, observe=True)
         rms, other = (
             open_rms(context, st_a, port=port, p=SECURED_BULK)
             for port in ("one", "two")
@@ -424,11 +423,9 @@ class TestStSecurityPath:
         assert st_b.stats.auth_drops == 1
         assert st_b.stats.partials_discarded == 1
         assert st_b.stats.checksum_drops == st_b.stats.garbled_bundles == 0
-        reasons = [
-            record.fields["reason"]
-            for record in context.tracer.select("rms", "drop")
+        assert drop_reasons(context) == [
+            "authentication failure", "partial discarded"
         ]
-        assert reasons == ["authentication failure", "partial discarded"]
 
     def test_trusted_stream_plaintext_on_wire(self):
         context, network, st_a, st_b = build_pair(trusted=True)
