@@ -1,7 +1,7 @@
 """Python-level calls per delivered message, module by module.
 
-A wall-clock-free reading of ROADMAP aim 1's "layer by layer": two small
-scenarios on a trusted-Ethernet pair are run under ``sys.setprofile`` and
+A wall-clock-free reading of ROADMAP aim 1's "layer by layer": small
+scenarios on one Ethernet are run under ``sys.setprofile`` and
 every Python ``call`` event (a function body entered, a generator
 resumed) is counted under the module that defines the code.  C functions
 are not frames and are not counted.  The simulator is deterministic, so
@@ -11,10 +11,16 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
 * ``burst`` -- rounds of 40 x 100 B one-way messages (what
   ``lan_small_burst`` sends), per delivered message;
 * ``rkom``  -- 8 closed-loop RKOM callers echoing 64 B (what
-  ``lan_rkom_closed`` does), per completed call.
+  ``lan_rkom_closed`` does), per completed call;
+* ``setup`` -- one stream opened to a peer never spoken to before (the
+  control channel, on an untrusted medium the handshake, ``st_create``
+  and the data network RMS: what ``grid_churn`` pays per
+  re-establishment), per established stream, trusted and untrusted.
 
 Only public ``DashSystem`` attributes are used.  Counting starts after
-one warm-up round, so establishment and the per-size memos are paid.
+one warm-up round, so in ``burst`` / ``rkom`` establishment and the
+per-size memos are paid, and in ``setup`` whatever the first
+establishment in a process pays once.
 
 Usage: ``PYTHONPATH=src python benchmarks/call_budget.py [--rounds N]``
 """
@@ -31,13 +37,14 @@ from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
 
 BURST, BURST_BYTES, BURST_ROUND_S = 40, 100, 0.02
 CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
+SETUP_ROUND_S = 1.0
 
 
-def _pair(seed: int) -> DashSystem:
+def _pair(seed: int, trusted: bool = True, peers=("b",)) -> DashSystem:
     system = DashSystem(seed=seed)
-    system.add_ethernet(trusted=True)
-    system.add_node("a")
-    system.add_node("b")
+    system.add_ethernet(trusted=trusted)
+    for name in ("a", *peers):
+        system.add_node(name)
     return system
 
 
@@ -48,7 +55,8 @@ def _counted(system: DashSystem, one_round: Callable[[], None],
     nodes = list(system.nodes.values())
     before = (len(delivered),
               sum(node.cpu.items_run for node in nodes),
-              sum(node.st.stats.components_sent for node in nodes))
+              sum(node.st.stats.components_sent for node in nodes),
+              sum(node.st.stats.control_messages for node in nodes))
     calls: Counter = Counter()
 
     def profiler(frame, event, arg) -> None:
@@ -72,6 +80,8 @@ def _counted(system: DashSystem, one_round: Callable[[], None],
         "items": sum(node.cpu.items_run for node in nodes) - before[1],
         "components":
             sum(node.st.stats.components_sent for node in nodes) - before[2],
+        "control":
+            sum(node.st.stats.control_messages for node in nodes) - before[3],
         "calls": dict(calls),
     }
 
@@ -128,6 +138,27 @@ def rkom(rounds: int = 2, seed: int = 1) -> dict:
     return _counted(system, one_round, rounds, done)
 
 
+def setup(rounds: int = 3, seed: int = 1, trusted: bool = False) -> dict:
+    """One stream to a fresh peer per round; per established stream."""
+    peers = [f"b{index}" for index in range(rounds + 1)]
+    system = _pair(seed, trusted, peers)
+    params = RmsParams(
+        capacity=32 * 1024, max_message_size=4000,
+        delay_bound=DelayBound(0.1, 1e-5),
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+    )
+    established: list = []
+    fresh = iter(peers)
+
+    def one_round() -> None:
+        session = system.connect(
+            "a", next(fresh), desired=params, acceptable=params)
+        system.run(until=system.now + SETUP_ROUND_S)
+        established.append(session.established.result())
+
+    return _counted(system, one_round, rounds, established)
+
+
 def per(result: dict, unit: str, *modules: str) -> float:
     """Calls per ``unit`` ('messages' / 'items' / 'components') inside the
     modules whose names start with one of ``modules`` (all when empty)."""
@@ -145,11 +176,18 @@ def table(result: dict, what: str) -> str:
     for module in sorted(rows, key=lambda name: (-rows[name], name)):
         lines.append(f"{module:<36}{rows[module] / messages:>12.2f}")
     lines.append(f"{'TOTAL':<36}{per(result, 'messages'):>12.2f}")
-    lines.append(
-        f"{messages} {what}s; repro.sched per work item "
-        f"{per(result, 'items', 'repro.sched'):.2f}; piggyback.py per "
-        f"component {per(result, 'components', 'repro.subtransport.piggyback'):.2f}"
-    )
+    if result["components"]:  # establishment alone sends none
+        lines.append(
+            f"{messages} {what}s; repro.sched per work item "
+            f"{per(result, 'items', 'repro.sched'):.2f}; piggyback.py per "
+            f"component {per(result, 'components', 'repro.subtransport.piggyback'):.2f}"
+        )
+    else:
+        lines.append(
+            f"{messages} {what}s; control messages per {what} "
+            f"{result['control'] / messages:.2f}; repro.subtransport per "
+            f"{what} {per(result, 'messages', 'repro.subtransport'):.2f}"
+        )
     return "\n".join(lines)
 
 
@@ -162,6 +200,10 @@ def main(argv=None) -> int:
     print(table(burst(args.rounds, args.seed), "message"))
     print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B")
     print(table(rkom(args.rounds, args.seed), "call"))
+    for trusted in (False, True):
+        medium = "a trusted" if trusted else "an untrusted"
+        print(f"\n# setup: one stream to a fresh peer on {medium} Ethernet")
+        print(table(setup(args.rounds, args.seed, trusted), "stream"))
     return 0
 
 

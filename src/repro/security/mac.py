@@ -4,7 +4,7 @@ The RMS authentication parameter guarantees that "impersonation
 (delivery of a message with incorrect source label) is impossible"
 (section 2.1).  The ST realizes this on its control channel with a
 keyed MAC over the message and its source label: the standard library's
-keyed BLAKE2b, its digest size set to the tag width every data-path
+keyed BLAKE2b, its digest size set to the tag width the data-path
 provider shares.
 """
 
@@ -19,11 +19,11 @@ from repro.errors import SecurityError
 __all__ = ["compute_mac", "verify_mac", "MAC_BYTES"]
 
 #: Width of the MAC tag carried in message headers: the one definition,
-#: shared by the control channel here and every data-path provider.
+#: shared by the control channel here and the data-path provider.
 MAC_BYTES = 8
 
 _KEY_BYTES = 16
-#: Domain separation from the data-path providers' tag: the same key,
+#: Domain separation from the data-path provider's tag: the same key,
 #: context and data never yield the same tag on both channels.
 _PERSON = b"dash/ctl"
 _PACK_U32 = struct.Struct(">I").pack

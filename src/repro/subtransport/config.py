@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ParameterError, SecurityError
-from repro.security.providers import resolve_provider
+from repro.errors import ParameterError
 
 __all__ = ["StConfig"]
 
@@ -60,12 +59,6 @@ class StConfig:
     #: Authentication handshake retransmission.
     auth_retry_timeout: float = 0.3
     auth_max_retries: int = 5
-    #: Which :mod:`repro.security.providers` entry negotiated channels
-    #: bind for their software transforms: ``"shake-blake2"`` (the
-    #: default: SHAKE-128 keystream, keyed BLAKE2b tag) or
-    #: ``"null"``/``"hw"`` (elided).
-    #: Resolved once per ST RMS at negotiation time.
-    security_provider: str = "shake-blake2"
 
     def __post_init__(self) -> None:
         if self.send_stage_allowance < 0 or self.recv_stage_allowance < 0:
@@ -76,7 +69,3 @@ class StConfig:
             raise ParameterError("cache size must be >= 0")
         if self.control_delay_bound <= 0:
             raise ParameterError("control delay bound must be > 0")
-        try:
-            resolve_provider(self.security_provider)
-        except SecurityError as exc:
-            raise ParameterError(str(exc)) from None

@@ -15,31 +15,25 @@ the client's RMS parameters and the underlying network's properties:
 require privacy, no mechanism is used (which is again optimal).  Without
 the RMS security parameters, this optimization would not be possible."
 
-The *implementation* of the chosen mechanisms is itself negotiated: the
-host configuration names a :mod:`repro.security.providers` entry
-(``StConfig(security_provider=...)``), :func:`plan_security` resolves it
-exactly once, and the plan records both the name (for reporting) and the
-resolved factory, so :class:`SecurityContext` binds provider methods --
-never module globals -- on the data path.
+The mechanisms themselves are :class:`~repro.security.providers.
+ShakeBlake2Provider`'s; :class:`SecurityContext` keys one per ST RMS and
+binds its methods for the data path.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 from repro.core.params import RmsParams
 from repro.netsim.network import Network
 from repro.security.checksum import crc32
 from repro.security.mac import MAC_BYTES
-from repro.security.providers import SecurityProvider, resolve_provider
+from repro.security.providers import ShakeBlake2Provider
 from repro.subtransport.wire import FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC
 
-__all__ = ["DEFAULT_PROVIDER", "SecurityContext", "SecurityPlan", "plan_security"]
-
-#: The provider negotiated when the host configuration names none.
-DEFAULT_PROVIDER = "shake-blake2"
+__all__ = ["SecurityContext", "SecurityPlan", "plan_security"]
 
 _CHECKSUM_BYTES = 4
 _PACK_U32 = struct.Struct(">I").pack
@@ -56,32 +50,14 @@ class SecurityPlan:
     #: medium provides them, so the ST can skip the software mechanism).
     network_privacy: bool
     network_authentication: bool
-    #: Name of the negotiated transform provider (section 2.5 extended:
-    #: the *implementation* is a channel parameter too).
-    provider: str = DEFAULT_PROVIDER
-    #: The factory :func:`plan_security` resolved for ``provider``.
-    #: Resolution happens once at negotiation; contexts built from this
-    #: plan never consult the registry again.
-    factory: Optional[Callable[[bytes], SecurityProvider]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def any_software_mechanism(self) -> bool:
         return self.encrypt or self.mac or self.checksum
 
 
-def plan_security(
-    params: RmsParams,
-    network: Network,
-    provider: str = DEFAULT_PROVIDER,
-) -> SecurityPlan:
-    """Decide mechanisms for an ST RMS with ``params`` over ``network``.
-
-    ``provider`` names the transform implementation to negotiate; it is
-    resolved here (raising ``SecurityError`` on an unknown name) so a
-    misconfigured host fails at negotiation, not mid-message.
-    """
+def plan_security(params: RmsParams, network: Network) -> SecurityPlan:
+    """Decide mechanisms for an ST RMS with ``params`` over ``network``."""
     properties = network.properties
     medium_private = properties.trusted or properties.link_encryption
     medium_authentic = properties.trusted or properties.link_encryption
@@ -96,8 +72,6 @@ def plan_security(
         checksum=checksum,
         network_privacy=params.privacy and medium_private,
         network_authentication=params.authentication and medium_authentic,
-        provider=provider,
-        factory=resolve_provider(provider),
     )
 
 
@@ -107,10 +81,8 @@ class SecurityContext:
     Everything a message would otherwise re-derive is hoisted to
     creation: the bound provider instance (keyed hash states derived
     once), the encoded MAC-context prefix, the wire-flag word, and the
-    tag overhead.  ``_seal``/``_open``/``_mac``/
-    ``_verify`` are the *provider's* bound methods -- swapping
-    ``StConfig(security_provider=...)`` swaps the whole transform engine
-    with no change to this class or its callers.
+    tag overhead.  ``_seal``/``_open``/``_mac``/``_verify`` are the
+    provider's bound methods.
 
     On a parameter-elided channel (section 2.4: the client asked for no
     security, or the medium provides it) ``protect`` is ``None`` -- the
@@ -144,10 +116,7 @@ class SecurityContext:
         self.overhead = overhead
         # Built unconditionally: a mismatched wire flag (corruption) must
         # still decrypt-attempt rather than crash the receive path.
-        factory = plan.factory
-        if factory is None:  # plans built by hand in tests
-            factory = resolve_provider(plan.provider)
-        provider = factory(session_key)
+        provider = ShakeBlake2Provider(session_key)
         self.provider = provider
         self._seal = provider.seal
         self._open = provider.open

@@ -8,55 +8,40 @@ arrange for 'fast acknowledgement' of messages sent on ST RMS's."
 
 Per active peer host the ST keeps
 
-- a *control channel*: two low-capacity, low-delay network RMSs, one per
-  direction, carrying a request/reply protocol for authentication and
-  ST RMS establishment ("The first ST RMS creation request to a given
-  peer triggers the creation of the ST control channel to that peer");
-- a set of *data network RMSs*, cached and multiplexed (section 4.2),
-  each with a piggybacking queue (section 4.3.1).
+- a *control channel* (:mod:`repro.subtransport.control`) carrying a
+  request/reply protocol for authentication and ST RMS establishment;
+- a set of *data network RMSs*, cached and multiplexed
+  (:mod:`repro.subtransport.binding`, section 4.2), each with a
+  piggybacking queue (section 4.3.1).
 
-The ST also fragments/reassembles when the ST maximum message size
-exceeds the network's ("It does not retransmit fragments; if a message
-is incomplete when a fragment of the next message arrives, the partial
-message is discarded", section 4.3).
+This module is the stream lifecycle on top of those two and the one
+send and one receive pipeline.  The ST also fragments/reassembles when
+the ST maximum message size exceeds the network's ("It does not
+retransmit fragments; if a message is incomplete when a fragment of the
+next message arrives, the partial message is discarded", section 4.3).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from functools import partial
+from typing import Dict, List, Optional, Union
 
 from repro.core.message import Label, Message, fast_message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
-from repro.core.params import (
-    DelayBound,
-    DelayBoundType,
-    RmsParams,
-    RmsRequest,
-    StatisticalSpec,
-)
+from repro.core.params import DelayBound, RmsParams, RmsRequest
 from repro.core.rms import RmsState
-from repro.errors import (
-    AdmissionError,
-    AuthenticationError,
-    NegotiationError,
-    RmsError,
-    TransportError,
-)
+from repro.errors import NegotiationError, RmsError, TransportError
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
-# The control channel tags its frames with this module function; the
-# *data* path runs whatever provider the channel negotiated (see
-# SecurityContext).
-from repro.security.mac import compute_mac, verify_mac
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.sim.process import Future
+from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
 from repro.subtransport.config import StConfig
+from repro.subtransport.control import CONTROL_PORT, ControlChannel, Fields
 from repro.subtransport.mux import MuxBinding
-from repro.subtransport.piggyback import PiggybackQueue
 from repro.subtransport.security import plan_security
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
@@ -67,17 +52,11 @@ from repro.subtransport.wire import (
     FLAG_MAC,
     FRAG_HEADER_BYTES,
     SUBHEADER_BYTES,
-    control_mac_material,
     decode_bundle_flat,
-    decode_control,
-    encode_control,
     encode_single,
 )
 
 __all__ = ["SubtransportLayer", "StStats"]
-
-CONTROL_PORT = "st-ctl"
-DATA_PORT = "st-data"
 
 _BUNDLE_COUNT_BYTES = 2
 _SECURITY_FLAGS = FLAG_CHECKSUM | FLAG_MAC | FLAG_ENCRYPTED
@@ -98,6 +77,7 @@ class StStats:
     garbled_bundles: int = 0
     checksum_drops: int = 0
     auth_drops: int = 0
+    control_drops: int = 0  # tagged control frames the handshake table refuses
     orphan_components: int = 0
     fragments_sent: int = 0
     fragments_received: int = 0
@@ -111,16 +91,6 @@ class StStats:
         if self.bundles_sent == 0:
             return 0.0
         return self.components_sent / self.bundles_sent
-
-
-@dataclass
-class _PendingRequest:
-    """An outstanding control request with retransmission state."""
-
-    future: Future
-    fields: Dict[str, Any]
-    attempts: int = 0
-    timer: Any = None
 
 
 @dataclass
@@ -147,38 +117,6 @@ class _RxStream:
     cost_cache: Dict[int, float] = field(default_factory=dict)
 
 
-class _PeerState:
-    """Everything the ST knows about one remote host."""
-
-    def __init__(
-        self, host_name: str, network: Network, timers: TimerGroup
-    ) -> None:
-        self.host_name = host_name
-        self.network = network
-        self.control_out: Optional[NetworkRms] = None
-        self.control_in: Optional[NetworkRms] = None
-        self.control_out_state = "none"  # none | creating | ready
-        self.authenticated = False
-        self.auth_in_progress = False
-        self.ready_waiters: List[Future] = []
-        self.outbox: List[Message] = []
-        self.pending_replies: Dict[int, "_PendingRequest"] = {}
-        self.auth_timer = None
-        self.auth_attempts = 0
-        self.req_ids = itertools.count(1)
-        self.initiator_nonce: Optional[int] = None
-        self.bindings: List[MuxBinding] = []
-        self.cached: List[MuxBinding] = []
-        #: One coalesced deadline heap for every protocol timer aimed at
-        #: this peer (piggyback flushes, control retransmissions, auth
-        #: retries).
-        self.timers = timers
-
-    @property
-    def ready(self) -> bool:
-        return self.control_out_state == "ready" and self.authenticated
-
-
 class SubtransportLayer:
     """The ST instance of one host."""
 
@@ -198,108 +136,51 @@ class SubtransportLayer:
         self.keys = key_registry or KeyRegistry()
         self.config = config or StConfig()
         self.stats = StStats()
-        self._peers: Dict[str, _PeerState] = {}
-        self._network_preference: Dict[str, str] = {}
+        self._peers: Dict[str, Peer] = {}
         self._rx: Dict[int, _RxStream] = {}
+        self._bindings = NetworkBindings(
+            context, host, self.networks, self.config, self.stats,
+            self._make_flusher,
+        )
+        self._control_handlers = {
+            "st_create": self._handle_st_create,
+            "st_close": self._handle_st_close,
+            "fast_ack": self._handle_fast_ack,
+        }
         if not self.keys.is_registered(host.name):
             self.keys.register_host(host.name)
         for network in self.networks:
             network.listen_incoming(host.name, self._incoming_network_rms)
 
     # ------------------------------------------------------------------
-    # Peer and network selection
+    # Peers
     # ------------------------------------------------------------------
 
     def network_for(self, peer_host: str) -> Network:
-        """The preferred usable network shared with ``peer_host``.
-
-        Candidates are the configured networks both hosts attach to, in
-        configuration order.  Among candidates that can currently reach
-        the peer (:meth:`Network.can_reach`), an explicit per-peer
-        preference -- set by the resilience layer on failover -- wins,
-        then configuration order.  When no candidate is usable the first
-        candidate is returned, so establishment on a dead network still
-        fails through the normal setup-timeout path.
-        """
-        candidates = [
-            network
-            for network in self.networks
-            if self.host.name in network.hosts and peer_host in network.hosts
-        ]
-        if not candidates:
-            raise TransportError(
-                f"no common network between {self.host.name} and {peer_host}"
-            )
-        preferred = self._network_preference.get(peer_host)
-        if preferred is not None:
-            for network in candidates:
-                if network.name == preferred and network.can_reach(
-                    self.host.name, peer_host
-                ):
-                    return network
-        for network in candidates:
-            if network.can_reach(self.host.name, peer_host):
-                return network
-        return candidates[0]
+        """The preferred usable network shared with ``peer_host`` (see
+        :meth:`NetworkBindings.network_for`)."""
+        return self._bindings.network_for(peer_host)
 
     def set_network_preference(
         self, peer_host: str, network_name: Optional[str]
     ) -> None:
         """Prefer one attached network for a peer (resilience failover)."""
-        if network_name is None:
-            self._network_preference.pop(peer_host, None)
-            return
-        if network_name not in {network.name for network in self.networks}:
-            raise TransportError(
-                f"{self.host.name} is not attached to network {network_name!r}"
-            )
-        self._network_preference[peer_host] = network_name
+        self._bindings.set_network_preference(peer_host, network_name)
 
-    def _peer(self, peer_host: str) -> _PeerState:
+    def _peer(self, peer_host: str) -> Peer:
         peer = self._peers.get(peer_host)
-        if peer is None:
-            peer = _PeerState(
-                peer_host,
-                self.network_for(peer_host),
-                TimerGroup(self.context.loop),
-            )
-            self._peers[peer_host] = peer
-        else:
-            self._maybe_retarget(peer)
+        if peer is not None:
+            self._bindings.retarget(peer)
+            return peer
+        peer = Peer(peer_host, TimerGroup(self.context.loop))
+        peer.control = ControlChannel(
+            self.context, self.config, self.stats, self.host.name, peer_host,
+            self._bindings.network_for(peer_host), self._session_key(peer_host),
+            peer.timers, self._control_handlers,
+            before_connect=partial(self._bindings.retarget, peer),
+        )
+        self._peers[peer_host] = peer
         return peer
-
-    def _maybe_retarget(self, peer: _PeerState) -> None:
-        """Re-point a peer at a usable network after its old one died.
-
-        Only legal while no control channel exists or is being created:
-        a live channel pins the peer to its network, and a failed one
-        resets ``control_out_state`` to "none" first -- which is exactly
-        what lets the next request migrate.  Authentication state is
-        network-specific (trust differs per network), so it resets too.
-        """
-        if peer.control_out_state != "none":
-            return
-        target = self.network_for(peer.host_name)
-        if target is peer.network:
-            return
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_peer_retargets", host=self.host.name, network=target.name
-            ).inc()
-        # Cached bindings on another network are useless to the new one;
-        # live bindings were already failed by the network itself.
-        for binding in list(peer.cached):
-            if binding.network_rms.network is not target:
-                peer.cached.remove(binding)
-                binding.network_rms.close()
-        peer.network = target
-        peer.authenticated = False
-        peer.auth_in_progress = False
-        peer.control_in = None
-        if peer.auth_timer is not None:
-            peer.auth_timer.cancel()
-            peer.auth_timer = None
 
     def _session_key(self, peer_host: str) -> bytes:
         if not self.keys.is_registered(peer_host):
@@ -318,7 +199,7 @@ class SubtransportLayer:
         fragmentation multiplies the maximum message size.  Delay bounds
         gain the ST processing allowances.
         """
-        network = self.network_for(peer_host)
+        network = self._bindings.network_for(peer_host)
         base = network.capability_table(self.host.name, peer_host)
         probe = RmsParams()  # plain combination always supported
         limits = base.limits_for(probe)
@@ -377,10 +258,9 @@ class SubtransportLayer:
         peer = self._peer(peer_host)
         yield self.ensure_control(peer_host)
         actual = negotiate(desired, acceptable, self.st_capability_table(peer_host))
-        plan = plan_security(
-            actual, peer.network, self.config.security_provider
-        )
-        receiver_host = peer.network.hosts[peer_host]
+        network = peer.control.network
+        plan = plan_security(actual, network)
+        receiver_host = network.hosts[peer_host]
         st_rms = StRms(
             self.context,
             actual,
@@ -392,22 +272,21 @@ class SubtransportLayer:
             receiver_port=receiver_host.bind_port(port),
             name=f"st:{self.host.name}->{peer_host}:{port}",
         )
-        reply = yield self._control_request(
-            peer,
+        reply = yield peer.control.request(
             {
                 "op": "st_create",
                 "st_id": st_rms.rms_id,
                 "port": port,
                 "fast_ack": st_rms.fast_ack,
                 "capacity": actual.capacity,
-            },
+            }
         )
         if reply.get("op") != "st_accept":
             st_rms.fail("peer rejected ST RMS creation")
             raise NegotiationError(
                 f"{peer_host} rejected ST RMS: {reply.get('reason', 'unknown')}"
             )
-        binding = yield from self._assign_binding(peer, actual)
+        binding = yield from self._bindings.assign(peer, actual)
         binding.attach(st_rms)
         st_rms.max_component = (
             binding.network_rms.params.max_message_size
@@ -415,7 +294,9 @@ class SubtransportLayer:
             - SUBHEADER_BYTES
             - st_rms.security.overhead
         )
-        st_rms.on_failure.listen(lambda rms, reason: self._st_failed(peer, rms))
+        st_rms.on_failure.listen(
+            lambda rms, reason: self._bindings.detach(peer, rms)
+        )
         self.stats.st_rms_created += 1
         obs = self.context.obs
         if obs.enabled:
@@ -427,30 +308,9 @@ class SubtransportLayer:
         if st_rms.state is not RmsState.OPEN:
             return
         peer = self._peer(st_rms.receiver.host)
-        self._send_control(peer, {"op": "st_close", "st_id": st_rms.rms_id})
-        self._detach(peer, st_rms)
+        peer.control.send({"op": "st_close", "st_id": st_rms.rms_id})
+        self._bindings.detach(peer, st_rms)
         st_rms.delete()
-
-    def _detach(self, peer: _PeerState, st_rms: StRms) -> None:
-        binding = st_rms.binding
-        if binding is None:
-            return
-        binding.detach(st_rms)
-        if not binding.is_idle or binding not in peer.bindings:
-            return
-        peer.bindings.remove(binding)
-        binding.queue.flush("forced")
-        if (
-            self.config.cache_enabled
-            and len(peer.cached) < self.config.cache_size_per_peer
-            and binding.network_rms.is_open
-        ):
-            peer.cached.append(binding)
-        else:
-            peer.network.delete_rms(binding.network_rms)
-
-    def _st_failed(self, peer: _PeerState, st_rms: StRms) -> None:
-        self._detach(peer, st_rms)
 
     def close_peer(self, peer_host: str) -> None:
         """Tear down all state toward one peer, leaving zero live timers.
@@ -463,447 +323,63 @@ class SubtransportLayer:
         peer = self._peers.pop(peer_host, None)
         if peer is None:
             return
-        if peer.auth_timer is not None:
-            peer.auth_timer.cancel()
-            peer.auth_timer = None
-        peer.auth_in_progress = False
-        pending, peer.pending_replies = peer.pending_replies, {}
-        error = TransportError(f"peer {peer_host} closed")
-        for request in pending.values():
-            if request.timer is not None:
-                request.timer.cancel()
-                request.timer = None
-            if not request.future.done:
-                request.future.set_exception(error)
-        self._fail_waiters(peer, error)
+        peer.control.close()
         for binding in list(peer.bindings) + list(peer.cached):
             binding.queue.flush("forced")
             for st_rms in list(binding.st_rms.values()):
                 binding.detach(st_rms)
                 st_rms.delete()
             if binding.network_rms.is_open:
-                peer.network.delete_rms(binding.network_rms)
+                peer.control.network.delete_rms(binding.network_rms)
         peer.bindings.clear()
         peer.cached.clear()
-        if peer.control_out is not None and peer.control_out.is_open:
-            peer.network.delete_rms(peer.control_out)
-        peer.control_out = None
-        peer.control_out_state = "none"
         peer.timers.cancel_all()
 
     # ------------------------------------------------------------------
-    # Control channel (section 3.2)
+    # Control channel (section 3.2): the layer's side of it
     # ------------------------------------------------------------------
 
     def ensure_control(self, peer_host: str) -> Future:
         """A future resolving once the authenticated control channel is up."""
-        peer = self._peer(peer_host)
-        future = Future(self.context.loop)
-        if peer.ready:
-            future.set_result(None)
-            return future
-        peer.ready_waiters.append(future)
-        self._ensure_control_out(peer)
-        return future
-
-    def _control_params(self) -> RmsParams:
-        return RmsParams(
-            capacity=self.config.control_capacity,
-            max_message_size=min(512, self.config.control_capacity),
-            delay_bound=DelayBound(self.config.control_delay_bound, 1e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-
-    def _ensure_control_out(self, peer: _PeerState) -> None:
-        if peer.control_out_state != "none":
-            return
-        self._maybe_retarget(peer)
-        peer.control_out_state = "creating"
-        params = self._control_params()
-        acceptable = params.with_(
-            delay_bound=DelayBound(self.config.control_delay_bound * 4, 1e-5)
-        )
-        future = peer.network.create_rms(
-            Label(self.host.name, CONTROL_PORT),
-            Label(peer.host_name, CONTROL_PORT),
-            params,
-            acceptable,
-        )
-        future.add_done_callback(lambda f: self._control_out_done(peer, f))
-
-    def _control_out_done(self, peer: _PeerState, future: Future) -> None:
-        if future.failed:
-            peer.control_out_state = "none"
-            self._fail_waiters(peer, TransportError("control channel setup failed"))
-            return
-        peer.control_out = future.result()
-        peer.control_out.on_failure.listen(
-            lambda rms, reason: self._control_failed(peer, reason)
-        )
-        peer.control_out_state = "ready"
-        for message in peer.outbox:
-            self._control_transmit(peer, message)
-        peer.outbox.clear()
-        self._start_authentication(peer)
-
-    def _control_failed(self, peer: _PeerState, reason: str) -> None:
-        peer.control_out = None
-        peer.control_out_state = "none"
-        peer.authenticated = False
-        self._fail_waiters(peer, TransportError(f"control channel failed: {reason}"))
-
-    def _fail_waiters(self, peer: _PeerState, error: Exception) -> None:
-        waiters, peer.ready_waiters = peer.ready_waiters, []
-        for waiter in waiters:
-            waiter.set_exception(error)
-
-    def _start_authentication(self, peer: _PeerState) -> None:
-        trusted = peer.network.properties.trusted and self.config.trust_optimization
-        if trusted:
-            peer.authenticated = True
-            self._resolve_waiters(peer)
-            return
-        if peer.auth_in_progress or peer.authenticated:
-            return
-        peer.auth_in_progress = True
-        self.stats.auth_handshakes += 1
-        nonce = self.context.rng.stream(f"auth:{self.host.name}").getrandbits(48)
-        peer.initiator_nonce = nonce
-        peer.auth_attempts = 0
-        self._send_control(
-            peer, {"op": "auth1", "from": self.host.name, "na": nonce}
-        )
-        peer.auth_timer = peer.timers.call_after(
-            self.config.auth_retry_timeout, self._auth_timeout, peer
-        )
-
-    def _auth_timeout(self, peer: _PeerState) -> None:
-        peer.auth_timer = None
-        if peer.authenticated or not peer.auth_in_progress:
-            return
-        peer.auth_attempts += 1
-        if peer.auth_attempts > self.config.auth_max_retries:
-            peer.auth_in_progress = False
-            self._fail_waiters(
-                peer,
-                AuthenticationError(
-                    f"authentication with {peer.host_name} timed out"
-                ),
-            )
-            return
-        self._send_control(
-            peer,
-            {"op": "auth1", "from": self.host.name, "na": peer.initiator_nonce},
-        )
-        peer.auth_timer = peer.timers.call_after(
-            self.config.auth_retry_timeout * (2 ** peer.auth_attempts),
-            self._auth_timeout,
-            peer,
-        )
-
-    def _resolve_waiters(self, peer: _PeerState) -> None:
-        waiters, peer.ready_waiters = peer.ready_waiters, []
-        for waiter in waiters:
-            waiter.set_result(None)
-
-    # -- control send/receive machinery ---------------------------------
-
-    def _send_control(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
-        key = self._session_key(peer.host_name)
-        # The pairwise key is symmetric: the tag binds the source label,
-        # or a host's own frames would verify when played back to it.
-        mac = compute_mac(
-            key, control_mac_material(fields), self.host.name.encode()
-        )
-        message = Message(
-            encode_control(fields, mac=mac),
-            source=Label(self.host.name, CONTROL_PORT),
-            target=Label(peer.host_name, CONTROL_PORT),
-        )
-        self.stats.control_messages += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_control_messages", host=self.host.name
-            ).inc()
-        if peer.control_out_state == "ready" and peer.control_out is not None:
-            self._control_transmit(peer, message)
-        else:
-            peer.outbox.append(message)
-            self._ensure_control_out(peer)
-
-    def _control_transmit(self, peer: _PeerState, message: Message) -> None:
-        deadline = self.context.now + self.config.control_delay_bound
-        peer.control_out.send(message, deadline=deadline)
-
-    def _control_request(self, peer: _PeerState, fields: Dict[str, Any]) -> Future:
-        req_id = next(peer.req_ids)
-        fields = dict(fields)
-        fields["req"] = req_id
-        pending = _PendingRequest(future=Future(self.context.loop), fields=fields)
-        peer.pending_replies[req_id] = pending
-        self._send_control(peer, fields)
-        pending.timer = peer.timers.call_after(
-            self.config.control_retry_timeout, self._request_timeout, peer, req_id
-        )
-        return pending.future
-
-    def _request_timeout(self, peer: _PeerState, req_id: int) -> None:
-        pending = peer.pending_replies.get(req_id)
-        if pending is None:
-            return
-        pending.attempts += 1
-        if pending.attempts > self.config.control_max_retries:
-            peer.pending_replies.pop(req_id, None)
-            pending.future.set_exception(
-                TransportError(
-                    f"control request to {peer.host_name} timed out"
-                )
-            )
-            return
-        self._send_control(peer, pending.fields)
-        pending.timer = peer.timers.call_after(
-            self.config.control_retry_timeout * (2 ** pending.attempts),
-            self._request_timeout,
-            peer,
-            req_id,
-        )
+        return self._peer(peer_host).control.ensure()
 
     def _incoming_network_rms(self, rms: NetworkRms) -> None:
         if rms.receiver.host != self.host.name:
             return
         if rms.receiver.port == CONTROL_PORT:
-            peer = self._peer(rms.sender.host)
-            peer.control_in = rms
-            rms.port.set_handler(
-                lambda message, p=peer: self._control_arrived(p, message)
-            )
+            rms.port.set_handler(self._peer(rms.sender.host).control.arrived)
         elif rms.receiver.port == DATA_PORT:
             rms.port.set_handler(
                 lambda message, r=rms: self._data_arrived(r, message)
             )
 
-    def _control_arrived(self, peer: _PeerState, message: Message) -> None:
-        try:
-            fields = decode_control(message.payload)
-        except TransportError:
-            self.stats.garbled_bundles += 1
-            return
-        key = self._session_key(peer.host_name)
-        mac_hex = fields.get("_mac")
-        if mac_hex is None or not verify_mac(
-            key,
-            control_mac_material(fields),
-            bytes.fromhex(mac_hex),
-            peer.host_name.encode(),
-        ):
-            self.stats.auth_drops += 1
-            return
-        op = fields.get("op")
-        if op == "auth1":
-            self._handle_auth1(peer, fields)
-        elif op == "auth2":
-            self._handle_auth2(peer, fields)
-        elif op == "auth3":
-            self._handle_auth3(peer, fields)
-        elif op == "st_create":
-            self._handle_st_create(peer, fields)
-        elif op in ("st_accept", "st_reject"):
-            pending = peer.pending_replies.pop(fields.get("req", -1), None)
-            if pending is not None:
-                if pending.timer is not None:
-                    pending.timer.cancel()
-                pending.future.set_result(fields)
-        elif op == "st_close":
-            self._rx.pop(fields.get("st_id", -1), None)
-        elif op == "fast_ack":
-            st_rms = StRms.registry.get(fields.get("st_id", -1))
-            if st_rms is not None:
-                st_rms.on_fast_ack.fire(fields.get("seq", -1))
-
-    # -- authentication handshake (challenge/response on the channel) ----
-
-    def _handle_auth1(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
-        nb = self.context.rng.stream(f"auth:{self.host.name}").getrandbits(48)
-        self._send_control(
-            peer,
-            {"op": "auth2", "from": self.host.name, "na": fields["na"], "nb": nb},
-        )
-
-    def _handle_auth2(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
-        if peer.initiator_nonce is None or fields.get("na") != peer.initiator_nonce:
-            self.stats.auth_drops += 1
-            return
-        self._send_control(
-            peer, {"op": "auth3", "from": self.host.name, "nb": fields["nb"]}
-        )
-        peer.authenticated = True
-        peer.auth_in_progress = False
-        if peer.auth_timer is not None:
-            peer.auth_timer.cancel()
-            peer.auth_timer = None
-        self._resolve_waiters(peer)
-
-    def _handle_auth3(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
-        # The MAC on the envelope already proves key possession; seeing
-        # our nonce back completes mutual authentication.
-        peer.authenticated = True
-        self._resolve_waiters(peer)
-
-    # -- ST RMS establishment, receiver side ------------------------------
-
-    def _handle_st_create(self, peer: _PeerState, fields: Dict[str, Any]) -> None:
-        st_id = fields.get("st_id", -1)
+    def _handle_st_create(self, channel: ControlChannel, fields: Fields) -> None:
+        """ST RMS establishment, receiver side."""
+        st_id = fields["st_id"]
         st_rms = StRms.registry.get(st_id)
         if st_rms is None:
-            self._send_control(
-                peer,
-                {
-                    "op": "st_reject",
-                    "req": fields.get("req"),
-                    "reason": "unknown st_id",
-                },
+            channel.send(
+                {"op": "st_reject", "req": fields["req"], "reason": "unknown st_id"}
             )
             return
         self._rx[st_id] = _RxStream(
             st_rms=st_rms,
             fast_ack=bool(fields.get("fast_ack")),
-            sender_host=peer.host_name,
+            sender_host=channel.peer_host,
         )
-        self._send_control(peer, {"op": "st_accept", "req": fields.get("req")})
+        channel.send({"op": "st_accept", "req": fields["req"]})
+
+    def _handle_st_close(self, channel: ControlChannel, fields: Fields) -> None:
+        self._rx.pop(fields["st_id"], None)
+
+    def _handle_fast_ack(self, channel: ControlChannel, fields: Fields) -> None:
+        st_rms = StRms.registry.get(fields["st_id"])
+        if st_rms is not None:
+            st_rms.on_fast_ack.fire(fields["seq"])
 
     # ------------------------------------------------------------------
-    # Data path: multiplexing, piggybacking, fragmentation, security
+    # Data path: piggybacking, fragmentation, security
     # ------------------------------------------------------------------
-
-    def _assign_binding(self, peer: _PeerState, st_params: RmsParams):
-        """Generator yielding a binding that can carry the new ST RMS."""
-        enforce = self.config.enforce_mux_rules
-        obs = self.context.obs
-        if self.config.multiplexing_enabled:
-            for binding in peer.bindings:
-                if binding.can_accept(st_params, enforce) is None:
-                    self.stats.mux_joins += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "st_mux_joins", host=self.host.name
-                        ).inc()
-                    return binding
-        if self.config.cache_enabled:
-            for binding in list(peer.cached):
-                if binding.can_accept(st_params, enforce) is None:
-                    peer.cached.remove(binding)
-                    peer.bindings.append(binding)
-                    self.stats.cache_hits += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "st_cache_hits", host=self.host.name
-                        ).inc()
-                    return binding
-        desired, acceptable = self._network_params_for(peer, st_params)
-        source = Label(self.host.name, DATA_PORT)
-        target = Label(peer.host_name, DATA_PORT)
-        try:
-            future = peer.network.create_rms(source, target, desired, acceptable)
-        except AdmissionError:
-            # The headroom-inflated request did not fit; retry with the
-            # exact acceptable parameters before giving up.
-            future = peer.network.create_rms(
-                source, target, acceptable, acceptable
-            )
-        network_rms = yield future
-        binding = MuxBinding(network_rms)
-        binding.queue = PiggybackQueue(
-            self.context,
-            max_bundle_payload=network_rms.params.max_message_size,
-            flush_fn=self._make_flusher(binding),
-            ordering_floor=binding.ordering_floor,
-            timer_group=peer.timers,
-            enabled=self.config.piggyback_enabled,
-        )
-        peer.bindings.append(binding)
-        network_rms.on_failure.listen(
-            lambda rms, reason, b=binding, p=peer: self._network_rms_failed(
-                p, b, reason
-            )
-        )
-        self.stats.network_rms_created += 1
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_network_rms_created", host=self.host.name
-            ).inc()
-        return binding
-
-    def _network_rms_failed(
-        self, peer: _PeerState, binding: MuxBinding, reason: str
-    ) -> None:
-        for st_rms in list(binding.st_rms.values()):
-            st_rms.fail(f"network RMS failed: {reason}")
-        if binding in peer.bindings:
-            peer.bindings.remove(binding)
-        if binding in peer.cached:
-            peer.cached.remove(binding)
-
-    def _network_params_for(self, peer: _PeerState, st_params: RmsParams):
-        """Derive the network RMS request for a new binding (section 4.2)."""
-        plan = plan_security(
-            st_params, peer.network, self.config.security_provider
-        )
-        mtu = peer.network.properties.mtu
-        guaranteed = st_params.delay_bound_type != DelayBoundType.BEST_EFFORT
-        if guaranteed:
-            # Reserved resources scale with capacity and tighten with the
-            # delay bound, so guaranteed streams ask lean: modest
-            # capacity headroom for multiplexing, and the loosest legal
-            # bound (the budget) to minimize the worst-case reservation.
-            capacity = st_params.capacity * 2
-        else:
-            capacity = max(self.config.default_network_capacity, st_params.capacity)
-        allowances = (
-            self.config.send_stage_allowance + self.config.recv_stage_allowance
-        )
-        if st_params.delay_bound.is_unbounded:
-            desired_bound = DelayBound.unbounded()
-            acceptable_bound = DelayBound.unbounded()
-        else:
-            budget = max(st_params.delay_bound.a - allowances, 1e-6)
-            if guaranteed:
-                desired_bound = DelayBound(budget, st_params.delay_bound.b)
-            else:
-                # Leave half the remaining slack as piggybacking window.
-                desired_bound = DelayBound(budget * 0.5, st_params.delay_bound.b)
-            acceptable_bound = DelayBound(budget, st_params.delay_bound.b)
-        statistical = None
-        if st_params.delay_bound_type == DelayBoundType.STATISTICAL:
-            spec = st_params.statistical
-            statistical = StatisticalSpec(
-                average_load=spec.average_load * 2,
-                burstiness=spec.burstiness,
-                delay_probability=spec.delay_probability,
-            )
-        desired = RmsParams(
-            reliability=False,
-            authentication=plan.network_authentication,
-            privacy=plan.network_privacy,
-            capacity=capacity,
-            max_message_size=mtu,
-            delay_bound=desired_bound,
-            delay_bound_type=st_params.delay_bound_type,
-            statistical=statistical,
-            bit_error_rate=max(
-                st_params.bit_error_rate, peer.network.medium_bit_error_rate
-            ),
-        )
-        if st_params.delay_bound_type == DelayBoundType.STATISTICAL:
-            acceptable_stat = st_params.statistical
-        else:
-            acceptable_stat = None
-        acceptable = desired.with_(
-            capacity=st_params.capacity,
-            delay_bound=acceptable_bound,
-            statistical=acceptable_stat,
-        )
-        return desired, acceptable
 
     def _make_flusher(self, binding: MuxBinding):
         """The binding's one way onto its network RMS, built once: the
@@ -1271,14 +747,12 @@ class SubtransportLayer:
             )
         )
         if rx.fast_ack:
-            peer = self._peer(rx.sender_host)
-            self._send_control(
-                peer,
+            self._peer(rx.sender_host).control.send(
                 {
                     "op": "fast_ack",
                     "st_id": st_rms.rms_id,
                     "seq": st_rms.stats.messages_delivered,
-                },
+                }
             )
             self.stats.fast_acks_sent += 1
             obs = self.context.obs

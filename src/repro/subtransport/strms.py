@@ -69,8 +69,7 @@ class StRms(Rms):
         self.binding: Optional["MuxBinding"] = None
         self.next_seq = 0
         #: Per-stream security state, built once at negotiation time:
-        #: the negotiated provider instance (``plan.provider`` names it,
-        #: ``plan.factory`` builds it), MAC context prefix, and wire
+        #: the keyed provider instance, MAC context prefix, and wire
         #: flags.  Both ends of an in-process stream share this one
         #: object, so sender and receiver always run the same transform
         #: engine; ``security.protect`` is ``None`` on parameter-elided

@@ -5,7 +5,11 @@ Python-level frames per delivered message are exact on any host, so the
 Each budget sits between the tree that introduced it and its parent
 (PR 20, CPython 3.11: 4.0 / 1.75 / 138 / 34 against 10.3 / 9.1 / 216 /
 61; from 3.12 comprehensions are no longer frames and the counts only
-fall).
+fall).  The two ``setup`` budgets are the parent's counts of the PR that
+introduced the scenario (PR 22, which split the control plane out of
+``SubtransportLayer``: 1,159 / 836 frames per established stream there,
+1,126 / 829 after) -- establishment is not a per-message cost, but it is
+``grid_churn``'s.
 """
 
 from __future__ import annotations
@@ -29,6 +33,21 @@ def burst():
 @pytest.fixture(scope="module")
 def rkom():
     return call_budget.rkom(rounds=1)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["untrusted", "trusted"])
+def setup(request):
+    return request.param, call_budget.setup(rounds=2, trusted=request.param)
+
+
+def test_total_frames_and_control_messages_per_established_stream(setup):
+    trusted, result = setup
+    assert result["messages"] == 2
+    # handshake (6) + st_create + st_accept, or the last two alone
+    assert result["control"] == result["messages"] * (2 if trusted else 8)
+    assert call_budget.per(result, "messages") <= (836 if trusted else 1159)
+    assert call_budget.setup(rounds=2, trusted=trusted) == result
+    assert "control messages per stream" in call_budget.table(result, "stream")
 
 
 def test_scenarios_deliver_everything(burst, rkom):

@@ -218,7 +218,7 @@ class TestPeerTeardown:
         while system.now < 2.0:
             system.run(until=system.now + 1e-5)
             peer = st._peers.get("b")
-            if peer is not None and peer.pending_replies:
+            if peer is not None and peer.control.pending:
                 break
         group = st._peers["b"].timers
         assert isinstance(group, TimerGroup)
@@ -236,7 +236,7 @@ class TestPeerTeardown:
         peer = st._peers["b"]
         # Every answered control request cancelled its retransmission
         # timer, and the group dropped the dead entries eagerly.
-        assert not peer.pending_replies
+        assert not peer.control.pending
         assert peer.timers.live == 0
 
 

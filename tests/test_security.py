@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SecurityError
-from repro.security import resolve_provider
+from repro.security.providers import resolve_provider
 from repro.security.checksum import (
     CHECKSUM_ALGORITHMS,
     checksum_bytes,

@@ -17,17 +17,13 @@ import pytest
 
 from repro.core.params import RmsParams
 from repro.dash.system import DashSystem
-from repro.errors import ParameterError, SecurityError
+from repro.errors import SecurityError
 from repro.security.providers import (
     MAC_BYTES,
-    HardwareProvider,
-    NullProvider,
     ShakeBlake2Provider,
     provider_names,
-    register_provider,
     resolve_provider,
 )
-from repro.subtransport.config import StConfig
 from repro.subtransport.security import SecurityContext, plan_security
 from tests.security_reference import (
     reference_keystream,
@@ -202,58 +198,19 @@ class TestShakeBlake2Definition:
 
 
 class TestRegistry:
+    """One provider; the two lookups ``benchmarks/e2e/trace.py`` reads."""
+
     def test_known_names(self):
-        assert provider_names() == ("hw", "null", "shake-blake2")
+        assert provider_names() == ("shake-blake2",)
+        assert resolve_provider("shake-blake2") is ShakeBlake2Provider
 
     def test_resolve_unknown_raises(self):
         with pytest.raises(SecurityError, match="unknown security provider"):
             resolve_provider("rot13")
 
-    def test_register_shadows(self):
-        class Custom(NullProvider):
-            name = "test-custom"
-
-        register_provider("test-custom", Custom)
-        try:
-            assert resolve_provider("test-custom") is Custom
-        finally:
-            import repro.security.providers as mod
-
-            del mod._REGISTRY["test-custom"]
-
-    def test_null_and_hw_providers(self):
-        for factory in (NullProvider, HardwareProvider):
-            provider = factory(KEY)
-            payload = b"plaintext stays plaintext"
-            assert provider.seal(1, payload) == payload
-            assert provider.open(1, payload) == payload
-            tag = provider.mac(payload, b"ctx")
-            assert len(tag) == MAC_BYTES
-            assert provider.verify(payload, tag, b"ctx")
-        assert HardwareProvider(KEY).hardware
-        assert not NullProvider(KEY).hardware
-
 
 class TestNegotiation:
-    """StConfig -> plan_security -> SecurityContext provider binding."""
-
-    def test_config_rejects_unknown_provider(self):
-        with pytest.raises(ParameterError, match="unknown security provider"):
-            StConfig(security_provider="rot13")
-
-    def test_plan_records_provider_and_factory(self):
-        system = DashSystem(seed=1)
-        network = system.add_ethernet(trusted=False)
-        params = RmsParams(privacy=True, authentication=True)
-        assert StConfig().security_provider == "shake-blake2"
-        default = plan_security(params, network)
-        assert default.provider == "shake-blake2"
-        assert default.factory is ShakeBlake2Provider
-        plan = plan_security(params, network, "null")
-        assert plan.provider == "null"
-        assert plan.factory is NullProvider
-        context = SecurityContext(plan, KEY, "a", 7)
-        assert isinstance(context.provider, NullProvider)
+    """plan_security -> SecurityContext provider binding."""
 
     def test_context_resolves_handbuilt_plan(self):
         from repro.subtransport.security import SecurityPlan
@@ -261,7 +218,6 @@ class TestNegotiation:
         plan = SecurityPlan(
             encrypt=True, mac=False, checksum=False,
             network_privacy=False, network_authentication=False,
-            provider="shake-blake2",
         )
         context = SecurityContext(plan, KEY, "a", 7)
         assert isinstance(context.provider, ShakeBlake2Provider)
@@ -284,16 +240,11 @@ class TestNegotiation:
         assert data == payload
 
 
-def _secured_trace(provider, messages=40, loss=0.04):
+def _secured_trace(messages=40, loss=0.04):
     """Fixed-seed lossy run over an *untrusted* ethernet with privacy and
     authentication requested, so every component is sealed and tagged."""
-    system = DashSystem(
-        seed=11, st_config=StConfig(security_provider=provider)
-    )
-    system.add_ethernet(trusted=True, frame_loss_rate=loss)
-    system.add_ethernet(
-        name="ether1", trusted=False, frame_loss_rate=loss
-    )
+    system = DashSystem(seed=11)
+    system.add_ethernet(trusted=False, frame_loss_rate=loss)
     system.add_node("a")
     system.add_node("b")
     params = RmsParams(privacy=True, authentication=True)
@@ -315,18 +266,40 @@ def _secured_trace(provider, messages=40, loss=0.04):
 
 class TestSecuredTraceEquivalence:
     """The transform is invisible to the model: with the byte transforms
-    elided (``"null"``) the lossy secured channel makes the same
-    deliveries at the same simulated times."""
+    passed through (a test-local patch of the one provider class, same
+    tag width) the lossy secured channel makes the same deliveries at
+    the same simulated times."""
 
-    def test_vectorized_matches_scalar_oracle(self):
-        real = _secured_trace("shake-blake2")
-        elided = _secured_trace("null")
-        assert len(real) > 0
+    def test_vectorized_matches_scalar_oracle(self, monkeypatch):
+        real = _secured_trace()
+        passed_through = []
+
+        def seal(self, nonce, data):
+            passed_through.append(len(data))
+            return bytes(data)
+
+        monkeypatch.setattr(ShakeBlake2Provider, "seal", seal)
+        monkeypatch.setattr(ShakeBlake2Provider, "open", seal)
+        monkeypatch.setattr(
+            ShakeBlake2Provider, "mac",
+            lambda self, data, context=b"": bytes(MAC_BYTES),
+        )
+        elided = _secured_trace()
+        assert passed_through and len(real) > 0
         assert real == elided
 
 
 class TestDeprecationShims:
     """The shims are gone: the package exports the provider API only."""
+
+    def test_deleted_provider_names_stay_deleted(self):
+        import repro.security as package
+        from repro.subtransport.config import StConfig
+
+        for name in ("NullProvider", "HardwareProvider", "register_provider"):
+            assert not hasattr(package, name)
+        with pytest.raises(TypeError):
+            StConfig(security_provider="shake-blake2")
 
     def test_unknown_attribute_raises(self):
         import repro.security as package

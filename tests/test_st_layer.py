@@ -16,6 +16,7 @@ from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
+from repro.subtransport.control import control_params
 from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
 from repro.subtransport.wire import (
     BundleEntry,
@@ -515,7 +516,7 @@ class TestStHostileControlFrames:
             source=Label("a", CONTROL_PORT),
             target=Label("b", CONTROL_PORT),
         )
-        st_a._peer("b").control_out.send(hostile, deadline=context.now + 0.05)
+        st_a._peer("b").control.out.send(hostile, deadline=context.now + 0.05)
         context.run(until=context.now + 1.0)  # nothing raises
         after = {name: getattr(st_b.stats, name) for name in counters}
         before[counter] += 1
@@ -529,6 +530,58 @@ class TestStHostileControlFrames:
         context.run(until=context.now + 1.0)
         assert [m.payload for m in got] == [b"still here"]
 
+    @pytest.mark.parametrize("fields", [
+        {"op": "auth1", "from": "a"},
+        {"op": "auth2", "from": "a", "na": 1},
+        {"op": "auth3", "from": "a"},
+        {"op": "st_create", "req": 7},
+        {"op": "st_close"},
+        {"op": "fast_ack", "st_id": 1},
+        {"op": "auth9", "from": "a"},
+        {"from": "a"},
+    ], ids=lambda fields: fields.get("op", "no-op"))
+    def test_tagged_frame_outside_the_table_is_a_control_drop(self, fields):
+        """A frame under the right key and label whose kind is unknown
+        or which lacks a required field: counted, never answered, never
+        an exception out of ``EventLoop.run`` (``auth1`` without ``na``
+        was a ``KeyError`` there before the handshake was a table)."""
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        first = open_rms(context, st_a, port="before")
+        before = (st_b.stats.control_drops, st_b.stats.control_messages,
+                  st_b.stats.auth_drops)
+        tag = compute_mac(
+            st_a._session_key("b"), control_mac_material(fields), context=b"a"
+        )
+        st_a._peer("b").control.out.send(
+            Message(encode_control(fields, mac=tag),
+                    source=Label("a", CONTROL_PORT),
+                    target=Label("b", CONTROL_PORT)),
+            deadline=context.now + 0.05,
+        )
+        context.run(until=context.now + 1.0)
+        assert (st_b.stats.control_drops, st_b.stats.control_messages,
+                st_b.stats.auth_drops) == (before[0] + 1, before[1], before[2])
+        assert first.rms_id in st_b._rx
+        assert st_b._peer("a").control.authenticated
+
+    def test_auth3_with_an_unissued_nb_does_not_authenticate(self):
+        """With ``a`` silent after its ``auth1``, ``b`` has answered and
+        awaits an ``auth3``: one that carries a nonce ``b`` never issued
+        is an ``auth_drops`` and leaves ``a`` unauthenticated at ``b``
+        (any tagged ``auth3`` authenticated before)."""
+        context, _net, st_a, st_b = build_pair(trusted=False)
+        channel_a = st_a._peer("b").control
+        # a answers neither b's auth2 nor b's own challenge
+        channel_a._answer_auth2 = channel_a._answer_auth1 = lambda fields: None
+        st_a.ensure_control("b")
+        context.run(until=context.now + 0.2)
+        channel_b = st_b._peer("a").control
+        assert channel_b.state == "crossed" and not channel_b.authenticated
+        channel_a.send({"op": "auth3", "from": "a", "nb": 1234})
+        context.run(until=context.now + 0.1)
+        assert not channel_b.authenticated
+        assert st_b.stats.auth_drops == 1
+
     def test_wrong_source_label_under_the_right_key_is_an_auth_drop(self):
         context, _net, st_a, st_b = build_pair(trusted=False)
         first = open_rms(context, st_a, port="before")
@@ -537,7 +590,7 @@ class TestStHostileControlFrames:
 
         def send_labelled(label):
             tag = compute_mac(key, control_mac_material(fields), context=label)
-            st_a._peer("b").control_out.send(
+            st_a._peer("b").control.out.send(
                 Message(encode_control(fields, mac=tag),
                         source=Label("a", CONTROL_PORT),
                         target=Label("b", CONTROL_PORT)),
@@ -560,37 +613,38 @@ class TestStHostileControlFrames:
         plays ``a``'s own frames back to it under ``b``'s label must not
         be able to walk ``a`` through the handshake."""
         context, network, st_a, st_b = build_pair(trusted=False)
-        control = st_a._control_params()
+        control = control_params(st_a.config)
         future = network.create_rms(
             Label("b", CONTROL_PORT), Label("a", CONTROL_PORT), control, control
         )
         context.run(until=context.now + 1.0)
         back = future.result()
 
-        def reflect(peer, message):  # b is deaf; the attacker is not
+        def reflect(message):  # b is deaf; the attacker is not
             back.send(
                 Message(message.payload, source=Label("b", CONTROL_PORT),
                         target=Label("a", CONTROL_PORT)),
                 deadline=context.now + 0.05,
             )
 
-        st_b._control_arrived = reflect
+        st_b._peer("a").control.arrived = reflect
         ready = st_a.ensure_control("b")
         context.run(until=context.now + 0.2)  # before the first retry
-        peer = st_a._peer("b")
+        channel = st_a._peer("b").control
         # a's own auth1 came back: dropped, not answered with an auth2.
         assert st_a.stats.auth_drops == 1
         assert st_a.stats.control_messages == 1
         # The auth2 a would have answered with, reflected in its turn.
-        st_a._handle_auth1(peer, {"na": peer.initiator_nonce})
+        channel._answer_auth1({"na": channel._nonce})
         context.run(until=context.now + 0.05)
         assert st_a.stats.auth_drops == 2
-        assert not peer.authenticated and not ready.done
+        assert not channel.authenticated and not ready.done
         context.run(until=context.now + 60.0)  # the whole retry budget
         retries = st_a.config.auth_max_retries
         assert st_a.stats.auth_drops == 2 + retries
+        assert st_a.stats.control_drops == 0
         assert st_b.stats.control_messages == 0
-        assert not peer.authenticated
+        assert not channel.authenticated
         with pytest.raises(AuthenticationError):
             ready.result()
 
