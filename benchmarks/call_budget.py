@@ -22,7 +22,11 @@ one warm-up round, so in ``burst`` / ``rkom`` establishment and the
 per-size memos are paid, and in ``setup`` whatever the first
 establishment in a process pays once.
 
-Usage: ``PYTHONPATH=src python benchmarks/call_budget.py [--rounds N]``
+``--observe`` runs ``burst`` and ``rkom`` on ``DashSystem(observe=True)``
+instead: what observation costs, by module (``repro.obs.spans`` and
+``repro.obs.registry`` are its own rows).
+
+Usage: ``PYTHONPATH=src python benchmarks/call_budget.py [--rounds N] [--observe]``
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
 SETUP_ROUND_S = 1.0
 
 
-def _pair(seed: int, trusted: bool = True, peers=("b",)) -> DashSystem:
-    system = DashSystem(seed=seed)
+def _pair(seed: int, trusted: bool = True, peers=("b",),
+          observe: bool = False) -> DashSystem:
+    system = DashSystem(seed=seed, observe=observe)
     system.add_ethernet(trusted=trusted)
     for name in ("a", *peers):
         system.add_node(name)
@@ -86,9 +91,9 @@ def _counted(system: DashSystem, one_round: Callable[[], None],
     }
 
 
-def burst(rounds: int = 5, seed: int = 1) -> dict:
+def burst(rounds: int = 5, seed: int = 1, observe: bool = False) -> dict:
     """One-way bursts of 40 x 100 B; per delivered message."""
-    system = _pair(seed)
+    system = _pair(seed, observe=observe)
     params = RmsParams(
         capacity=32 * 1024, max_message_size=4000,
         delay_bound=DelayBound(0.1, 1e-5),
@@ -109,9 +114,9 @@ def burst(rounds: int = 5, seed: int = 1) -> dict:
     return _counted(system, one_round, rounds, delivered)
 
 
-def rkom(rounds: int = 2, seed: int = 1) -> dict:
+def rkom(rounds: int = 2, seed: int = 1, observe: bool = False) -> dict:
     """Eight closed-loop callers echoing 64 B; per completed call."""
-    system = _pair(seed)
+    system = _pair(seed, observe=observe)
     system.nodes["b"].rkom.register_handler(
         "echo", lambda payload, sender: payload)
     sessions = [system.connect("a", "b", kind="rkom") for _ in range(CALLERS)]
@@ -195,12 +200,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--observe", action="store_true",
+                        help="burst and rkom with observability on")
     args = parser.parse_args(argv)
-    print(f"# burst: {BURST} x {BURST_BYTES} B one-way per round")
-    print(table(burst(args.rounds, args.seed), "message"))
-    print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B")
-    print(table(rkom(args.rounds, args.seed), "call"))
-    for trusted in (False, True):
+    mode = ", observe=True" if args.observe else ""
+    print(f"# burst: {BURST} x {BURST_BYTES} B one-way per round{mode}")
+    print(table(burst(args.rounds, args.seed, args.observe), "message"))
+    print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B{mode}")
+    print(table(rkom(args.rounds, args.seed, args.observe), "call"))
+    for trusted in () if args.observe else (False, True):
         medium = "a trusted" if trusted else "an untrusted"
         print(f"\n# setup: one stream to a fresh peer on {medium} Ethernet")
         print(table(setup(args.rounds, args.seed, trusted), "stream"))

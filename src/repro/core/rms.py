@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Union
 from repro.core.message import Label, Message, fast_message
 from repro.core.params import RmsParams
 from repro.errors import MessageTooLargeError, RmsFailedError
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
@@ -35,6 +36,8 @@ from repro.sim.ports import Port
 __all__ = ["RmsLevel", "RmsState", "RmsStats", "Rms", "RmsProvider"]
 
 _rms_ids = itertools.count(1)
+#: Layer label of each :class:`RmsLevel`, indexed by it (levels are ints).
+_LAYERS = ("net", "st", "subuser", "user")
 
 
 class RmsLevel(enum.IntEnum):
@@ -48,7 +51,7 @@ class RmsLevel(enum.IntEnum):
     @property
     def layer(self) -> str:
         """Short layer label used by observability spans and metrics."""
-        return ("net", "st", "subuser", "user")[int(self)]
+        return _LAYERS[self]
 
 
 class RmsState(enum.Enum):
@@ -84,6 +87,12 @@ class RmsStats:
         if self.messages_sent == 0:
             return 0.0
         return self.messages_dropped / self.messages_sent
+
+
+_FAMILIES = families(
+    "rms", RmsStats,
+    delays="rms_delay_seconds", out_of_order="rms_messages_out_of_order",
+)
 
 
 class Rms:
@@ -127,26 +136,10 @@ class Rms:
         self._send_bound: Dict[int, float] = {}
         self.created_at = context.now
         self.closed_at: Optional[float] = None
-        self.layer = self.level.layer
-        obs = context.obs
-        if obs.enabled:
-            # RmsStats stays the compatible per-stream facade; the
-            # registry holds the same counters as labeled families so
-            # they aggregate across streams and export uniformly.
-            labels = dict(layer=self.layer, rms=self.name)
-            metrics = obs.metrics
-            self._m_sent = metrics.counter("rms_messages_sent", **labels)
-            self._m_delivered = metrics.counter("rms_messages_delivered", **labels)
-            self._m_dropped = metrics.counter("rms_messages_dropped", **labels)
-            self._m_late = metrics.counter("rms_messages_late", **labels)
-            self._m_bytes_sent = metrics.counter("rms_bytes_sent", **labels)
-            self._m_bytes_delivered = metrics.counter(
-                "rms_bytes_delivered", **labels
-            )
-            self._m_violations = metrics.counter(
-                "rms_capacity_violations", **labels
-            )
-            self._m_delay = metrics.histogram("rms_delay_seconds", **labels)
+        self.layer = _LAYERS[self.level]  # a lookup, not a property frame
+        context.obs.metrics.watch(
+            self.stats, _FAMILIES, layer=self.layer, rms=self.name
+        )
 
     # -- client side ------------------------------------------------------
 
@@ -201,8 +194,7 @@ class Rms:
         stats.messages_sent += 1
         stats.bytes_sent += size
         self.outstanding_bytes += size
-        violated = self.outstanding_bytes > params.capacity
-        if violated:
+        if self.outstanding_bytes > params.capacity:
             # Client capacity violation: guarantees are void (section 4.4)
             # but the provider does not block -- it only counts.
             stats.capacity_violations += 1
@@ -210,10 +202,6 @@ class Rms:
         if obs.enabled:
             if message.trace_id is None:
                 message.trace_id = obs.spans.new_trace()
-            self._m_sent.inc()
-            self._m_bytes_sent.inc(size)
-            if violated:
-                self._m_violations.inc()
             obs.spans.event(
                 message.trace_id, self.layer, "send", rms=self.name, size=size
             )
@@ -262,16 +250,11 @@ class Rms:
                 late = True
         obs = context.obs
         if obs.enabled:
-            self._m_delivered.inc()
-            self._m_bytes_delivered.inc(size)
-            if delay is not None:
-                self._m_delay.observe(delay)
             obs.spans.event(
                 message.trace_id, self.layer, "deliver",
                 rms=self.name, delay=delay,
             )
             if late:
-                self._m_late.inc()
                 obs.spans.event(
                     message.trace_id, self.layer, "late", rms=self.name
                 )
@@ -281,11 +264,6 @@ class Rms:
             # provider bug, so this is a must-be-0 counter.
             stats.out_of_order += 1
             if obs.enabled:
-                # Created on first use: an eager zero series per stream
-                # would sit in every exported snapshot.
-                obs.metrics.counter(
-                    "rms_messages_out_of_order", layer=self.layer, rms=self.name
-                ).inc()
                 obs.spans.event(
                     message.trace_id, self.layer, "out_of_order", rms=self.name
                 )
@@ -299,7 +277,6 @@ class Rms:
         self.stats.messages_dropped += 1
         obs = self.context.obs
         if obs.enabled:
-            self._m_dropped.inc()
             if message.trace_id is None:
                 # A forged or replayed component rejoins no trace; open
                 # one so the drop and its reason are never invisible.

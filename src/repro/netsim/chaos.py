@@ -11,9 +11,11 @@ the same faults at the same times.  Every injected event is recorded in
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional
+from collections import Counter
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.netsim.topology import Host, Link
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 
 __all__ = ["ChaosEvent", "ChaosSchedule"]
@@ -25,6 +27,11 @@ class ChaosEvent(NamedTuple):
     target: str
 
 
+_FAMILIES = families(
+    "chaos", ("event_counts",), event_counts="chaos_events_total{kind}"
+)
+
+
 class ChaosSchedule:
     """Scripted and seeded-random fault injection against one context."""
 
@@ -33,16 +40,16 @@ class ChaosSchedule:
         self.name = name
         self.log: List[ChaosEvent] = []
         self._rng = context.rng.stream(f"chaos:{name}")
+        context.obs.metrics.watch(self, _FAMILIES, schedule=name)
 
     # -- bookkeeping ------------------------------------------------------
 
+    def event_counts(self) -> Dict[str, int]:
+        """Injected events so far, by kind (the log is the one record)."""
+        return Counter(event.kind for event in self.log)
+
     def _record(self, kind: str, target: str) -> None:
         self.log.append(ChaosEvent(self.context.now, kind, target))
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "chaos_events_total", schedule=self.name, kind=kind
-            ).inc()
 
     def _down(self, link: Link) -> None:
         if link.is_up:

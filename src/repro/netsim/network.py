@@ -16,6 +16,7 @@ is what makes the ST's network-RMS cache (section 4.2) worth having.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,6 +29,7 @@ from repro.errors import NetworkError
 from repro.netsim.admission import AdmissionController
 from repro.netsim.packet import FRAME_OVERHEAD_BYTES, Frame, next_frame_id
 from repro.netsim.topology import Host
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle
 from repro.sim.process import Future
@@ -144,6 +146,15 @@ class NetworkRms(Rms):
             self.network.delete_rms(self)
 
 
+_FAMILIES = families(
+    "net",
+    ("setup_count", "frames_delivered", "frames_corrupted_delivered",
+     "control_drops"),
+    frames_corrupted_delivered="net_frames_corrupted",
+    control_drops="net_control_drops{kind}",
+)
+
+
 class Network:
     """Base class of network objects.
 
@@ -177,6 +188,9 @@ class Network:
         self.frames_delivered = 0
         self.frames_corrupted_delivered = 0
         self.setup_count = 0
+        #: Dropped setup / setup_ack / teardown frames, by frame kind.
+        self.control_drops: Dict[str, int] = defaultdict(int)
+        context.obs.metrics.watch(self, _FAMILIES, network=name)
         #: Data-frame recycling: nothing outside the network retains a
         #: delivered frame (spans and counters take ids and sizes), so it
         #: is reusable.  Ethernet sniffers *do* retain frames; registering
@@ -409,9 +423,6 @@ class Network:
             raise
         self._rms_table[rms.rms_id] = rms
         self.setup_count += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter("net_setup_count", network=self.name).inc()
         future = Future(self.context.loop)
         pending = _PendingSetup(future=future)
         self._pending_setups[rms.rms_id] = pending
@@ -477,11 +488,7 @@ class Network:
 
     def _control_dropped(self, frame: Frame, reason: str) -> None:
         """A dropped control frame; the setup retry timer recovers."""
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "net_control_drops", network=self.name, kind=frame.kind
-            ).inc()
+        self.control_drops[frame.kind] += 1
 
     # -- incoming traffic -------------------------------------------------------
 
@@ -508,15 +515,6 @@ class Network:
             self.frames_delivered += 1
             if frame.corrupted:
                 self.frames_corrupted_delivered += 1
-            obs = self.context.obs
-            if obs.enabled:
-                obs.metrics.counter(
-                    "net_frames_delivered", network=self.name
-                ).inc()
-                if frame.corrupted:
-                    obs.metrics.counter(
-                        "net_frames_corrupted", network=self.name
-                    ).inc()
             rms._frame_arrived(frame)
             self._recycle_frame(frame)
         elif frame.kind == "setup":

@@ -93,6 +93,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from repro.errors import RoutingError
 from repro.netsim.admission import NULL_POOLS
 from repro.netsim.packet import FRAME_OVERHEAD_BYTES, Frame
+from repro.obs.registry import families
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.internet import InternetNetwork
@@ -228,6 +229,17 @@ class PathSet:
         )
 
 
+_FAMILIES = {
+    **families("route", (
+        "searches", "table_builds", "plan_compiles", "pathset_builds",
+        "flow_pins", "dag_prunes", "scoped_table_drops", "scoped_plan_drops",
+        "full_invalidations",
+    )),
+    **families("route", ("index_sizes",), kind="gauge",
+               index_sizes="route_index_size{index}"),
+}
+
+
 class ForwardingEngine:
     """Next-hop tables, compiled plans, and scoped invalidation for one
     :class:`~repro.netsim.internet.InternetNetwork`."""
@@ -284,6 +296,7 @@ class ForwardingEngine:
         self.scoped_table_drops = 0
         self.scoped_plan_drops = 0
         self.full_invalidations = 0
+        network.context.obs.metrics.watch(self, _FAMILIES, network=network.name)
 
     # -- resolution ---------------------------------------------------------
 

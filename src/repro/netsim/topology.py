@@ -11,12 +11,14 @@ its network attachments.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, Optional
 
 from repro.errors import NetworkError
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.packet import Frame
+from repro.obs.registry import families
 from repro.sched.cpu import CpuCostModel, HostCpu
 from repro.sched.policies import key_slot
 from repro.sim.context import SimContext
@@ -35,23 +37,22 @@ __all__ = [
 ]
 
 
+@dataclass
 class LinkStats:
     """Counters for one link."""
 
-    def __init__(self) -> None:
-        self.frames_transmitted = 0
-        self.bytes_transmitted = 0
-        self.frames_dropped_overrun = 0
-        self.frames_dropped_loss = 0
-        self.frames_corrupted = 0
-        self.max_queue_bytes = 0
+    frames_transmitted: int = 0
+    bytes_transmitted: int = 0
+    frames_dropped_overrun: int = 0
+    frames_dropped_loss: int = 0
+    frames_corrupted: int = 0
+    max_queue_bytes: int = 0
 
-    def __repr__(self) -> str:
-        return (
-            f"<LinkStats tx={self.frames_transmitted} overrun="
-            f"{self.frames_dropped_overrun} lost={self.frames_dropped_loss} "
-            f"corrupt={self.frames_corrupted}>"
-        )
+
+_FAMILIES = {
+    **families("link", LinkStats),
+    **families("link", ("max_queue_bytes",), kind="gauge"),
+}
 
 
 class Link:
@@ -96,6 +97,7 @@ class Link:
         self._busy = False
         self._up = True
         self.stats = LinkStats()
+        context.obs.metrics.watch(self.stats, _FAMILIES, link=name)
         self.on_down: Signal = Signal(context.loop)
         self.on_up: Signal = Signal(context.loop)
         self._rng = context.rng.stream(f"link:{name}")
@@ -149,9 +151,9 @@ class Link:
             # Idle link: start transmitting directly (any policy pops a
             # singleton heap identically).  ``_busy`` alone says whether
             # the frame has company: a non-empty queue implies it, since
-            # ``set_down`` drains the queue, ``transmit`` refuses while
-            # down, ``set_up`` restarts a stranded queue and a completion
-            # holds ``_busy`` until it has started the next frame.
+            # ``set_down`` drains the whole queue, ``transmit`` refuses
+            # while down and a completion holds ``_busy`` until it has
+            # started the next frame.
             self._busy = True
             self.context.loop.call_after(
                 size / self.bandwidth, self._transmission_done,
@@ -205,27 +207,26 @@ class Link:
             return
         self._up = False
         ready = self._ready
-        while ready:
-            _, _, frame, size, _deliver, on_drop = heappop(ready)
-            self._queued_bytes -= size
-            if on_drop is not None:
-                on_drop(frame, "link down")
-        self.on_down.fire(self)
+        errors = []
+        try:
+            while ready:
+                _, _, frame, size, _deliver, on_drop = heappop(ready)
+                self._queued_bytes -= size
+                if on_drop is not None:
+                    try:
+                        on_drop(frame, "link down")
+                    except Exception as error:  # the drain goes on
+                        errors.append(error)
+        finally:
+            self.on_down.fire(self)
+        if errors:
+            raise errors[0]
 
     def set_up(self) -> None:
         """Restore the link and resume transmission of queued frames."""
         if self._up:
             return
         self._up = True
-        if self._ready and not self._busy:
-            # Only a drain that a raising ``on_drop`` cut short leaves
-            # frames queued on a down link.
-            self._busy = True
-            _, _, frame, size, deliver, on_drop = heappop(self._ready)
-            self.context.loop.call_after(
-                size / self.bandwidth, self._transmission_done,
-                frame, size, deliver, on_drop,
-            )
         self.on_up.fire(self)
 
     def __repr__(self) -> str:

@@ -4,20 +4,21 @@ One :class:`Observability` object per :class:`~repro.sim.context.SimContext`
 bundles the two instruments every layer shares:
 
 - :attr:`Observability.metrics` -- a :class:`~repro.obs.registry.MetricsRegistry`
-  of labeled counters, gauges, and latency histograms;
+  that reads the layers' own counters on demand (each layer registers
+  the stats object it already keeps, once, with ``metrics.watch``);
 - :attr:`Observability.spans` -- a :class:`~repro.obs.spans.SpanTracer`
   recording per-message lifecycle events for delay decomposition.
 
-Instrumentation sites pay a single attribute check when observability is
-off::
+Span sites pay a single attribute check when observability is off::
 
     obs = self.context.obs
     if obs.enabled:
         obs.spans.event(message.trace_id, "st", "tx")
 
-The disabled path is a :class:`NullObservability` whose registry and
-tracer are stateless no-ops, so benchmarks with observability off run at
-full speed.
+Counting has no such sites: a counter is a plain attribute of its layer
+whether or not anyone is watching.  The disabled path is a
+:class:`NullObservability` whose registry and tracer are stateless
+no-ops, so benchmarks with observability off run at full speed.
 
 The package also holds what workloads and benches summarise with:
 :mod:`repro.obs.stats` (percentiles, :class:`SummaryStats`,
@@ -37,12 +38,11 @@ from repro.obs.export import (
 )
 from repro.obs.linkutil import LinkUtilizationCollector, jain_fairness
 from repro.obs.registry import (
-    Counter,
     DEFAULT_LATENCY_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    families,
 )
 from repro.obs.report import Table, format_table
 from repro.obs.spans import (
@@ -55,11 +55,10 @@ from repro.obs.spans import (
 from repro.obs.stats import DelayRecorder, SummaryStats, percentile, summarize
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
+    "families",
     "SpanEvent",
     "Segment",
     "SpanBreakdown",
@@ -103,10 +102,7 @@ class Observability:
         return metrics_payload(obs=self)
 
     def __repr__(self) -> str:
-        return (
-            f"<Observability families={len(self.metrics.families)} "
-            f"span_events={len(self.spans)}>"
-        )
+        return f"<Observability span_events={len(self.spans)}>"
 
 
 class NullObservability:

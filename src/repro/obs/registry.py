@@ -1,40 +1,50 @@
-"""The metrics registry: labeled counters, gauges, and histograms.
+"""The metrics registry: the layers' own counters, read on demand.
 
-One :class:`MetricsRegistry` lives on each :class:`~repro.sim.context.SimContext`
-(behind the :class:`~repro.obs.Observability` facade).  Layers register
-*families* -- a metric name plus a fixed set of label names -- and obtain
-per-label-set instruments from them, e.g.::
+Every layer of the stack already counts what it does -- ``RmsStats``,
+``StStats``, ``HostCpu.items_run``, ``Network.setup_count`` ... -- and a
+fact is counted once, there.  The one :class:`MetricsRegistry` of a
+:class:`~repro.sim.context.SimContext` (behind the
+:class:`~repro.obs.Observability` facade) holds no counter of its own: it
+is a list of *sources*.  An object registers the thing it counts in once,
+when it is built, with the family table of its class and its labels::
 
-    sent = registry.counter("rms_messages_sent", layer="st", rms="st:a->b")
-    sent.inc()
+    _FAMILIES = families("rms", RmsStats, delays="rms_delay_seconds")
+    ...
+    context.obs.metrics.watch(self.stats, _FAMILIES, layer="st", rms=name)
 
-Instrument updates are plain attribute arithmetic so the enabled path
-stays cheap; the disabled path uses the stateless null instruments of
-:class:`NullRegistry`, reached through a single ``obs.enabled`` check at
-each instrumentation site.
+and :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.get` read
+the attributes when asked.  What an attribute holds says how it exports:
 
-Histograms use fixed buckets (cumulative-style, like Prometheus) so
-latency distributions can be exported without retaining every sample.
+- an ``int`` / ``float`` is one series of its family;
+- a ``dict`` is one series per key, under the label the table names
+  (``"net_control_drops{kind}"``);
+- a ``list`` of samples (``RmsStats.delays``) is bucketed into a
+  :class:`Histogram` at snapshot time;
+- a :class:`Histogram` the object owns (``HostCpu.queue_wait``: a
+  distribution with no sample list behind it) exports as it stands;
+- a method is called and its result exported by the same rules.
+
+Sources that share a family and a label set add up (the incarnations of
+one re-established stream).  A zero is exported as a zero: a family that
+is absent was never registered, which is not the same thing.  With
+observability off the registry is a :class:`NullRegistry`, whose
+``watch`` keeps nothing.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricFamily",
     "MetricsRegistry",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
     "NullRegistry",
+    "families",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -46,38 +56,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1e-1, 2.5e-1, 5e-1,
     1.0, 2.5, 5.0, 10.0,
 )
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ParameterError(f"counters only go up: {amount}")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -131,214 +109,155 @@ class Histogram:
             lower = upper
         return self.bounds[-1]
 
-
-class MetricFamily:
-    """All instruments sharing one metric name, keyed by label values."""
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        label_names: Tuple[str, ...],
-        buckets: Optional[Sequence[float]] = None,
-        help: str = "",
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.label_names = label_names
-        self.buckets = buckets
-        self.help = help
-        self.instruments: Dict[Tuple[Any, ...], Any] = {}
-
-    def labels(self, **labels: Any) -> Any:
-        names = tuple(sorted(labels))
-        if names != self.label_names:
+    def absorb(self, samples: Union["Histogram", Iterable[float]]) -> None:
+        """Fold in raw samples, or another histogram over the same bounds."""
+        if not isinstance(samples, Histogram):
+            for value in samples:
+                self.observe(value)
+            return
+        if samples.bounds != self.bounds:
             raise ParameterError(
-                f"metric {self.name!r} has labels {self.label_names}, "
-                f"got {names}"
+                f"cannot merge histograms over {samples.bounds} and {self.bounds}"
             )
-        key = tuple(labels[name] for name in self.label_names)
-        instrument = self.instruments.get(key)
-        if instrument is None:
-            if self.kind == "counter":
-                instrument = Counter()
-            elif self.kind == "gauge":
-                instrument = Gauge()
-            else:
-                instrument = Histogram(self.buckets)
-            self.instruments[key] = instrument
-        return instrument
+        for index, bucket_count in enumerate(samples.bucket_counts):
+            self.bucket_counts[index] += bucket_count
+        self.sum += samples.sum
+        self.count += samples.count
 
-    def series(self) -> Iterable[Tuple[Dict[str, Any], Any]]:
-        for key, instrument in self.instruments.items():
-            yield dict(zip(self.label_names, key)), instrument
+
+#: How one attribute exports: (family name, key label of a dict, kind).
+Export = Tuple[str, Optional[str], str]
+LabelKey = Tuple[Tuple[str, Any], ...]
+
+
+def families(
+    prefix: str, attrs: Any, kind: str = "counter", **renames: str
+) -> Dict[str, Export]:
+    """The family table of one counted class, built once at import.
+
+    ``attrs`` names the exported attributes (a dataclass stands for its
+    fields).  Each exports as ``prefix_attr`` unless ``renames`` gives the
+    family; a ``dict`` attribute needs its key label named there, as
+    ``"family{label}"``.  Tables are plain dicts: merge a ``kind="gauge"``
+    one into a counter one with ``{**a, **b}``.
+    """
+    if dataclasses.is_dataclass(attrs):
+        attrs = [field.name for field in dataclasses.fields(attrs)]
+    if not set(renames) <= set(attrs):
+        raise ParameterError(f"renamed but not exported: {set(renames) - set(attrs)}")
+    table: Dict[str, Export] = {}
+    for attr in attrs:
+        name, _, label = renames.get(attr, f"{prefix}_{attr}").partition("{")
+        table[attr] = (name, label.rstrip("}") or None, kind)
+    return table
 
 
 class MetricsRegistry:
-    """Families of labeled instruments, addressable by name."""
+    """The watched sources of one context, read when asked."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self.families: Dict[str, MetricFamily] = {}
+        self._sources: List[Tuple[Any, Dict[str, Export], Dict[str, Any]]] = []
 
-    def _family(
-        self,
-        name: str,
-        kind: str,
-        labels: Dict[str, Any],
-        buckets: Optional[Sequence[float]] = None,
-        help: str = "",
-    ) -> MetricFamily:
-        family = self.families.get(name)
-        if family is None:
-            family = MetricFamily(
-                name, kind, tuple(sorted(labels)), buckets=buckets, help=help
-            )
-            self.families[name] = family
-        elif family.kind != kind:
-            raise ParameterError(
-                f"metric {name!r} is a {family.kind}, not a {kind}"
-            )
-        return family
+    def watch(self, source: Any, table: Dict[str, Export], **labels: Any) -> None:
+        """Export ``source``'s attributes named in ``table`` (see
+        :func:`families`) under ``labels``, for as long as the registry
+        lives.  The only way in."""
+        self._sources.append((source, table, labels))
 
-    def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._family(name, "counter", labels, help=help).labels(**labels)
-
-    def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        return self._family(name, "gauge", labels, help=help).labels(**labels)
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        help: str = "",
-        **labels: Any,
-    ) -> Histogram:
-        return self._family(
-            name, "histogram", labels, buckets=buckets, help=help
-        ).labels(**labels)
+    def _collect(
+        self, only: Optional[str] = None
+    ) -> Dict[str, Tuple[str, Dict[LabelKey, Any]]]:
+        """``{family: (kind, {labels: number or Histogram})}``, read now."""
+        out: Dict[str, Tuple[str, Dict[LabelKey, Any]]] = {}
+        for source, table, labels in self._sources:
+            for attr, (name, key_label, kind) in table.items():
+                if only is not None and name != only:
+                    continue
+                value = getattr(source, attr)
+                if callable(value):
+                    value = value()
+                if not isinstance(value, dict):
+                    _add(out, name, kind, labels, value)
+                elif key_label is None:
+                    raise ParameterError(f"{name}: a dict needs 'family{{label}}'")
+                else:
+                    for key, item in value.items():
+                        _add(out, name, kind, {**labels, key_label: key}, item)
+        return out
 
     def get(self, name: str, **labels: Any) -> Optional[Any]:
-        """The existing instrument for a name/label set, else ``None``."""
-        family = self.families.get(name)
-        if family is None:
-            return None
-        key = tuple(labels[n] for n in family.label_names if n in labels)
-        if len(key) != len(family.label_names):
-            return None
-        return family.instruments.get(key)
-
-    def clear(self) -> None:
-        self.families.clear()
+        """The current value (a :class:`Histogram` for a distribution) of
+        the series with exactly these labels, else ``None``."""
+        _, series = self._collect(name).get(name, ("", {}))
+        return series.get(tuple(sorted(labels.items())))
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable snapshot of every family and series."""
         out: Dict[str, Any] = {}
-        for name, family in sorted(self.families.items()):
+        for name, (kind, series) in sorted(self._collect().items()):
             entries: List[Dict[str, Any]] = []
-            for labels, instrument in family.series():
-                entry: Dict[str, Any] = {"labels": labels}
-                if family.kind == "histogram":
-                    entry["count"] = instrument.count
-                    entry["sum"] = instrument.sum
-                    entry["mean"] = instrument.mean
-                    entry["p50"] = instrument.quantile(0.50)
-                    entry["p99"] = instrument.quantile(0.99)
+            for key, value in series.items():
+                entry: Dict[str, Any] = {"labels": dict(key)}
+                if kind == "histogram":
+                    entry["count"] = value.count
+                    entry["sum"] = value.sum
+                    entry["mean"] = value.mean
+                    entry["p50"] = value.quantile(0.50)
+                    entry["p99"] = value.quantile(0.99)
                     entry["buckets"] = {
-                        "le": list(instrument.bounds),
-                        "counts": list(instrument.bucket_counts),
+                        "le": list(value.bounds),
+                        "counts": list(value.bucket_counts),
                     }
                 else:
-                    entry["value"] = instrument.value
+                    entry["value"] = value
                 entries.append(entry)
-            out[name] = {"kind": family.kind, "series": entries}
+            out[name] = {"kind": kind, "series": entries}
         return out
 
 
-class NullCounter:
-    """A stateless counter that ignores updates."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-
-class NullGauge:
-    """A stateless gauge that ignores updates."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        return None
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-
-class NullHistogram:
-    """A stateless histogram that ignores observations."""
-
-    __slots__ = ()
-    bounds: Tuple[float, ...] = ()
-    sum = 0.0
-    count = 0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def quantile(self, fraction: float) -> float:
-        return 0.0
-
-    @property
-    def bucket_counts(self) -> List[int]:
-        return []
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
+def _add(
+    out: Dict[str, Tuple[str, Dict[LabelKey, Any]]],
+    name: str,
+    kind: str,
+    labels: Dict[str, Any],
+    value: Any,
+) -> None:
+    """Add one read value to its series, creating family and series."""
+    distribution = isinstance(value, (list, Histogram))
+    if distribution:
+        kind = "histogram"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name}: cannot export {value!r}")
+    family_kind, series = out.setdefault(name, (kind, {}))
+    if family_kind != kind:
+        raise ParameterError(f"metric {name!r} is a {family_kind}, not a {kind}")
+    key = tuple(sorted(labels.items()))
+    first = next(iter(series), key)
+    if [label for label, _ in first] != [label for label, _ in key]:
+        raise ParameterError(
+            f"metric {name!r} has labels {[label for label, _ in first]}, "
+            f"got {sorted(labels)}"
+        )
+    if not distribution:
+        series[key] = series.get(key, 0) + value
+        return
+    if key not in series:
+        series[key] = Histogram(getattr(value, "bounds", None))
+    series[key].absorb(value)
 
 
 class NullRegistry:
-    """The disabled-path registry: every lookup is a shared no-op.
-
-    Deliberately stateless (no per-instance mutable attributes) so two
-    NullRegistries can never alias observable state.
-    """
+    """The disabled-path registry: stateless, so nothing a layer registers
+    with observability off is kept alive by it."""
 
     enabled = False
 
-    @property
-    def families(self) -> Dict[str, MetricFamily]:
-        return {}
-
-    def counter(self, name: str, help: str = "", **labels: Any) -> NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "", **labels: Any) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        help: str = "",
-        **labels: Any,
-    ) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def get(self, name: str, **labels: Any) -> None:
+    def watch(self, source: Any, table: Dict[str, Export], **labels: Any) -> None:
         return None
 
-    def clear(self) -> None:
+    def get(self, name: str, **labels: Any) -> None:
         return None
 
     def snapshot(self) -> Dict[str, Any]:

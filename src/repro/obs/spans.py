@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ParameterError
-from repro.sim.events import EventLoop
+
+if TYPE_CHECKING:  # repro.sim imports repro.obs, not the other way round
+    from repro.sim.events import EventLoop
 
 __all__ = ["SpanEvent", "Segment", "SpanBreakdown", "SpanTracer", "NullSpanTracer"]
 

@@ -8,8 +8,8 @@ network when the node is multi-homed, and gracefully degrades the
 requested parameter set from desired toward acceptable (the section 2.4
 compatibility rules) when the surviving network cannot carry the
 original request.  Transitions surface through ``Session.on_state_change``,
-``obs`` span events on the ``resilience`` layer, and the
-``rms_failovers_total`` metric family.
+``obs`` span events on the ``resilience`` layer, and
+``SessionStats.transitions`` (the ``rms_failovers_total`` metric family).
 """
 
 from repro.resilience.policy import ResiliencePolicy, degradation_ladder

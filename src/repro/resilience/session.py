@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.core.message import Message
 from repro.core.params import (
@@ -37,8 +37,9 @@ from repro.errors import (
     RmsFailedError,
     TransportError,
 )
+from repro.obs.registry import families
 from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.supervisor import RmsSupervisor, record_transition
+from repro.resilience.supervisor import RmsSupervisor
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
@@ -74,6 +75,14 @@ class SessionStats:
     recoveries: int = 0
     degradations: int = 0
     failovers: int = 0
+    #: retry / failover / degrade / reestablishing / recovered / gave_up
+    #: -> how often; exported as the ``rms_failovers_total`` family.
+    transitions: Dict[str, int] = field(default_factory=dict)
+
+
+_FAMILIES = families(
+    "session", SessionStats, transitions="rms_failovers_total{kind}"
+)
 
 
 def _payload_size(payload) -> int:
@@ -127,6 +136,22 @@ class Session:
                 reason=reason,
             )
         self.on_state_change.fire(self, old, new_state, reason)
+
+    def _watch(self, host: str) -> None:
+        """Export the session's counters (the subclass knows the host)."""
+        self.context.obs.metrics.watch(
+            self.stats, _FAMILIES, host=host, session=self.name
+        )
+
+    def _note(self, kind: str, detail: str = "") -> None:
+        """Count and span-log one resilience transition."""
+        transitions = self.stats.transitions
+        transitions[kind] = transitions.get(kind, 0) + 1
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.event(
+                self._trace, "resilience", kind, session=self.name, detail=detail
+            )
 
     @property
     def is_up(self) -> bool:
@@ -197,11 +222,6 @@ class _QueueMixin:
         )
         if not allowed:
             self.stats.queue_drops += 1
-            obs = self.context.obs
-            if obs.enabled:
-                obs.metrics.counter(
-                    "session_requeue_drops", session=self.name
-                ).inc()
             return
         self._queue.append(payload)
         self._queued_bytes += size
@@ -230,6 +250,7 @@ class StSession(Session, _QueueMixin):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(context, name=name, policy=policy)
+        self._watch(st.host.name)
         self.st = st
         self.peer_host = peer_host
         self.port_name = port
@@ -259,7 +280,6 @@ class StSession(Session, _QueueMixin):
                 on_established=self._established,
                 on_transition=self._transition,
                 on_gave_up=self._gave_up,
-                trace=self._trace,
             )
             self._supervisor.start()
 
@@ -303,6 +323,7 @@ class StSession(Session, _QueueMixin):
         self._flush_queue()
 
     def _transition(self, kind: str, detail: str) -> None:
+        self._note(kind, detail)
         if kind == "failover":
             self.stats.failovers += 1
         elif kind == "reestablishing":
@@ -401,6 +422,7 @@ class TransportSession(Session, _QueueMixin):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(context, name=name, policy=policy)
+        self._watch(sender_st.host.name)
         self.sender_st = sender_st
         self.receiver_st = receiver_st
         self.config = config or StreamConfig()
@@ -485,12 +507,6 @@ class TransportSession(Session, _QueueMixin):
         self._note("reestablishing", reason)
         self._open_attempt()
 
-    def _note(self, kind: str, detail: str) -> None:
-        record_transition(
-            self.context, self._trace, self.name,
-            self.sender_st.host.name, kind, detail,
-        )
-
     # -- client API --------------------------------------------------------
 
     def send(self, payload: bytes) -> Future:
@@ -545,6 +561,7 @@ class RkomSession(Session):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(context, name=name, policy=policy)
+        self._watch(rkom.st.host.name)
         self.rkom = rkom
         self.peer_host = peer_host
         self._unsubscribe = rkom.on_channel_event.listen(self._channel_event)
@@ -560,10 +577,7 @@ class RkomSession(Session):
                 self.stats.recoveries += 1
             self._set_state(SessionState.UP, "channel ready")
         else:
-            record_transition(
-                self.context, self._trace, self.name,
-                self.rkom.st.host.name, "reestablishing", "channel failed",
-            )
+            self._note("reestablishing", "channel failed")
             self._set_state(
                 SessionState.RE_ESTABLISHING,
                 "channel failed; next call re-establishes",

@@ -11,8 +11,9 @@ attempt depends on why it failed:
 * anything else (setup timeout, control-channel failure, ...) -- back
   off with jitter and retry, avoiding the network that just failed.
 
-Every transition is counted in the ``rms_failovers_total`` metric family
-and recorded as a span event on the ``resilience`` layer.
+Every transition is reported through ``on_transition``; the owning
+session counts it (``SessionStats.transitions``, exported as the
+``rms_failovers_total`` family) and span-logs it.
 """
 
 from __future__ import annotations
@@ -23,35 +24,11 @@ from repro.core.params import RmsRequest, is_compatible
 from repro.errors import AdmissionError, NegotiationError
 from repro.resilience.policy import ResiliencePolicy, degradation_ladder
 from repro.sim.context import SimContext
-from repro.sim.events import TimerGroup
+from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
 
-__all__ = ["RmsSupervisor", "record_transition"]
-
-
-def record_transition(
-    context: SimContext,
-    trace: Optional[int],
-    session: str,
-    host: str,
-    kind: str,
-    detail: str = "",
-) -> None:
-    """Count and span-log one resilience transition.
-
-    ``kind`` is one of retry / failover / degrade / reestablishing /
-    recovered / gave_up -- together they form the ``rms_failovers_total``
-    metric family.
-    """
-    obs = context.obs
-    if obs.enabled:
-        obs.metrics.counter(
-            "rms_failovers_total", host=host, kind=kind, session=session
-        ).inc()
-        obs.spans.event(
-            trace, "resilience", kind, session=session, detail=detail
-        )
+__all__ = ["RmsSupervisor"]
 
 
 class RmsSupervisor:
@@ -70,7 +47,6 @@ class RmsSupervisor:
         on_established: Optional[Callable] = None,
         on_transition: Optional[Callable[[str, str], None]] = None,
         on_gave_up: Optional[Callable[[Exception], None]] = None,
-        trace: Optional[int] = None,
     ) -> None:
         self.context = context
         self.st = st
@@ -81,9 +57,10 @@ class RmsSupervisor:
         self.fast_ack = fast_ack
         self.name = name
         self.on_established = on_established or (lambda rms, degraded: None)
-        self.on_transition = on_transition
+        #: Called with (kind, detail); kind is one of retry / failover /
+        #: degrade / reestablishing / recovered / gave_up.
+        self.on_transition = on_transition or (lambda kind, detail: None)
         self.on_gave_up = on_gave_up or (lambda error: None)
-        self.trace = trace
         self.rms = None
         if policy.degrade:
             self._rungs = degradation_ladder(request, policy.max_rungs)
@@ -98,6 +75,9 @@ class RmsSupervisor:
         #: Backoff retries share one coalesced loop timer; ``stop``
         #: cancels any in-flight retry outright via ``cancel_all``.
         self._timers = TimerGroup(context.loop)
+        context.obs.metrics.watch(
+            self._timers, TIMER_FAMILIES, group=f"supervisor:{name}"
+        )
 
     # ------------------------------------------------------------------
 
@@ -111,13 +91,6 @@ class RmsSupervisor:
         self.st.set_network_preference(self.peer_host, None)
 
     # ------------------------------------------------------------------
-
-    def _note(self, kind: str, detail: str = "") -> None:
-        record_transition(
-            self.context, self.trace, self.name, self.st.host.name, kind, detail
-        )
-        if self.on_transition is not None:
-            self.on_transition(kind, detail)
 
     def _attempt(self) -> None:
         if self._closed:
@@ -148,7 +121,7 @@ class RmsSupervisor:
                 pick = network
                 break
         if self._current_network is not None and pick.name != self._current_network:
-            self._note("failover", f"{self._current_network}->{pick.name}")
+            self.on_transition("failover", f"{self._current_network}->{pick.name}")
         self.st.set_network_preference(self.peer_host, pick.name)
         self._current_network = pick.name
 
@@ -164,7 +137,7 @@ class RmsSupervisor:
                 # A leaner reservation may be admitted: degrade and
                 # retry immediately on the same network.
                 self._rung += 1
-                self._note("degrade", str(error))
+                self.on_transition("degrade", str(error))
                 self._attempt()
                 return
             self._failure(error)
@@ -183,11 +156,11 @@ class RmsSupervisor:
         self._consecutive += 1
         self._avoid_network = self._current_network
         if self._consecutive >= self.policy.max_attempts:
-            self._note("gave_up", str(error))
+            self.on_transition("gave_up", str(error))
             self.on_gave_up(error)
             return
         delay = self.policy.backoff_delay(self._consecutive - 1, self._rng)
-        self._note(
+        self.on_transition(
             "retry", f"attempt {self._consecutive + 1} in {delay:.3f}s ({error})"
         )
         self._timers.call_after(delay, self._attempt)
@@ -200,7 +173,7 @@ class RmsSupervisor:
             self._current_network = rms.binding.network_rms.network.name
         degraded = not is_compatible(rms.params, self.request.desired)
         rms.on_failure.listen(self._rms_failed)
-        self._note("recovered", f"network={self._current_network}")
+        self.on_transition("recovered", f"network={self._current_network}")
         self.on_established(rms, degraded)
 
     def _rms_failed(self, rms, reason: str) -> None:
@@ -211,5 +184,5 @@ class RmsSupervisor:
         # Aim for full quality again: a different network (or a healed
         # one) may satisfy the original desired set.
         self._rung = 0
-        self._note("reestablishing", reason)
+        self.on_transition("reestablishing", reason)
         self._attempt()

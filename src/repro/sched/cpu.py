@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.obs.registry import Histogram, families
 from repro.sim.context import SimContext
 from repro.sched.policies import key_slot
 
@@ -110,6 +111,14 @@ class WorkItem:
         return self.finished_at > self.deadline + 1e-12
 
 
+_FAMILIES = families(
+    "cpu",
+    ("items_run", "busy_time", "context_switches", "deadline_misses",
+     "queue_wait"),
+    queue_wait="cpu_queue_wait_seconds",
+)
+
+
 class HostCpu:
     """A single CPU executing protocol work items, one at a time.
 
@@ -147,8 +156,12 @@ class HostCpu:
         self.busy_time = 0.0
         self.context_switches = 0
         self.deadline_misses = 0
+        #: Seconds items waited for the CPU; observed only while spans are
+        #: (a distribution has no cheap always-on form).
+        self.queue_wait = Histogram()
         self.completed: List[WorkItem] = []
         self.keep_history = False
+        context.obs.metrics.watch(self, _FAMILIES, cpu=name)
 
     def submit(
         self,
@@ -242,13 +255,9 @@ class HostCpu:
             self.completed.append(item)
         obs = context.obs
         if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("cpu_items_run", cpu=self.name).inc()
-            if missed:
-                metrics.counter("cpu_deadline_misses", cpu=self.name).inc()
-            metrics.histogram(
-                "cpu_queue_wait_seconds", cpu=self.name
-            ).observe((item.started_at or item.submitted_at) - item.submitted_at)
+            self.queue_wait.observe(
+                (item.started_at or item.submitted_at) - item.submitted_at
+            )
             obs.spans.event(
                 item.trace_id, "cpu", "done",
                 cpu=self.name, item=item.name, missed=missed,

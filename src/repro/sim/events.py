@@ -37,6 +37,7 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SchedulingError
+from repro.obs.registry import families
 
 __all__ = [
     "DEFAULT_IDLE_MAX_EVENTS",
@@ -44,6 +45,7 @@ __all__ = [
     "EventLoop",
     "GroupTimer",
     "Signal",
+    "TIMER_FAMILIES",
     "TimerGroup",
 ]
 
@@ -452,6 +454,13 @@ class GroupTimer:
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"
         return f"<GroupTimer t={self.time:.6f} {state}>"
+
+
+#: How a :class:`TimerGroup` exports; the owner of a group registers it.
+TIMER_FAMILIES = {
+    **families("timer", ("fires",)),
+    **families("timers", ("live",), kind="gauge"),
+}
 
 
 class TimerGroup:

@@ -23,7 +23,7 @@ from repro.sim.events import TimerGroup
 from repro.subtransport.config import StConfig
 from repro.subtransport.control import ControlChannel
 from repro.subtransport.mux import MuxBinding
-from repro.subtransport.piggyback import PiggybackQueue
+from repro.subtransport.piggyback import QUEUE_FAMILIES, PiggybackQueue
 from repro.subtransport.security import plan_security
 from repro.subtransport.strms import StRms
 
@@ -126,11 +126,8 @@ class NetworkBindings:
         target = self.network_for(peer.host_name)
         if target is peer.control.network:
             return
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_peer_retargets", host=self.host.name, network=target.name
-            ).inc()
+        retargets = self.stats.peer_retargets
+        retargets[target.name] = retargets.get(target.name, 0) + 1
         # Cached bindings on another network are useless to the new one;
         # live bindings were already failed by the network itself.
         for binding in list(peer.cached):
@@ -142,15 +139,10 @@ class NetworkBindings:
     def assign(self, peer: Peer, st_params: RmsParams):
         """Generator yielding a binding that can carry the new ST RMS."""
         enforce = self.config.enforce_mux_rules
-        obs = self.context.obs
         if self.config.multiplexing_enabled:
             for binding in peer.bindings:
                 if binding.can_accept(st_params, enforce) is None:
                     self.stats.mux_joins += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "st_mux_joins", host=self.host.name
-                        ).inc()
                     return binding
         if self.config.cache_enabled:
             for binding in list(peer.cached):
@@ -158,10 +150,6 @@ class NetworkBindings:
                     peer.cached.remove(binding)
                     peer.bindings.append(binding)
                     self.stats.cache_hits += 1
-                    if obs.enabled:
-                        obs.metrics.counter(
-                            "st_cache_hits", host=self.host.name
-                        ).inc()
                     return binding
         desired, acceptable = self.network_params_for(peer, st_params)
         network = peer.control.network
@@ -183,6 +171,10 @@ class NetworkBindings:
             timer_group=peer.timers,
             enabled=self.config.piggyback_enabled,
         )
+        self.context.obs.metrics.watch(
+            binding.queue, QUEUE_FAMILIES,
+            host=self.host.name, queue=network_rms.name,
+        )
         peer.bindings.append(binding)
         network_rms.on_failure.listen(
             lambda rms, reason, b=binding, p=peer: self._network_rms_failed(
@@ -190,10 +182,6 @@ class NetworkBindings:
             )
         )
         self.stats.network_rms_created += 1
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_network_rms_created", host=self.host.name
-            ).inc()
         return binding
 
     def _network_rms_failed(

@@ -204,9 +204,6 @@ class ControlChannel:
             target=Label(self.peer_host, CONTROL_PORT),
         )
         self.stats.control_messages += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter("st_control_messages", host=self.host_name).inc()
         if self.out_state == "ready":
             self._transmit(message)
         else:

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional
 from repro.core.message import Message
 from repro.errors import MessageTooLargeError, ParameterError, TransportError
 from repro.netsim.network import NetworkRms
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
@@ -53,6 +54,12 @@ class DownmuxStats:
     resequenced: int = 0  # arrived out of order, held for reordering
     max_resequence_depth: int = 0
     per_path_sent: Dict[int, int] = field(default_factory=dict)
+
+
+_FAMILIES = {
+    **families("downmux", DownmuxStats, per_path_sent="downmux_per_path_sent{path}"),
+    **families("downmux", ("max_resequence_depth",), kind="gauge"),
+}
 
 
 class DownwardMux:
@@ -85,6 +92,7 @@ class DownwardMux:
             - _SEQ_HEADER.size
         )
         self.stats = DownmuxStats()
+        context.obs.metrics.watch(self.stats, _FAMILIES, stream=name)
         self.port = Port(context.loop, name=f"{name}.rx")
         self.on_failure: Signal = Signal(context.loop)
         self._next_seq = 0

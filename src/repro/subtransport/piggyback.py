@@ -20,14 +20,16 @@ maximum.  Messages that require fragmentation are never piggybacked.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, TimerGroup
 from repro.subtransport.wire import BundleEntry, encode_bundle, encode_single
 
-__all__ = ["PiggybackQueue"]
+__all__ = ["PiggybackQueue", "QUEUE_FAMILIES"]
 
 #: Encoded bytes of the bundle count header.
 _BUNDLE_HEADER_BYTES = 2
@@ -35,6 +37,13 @@ _BUNDLE_HEADER_BYTES = 2
 _NEVER = float("inf")
 
 FlushCallback = Callable[[bytes, float, List[int], int], None]
+
+#: How a queue's counters export; the owner of the queue registers it.
+QUEUE_FAMILIES = families(
+    "st", ("flushes", "bundle_components"),
+    flushes="st_piggyback_flushes{reason}",
+    bundle_components="st_bundle_components{components}",
+)
 
 
 class PiggybackQueue:
@@ -72,11 +81,11 @@ class PiggybackQueue:
         #: Flush deadlines share the owning peer's coalesced timer group.
         self._timers = timer_group
         self._timer: Optional[EventHandle] = None
-        # Statistics.
-        self.flushes_timer = 0
-        self.flushes_overflow = 0
-        self.flushes_immediate = 0
-        self.flushes_forced = 0
+        #: Flushes by reason, and bundles sent by component count.
+        self.flushes: Dict[str, int] = dict.fromkeys(
+            ("timer", "overflow", "immediate", "forced"), 0
+        )
+        self.bundle_components: Dict[int, int] = defaultdict(int)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,13 +121,12 @@ class PiggybackQueue:
             )
         if not self.enabled:
             # Piggybacking off: every component ships alone, immediately.
-            self.flushes_immediate += 1
+            self.flushes["immediate"] += 1
             self._send([(entry, max_deadline, flush_by)])
             return
         if self._encoded_bytes + size > limit:
             # Does not fit: the queue goes first, the component follows,
             # still in order.
-            self.flushes_overflow += 1
             self.flush("overflow")
         self._entries.append((entry, max_deadline, flush_by))
         self._encoded_bytes += size
@@ -129,7 +137,6 @@ class PiggybackQueue:
             # No queueing slack left: flush everything queued together
             # with this component (sending it *after* the queue would
             # break arrival order on the shared network RMS).
-            self.flushes_immediate += 1
             self.flush("immediate")
             return
         # The flush timer sits at the earliest flush-by time queued; a
@@ -148,11 +155,7 @@ class PiggybackQueue:
         """Send every queued component as one bundle now."""
         if not self._entries:
             return
-        if reason == "forced":
-            self.flushes_forced += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter("st_piggyback_flushes", reason=reason).inc()
+        self.flushes[reason] += 1
         entries, self._entries = self._entries, []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
         self._flush_by = _NEVER
@@ -175,11 +178,9 @@ class PiggybackQueue:
         floor = self.ordering_floor(st_ids)
         if floor > deadline:
             deadline = floor
+        self.bundle_components[len(entries)] += 1
         obs = self.context.obs
         if obs.enabled:
-            obs.metrics.counter(
-                "st_bundle_components", components=len(entries)
-            ).inc()
             for entry, _, _ in entries:
                 obs.spans.event(
                     entry.trace_id, "net", "tx",
@@ -191,7 +192,6 @@ class PiggybackQueue:
     def _timer_fired(self) -> None:
         self._timer = None
         if self._entries:
-            self.flushes_timer += 1
             self.flush("timer")
 
     def __repr__(self) -> str:

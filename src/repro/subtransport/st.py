@@ -34,9 +34,10 @@ from repro.core.rms import RmsState
 from repro.errors import NegotiationError, RmsError, TransportError
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
+from repro.obs.registry import families
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
-from repro.sim.events import TimerGroup
+from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
 from repro.subtransport.config import StConfig
@@ -85,12 +86,21 @@ class StStats:
     fast_acks_sent: int = 0
     auth_handshakes: int = 0
     control_messages: int = 0
+    #: Peers re-pointed after their network died, by the network moved to.
+    peer_retargets: Dict[str, int] = field(default_factory=dict)
 
     @property
     def components_per_bundle(self) -> float:
         if self.bundles_sent == 0:
             return 0.0
         return self.components_sent / self.bundles_sent
+
+
+_FAMILIES = families(
+    "st", StStats,
+    st_rms_created="st_rms_created",
+    peer_retargets="st_peer_retargets{network}",
+)
 
 
 @dataclass
@@ -136,6 +146,7 @@ class SubtransportLayer:
         self.keys = key_registry or KeyRegistry()
         self.config = config or StConfig()
         self.stats = StStats()
+        context.obs.metrics.watch(self.stats, _FAMILIES, host=host.name)
         self._peers: Dict[str, Peer] = {}
         self._rx: Dict[int, _RxStream] = {}
         self._bindings = NetworkBindings(
@@ -173,6 +184,9 @@ class SubtransportLayer:
             self._bindings.retarget(peer)
             return peer
         peer = Peer(peer_host, TimerGroup(self.context.loop))
+        self.context.obs.metrics.watch(
+            peer.timers, TIMER_FAMILIES, group=f"st:{self.host.name}->{peer_host}"
+        )
         peer.control = ControlChannel(
             self.context, self.config, self.stats, self.host.name, peer_host,
             self._bindings.network_for(peer_host), self._session_key(peer_host),
@@ -298,9 +312,6 @@ class SubtransportLayer:
             lambda rms, reason: self._bindings.detach(peer, rms)
         )
         self.stats.st_rms_created += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter("st_rms_created", host=self.host.name).inc()
         return st_rms
 
     def close_st_rms(self, st_rms: StRms) -> None:
@@ -387,8 +398,6 @@ class SubtransportLayer:
         through it directly."""
         network_rms = binding.network_rms
         stats = self.stats
-        context = self.context
-        host_name = self.host.name
 
         def flush(payload: bytes, deadline: float, st_ids: List[int], count: int):
             network_rms.send(payload, deadline)
@@ -397,12 +406,6 @@ class SubtransportLayer:
             binding.components_sent += count
             stats.bundles_sent += 1
             stats.components_sent += count
-            obs = context.obs
-            if obs.enabled:
-                obs.metrics.counter("st_bundles_sent", host=host_name).inc()
-                obs.metrics.counter(
-                    "st_components_sent", host=host_name
-                ).inc(count)
 
         return flush
 
@@ -560,10 +563,6 @@ class SubtransportLayer:
             )
             self.stats.fragments_sent += 1
             st_rms.fragments_sent += 1
-            if obs.enabled:
-                obs.metrics.counter(
-                    "st_fragments_sent", host=self.host.name
-                ).inc()
 
     # -- receive path ----------------------------------------------------------
 
@@ -601,10 +600,6 @@ class SubtransportLayer:
         rx = self._rx.get(st_rms_id)
         if rx is None:
             self.stats.orphan_components += 1
-            if obs.enabled:
-                obs.metrics.counter(
-                    "st_orphan_components", host=self.host.name
-                ).inc()
             return
         if flags & _SECURITY_FLAGS:
             # The flags on the wire, not the plan, say what to undo: a
@@ -637,20 +632,11 @@ class SubtransportLayer:
         trace_id: Optional[int],
     ) -> None:
         self.stats.fragments_received += 1
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "st_fragments_received", host=self.host.name
-            ).inc()
         if frag_offset == 0:
             if rx.partial_expected and len(rx.partial) < rx.partial_expected:
                 # A fragment of the next message arrived while a message
                 # was incomplete: discard the partial (section 4.3).
                 self.stats.partials_discarded += 1
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "st_partials_discarded", host=self.host.name
-                    ).inc()
                 rx.st_rms._drop(
                     Message(bytes(rx.partial), trace_id=rx.partial_trace),
                     "partial discarded",
@@ -757,9 +743,6 @@ class SubtransportLayer:
             self.stats.fast_acks_sent += 1
             obs = self.context.obs
             if obs.enabled:
-                obs.metrics.counter(
-                    "st_fast_acks_sent", host=self.host.name
-                ).inc()
                 obs.spans.event(
                     trace_id, "st", "ack",
                     st=st_rms.name, seq=st_rms.stats.messages_delivered,

@@ -28,6 +28,7 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.core.params import RmsParams
 from repro.errors import ParameterError
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle
 
@@ -37,6 +38,11 @@ __all__ = [
     "WindowEnforcer",
     "ReceiverCredit",
 ]
+
+
+#: One family for the three mechanisms, told apart by a label.
+_FAMILIES = families("fc", ("sends_delayed",))
+_CREDIT_FAMILIES = families("fc", ("stalls",), stalls="fc_sends_delayed")
 
 
 class FlowControlMode(enum.Enum):
@@ -101,6 +107,7 @@ class RateBasedEnforcer:
         self._pending: Deque[list] = deque()
         self._timer: Optional[EventHandle] = None
         self.sends_delayed = 0
+        context.obs.metrics.watch(self, _FAMILIES, mechanism="rate")
 
     def _evict(self) -> None:
         horizon = self.context.now - self.window
@@ -169,9 +176,6 @@ class RateBasedEnforcer:
                     entry[3] = True
                     self.sends_delayed += 1
                     if obs.enabled:
-                        obs.metrics.counter(
-                            "fc_sends_delayed", mechanism="rate"
-                        ).inc()
                         obs.spans.event(
                             trace_id, "fc", "hold",
                             mechanism="rate", size=size,
@@ -218,6 +222,7 @@ class WindowEnforcer:
         self.outstanding = 0
         self._pending: Deque[list] = deque()  # [size, send, trace_id, held]
         self.sends_delayed = 0
+        context.obs.metrics.watch(self, _FAMILIES, mechanism="window")
 
     def request(
         self,
@@ -270,9 +275,6 @@ class WindowEnforcer:
                     entry[3] = True
                     self.sends_delayed += 1
                     if obs.enabled:
-                        obs.metrics.counter(
-                            "fc_sends_delayed", mechanism="window"
-                        ).inc()
                         obs.spans.event(
                             trace_id, "fc", "hold",
                             mechanism="window", size=size,
@@ -304,6 +306,10 @@ class ReceiverCredit:
         self.context = context  # optional: only needed for observability
         self._pending: Deque[list] = deque()  # [size, send, trace_id, held]
         self.stalls = 0
+        if context is not None:
+            context.obs.metrics.watch(
+                self, _CREDIT_FAMILIES, mechanism="credit"
+            )
 
     def request(
         self,
@@ -353,9 +359,6 @@ class ReceiverCredit:
                     entry[3] = True
                     self.stalls += 1
                     if obs is not None and obs.enabled:
-                        obs.metrics.counter(
-                            "fc_sends_delayed", mechanism="credit"
-                        ).inc()
                         obs.spans.event(
                             trace_id, "fc", "hold",
                             mechanism="credit", size=size,

@@ -23,8 +23,9 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.core.pool import ObjectPool
 from repro.errors import RkomTimeoutError, RmsFailedError, TransportError
+from repro.obs.registry import families
 from repro.sim.context import SimContext
-from repro.sim.events import GroupTimer, Signal, TimerGroup
+from repro.sim.events import TIMER_FAMILIES, GroupTimer, Signal, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.strms import StRms
@@ -64,6 +65,10 @@ class RkomStats:
     timeouts: int = 0
     duplicate_requests: int = 0
     requests_served: int = 0
+    channel_failures: int = 0  # ready channels lost to an RMS failure
+
+
+_FAMILIES = families("rkom", RkomStats)
 
 
 class CallHandle(Future):
@@ -163,6 +168,7 @@ class RkomService:
         self.st = st
         self.config = config or RkomConfig()
         self.stats = RkomStats()
+        context.obs.metrics.watch(self.stats, _FAMILIES, host=st.host.name)
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
         self._channels: Dict[str, _Channel] = {}
         self._pending: Dict[int, _CallRecord] = {}
@@ -175,6 +181,9 @@ class RkomService:
         #: All call timeouts coalesced onto one loop timer (the timeout
         #: deadline churns on every retransmission and reply).
         self._timers = TimerGroup(context.loop)
+        context.obs.metrics.watch(
+            self._timers, TIMER_FAMILIES, group=f"rkom:{st.host.name}"
+        )
         #: Reply cache for at-most-once execution of duplicates.
         self._served: "OrderedDict[Tuple[str, int], Optional[bytes]]" = OrderedDict()
         #: Fired with (peer_host, "ready" | "failed") on channel state
@@ -226,7 +235,6 @@ class RkomService:
         obs = self.context.obs
         if obs.enabled:
             record.trace_id = obs.spans.new_trace()
-            obs.metrics.counter("rkom_calls", host=self.st.host.name).inc()
             obs.spans.event(
                 record.trace_id, "rkom", "call",
                 host=self.st.host.name, peer=peer_host, op=op,
@@ -282,9 +290,6 @@ class RkomService:
             self._pending.pop(request_id, None)
             self.stats.timeouts += 1
             if obs.enabled:
-                obs.metrics.counter(
-                    "rkom_timeouts", host=self.st.host.name
-                ).inc()
                 obs.spans.event(
                     record.trace_id, "rkom", "timeout",
                     host=self.st.host.name, retries=record.retries - 1,
@@ -301,9 +306,6 @@ class RkomService:
             return
         self.stats.retransmissions += 1
         if obs.enabled:
-            obs.metrics.counter(
-                "rkom_retransmissions", host=self.st.host.name
-            ).inc()
             obs.spans.event(
                 record.trace_id, "rkom", "retransmit",
                 host=self.st.host.name, attempt=record.retries,
@@ -392,9 +394,6 @@ class RkomService:
                         record.timer.cancel()
                     self.stats.timeouts += 1
                     if obs.enabled:
-                        obs.metrics.counter(
-                            "rkom_timeouts", host=self.st.host.name
-                        ).inc()
                         obs.spans.event(
                             record.trace_id, "rkom", "timeout",
                             host=self.st.host.name, reason="no-channel",
@@ -436,11 +435,7 @@ class RkomService:
         channel.state = "none"
         channel.low = None
         channel.high = None
-        obs = self.context.obs
-        if obs.enabled:
-            obs.metrics.counter(
-                "rkom_channel_failures", host=self.st.host.name
-            ).inc()
+        self.stats.channel_failures += 1
         self.on_channel_event.fire(peer_host, "failed")
 
     # ------------------------------------------------------------------
@@ -467,9 +462,6 @@ class RkomService:
             self.stats.replies += 1
             obs = self.context.obs
             if obs.enabled:
-                obs.metrics.counter(
-                    "rkom_replies", host=self.st.host.name
-                ).inc()
                 obs.spans.event(
                     record.trace_id, "rkom", "reply",
                     host=self.st.host.name, peer=source_host,
@@ -483,13 +475,8 @@ class RkomService:
 
     def _serve(self, source_host: str, request_id: int, op: str, payload: bytes) -> None:
         key = (source_host, request_id)
-        obs = self.context.obs
         if key in self._served:
             self.stats.duplicate_requests += 1
-            if obs.enabled:
-                obs.metrics.counter(
-                    "rkom_duplicate_requests", host=self.st.host.name
-                ).inc()
             cached = self._served[key]
             if cached is not None:
                 # Retransmitted replies ride the high-delay RMS.
@@ -503,10 +490,6 @@ class RkomService:
         self._served[key] = None  # in progress
         self._trim_cache()
         self.stats.requests_served += 1
-        if obs.enabled:
-            obs.metrics.counter(
-                "rkom_requests_served", host=self.st.host.name
-            ).inc()
         result = handler(payload, source_host)
         if isinstance(result, Future):
             result.add_done_callback(

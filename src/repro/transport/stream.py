@@ -26,6 +26,7 @@ from typing import Dict, Optional
 from repro.core.message import Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import ParameterError, TransportError
+from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, Signal
 from repro.sim.ports import FlowControlledPort, Port
@@ -98,6 +99,9 @@ class StreamStats:
     duplicates_discarded: int = 0
 
 
+_FAMILIES = families("stream", StreamStats)
+
+
 class StreamSession:
     """One simplex transport stream between two hosts.
 
@@ -119,6 +123,9 @@ class StreamSession:
         self.ack_rms = ack_rms
         self.stats = StreamStats()
         self.session_id = next(_session_ids)
+        context.obs.metrics.watch(
+            self.stats, _FAMILIES, stream=f"stream{self.session_id}"
+        )
         # -- sender state --
         self.tx_next_seq = 0
         self._in_protocol = 0

@@ -138,8 +138,9 @@ class TestRmsBasicProperties:
         if observe:
             events = [e.event for e in context.obs.spans.events_for(first.trace_id)]
             assert events == ["send", "deliver", "out_of_order"]
-            series = context.obs.metrics.snapshot()["rms_messages_out_of_order"]
-            assert [s["value"] for s in series["series"]] == [1]
+            labels = dict(layer=rms.layer, rms=rms.name)
+            assert context.obs.metrics.get("rms_messages_out_of_order", **labels) == 1
+            assert context.obs.metrics.get("rms_messages_late", **labels) == 0
 
     def test_failure_notifies_clients(self, context, params):
         """Basic property 3: clients are notified of RMS failure."""

@@ -364,9 +364,11 @@ class TestRepinKeepsOrder:
             assert len(indexes) >= 290, peer
             assert indexes == sorted(set(indexes)), peer
         assert_in_sequence(node.st for node in system.nodes.values())
-        # Streams the flap tore down are in no table any more; the
-        # registry series exists only once a violation was counted.
-        assert "rms_messages_out_of_order" not in system.obs.metrics.snapshot()
+        # Streams the flap tore down are in no table any more, but the
+        # registry still reads their stats: every series is an exported 0.
+        series = system.obs.metrics.snapshot()["rms_messages_out_of_order"]["series"]
+        assert len(series) > len(network._rms_table)
+        assert all(entry["value"] == 0 for entry in series)
 
 
 class TestSoakBound:

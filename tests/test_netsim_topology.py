@@ -318,6 +318,37 @@ class TestLink:
         assert (stats.frames_transmitted, stats.frames_dropped_loss) == (4, 1)
         assert stats.bytes_transmitted == 4 * fresh.size
 
+    def test_raising_drop_callback_does_not_cut_set_down_short(self):
+        # One frame in service and three queued; the first queued frame's
+        # ``on_drop`` raises.  The drain still empties the queue and
+        # routing still hears that the link died; the error comes out.
+        context = SimContext()
+        link = Link(context, "l", bandwidth=1e3, propagation_delay=0.0,
+                    policy="fifo")
+        down, drops = [], []
+        link.on_down.listen(down.append)
+
+        def boom(frame, reason):
+            drops.append("boom")
+            raise RuntimeError(reason)
+
+        in_service = make_frame()
+        link.transmit(in_service, deliver=lambda f: None)
+        link.transmit(make_frame(), deliver=lambda f: None, on_drop=boom)
+        for _ in range(2):
+            link.transmit(make_frame(), deliver=lambda f: None,
+                          on_drop=lambda f, r: drops.append(r))
+        assert link.queue_length == 3
+        with pytest.raises(RuntimeError, match="link down"):
+            link.set_down()
+        assert drops == ["boom", "link down", "link down"]
+        assert link.queue_length == 0
+        assert link._queued_bytes == in_service.size
+        assert down == [link]
+        link.set_up()
+        context.run()
+        assert not link._busy and link._queued_bytes == 0
+
     def test_invalid_parameters_rejected(self):
         context = SimContext()
         with pytest.raises(NetworkError):

@@ -3,8 +3,8 @@
 Simulated time is exact, so the reproduction can be gated exactly: every
 ``benchmarks/bench_eNN_*.py`` is run at its committed size and its
 regenerated ``eNN_*.txt`` must be byte-equal to the file committed under
-``benchmarks/results/`` (and the ``metrics`` / ``spans`` sections of its
-``.metrics.json`` equal; ``extra.elapsed_s`` is wall clock).
+``benchmarks/results/`` (and the ``tables`` / ``metrics`` / ``spans``
+sections of its ``.metrics.json`` equal; ``extra.elapsed_s`` is wall clock).
 
 Order and process matter.  Stream ids travel as JSON text on the control
 channel, so a control message's length -- and with it a handful of
@@ -86,5 +86,6 @@ def test_experiment_regenerates_its_committed_result(regenerated, experiment):
         off, on = simulated
         assert off[1] == on[1]  # observing moves no goodput
         return
+    assert fresh["tables"] == committed["tables"]
     name = f"{experiment}.txt"
     assert (regenerated / name).read_bytes() == (RESULTS / name).read_bytes()

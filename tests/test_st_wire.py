@@ -189,7 +189,7 @@ class TestPiggybackQueue:
         queue.submit(entry(seq=1, payload=b"b" * 60), max_deadline=1.0)
         assert len(flushes) == 1  # first flushed to make room
         assert flushes[0][3] == 1
-        assert queue.flushes_overflow == 1
+        assert queue.flushes["overflow"] == 1
 
     def test_overdue_message_flushes_whole_queue(self):
         context = SimContext()
@@ -198,7 +198,7 @@ class TestPiggybackQueue:
         queue.submit(entry(seq=1, payload=b"b"), max_deadline=context.now)  # no slack
         assert len(flushes) == 1
         assert flushes[0][3] == 2  # sent together, order preserved
-        assert queue.flushes_immediate == 1
+        assert queue.flushes["immediate"] == 1
 
     def test_ordering_floor_raises_deadline(self):
         context = SimContext()
@@ -308,6 +308,4 @@ class TestPiggybackQueue:
                 assert queue._timer.time == max(scan, context.now)
             else:
                 assert queue._timer is None and queue._timers.live == 0
-        assert reasons == dict(
-            timer=queue.flushes_timer, overflow=queue.flushes_overflow,
-            immediate=queue.flushes_immediate, forced=queue.flushes_forced)
+        assert reasons == queue.flushes
