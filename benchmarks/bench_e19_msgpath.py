@@ -5,8 +5,7 @@ the message path it measured delivered only ~9.8k msgs/sec -- roughly 85
 loop events and 2.36 allocations per delivered client message.  This
 bench measures the message path built to close that gap: per-peer
 ``TimerGroup`` deadline coalescing, security contexts cached at
-negotiation time, the flow-control ``try_admit`` fast path, and per-size
-memos of the stage costs and deadlines.
+negotiation time, and per-size memos of the stage costs and deadlines.
 
 The headline workload is the one the paper's piggybacking argument is
 about: sustained bursts of small messages on a trusted LAN, where

@@ -12,6 +12,11 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
   ``lan_small_burst`` sends), per delivered message;
 * ``rkom``  -- 8 closed-loop RKOM callers echoing 64 B (what
   ``lan_rkom_closed`` does), per completed call;
+* ``stream`` -- one reliable windowed byte stream, end-to-end flow
+  control, rounds of 40 x 1,000 B (the path ``fabric_secured_mix``'s
+  flow stream takes through ``transport/``), per delivered message,
+  once with acknowledgement-based and once with rate-based capacity
+  enforcement;
 * ``setup`` -- one stream opened to a peer never spoken to before (the
   control channel, on an untrusted medium the handshake, ``st_create``
   and the data network RMS: what ``grid_churn`` pays per
@@ -37,10 +42,18 @@ import sys
 from collections import Counter
 from typing import Callable, Dict
 
-from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
+from repro import (
+    DashSystem,
+    DelayBound,
+    DelayBoundType,
+    FlowControlMode,
+    RmsParams,
+    StreamConfig,
+)
 
 BURST, BURST_BYTES, BURST_ROUND_S = 40, 100, 0.02
 CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
+STREAM_BYTES, STREAM_WINDOW, STREAM_ROUND_S = 1000, 16 * 1024, 1.0
 SETUP_ROUND_S = 1.0
 
 
@@ -143,6 +156,30 @@ def rkom(rounds: int = 2, seed: int = 1, observe: bool = False) -> dict:
     return _counted(system, one_round, rounds, done)
 
 
+def stream(rounds: int = 3, seed: int = 1, capacity_mode: str = "ack") -> dict:
+    """One reliable windowed byte stream, 40 x 1,000 B per round; per
+    delivered message."""
+    system = _pair(seed)
+    config = StreamConfig(
+        reliable=True, capacity_mode=capacity_mode,
+        flow_control=FlowControlMode.END_TO_END, data_delay_bound=0.1,
+        # A burst is 2.5 windows: most sends wait at a gate, some do not.
+        data_capacity=STREAM_WINDOW, receive_buffer=STREAM_WINDOW,
+    )
+    session = system.connect("a", "b", kind="stream", config=config)
+    system.run(until=2.0)
+    delivered: list = []
+    session.established.result().drain_to(delivered.append)
+    payload = bytes(STREAM_BYTES)
+
+    def one_round() -> None:
+        for _ in range(BURST):
+            session.send(payload)
+        system.run(until=system.now + STREAM_ROUND_S)
+
+    return _counted(system, one_round, rounds, delivered)
+
+
 def setup(rounds: int = 3, seed: int = 1, trusted: bool = False) -> dict:
     """One stream to a fresh peer per round; per established stream."""
     peers = [f"b{index}" for index in range(rounds + 1)]
@@ -208,6 +245,10 @@ def main(argv=None) -> int:
     print(table(burst(args.rounds, args.seed, args.observe), "message"))
     print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B{mode}")
     print(table(rkom(args.rounds, args.seed, args.observe), "call"))
+    for capacity_mode in () if args.observe else ("ack", "rate"):
+        print(f"\n# stream: {BURST} x {STREAM_BYTES} B per round, reliable, "
+              f"end-to-end flow control, capacity_mode={capacity_mode!r}")
+        print(table(stream(args.rounds, args.seed, capacity_mode), "message"))
     for trusted in () if args.observe else (False, True):
         medium = "a trusted" if trusted else "an untrusted"
         print(f"\n# setup: one stream to a fresh peer on {medium} Ethernet")

@@ -65,9 +65,7 @@ ST_FIELDS = ("st_rms_created", "network_rms_created", "cache_hits",
 RKOM_FIELDS = ("calls", "replies", "retransmissions", "timeouts",
                "duplicate_requests", "requests_served")
 FLUSH_REASONS = ("timer", "overflow", "immediate", "forced")
-MECHANISMS = {RateBasedEnforcer: ("rate", "sends_delayed"),
-              WindowEnforcer: ("window", "sends_delayed"),
-              ReceiverCredit: ("credit", "stalls")}
+MECHANISMS = (RateBasedEnforcer, WindowEnforcer, ReceiverCredit)
 
 
 COUNTED = (Rms, HostCpu, Network, SubtransportLayer, PiggybackQueue,
@@ -251,10 +249,9 @@ def native_view(built: List[Any]):
             if hasattr(obj.stats, "channel_failures"):
                 counters["rkom_channel_failures"][key] += (
                     obj.stats.channel_failures)
-        elif isinstance(obj, tuple(MECHANISMS)):
-            mechanism, attr = MECHANISMS[type(obj)]
-            counters["fc_sends_delayed"][_key(mechanism=mechanism)] += getattr(
-                obj, attr)
+        elif isinstance(obj, MECHANISMS):
+            counters["fc_sends_delayed"][
+                _key(mechanism=obj.mechanism)] += obj.sends_delayed
         elif isinstance(obj, Session):
             counters["session_queue_drops"][
                 _key(session=obj.name)] += obj.stats.queue_drops

@@ -100,8 +100,6 @@ class EthernetNetwork(Network):
     def add_sniffer(self, callback: Callable[[Frame], None]) -> None:
         """Observe every frame on the segment (eavesdropper model)."""
         self._sniffers.append(callback)
-        # Sniffers may retain frames indefinitely; stop recycling them.
-        self._pool_frames = False
 
     # -- shared-network interface ----------------------------------------------
 

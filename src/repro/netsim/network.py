@@ -22,12 +22,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.message import Label, Message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
-from repro.core.pool import ObjectPool
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.core.rms import Rms, RmsLevel, RmsState
 from repro.errors import NetworkError
 from repro.netsim.admission import AdmissionController
-from repro.netsim.packet import FRAME_OVERHEAD_BYTES, Frame, next_frame_id
+from repro.netsim.packet import FRAME_OVERHEAD_BYTES, Frame
 from repro.netsim.topology import Host
 from repro.obs.registry import families
 from repro.sim.context import SimContext
@@ -117,17 +116,16 @@ class NetworkRms(Rms):
         # Data follows the route the stream was admitted on -- its
         # reservations live on those links, not on whatever path is
         # currently shortest.
-        network = self.network
         deadline = message.deadline
-        frame = network._acquire_data_frame(
-            message,
-            self.sender.host,
-            self.receiver.host,
-            self.rms_id,
-            deadline if deadline is not None else float("inf"),
-            self._route,
+        frame = Frame(
+            message=message,
+            src_host=self.sender.host,
+            dst_host=self.receiver.host,
+            rms_id=self.rms_id,
+            deadline=deadline if deadline is not None else float("inf"),
+            route=self._route,
         )
-        network._transmit_frame(frame, self._frame_dropped, self.plan)
+        self.network._transmit_frame(frame, self._frame_dropped, self.plan)
 
     def _frame_dropped(self, frame: Frame, reason: str) -> None:
         self._drop(frame.message, reason)
@@ -191,12 +189,6 @@ class Network:
         #: Dropped setup / setup_ack / teardown frames, by frame kind.
         self.control_drops: Dict[str, int] = defaultdict(int)
         context.obs.metrics.watch(self, _FAMILIES, network=name)
-        #: Data-frame recycling: nothing outside the network retains a
-        #: delivered frame (spans and counters take ids and sizes), so it
-        #: is reusable.  Ethernet sniffers *do* retain frames; registering
-        #: one flips this off (see EthernetNetwork.add_sniffer).
-        self._frame_pool = ObjectPool(cap=256)
-        self._pool_frames = True
         #: Per-(src, dst) flow sequence numbers: deterministic per run,
         #: so ECMP path pinning is reproducible from the seed alone.
         self._flow_ids: Dict[Tuple[str, str], int] = {}
@@ -226,61 +218,6 @@ class Network:
         of timing out on a dead one.
         """
         return src in self.hosts and dst in self.hosts
-
-    # -- frame recycling -----------------------------------------------------
-
-    def _acquire_data_frame(
-        self,
-        message: Message,
-        src_host: str,
-        dst_host: str,
-        rms_id: int,
-        deadline: float,
-        route: List[str],
-    ) -> Frame:
-        """A data frame, recycled from the pool unless a sniffer retains them."""
-        if self._pool_frames:
-            frame = self._frame_pool.acquire()
-            if frame is not None:
-                frame.message = message
-                frame.src_host = src_host
-                frame.dst_host = dst_host
-                frame.rms_id = rms_id
-                frame.kind = "data"
-                frame.deadline = deadline
-                frame.route = route
-                frame.hops_taken = 0
-                frame.corrupted = False
-                frame.frame_id = next_frame_id()
-                frame.enqueued_at = None
-                frame.pooled = True
-                frame._size = None  # new message: invalidate cached size
-                return frame
-            frame = Frame(
-                message=message, src_host=src_host, dst_host=dst_host,
-                rms_id=rms_id, kind="data", deadline=deadline, route=route,
-            )
-            frame.pooled = True
-            return frame
-        return Frame(
-            message=message, src_host=src_host, dst_host=dst_host,
-            rms_id=rms_id, kind="data", deadline=deadline, route=route,
-        )
-
-    def _recycle_frame(self, frame: Frame) -> None:
-        """Return a delivered data frame to the pool.
-
-        Only called once the frame's journey is over and nothing outside
-        this network holds it.  Dropped frames are deliberately never
-        recycled (drop listeners may retain them); that is a fallback to
-        GC, not a leak.
-        """
-        if frame.pooled and self._pool_frames:
-            frame.pooled = False
-            frame.message = None  # type: ignore[assignment]
-            frame.route = []
-            frame.on_drop = None
-            self._frame_pool.release(frame)
 
     # -- subclass interface -------------------------------------------------
 
@@ -510,13 +447,11 @@ class Network:
         if frame.kind == "data":
             rms = self._rms_table.get(frame.rms_id)
             if rms is None or rms.state is not RmsState.OPEN:
-                self._recycle_frame(frame)
                 return  # stale traffic for a deleted stream
             self.frames_delivered += 1
             if frame.corrupted:
                 self.frames_corrupted_delivered += 1
             rms._frame_arrived(frame)
-            self._recycle_frame(frame)
         elif frame.kind == "setup":
             rms = self._rms_table.get(frame.rms_id)
             if rms is None:

@@ -4,7 +4,8 @@ A frame wraps one network-level RMS message (or a network-maintenance
 payload) with link framing overhead and routing fields.  Bit errors
 corrupt the payload bytes of the wrapped message; framing and header
 fields are assumed protected by link hardware (a simplification noted
-in DESIGN.md).
+in DESIGN.md).  A frame is built for one journey and never reused, so
+whoever sees one -- a drop listener, an Ethernet sniffer -- may keep it.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ from typing import Callable, List, Optional
 
 from repro.core.message import Message
 
-__all__ = ["Frame", "FRAME_OVERHEAD_BYTES", "next_frame_id"]
+__all__ = ["Frame", "FRAME_OVERHEAD_BYTES"]
 
 #: Link framing overhead accounted per frame (preamble, addresses, FCS).
 FRAME_OVERHEAD_BYTES = 18
 
 _frame_ids = itertools.count(1)
-
-
-def next_frame_id() -> int:
-    """A fresh frame id (shared with pooled-frame reinitialization)."""
-    return next(_frame_ids)
 
 
 @dataclass
@@ -45,12 +41,8 @@ class Frame:
     route: List[str] = field(default_factory=list)
     hops_taken: int = 0
     corrupted: bool = False
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_frame_ids.__next__)
     enqueued_at: Optional[float] = None
-    #: True while the frame participates in its network's frame pool
-    #: (set by the acquiring network, cleared on recycle).  Frames built
-    #: directly -- control traffic, tests -- never enter a pool.
-    pooled: bool = False
     #: Per-frame drop callback, set at transmit time by the forwarding
     #: engine.  Compiled plans cache one deliver callback per *hop*, so
     #: the only per-frame state (which stream to notify on a drop) rides
@@ -59,8 +51,7 @@ class Frame:
 
     # Cached wire size (unannotated: a plain class attribute, not a
     # dataclass field).  Valid because nothing resizes a message once a
-    # frame wraps it -- bit corruption preserves length -- and pooled
-    # frames reset it on reinitialization.
+    # frame wraps it -- bit corruption preserves length.
     _size = None
 
     @property

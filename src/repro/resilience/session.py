@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.message import Message
-from repro.core.params import (
-    DelayBound,
-    DelayBoundType,
-    RmsParams,
-    RmsRequest,
-    is_compatible,
-)
+from repro.core.params import RmsRequest, is_compatible
 from repro.errors import (
     CapacityError,
     RmsFailedError,
@@ -41,7 +35,7 @@ from repro.obs.registry import families
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.supervisor import RmsSupervisor
 from repro.sim.context import SimContext
-from repro.sim.events import Signal
+from repro.sim.events import EventHandle, Signal
 from repro.sim.ports import Port
 from repro.sim.process import Future
 from repro.transport.stream import StreamConfig, open_stream
@@ -377,28 +371,6 @@ class StSession(Session, _QueueMixin):
         self._drop_queue()
 
 
-def _stream_data_request(config: StreamConfig) -> RmsRequest:
-    """The request the stream's data RMS will be opened with.
-
-    Mirrors the derivation in :func:`repro.transport.stream.open_stream`
-    so ``session.request`` reports the same desired/acceptable pair the
-    establishment path actually negotiates.
-    """
-    if config.data_delay_bound is not None:
-        bound = DelayBound(config.data_delay_bound, 2e-6)
-        bound_loose = DelayBound(config.data_delay_bound * 2, 1e-5)
-    else:
-        bound = DelayBound.unbounded()
-        bound_loose = DelayBound.unbounded()
-    desired = RmsParams(
-        capacity=config.data_capacity,
-        max_message_size=config.data_max_message,
-        delay_bound=bound,
-        delay_bound_type=DelayBoundType.BEST_EFFORT,
-    )
-    return RmsRequest(desired=desired, acceptable=desired.with_(delay_bound=bound_loose))
-
-
 class TransportSession(Session, _QueueMixin):
     """A supervised (or bare) reliable byte stream.
 
@@ -426,7 +398,7 @@ class TransportSession(Session, _QueueMixin):
         self.sender_st = sender_st
         self.receiver_st = receiver_st
         self.config = config or StreamConfig()
-        self.request = _stream_data_request(self.config)
+        self.request = self.config.data_request()
         self.stream = None
         self._consecutive = 0
         self._rng = context.rng.stream(f"resilience:{self.name}")
@@ -439,9 +411,14 @@ class TransportSession(Session, _QueueMixin):
         #: receive() is used; legacy callers holding the raw stream keep
         #: consuming from it directly.
         self._relay_active = False
+        #: The backoff timer of the next open attempt, while one waits.
+        self._retry_timer: Optional[EventHandle] = None
         self._open_attempt()
 
     def _open_attempt(self) -> None:
+        self._retry_timer = None
+        if self.state is SessionState.CLOSED:
+            return
         future = open_stream(
             self.context, self.sender_st, self.receiver_st, self.config
         )
@@ -484,7 +461,9 @@ class TransportSession(Session, _QueueMixin):
             return
         delay = self.policy.backoff_delay(self._consecutive - 1, self._rng)
         self._note("retry", f"attempt {self._consecutive + 1} in {delay:.3f}s")
-        self.context.loop.call_after(delay, self._open_attempt)
+        self._retry_timer = self.context.loop.call_after(
+            delay, self._open_attempt
+        )
 
     def _stream_failed(self, stream, reason: str) -> None:
         if stream is not self.stream or self.state is SessionState.CLOSED:
@@ -536,6 +515,9 @@ class TransportSession(Session, _QueueMixin):
         return self.rx_port.get()
 
     def _teardown(self) -> None:
+        if self._retry_timer is not None:
+            self._retry_timer.cancel()
+            self._retry_timer = None
         if self.stream is not None:
             self.stream.close()
             self.stream = None

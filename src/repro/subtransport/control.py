@@ -174,7 +174,12 @@ class ControlChannel:
             future.set_result(None)
         else:
             self.waiters.append(future)
-            self._connect()
+            if self.out_state == "ready":
+                # Unless a handshake runs, the RMS has outlived one whose
+                # retries ran out: challenge again, or this waiter hangs.
+                self._start_handshake()
+            else:
+                self._connect()
         return future
 
     def request(self, fields: Fields) -> Future:

@@ -18,13 +18,20 @@ protocol and receiver -- and treats them separately:
 Each mechanism here is independent so the Figure-5 configurations can be
 composed -- or omitted, which is the paper's point ("in cases where no
 flow control is necessary, performance optimizations may be possible").
+
+They are one gate and three rules.  :class:`_Gate` is a first-come-
+first-served line of sends waiting for room, entered one way
+(``request``, which sends inside the call when there is room and nobody
+waits).  A rule says what room is and what returns it: the bytes sent in
+the trailing window and a timer, the unacknowledged bytes and
+``acknowledge``, the receive buffer's free bytes and ``grant``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.core.params import RmsParams
 from repro.errors import ParameterError
@@ -42,7 +49,6 @@ __all__ = [
 
 #: One family for the three mechanisms, told apart by a label.
 _FAMILIES = families("fc", ("sends_delayed",))
-_CREDIT_FAMILIES = families("fc", ("stalls",), stalls="fc_sends_delayed")
 
 
 class FlowControlMode(enum.Enum):
@@ -76,7 +82,88 @@ class FlowControlMode(enum.Enum):
         return self in (FlowControlMode.SENDER_ONLY, FlowControlMode.END_TO_END)
 
 
-class RateBasedEnforcer:
+class _Gate:
+    """The line of sends waiting at one flow-control mechanism.
+
+    A subclass supplies the rule: :meth:`_claim` takes room for ``size``
+    bytes if there is room now, and whatever returns room -- an
+    acknowledgement, a grant, a timer -- calls :meth:`_drain`.
+    """
+
+    #: The ``mechanism`` label of the exported family and the fc spans.
+    mechanism = ""
+    #: What the limit is called when a request exceeds it.
+    _limit_name = ""
+
+    def __init__(self, context: SimContext, limit: int) -> None:
+        self.context = context
+        self._limit = limit
+        #: Waiting sends, first come first: mutable [size, send, args,
+        #: trace_id, held] records so a drain marks an item held once.
+        self._pending: Deque[list] = deque()
+        #: Sends found at the head of the line without room.
+        self.sends_delayed = 0
+        context.obs.metrics.watch(self, _FAMILIES, mechanism=self.mechanism)
+
+    def _claim(self, size: int) -> bool:
+        """Take room for ``size`` bytes now, or decline; declining a
+        send that heads no line leaves no trace."""
+        raise NotImplementedError
+
+    def try_admit(self, size: int) -> bool:
+        """Claim room for ``size`` bytes now, or decline without queueing.
+
+        Succeeds iff nothing is queued ahead and the rule has room; on
+        False the gate is untouched.
+        """
+        if size > self._limit:
+            raise ParameterError(
+                f"message of {size}B exceeds {self._limit_name} {self._limit}B"
+            )
+        return not self._pending and self._claim(size)
+
+    def request(
+        self, size: int, send: Callable[..., None], *args: Any,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        """Run ``send(*args)`` as soon as the rule allows: inside this
+        call when there is room and nobody waits, else in arrival order
+        when room returns."""
+        if self.try_admit(size):
+            send(*args)
+            return
+        self._pending.append([size, send, args, trace_id, False])
+        self._drain()
+
+    def _drain(self) -> None:
+        pending = self._pending
+        obs = self.context.obs
+        while pending:
+            entry = pending[0]
+            size, send, args, trace_id, held = entry
+            if not self._claim(size):
+                if not held:
+                    entry[4] = True
+                    self.sends_delayed += 1
+                    if obs.enabled:
+                        obs.spans.event(
+                            trace_id, "fc", "hold",
+                            mechanism=self.mechanism, size=size,
+                        )
+                return
+            pending.popleft()
+            if held and obs.enabled:
+                obs.spans.event(
+                    trace_id, "fc", "release", mechanism=self.mechanism
+                )
+            send(*args)
+
+    @property
+    def queued(self) -> int:
+        return len(self._pending)
+
+
+class RateBasedEnforcer(_Gate):
     """Rate-based capacity enforcement (section 4.4).
 
     A strict sliding-window limiter: "using timers, the sender ensures
@@ -88,12 +175,15 @@ class RateBasedEnforcer:
     delay for all messages."
     """
 
+    mechanism = "rate"
+    _limit_name = "enforced capacity"
+
     def __init__(self, context: SimContext, params: RmsParams) -> None:
         if params.delay_bound.is_unbounded:
             raise ParameterError(
                 "rate-based enforcement needs a finite delay bound"
             )
-        self.context = context
+        super().__init__(context, params.capacity)
         self.capacity = params.capacity
         self.window = params.delay_bound.a + params.capacity * params.delay_bound.b
         if self.window <= 0:
@@ -102,94 +192,30 @@ class RateBasedEnforcer:
         self.rate = params.capacity / self.window
         self._history: Deque[Tuple[float, int]] = deque()  # (send time, size)
         self._in_window = 0
-        #: Pending sends: mutable [size, send, trace_id, held] records so
-        #: the drain loop can mark an item held exactly once.
-        self._pending: Deque[list] = deque()
         self._timer: Optional[EventHandle] = None
-        self.sends_delayed = 0
-        context.obs.metrics.watch(self, _FAMILIES, mechanism="rate")
 
-    def _evict(self) -> None:
-        horizon = self.context.now - self.window
-        while self._history and self._history[0][0] <= horizon:
-            _, size = self._history.popleft()
-            self._in_window -= size
-
-    def request(
-        self,
-        size: int,
-        send: Callable[[], None],
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Run ``send`` as soon as the sliding-window rule allows."""
-        if size > self.capacity:
-            raise ParameterError(
-                f"message of {size}B exceeds enforced capacity {self.capacity}B"
-            )
-        self._pending.append([size, send, trace_id, False])
-        self._drain()
-
-    def try_admit(self, size: int, now: Optional[float] = None) -> bool:
-        """Admit ``size`` bytes immediately, or decline without queueing.
-
-        The no-alloc fast path of :meth:`request`: no pending record, no
-        closure, no timer.  Succeeds -- with exactly the bookkeeping an
-        uncontested ``request`` would have done -- iff nothing is queued
-        ahead and the sliding window has room.  On False the enforcer is
-        untouched and the caller falls back to :meth:`request`.
-        """
-        if self._pending:
-            return False
-        if size > self.capacity:
-            raise ParameterError(
-                f"message of {size}B exceeds enforced capacity {self.capacity}B"
-            )
-        if now is None:
-            now = self.context.now
+    def _claim(self, size: int) -> bool:
+        now = self.context.now
         horizon = now - self.window
         history = self._history
         while history and history[0][0] <= horizon:
-            _, old = history.popleft()
-            self._in_window -= old
+            self._in_window -= history.popleft()[1]
         if self._in_window + size > self.capacity:
+            if self._pending:
+                self._look_again(history[0][0] + self.window)
             return False
         history.append((now, size))
         self._in_window += size
         return True
 
-    def _drain(self) -> None:
-        self._evict()
-        obs = self.context.obs
-        while self._pending:
-            entry = self._pending[0]
-            size, send, trace_id, held = entry
-            if self._in_window + size <= self.capacity:
-                self._pending.popleft()
-                self._history.append((self.context.now, size))
-                self._in_window += size
-                if held and obs.enabled:
-                    obs.spans.event(trace_id, "fc", "release", mechanism="rate")
-                send()
-            else:
-                # Wait until the oldest history entry leaves the window.
-                if not held:
-                    entry[3] = True
-                    self.sends_delayed += 1
-                    if obs.enabled:
-                        obs.spans.event(
-                            trace_id, "fc", "hold",
-                            mechanism="rate", size=size,
-                        )
-                next_free = self._history[0][0] + self.window
-                self._arm_timer(next_free)
-                return
-
-    def _arm_timer(self, when: float) -> None:
+    def _look_again(self, when: float) -> None:
+        """The head of the line waits for the oldest history entry to
+        leave the window: drain a hair past that instant, so that
+        <=-comparisons resolve."""
         if self._timer is not None and not self._timer.cancelled:
             if self._timer.time <= when:
                 return
             self._timer.cancel()
-        # A hair past the eviction instant so <=-comparisons resolve.
         self._timer = self.context.loop.call_at(
             max(when, self.context.now) + 1e-9, self._timer_fired
         )
@@ -198,12 +224,8 @@ class RateBasedEnforcer:
         self._timer = None
         self._drain()
 
-    @property
-    def queued(self) -> int:
-        return len(self._pending)
 
-
-class WindowEnforcer:
+class WindowEnforcer(_Gate):
     """Acknowledgement-based capacity enforcement (section 4.4).
 
     The window equals the RMS capacity ("flow control protocols can be
@@ -214,40 +236,17 @@ class WindowEnforcer:
     reverse message traffic."
     """
 
+    mechanism = "window"
+    _limit_name = "window capacity"
+
     def __init__(self, context: SimContext, capacity: int) -> None:
         if capacity <= 0:
             raise ParameterError(f"window capacity must be > 0: {capacity}")
-        self.context = context
+        super().__init__(context, capacity)
         self.capacity = capacity
         self.outstanding = 0
-        self._pending: Deque[list] = deque()  # [size, send, trace_id, held]
-        self.sends_delayed = 0
-        context.obs.metrics.watch(self, _FAMILIES, mechanism="window")
 
-    def request(
-        self,
-        size: int,
-        send: Callable[[], None],
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Run ``send`` once the window has ``size`` bytes free."""
-        if size > self.capacity:
-            raise ParameterError(
-                f"message of {size}B exceeds window capacity {self.capacity}B"
-            )
-        self._pending.append([size, send, trace_id, False])
-        self._drain()
-
-    def try_admit(self, size: int, now: Optional[float] = None) -> bool:
-        """Admit immediately or decline without queueing (no-alloc fast
-        path of :meth:`request`; ``now`` is accepted for interface
-        uniformity with the rate enforcer)."""
-        if self._pending:
-            return False
-        if size > self.capacity:
-            raise ParameterError(
-                f"message of {size}B exceeds window capacity {self.capacity}B"
-            )
+    def _claim(self, size: int) -> bool:
         if self.outstanding + size > self.capacity:
             return False
         self.outstanding += size
@@ -258,35 +257,8 @@ class WindowEnforcer:
         self.outstanding = max(0, self.outstanding - size)
         self._drain()
 
-    def _drain(self) -> None:
-        obs = self.context.obs
-        progressed = True
-        while self._pending and progressed:
-            entry = self._pending[0]
-            size, send, trace_id, held = entry
-            if self.outstanding + size <= self.capacity:
-                self._pending.popleft()
-                self.outstanding += size
-                if held and obs.enabled:
-                    obs.spans.event(trace_id, "fc", "release", mechanism="window")
-                send()
-            else:
-                if not held:
-                    entry[3] = True
-                    self.sends_delayed += 1
-                    if obs.enabled:
-                        obs.spans.event(
-                            trace_id, "fc", "hold",
-                            mechanism="window", size=size,
-                        )
-                progressed = False
 
-    @property
-    def queued(self) -> int:
-        return len(self._pending)
-
-
-class ReceiverCredit:
+class ReceiverCredit(_Gate):
     """Receiver flow control: a credit window over the receive buffer.
 
     The receiver grants ``buffer_bytes`` of credit; the sender consumes
@@ -296,43 +268,17 @@ class ReceiverCredit:
     Credit updates ride whatever ack path the enclosing protocol uses.
     """
 
-    def __init__(
-        self, buffer_bytes: int, context: Optional[SimContext] = None
-    ) -> None:
+    mechanism = "credit"
+    _limit_name = "receive buffer"
+
+    def __init__(self, context: SimContext, buffer_bytes: int) -> None:
         if buffer_bytes <= 0:
             raise ParameterError(f"receive buffer must be > 0: {buffer_bytes}")
+        super().__init__(context, buffer_bytes)
         self.buffer_bytes = buffer_bytes
         self.available = buffer_bytes
-        self.context = context  # optional: only needed for observability
-        self._pending: Deque[list] = deque()  # [size, send, trace_id, held]
-        self.stalls = 0
-        if context is not None:
-            context.obs.metrics.watch(
-                self, _CREDIT_FAMILIES, mechanism="credit"
-            )
 
-    def request(
-        self,
-        size: int,
-        send: Callable[[], None],
-        trace_id: Optional[int] = None,
-    ) -> None:
-        if size > self.buffer_bytes:
-            raise ParameterError(
-                f"message of {size}B exceeds receive buffer {self.buffer_bytes}B"
-            )
-        self._pending.append([size, send, trace_id, False])
-        self._drain()
-
-    def try_admit(self, size: int, now: Optional[float] = None) -> bool:
-        """Consume credit immediately or decline without queueing (the
-        no-alloc fast path of :meth:`request`)."""
-        if self._pending:
-            return False
-        if size > self.buffer_bytes:
-            raise ParameterError(
-                f"message of {size}B exceeds receive buffer {self.buffer_bytes}B"
-            )
+    def _claim(self, size: int) -> bool:
         if size > self.available:
             return False
         self.available -= size
@@ -342,29 +288,3 @@ class ReceiverCredit:
         """The receiver consumed ``size`` bytes; replenish credit."""
         self.available = min(self.buffer_bytes, self.available + size)
         self._drain()
-
-    def _drain(self) -> None:
-        obs = self.context.obs if self.context is not None else None
-        while self._pending:
-            entry = self._pending[0]
-            size, send, trace_id, held = entry
-            if size <= self.available:
-                self._pending.popleft()
-                self.available -= size
-                if held and obs is not None and obs.enabled:
-                    obs.spans.event(trace_id, "fc", "release", mechanism="credit")
-                send()
-            else:
-                if not held:
-                    entry[3] = True
-                    self.stalls += 1
-                    if obs is not None and obs.enabled:
-                        obs.spans.event(
-                            trace_id, "fc", "hold",
-                            mechanism="credit", size=size,
-                        )
-                return
-
-    @property
-    def queued(self) -> int:
-        return len(self._pending)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
-from repro.core.pool import ObjectPool
 from repro.errors import RkomTimeoutError, RmsFailedError, TransportError
 from repro.obs.registry import families
 from repro.sim.context import SimContext
@@ -123,24 +122,19 @@ class CallHandle(Future):
 
 
 class _CallRecord:
-    """Pooled per-call server-side state of one outstanding request.
-
-    Replaces the old per-call ``_PendingCall`` dataclass; records are
-    recycled through an :class:`ObjectPool`, so a steady request/reply
-    stream allocates one :class:`CallHandle` per call and nothing else.
-    The releasing site clears the reference fields (pool discipline: a
-    pooled record never pins a frame or handle).
-    """
+    """Client-side state of one outstanding request."""
 
     __slots__ = ("handle", "frame", "peer", "retries", "timeout", "timer",
                  "trace_id")
 
-    def __init__(self) -> None:
-        self.handle: Optional[CallHandle] = None
-        self.frame: bytes = b""
-        self.peer: str = ""
-        self.retries: int = 0
-        self.timeout: float = 0.0
+    def __init__(
+        self, handle: CallHandle, frame: bytes, peer: str, timeout: float
+    ) -> None:
+        self.handle = handle
+        self.frame = frame
+        self.peer = peer
+        self.retries = 0
+        self.timeout = timeout
         self.timer: Optional[GroupTimer] = None
         self.trace_id: Optional[int] = None  # observability span of the call
 
@@ -172,9 +166,6 @@ class RkomService:
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
         self._channels: Dict[str, _Channel] = {}
         self._pending: Dict[int, _CallRecord] = {}
-        #: Recycled call records -- the request-path counterpart of the
-        #: frame/handle pools elsewhere in the stack.
-        self._records: ObjectPool[_CallRecord] = ObjectPool(cap=512)
         #: op-name -> encoded bytes; op names are a small fixed set, so
         #: the per-call ``str.encode`` disappears after warm-up.
         self._op_cache: Dict[str, bytes] = {}
@@ -218,18 +209,14 @@ class RkomService:
         if op_bytes is None:
             op_bytes = self._op_cache[op] = op.encode("utf-8")
         handle = CallHandle(self, request_id, self.context.now)
-        record = self._records.acquire()
-        if record is None:
-            record = _CallRecord()
-        record.handle = handle
-        record.frame = (
+        record = _CallRecord(
+            handle,
             _HEADER.pack(_KIND_REQUEST, request_id, len(op_bytes))
             + op_bytes
-            + payload
+            + payload,
+            peer_host,
+            timeout or self.config.request_timeout,
         )
-        record.peer = peer_host
-        record.retries = 0
-        record.timeout = timeout or self.config.request_timeout
         self._pending[request_id] = record
         self.stats.calls += 1
         obs = self.context.obs
@@ -244,15 +231,6 @@ class RkomService:
         )
         return handle
 
-    def _release_record(self, record: _CallRecord) -> None:
-        """Return a finished record to the pool with its refs cleared."""
-        record.handle = None
-        record.frame = b""
-        record.peer = ""
-        record.timer = None
-        record.trace_id = None
-        self._records.release(record)
-
     def _cancel_call(self, request_id: int, handle: CallHandle) -> None:
         """Abandon an in-flight call (CallHandle.cancel)."""
         record = self._pending.get(request_id)
@@ -262,7 +240,6 @@ class RkomService:
             if record.timer is not None:
                 record.timer.cancel()
             peer = record.peer
-            self._release_record(record)
         handle.set_exception(TransportError(f"RKOM call to {peer} cancelled"))
 
     def _send_request(self, request_id: int, channel: _Channel) -> None:
@@ -294,12 +271,9 @@ class RkomService:
                     record.trace_id, "rkom", "timeout",
                     host=self.st.host.name, retries=record.retries - 1,
                 )
-            handle = record.handle
-            peer = record.peer
-            self._release_record(record)
-            handle.set_exception(
+            record.handle.set_exception(
                 RkomTimeoutError(
-                    f"no reply from {peer} after "
+                    f"no reply from {record.peer} after "
                     f"{self.config.max_retransmits} retransmissions"
                 )
             )
@@ -398,9 +372,7 @@ class RkomService:
                             record.trace_id, "rkom", "timeout",
                             host=self.st.host.name, reason="no-channel",
                         )
-                    handle = record.handle
-                    self._release_record(record)
-                    handle.set_exception(error)
+                    record.handle.set_exception(error)
             self.on_channel_event.fire(peer_host, "failed")
             return
         channel.state = "ready"
@@ -466,9 +438,7 @@ class RkomService:
                     record.trace_id, "rkom", "reply",
                     host=self.st.host.name, peer=source_host,
                 )
-            handle = record.handle
-            self._release_record(record)
-            handle.set_result(body)
+            record.handle.set_result(body)
             self._send_ack(source_host, request_id)
         elif kind == _KIND_ACK:
             self._served.pop((source_host, request_id), None)

@@ -14,6 +14,10 @@ Reliability (sequence numbers, cumulative acks, retransmission),
 RMS capacity enforcement (rate- or window-based), receiver flow control
 (credits in acks), and sender flow control (a flow-controlled local IPC
 port) are each independently optional, composing the Figure-5 options.
+An admitted message passes the receiver-credit gate, then the capacity
+gate, then goes on the wire: each step is one ``request`` on a
+:mod:`repro.transport.flowcontrol` gate, which runs the next step inside
+the call when it has room; a gate the configuration omits is skipped.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.core.message import Message
-from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
 from repro.errors import ParameterError, TransportError
 from repro.obs.registry import families
 from repro.sim.context import SimContext
@@ -83,6 +87,25 @@ class StreamConfig:
             raise ParameterError("fast-ack streaming requires a fixed record_size")
         if self.ack_every < 1:
             raise ParameterError("ack_every must be >= 1")
+
+    def data_request(self) -> RmsRequest:
+        """What the data ST RMS is asked for (section 2.5: high
+        capacity, high delay): the desired set, and the same set with a
+        looser delay bound as the floor."""
+        if self.data_delay_bound is not None:
+            bound = DelayBound(self.data_delay_bound, 2e-6)
+            bound_loose = DelayBound(self.data_delay_bound * 2, 1e-5)
+        else:
+            bound = bound_loose = DelayBound.unbounded()
+        desired = RmsParams(
+            capacity=self.data_capacity,
+            max_message_size=self.data_max_message,
+            delay_bound=bound,
+            delay_bound_type=DelayBoundType.BEST_EFFORT,
+        )
+        return RmsRequest(
+            desired=desired, acceptable=desired.with_(delay_bound=bound_loose)
+        )
 
 
 @dataclass
@@ -146,15 +169,20 @@ class StreamSession:
                 limit=config.sender_port_limit,
                 name=f"stream{self.session_id}.txport",
             )
-        self._rate: Optional[RateBasedEnforcer] = None
+        #: The RMS capacity gate: rate- or acknowledgement-based, or none.
+        self._capacity: Union[RateBasedEnforcer, WindowEnforcer, None] = None
+        #: The capacity gate again when acknowledgements are what opens it.
         self._window: Optional[WindowEnforcer] = None
-        if config.capacity_mode == "rate" and config.flow_control.enforces_capacity:
-            self._rate = RateBasedEnforcer(context, data_rms.params)
-        elif config.capacity_mode == "ack" and config.flow_control.enforces_capacity:
-            self._window = WindowEnforcer(context, data_rms.params.capacity)
+        if config.flow_control.enforces_capacity:
+            if config.capacity_mode == "rate":
+                self._capacity = RateBasedEnforcer(context, data_rms.params)
+            elif config.capacity_mode == "ack":
+                self._capacity = self._window = WindowEnforcer(
+                    context, data_rms.params.capacity
+                )
         self._credit: Optional[ReceiverCredit] = None
         if config.flow_control.has_receiver_fc:
-            self._credit = ReceiverCredit(config.receive_buffer, context)
+            self._credit = ReceiverCredit(context, config.receive_buffer)
         # -- receiver state --
         self.rx_expected_seq = 0
         self.rx_buffer: Dict[int, bytes] = {}
@@ -229,49 +257,25 @@ class StreamSession:
         # fc:hold/fc:release time spent waiting lands on its span.
         obs = self.context.obs
         trace_id = obs.spans.new_trace() if obs.enabled else None
-        self._gate_receiver(seq, payload, trace_id)
-
-    def _gate_receiver(
-        self, seq: int, payload: bytes, trace_id: Optional[int]
-    ) -> None:
-        credit = self._credit
-        if credit is not None and not credit.try_admit(len(payload)):
-            # Contested: fall back to the queueing path.  An uncontested
-            # request would have emitted no fc events either, so the
-            # fast path is observability-identical.
-            credit.request(
-                len(payload),
-                lambda: self._gate_capacity(seq, payload, trace_id),
+        # Receiver credit, then RMS capacity, then the wire.
+        if self._credit is not None:
+            self._credit.request(
+                len(payload), self._gate_capacity, seq, payload, trace_id,
                 trace_id=trace_id,
             )
-            return
-        self._gate_capacity(seq, payload, trace_id)
+        else:
+            self._gate_capacity(seq, payload, trace_id)
 
     def _gate_capacity(
         self, seq: int, payload: bytes, trace_id: Optional[int]
     ) -> None:
-        size = len(payload) + _DATA_HEADER.size
-        rate = self._rate
-        if rate is not None:
-            if rate.try_admit(size):
-                self._transmit(seq, payload, trace_id)
-            else:
-                rate.request(
-                    size, lambda: self._transmit(seq, payload, trace_id),
-                    trace_id=trace_id,
-                )
-            return
-        window = self._window
-        if window is not None:
-            if window.try_admit(size):
-                self._transmit(seq, payload, trace_id)
-            else:
-                window.request(
-                    size, lambda: self._transmit(seq, payload, trace_id),
-                    trace_id=trace_id,
-                )
-            return
-        self._transmit(seq, payload, trace_id)
+        if self._capacity is not None:
+            self._capacity.request(
+                len(payload) + _DATA_HEADER.size, self._transmit,
+                seq, payload, trace_id, trace_id=trace_id,
+            )
+        else:
+            self._transmit(seq, payload, trace_id)
 
     def _transmit(
         self, seq: int, payload: bytes, trace_id: Optional[int] = None
@@ -314,24 +318,20 @@ class StreamSession:
             self._fail("retransmission limit exceeded")
             return
         oldest = min(self.tx_unacked)
-        payload = self.tx_unacked[oldest]
-        frame = _DATA_HEADER.pack(oldest, _FLAG_NONE) + payload
-        size = len(frame)
+        frame = _DATA_HEADER.pack(oldest, _FLAG_NONE) + self.tx_unacked[oldest]
         self.stats.retransmissions += 1
-
-        def resend() -> None:
-            if not self.failed and oldest in self.tx_unacked:
-                self.data_rms.send(frame)
-
-        if self._rate is not None:
-            self._rate.request(size, resend)
-        elif self._window is not None:
-            # Window space for the original send is still held; the
-            # retransmission reuses it rather than double-counting.
-            resend()
+        if isinstance(self._capacity, RateBasedEnforcer):
+            # A retransmission is more bytes in the trailing window.
+            self._capacity.request(len(frame), self._resend, oldest, frame)
         else:
-            resend()
+            # No enforcement, or the window still holds the space of the
+            # original send and the retransmission reuses it.
+            self._resend(oldest, frame)
         self._arm_retransmit()
+
+    def _resend(self, seq: int, frame: bytes) -> None:
+        if not self.failed and seq in self.tx_unacked:
+            self.data_rms.send(frame)
 
     def _fail(self, reason: str) -> None:
         if self.failed:
@@ -528,24 +528,10 @@ def open_stream(
     session_tag = next(_session_ids)
 
     def flow():
-        if config.data_delay_bound is not None:
-            bound = DelayBound(config.data_delay_bound, 2e-6)
-            bound_loose = DelayBound(config.data_delay_bound * 2, 1e-5)
-        else:
-            bound = DelayBound.unbounded()
-            bound_loose = DelayBound.unbounded()
-        data_desired = RmsParams(
-            capacity=config.data_capacity,
-            max_message_size=config.data_max_message,
-            delay_bound=bound,
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-        data_acceptable = data_desired.with_(delay_bound=bound_loose)
         data_rms = yield sender_st.create_st_rms(
             receiver_st.host.name,
             port=f"stream-data-{session_tag}",
-            desired=data_desired,
-            acceptable=data_acceptable,
+            request=config.data_request(),
             fast_ack=config.use_fast_ack,
         )
         ack_rms = None

@@ -19,7 +19,9 @@ happen to it.  Everything an endpoint does is appended to
 The rules, in prose.  A host's outgoing RMS comes up when it first has
 something to send; unless the medium is trusted it then sends ``auth1``
 with a fresh ``na`` (once: not while one is out, not when authenticated)
-and repeats it on each retry tick, ``max_retries`` times.  Every
+and repeats it on each retry tick, ``max_retries`` times.  When those
+run out the waiters fail and the RMS stays up; the layer asking for the
+channel again starts another handshake on it, with a fresh ``na``.  Every
 ``auth1`` received is answered with ``auth2`` echoing ``na`` and
 carrying a fresh ``nb``; the last ``max_retries + 1`` of those stay
 outstanding.  ``auth2`` echoing this host's ``na`` is answered with
@@ -77,6 +79,19 @@ def connect(ep):
         ep["authenticated"] = True
         ep["did"].append(("up",))
         return
+    challenge(ep)
+
+
+def ensure(ep):
+    """The layer asks for the authenticated channel: the outgoing RMS
+    comes up at need; on one that is up already a handshake starts."""
+    if not ep["connected"]:
+        connect(ep)
+    elif not ep["trusted"]:
+        challenge(ep)
+
+
+def challenge(ep):
     if ep["initiating"] or ep["authenticated"]:
         return
     ep["initiating"] = True

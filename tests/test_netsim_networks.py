@@ -127,6 +127,30 @@ class TestEthernetRms:
         context.run(until=context.now + 2.0)
         assert any(f.message.payload == b"not-secret" for f in seen)
 
+    @pytest.mark.parametrize("warm_up", [0, 10], ids=["before", "mid-run"])
+    def test_sniffer_may_keep_every_frame_it_saw(self, context, ether, warm_up):
+        """Attached before any traffic or after some: what it retained
+        still carries its own message and payload when the run is over."""
+        rms = create(context, ether)
+        got = []
+        rms.port.set_handler(got.append)
+        for index in range(warm_up):
+            rms.send(bytes([index]) * 200)
+            context.run(until=context.now + 0.05)
+        kept = []
+        ether.add_sniffer(kept.append)
+        for index in range(warm_up, warm_up + 10):
+            rms.send(bytes([index]) * 200)
+            context.run(until=context.now + 0.05)
+        assert len(got) == warm_up + 10
+        assert [frame.message.payload for frame in kept] == [
+            bytes([index]) * 200 for index in range(warm_up, warm_up + 10)
+        ]
+        assert len({id(frame) for frame in kept}) == 10
+        assert len({frame.frame_id for frame in kept}) == 10
+        assert all(frame.rms_id == rms.rms_id and frame.kind == "data"
+                   for frame in kept)
+
     def test_capability_table_reports_mtu(self, context, ether):
         table = ether.capability_table("a", "b")
         limits = table.limits_for(best_effort())

@@ -278,12 +278,10 @@ class TestSnapshotIsTheStats:
         get = system.obs.metrics.get
         channel = stream.established.result()
         mechanisms = [
-            (enforcer, attr, "fc_sends_delayed", dict(mechanism=mechanism))
-            for enforcer, attr, mechanism in (
-                (channel._rate, "sends_delayed", "rate"),
-                (channel._window, "sends_delayed", "window"),
-                (channel._credit, "stalls", "credit"),
-            ) if enforcer is not None
+            (gate, "sends_delayed", "fc_sends_delayed",
+             dict(mechanism=gate.mechanism))
+            for gate in (channel._capacity, channel._credit)
+            if gate is not None
         ]
         assert mechanisms
         sources = [

@@ -359,3 +359,27 @@ class TestRkomContinuity:
         assert reply.result() == b"again"
         assert session.state is SessionState.UP
         assert SessionState.RE_ESTABLISHING in states
+
+    def test_close_during_backoff_leaves_no_timer_and_opens_nothing(self):
+        system = lan_system(seed=64)
+        segment = system.networks["ether0"].segment
+        segment.set_down()
+        session = system.connect(
+            "a", "b", kind="stream",
+            resilience=ResiliencePolicy(backoff_initial=1.0, jitter=0.0),
+        )
+        while not session.stats.transitions and system.now < 30.0:
+            system.run(until=system.now + 0.25)
+        assert session.stats.transitions == {"retry": 1}  # waiting to retry
+        session.close()
+        assert system.context.loop.pending_events == 0
+
+        def established():
+            return [(node.st.stats.st_rms_created, node.st.stats.control_messages)
+                    for node in system.nodes.values()]
+
+        before = established()
+        segment.set_up()
+        system.run(until=system.now + 10.0)
+        assert session.state is SessionState.CLOSED
+        assert established() == before

@@ -122,7 +122,7 @@ class Rig:
 
     def ensure(self):
         future = self.channel.ensure()
-        reference.connect(self.model)
+        reference.ensure(self.model)
         self.settle()
         return future
 
@@ -417,6 +417,36 @@ class TestRetry:
             reply.result()
         assert rig.channel.state == IDLE and not rig.channel.pending
         assert rig.timers.live == 0
+
+    @pytest.mark.parametrize("start, running", [
+        ("auth1-sent", AUTH1_SENT), ("crossed", CROSSED),
+    ])
+    def test_ensure_after_the_retries_ran_out_starts_another_handshake(
+            self, start, running):
+        """The outgoing RMS outlives an exhausted handshake; a waiter
+        appended then must not be left to hang on it."""
+        rig = Rig()
+        REACH[start][0](rig)
+        first = rig.channel.ensure()
+        exhaust(rig)
+        with pytest.raises(AuthenticationError):
+            first.result()
+        assert rig.channel.out_state == "ready" and rig.timers.live == 0
+        second = rig.ensure()
+        assert rig.channel.state == running and not second.done
+        exhaust(rig)  # the peer stays deaf: a second budget, then typed
+        with pytest.raises(AuthenticationError):
+            second.result()
+        assert rig.timers.live == 0 and not rig.channel.waiters
+        challenges = [f["na"] for f in rig.sent() if f["op"] == "auth1"]
+        assert len(challenges) == 2 * (RETRIES + 1)
+        assert len(set(challenges)) == 2 and rig.stats.auth_handshakes == 2
+        third = rig.ensure()  # and now the peer has started listening
+        rig.deliver({"op": "auth2", "from": "b", "nb": 42,
+                     "na": rig.last("auth1", "na", 0)})
+        rig.settle()
+        assert third.result() is None and rig.channel.state == OPEN
+        rig.check()
 
     def test_reply_resolves_the_request_and_stops_its_timer(self):
         rig = Rig()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import ParameterError
@@ -13,6 +16,8 @@ from repro.transport.flowcontrol import (
     ReceiverCredit,
     WindowEnforcer,
 )
+
+from tests.flowcontrol_reference import RETURNS, run_script
 
 
 def enforced_params(capacity=1000, delay=0.1):
@@ -156,28 +161,28 @@ class TestWindowEnforcer:
 
 class TestReceiverCredit:
     def test_credit_consumed_and_granted(self):
-        credit = ReceiverCredit(buffer_bytes=1000)
+        credit = ReceiverCredit(SimContext(), 1000)
         sent = []
         credit.request(700, lambda: sent.append("a"))
         credit.request(700, lambda: sent.append("b"))
         assert sent == ["a"]
-        assert credit.stalls == 1
+        assert credit.sends_delayed == 1
         credit.grant(700)
         assert sent == ["a", "b"]
 
     def test_grant_clamps_at_buffer_size(self):
-        credit = ReceiverCredit(buffer_bytes=1000)
+        credit = ReceiverCredit(SimContext(), 1000)
         credit.grant(5000)
         assert credit.available == 1000
 
     def test_message_larger_than_buffer_rejected(self):
-        credit = ReceiverCredit(buffer_bytes=100)
+        credit = ReceiverCredit(SimContext(), 100)
         with pytest.raises(ParameterError):
             credit.request(200, lambda: None)
 
     def test_invalid_buffer(self):
         with pytest.raises(ParameterError):
-            ReceiverCredit(buffer_bytes=0)
+            ReceiverCredit(SimContext(), 0)
 
 
 class TestTryAdmit:
@@ -248,7 +253,7 @@ class TestTryAdmit:
             enforcer.try_admit(1001)
 
     def test_credit_admit_and_decline(self):
-        credit = ReceiverCredit(buffer_bytes=1000)
+        credit = ReceiverCredit(SimContext(), 1000)
         assert credit.try_admit(900)
         assert credit.available == 100
         assert not credit.try_admit(200)
@@ -256,12 +261,187 @@ class TestTryAdmit:
         assert credit.try_admit(200)
 
     def test_credit_declines_when_contested(self):
-        credit = ReceiverCredit(buffer_bytes=1000)
+        credit = ReceiverCredit(SimContext(), 1000)
         credit.request(1000, lambda: None)
         credit.request(10, lambda: None)
         assert not credit.try_admit(1)
 
     def test_credit_oversize_raises(self):
-        credit = ReceiverCredit(buffer_bytes=100)
+        credit = ReceiverCredit(SimContext(), 100)
         with pytest.raises(ParameterError):
             credit.try_admit(200)
+
+
+# -- against the independent model (tests/flowcontrol_reference.py) ------
+
+#: Script times sit on a binary grid and the rate window (A + C*B =
+#: 0.25 + 1024 * 2**-12 = 0.5 s) is a multiple of it, so "exactly one
+#: window later" happens, exactly, and the <= of the rule is exercised.
+GRID, LIMIT = 0.125, 1024
+RATE_PARAMS = RmsParams(
+    capacity=LIMIT,
+    max_message_size=LIMIT,
+    delay_bound=DelayBound(0.25, 2.0 ** -12),
+    delay_bound_type=DelayBoundType.BEST_EFFORT,
+)
+RATE_WINDOW = 0.5
+
+
+def scripts(rule):
+    """``(time, op, size)`` steps for one rule; ~6% of sizes are oversize."""
+    ops = ["request", "request", "advance", RETURNS[rule] or "request"]
+    step = st.tuples(
+        st.integers(0, 6), st.sampled_from(ops), st.integers(1, LIMIT + 64)
+    )
+
+    def on_the_clock(steps):
+        script, ticks = [], 0
+        for gap, op, size in steps:
+            ticks += gap
+            script.append((ticks * GRID, op, size))
+        return script
+
+    return st.lists(step, max_size=40).map(on_the_clock)
+
+
+def play(rule, script):
+    """Drive the real gate with ``request`` only; check what can be seen
+    from outside at every step; return what the model also returns."""
+    context = SimContext()
+    if rule == "rate":
+        gate = RateBasedEnforcer(context, RATE_PARAMS)
+        assert (gate.window, gate.capacity) == (RATE_WINDOW, LIMIT)
+    elif rule == "window":
+        gate = WindowEnforcer(context, LIMIT)
+    else:
+        gate = ReceiverCredit(context, LIMIT)
+
+    def in_use():
+        if rule == "window":
+            return gate.outstanding
+        if rule == "credit":
+            return gate.buffer_bytes - gate.available
+        return None  # the rate gate's count is private: judged below
+
+    admitted, refused, held, tag = [], [], [], 0
+    for time, op, size in script:
+        context.run(until=time)
+        if op == "request":
+            before = (len(admitted), gate.queued, gate.sends_delayed,
+                      in_use(), context.loop.pending_events)
+            try:
+                gate.request(
+                    size,
+                    functools.partial(
+                        lambda t, s: admitted.append((t, context.now, s)),
+                        tag, size,
+                    ),
+                )
+            except ParameterError:
+                assert size > LIMIT
+                assert before == (len(admitted), gate.queued,
+                                  gate.sends_delayed, in_use(),
+                                  context.loop.pending_events)
+                refused.append(tag)
+            else:
+                assert size <= LIMIT
+            tag += 1
+        elif op == "acknowledge":
+            gate.acknowledge(size)
+        elif op == "grant":
+            gate.grant(size)
+        if rule != "rate":
+            assert 0 <= in_use() <= LIMIT
+        held.append(in_use())
+    context.run()
+    assert context.loop.pending_events == 0
+    if rule == "rate":
+        assert gate.queued == 0
+        for start, (_, opened, _) in enumerate(admitted):
+            inside = sum(size for _, time, size in admitted[start:]
+                         if time < opened + RATE_WINDOW)
+            assert inside <= LIMIT
+    assert [t for t, _, _ in admitted] == sorted(t for t, _, _ in admitted)
+    return gate, admitted, refused, held
+
+
+class TestAgainstReference:
+    """Seeded scripts through the real gates and the list-and-loop model."""
+
+    @pytest.mark.parametrize("rule", ["rate", "window", "credit"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_admissions_same_times_same_delays(self, rule, data):
+        script = data.draw(scripts(rule))
+        model = run_script(rule, LIMIT, script, window=RATE_WINDOW)
+        gate, admitted, refused, held = play(rule, script)
+        assert [t for t, _, _ in admitted] == model.order
+        assert [time for _, time, _ in admitted] == pytest.approx(
+            [model.times[t] for t in model.order], abs=1e-12)
+        assert refused == model.refused
+        assert gate.sends_delayed == len(model.delayed)
+        assert gate.queued == len(model.waiting)
+        if rule != "rate":
+            assert held == model.in_use
+
+    def test_a_request_exactly_one_window_later_is_not_delayed(self):
+        """The boundary the recorded mutation (< for <=) gets wrong."""
+        script = [(0.0, "request", LIMIT), (RATE_WINDOW, "request", LIMIT)]
+        gate, admitted, _, _ = play("rate", script)
+        assert [time for _, time, _ in admitted] == [0.0, RATE_WINDOW]
+        assert gate.sends_delayed == 0
+
+
+def observed_gates():
+    """Each gate with a limit of 1000 B on an observed context, and how
+    room for the oldest admitted bytes comes back to it."""
+    context = SimContext(observe=True)
+    rate = RateBasedEnforcer(context, enforced_params(capacity=1000, delay=0.1))
+    window = WindowEnforcer(context, 1000)
+    credit = ReceiverCredit(context, 1000)
+    return context, {
+        "rate": (rate, lambda size: context.run(until=context.now + 0.11)),
+        "window": (window, window.acknowledge),
+        "credit": (credit, credit.grant),
+    }
+
+
+@pytest.mark.parametrize("mechanism", ["rate", "window", "credit"])
+class TestOneGateEnteredOneWay:
+    def test_a_request_that_finds_room_sends_inside_the_call(self, mechanism):
+        context, gates = observed_gates()
+        gate, _ = gates[mechanism]
+        spans = context.obs.spans
+        sent = []
+        gate.request(400, lambda *args: sent.append(args), "seq", b"payload",
+                     trace_id=spans.new_trace())
+        gate.request(600, lambda: sent.append(()), trace_id=spans.new_trace())
+        assert sent == [("seq", b"payload"), ()]
+        assert gate.queued == 0 and gate.sends_delayed == 0
+        assert len(spans) == 0 and context.loop.pending_events == 0
+
+    def test_waiting_sends_leave_in_order_with_one_hold_release_pair(
+            self, mechanism):
+        """A send found at the head of the line without room is held
+        once, however often the line is looked at, and released once;
+        one that never heads a blocked line records nothing."""
+        context, gates = observed_gates()
+        gate, give_back = gates[mechanism]
+        spans = context.obs.spans
+        sent = []
+        traces = [spans.new_trace() for _ in range(4)]
+        for trace, size in zip(traces, (1000, 600, 600, 300)):
+            gate.request(size, sent.append, trace, trace_id=trace)
+        assert sent == traces[:1] and gate.queued == 3
+        give_back(1000)  # room for the second; the third now heads the line
+        assert sent == traces[:2] and gate.queued == 2
+        give_back(600)  # room for the third, and the fourth fits behind it
+        assert sent == traces and gate.queued == 0
+        assert gate.sends_delayed == 2
+        fc = {trace: [(e.layer, e.event, e.fields.get("mechanism"))
+                      for e in spans.events_for(trace)] for trace in traces}
+        pair = [("fc", "hold", mechanism), ("fc", "release", mechanism)]
+        assert fc == {traces[0]: [], traces[1]: pair, traces[2]: pair,
+                      traces[3]: []}
+        context.run()
+        assert context.loop.pending_events == 0

@@ -152,7 +152,7 @@ class TestReceiverFlowControl:
             session.send(bytes([index]) * 1000)
         context.run(until=context.now + 30.0)
         assert len(received) == 40
-        assert session._credit is not None and session._credit.stalls > 0
+        assert session._credit is not None and session._credit.sends_delayed > 0
         assert session.stats.receiver_overflow_drops == 0
 
     def test_no_receiver_fc_slow_consumer_overflows(self):
