@@ -11,8 +11,8 @@ Four runs, one seed:
 
 * ``baseline``     -- supervised, no chaos: the reference goodput;
 * ``supervised``   -- chaos on the Ethernet segment (periodic flaps, a
-  seeded-random flap process, one receiver pause); the supervisor fails
-  the session over to the internetwork and re-queues what the client
+  seeded-random flap process, one receiver pause); the session fails
+  over to the internetwork and re-queues what the client
   sent during the gap.  Goodput must stay >= 80% of baseline;
 * ``unsupervised`` -- same chaos, no policy: the session fails
   terminally and goodput collapses;

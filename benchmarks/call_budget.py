@@ -20,7 +20,11 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
 * ``setup`` -- one stream opened to a peer never spoken to before (the
   control channel, on an untrusted medium the handshake, ``st_create``
   and the data network RMS: what ``grid_churn`` pays per
-  re-establishment), per established stream, trusted and untrusted.
+  re-establishment), per established stream, trusted and untrusted;
+* ``recover`` -- one supervised ST session on a trusted Ethernet whose
+  segment goes down for 0.5 s each round, the round running until the
+  session is up again (the failure notice, the re-establishing attempt
+  and the ST RMS it opens once the segment heals), per recovery.
 
 Only public ``DashSystem`` attributes are used.  Counting starts after
 one warm-up round, so in ``burst`` / ``rkom`` establishment and the
@@ -47,6 +51,7 @@ from repro import (
     DelayBound,
     DelayBoundType,
     FlowControlMode,
+    ResiliencePolicy,
     RmsParams,
     StreamConfig,
 )
@@ -55,6 +60,7 @@ BURST, BURST_BYTES, BURST_ROUND_S = 40, 100, 0.02
 CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
 STREAM_BYTES, STREAM_WINDOW, STREAM_ROUND_S = 1000, 16 * 1024, 1.0
 SETUP_ROUND_S = 1.0
+RECOVER_DOWN_S, RECOVER_POLL_S = 0.5, 0.05
 
 
 def _pair(seed: int, trusted: bool = True, peers=("b",),
@@ -201,6 +207,34 @@ def setup(rounds: int = 3, seed: int = 1, trusted: bool = False) -> dict:
     return _counted(system, one_round, rounds, established)
 
 
+def recover(rounds: int = 3, seed: int = 1) -> dict:
+    """One supervised ST session; each round the segment is down for
+    ``RECOVER_DOWN_S`` and the round runs until the session is up again;
+    per recovery."""
+    system = _pair(seed)
+    params = RmsParams(
+        capacity=32 * 1024, max_message_size=4000,
+        delay_bound=DelayBound(0.1, 1e-5),
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+    )
+    session = system.connect("a", "b", desired=params, acceptable=params,
+                             resilience=ResiliencePolicy())
+    system.run(until=2.0)
+    session.established.result()
+    segment = system.networks["ether0"].segment
+    recovered: list = []
+
+    def one_round() -> None:
+        segment.set_down()
+        system.run(until=system.now + RECOVER_DOWN_S)
+        segment.set_up()
+        while not session.is_up:
+            system.run(until=system.now + RECOVER_POLL_S)
+        recovered.append(session.stats.recoveries)
+
+    return _counted(system, one_round, rounds, recovered)
+
+
 def per(result: dict, unit: str, *modules: str) -> float:
     """Calls per ``unit`` ('messages' / 'items' / 'components') inside the
     modules whose names start with one of ``modules`` (all when empty)."""
@@ -211,8 +245,9 @@ def per(result: dict, unit: str, *modules: str) -> float:
     return total / result[unit]
 
 
-def table(result: dict, what: str) -> str:
+def table(result: dict, what: str, whats: str = "") -> str:
     messages = result["messages"]
+    whats = whats or f"{what}s"
     lines = [f"{'module':<36}{'calls/' + what:>12}"]
     rows: Dict[str, int] = result["calls"]
     for module in sorted(rows, key=lambda name: (-rows[name], name)):
@@ -220,13 +255,13 @@ def table(result: dict, what: str) -> str:
     lines.append(f"{'TOTAL':<36}{per(result, 'messages'):>12.2f}")
     if result["components"]:  # establishment alone sends none
         lines.append(
-            f"{messages} {what}s; repro.sched per work item "
+            f"{messages} {whats}; repro.sched per work item "
             f"{per(result, 'items', 'repro.sched'):.2f}; piggyback.py per "
             f"component {per(result, 'components', 'repro.subtransport.piggyback'):.2f}"
         )
     else:
         lines.append(
-            f"{messages} {what}s; control messages per {what} "
+            f"{messages} {whats}; control messages per {what} "
             f"{result['control'] / messages:.2f}; repro.subtransport per "
             f"{what} {per(result, 'messages', 'repro.subtransport'):.2f}"
         )
@@ -253,6 +288,10 @@ def main(argv=None) -> int:
         medium = "a trusted" if trusted else "an untrusted"
         print(f"\n# setup: one stream to a fresh peer on {medium} Ethernet")
         print(table(setup(args.rounds, args.seed, trusted), "stream"))
+    if not args.observe:
+        print(f"\n# recover: one supervised ST session on a trusted Ethernet, "
+              f"segment down {RECOVER_DOWN_S} s per round")
+        print(table(recover(args.rounds, args.seed), "recovery", "recoveries"))
     return 0
 
 

@@ -181,9 +181,12 @@ class DashSystem:
         it is up.  ``kind`` selects the channel: a raw subtransport RMS
         (``"st"``), a reliable byte stream (``"stream"``), or RKOM
         request/reply (``"rkom"``, one shared session per node pair).
-        Passing a :class:`ResiliencePolicy` as ``resilience`` puts the
-        channel under supervision: automatic re-establishment, failover
-        across attached networks, and parameter degradation.
+        Passing a :class:`ResiliencePolicy` as ``resilience`` puts an
+        ST or stream channel under supervision: automatic
+        re-establishment, failover across attached networks, and
+        parameter degradation (the RKOM service recovers its channel on
+        its own).  A stream takes its data parameters from ``config`` or
+        from ``desired`` / ``acceptable`` / ``request``, not both.
         """
         sender_node = self._node(sender)
         receiver_node = self._node(receiver)
@@ -204,6 +207,11 @@ class DashSystem:
                 or f"{sender_node.name}->{receiver_node.name}:{port_name}",
             )
         if kind == "stream":
+            if config is not None and (desired, acceptable, request) != (None,) * 3:
+                raise ParameterError(
+                    "a stream takes its parameters from config or from "
+                    "desired / acceptable / request, not both"
+                )
             if config is None and (desired is not None or request is not None):
                 # Honor the unified signature: derive the stream's data
                 # parameters from the desired set.
@@ -228,9 +236,10 @@ class DashSystem:
                 name=name or f"{sender_node.name}~{receiver_node.name}:stream",
             )
         if kind == "rkom":
-            if desired is not None or acceptable is not None or request is not None:
+            if (desired, acceptable, request, resilience) != (None,) * 4:
                 raise ParameterError(
-                    "rkom sessions take their parameters from RkomConfig"
+                    "rkom sessions take their parameters from RkomConfig "
+                    "and recover their channel on their own"
                 )
             key = (sender_node.name, receiver_node.name)
             session = self._rkom_sessions.get(key)
@@ -239,7 +248,6 @@ class DashSystem:
                     self.context,
                     sender_node.rkom,
                     receiver_node.name,
-                    policy=resilience,
                     name=name or f"{sender_node.name}~{receiver_node.name}:rkom",
                 )
                 self._rkom_sessions[key] = session

@@ -1,13 +1,14 @@
-"""Resilience: supervised RMS establishment, failover, and degradation.
+"""Resilience: session establishment, failover, and degradation.
 
 The paper's basic RMS property 3 only promises that "clients are
 notified of an RMS failure" (section 2.1).  This subsystem turns that
-notification into recovery: a supervised session retries establishment
-with jittered exponential backoff, fails over to an alternate attached
-network when the node is multi-homed, and gracefully degrades the
-requested parameter set from desired toward acceptable (the section 2.4
-compatibility rules) when the surviving network cannot carry the
-original request.  Transitions surface through ``Session.on_state_change``,
+notification into recovery: one establishment loop keeps an ST RMS or a
+stream up, and a session given a :class:`ResiliencePolicy` retries
+establishment with jittered exponential backoff, fails over to an
+alternate attached network when the node is multi-homed, and gracefully
+degrades the requested parameter set from desired toward acceptable
+(the section 2.4 compatibility rules) when the surviving network cannot
+carry the original request.  Transitions surface through ``Session.on_state_change``,
 ``obs`` span events on the ``resilience`` layer, and
 ``SessionStats.transitions`` (the ``rms_failovers_total`` metric family).
 """
@@ -20,12 +21,10 @@ from repro.resilience.session import (
     StSession,
     TransportSession,
 )
-from repro.resilience.supervisor import RmsSupervisor
 
 __all__ = [
     "ResiliencePolicy",
     "RkomSession",
-    "RmsSupervisor",
     "Session",
     "SessionState",
     "StSession",

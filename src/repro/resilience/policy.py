@@ -1,7 +1,7 @@
 """Recovery policy: backoff schedule and the parameter degradation ladder.
 
 Degradation follows section 2.4: any actual parameter set compatible
-with the acceptable set satisfies the request, so a supervisor may
+with the acceptable set satisfies the request, so a session may
 re-request with a weakened *desired* set -- stepping the delay-bound
 type down (deterministic -> statistical -> best-effort), loosening the
 delay bound, and shrinking capacity -- as long as every rung stays at or
@@ -11,7 +11,7 @@ above the acceptable floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
 from repro.errors import ParameterError
@@ -21,7 +21,13 @@ __all__ = ["ResiliencePolicy", "degradation_ladder"]
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """How hard a supervised session fights to stay up."""
+    """The backoff schedule of a session's establishment attempts.
+
+    Giving a session a policy is what turns on retry, failover to
+    another attached network, the degradation ladder and queueing sends
+    (up to the request floor's capacity) while the channel is down;
+    without one, the first failure is final.
+    """
 
     #: Consecutive failed establishment attempts before giving up.
     max_attempts: int = 8
@@ -31,16 +37,6 @@ class ResiliencePolicy:
     backoff_cap: float = 2.0
     #: Fractional jitter: each delay is scaled by ``1 + U(-j, +j)``.
     jitter: float = 0.5
-    #: Prefer an alternate attached network after a failure.
-    failover: bool = True
-    #: Walk the degradation ladder when admission rejects a rung.
-    degrade: bool = True
-    #: Number of weakened rungs below the desired set.
-    max_rungs: int = 4
-    #: Queue sends while re-establishing (bounded by the request floor's
-    #: capacity, or ``max_requeue_bytes`` when given).
-    requeue: bool = True
-    max_requeue_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -66,7 +62,7 @@ def _weaken(current: RmsParams, floor: RmsParams) -> RmsParams:
     changes = {}
     # Delay-bound type: step down one level, but not below the floor's
     # type.  Deterministic only steps to statistical when a statistical
-    # spec exists to reuse (a supervisor cannot invent a workload
+    # spec exists to reuse (a session cannot invent a workload
     # description); otherwise it drops straight to best-effort.
     if current.delay_bound_type > floor.delay_bound_type:
         if (
@@ -105,19 +101,19 @@ def _weaken(current: RmsParams, floor: RmsParams) -> RmsParams:
     return current.with_(**changes)
 
 
-def degradation_ladder(request: RmsRequest, max_rungs: int = 4) -> List[RmsRequest]:
+def degradation_ladder(request: RmsRequest) -> List[RmsRequest]:
     """The renegotiation ladder for a request, strongest first.
 
     Rung 0 is the original desired set; each later rung weakens the
     desired set one step toward the acceptable floor (which every rung
     keeps as its own floor, so any rung's establishment still satisfies
     the client's stated minimum).  The ladder stops when weakening
-    converges or ``max_rungs`` is reached.
+    converges, or after four weakened rungs.
     """
     rungs = [RmsRequest(desired=request.desired, acceptable=request.floor)]
     current = request.desired
     floor = request.floor
-    for _ in range(max_rungs):
+    for _ in range(4):
         weakened = _weaken(current, floor)
         if weakened == current:
             break

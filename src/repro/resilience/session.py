@@ -1,4 +1,4 @@
-"""Session handles: the one client-facing shape for supervised channels.
+"""Session handles: the one client-facing shape for every channel kind.
 
 ``DashSystem.connect`` returns one of these regardless of the kind of
 channel underneath (raw ST RMS, reliable stream, RKOM request/reply).
@@ -11,10 +11,11 @@ A session exposes ``send``/``close``, context-manager support, an
          v           RE-ESTABLISHING -> FAILED
        FAILED                 (any state) -> CLOSED
 
-With a :class:`ResiliencePolicy`, failures move the session to
-RE-ESTABLISHING while the supervisor retries / fails over / degrades;
-without one, the first failure is terminal (FAILED), matching the
-paper's bare notify-on-failure semantics.
+An ST RMS and a stream are kept up by one establishment loop
+(:class:`_ChannelSession`).  With a :class:`ResiliencePolicy` a failure
+moves the session through backoff, failover and degradation, and a lost
+channel to RE-ESTABLISHING; without one the first failure and the first
+loss are terminal (FAILED), the paper's bare notify-on-failure semantics.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import Dict, List, Optional
 from repro.core.message import Message
 from repro.core.params import RmsRequest, is_compatible
 from repro.errors import (
+    AdmissionError,
     CapacityError,
     RmsFailedError,
     TransportError,
 )
 from repro.obs.registry import families
-from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.supervisor import RmsSupervisor
+from repro.resilience.policy import ResiliencePolicy, degradation_ladder
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, Signal
 from repro.sim.ports import Port
@@ -66,11 +67,13 @@ class SessionStats:
     messages_sent: int = 0
     messages_queued: int = 0
     queue_drops: int = 0
+    #: Re-establishments after a lost channel (not the first one).
     recoveries: int = 0
     degradations: int = 0
     failovers: int = 0
     #: retry / failover / degrade / reestablishing / recovered / gave_up
     #: -> how often; exported as the ``rms_failovers_total`` family.
+    #: ``recovered`` counts what ``recoveries`` counts.
     transitions: Dict[str, int] = field(default_factory=dict)
 
 
@@ -90,17 +93,10 @@ class Session:
 
     kind = "session"
 
-    def __init__(
-        self,
-        context: SimContext,
-        name: Optional[str] = None,
-        policy: Optional[ResiliencePolicy] = None,
-    ) -> None:
+    def __init__(self, context: SimContext, name: Optional[str] = None) -> None:
         self.context = context
         self.session_id = next(_session_ids)
         self.name = name or f"session{self.session_id}"
-        self.policy = policy
-        self._request: Optional[RmsRequest] = None
         self.state = SessionState.ESTABLISHING
         #: Fired with (session, old_state, new_state, reason).
         self.on_state_change: Signal = Signal(context.loop)
@@ -151,21 +147,6 @@ class Session:
     def is_up(self) -> bool:
         return self.state in (SessionState.UP, SessionState.DEGRADED)
 
-    @property
-    def request(self) -> Optional[RmsRequest]:
-        """The normalized :class:`RmsRequest` behind this session.
-
-        ST sessions carry the request they were opened with; stream
-        sessions derive one from their :class:`StreamConfig` data path;
-        RKOM sessions take their parameters from ``RkomConfig`` and
-        expose ``None``.
-        """
-        return self._request
-
-    @request.setter
-    def request(self, value: Optional[RmsRequest]) -> None:
-        self._request = value
-
     # -- lifetime ----------------------------------------------------------
 
     def close(self) -> None:
@@ -196,25 +177,155 @@ class Session:
         return f"<{type(self).__name__} {self.name} {self.state.value}>"
 
 
-class _QueueMixin:
-    """Bounded re-queueing of sends while the channel is down (§4.4:
+class _ChannelSession(Session):
+    """One channel kept up by the establishment loop.
 
-    overflow is the client's problem -- we drop and count rather than
-    grow without bound)."""
+    An attempt opens a channel on the current rung (the kind's
+    :meth:`_open`) and ends established or failed.  ``AdmissionError``
+    steps one rung down the degradation ladder and tries again at once
+    while a rung is left; any other failure counts one consecutive
+    failure and waits out the policy's backoff or gives up.  A lost
+    channel is re-established from the top rung, what it carried
+    unacknowledged (the kind's :meth:`_salvage`) put back in front of the
+    queue.  Without a policy the ladder has one rung and there is no
+    queue: the first failure gives up and the first loss fails.
+    """
 
-    def _init_queue(self, limit: int) -> None:
+    def __init__(
+        self,
+        context: SimContext,
+        request: RmsRequest,
+        policy: Optional[ResiliencePolicy],
+        name: Optional[str],
+        rungs: List[RmsRequest],
+        queue_limit: int,
+    ) -> None:
+        super().__init__(context, name=name)
+        #: The normalized request behind this session.
+        self.request = request
+        self.policy = policy
+        #: The established channel; None while there is none.
+        self.channel = None
+        self._rungs = rungs
+        self._rung = 0
+        self._failures = 0
+        #: The network an ST session is steered to / bound on, and the
+        #: one that failed last (the next attempt avoids it).
+        self._network: Optional[str] = None
+        self._avoid: Optional[str] = None
+        #: The backoff timer of the next attempt, while one waits.
+        self._retry: Optional[EventHandle] = None
+        #: Sends held while the channel is down, bounded (section 4.4:
+        #: overflow is dropped and counted, not grown without bound).
         self._queue: List = []
         self._queued_bytes = 0
-        self._queue_limit = limit
+        self._queue_limit = queue_limit
+
+    def _open(self, rung: RmsRequest) -> Future:
+        raise NotImplementedError
+
+    def _adopt(self, channel) -> bool:
+        """Listen for the loss of a new channel; whether it is degraded."""
+        raise NotImplementedError
+
+    def _salvage(self, channel) -> list:
+        """What a lost channel carried and must be sent again."""
+        return []
+
+    # -- the loop ----------------------------------------------------------
+
+    def _attempt(self) -> None:
+        self._retry = None
+        if self.state is SessionState.CLOSED:
+            return
+        future = self._open(self._rungs[self._rung])
+        future.add_done_callback(self._attempt_done)
+
+    def _attempt_done(self, future: Future) -> None:
+        if self.state is SessionState.CLOSED:
+            if not future.failed:
+                future.result().close()
+            return
+        try:
+            channel = future.result()
+        except AdmissionError as error:
+            if self._rung + 1 < len(self._rungs):
+                # A leaner reservation may be admitted: degrade and
+                # retry at once.
+                self._rung += 1
+                self._note("degrade", str(error))
+                self._attempt()
+            else:
+                self._failed_attempt(error)
+        except Exception as error:  # negotiation, setup timeout, control, ...
+            self._failed_attempt(error)
+        else:
+            self._established(channel)
+
+    def _failed_attempt(self, error: Exception) -> None:
+        self._failures += 1
+        self._avoid = self._network
+        policy = self.policy
+        if policy is None or self._failures >= policy.max_attempts:
+            if policy is not None:
+                self._note("gave_up", str(error))
+            self._fail(error)
+            return
+        rng = self.context.rng.stream(f"resilience:{self.name}")
+        delay = policy.backoff_delay(self._failures - 1, rng)
+        self._note(
+            "retry", f"attempt {self._failures + 1} in {delay:.3f}s ({error})"
+        )
+        self._retry = self.context.loop.call_after(delay, self._attempt)
+
+    def _established(self, channel) -> None:
+        self._failures = 0
+        self._avoid = None
+        self.channel = channel
+        degraded = self._adopt(channel)
+        if self.established.done:
+            self.stats.recoveries += 1
+            self._note("recovered", "re-established")
+        if degraded:
+            self.stats.degradations += 1
+            self._set_state(SessionState.DEGRADED, "parameters below desired")
+        else:
+            self._set_state(SessionState.UP, "established")
+        if not self.established.done:
+            self.established.set_result(channel)
+        self._flush_queue()
+
+    def _lost(self, channel, reason: str) -> None:
+        if channel is not self.channel:
+            return
+        self.channel = None
+        salvaged = self._salvage(channel)
+        if self.policy is None:
+            self._fail(RmsFailedError(reason))
+            return
+        self._avoid = self._network
+        self._rung = 0  # a healed or another network may carry the desired set
+        # Salvage precedes anything queued later: earlier sends first.
+        self._queue[:0] = salvaged
+        self._queued_bytes += sum(map(_payload_size, salvaged))
+        while self._queued_bytes > self._queue_limit:
+            self._queued_bytes -= _payload_size(self._queue.pop())
+            self.stats.queue_drops += 1
+        self._note("reestablishing", reason)
+        self._set_state(SessionState.RE_ESTABLISHING, reason)
+        self._attempt()
+
+    def _fail(self, error: Exception) -> None:
+        self._drop_queue()
+        self._set_state(SessionState.FAILED, str(error))
+        if not self.established.done:
+            self.established.set_exception(error)
+
+    # -- the queue ---------------------------------------------------------
 
     def _enqueue(self, payload) -> None:
         size = _payload_size(payload)
-        allowed = (
-            self.policy is not None
-            and self.policy.requeue
-            and self._queued_bytes + size <= self._queue_limit
-        )
-        if not allowed:
+        if self.policy is None or self._queued_bytes + size > self._queue_limit:
             self.stats.queue_drops += 1
             return
         self._queue.append(payload)
@@ -226,9 +337,21 @@ class _QueueMixin:
         self._queue = []
         self._queued_bytes = 0
 
+    def _flush_queue(self) -> None:
+        raise NotImplementedError
 
-class StSession(Session, _QueueMixin):
-    """A supervised (or bare) subtransport RMS."""
+    def _teardown(self) -> None:
+        if self._retry is not None:
+            self._retry.cancel()
+            self._retry = None
+        channel, self.channel = self.channel, None
+        if channel is not None:
+            channel.close()
+        self._drop_queue()
+
+
+class StSession(_ChannelSession):
+    """A subtransport RMS, under a policy or bare."""
 
     kind = "st"
 
@@ -243,109 +366,71 @@ class StSession(Session, _QueueMixin):
         fast_ack: bool = False,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(context, name=name, policy=policy)
+        rungs = [request] if policy is None else degradation_ladder(request)
+        super().__init__(
+            context, request, policy, name, rungs, request.floor.capacity
+        )
         self._watch(st.host.name)
         self.st = st
         self.peer_host = peer_host
         self.port_name = port
-        self.request = request
         self.fast_ack = fast_ack
-        self.rms = None
-        self._supervisor: Optional[RmsSupervisor] = None
-        limit = request.floor.capacity
-        if policy is not None and policy.max_requeue_bytes is not None:
-            limit = policy.max_requeue_bytes
-        self._init_queue(limit)
-        if policy is None:
-            future = st.create_st_rms(
-                peer_host, port=port, request=request, fast_ack=fast_ack
-            )
-            future.add_done_callback(self._single_shot_done)
-        else:
-            self._supervisor = RmsSupervisor(
-                context,
-                st,
-                peer_host,
-                port,
-                request,
-                policy,
-                fast_ack=fast_ack,
-                name=self.name,
-                on_established=self._established,
-                on_transition=self._transition,
-                on_gave_up=self._gave_up,
-            )
-            self._supervisor.start()
+        self._attempt()
 
-    # -- unsupervised path -------------------------------------------------
+    @property
+    def rms(self):
+        """The established ST RMS; None while there is none."""
+        return self.channel
 
-    def _single_shot_done(self, future: Future) -> None:
-        if self.state is SessionState.CLOSED:
-            if not future.failed:
-                self.st.close_st_rms(future.result())
-            return
-        if future.failed:
-            try:
-                future.result()
-            except Exception as error:
-                self._set_state(SessionState.FAILED, str(error))
-                self.established.set_exception(error)
-            return
-        rms = future.result()
-        rms.on_failure.listen(self._unsupervised_failed)
-        self._established(rms, not is_compatible(rms.params, self.request.desired))
+    def _open(self, rung: RmsRequest) -> Future:
+        # A policy steers the ST toward a usable network, avoiding the
+        # one that failed last.
+        st, host, peer = self.st, self.st.host.name, self.peer_host
+        usable = [] if self.policy is None else [
+            network
+            for network in st.networks
+            if host in network.hosts
+            and peer in network.hosts
+            and network.can_reach(host, peer)
+        ]
+        if usable:
+            pick = usable[0]
+            for network in usable:
+                if network.name != self._avoid:
+                    pick = network
+                    break
+            if self._network is not None and pick.name != self._network:
+                self.stats.failovers += 1
+                self._note("failover", f"{self._network}->{pick.name}")
+            st.set_network_preference(peer, pick.name)
+            self._network = pick.name
+        return st.create_st_rms(
+            peer, port=self.port_name, request=rung, fast_ack=self.fast_ack
+        )
 
-    def _unsupervised_failed(self, rms, reason: str) -> None:
-        if rms is self.rms and self._supervisor is None:
-            self.rms = None
-            self._drop_queue()
-            self._set_state(SessionState.FAILED, reason)
-
-    # -- supervisor callbacks ----------------------------------------------
-
-    def _established(self, rms, degraded: bool) -> None:
-        self.rms = rms
-        if self.established.done:
-            self.stats.recoveries += 1
-        if degraded:
-            self.stats.degradations += 1
-            self._set_state(SessionState.DEGRADED, "parameters below desired")
-        else:
-            self._set_state(SessionState.UP, "established")
-        if not self.established.done:
-            self.established.set_result(rms)
-        self._flush_queue()
-
-    def _transition(self, kind: str, detail: str) -> None:
-        self._note(kind, detail)
-        if kind == "failover":
-            self.stats.failovers += 1
-        elif kind == "reestablishing":
-            self._set_state(SessionState.RE_ESTABLISHING, detail)
-
-    def _gave_up(self, error: Exception) -> None:
-        self._drop_queue()
-        self._set_state(SessionState.FAILED, str(error))
-        if not self.established.done:
-            self.established.set_exception(error)
+    def _adopt(self, rms) -> bool:
+        if rms.binding is not None:
+            self._network = rms.binding.network_rms.network.name
+        rms.on_failure.listen(self._lost)
+        return not is_compatible(rms.params, self.request.desired)
 
     # -- client API --------------------------------------------------------
 
     def send(self, payload, deadline: Optional[float] = None):
         if self.state in (SessionState.FAILED, SessionState.CLOSED):
             raise RmsFailedError(f"session {self.name} is {self.state.value}")
-        if self.rms is not None and self.rms.is_open:
+        if self.channel is not None and self.channel.is_open:
             self.stats.messages_sent += 1
-            return self.rms.send(payload, deadline=deadline)
+            return self.channel.send(payload, deadline=deadline)
         self._enqueue(payload)
         return None
 
     def _flush_queue(self) -> None:
-        while self._queue and self.rms is not None and self.rms.is_open:
+        while self._queue and self.channel is not None and self.channel.is_open:
             payload = self._queue.pop(0)
             self._queued_bytes -= _payload_size(payload)
             try:
-                self.rms.send(payload)
+                self.channel.send(payload)
             except (CapacityError, RmsFailedError):
                 # A degraded rung may carry less; the overflow is
                 # dropped and counted, not silently retried forever.
@@ -364,15 +449,13 @@ class StSession(Session, _QueueMixin):
         )
 
     def _teardown(self) -> None:
-        if self._supervisor is not None:
-            self._supervisor.stop()
-        if self.rms is not None and self.rms.is_open:
-            self.st.close_st_rms(self.rms)
-        self._drop_queue()
+        if self.policy is not None:
+            self.st.set_network_preference(self.peer_host, None)
+        super()._teardown()
 
 
-class TransportSession(Session, _QueueMixin):
-    """A supervised (or bare) reliable byte stream.
+class TransportSession(_ChannelSession):
+    """A reliable byte stream, under a policy or bare.
 
     Re-establishment salvages messages the failed incarnation had not
     seen acknowledged and resends them first -- delivery across a
@@ -393,135 +476,63 @@ class TransportSession(Session, _QueueMixin):
         policy: Optional[ResiliencePolicy] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(context, name=name, policy=policy)
+        config = config or StreamConfig()
+        request = config.data_request()
+        super().__init__(
+            context, request, policy, name, [request], config.data_capacity
+        )
         self._watch(sender_st.host.name)
         self.sender_st = sender_st
         self.receiver_st = receiver_st
-        self.config = config or StreamConfig()
-        self.request = self.config.data_request()
-        self.stream = None
-        self._consecutive = 0
-        self._rng = context.rng.stream(f"resilience:{self.name}")
-        limit = self.config.data_capacity
-        if policy is not None and policy.max_requeue_bytes is not None:
-            limit = policy.max_requeue_bytes
-        self._init_queue(limit)
+        self.config = config
         self.rx_port = Port(context.loop, name=f"{self.name}.rx")
         #: The receive relay only engages when the session's own
         #: receive() is used; legacy callers holding the raw stream keep
         #: consuming from it directly.
         self._relay_active = False
-        #: The backoff timer of the next open attempt, while one waits.
-        self._retry_timer: Optional[EventHandle] = None
-        self._open_attempt()
+        self._attempt()
 
-    def _open_attempt(self) -> None:
-        self._retry_timer = None
-        if self.state is SessionState.CLOSED:
-            return
-        future = open_stream(
+    def _open(self, rung: RmsRequest) -> Future:
+        return open_stream(
             self.context, self.sender_st, self.receiver_st, self.config
         )
-        future.add_done_callback(self._open_done)
 
-    def _open_done(self, future: Future) -> None:
-        if self.state is SessionState.CLOSED:
-            if not future.failed:
-                future.result().close()
-            return
-        if future.failed:
-            try:
-                future.result()
-            except Exception as error:
-                self._open_failed(error)
-            return
-        stream = future.result()
-        self._consecutive = 0
-        self.stream = stream
-        stream.on_failed.listen(self._stream_failed)
+    def _adopt(self, stream) -> bool:
+        stream.on_failed.listen(self._lost)
         if self._relay_active:
             stream.drain_to(self.rx_port.deliver)
-        if self.established.done:
-            self.stats.recoveries += 1
-            self._note("recovered", "stream re-established")
-        self._set_state(SessionState.UP, "established")
-        if not self.established.done:
-            self.established.set_result(stream)
-        self._flush_queue()
+        return False
 
-    def _open_failed(self, error: Exception) -> None:
-        self._consecutive += 1
-        if self.policy is None or self._consecutive >= self.policy.max_attempts:
-            if self.policy is not None:
-                self._note("gave_up", str(error))
-            self._drop_queue()
-            self._set_state(SessionState.FAILED, str(error))
-            if not self.established.done:
-                self.established.set_exception(error)
-            return
-        delay = self.policy.backoff_delay(self._consecutive - 1, self._rng)
-        self._note("retry", f"attempt {self._consecutive + 1} in {delay:.3f}s")
-        self._retry_timer = self.context.loop.call_after(
-            delay, self._open_attempt
-        )
-
-    def _stream_failed(self, stream, reason: str) -> None:
-        if stream is not self.stream or self.state is SessionState.CLOSED:
-            return
-        salvaged = stream.salvage_unsent()
-        self.stream = None
-        if self.policy is None:
-            self._drop_queue()
-            self._set_state(SessionState.FAILED, reason)
-            return
-        # Salvage precedes anything queued later: earlier sends first.
-        for payload in reversed(salvaged):
-            self._queue.insert(0, payload)
-            self._queued_bytes += _payload_size(payload)
-        while self._queued_bytes > self._queue_limit and self._queue:
-            dropped = self._queue.pop()
-            self._queued_bytes -= _payload_size(dropped)
-            self.stats.queue_drops += 1
-        self._set_state(SessionState.RE_ESTABLISHING, reason)
-        self._note("reestablishing", reason)
-        self._open_attempt()
+    def _salvage(self, stream) -> list:
+        return stream.salvage_unsent()
 
     # -- client API --------------------------------------------------------
 
     def send(self, payload: bytes) -> Future:
         if self.state in (SessionState.FAILED, SessionState.CLOSED):
             raise TransportError(f"session {self.name} is {self.state.value}")
-        if self.stream is not None and not self.stream.failed:
+        if self.channel is not None and not self.channel.failed:
             self.stats.messages_sent += 1
-            return self.stream.send(payload)
+            return self.channel.send(payload)
         self._enqueue(payload)
         accepted = Future(self.context.loop)
         accepted.set_result(None)
         return accepted
 
     def _flush_queue(self) -> None:
-        while self._queue and self.stream is not None and not self.stream.failed:
+        while self._queue and self.channel is not None and not self.channel.failed:
             payload = self._queue.pop(0)
             self._queued_bytes -= _payload_size(payload)
             self.stats.messages_sent += 1
-            self.stream.send(payload)
+            self.channel.send(payload)
 
     def receive(self) -> Future:
         """The next delivered message, across incarnations."""
         if not self._relay_active:
             self._relay_active = True
-            if self.stream is not None:
-                self.stream.drain_to(self.rx_port.deliver)
+            if self.channel is not None:
+                self.channel.drain_to(self.rx_port.deliver)
         return self.rx_port.get()
-
-    def _teardown(self) -> None:
-        if self._retry_timer is not None:
-            self._retry_timer.cancel()
-            self._retry_timer = None
-        if self.stream is not None:
-            self.stream.close()
-            self.stream = None
-        self._drop_queue()
 
 
 class RkomSession(Session):
@@ -539,10 +550,9 @@ class RkomSession(Session):
         context: SimContext,
         rkom,
         peer_host: str,
-        policy: Optional[ResiliencePolicy] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(context, name=name, policy=policy)
+        super().__init__(context, name=name)
         self._watch(rkom.st.host.name)
         self.rkom = rkom
         self.peer_host = peer_host

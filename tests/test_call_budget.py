@@ -15,7 +15,10 @@ that no total rises -- 33.98 per burst message, 137.98 per RKOM call,
 per message of the ``stream`` scenario it added (ack / rate) before;
 33.5 / 134.5 / 1,094 / 820 / 149.0 / 149.0 after.  A pool or a second
 arm coming back shows here.  (History: 61 / 216 before PR 20; PR 22
-split the control plane out at 1,159 / 836 per stream.)
+split the control plane out at 1,159 / 836 per stream.)  The ``recover``
+budget, 916.5 frames per recovery of a supervised ST session, is the
+count of the tree before the establishment loop became one path for
+every session kind; it may not rise.
 
 The two ``observed`` budgets hold what ``observe=True`` adds (PR 23: the
 metrics registry reads the layers' counters on demand instead of being
@@ -62,6 +65,20 @@ def stream(request):
 @pytest.fixture(scope="module", params=[False, True], ids=["untrusted", "trusted"])
 def setup(request):
     return request.param, call_budget.setup(rounds=2, trusted=request.param)
+
+
+@pytest.fixture(scope="module")
+def recover():
+    return call_budget.recover(rounds=2)
+
+
+def test_total_frames_and_control_messages_per_recovery(recover):
+    assert recover["messages"] == 2
+    assert recover["control"] == 2 * 2  # st_create + st_accept
+    assert call_budget.per(recover, "messages") <= 916.5
+    assert call_budget.recover(rounds=2) == recover
+    assert "control messages per recovery" in call_budget.table(
+        recover, "recovery", "recoveries")
 
 
 def test_total_frames_and_control_messages_per_established_stream(setup):

@@ -108,6 +108,24 @@ class TestConnectFacade:
         with pytest.raises(ParameterError):
             system.connect("a", "b", kind="rkom", desired=be_params())
 
+    def test_rkom_rejects_a_resilience_policy(self):
+        """The RKOM service recovers its own channel; a policy given
+        here would be stored and never read."""
+        system = lan_system()
+        with pytest.raises(ParameterError):
+            system.connect("a", "b", kind="rkom", resilience=ResiliencePolicy())
+
+    def test_stream_rejects_rms_parameters_beside_a_config(self):
+        """A config fixes the stream's data parameters; a desired set
+        given beside it would be dropped."""
+        system = lan_system()
+        with pytest.raises(ParameterError):
+            system.connect("a", "b", kind="stream", config=StreamConfig(),
+                           desired=be_params(capacity=4096, mms=400))
+        with pytest.raises(ParameterError):
+            system.connect("a", "b", kind="stream", config=StreamConfig(),
+                           request=RmsRequest(desired=be_params()))
+
     def test_unknown_kind_and_unknown_node_raise(self):
         system = lan_system()
         with pytest.raises(ParameterError):
@@ -213,7 +231,7 @@ class TestResiliencePolicy:
             delay_bound=DelayBound.unbounded(),
             delay_bound_type=DelayBoundType.BEST_EFFORT,
         )
-        rungs = degradation_ladder(RmsRequest(desired, floor), max_rungs=4)
+        rungs = degradation_ladder(RmsRequest(desired, floor))
         assert rungs[0].desired == desired
         assert all(rung.floor == floor for rung in rungs)
         for earlier, later in zip(rungs, rungs[1:]):
@@ -383,3 +401,87 @@ class TestRkomContinuity:
         system.run(until=system.now + 10.0)
         assert session.state is SessionState.CLOSED
         assert established() == before
+
+
+#: Where a supervised session can be closed, and the state it is in.
+TEARDOWN_STATES = {
+    "attempt in flight": SessionState.ESTABLISHING,
+    "waiting in backoff": SessionState.ESTABLISHING,
+    "up": SessionState.UP,
+    "degraded": SessionState.DEGRADED,
+    "re-establishing": SessionState.RE_ESTABLISHING,
+    "failed after giving up": SessionState.FAILED,
+}
+
+
+def session_in(kind, state):
+    """A supervised session of ``kind`` on one Ethernet, driven into
+    ``state``; returns (system, session, segment)."""
+    system = DashSystem(seed=71)
+    # An Ethernet that offers no guarantees admits a deterministic
+    # request only on a best-effort rung: the session comes up DEGRADED.
+    system.add_ethernet(trusted=True, supports_guarantees=state != "degraded")
+    system.add_node("a")
+    system.add_node("b")
+    segment = system.networks["ether0"].segment
+    if state in ("waiting in backoff", "failed after giving up"):
+        segment.set_down()
+    policy = ResiliencePolicy(
+        max_attempts=2 if state == "failed after giving up" else 8,
+        backoff_initial=1.0, jitter=0.0,
+    )
+    if kind == "st":
+        desired = be_params()
+        if state == "degraded":
+            desired = desired.with_(delay_bound=DelayBound(0.25, 1e-4),
+                                    delay_bound_type=DelayBoundType.DETERMINISTIC)
+        session = system.connect("a", "b", desired=desired,
+                                 acceptable=be_params(2048), port="teardown",
+                                 resilience=policy)
+    else:
+        session = system.connect("a", "b", kind="stream", resilience=policy)
+    if state == "waiting in backoff":
+        while "retry" not in session.stats.transitions:
+            system.run(until=system.now + 0.25)
+    elif state == "failed after giving up":
+        system.run(until=system.now + 60.0)
+    elif state == "attempt in flight":
+        system.run(until=system.now)  # a stream's opening process starts
+    else:
+        system.run(until=system.now + 2.0)
+        if state == "re-establishing":
+            segment.set_down()
+            system.run(until=system.now + 0.2)
+    assert session.state is TEARDOWN_STATES[state]
+    return system, session, segment
+
+
+class TestTeardownFromEveryState:
+    """``close()`` from every state of a supervised ST or stream session
+    leaves no live event on an otherwise idle system and starts nothing
+    afterwards, not even once the segment heals (a stream has no
+    DEGRADED state: it has one rung)."""
+
+    @pytest.mark.parametrize("kind,state", [
+        (kind, state) for kind in ("st", "stream") for state in TEARDOWN_STATES
+        if (kind, state) != ("stream", "degraded")
+    ])
+    def test_close_leaves_nothing_live_and_opens_nothing(self, kind, state):
+        system, session, segment = session_in(kind, state)
+        st = system.nodes["a"].st
+        opened = []
+        create = st.create_st_rms
+        st.create_st_rms = lambda *args, **kw: opened.append(args) or create(
+            *args, **kw)
+        session.close()
+        assert session.state is SessionState.CLOSED
+        assert session.established.done
+        if state in ("waiting in backoff", "failed after giving up"):
+            # Nothing of this session is on the wire: nothing is live.
+            assert system.context.loop.pending_events == 0
+        system.run(until=system.now + 5.0)  # what was in flight settles
+        segment.set_up()
+        system.run(until=system.now + 30.0)
+        assert session.state is SessionState.CLOSED
+        assert opened == []
+        assert system.context.loop.pending_events == 0
