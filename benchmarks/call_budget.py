@@ -24,9 +24,17 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
 * ``recover`` -- one supervised ST session on a trusted Ethernet whose
   segment goes down for 0.5 s each round, the round running until the
   session is up again (the failure notice, the re-establishing attempt
-  and the ST RMS it opens once the segment heals), per recovery.
+  and the ST RMS it opens once the segment heals), per recovery;
+* ``flap`` -- ``grid_churn``'s round, imported from
+  ``benchmarks/e2e/workloads.py``: one trunk of the 216-host grid down
+  and up, each transition followed by the 1,728-probe ``can_reach``
+  sweep, re-establishment and a round of traffic; per flap cycle, with
+  the forwarding engine's ``searches``, ``table_builds``,
+  ``scoped_table_drops`` and ``plan_compiles`` beside the frames, so a
+  cheaper flap can be told from one that skipped work.
 
-Only public ``DashSystem`` attributes are used.  Counting starts after
+Only public ``DashSystem`` attributes are used, except the forwarding
+engine's counters in ``flap``.  Counting starts after
 one warm-up round, so in ``burst`` / ``rkom`` establishment and the
 per-size memos are paid, and in ``setup`` whatever the first
 establishment in a process pays once.
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections import Counter
 from typing import Callable, Dict
@@ -61,6 +70,8 @@ CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
 STREAM_BYTES, STREAM_WINDOW, STREAM_ROUND_S = 1000, 16 * 1024, 1.0
 SETUP_ROUND_S = 1.0
 RECOVER_DOWN_S, RECOVER_POLL_S = 0.5, 0.05
+ENGINE_COUNTS = ("searches", "table_builds", "scoped_table_drops",
+                 "plan_compiles")
 
 
 def _pair(seed: int, trusted: bool = True, peers=("b",),
@@ -235,6 +246,34 @@ def recover(rounds: int = 3, seed: int = 1) -> dict:
     return _counted(system, one_round, rounds, recovered)
 
 
+def flap(rounds: int = 2, seed: int = 1) -> dict:
+    """``grid_churn``'s flap cycle on its own grid; per flap, with the
+    forwarding engine's work counts (``result["engine"]``)."""
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    try:
+        from e2e.workloads import GridChurn
+    finally:
+        sys.path.pop(0)
+    workload = GridChurn(seed)
+    workload.build()
+    engine = workload.network._engine
+    flapped: list = []
+    counts: list = []
+
+    def one_round() -> None:
+        workload.round()
+        flapped.append(workload.flaps)
+        counts.append([getattr(engine, name) for name in ENGINE_COUNTS])
+
+    result = _counted(workload.system, one_round, rounds, flapped)
+    # counts[0] was taken after the warm-up round.
+    result["engine"] = {
+        name: last - first
+        for name, first, last in zip(ENGINE_COUNTS, counts[0], counts[-1])
+    }
+    return result
+
+
 def per(result: dict, unit: str, *modules: str) -> float:
     """Calls per ``unit`` ('messages' / 'items' / 'components') inside the
     modules whose names start with one of ``modules`` (all when empty)."""
@@ -265,6 +304,11 @@ def table(result: dict, what: str, whats: str = "") -> str:
             f"{result['control'] / messages:.2f}; repro.subtransport per "
             f"{what} {per(result, 'messages', 'repro.subtransport'):.2f}"
         )
+    if "engine" in result:
+        lines.append("; ".join(
+            f"{name} per {what} {count / messages:.1f}"
+            for name, count in result["engine"].items()
+        ))
     return "\n".join(lines)
 
 
@@ -292,6 +336,9 @@ def main(argv=None) -> int:
         print(f"\n# recover: one supervised ST session on a trusted Ethernet, "
               f"segment down {RECOVER_DOWN_S} s per round")
         print(table(recover(args.rounds, args.seed), "recovery", "recoveries"))
+        print("\n# flap: grid_churn's cycle, one trunk of the 216-host grid "
+              "down and up")
+        print(table(flap(args.rounds, args.seed), "flap"))
     return 0
 
 

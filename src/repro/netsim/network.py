@@ -481,14 +481,13 @@ class Network:
 
     def _fail_rms_on_route(self, dead_node_pair: Tuple[str, str], reason: str) -> None:
         """Fail every RMS whose route crosses the given adjacent pair."""
+        u, v = dead_node_pair
+        dead = {(u, v), (v, u)}
         for rms in list(self._rms_table.values()):
             route = rms.route
-            for i in range(len(route) - 1):
-                hop = (route[i], route[i + 1])
-                if hop == dead_node_pair or hop == dead_node_pair[::-1]:
-                    self._release(rms)
-                    rms.fail(reason)
-                    break
+            if not dead.isdisjoint(zip(route, route[1:])):
+                self._release(rms)
+                rms.fail(reason)
 
     def fail_all(self, reason: str = "network failure") -> None:
         """Fail every RMS on this network (e.g. the segment went down)."""

@@ -34,6 +34,16 @@ This module amortizes and scopes that work:
   under flaps (e2e ``grid_churn``, seed 3): 139 tables per flap from
   23 searches instead of 139; 3,344 -> 8,426 msgs/s.
 
+* **A compiled neighbour view** -- the search walks, per node, a tuple
+  of ``(neighbor, link, weight, relays)`` built from the network's
+  adjacency, links and static weights on first use and dropped by
+  ``invalidate_all`` (which every ``add_link`` calls), so an edge costs
+  a tuple unpack where it cost an edge-tuple build, three dict probes
+  and an ``is_up`` property call.  Only what changes with the topology
+  is frozen; each link's up flag is read live as its edge is relaxed,
+  so a search run after ``set_down`` flipped it but before the
+  ``on_down`` listeners ran sees it down.
+
 * **Compiled route plans** -- per (src, dst) a `RoutePlan` freezes the
   resolved `Link` sequence, the admission pools along it, the path
   profile (fixed and per-byte delay), and one pre-built deliver
@@ -264,6 +274,9 @@ class ForwardingEngine:
         self._pathsets: Dict[Tuple[str, str], PathSet] = {}
         #: Shared leaf searches by (gateway, distance at the gateway).
         self._search_memo: Dict[Tuple[str, float], tuple] = {}
+        #: The compiled neighbour view ``_search`` walks; built on first
+        #: use and dropped by ``invalidate_all``.
+        self._view: Optional[Dict[str, tuple]] = None
         #: Reverse indexes, maintained only once churn has been seen
         #: (the fixed-topology fast path skips this bookkeeping).  Plan
         #: and path-set buckets are insertion-ordered dicts keyed by the
@@ -307,7 +320,25 @@ class ForwardingEngine:
             return table
         return self._build_table(src)
 
-    def _search(self, root: str, d0: float):
+    def _compile_view(self) -> Dict[str, tuple]:
+        # Per node, ``(neighbor, link, weight, relays)`` for each edge
+        # out of it, in adjacency order; ``relays``: the neighbour has
+        # degree > 1.  Only ``add_link`` changes any of it; the up state
+        # is left out (module docstring).
+        network = self.network
+        adjacency = network._adjacency
+        links = network._links
+        weights = network._weights
+        return {
+            node: tuple(
+                (neighbor, links[(node, neighbor)], weights[(node, neighbor)],
+                 len(adjacency[neighbor]) > 1)
+                for neighbor in neighbors
+            )
+            for node, neighbors in adjacency.items()
+        }
+
+    def _search(self, view: Dict[str, tuple], root: str, d0: float):
         # One full-run Dijkstra from ``root`` at distance ``d0``:
         # identical float operations, relaxation order, and tie-breaking
         # as the per-pair reference search, minus the early exit and the
@@ -315,52 +346,51 @@ class ForwardingEngine:
         # Under ECMP the only extra work is the equal-cost bookkeeping:
         # a strict improvement resets preds[v], an exact tie appends, so
         # preds[v][0] is always the canonical tree predecessor.
-        network = self.network
-        links = network._links
-        weights = network._weights
-        adjacency = network._adjacency
         distances: Dict[str, float] = {root: d0}
         previous: Dict[str, str] = {}
         preds: Optional[Dict[str, List[str]]] = {} if self.ecmp else None
         heap: List[Tuple[float, str]] = [(d0, root)]
         visited: Set[str] = set()
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         inf = float("inf")
         while heap:
-            dist, node = heapq.heappop(heap)
+            dist, node = heappop(heap)
             if node in visited:
                 continue
             visited.add(node)
-            for neighbor in adjacency.get(node, ()):
-                edge = (node, neighbor)
-                if not links[edge].is_up:
+            for neighbor, link, weight, relays in view.get(node, ()):
+                if not link._up:
                     continue
-                candidate = dist + weights[edge]
+                candidate = dist + weight
                 best = distances.get(neighbor, inf)
                 if candidate < best:
                     distances[neighbor] = candidate
                     previous[neighbor] = node
                     if preds is not None:
                         preds[neighbor] = [node]
-                    if len(adjacency[neighbor]) > 1:
-                        heapq.heappush(heap, (candidate, neighbor))
+                    if relays:
+                        heappush(heap, (candidate, neighbor))
                 elif preds is not None and candidate == best:
                     preds[neighbor].append(node)
         self.searches += 1
-        network.route_resolutions += 1
+        self.network.route_resolutions += 1
         return distances, previous, preds
 
     def _build_table(self, src: str) -> ForwardingTable:
-        network = self.network
-        neighbors = network._adjacency.get(src, ())
-        if len(neighbors) == 1 and network._links[(src, neighbors[0])].is_up:
+        view = self._view
+        if view is None:
+            view = self._view = self._compile_view()
+        edges = view.get(src, ())
+        if len(edges) == 1 and edges[0][1]._up:
             # A leaf shares its gateway's search with its siblings and
             # takes a copy with three fix-ups; preds lists are copied
             # too, because DAG pruning mutates them in place.
-            gateway = neighbors[0]
-            key = (gateway, network._weights[(src, gateway)])
+            gateway, _link, weight, _relays = edges[0]
+            key = (gateway, weight)
             shared = self._search_memo.get(key)
             if shared is None:
-                shared = self._search_memo[key] = self._search(*key)
+                shared = self._search_memo[key] = self._search(view, *key)
                 if self._track:
                     self._file_search(key, shared[1], shared[2])
             distances, previous, preds = dict(shared[0]), dict(shared[1]), shared[2]
@@ -377,7 +407,7 @@ class ForwardingEngine:
                 self._search_leaves.setdefault(key, set()).add(src)
                 self._edge_tables.setdefault((src, gateway), set()).add(src)
         else:
-            distances, previous, preds = self._search(src, 0.0)
+            distances, previous, preds = self._search(view, src, 0.0)
             if self._track:
                 self._file_search(src, previous, preds)
         table = ForwardingTable(src, distances, previous, self.epoch, preds)
@@ -615,6 +645,7 @@ class ForwardingEngine:
         self._tables.clear()
         self._pathsets.clear()
         self._search_memo.clear()
+        self._view = None
         self._edge_tables.clear()
         self._search_leaves.clear()
         for index in self._object_indexes:

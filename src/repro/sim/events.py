@@ -466,10 +466,10 @@ TIMER_FAMILIES = {
 class TimerGroup:
     """Many logical deadlines coalesced onto one rearming loop timer.
 
-    Protocol layers that keep one deadline per pending message
-    (piggyback flushes, control-request retransmissions, RKOM call
-    timeouts, supervisor retries) would otherwise schedule and cancel a
-    loop timer per message.  A group keeps those deadlines in its own
+    Protocol layers that keep one deadline per pending message (an ST
+    peer's piggyback flushes and control-request retries, RKOM call
+    timeouts) would otherwise schedule and cancel a loop timer per
+    message.  A group keeps those deadlines in its own
     ``(time, seq)`` heap and arms a *single* loop timer at the earliest
     live deadline, rearming only when the front changes -- so loop-timer
     churn is O(groups), not O(messages), while every callback still runs

@@ -18,7 +18,13 @@ arm coming back shows here.  (History: 61 / 216 before PR 20; PR 22
 split the control plane out at 1,159 / 836 per stream.)  The ``recover``
 budget, 916.5 frames per recovery of a supervised ST session, is the
 count of the tree before the establishment loop became one path for
-every session kind; it may not rise.
+every session kind; it may not rise.  The ``flap`` budget is
+``grid_churn``'s flap cycle: its four forwarding-engine work counts must
+equal, per flap, those of the tree before ``_search`` walked a compiled
+neighbour view (26 searches, 156 table builds, 156 scoped table drops,
+14 plan compiles), and its frames may not rise above that tree's 61,519
+per flap (52,627 after: the ``Link.is_up`` property frames of the
+search's edge tests are gone).
 
 The two ``observed`` budgets hold what ``observe=True`` adds (PR 23: the
 metrics registry reads the layers' counters on demand instead of being
@@ -70,6 +76,22 @@ def setup(request):
 @pytest.fixture(scope="module")
 def recover():
     return call_budget.recover(rounds=2)
+
+
+@pytest.fixture(scope="module")
+def flap():
+    return call_budget.flap(rounds=2)
+
+
+def test_flap_does_the_same_routing_work_for_fewer_frames(flap):
+    assert flap["messages"] == 2
+    assert flap["engine"] == {
+        "searches": 2 * 26, "table_builds": 2 * 156,
+        "scoped_table_drops": 2 * 156, "plan_compiles": 2 * 14,
+    }
+    assert call_budget.per(flap, "messages") <= 61519
+    assert call_budget.flap(rounds=2) == flap
+    assert "searches per flap 26.0" in call_budget.table(flap, "flap")
 
 
 def test_total_frames_and_control_messages_per_recovery(recover):

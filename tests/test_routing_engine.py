@@ -10,12 +10,13 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.message import Label
+from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import RoutingError
 from repro.netsim.admission import NULL_POOLS
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.internet import InternetNetwork
+from repro.netsim.packet import Frame
 from repro.netsim.topology import Host, build_grid
 from repro.sim.context import SimContext
 from tests.routing_reference import (
@@ -492,3 +493,162 @@ class TestPlanDatapath:
         assert rms.plan is None
         rms.route = ["a", "b"]
         assert rms.plan is None
+
+
+def all_routes(network):
+    """Every host pair's route, as ``route_between`` resolves it (None
+    where there is none)."""
+    routes = {}
+    for src in sorted(network.hosts):
+        for dst in sorted(network.hosts):
+            try:
+                routes[src, dst] = list(network.route_between(src, dst))
+            except RoutingError:
+                routes[src, dst] = None
+    return routes
+
+
+def reference_routes(network):
+    return {
+        (src, dst): reference_route(network, src, dst)
+        for src in sorted(network.hosts) for dst in sorted(network.hosts)
+    }
+
+
+class TestNeighbourViewIsLive:
+    """``_search`` walks a compiled per-node neighbour view.  What it
+    freezes (neighbour, link, weight, whether the neighbour relays) may
+    only change in ``add_link``; the up state it must read live."""
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_links_added_after_tables_exist_are_routed_over(self, tracking):
+        context, network = two_region_network()
+        if tracking:
+            network.link("g1", "g2").set_down()
+            network.link("g1", "g2").set_up()
+        network.add_router("g5")
+        network.add_link("g4", "g5", bandwidth=1e5, propagation_delay=1e-4)
+        context.run(until=context.now + 0.5)
+        # g5 is a leaf router here: it relays nothing, h2 is unreachable
+        # from region 2.
+        assert all_routes(network) == reference_routes(network)
+        assert network.route_between("h1", "h2") == ["h1", "g1", "g2", "h2"]
+        assert not network.can_reach("h3", "h2")
+        # Mid-run growth: g5 becomes a relay and a fast h1 -- g5 link
+        # undercuts the g1 -- g2 trunk.
+        network.add_link("g5", "g2", bandwidth=1e5, propagation_delay=1e-4)
+        network.add_link("h1", "g5", bandwidth=1e5, propagation_delay=1e-4)
+        context.run(until=context.now + 0.5)
+        assert network.route_between("h1", "h2") == ["h1", "g5", "g2", "h2"]
+        assert network.route_between("h3", "h2") == ["h3", "g4", "g5", "g2",
+                                                     "h2"]
+        assert all_routes(network) == reference_routes(network)
+        network.link("g5", "g2").set_down()
+        assert all_routes(network) == reference_routes(network)
+        assert network.route_between("h1", "h2") == ["h1", "g1", "g2", "h2"]
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_a_search_from_a_drop_callback_sees_the_link_down(self, tracking):
+        # Link.set_down flips the flag, drains its queue through each
+        # frame's on_drop, and only then fires on_down (whose engine
+        # listener drops cached tables).  A search run from on_drop, in
+        # between, must already route around the link.
+        context, network = two_region_network()
+        engine = network._engine
+        if tracking:
+            network.link("g1", "g2").set_down()
+            network.link("g1", "g2").set_up()
+        network.route_between("h3", "h4")  # a search ran; h1 has no table
+        assert "h1" not in engine._tables
+        trunk = network.link("g1", "g2")
+        seen = []
+
+        def on_drop(frame, reason):
+            invalidations = engine.full_invalidations
+            searches = engine.searches
+            seen.append((
+                reason,
+                list(network.route_between("h1", "h2")),
+                reference_route(network, "h1", "h2"),
+                engine.searches - searches,
+                engine.full_invalidations - invalidations,
+            ))
+
+        for _ in range(3):  # one transmitting, two queued
+            trunk.transmit(
+                Frame(message=Message(bytes(100)), src_host="h1",
+                      dst_host="h2", rms_id=0),
+                deliver=lambda frame: None, on_drop=on_drop)
+        assert trunk.queue_length == 2
+        trunk.set_down()
+        bypass = ["h1", "g3", "h2"]
+        assert seen[0] == ("link down", bypass, bypass, 1, 0)
+        assert seen[1] == ("link down", bypass, bypass, 0, 0)  # cached
+        assert network.route_between("h1", "h2") == bypass
+
+
+def crossing_network():
+    """a -- b directly (slow) and a -- g -- b (fast): the direct link is
+    an edge a route over g visits both ends of without crossing."""
+    context = SimContext(seed=3)
+    network = InternetNetwork(context, trusted=True)
+    for name in ("a", "b", "c"):
+        network.attach(Host(context, name))
+    network.add_router("g")
+    network.add_link("a", "b", bandwidth=1e5, propagation_delay=0.05)
+    network.add_link("a", "g", bandwidth=1e5, propagation_delay=1e-3)
+    network.add_link("g", "b", bandwidth=1e5, propagation_delay=1e-3)
+    network.add_link("g", "c", bandwidth=1e5, propagation_delay=1e-3)
+    return context, network
+
+
+class TestLinkDownFailsCrossingRms:
+    """``_fail_rms_on_route``: a downed simplex link (u, v) fails every
+    RMS whose route has u, v adjacent, in either order -- and no other --
+    in ``_rms_table`` order."""
+
+    def open(self, context, network, src, dst, route=None):
+        params = best_effort()
+        future = network.create_rms(Label(src), Label(dst), params, params)
+        context.run(until=context.now + 1.0)
+        rms = future.result()
+        if route is not None:
+            rms.route = route
+        failures = []
+        rms.on_failure.listen(lambda r, reason: failures.append(reason))
+        return rms, failures
+
+    def test_either_direction_fails_and_a_non_adjacent_visit_survives(self):
+        context, network = crossing_network()
+        forward, forward_failed = self.open(context, network, "a", "b",
+                                            ["a", "b"])
+        backward, backward_failed = self.open(context, network, "b", "a",
+                                              ["b", "a"])
+        # Visits a and b, never one right after the other.
+        detour, detour_failed = self.open(context, network, "a", "b",
+                                          ["a", "g", "b"])
+        assert detour.route == ["a", "g", "b"]
+        looped, looped_failed = self.open(context, network, "b", "c",
+                                          ["b", "g", "a", "g", "c"])
+        network.link("a", "b").set_down()
+        assert forward_failed == backward_failed == ["link a->b down"]
+        assert detour_failed == looped_failed == []
+        assert forward.rms_id not in network._rms_table
+        assert backward.rms_id not in network._rms_table
+        assert {detour.rms_id, looped.rms_id} <= set(network._rms_table)
+
+    def test_failures_fire_in_rms_table_order(self):
+        context, network = crossing_network()
+        order = []
+        specs = [("b", "a", ["b", "a"]), ("a", "c", ["a", "g", "c"]),
+                 ("a", "b", ["a", "b"]), ("c", "a", ["c", "g", "b", "a"]),
+                 ("a", "b", ["a", "g", "b"]), ("b", "c", ["b", "a", "g", "c"])]
+        for src, dst, route in specs:
+            rms, _ = self.open(context, network, src, dst, route)
+            rms.on_failure.listen(lambda r, reason: order.append(r.rms_id))
+        crossing = [rms.rms_id for rms in network._rms_table.values()
+                    if {("a", "b"), ("b", "a")} & set(zip(rms.route,
+                                                          rms.route[1:]))]
+        assert len(crossing) == 4
+        network.link("b", "a").set_down()
+        assert order == crossing
