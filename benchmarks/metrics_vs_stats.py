@@ -246,9 +246,9 @@ def native_view(built: List[Any]):
             key = _key(host=obj.st.host.name)
             for name in RKOM_FIELDS:
                 counters[f"rkom_{name}"][key] += getattr(obj.stats, name)
-            if hasattr(obj.stats, "channel_failures"):
-                counters["rkom_channel_failures"][key] += (
-                    obj.stats.channel_failures)
+            for name in ("channel_failures", "stray_replies"):
+                if hasattr(obj.stats, name):
+                    counters[f"rkom_{name}"][key] += getattr(obj.stats, name)
         elif isinstance(obj, MECHANISMS):
             counters["fc_sends_delayed"][
                 _key(mechanism=obj.mechanism)] += obj.sends_delayed

@@ -580,8 +580,9 @@ class RkomSession(Session):
     ) -> Future:
         if self.state is SessionState.CLOSED:
             raise TransportError(f"session {self.name} is closed")
+        handle = self.rkom.call(self.peer_host, op, payload, timeout=timeout)
         self.stats.messages_sent += 1
-        return self.rkom.call(self.peer_host, op, payload, timeout=timeout)
+        return handle
 
     def send(self, payload: bytes) -> Future:
         """Fire a call to the conventional ``send`` operation."""

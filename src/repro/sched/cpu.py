@@ -5,7 +5,9 @@ stages (send protocol processing, ST delay, network delay, receive
 protocol processing).  Each piece of protocol work submitted to a
 :class:`HostCpu` carries the deadline of its stage; the CPU executes one
 work item at a time and picks the next by the configured policy (EDF by
-default, FIFO/priority for the ablation benchmarks).
+default, FIFO/priority for the ablation benchmarks).  A work item is a
+plain tuple in the CPU's ready heap; :class:`WorkItem` is only the
+record ``HostCpu.keep_history`` keeps of a finished one.
 
 Protocol CPU costs are linear in message size, parameterized by a
 :class:`CpuCostModel` so experiments can charge realistic relative costs
@@ -62,52 +64,28 @@ class CpuCostModel:
         return cost
 
 
+@dataclass(frozen=True, slots=True)
 class WorkItem:
-    """One unit of protocol processing queued on a CPU.
+    """What :attr:`HostCpu.completed` records of one finished work item.
 
-    ``args`` are the positional arguments for ``callback`` -- the ST
-    passes the stage state here instead of closing over it in a lambda.
-    ``owner`` is the context-switch accounting owner: ``None`` means
-    "derive from the name prefix" (everything before the first ``/``);
-    the ST passes it explicitly to skip the per-dispatch string split.
-    ``trace_id`` is the observability span, if the work item carries one
-    message's protocol stage.
+    A queued or running item is a plain tuple (see :class:`HostCpu`);
+    this record is built only while ``keep_history`` is set.  ``owner``
+    is the context-switch accounting owner as submitted (``None`` means
+    "derived from the name prefix"); ``trace_id`` is the observability
+    span, if the item carried one message's protocol stage.
     """
 
-    __slots__ = ("name", "cpu_time", "deadline", "callback", "args", "owner",
-                 "priority", "submitted_at", "started_at", "finished_at",
-                 "trace_id")
-
-    def __init__(
-        self,
-        name: str,
-        cpu_time: float,
-        deadline: float,
-        callback: Callable[..., None],
-        args: Tuple[Any, ...] = (),
-        owner: Optional[str] = None,
-        priority: int = 0,
-        submitted_at: float = 0.0,
-        started_at: Optional[float] = None,
-        finished_at: Optional[float] = None,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self.cpu_time = cpu_time
-        self.deadline = deadline
-        self.callback = callback
-        self.args = args
-        self.owner = owner
-        self.priority = priority
-        self.submitted_at = submitted_at
-        self.started_at = started_at
-        self.finished_at = finished_at
-        self.trace_id = trace_id
+    name: str
+    cpu_time: float
+    deadline: float
+    owner: Optional[str]
+    trace_id: Optional[int]
+    submitted_at: float
+    started_at: float
+    finished_at: float
 
     @property
-    def missed_deadline(self) -> Optional[bool]:
-        if self.finished_at is None:
-            return None
+    def missed_deadline(self) -> bool:
         return self.finished_at > self.deadline + 1e-12
 
 
@@ -128,8 +106,12 @@ class HostCpu:
     different ``owner`` names, modeling the protocol-process context
     switching that section 4.3 trades off against fragmentation.
 
-    An item costs two bodies, :meth:`submit` and ``_finish``, which push
-    and pop the stable ``(key, seq, item)`` heap themselves (DESIGN 8.3).
+    A work item is the tuple ``(name, cpu_time, deadline, callback, args,
+    owner, trace_id, submitted_at)``: no object is built per item.  An
+    item costs two bodies, :meth:`submit` and ``_finish``, which push and
+    pop the stable ``(key, seq, item)`` heap themselves (DESIGN 8.3).
+    ``_busy`` is the running item (``None`` while idle) and
+    ``_started_at`` the time it started.
     """
 
     def __init__(
@@ -143,11 +125,12 @@ class HostCpu:
         self.context = context
         self.name = name
         self.costs = cost_model or CpuCostModel()
-        self._ready: List[Tuple[Any, int, WorkItem]] = []
+        self._ready: List[Tuple[Any, int, tuple]] = []
         self._key_slot = key_slot(policy)
         self._seq = itertools.count()
         self.policy = policy
-        self._busy = False
+        self._busy: Optional[tuple] = None
+        self._started_at = 0.0
         self._paused = False
         self._last_owner: Optional[str] = None
         self._charge_switches = charge_context_switches
@@ -173,14 +156,14 @@ class HostCpu:
         owner: Optional[str] = None,
         priority: int = 0,
         trace_id: Optional[int] = None,
-    ) -> WorkItem:
+    ) -> None:
         """Queue one work item; ``callback(*args)`` runs when it completes.
 
         The stage state travels in ``args`` (no closure allocation) and
         ``owner`` skips the name split at dispatch.
         """
-        item = WorkItem(name, cpu_time, deadline, callback, args, owner,
-                        priority, self.context.loop._now, trace_id=trace_id)
+        item = (name, cpu_time, deadline, callback, args, owner, trace_id,
+                self.context.loop._now)
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
@@ -196,7 +179,6 @@ class HostCpu:
             # An idle CPU starts its only item directly and draws no
             # sequence number (any policy pops a singleton identically).
             self._begin(item)
-        return item
 
     @property
     def queue_length(self) -> int:
@@ -222,14 +204,14 @@ class HostCpu:
         if self._ready and not self._busy:
             self._begin(heappop(self._ready)[2])
 
-    def _begin(self, item: WorkItem) -> None:
+    def _begin(self, item: tuple) -> None:
         context = self.context
-        self._busy = True
-        item.started_at = context.loop._now
-        owner = item.owner
+        self._busy = item
+        self._started_at = context.loop._now
+        owner = item[5]
         if owner is None:
-            owner = item.name.split("/", 1)[0]
-        run_time = item.cpu_time
+            owner = item[0].split("/", 1)[0]
+        run_time = item[1]
         if self._charge_switches and owner != self._last_owner:
             run_time += self.costs.per_context_switch
             self.context_switches += 1
@@ -237,33 +219,34 @@ class HostCpu:
         obs = context.obs
         if obs.enabled:
             obs.spans.event(
-                item.trace_id, "cpu", "dequeue", cpu=self.name, item=item.name
+                item[6], "cpu", "dequeue", cpu=self.name, item=item[0]
             )
         context.loop.call_after(run_time, self._finish, item, run_time)
 
-    def _finish(self, item: WorkItem, run_time: float) -> None:
+    def _finish(self, item: tuple, run_time: float) -> None:
+        (name, cpu_time, deadline, callback, args, owner, trace_id,
+         submitted_at) = item
         context = self.context
         now = context.loop._now
-        item.finished_at = now
-        self._busy = False
+        self._busy = None
         self.items_run += 1
         self.busy_time += run_time
-        missed = now > item.deadline + 1e-12
+        missed = now > deadline + 1e-12
         if missed:
             self.deadline_misses += 1
         if self.keep_history:
-            self.completed.append(item)
+            self.completed.append(WorkItem(
+                name, cpu_time, deadline, owner, trace_id, submitted_at,
+                self._started_at, now))
         obs = context.obs
         if obs.enabled:
-            self.queue_wait.observe(
-                (item.started_at or item.submitted_at) - item.submitted_at
-            )
+            self.queue_wait.observe(self._started_at - submitted_at)
             obs.spans.event(
-                item.trace_id, "cpu", "done",
-                cpu=self.name, item=item.name, missed=missed,
+                trace_id, "cpu", "done",
+                cpu=self.name, item=name, missed=missed,
             )
         try:
-            item.callback(*item.args)
+            callback(*args)
         finally:
             # Also when the callback raises: the backlog must not wait for
             # a submit that may never come.  The callback may itself have

@@ -15,13 +15,19 @@ peer's service when it first replies.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
-from repro.errors import RkomTimeoutError, RmsFailedError, TransportError
+from repro.errors import (
+    ParameterError,
+    RkomTimeoutError,
+    RmsFailedError,
+    TransportError,
+)
 from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import TIMER_FAMILIES, GroupTimer, Signal, TimerGroup
@@ -65,6 +71,7 @@ class RkomStats:
     duplicate_requests: int = 0
     requests_served: int = 0
     channel_failures: int = 0  # ready channels lost to an RMS failure
+    stray_replies: int = 0  # replies from a host other than the one called
 
 
 _FAMILIES = families("rkom", RkomStats)
@@ -140,17 +147,28 @@ class _CallRecord:
 
 
 class _Channel:
-    """The outbound half of an RKOM channel to one peer."""
+    """The outbound half of an RKOM channel to one peer (one per peer,
+    reused by every incarnation)."""
+
+    __slots__ = ("low", "high", "state", "waiters")
 
     def __init__(self) -> None:
         self.low: Optional[StRms] = None
         self.high: Optional[StRms] = None
         self.state = "none"  # none | creating | ready
-        self.waiters: list = []
+        #: ``(routine, args)`` to run again once the channel is ready
+        self.waiters: List[Tuple[Callable[..., None], tuple]] = []
 
 
 class RkomService:
-    """Request/reply communication for one host."""
+    """Request/reply communication for one host.
+
+    Every frame leaves through one routine per kind: :meth:`_send_request`
+    for a call's request, :meth:`_send` for a reply or an ack.  Each sends
+    at once on a ready channel; otherwise it hands itself and its
+    arguments to :meth:`_with_channel`, which runs it again once the
+    channel is up.
+    """
 
     def __init__(
         self,
@@ -203,19 +221,28 @@ class RkomService:
 
         Returns a :class:`CallHandle` -- a :class:`Future` resolving to
         the reply bytes, with ``.cancel()`` and ``.elapsed`` on top.
+        ``timeout`` is the first retransmission timeout (``None``: the
+        configured ``request_timeout``); anything but a positive finite
+        number raises :class:`ParameterError` before the call is made.
         """
+        if timeout is None:
+            timeout = self.config.request_timeout
+        elif not 0.0 < timeout < math.inf:
+            raise ParameterError(
+                f"RKOM call timeout must be positive and finite, not {timeout!r}"
+            )
         request_id = next(_request_ids)
         op_bytes = self._op_cache.get(op)
         if op_bytes is None:
             op_bytes = self._op_cache[op] = op.encode("utf-8")
-        handle = CallHandle(self, request_id, self.context.now)
+        handle = CallHandle(self, request_id, self.context.loop._now)
         record = _CallRecord(
             handle,
             _HEADER.pack(_KIND_REQUEST, request_id, len(op_bytes))
             + op_bytes
             + payload,
             peer_host,
-            timeout or self.config.request_timeout,
+            timeout,
         )
         self._pending[request_id] = record
         self.stats.calls += 1
@@ -226,9 +253,7 @@ class RkomService:
                 record.trace_id, "rkom", "call",
                 host=self.st.host.name, peer=peer_host, op=op,
             )
-        self._with_channel(
-            peer_host, lambda channel: self._send_request(request_id, channel)
-        )
+        self._send_request(request_id, True)
         return handle
 
     def _cancel_call(self, request_id: int, handle: CallHandle) -> None:
@@ -242,20 +267,26 @@ class RkomService:
             peer = record.peer
         handle.set_exception(TransportError(f"RKOM call to {peer} cancelled"))
 
-    def _send_request(self, request_id: int, channel: _Channel) -> None:
+    def _send_request(self, request_id: int, first: bool) -> None:
+        """Send a waiting call's request: the first on the low-delay RMS,
+        arming the call's timer; a retransmission on the high-delay one."""
         record = self._pending.get(request_id)
         if record is None:
+            return  # resolved while its channel was being created
+        channel = self._channels.get(record.peer)
+        if channel is None or channel.state != "ready":
+            self._with_channel(record.peer, self._send_request, request_id, first)
             return
-        # Initial requests ride the low-delay RMS.
         try:
-            channel.low.send(record.frame)
+            (channel.low if first else channel.high).send(record.frame)
         except RmsFailedError:
-            # The channel died between "ready" and this action running;
-            # the timeout path re-establishes it and retransmits.
+            # The channel died between "ready" and this send; the timeout
+            # path re-establishes it and retransmits.
             pass
-        record.timer = self._timers.call_after(
-            record.timeout, self._timeout_fired, request_id
-        )
+        if first:
+            record.timer = self._timers.call_after(
+                record.timeout, self._timeout_fired, request_id
+            )
 
     def _timeout_fired(self, request_id: int) -> None:
         record = self._pending.get(request_id)
@@ -284,35 +315,42 @@ class RkomService:
                 record.trace_id, "rkom", "retransmit",
                 host=self.st.host.name, attempt=record.retries,
             )
-        channel = self._channels.get(record.peer)
-        if channel is not None and channel.state == "ready":
-            # Retransmissions ride the high-delay RMS.
-            try:
-                channel.high.send(record.frame)
-            except RmsFailedError:
-                pass  # the failure listener resets the channel; see below
-        else:
-            # The channel died (or never finished); re-establish it and
-            # retransmit through the fresh one if the call still waits.
-            self._with_channel(
-                record.peer,
-                lambda ch, rid=request_id: self._resend_if_pending(rid, ch),
-            )
+        # A channel that died (or never finished) is re-established and
+        # the retransmission goes through the fresh one if the call still
+        # waits then.
+        self._send_request(request_id, False)
         record.timeout *= self.config.backoff
         record.timer = self._timers.call_after(
             record.timeout, self._timeout_fired, request_id
         )
 
+    def _send(self, peer_host: str, frame: bytes, high: bool) -> None:
+        """Send a reply (low-delay RMS; high-delay when re-served) or an
+        ack (high-delay RMS) to ``peer_host``."""
+        channel = self._channels.get(peer_host)
+        if channel is None or channel.state != "ready":
+            self._with_channel(peer_host, self._send, peer_host, frame, high)
+            return
+        try:
+            (channel.high if high else channel.low).send(frame)
+        except RmsFailedError:
+            # A lost reply is asked for again and re-served from the
+            # cache; a lost ack leaves its cache entry to the trim.
+            pass
+
     # ------------------------------------------------------------------
     # Channel management
     # ------------------------------------------------------------------
 
-    def _with_channel(self, peer_host: str, action: Callable[[_Channel], None]) -> None:
-        channel = self._channels.setdefault(peer_host, _Channel())
-        if channel.state == "ready":
-            action(channel)
-            return
-        channel.waiters.append(action)
+    def _with_channel(
+        self, peer_host: str, routine: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``routine(*args)`` again once the channel to ``peer_host``
+        is ready, creating the channel unless that is under way."""
+        channel = self._channels.get(peer_host)
+        if channel is None:
+            channel = self._channels[peer_host] = _Channel()
+        channel.waiters.append((routine, args))
         if channel.state == "creating":
             return
         channel.state = "creating"
@@ -378,31 +416,24 @@ class RkomService:
         channel.state = "ready"
         for rms in (channel.low, channel.high):
             rms.on_failure.listen(
-                lambda _rms, reason, p=peer_host, c=channel:
-                    self._channel_failed(p, c, reason)
+                lambda failed, _reason, p=peer_host, c=channel:
+                    self._channel_failed(p, c, failed)
             )
         self.on_channel_event.fire(peer_host, "ready")
-        for action in waiters:
-            action(channel)
+        for routine, args in waiters:
+            routine(*args)
 
-    def _resend_if_pending(self, request_id: int, channel: _Channel) -> None:
-        record = self._pending.get(request_id)
-        if record is None:
-            return
-        try:
-            channel.high.send(record.frame)
-        except RmsFailedError:
-            pass
-
-    def _channel_failed(self, peer_host: str, channel: _Channel, reason: str) -> None:
-        """An RMS of a ready channel failed: forget the channel.
+    def _channel_failed(self, peer_host: str, channel: _Channel, rms: StRms) -> None:
+        """An RMS of the ready channel failed: forget the channel.
 
         Pending calls keep their retransmission timers; the next timeout
         re-establishes the channel and retransmits, so a transient
-        network outage costs retries rather than failed calls.
+        network outage costs retries rather than failed calls.  An RMS
+        of an earlier incarnation of the channel changes nothing.
         """
-        current = self._channels.get(peer_host)
-        if current is not channel or channel.state != "ready":
+        if channel.state != "ready" or (
+            rms is not channel.low and rms is not channel.high
+        ):
             return
         channel.state = "none"
         channel.low = None
@@ -411,7 +442,7 @@ class RkomService:
         self.on_channel_event.fire(peer_host, "failed")
 
     # ------------------------------------------------------------------
-    # Server side
+    # Both sides: the port handler
     # ------------------------------------------------------------------
 
     def _arrived(self, message) -> None:
@@ -422,13 +453,49 @@ class RkomService:
         body = data[_HEADER.size :]
         source_host = message.source.host if message.source else ""
         if kind == _KIND_REQUEST:
-            op = body[:op_length].decode("utf-8", errors="replace")
-            payload = body[op_length:]
-            self._serve(source_host, request_id, op, payload)
+            # Server side: execute once, answer duplicates from the cache.
+            key = (source_host, request_id)
+            served = self._served
+            if key in served:
+                self.stats.duplicate_requests += 1
+                reply = served[key]
+                if reply is not None:
+                    # Retransmitted replies ride the high-delay RMS.
+                    self._send(
+                        source_host,
+                        _HEADER.pack(_KIND_REPLY, request_id, 0) + reply,
+                        True,
+                    )
+                return
+            handler = self.handlers.get(
+                body[:op_length].decode("utf-8", errors="replace")
+            )
+            if handler is None:
+                reply = served[key] = b""
+            else:
+                served[key] = None  # in progress
+                while len(served) > self.config.reply_cache_size:
+                    served.popitem(last=False)
+                self.stats.requests_served += 1
+                result = handler(body[op_length:], source_host)
+                if isinstance(result, Future):
+                    result.add_done_callback(
+                        lambda f: self._reply_ready(source_host, request_id, f)
+                    )
+                    return
+                reply = served[key] = bytes(result)
+            self._send(
+                source_host, _HEADER.pack(_KIND_REPLY, request_id, 0) + reply, False
+            )
         elif kind == _KIND_REPLY:
-            record = self._pending.pop(request_id, None)
+            record = self._pending.get(request_id)
             if record is None:
                 return
+            if record.peer != source_host:
+                # Only the called peer can answer; the call keeps waiting.
+                self.stats.stray_replies += 1
+                return
+            del self._pending[request_id]
             if record.timer is not None:
                 record.timer.cancel()
             self.stats.replies += 1
@@ -439,73 +506,16 @@ class RkomService:
                     host=self.st.host.name, peer=source_host,
                 )
             record.handle.set_result(body)
-            self._send_ack(source_host, request_id)
+            self._send(source_host, _HEADER.pack(_KIND_ACK, request_id, 0), True)
         elif kind == _KIND_ACK:
             self._served.pop((source_host, request_id), None)
 
-    def _serve(self, source_host: str, request_id: int, op: str, payload: bytes) -> None:
-        key = (source_host, request_id)
-        if key in self._served:
-            self.stats.duplicate_requests += 1
-            cached = self._served[key]
-            if cached is not None:
-                # Retransmitted replies ride the high-delay RMS.
-                self._send_reply(source_host, request_id, cached, retransmit=True)
-            return
-        handler = self.handlers.get(op)
-        if handler is None:
-            self._served[key] = b""
-            self._send_reply(source_host, request_id, b"", retransmit=False)
-            return
-        self._served[key] = None  # in progress
-        self._trim_cache()
-        self.stats.requests_served += 1
-        result = handler(payload, source_host)
-        if isinstance(result, Future):
-            result.add_done_callback(
-                lambda f: self._reply_ready(source_host, request_id, f)
-            )
-        else:
-            self._finish_serve(source_host, request_id, bytes(result))
-
     def _reply_ready(self, source_host: str, request_id: int, future: Future) -> None:
-        if future.failed:
-            self._finish_serve(source_host, request_id, b"")
-        else:
-            self._finish_serve(source_host, request_id, bytes(future.result()))
-
-    def _finish_serve(self, source_host: str, request_id: int, reply: bytes) -> None:
+        reply = b"" if future.failed else bytes(future.result())
         self._served[(source_host, request_id)] = reply
-        self._send_reply(source_host, request_id, reply, retransmit=False)
-
-    def _send_reply(
-        self, peer_host: str, request_id: int, reply: bytes, retransmit: bool
-    ) -> None:
-        frame = _HEADER.pack(_KIND_REPLY, request_id, 0) + reply
-
-        def send(channel: _Channel) -> None:
-            rms = channel.high if retransmit else channel.low
-            try:
-                rms.send(frame)
-            except RmsFailedError:
-                pass  # the client retransmits; the reply cache re-serves
-
-        self._with_channel(peer_host, send)
-
-    def _send_ack(self, peer_host: str, request_id: int) -> None:
-        frame = _HEADER.pack(_KIND_ACK, request_id, 0)
-
-        def send(channel: _Channel) -> None:
-            try:
-                channel.high.send(frame)
-            except RmsFailedError:
-                pass
-
-        self._with_channel(peer_host, send)
-
-    def _trim_cache(self) -> None:
-        while len(self._served) > self.config.reply_cache_size:
-            self._served.popitem(last=False)
+        self._send(
+            source_host, _HEADER.pack(_KIND_REPLY, request_id, 0) + reply, False
+        )
 
     def __repr__(self) -> str:
         return (

@@ -244,12 +244,13 @@ class TestHostCpuOracle:
         cpu.keep_history = True
         ref = ReferenceCpu(policy, cpu.costs.per_context_switch)
         names = itertools.count()
-        items = {}
+        submitted = []
 
         def submit(job):
             # Half the jobs leave the owner to the name prefix.
             explicit = int(job.name.split("/")[1]) % 2 == 0
-            items[job.name] = cpu.submit(
+            submitted.append(job.name)
+            cpu.submit(
                 job.name, job.cpu_time, job.deadline, completed, (job,),
                 owner=job.owner if explicit else None, priority=job.priority)
 
@@ -257,21 +258,34 @@ class TestHostCpuOracle:
             for child in job.children:
                 submit(child)
 
+        def seen():
+            """Per job name: (submitted, started, finished, missed), read
+            from the history, the running entry and the ready heap."""
+            jobs = {record.name: (record.submitted_at, record.started_at,
+                                  record.finished_at, record.missed_deadline)
+                    for record in cpu.completed}
+            if cpu._busy:
+                jobs[cpu._busy[0]] = (cpu._busy[7], cpu._started_at,
+                                      None, None)
+            for _key, _seq, item in cpu._ready:
+                jobs[item[0]] = (item[7], None, None, None)
+            return jobs
+
         def check():
             assert cpu.queue_length == len(ref.waiting)
-            assert cpu._busy == (ref.running is not None)
-            assert sorted((key, seq, item.name)
+            assert bool(cpu._busy) == (ref.running is not None)
+            assert sorted((key, seq, item[0])
                           for key, seq, item in cpu._ready) == ref.queued()
-            assert [item.name for item in cpu.completed] == [
+            assert [record.name for record in cpu.completed] == [
                 job.name for job in ref.done]
             assert (cpu.items_run, cpu.context_switches, cpu.busy_time,
                     cpu.deadline_misses) == (
                 len(ref.done), ref.context_switches, ref.busy_time, ref.misses)
             running = [ref.running] if ref.running else []
+            jobs = seen()
+            assert sorted(jobs) == sorted(submitted)
             for job in ref.done + running + ref.waiting:
-                item = items[job.name]
-                assert (item.submitted_at, item.started_at,
-                        item.finished_at, item.missed_deadline) == (
+                assert jobs[job.name] == (
                     job.submitted, job.started, job.finished, job.missed)
 
         for _ in range(80):
@@ -297,10 +311,10 @@ class TestHostCpuOracle:
         ref.run(float("inf"))
         check()
         assert cpu.queue_length == 0 and not cpu._busy
-        assert len(ref.done) == len(items) > 40
-        return [(item.name, item.submitted_at, item.started_at,
-                 item.finished_at, item.missed_deadline)
-                for item in cpu.completed]
+        assert len(ref.done) == len(submitted) > 40
+        return [(record.name, record.submitted_at, record.started_at,
+                 record.finished_at, record.missed_deadline)
+                for record in cpu.completed]
 
     @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
     @pytest.mark.parametrize("seed", range(6))

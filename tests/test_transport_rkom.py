@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import RkomTimeoutError
+from repro.errors import (
+    ParameterError, RkomTimeoutError, RmsFailedError, TransportError)
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
+from repro.sim.events import Signal
 from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
-from repro.transport.rkom import HIGH_PORT, LOW_PORT, RkomConfig, RkomService
+from repro import DashSystem
+from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.transport.rkom import (
+    _HEADER, _KIND_REPLY, HIGH_PORT, LOW_PORT, RkomConfig, RkomService)
+from tests.rkom_reference import STATS, payload_of, run_script
 
 
 def build(seed=42, **net_kwargs):
@@ -187,3 +197,380 @@ class TestRkomReliability:
         context.run(until=2.0)
         future.result()
         assert len(rkom_b._served) == 0  # ACK purged the cached reply
+
+
+class TestOnlyTheCalledPeerAnswers:
+    """A reply frame from a host other than the one called must not
+    resolve the call: the genuine reply still does."""
+
+    def test_a_reply_from_a_third_host_is_counted_and_ignored(self):
+        context = SimContext(seed=42)
+        network = EthernetNetwork(context, trusted=True)
+        hosts = [Host(context, name) for name in "abc"]
+        for host in hosts:
+            network.attach(host)
+        keys = KeyRegistry()
+        st_a, st_b, st_c = (
+            SubtransportLayer(context, host, [network], key_registry=keys)
+            for host in hosts)
+        rkom_a, rkom_b = RkomService(context, st_a), RkomService(context, st_b)
+
+        def slow(payload, src):
+            reply = Future(context.loop)
+            context.loop.call_after(0.5, reply.set_result, b"genuine")
+            return reply
+
+        rkom_b.register_handler("slow", slow)
+        handle = rkom_a.call("b", "slow", timeout=2.0)
+        params = RmsParams(capacity=4096, max_message_size=512,
+                           delay_bound=DelayBound(0.05, 1e-5),
+                           delay_bound_type=DelayBoundType.BEST_EFFORT)
+        forged = st_c.create_st_rms(
+            "a", port=LOW_PORT, desired=params, acceptable=params)
+        context.run(until=0.3)
+        forged.result().send(
+            _HEADER.pack(_KIND_REPLY, handle._request_id, 0) + b"forged")
+        context.run(until=0.4)
+        assert not handle.done
+        assert rkom_a.stats.stray_replies == 1
+        context.run(until=2.0)
+        assert handle.result() == b"genuine"
+        assert rkom_a.stats.replies == 1 and rkom_a.stats.stray_replies == 1
+
+
+class TestCallTimeoutIsValidatedFirst:
+    """``call(timeout=...)``: ``None`` is the configured default; a
+    non-positive or non-finite timeout raises ``ParameterError`` before
+    anything is sent, recorded or set up."""
+
+    def _warm(self):
+        context, network, rkom_a, rkom_b = build()
+        executed = []
+        rkom_b.register_handler(
+            "echo", lambda payload, src: executed.append(payload) or payload)
+        rkom_a.call("b", "echo", b"warm")
+        context.run(until=1.0)
+        assert executed == [b"warm"]
+        return context, network, rkom_a, rkom_b, executed
+
+    def test_negative_timeout_on_a_ready_channel_sends_nothing(self):
+        context, network, rkom_a, rkom_b, executed = self._warm()
+        with pytest.raises(ParameterError):
+            rkom_a.call("b", "echo", b"never", timeout=-1)
+        assert rkom_a.stats.calls == 1 and not rkom_a._pending
+        context.run(until=2.0)
+        assert executed == [b"warm"] and rkom_b.stats.requests_served == 1
+
+    def test_negative_timeout_before_the_channel_is_up_raises_at_the_call(self):
+        context, network, rkom_a, rkom_b = build()
+        rkom_b.register_handler("echo", lambda payload, src: payload)
+        with pytest.raises(ParameterError):
+            rkom_a.call("b", "echo", b"never", timeout=-1)
+        context.run(until=1.0)  # nothing left to raise out of the loop
+        assert rkom_a.stats.calls == 0 and not rkom_a._pending
+        assert not rkom_a._channels and network.setup_count == 0
+
+    @pytest.mark.parametrize("timeout", [0.0, math.inf, math.nan])
+    def test_zero_or_non_finite_timeout_is_refused(self, timeout):
+        """0.0 used to become the default; inf / nan raised from the loop
+        after the request was sent."""
+        context, network, rkom_a, rkom_b, executed = self._warm()
+        with pytest.raises(ParameterError):
+            rkom_a.call("b", "echo", b"never", timeout=timeout)
+        assert rkom_a.stats.calls == 1 and not rkom_a._pending
+        context.run(until=2.0)
+        assert executed == [b"warm"]
+
+    def test_a_refused_session_call_counts_nothing(self):
+        system = DashSystem(seed=3)
+        system.add_ethernet(trusted=True)
+        system.add_node("a"), system.add_node("b")
+        session = system.connect("a", "b", kind="rkom")
+        with pytest.raises(ParameterError):
+            session.call("echo", b"never", timeout=0.0)
+        assert session.stats.messages_sent == 0
+        assert system.nodes["a"].rkom.stats.calls == 0
+
+    def test_none_is_the_configured_default(self):
+        context, network, rkom_a, rkom_b, executed = self._warm()
+        rkom_a.config.request_timeout = 0.125
+        network.segment.impairment.frame_loss_rate = 1.0
+        handle = rkom_a.call("b", "echo", b"lost", timeout=None)
+        retransmitted = []
+        for step in (0.124, 0.126):
+            context.run(until=handle.started_at + step)
+            retransmitted.append(rkom_a.stats.retransmissions)
+        assert retransmitted == [0, 1]
+
+
+# -- the service against tests/rkom_reference.py ----------------------------
+
+LATENCY, SETUP, HANDLER_DELAY = 0.00131, 0.00473, 0.00717
+TIMEOUT, BACKOFF, MAX_RETRANSMITS = 0.0109, 2.0, 3
+GRID = 0.00293
+KIND_NAMES = {1: "request", 2: "reply", 3: "ack"}
+
+
+class _Port:
+    handler = None
+
+    def set_handler(self, handler):
+        self.handler = handler
+
+
+class _Host:
+    def __init__(self, name):
+        self.name = name
+        self.ports = {}
+
+    def bind_port(self, name):
+        return self.ports.setdefault(name, _Port())
+
+
+class _St:
+    """What ``RkomService`` uses of a subtransport layer."""
+
+    def __init__(self, rig, name):
+        self.rig = rig
+        self.host = _Host(name)
+
+    def create_st_rms(self, peer, port, desired, acceptable):
+        return self.rig.create(self.host.name, port)
+
+
+class _Rms:
+    """An ST RMS whose frames the rig carries, drops or loses."""
+
+    def __init__(self, rig, host, attempt, name):
+        self.rig, self.host, self.attempt, self.name = rig, host, attempt, name
+        self.on_failure = Signal(rig.context.loop)
+        self.open = True
+
+    def send(self, frame):
+        if not self.open:
+            raise RmsFailedError(f"{self.host}/{self.name} has failed")
+        self.rig.transmit(self, frame)
+
+    def fail(self):
+        if self.open:
+            self.open = False
+            self.on_failure.fire(self, "scripted failure")
+
+
+class Rig:
+    """Two real ``RkomService``s joined at the RMS boundary by a script:
+    every frame is carried ``LATENCY`` seconds unless the script drops
+    it, and channel creation takes ``SETUP`` per RMS unless refused."""
+
+    def __init__(self, steps, drops, refuse):
+        self.context = context = SimContext(seed=1)
+        self.drops, self.refuse = drops, refuse
+        config = RkomConfig(max_retransmits=MAX_RETRANSMITS, backoff=BACKOFF)
+        self.sts = {name: _St(self, name) for name in "ab"}
+        self.services = {name: RkomService(context, st, config)
+                         for name, st in self.sts.items()}
+        self.attempts = {"a": 0, "b": 0}
+        self.channels = {"a": {}, "b": {}}  # attempt -> {"low": rms, ...}
+        self.complete = {"a": [], "b": []}
+        self.calls = {}  # request id -> call number
+        self.handles, self.executions = [], {}
+        self.sent, self.transmissions, self.channel_events = {}, [], []
+        for name, service in self.services.items():
+            service.on_channel_event.listen(
+                lambda peer, what, name=name: self.channel_events.append(
+                    (context.now, name, what)))
+        server = self.services["b"]
+        server.register_handler("echo", self._execute)
+        server.register_handler("slow", self._execute_slowly)
+        for time, step in steps:
+            context.loop.call_at(time, self._step, *step)
+
+    def _execute(self, payload, source):
+        call = int(payload.split(b"-")[1])
+        self.executions[call] = self.executions.get(call, 0) + 1
+        return payload
+
+    def _execute_slowly(self, payload, source):
+        reply = Future(self.context.loop)
+        self.context.loop.call_after(
+            HANDLER_DELAY, reply.set_result, self._execute(payload, source))
+        return reply
+
+    def _step(self, what, *args):
+        if what == "call":
+            call = len(self.handles)
+            self.handles.append(self.services["a"].call(
+                "b", args[0], payload_of(call), timeout=TIMEOUT))
+        elif what == "cancel":
+            self.handles[args[0]].cancel()
+        else:
+            host, back, rms = args
+            complete = self.complete[host]
+            if len(complete) > back:
+                self.channels[host][complete[-1 - back]][rms].fail()
+
+    def create(self, host, port):
+        if port == LOW_PORT:
+            attempt, name = self.attempts[host], "low"
+            self.attempts[host] += 1
+        else:
+            attempt, name = self.attempts[host] - 1, "high"
+        future = Future(self.context.loop)
+        if self.refuse.get((host, attempt)) == name:
+            self.context.loop.call_after(
+                SETUP, future.set_exception, RmsFailedError("refused"))
+        else:
+            self.context.loop.call_after(
+                SETUP, self._created, _Rms(self, host, attempt, name), future)
+        return future
+
+    def _created(self, rms, future):
+        self.channels[rms.host].setdefault(rms.attempt, {})[rms.name] = rms
+        if rms.name == "high":
+            self.complete[rms.host].append(rms.attempt)
+        future.set_result(rms)
+
+    def transmit(self, rms, frame):
+        kind, request_id, op_length = _HEADER.unpack_from(frame, 0)
+        kind = KIND_NAMES[kind]
+        if kind == "request":
+            payload = frame[_HEADER.size + op_length:]
+            self.calls[request_id] = int(payload.split(b"-")[1])
+        call = self.calls[request_id]
+        n = self.sent.get((rms.host, kind, call), 0)
+        self.sent[(rms.host, kind, call)] = n + 1
+        dropped = (rms.host, kind, call, n) in self.drops
+        self.transmissions.append(
+            (self.context.now, rms.host, rms.name, kind, call, n, dropped))
+        if not dropped:
+            self.context.loop.call_after(LATENCY, self._arrive, rms, frame)
+
+    def _arrive(self, rms, frame):
+        if not rms.open:
+            return
+        peer = "b" if rms.host == "a" else "a"
+        port = LOW_PORT if rms.name == "low" else HIGH_PORT
+        self.sts[peer].host.ports[port].handler(SimpleNamespace(
+            payload=frame, source=SimpleNamespace(host=rms.host)))
+
+    def run(self):
+        self.context.run()
+        outcomes = {}
+        for call, handle in enumerate(self.handles):
+            if not handle.done:
+                continue
+            if not handle.failed:
+                outcomes[call] = ("result", handle.finished_at, handle.result())
+                continue
+            try:
+                handle.result()
+            except TransportError as error:
+                text = str(error)
+            what = ("cancel" if "cancelled" in text else
+                    "no-channel" if "could not be established" in text else
+                    "timeout")
+            outcomes[call] = (what, handle.finished_at, None)
+        cached = sorted(self.calls[request_id]
+                        for _source, request_id in self.services["b"]._served)
+        return outcomes, cached
+
+
+def draw_script(rng):
+    """A few calls, maybe a cancel, channel failures, drops, refusals."""
+    steps = []
+    calls = sorted(rng.randrange(40) * GRID for _ in range(rng.randint(1, 6)))
+    for time in calls:
+        steps.append((time, ("call", rng.choice(["echo", "slow"]))))
+    if rng.random() < 0.3:
+        call = rng.randrange(len(calls))
+        steps.append((calls[call] + rng.randrange(1, 30) * GRID,
+                      ("cancel", call)))
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        steps.append((rng.randrange(1, 80) * GRID, (
+            "fail", rng.choice("ab"), rng.choice([0, 0, 1]),
+            rng.choice(["low", "high"]))))
+    steps.sort(key=lambda entry: entry[0])
+    drops = {(sender, kind, call, n)
+             for sender, kind in (("a", "request"), ("b", "reply"), ("a", "ack"))
+             for call in range(len(calls)) for n in range(4)
+             if rng.random() < 0.2}
+    refuse = {(host, attempt): rng.choice(["low", "high"])
+              for host in "ab" for attempt in range(3) if rng.random() < 0.1}
+    return steps, drops, refuse
+
+
+def approx_times(rows):
+    return sorted((round(row[0], 9),) + tuple(row[1:]) for row in rows)
+
+
+class TestAgainstReference:
+    """Seeded scripts through two real services and the list-and-dict
+    model of ``tests/rkom_reference.py``."""
+
+    def _agree(self, steps, drops=frozenset(), refuse=None):
+        refuse = refuse or {}
+        model = run_script(
+            steps, drops, refuse, latency=LATENCY, setup=SETUP,
+            handler_delay=HANDLER_DELAY, timeout=TIMEOUT, backoff=BACKOFF,
+            max_retransmits=MAX_RETRANSMITS)
+        rig = Rig(steps, drops, refuse)
+        outcomes, cached = rig.run()
+        assert approx_times(rig.transmissions) == approx_times(
+            model.transmissions)
+        assert {call: (what, round(time, 9), value)
+                for call, (what, time, value) in outcomes.items()} == {
+            call: (what, round(time, 9), value)
+            for call, (what, time, value) in model.outcomes.items()}
+        assert rig.executions == model.executions
+        assert all(count == 1 for count in model.executions.values())
+        assert approx_times(rig.channel_events) == approx_times(
+            model.channel_events)
+        for host, service in rig.services.items():
+            assert {name: getattr(service.stats, name) for name in STATS} == (
+                model.stats[host])
+        assert cached == model.cached
+        return model
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_transmissions_outcomes_and_executions(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            self._agree(*draw_script(rng))
+
+    def test_calls_issued_while_the_channel_is_created_leave_in_order(self):
+        steps = [(index * GRID, ("call", "echo")) for index in range(3)]
+        model = self._agree(steps)
+        assert [row[:5] for row in model.transmissions[:3]] == [
+            (2 * SETUP, "a", "low", "request", call) for call in range(3)]
+        assert [what for what, _, _ in model.outcomes.values()] == ["result"] * 3
+
+    def test_lost_request_is_retransmitted_on_high_after_the_timeout(self):
+        steps = [(0.0, ("call", "echo")), (0.05, ("call", "echo"))]
+        model = self._agree(steps, drops={("a", "request", 1, 0)})
+        retransmitted = [row for row in model.transmissions
+                         if row[3] == "request" and row[4] == 1]
+        assert [(rms, n) for _, _, rms, _, _, n, _ in retransmitted] == [
+            ("low", 0), ("high", 1)]
+        assert retransmitted[1][0] == pytest.approx(0.05 + TIMEOUT)
+
+    def test_channel_failure_mid_call_recreates_and_retransmits(self):
+        steps = [(0.0, ("call", "echo")), (0.02, ("call", "slow")),
+                 (0.021, ("fail", "a", 0, "low"))]
+        model = self._agree(steps)
+        assert model.stats["a"]["channel_failures"] == 1
+        assert model.outcomes[1][0] == "result"
+        assert model.executions == {0: 1, 1: 1}
+
+    def test_refused_channel_fails_the_waiting_calls(self):
+        steps = [(0.0, ("call", "echo")), (GRID, ("call", "echo"))]
+        model = self._agree(steps, refuse={("a", 0): "high"})
+        assert {what for what, _, _ in model.outcomes.values()} == {"no-channel"}
+        assert model.transmissions == []
+
+    def test_failure_of_an_earlier_channel_leaves_the_current_one_up(self):
+        steps = [(0.0, ("call", "echo")), (0.03, ("fail", "a", 0, "low")),
+                 (0.04, ("call", "echo")), (0.1, ("fail", "a", 1, "high")),
+                 (0.11, ("call", "echo"))]
+        model = self._agree(steps)
+        assert model.stats["a"]["channel_failures"] == 1
+        assert model.outcomes[2][0] == "result"
