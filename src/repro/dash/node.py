@@ -12,12 +12,11 @@ from typing import List, Optional
 
 from repro.netsim.network import Network
 from repro.netsim.topology import Host
-from repro.sched.cpu import CpuCostModel
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
 from repro.subtransport.st import SubtransportLayer
-from repro.transport.rkom import RkomConfig, RkomService
+from repro.transport.rkom import RkomService
 
 __all__ = ["DashNode"]
 
@@ -32,19 +31,17 @@ class DashNode:
         networks: List[Network],
         key_registry: KeyRegistry,
         st_config: Optional[StConfig] = None,
-        rkom_config: Optional[RkomConfig] = None,
         cpu_policy: str = "edf",
-        cost_model: Optional[CpuCostModel] = None,
     ) -> None:
         self.context = context
         self.name = name
-        self.host = Host(context, name, cpu_policy=cpu_policy, cost_model=cost_model)
+        self.host = Host(context, name, cpu_policy=cpu_policy)
         for network in networks:
             network.attach(self.host)
         self.st = SubtransportLayer(
             context, self.host, networks, key_registry=key_registry, config=st_config
         )
-        self.rkom = RkomService(context, self.st, config=rkom_config)
+        self.rkom = RkomService(context, self.st)
 
     @property
     def cpu(self):

@@ -28,12 +28,10 @@ from repro.netsim.topology import (
     build_star_of_routers,
     build_two_tier,
 )
-from repro.sched.cpu import CpuCostModel
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
 from repro.dash.node import DashNode
-from repro.transport.rkom import RkomConfig
 from repro.transport.stream import StreamConfig
 
 __all__ = ["DashSystem"]
@@ -46,9 +44,7 @@ class DashSystem:
         self,
         seed: int = 0,
         st_config: Optional[StConfig] = None,
-        rkom_config: Optional[RkomConfig] = None,
         cpu_policy: str = "edf",
-        cost_model: Optional[CpuCostModel] = None,
         observe: bool = False,
     ) -> None:
         self.context = SimContext(seed=seed, observe=observe)
@@ -56,9 +52,7 @@ class DashSystem:
         self.networks: Dict[str, Network] = {}
         self.nodes: Dict[str, DashNode] = {}
         self.st_config = st_config
-        self.rkom_config = rkom_config
         self.cpu_policy = cpu_policy
-        self.cost_model = cost_model
         self._connect_ids = itertools.count(1)
         self._rkom_sessions: Dict[Tuple[str, str], RkomSession] = {}
 
@@ -141,9 +135,7 @@ class DashSystem:
             networks,
             key_registry=self.keys,
             st_config=st_config or self.st_config,
-            rkom_config=self.rkom_config,
             cpu_policy=self.cpu_policy,
-            cost_model=self.cost_model,
         )
         self.nodes[name] = node
         return node

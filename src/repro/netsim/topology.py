@@ -19,7 +19,7 @@ from repro.errors import NetworkError
 from repro.netsim.errors_model import ImpairmentModel
 from repro.netsim.packet import Frame
 from repro.obs.registry import families
-from repro.sched.cpu import CpuCostModel, HostCpu
+from repro.sched.cpu import HostCpu
 from repro.sched.policies import key_slot
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
@@ -238,16 +238,11 @@ class Host:
     """A simulated machine: a name, a CPU, named ports, attachments."""
 
     def __init__(
-        self,
-        context: SimContext,
-        name: str,
-        cpu_policy: str = "edf",
-        cost_model: Optional[CpuCostModel] = None,
+        self, context: SimContext, name: str, cpu_policy: str = "edf"
     ) -> None:
         self.context = context
         self.name = name
-        self.cpu = HostCpu(context, name=f"{name}.cpu", policy=cpu_policy,
-                           cost_model=cost_model)
+        self.cpu = HostCpu(context, name=f"{name}.cpu", policy=cpu_policy)
         self.ports: Dict[str, Port] = {}
         self.networks: Dict[str, "object"] = {}  # network name -> network
 

@@ -1,6 +1,6 @@
 """Deadline-based scheduling for CPUs and network interfaces (4.1)."""
 
-from repro.sched.cpu import CpuCostModel, HostCpu, WorkItem
+from repro.sched.cpu import HostCpu, WorkItem
 from repro.sched.policies import (
     POLICIES,
     EdfQueue,
@@ -11,7 +11,6 @@ from repro.sched.policies import (
 )
 
 __all__ = [
-    "CpuCostModel",
     "EdfQueue",
     "FifoQueue",
     "HostCpu",

@@ -9,9 +9,9 @@ default, FIFO/priority for the ablation benchmarks).  A work item is a
 plain tuple in the CPU's ready heap; :class:`WorkItem` is only the
 record ``HostCpu.keep_history`` keeps of a finished one.
 
-Protocol CPU costs are linear in message size, parameterized by a
-:class:`CpuCostModel` so experiments can charge realistic relative costs
-for checksumming, encryption, and per-message protocol overhead.
+Protocol CPU costs are linear in message size: the constants below
+charge a fixed cost per message and per context switch, and per-byte
+costs for copying, checksumming, encryption and authentication.
 """
 
 from __future__ import annotations
@@ -25,43 +25,34 @@ from repro.obs.registry import Histogram, families
 from repro.sim.context import SimContext
 from repro.sched.policies import key_slot
 
-__all__ = ["CpuCostModel", "WorkItem", "HostCpu"]
+__all__ = ["HostCpu", "WorkItem", "protocol_cost"]
 
 
-@dataclass(frozen=True)
-class CpuCostModel:
-    """Per-operation CPU costs, in seconds.
+# Per-operation CPU costs, in seconds, of a late-1980s workstation-class
+# CPU (a few MIPS): tens of microseconds of fixed cost per protocol
+# operation plus per-byte costs for touching data (sections 4.1, 4.3).
+# Relative magnitudes are what the experiments depend on; absolute
+# values only set the time scale.
+PER_MESSAGE = 50e-6  # protocol bookkeeping per message
+PER_CONTEXT_SWITCH = 100e-6  # process dispatch (section 4.3)
+CHECKSUM_PER_BYTE = 30e-9  # software checksumming
+ENCRYPT_PER_BYTE = 120e-9  # software encryption
+MAC_PER_BYTE = 60e-9  # software message authentication
+COPY_PER_BYTE = 10e-9  # buffer copies / fragmentation
 
-    The defaults model a late-1980s workstation-class CPU (a few MIPS):
-    tens of microseconds of fixed cost per protocol operation plus
-    per-byte costs for touching data.  Relative magnitudes are what the
-    experiments depend on; absolute values only set the time scale.
-    """
 
-    per_message: float = 50e-6  # protocol bookkeeping per message
-    per_context_switch: float = 100e-6  # process dispatch (section 4.3)
-    checksum_per_byte: float = 30e-9  # software checksumming
-    encrypt_per_byte: float = 120e-9  # software encryption
-    mac_per_byte: float = 60e-9  # software message authentication
-    copy_per_byte: float = 10e-9  # buffer copies / fragmentation
-
-    def protocol_cost(
-        self,
-        size: int,
-        checksum: bool = False,
-        encrypt: bool = False,
-        mac: bool = False,
-        copies: int = 1,
-    ) -> float:
-        """CPU seconds to run one protocol stage over ``size`` bytes."""
-        cost = self.per_message + copies * self.copy_per_byte * size
-        if checksum:
-            cost += self.checksum_per_byte * size
-        if encrypt:
-            cost += self.encrypt_per_byte * size
-        if mac:
-            cost += self.mac_per_byte * size
-        return cost
+def protocol_cost(
+    size: int, checksum: bool = False, encrypt: bool = False, mac: bool = False
+) -> float:
+    """CPU seconds to run one protocol stage over ``size`` bytes."""
+    cost = PER_MESSAGE + COPY_PER_BYTE * size
+    if checksum:
+        cost += CHECKSUM_PER_BYTE * size
+    if encrypt:
+        cost += ENCRYPT_PER_BYTE * size
+    if mac:
+        cost += MAC_PER_BYTE * size
+    return cost
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,12 +110,10 @@ class HostCpu:
         context: SimContext,
         name: str = "cpu",
         policy: str = "edf",
-        cost_model: Optional[CpuCostModel] = None,
         charge_context_switches: bool = True,
     ) -> None:
         self.context = context
         self.name = name
-        self.costs = cost_model or CpuCostModel()
         self._ready: List[Tuple[Any, int, tuple]] = []
         self._key_slot = key_slot(policy)
         self._seq = itertools.count()
@@ -213,7 +202,7 @@ class HostCpu:
             owner = item[0].split("/", 1)[0]
         run_time = item[1]
         if self._charge_switches and owner != self._last_owner:
-            run_time += self.costs.per_context_switch
+            run_time += PER_CONTEXT_SWITCH
             self.context_switches += 1
         self._last_owner = owner
         obs = context.obs

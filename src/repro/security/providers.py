@@ -12,7 +12,7 @@ byte; ``tests/security_reference.py`` is its one-shot oracle.
 
 What a transform costs on the wall clock is simulator overhead, not a
 modelled quantity: the cost the paper's section 2.5 argues about is
-charged in simulated CPU time (``costs.protocol_cost``), whatever runs
+charged in simulated CPU time (``repro.sched.cpu.protocol_cost``), whatever runs
 here.  The 8-byte tag is the wire format's width
 (:data:`~repro.security.mac.MAC_BYTES`), not a security margin.
 """

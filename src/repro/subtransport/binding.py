@@ -20,7 +20,7 @@ from repro.netsim.network import Network
 from repro.netsim.topology import Host
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
-from repro.subtransport.config import StConfig
+from repro.subtransport.config import STAGE_ALLOWANCE, StConfig
 from repro.subtransport.control import ControlChannel
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.piggyback import QUEUE_FAMILIES, PiggybackQueue
@@ -208,9 +208,7 @@ class NetworkBindings:
             capacity = st_params.capacity * 2
         else:
             capacity = max(self.config.default_network_capacity, st_params.capacity)
-        allowances = (
-            self.config.send_stage_allowance + self.config.recv_stage_allowance
-        )
+        allowances = STAGE_ALLOWANCE + STAGE_ALLOWANCE
         if st_params.delay_bound.is_unbounded:
             desired_bound = DelayBound.unbounded()
             acceptable_bound = DelayBound.unbounded()

@@ -34,7 +34,10 @@ from repro.sim.process import Future
 from repro.subtransport.config import StConfig
 from repro.subtransport.wire import control_mac_material, decode_control, encode_control
 
-__all__ = ["CONTROL_PORT", "ControlChannel", "REQUIRED", "STATES", "TABLE"]
+__all__ = [
+    "CONTROL_PARAMS", "CONTROL_PORT", "ControlChannel", "REQUIRED", "STATES",
+    "TABLE",
+]
 
 CONTROL_PORT = "st-ctl"
 Fields = Dict[str, Any]  # one control frame, decoded
@@ -88,14 +91,27 @@ TABLE = {
 }
 
 
-def control_params(config: StConfig) -> RmsParams:
-    """What a control-channel RMS asks of the network."""
-    return RmsParams(
-        capacity=config.control_capacity,
-        max_message_size=min(512, config.control_capacity),
-        delay_bound=DelayBound(config.control_delay_bound, 1e-6),
-        delay_bound_type=DelayBoundType.BEST_EFFORT,
-    )
+#: Section 3.2: the control channel is "low capacity, low delay".  A
+#: frame is due ``CONTROL_DELAY_BOUND`` after it is sent; the network
+#: may offer up to four times that.
+CONTROL_DELAY_BOUND = 0.05
+CONTROL_CAPACITY = 2048
+#: What a control-channel RMS asks of the network.
+CONTROL_PARAMS = RmsParams(
+    capacity=CONTROL_CAPACITY,
+    max_message_size=min(512, CONTROL_CAPACITY),
+    delay_bound=DelayBound(CONTROL_DELAY_BOUND, 1e-6),
+    delay_bound_type=DelayBoundType.BEST_EFFORT,
+)
+_CONTROL_ACCEPTABLE = CONTROL_PARAMS.with_(
+    delay_bound=DelayBound(CONTROL_DELAY_BOUND * 4, 1e-5)
+)
+#: The channel is best-effort, so a request and the handshake's
+#: ``auth1`` are sent again after ``RETRY_BASE * 2**attempt`` seconds; a
+#: request up to ``CONTROL_MAX_RETRIES`` times (the handshake's budget
+#: is ``StConfig.auth_max_retries``).
+RETRY_BASE = 0.3
+CONTROL_MAX_RETRIES = 5
 
 
 @dataclass
@@ -105,7 +121,6 @@ class _Retry:
     ``auth1`` awaiting its ``auth2``."""
 
     fields: Fields
-    base: float
     limit: int
     future: Optional[Future] = None
     attempts: int = 0
@@ -188,10 +203,7 @@ class ControlChannel:
         fields = dict(fields)
         fields["req"] = req_id = next(self._req_ids)
         retry = self.pending[req_id] = _Retry(
-            fields,
-            self.config.control_retry_timeout,
-            self.config.control_max_retries,
-            Future(self.context.loop),
+            fields, CONTROL_MAX_RETRIES, Future(self.context.loop)
         )
         self._send_retrying(retry)
         return retry.future
@@ -241,15 +253,11 @@ class ControlChannel:
             return
         self.before_connect()
         self.out_state = "creating"
-        params = control_params(self.config)
-        acceptable = params.with_(
-            delay_bound=DelayBound(self.config.control_delay_bound * 4, 1e-5)
-        )
         self.network.create_rms(
             Label(self.host_name, CONTROL_PORT),
             Label(self.peer_host, CONTROL_PORT),
-            params,
-            acceptable,
+            CONTROL_PARAMS,
+            _CONTROL_ACCEPTABLE,
         ).add_done_callback(self._connected)
 
     def _connected(self, future: Future) -> None:
@@ -279,7 +287,7 @@ class ControlChannel:
         self._settle_waiters(error)
 
     def _transmit(self, message: Message) -> None:
-        deadline = self.context.now + self.config.control_delay_bound
+        deadline = self.context.now + CONTROL_DELAY_BOUND
         self.out.send(message, deadline=deadline)
 
     def _settle_waiters(self, error: Optional[Exception] = None) -> None:
@@ -295,7 +303,7 @@ class ControlChannel:
     def _send_retrying(self, retry: _Retry) -> None:
         self.send(retry.fields)
         retry.timer = self.timers.call_after(
-            retry.base * (2 ** retry.attempts), self._retry_due, retry
+            RETRY_BASE * (2 ** retry.attempts), self._retry_due, retry
         )
 
     def _retry_due(self, retry: _Retry) -> None:
@@ -340,7 +348,7 @@ class ControlChannel:
     def _start_handshake(self) -> None:
         """The outgoing RMS is up: challenge the peer, unless section
         3.1's trust makes that unnecessary or a handshake already runs."""
-        if self.network.properties.trusted and self.config.trust_optimization:
+        if self.network.properties.trusted:
             self.state = OPEN
             self._settle_waiters()
             return
@@ -351,7 +359,6 @@ class ControlChannel:
         self._nonce = self._nonce48()
         self._auth1 = _Retry(
             {"op": "auth1", "from": self.host_name, "na": self._nonce},
-            self.config.auth_retry_timeout,
             self.config.auth_max_retries,
         )
         self._send_retrying(self._auth1)

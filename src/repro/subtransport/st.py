@@ -35,12 +35,13 @@ from repro.errors import NegotiationError, RmsError, TransportError
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
 from repro.obs.registry import families
+from repro.sched.cpu import protocol_cost
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
-from repro.subtransport.config import StConfig
+from repro.subtransport.config import STAGE_ALLOWANCE, StConfig
 from repro.subtransport.control import CONTROL_PORT, ControlChannel, Fields
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.security import plan_security
@@ -221,9 +222,7 @@ class SubtransportLayer:
             raise NegotiationError(f"network {network.name} offers no service")
         st_limits = PerformanceLimits(
             best_delay=DelayBound(
-                limits.best_delay.a
-                + self.config.send_stage_allowance
-                + self.config.recv_stage_allowance,
+                limits.best_delay.a + STAGE_ALLOWANCE + STAGE_ALLOWANCE,
                 limits.best_delay.b,
             ),
             max_capacity=limits.max_capacity,
@@ -282,7 +281,7 @@ class SubtransportLayer:
             receiver=Label(peer_host, port),
             sender_st=self,
             plan=plan,
-            fast_ack=fast_ack and self.config.fast_ack_enabled,
+            fast_ack=fast_ack,
             receiver_port=receiver_host.bind_port(port),
             name=f"st:{self.host.name}->{peer_host}:{port}",
         )
@@ -422,14 +421,14 @@ class SubtransportLayer:
         cost = st_rms._send_cost_cache.get(size)
         if cost is None:
             plan = st_rms.plan
-            cost = cpu.costs.protocol_cost(
+            cost = protocol_cost(
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
             st_rms._send_cost_cache[size] = cost
         cpu.submit(
             st_rms._send_stage_name,
             cost,
-            arrival + self.config.send_stage_allowance,
+            arrival + STAGE_ALLOWANCE,
             self._send_stage_done,
             (st_rms, message, size, arrival),
             owner="st",
@@ -474,9 +473,7 @@ class SubtransportLayer:
             # scheduling deadline so bounded traffic outranks it.
             return 1.0
         slack = st_bound.bound_for(size) - net_params.delay_bound.bound_for(size)
-        slack -= (
-            self.config.send_stage_allowance + self.config.recv_stage_allowance
-        )
+        slack -= STAGE_ALLOWANCE + STAGE_ALLOWANCE
         return max(slack, 0.0)
 
     def _make_entry(
@@ -684,7 +681,7 @@ class SubtransportLayer:
         if bound >= 0.0:
             deadline = send_time + bound
         else:
-            deadline = self.context.now + self.config.recv_stage_allowance
+            deadline = self.context.now + STAGE_ALLOWANCE
         # In-sequence delivery (basic property 2): CPU-stage deadlines on
         # one stream never decrease, so stable EDF keeps stream order.
         if deadline < rx.last_cpu_deadline:
@@ -695,7 +692,7 @@ class SubtransportLayer:
         cost = rx.cost_cache.get(size)
         if cost is None:
             plan = st_rms.plan
-            cost = cpu.costs.protocol_cost(
+            cost = protocol_cost(
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
             rx.cost_cache[size] = cost

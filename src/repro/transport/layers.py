@@ -26,20 +26,24 @@ from repro.core.params import DelayBound, RmsParams
 from repro.core.rms import Rms, RmsLevel, RmsState
 from repro.errors import ParameterError
 from repro.netsim.topology import Host
+from repro.sched.cpu import PER_MESSAGE
 from repro.sim.context import SimContext
 
 __all__ = ["LayeredRms", "SubUserRms", "UserRms"]
 
 _TS = struct.Struct(">d")
+#: CPU seconds per byte of the processing a level adds on each side, on
+#: top of the CPU's fixed per-message cost.
+STAGE_PER_BYTE = 20e-9
 
 
 class LayeredRms(Rms):
     """An RMS adding per-side CPU stages on top of a lower RMS.
 
-    ``send_cpu_per_byte``/``recv_cpu_per_byte`` (plus fixed costs from
-    the host CPU cost model) model the protocol or user processing the
-    level accounts for.  The wrapped RMS keeps its own delay bound; this
-    level's bound is the wrapped bound plus the two stage allowances.
+    Each stage charges ``PER_MESSAGE + STAGE_PER_BYTE * size`` of CPU
+    time, the protocol or user processing the level accounts for.  The
+    wrapped RMS keeps its own delay bound; this level's bound is the
+    wrapped bound plus the two stage allowances.
     """
 
     level = RmsLevel.SUBUSER
@@ -51,8 +55,6 @@ class LayeredRms(Rms):
         send_host: Host,
         recv_host: Host,
         stage_allowance: float = 5e-3,
-        send_cpu_per_byte: float = 20e-9,
-        recv_cpu_per_byte: float = 20e-9,
         name: Optional[str] = None,
     ) -> None:
         if stage_allowance <= 0:
@@ -74,23 +76,14 @@ class LayeredRms(Rms):
         self.send_host = send_host
         self.recv_host = recv_host
         self.stage_allowance = stage_allowance
-        self.send_cpu_per_byte = send_cpu_per_byte
-        self.recv_cpu_per_byte = recv_cpu_per_byte
         inner.port.set_handler(self._inner_delivered)
         inner.on_failure.listen(lambda rms, reason: self.fail(reason))
 
-    def _stage_cost(self, size: int, per_byte: float) -> float:
-        return per_byte * size
-
     def _transmit(self, message: Message) -> None:
         deadline = self.context.now + self.stage_allowance
-        cpu_time = (
-            self.send_host.cpu.costs.per_message
-            + self._stage_cost(message.size, self.send_cpu_per_byte)
-        )
         self.send_host.cpu.submit(
             f"{self.level.name.lower()}/send:{self.rms_id}",
-            cpu_time,
+            PER_MESSAGE + STAGE_PER_BYTE * message.size,
             deadline,
             self._forward,
             (message,),
@@ -107,15 +100,10 @@ class LayeredRms(Rms):
         self.inner.send(stamped)
 
     def _inner_delivered(self, inner_message: Message) -> None:
-        size = inner_message.size
         deadline = self.context.now + self.stage_allowance
-        cpu_time = (
-            self.recv_host.cpu.costs.per_message
-            + self._stage_cost(size, self.recv_cpu_per_byte)
-        )
         self.recv_host.cpu.submit(
             f"{self.level.name.lower()}/recv:{self.rms_id}",
-            cpu_time,
+            PER_MESSAGE + STAGE_PER_BYTE * inner_message.size,
             deadline,
             self._finish,
             (inner_message,),

@@ -48,18 +48,55 @@ _KIND_ACK = 3
 _request_ids = itertools.count(1)
 
 
+#: Section 3.3: each RKOM channel is "one low-delay and one high-delay
+#: RMS in each direction"; initial requests and replies ride the first,
+#: retransmissions and acknowledgements the second.
+LOW_DELAY = 0.05
+HIGH_DELAY = 1.0
+CHANNEL_CAPACITY = 64 * 1024
+CHANNEL_MAX_MESSAGE = 8 * 1024
+#: Requests a server remembers (with their replies) to answer a
+#: retransmitted request without running it twice.
+REPLY_CACHE_SIZE = 256
+
+
+def _request_pair(delay: float) -> Tuple[RmsParams, RmsParams]:
+    """The desired and acceptable parameters of one channel RMS."""
+    desired = RmsParams(
+        capacity=CHANNEL_CAPACITY,
+        max_message_size=CHANNEL_MAX_MESSAGE,
+        delay_bound=DelayBound(delay, 2e-6),
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+    )
+    # Accept any message size the ST can offer down to one small
+    # request frame; narrow-MTU networks then negotiate lower.
+    acceptable = desired.with_(
+        delay_bound=DelayBound(delay * 4, 1e-5),
+        max_message_size=min(512, CHANNEL_MAX_MESSAGE),
+    )
+    return desired, acceptable
+
+
+_LOW_REQUEST = _request_pair(LOW_DELAY)
+_HIGH_REQUEST = _request_pair(HIGH_DELAY)
+
+
 @dataclass
 class RkomConfig:
-    """Tunables of the RKOM module."""
+    """The retransmission schedule of a call: the first timeout, the
+    retransmissions allowed and the factor each timeout grows by."""
 
-    low_delay_bound: float = 0.05
-    high_delay_bound: float = 1.0
-    capacity: int = 64 * 1024
-    max_message_size: int = 8 * 1024
     request_timeout: float = 0.25
     max_retransmits: int = 5
     backoff: float = 2.0
-    reply_cache_size: int = 256
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.request_timeout < math.inf:
+            raise ParameterError("request_timeout must be positive and finite")
+        if self.max_retransmits < 0:
+            raise ParameterError("max_retransmits must be >= 0")
+        if not self.backoff >= 1:
+            raise ParameterError("backoff must be >= 1")
 
 
 @dataclass
@@ -362,27 +399,12 @@ class RkomService:
             lambda f: self._channel_done(peer_host, channel, f)
         )
 
-    def _rms_params(self, delay: float) -> Tuple[RmsParams, RmsParams]:
-        desired = RmsParams(
-            capacity=self.config.capacity,
-            max_message_size=self.config.max_message_size,
-            delay_bound=DelayBound(delay, 2e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-        # Accept any message size the ST can offer down to one small
-        # request frame; narrow-MTU networks then negotiate lower.
-        acceptable = desired.with_(
-            delay_bound=DelayBound(delay * 4, 1e-5),
-            max_message_size=min(512, self.config.max_message_size),
-        )
-        return desired, acceptable
-
     def _create_channel(self, peer_host: str, channel: _Channel):
-        low_desired, low_acceptable = self._rms_params(self.config.low_delay_bound)
+        low_desired, low_acceptable = _LOW_REQUEST
         channel.low = yield self.st.create_st_rms(
             peer_host, port=LOW_PORT, desired=low_desired, acceptable=low_acceptable
         )
-        high_desired, high_acceptable = self._rms_params(self.config.high_delay_bound)
+        high_desired, high_acceptable = _HIGH_REQUEST
         channel.high = yield self.st.create_st_rms(
             peer_host, port=HIGH_PORT, desired=high_desired, acceptable=high_acceptable
         )
@@ -474,7 +496,7 @@ class RkomService:
                 reply = served[key] = b""
             else:
                 served[key] = None  # in progress
-                while len(served) > self.config.reply_cache_size:
+                while len(served) > REPLY_CACHE_SIZE:
                     served.popitem(last=False)
                 self.stats.requests_served += 1
                 result = handler(body[op_length:], source_host)

@@ -23,6 +23,7 @@ the call when it has room; a gate the configuration omits is skipped.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -87,6 +88,14 @@ class StreamConfig:
             raise ParameterError("fast-ack streaming requires a fixed record_size")
         if self.ack_every < 1:
             raise ParameterError("ack_every must be >= 1")
+        if not 0.0 < self.retransmit_timeout < math.inf:
+            raise ParameterError("retransmit_timeout must be positive and finite")
+        if self.max_retransmits < 0:
+            raise ParameterError("max_retransmits must be >= 0")
+        if self.receive_buffer <= 0:
+            raise ParameterError("receive_buffer must be > 0")
+        if self.sender_port_limit < 1:
+            raise ParameterError("sender_port_limit must be >= 1")
 
     def data_request(self) -> RmsRequest:
         """What the data ST RMS is asked for (section 2.5: high

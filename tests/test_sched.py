@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SchedulingError
-from repro.sched.cpu import CpuCostModel, HostCpu
+from repro.sched import cpu as cpu_model
+from repro.sched.cpu import HostCpu, protocol_cost
 from repro.sched.policies import EdfQueue, FifoQueue, PriorityQueue, make_queue
 from repro.sim.context import SimContext
 from tests.sched_reference import Job, ReferenceCpu
@@ -82,16 +83,14 @@ class TestPolicies:
 
 class TestCpuCostModel:
     def test_checksum_and_encrypt_add_cost(self):
-        costs = CpuCostModel()
-        plain = costs.protocol_cost(1000)
-        with_checksum = costs.protocol_cost(1000, checksum=True)
-        with_crypto = costs.protocol_cost(1000, checksum=True, encrypt=True)
-        with_all = costs.protocol_cost(1000, checksum=True, encrypt=True, mac=True)
+        plain = protocol_cost(1000)
+        with_checksum = protocol_cost(1000, checksum=True)
+        with_crypto = protocol_cost(1000, checksum=True, encrypt=True)
+        with_all = protocol_cost(1000, checksum=True, encrypt=True, mac=True)
         assert plain < with_checksum < with_crypto < with_all
 
     def test_cost_scales_with_size(self):
-        costs = CpuCostModel()
-        assert costs.protocol_cost(10_000, encrypt=True) > costs.protocol_cost(
+        assert protocol_cost(10_000, encrypt=True) > protocol_cost(
             1_000, encrypt=True
         )
 
@@ -171,11 +170,10 @@ class TestHostCpu:
         """A protocol stage runs for what the cost model charges it."""
         context = SimContext()
         cpu = HostCpu(context, charge_context_switches=False)
-        costs = cpu.costs
-        cost = costs.protocol_cost(1000, checksum=True)
+        cost = protocol_cost(1000, checksum=True)
         assert cost == pytest.approx(
-            costs.per_message
-            + 1000 * (costs.copy_per_byte + costs.checksum_per_byte)
+            cpu_model.PER_MESSAGE
+            + 1000 * (cpu_model.COPY_PER_BYTE + cpu_model.CHECKSUM_PER_BYTE)
         )
         done = []
         cpu.submit(
@@ -242,7 +240,7 @@ class TestHostCpuOracle:
         context = SimContext(seed=seed, observe=observe)
         cpu = HostCpu(context, policy=policy)
         cpu.keep_history = True
-        ref = ReferenceCpu(policy, cpu.costs.per_context_switch)
+        ref = ReferenceCpu(policy, cpu_model.PER_CONTEXT_SWITCH)
         names = itertools.count()
         submitted = []
 

@@ -16,7 +16,7 @@ from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
-from repro.subtransport.control import control_params
+from repro.subtransport.control import CONTROL_PARAMS
 from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
 from repro.subtransport.wire import (
     BundleEntry,
@@ -613,9 +613,9 @@ class TestStHostileControlFrames:
         plays ``a``'s own frames back to it under ``b``'s label must not
         be able to walk ``a`` through the handshake."""
         context, network, st_a, st_b = build_pair(trusted=False)
-        control = control_params(st_a.config)
         future = network.create_rms(
-            Label("b", CONTROL_PORT), Label("a", CONTROL_PORT), control, control
+            Label("b", CONTROL_PORT), Label("a", CONTROL_PORT),
+            CONTROL_PARAMS, CONTROL_PARAMS,
         )
         context.run(until=context.now + 1.0)
         back = future.result()
