@@ -31,7 +31,10 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
   sweep, re-establishment and a round of traffic; per flap cycle, with
   the forwarding engine's ``searches``, ``table_builds``,
   ``scoped_table_drops`` and ``plan_compiles`` beside the frames, so a
-  cheaper flap can be told from one that skipped work.
+  cheaper flap can be told from one that skipped work.  The sweep
+  reads the up-link graph's strongly connected components and builds no
+  forwarding table: the searches and tables a flap still does are the
+  ones re-establishment's routes need.
 
 Only public ``DashSystem`` attributes are used, except the forwarding
 engine's counters in ``flap``.  Counting starts after
@@ -246,9 +249,8 @@ def recover(rounds: int = 3, seed: int = 1) -> dict:
     return _counted(system, one_round, rounds, recovered)
 
 
-def flap(rounds: int = 2, seed: int = 1) -> dict:
-    """``grid_churn``'s flap cycle on its own grid; per flap, with the
-    forwarding engine's work counts (``result["engine"]``)."""
+def grid_churn(seed: int = 1):
+    """``grid_churn``'s workload, built, from ``benchmarks/e2e/workloads.py``."""
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     try:
         from e2e.workloads import GridChurn
@@ -256,6 +258,13 @@ def flap(rounds: int = 2, seed: int = 1) -> dict:
         sys.path.pop(0)
     workload = GridChurn(seed)
     workload.build()
+    return workload
+
+
+def flap(rounds: int = 2, seed: int = 1) -> dict:
+    """``grid_churn``'s flap cycle on its own grid; per flap, with the
+    forwarding engine's work counts (``result["engine"]``)."""
+    workload = grid_churn(seed)
     engine = workload.network._engine
     flapped: list = []
     counts: list = []

@@ -50,7 +50,6 @@ class InternetNetwork(Network):
         link_checksum: bool = True,
         supports_guarantees: bool = True,
         source_quench: bool = False,
-        quench_threshold: float = 0.75,
         queue_policy: str = "edf",
         ecmp: bool = False,
         ecmp_max_paths: int = 8,
@@ -87,7 +86,6 @@ class InternetNetwork(Network):
         self.route_resolutions = 0
         self.queue_policy = queue_policy
         self.source_quench = source_quench
-        self.quench_threshold = quench_threshold
         self.quenches_sent = 0
 
     # -- topology construction ------------------------------------------------
@@ -144,7 +142,7 @@ class InternetNetwork(Network):
             link.on_down.listen(self._on_link_down)
             link.on_up.listen(self._on_link_up)
             if self.source_quench:
-                link.on_overrun = self._make_overrun_handler(src, dst)
+                link.on_overrun = self._send_quench
             links.append(link)
         self._adjacency.setdefault(node_a, []).append(node_b)
         self._adjacency.setdefault(node_b, []).append(node_a)
@@ -157,13 +155,13 @@ class InternetNetwork(Network):
     def can_reach(self, src: str, dst: str) -> bool:
         """True when a route of live links currently exists.
 
-        A dict probe into the source's (lazily built,
-        scoped-invalidated) table -- no path search and no exception
-        control flow per call.
+        Answered from the strongly connected components of the up-link
+        graph, computed once per link state: no forwarding table and no
+        path search per call.
         """
         if src not in self.hosts or dst not in self.hosts:
             return False
-        return src == dst or dst in self._engine.table(src).dist
+        return src == dst or self._engine.reaches(src, dst)
 
     def link(self, src: str, dst: str) -> Link:
         """The simplex link from ``src`` to ``dst``."""
@@ -180,12 +178,6 @@ class InternetNetwork(Network):
     def _on_link_up(self, link: Link) -> None:
         src, dst = self._link_edges[link]
         self._engine.link_up(src, dst)
-
-    def _make_overrun_handler(self, src: str, dst: str) -> Callable[[Frame], None]:
-        def on_overrun(frame: Frame) -> None:
-            self._send_quench(frame)
-
-        return on_overrun
 
     def _send_quench(self, offending: Frame) -> None:
         """ICMP-style source quench back to the offending frame's source."""

@@ -9,8 +9,8 @@ This module amortizes and scopes that work:
 
 * **Forwarding tables** -- one full-run Dijkstra covers every
   destination at once (`ForwardingTable`: final distances plus the
-  shortest-path-tree predecessor map).  Tables are built lazily and
-  stamped with the engine epoch.  Because Dijkstra's relaxations are
+  shortest-path-tree predecessor map).  Tables are built lazily.
+  Because Dijkstra's relaxations are
   deterministic and a settled node's predecessor never changes after it
   is popped, the route reconstructed from a full-run table is *exactly*
   the route the per-pair early-exit search would have produced -- not
@@ -43,6 +43,12 @@ This module amortizes and scopes that work:
   is frozen; each link's up flag is read live as its edge is relaxed,
   so a search run after ``set_down`` flipped it but before the
   ``on_down`` listeners ran sees it down.
+
+* **Reachability is not a route** -- ``reaches`` (``can_reach``) answers
+  from the strongly connected components of the up-link graph, one
+  iterative Tarjan pass over the view per link state, and per source
+  component the components it reaches; both go with the memo.  A
+  reachability sweep builds no forwarding table.
 
 * **Compiled route plans** -- per (src, dst) a `RoutePlan` freezes the
   resolved `Link` sequence, the admission pools along it, the path
@@ -148,19 +154,17 @@ def _unindex(item) -> None:
 class ForwardingTable:
     """One source's shortest paths to every reachable node."""
 
-    __slots__ = ("src", "dist", "prev", "preds", "epoch")
+    __slots__ = ("src", "dist", "prev", "preds")
 
     def __init__(
         self,
         src: str,
         dist: Dict[str, float],
         prev: Dict[str, str],
-        epoch: int,
         preds: Optional[Dict[str, List[str]]] = None,
     ) -> None:
         self.src = src
-        #: Final shortest distance per reachable node (reachability is a
-        #: dict probe: ``dst in table.dist``).
+        #: Final shortest distance per reachable node.
         self.dist = dist
         #: Shortest-path-tree predecessor per reachable node (except the
         #: source itself); routes are reconstructed by walking it.
@@ -169,13 +173,9 @@ class ForwardingTable:
         #: order, with the invariant ``preds[v][0] == prev[v]``.  None
         #: when the engine runs single-path.
         self.preds = preds
-        self.epoch = epoch
 
     def __repr__(self) -> str:
-        return (
-            f"<ForwardingTable src={self.src} reach={len(self.dist)} "
-            f"epoch={self.epoch}>"
-        )
+        return f"<ForwardingTable src={self.src} reach={len(self.dist)}>"
 
 
 class RoutePlan:
@@ -183,10 +183,10 @@ class RoutePlan:
 
     __slots__ = (
         "src", "dst", "route", "links", "pools", "delivers",
-        "fixed_delay", "per_byte_delay", "epoch", "dead", "buckets",
+        "fixed_delay", "per_byte_delay", "dead", "buckets",
     )
 
-    def __init__(self, src: str, dst: str, route: List[str], epoch: int) -> None:
+    def __init__(self, src: str, dst: str, route: List[str]) -> None:
         self.src = src
         self.dst = dst
         #: Node names, shared (never mutated): frames and RMSs reference
@@ -197,7 +197,6 @@ class RoutePlan:
         self.delivers: Tuple = ()
         self.fixed_delay = 0.0
         self.per_byte_delay = 0.0
-        self.epoch = epoch
         #: Set by scoped invalidation.  A dead plan is never handed out
         #: for new resolutions; frames of already-admitted RMSs keep
         #: forwarding on it (data follows the admitted route, and a
@@ -220,23 +219,17 @@ class PathSet:
     ``routes``.  Scoped invalidation prunes routes in place.
     """
 
-    __slots__ = ("src", "dst", "routes", "plans", "epoch", "buckets")
+    __slots__ = ("src", "dst", "routes", "plans", "buckets")
 
-    def __init__(
-        self, src: str, dst: str, routes: List[List[str]], epoch: int
-    ) -> None:
+    def __init__(self, src: str, dst: str, routes: List[List[str]]) -> None:
         self.src = src
         self.dst = dst
         self.routes = routes
         self.plans: List[Optional[RoutePlan]] = [None] * len(routes)
-        self.epoch = epoch
         self.buckets: List[dict] = []
 
     def __repr__(self) -> str:
-        return (
-            f"<PathSet {self.src}->{self.dst} routes={len(self.routes)} "
-            f"epoch={self.epoch}>"
-        )
+        return f"<PathSet {self.src}->{self.dst} routes={len(self.routes)}>"
 
 
 _FAMILIES = {
@@ -277,6 +270,11 @@ class ForwardingEngine:
         #: The compiled neighbour view ``_search`` walks; built on first
         #: use and dropped by ``invalidate_all``.
         self._view: Optional[Dict[str, tuple]] = None
+        #: The up-link graph's strongly connected components (node -> its
+        #: component's root) and, per source component, the components it
+        #: reaches: built by the first ``reaches`` in a link state, dropped
+        #: wherever the memo is emptied.
+        self._components: Optional[Tuple[Dict[str, str], Dict[str, Set[str]]]] = None
         #: Reverse indexes, maintained only once churn has been seen
         #: (the fixed-topology fast path skips this bookkeeping).  Plan
         #: and path-set buckets are insertion-ordered dicts keyed by the
@@ -298,7 +296,6 @@ class ForwardingEngine:
             self._src_pathsets, self._edge_pruned,
         )
         self._track = False
-        self.epoch = 0
         # Introspection counters (bench telemetry).
         self.table_builds = 0  # host tables materialised
         self.searches = 0  # Dijkstra runs (shared by the hosts of a gateway)
@@ -377,6 +374,70 @@ class ForwardingEngine:
         self.network.route_resolutions += 1
         return distances, previous, preds
 
+    def reaches(self, src: str, dst: str) -> bool:
+        """True when a path of up links leads from ``src`` to ``dst``: both
+        in one strongly connected component, or ``dst``'s reachable from
+        ``src``'s in the condensation.  Builds no table, runs no search."""
+        if self._components is None:
+            self._components = (self._compile_components(), {})
+        component, memo = self._components
+        here, there = component.get(src), component.get(dst)
+        if here is None or here == there:
+            return here is not None  # a node off every link reaches nothing
+        reach = memo.get(here)
+        if reach is None:
+            # The components a walk from ``src`` enters, once per component.
+            reach = memo[here] = {here}
+            seen, todo, view = {src}, [src], self._view
+            while todo:
+                for neighbor, link, _weight, _relays in view[todo.pop()]:
+                    if link._up and neighbor not in seen:
+                        seen.add(neighbor)
+                        reach.add(component[neighbor])
+                        todo.append(neighbor)
+        return there in reach
+
+    def _compile_components(self) -> Dict[str, str]:
+        # Tarjan's algorithm, iterative, over the compiled view with each
+        # link's up flag read live (as ``_search`` reads it).  A component
+        # is named by its root; a visited node not yet in one is stacked.
+        view = self._view
+        if view is None:
+            view = self._view = self._compile_view()
+        order: Dict[str, int] = {}
+        low: Dict[str, int] = {}
+        component: Dict[str, str] = {}
+        stack: List[str] = []
+        for root in view:
+            if root in order:
+                continue
+            order[root] = low[root] = len(order)
+            stack.append(root)
+            work = [(root, iter(view[root]))]
+            while work:
+                node, edges = work[-1]
+                for neighbor, link, _weight, _relays in edges:
+                    if not link._up:
+                        continue
+                    if neighbor not in order:
+                        order[neighbor] = low[neighbor] = len(order)
+                        stack.append(neighbor)
+                        work.append((neighbor, iter(view[neighbor])))
+                        break
+                    if neighbor not in component:
+                        low[node] = min(low[node], order[neighbor])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == order[node]:
+                        member = None
+                        while member != node:
+                            member = stack.pop()
+                            component[member] = node
+        return component
+
     def _build_table(self, src: str) -> ForwardingTable:
         view = self._view
         if view is None:
@@ -410,7 +471,7 @@ class ForwardingEngine:
             distances, previous, preds = self._search(view, src, 0.0)
             if self._track:
                 self._file_search(src, previous, preds)
-        table = ForwardingTable(src, distances, previous, self.epoch, preds)
+        table = ForwardingTable(src, distances, previous, preds)
         self._tables[src] = table
         self.table_builds += 1
         return table
@@ -498,7 +559,7 @@ class ForwardingEngine:
         if dst not in table.prev:
             raise RoutingError(f"no route from {src} to {dst} in {network.name}")
         routes = self._enumerate_routes(table, src, dst)
-        pathset = PathSet(src, dst, routes, self.epoch)
+        pathset = PathSet(src, dst, routes)
         self._pathsets[key] = pathset
         self.pathset_builds += 1
         if self._track:
@@ -549,7 +610,7 @@ class ForwardingEngine:
         network = self.network
         if not route:
             raise RoutingError(f"empty route in {network.name}")
-        plan = RoutePlan(route[0], route[-1], route, self.epoch)
+        plan = RoutePlan(route[0], route[-1], route)
         links = []
         pools = []
         fixed = 0.0
@@ -645,6 +706,7 @@ class ForwardingEngine:
         self._tables.clear()
         self._pathsets.clear()
         self._search_memo.clear()
+        self._components = None
         self._view = None
         self._edge_tables.clear()
         self._search_leaves.clear()
@@ -652,7 +714,6 @@ class ForwardingEngine:
             for bucket in index.values():
                 bucket.clear()  # dead plans may outlive us in an RMS
             index.clear()
-        self.epoch += 1
         self.full_invalidations += 1
 
     def _start_tracking(self) -> None:
@@ -718,6 +779,7 @@ class ForwardingEngine:
             self._start_tracking()
             return
         self._search_memo.clear()
+        self._components = None
         edge = (u, v)
         sources: Set[str] = set()
         for owner in self._edge_tables.pop(edge, ()):
@@ -759,6 +821,7 @@ class ForwardingEngine:
             self._start_tracking()
             return
         self._search_memo.clear()
+        self._components = None
         weight = self.network._link_weight(u, v)
         inf = float("inf")
         ecmp = self.ecmp
@@ -774,9 +837,14 @@ class ForwardingEngine:
         for src in affected:
             del self._tables[src]
             self.scoped_table_drops += 1
-            for plan in list(self._src_plans.pop(src, ())):
+        # ``link_down`` spares plans that avoid its edge, not their table:
+        # the plans of a source with no table were not probed, so go too.
+        tables = self._tables
+        for src in [src for src in self._src_plans if src not in tables]:
+            for plan in list(self._src_plans.pop(src)):
                 self._kill_plan(plan)
-            for pathset in list(self._src_pathsets.pop(src, ())):
+        for src in [src for src in self._src_pathsets if src not in tables]:
+            for pathset in list(self._src_pathsets.pop(src)):
                 self._drop_pathset(pathset)
         for pathset in list(self._edge_pruned.pop((u, v), ())):
             self._drop_pathset(pathset)
@@ -795,6 +863,6 @@ class ForwardingEngine:
         return (
             f"<ForwardingEngine tables={len(self._tables)} "
             f"plans={len(self._plans)} pathsets={len(self._pathsets)} "
-            f"ecmp={self.ecmp} epoch={self.epoch} "
+            f"ecmp={self.ecmp} "
             f"tracking={self._track} indexes={self.index_sizes()}>"
         )

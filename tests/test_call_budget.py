@@ -22,12 +22,16 @@ budget, 916.5 frames per recovery of a supervised ST session, is the
 count of the tree before the establishment loop became one path for
 every session kind; it may not rise.  The ``flap`` budget is
 ``grid_churn``'s flap cycle: its four forwarding-engine work counts must
-equal, per flap, those of the tree before ``_search`` walked a compiled
-neighbour view (26 searches, 156 table builds, 156 scoped table drops,
-14 plan compiles), and its frames may not rise above 51,827 per flap
-(61,519 in that tree, 52,627 after it took the ``Link.is_up`` property
-frames out of the search's edge tests, 51,827 once work items were
-tuples).
+equal, per flap, those of the tree in which ``can_reach`` began to answer
+from the up-link graph's strongly connected components (8.5 searches,
+13 table builds, 11 scoped table drops, 14 plan compiles).  Before, each
+of a flap's two 1,728-probe sweeps built every host's forwarding table
+to probe it (26 searches, 156 table builds, 156 scoped table drops); the
+tables left are the ones re-establishment's routes need, and plan
+compiles stay at 14.  Its frames may not rise above 51,349 per flap
+(61,519 before ``_search`` walked a compiled neighbour view, 52,627 after
+it took the ``Link.is_up`` property frames out of the search's edge
+tests, 51,827 once work items were tuples).
 
 The two ``observed`` budgets hold what ``observe=True`` adds (PR 23: the
 metrics registry reads the layers' counters on demand instead of being
@@ -91,12 +95,24 @@ def flap():
 def test_flap_does_the_same_routing_work_for_fewer_frames(flap):
     assert flap["messages"] == 2
     assert flap["engine"] == {
-        "searches": 2 * 26, "table_builds": 2 * 156,
-        "scoped_table_drops": 2 * 156, "plan_compiles": 2 * 14,
+        "searches": 17, "table_builds": 2 * 13,
+        "scoped_table_drops": 2 * 11, "plan_compiles": 2 * 14,
     }
-    assert call_budget.per(flap, "messages") <= 51827
+    assert call_budget.per(flap, "messages") <= 51349
     assert call_budget.flap(rounds=2) == flap
-    assert "searches per flap 26.0" in call_budget.table(flap, "flap")
+    assert "searches per flap 8.5" in call_budget.table(flap, "flap")
+
+
+def test_a_reachability_sweep_searches_nothing():
+    workload = call_budget.grid_churn()
+    workload.round()  # tracking on; tables and plans cached
+    engine = workload.network._engine
+    for up in (False, True):
+        workload._set_trunk(*workload.trunks[0], up)
+        before = (engine.searches, engine.table_builds)
+        workload._sweep()
+        assert (engine.searches, engine.table_builds) == before
+    assert len(workload.probes) == 1728 and not workload.tally.errors
 
 
 def test_total_frames_and_control_messages_per_recovery(recover):

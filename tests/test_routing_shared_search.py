@@ -81,6 +81,7 @@ def toggle(network, pick):
         link.set_down()
     else:
         link.set_up()
+    return link
 
 
 def route_or_none(network, src, dst):
@@ -165,6 +166,63 @@ class TestSharedSearchExactness:
                     assert (mine is None) == (route is None)
                     if route is not None:
                         assert sum(cost(mine)) == sum(cost(route))
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=shapes, flaps=flap_lists, ecmp=st.booleans())
+    def test_warm_engine_sweeps_then_routes_at_reference_cost(
+            self, shape, flaps, ecmp):
+        """``grid_churn``'s pattern on one warm engine.  Each flap toggles
+        its link and then the one before it, so links come up as often
+        as they go down.  After every toggle every host pair is probed
+        with ``can_reach``, no route resolved in between; after every
+        link-up every pair is routed, at the reference's cost.  A plan
+        that outlived its table (``link_down`` spares it) and that the
+        next ``link_up`` did not probe would keep the longer route."""
+        network = build(shape, ecmp=ecmp)
+        hosts = sorted(network.hosts)
+        all_pairs_cost_exact(network)
+        toggles = [p for i, pick in enumerate(flaps)
+                   for p in [pick, *flaps[i - 1:i]]]
+        for pick in toggles:
+            link = toggle(network, pick)
+            for src in hosts:
+                for dst in hosts:
+                    assert (network.can_reach(src, dst)
+                            == reference_can_reach(network, src, dst))
+            if link.is_up:
+                all_pairs_cost_exact(network)
+
+
+class TestPlanOutlivesItsTable:
+    """``link_down`` drops a table whose tree uses the dead edge but keeps
+    that source's plans that avoid it, and ``link_up`` probes cached
+    tables: the plans of a source with no table must go at a link-up."""
+
+    @pytest.mark.parametrize("ecmp", [False, True], ids=["single", "ecmp"])
+    def test_link_up_shortens_a_plan_whose_table_was_dropped(self, ecmp):
+        context = SimContext(seed=1)
+        network = InternetNetwork(context, ecmp=ecmp)
+        for router in ("r1", "r2", "r3", "r4", "r5"):
+            network.add_router(router)
+        for host in ("a", "b"):
+            network.attach(Host(context, host))
+        for edge in [("a", "r1"), ("b", "r4"), ("r1", "r4"), ("r1", "r2"),
+                     ("r2", "r3"), ("r3", "r4"), ("r1", "r5")]:
+            network.add_link(*edge)
+
+        def both_ways(u, v, up):
+            for link in (network.link(u, v), network.link(v, u)):
+                link.set_up() if up else link.set_down()
+
+        both_ways("r1", "r4", up=False)  # the short trunk
+        long_way = ["a", "r1", "r2", "r3", "r4", "b"]
+        assert network.route_between("a", "b") == long_way
+        both_ways("r1", "r5", up=False)  # a stub in a's tree, off its route
+        assert "a" not in network._engine._tables
+        both_ways("r1", "r4", up=True)
+        short_way = network.route_between("a", "b")
+        assert short_way == ["a", "r1", "r4", "b"]
+        assert short_way == reference_route(network, "a", "b")
 
 
 def sibling_network(ecmp):

@@ -21,6 +21,7 @@ import pytest
 from repro.dash.node import DashNode
 from repro.dash.system import DashSystem
 from repro.errors import ParameterError
+from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host
 from repro.resilience.policy import ResiliencePolicy
 from repro.sched.cpu import HostCpu
@@ -95,6 +96,13 @@ class TestPinnedKnobs:
         missing = [f"{cls.__name__}.{name}" for cls, name in settables
                    if not re.search(rf"\b{name}\b", code)]
         assert not missing, f"DESIGN section 5 does not list {missing}"
+
+    def test_no_quench_threshold(self):
+        # E11's source quench fires on every buffer overrun; a threshold
+        # was stored and read by nothing.
+        assert "quench_threshold" not in inspect.signature(
+            InternetNetwork).parameters
+        assert "source_quench" in inspect.signature(InternetNetwork).parameters
 
 
 class TestRejectedAtConstruction:
