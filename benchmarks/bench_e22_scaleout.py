@@ -1,12 +1,12 @@
-"""E22 -- scale-out routing: forwarding tables, compiled plans, scoped
-invalidation.
+"""E22 -- scale-out routing: forwarding tables, compiled plans, one cache
+lifetime.
 
 Earlier benches kept topologies tiny (a segment, a dumbbell), so routing
 cost never showed.  At mesh scale it dominates.  The forwarding engine
 runs one full-run Dijkstra per gateway amortized over every destination
 and every host behind it, compiles per-pair route plans with cached
-per-hop deliver callbacks, and keeps a link->dependents reverse index so
-a flap invalidates only the routes that crossed it.
+per-hop deliver callbacks, and drops every cached route at each link
+state change, so a route resolved after a flap is a fresh search's.
 
 The engine is the only resolver in ``src/``.  Until PR 16 this bench ran
 a second arm on the per-pair resolver the engine replaced (one

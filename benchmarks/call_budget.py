@@ -30,11 +30,15 @@ hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
   and up, each transition followed by the 1,728-probe ``can_reach``
   sweep, re-establishment and a round of traffic; per flap cycle, with
   the forwarding engine's ``searches``, ``table_builds``,
-  ``scoped_table_drops`` and ``plan_compiles`` beside the frames, so a
-  cheaper flap can be told from one that skipped work.  The sweep
-  reads the up-link graph's strongly connected components and builds no
-  forwarding table: the searches and tables a flap still does are the
-  ones re-establishment's routes need.
+  ``scoped_table_drops`` (the tables the flap's invalidations discard:
+  every link state change drops every cached route) and
+  ``plan_compiles`` beside the frames, so a cheaper flap can be told
+  from one that skipped work.  The sweep reads the up-link graph's
+  strongly connected components and builds no forwarding table: the
+  searches and tables a flap still does are the ones
+  re-establishment's routes need.  Seed 1, two cycles, CPython 3.11:
+  8.5 searches, 13 table builds, 13 table drops and 14 plan compiles
+  per flap, 51,196.5 frames.
 
 Only public ``DashSystem`` attributes are used, except the forwarding
 engine's counters in ``flap``.  Counting starts after

@@ -66,8 +66,7 @@ BENCHES = (
           (("ecmp_speedup", ">=", 1.2),
            ("jain_ecmp", ">", "jain_single"),
            ("tiefree_trace_identical", "is", True),
-           ("flap_failed_match_pinned", "is", True),
-           ("flap_full_invalidations", "==", 0))),
+           ("flap_failed_match_pinned", "is", True))),
 )
 
 

@@ -74,8 +74,8 @@ class InternetNetwork(Network):
         #: by default: the single-path engine is the ablation arm.
         self.ecmp = ecmp
         self.ecmp_max_paths = ecmp_max_paths
-        #: The resolver and the forwarder: per-source forwarding tables,
-        #: compiled route plans, scoped invalidation.
+        #: The resolver and the forwarder: per-source forwarding tables
+        #: and compiled route plans, dropped at every link state change.
         self._engine = ForwardingEngine(
             self, ecmp=self.ecmp, max_paths=ecmp_max_paths
         )

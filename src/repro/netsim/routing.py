@@ -1,11 +1,10 @@
-"""Scale-out routing: forwarding tables, compiled plans, scoped repair.
+"""Scale-out routing: forwarding tables, compiled plans, one cache lifetime.
 
-A resolver that runs one Dijkstra per (src, dst) pair on demand and
-clears its *entire* route cache whenever any link changes state (the
+A resolver that runs one Dijkstra per (src, dst) pair on demand (the
 internetwork's first; now the oracle in ``tests/routing_reference.py``)
 is invisible at a handful of nodes; at hundreds of hosts over a router
 mesh with link churn it is an O(N^2) recompute storm on the hot path.
-This module amortizes and scopes that work:
+This module amortizes that work:
 
 * **Forwarding tables** -- one full-run Dijkstra covers every
   destination at once (`ForwardingTable`: final distances plus the
@@ -14,8 +13,8 @@ This module amortizes and scopes that work:
   deterministic and a settled node's predecessor never changes after it
   is popped, the route reconstructed from a full-run table is *exactly*
   the route the per-pair early-exit search would have produced -- not
-  merely cost-equal -- so fixed-seed traces on static topologies are
-  byte-identical with that resolver's.
+  merely cost-equal -- so fixed-seed traces are byte-identical with
+  that resolver's.
 
 * **One search per gateway, not per host** -- a node of degree 1 (a
   host behind its gateway) relays nothing: popped, it could only relax
@@ -28,11 +27,9 @@ This module amortizes and scopes that work:
   leaf at 0.0 in front of the gateway.  The memo key is ``(gateway,
   d0)``, not the gateway: every distance is a float sum that starts at
   ``d0``, so hosts with different access bandwidths need their own
-  search to stay bit-exact.  The memo is emptied on every link state
-  change and full invalidation -- an entry lives exactly as long as
-  the link state it was computed from.  Measured on the 216-host grid
-  under flaps (e2e ``grid_churn``, seed 3): 139 tables per flap from
-  23 searches instead of 139; 3,344 -> 8,426 msgs/s.
+  search to stay bit-exact.  Measured on the 216-host grid under flaps
+  (e2e ``grid_churn``, seed 3): 139 tables per flap from 23 searches
+  instead of 139; 3,344 -> 8,426 msgs/s.
 
 * **A compiled neighbour view** -- the search walks, per node, a tuple
   of ``(neighbor, link, weight, relays)`` built from the network's
@@ -47,8 +44,8 @@ This module amortizes and scopes that work:
 * **Reachability is not a route** -- ``reaches`` (``can_reach``) answers
   from the strongly connected components of the up-link graph, one
   iterative Tarjan pass over the view per link state, and per source
-  component the components it reaches; both go with the memo.  A
-  reachability sweep builds no forwarding table.
+  component the components it reaches.  A reachability sweep builds no
+  forwarding table.
 
 * **Compiled route plans** -- per (src, dst) a `RoutePlan` freezes the
   resolved `Link` sequence, the admission pools along it, the path
@@ -71,33 +68,15 @@ This module amortizes and scopes that work:
   object as the single-path engine, so their traces are byte-identical
   by construction.
 
-* **Scoped invalidation** -- reverse indexes map each directed edge to
-  the tables whose shortest-path tree uses it and the plans that
-  traverse it.  A link going *down* only removes paths, so every
-  cached route that avoids it is still shortest: only the indexed
-  dependents are dropped.  A search that leaves share is filed once,
-  when it runs, under its memo key; a leaf that copies it joins the
-  key's leaf set and files only its own up-link.  A link coming *up*
-  can improve any route, but only for sources where ``dist(src, u) +
-  w(u, v) < dist(src, v)`` -- an O(sources) probe against the cached
-  distance maps identifies exactly those, and disjoint routes are
-  untouched.  Under ECMP the
-  down case gets gentler still: if a flapped edge (u, v) leaves
-  ``preds[v]`` non-empty, the distances are all still optimal, so the
-  table survives with the DAG pruned in place (no rebuild) and only
-  the route plans pinned *through* the edge die; surviving equal-cost
-  siblings absorb re-established flows.  The up probe widens to
-  ``<=`` so restored cost-ties re-enter the DAG.
-
-* **Fixed-topology fast path** -- none of the index bookkeeping runs
-  until the first link state change.  A static topology (the common
-  bench case) pays nothing for invalidation support; the first churn
-  event falls back to one full invalidation and switches tracking on.
-
-Known divergence (documented in DESIGN.md 8.7/8.8): after a link comes
-back up, a surviving table may keep a cached route that *ties* a path
-through the restored link; a from-scratch Dijkstra could tie-break the
-other way.  Costs are always equal, and static topologies are exact.
+* **One cache lifetime** -- the search memo, the components, the
+  tables, the canonical plans and the path sets live exactly as long as
+  the link state they were computed from: every ``link_down`` and
+  ``link_up`` empties them all, so every resolution after a flap is a
+  from-scratch search and its route is the reference's, ties included.
+  The view outlives a flap (it holds no up state); only ``add_link``
+  drops it.  A plan an admitted RMS holds stays the RMS's: its frames
+  keep following it, and a downed link on it fails the RMS through
+  the network.
 """
 
 from __future__ import annotations
@@ -122,9 +101,6 @@ __all__ = [
     "flow_hash",
 ]
 
-_EdgeKey = Tuple[str, str]
-
-
 def flow_hash(src: str, dst: str, flow: int) -> int:
     """A deterministic, process-independent hash of one flow's identity.
 
@@ -134,21 +110,6 @@ def flow_hash(src: str, dst: str, flow: int) -> int:
     operation.
     """
     return zlib.crc32(f"{src}|{dst}|{flow}".encode("ascii", "replace"))
-
-
-def _index(index: dict, key, item) -> None:
-    """File ``item`` (a plan or path set) under ``key`` of a reverse index."""
-    bucket = index.setdefault(key, {})
-    if item not in bucket:
-        bucket[item] = None
-        item.buckets.append(bucket)
-
-
-def _unindex(item) -> None:
-    """Take a killed plan or path set out of every bucket it sits in."""
-    for bucket in item.buckets:
-        bucket.pop(item, None)
-    item.buckets.clear()
 
 
 class ForwardingTable:
@@ -161,7 +122,7 @@ class ForwardingTable:
         src: str,
         dist: Dict[str, float],
         prev: Dict[str, str],
-        preds: Optional[Dict[str, List[str]]] = None,
+        preds: Optional[Dict[str, Tuple[str, ...]]] = None,
     ) -> None:
         self.src = src
         #: Final shortest distance per reachable node.
@@ -171,7 +132,8 @@ class ForwardingTable:
         self.prev = prev
         #: ECMP only: *all* equal-cost predecessors per node, in settle
         #: order, with the invariant ``preds[v][0] == prev[v]``.  None
-        #: when the engine runs single-path.
+        #: when the engine runs single-path.  Tuples: the leaves behind
+        #: one gateway share them.
         self.preds = preds
 
     def __repr__(self) -> str:
@@ -183,7 +145,7 @@ class RoutePlan:
 
     __slots__ = (
         "src", "dst", "route", "links", "pools", "delivers",
-        "fixed_delay", "per_byte_delay", "dead", "buckets",
+        "fixed_delay", "per_byte_delay",
     )
 
     def __init__(self, src: str, dst: str, route: List[str]) -> None:
@@ -197,17 +159,9 @@ class RoutePlan:
         self.delivers: Tuple = ()
         self.fixed_delay = 0.0
         self.per_byte_delay = 0.0
-        #: Set by scoped invalidation.  A dead plan is never handed out
-        #: for new resolutions; frames of already-admitted RMSs keep
-        #: forwarding on it (data follows the admitted route, and a
-        #: downed on-route link fails the RMS through the usual path).
-        self.dead = False
-        #: The reverse-index buckets this plan sits in, left on death.
-        self.buckets: List[dict] = []
 
     def __repr__(self) -> str:
-        state = "dead" if self.dead else "live"
-        return f"<RoutePlan {self.src}->{self.dst} hops={len(self.links)} {state}>"
+        return f"<RoutePlan {self.src}->{self.dst} hops={len(self.links)}>"
 
 
 class PathSet:
@@ -216,36 +170,41 @@ class PathSet:
     ``routes[0]`` starts as the canonical predecessor-tree route (the
     one the single-path engine would compile); plans are compiled
     lazily, one per pinned route, and cached in ``plans`` parallel to
-    ``routes``.  Scoped invalidation prunes routes in place.
+    ``routes``.
     """
 
-    __slots__ = ("src", "dst", "routes", "plans", "buckets")
+    __slots__ = ("src", "dst", "routes", "plans")
 
     def __init__(self, src: str, dst: str, routes: List[List[str]]) -> None:
         self.src = src
         self.dst = dst
         self.routes = routes
         self.plans: List[Optional[RoutePlan]] = [None] * len(routes)
-        self.buckets: List[dict] = []
 
     def __repr__(self) -> str:
         return f"<PathSet {self.src}->{self.dst} routes={len(self.routes)}>"
 
 
-_FAMILIES = {
-    **families("route", (
-        "searches", "table_builds", "plan_compiles", "pathset_builds",
-        "flow_pins", "dag_prunes", "scoped_table_drops", "scoped_plan_drops",
-        "full_invalidations",
-    )),
-    **families("route", ("index_sizes",), kind="gauge",
-               index_sizes="route_index_size{index}"),
-}
+_FAMILIES = families("route", (
+    "searches", "table_builds", "plan_compiles", "pathset_builds",
+    "flow_pins", "dag_prunes", "scoped_table_drops", "scoped_plan_drops",
+    "full_invalidations",
+))
 
 
 class ForwardingEngine:
-    """Next-hop tables, compiled plans, and scoped invalidation for one
-    :class:`~repro.netsim.internet.InternetNetwork`."""
+    """Next-hop tables and compiled plans for one
+    :class:`~repro.netsim.internet.InternetNetwork`, all dropped at every
+    link state change.
+
+    The counters are bench telemetry.  ``full_invalidations`` counts the
+    invalidations: one per link state change and one per ``add_link``.
+    ``scoped_table_drops`` / ``scoped_plan_drops`` count the tables and
+    the plans those invalidations discarded, and ``dag_prunes`` is always
+    0.  The last three keep names from when a flap dropped only the
+    routes over the flapped edge: ``benchmarks/e2e/ledger.py`` reads them
+    under those names.
+    """
 
     def __init__(
         self,
@@ -272,31 +231,8 @@ class ForwardingEngine:
         self._view: Optional[Dict[str, tuple]] = None
         #: The up-link graph's strongly connected components (node -> its
         #: component's root) and, per source component, the components it
-        #: reaches: built by the first ``reaches`` in a link state, dropped
-        #: wherever the memo is emptied.
+        #: reaches: built by the first ``reaches`` in a link state.
         self._components: Optional[Tuple[Dict[str, str], Dict[str, Set[str]]]] = None
-        #: Reverse indexes, maintained only once churn has been seen
-        #: (the fixed-topology fast path skips this bookkeeping).  Plan
-        #: and path-set buckets are insertion-ordered dicts keyed by the
-        #: object, which leaves every bucket it is in when it is killed.
-        #: Per edge, who owns a search whose tree (DAG under ECMP) uses
-        #: it: a source name, or the memo key of a shared search, which
-        #: ``_search_leaves`` maps to the leaves that took a copy.
-        self._edge_tables: Dict[_EdgeKey, set] = {}
-        self._search_leaves: Dict[Tuple[str, float], Set[str]] = {}
-        self._edge_plans: Dict[_EdgeKey, Dict[RoutePlan, None]] = {}
-        self._src_plans: Dict[str, Dict[RoutePlan, None]] = {}
-        self._edge_pathsets: Dict[_EdgeKey, Dict[PathSet, None]] = {}
-        self._src_pathsets: Dict[str, Dict[PathSet, None]] = {}
-        #: Path sets that lost routes to a downed edge, keyed by it: the
-        #: matching link_up drops them so the restored siblings rejoin.
-        self._edge_pruned: Dict[_EdgeKey, Dict[PathSet, None]] = {}
-        self._object_indexes = (
-            self._edge_plans, self._src_plans, self._edge_pathsets,
-            self._src_pathsets, self._edge_pruned,
-        )
-        self._track = False
-        # Introspection counters (bench telemetry).
         self.table_builds = 0  # host tables materialised
         self.searches = 0  # Dijkstra runs (shared by the hosts of a gateway)
         self.plan_compiles = 0
@@ -345,7 +281,7 @@ class ForwardingEngine:
         # preds[v][0] is always the canonical tree predecessor.
         distances: Dict[str, float] = {root: d0}
         previous: Dict[str, str] = {}
-        preds: Optional[Dict[str, List[str]]] = {} if self.ecmp else None
+        preds: Optional[Dict[str, Tuple[str, ...]]] = {} if self.ecmp else None
         heap: List[Tuple[float, str]] = [(d0, root)]
         visited: Set[str] = set()
         heappop = heapq.heappop
@@ -365,11 +301,11 @@ class ForwardingEngine:
                     distances[neighbor] = candidate
                     previous[neighbor] = node
                     if preds is not None:
-                        preds[neighbor] = [node]
+                        preds[neighbor] = (node,)
                     if relays:
                         heappush(heap, (candidate, neighbor))
                 elif preds is not None and candidate == best:
-                    preds[neighbor].append(node)
+                    preds[neighbor] += (node,)
         self.searches += 1
         self.network.route_resolutions += 1
         return distances, previous, preds
@@ -445,54 +381,26 @@ class ForwardingEngine:
         edges = view.get(src, ())
         if len(edges) == 1 and edges[0][1]._up:
             # A leaf shares its gateway's search with its siblings and
-            # takes a copy with three fix-ups; preds lists are copied
-            # too, because DAG pruning mutates them in place.
+            # takes a copy of its dicts with three fix-ups.
             gateway, _link, weight, _relays = edges[0]
             key = (gateway, weight)
             shared = self._search_memo.get(key)
             if shared is None:
                 shared = self._search_memo[key] = self._search(view, *key)
-                if self._track:
-                    self._file_search(key, shared[1], shared[2])
             distances, previous, preds = dict(shared[0]), dict(shared[1]), shared[2]
             distances[src] = 0.0
             previous[gateway] = src
             previous.pop(src, None)
             if preds is not None:
-                preds = {node: list(plist) for node, plist in preds.items()}
-                preds[gateway] = [src]
+                preds = dict(preds)
+                preds[gateway] = (src,)
                 preds.pop(src, None)
-            if self._track:
-                # The copy is found through the key; the one edge that is
-                # the leaf's alone is filed under the leaf.
-                self._search_leaves.setdefault(key, set()).add(src)
-                self._edge_tables.setdefault((src, gateway), set()).add(src)
         else:
             distances, previous, preds = self._search(view, src, 0.0)
-            if self._track:
-                self._file_search(src, previous, preds)
         table = ForwardingTable(src, distances, previous, preds)
         self._tables[src] = table
         self.table_builds += 1
         return table
-
-    def _file_search(self, owner, previous, preds) -> None:
-        # File one search under every edge of its tree -- under ECMP
-        # every DAG edge, not just the tree: pruning needs to find the
-        # table from any flapped equal-cost sibling.  ``owner`` is the
-        # source that ran the search for itself, or the memo key of a
-        # search its leaves copy (``_search_leaves``).
-        if preds is not None:
-            edges = ((p, node) for node, plist in preds.items() for p in plist)
-        else:
-            edges = zip(previous.values(), previous)
-        edge_tables = self._edge_tables
-        for edge in edges:
-            bucket = edge_tables.get(edge)
-            if bucket is None:
-                edge_tables[edge] = {owner}
-            else:
-                bucket.add(owner)
 
     def plan(self, src: str, dst: str) -> RoutePlan:
         """The compiled canonical plan for (src, dst); raises RoutingError."""
@@ -514,8 +422,7 @@ class ForwardingEngine:
         while route[-1] != src:
             route.append(prev[route[-1]])
         route.reverse()
-        plan = self._compile_plan(route)
-        self._plans[key] = plan
+        plan = self._plans[key] = self.compile_route(route)
         return plan
 
     def plan_for_flow(self, src: str, dst: str, flow: Optional[int]) -> RoutePlan:
@@ -535,9 +442,8 @@ class ForwardingEngine:
             return self.plan(src, dst)
         index = flow_hash(src, dst, flow) % len(routes)
         plan = pathset.plans[index]
-        if plan is None or plan.dead:
-            plan = self._compile_plan(routes[index])
-            pathset.plans[index] = plan
+        if plan is None:
+            plan = pathset.plans[index] = self.compile_route(routes[index])
         self.flow_pins += 1
         return plan
 
@@ -562,11 +468,6 @@ class ForwardingEngine:
         pathset = PathSet(src, dst, routes)
         self._pathsets[key] = pathset
         self.pathset_builds += 1
-        if self._track:
-            for route in routes:
-                for hop in zip(route, route[1:]):
-                    _index(self._edge_pathsets, hop, pathset)
-            _index(self._src_pathsets, src, pathset)
         return pathset
 
     def _enumerate_routes(
@@ -601,10 +502,10 @@ class ForwardingEngine:
         """Compile a plan for an explicit node list.
 
         This is how a re-pinned ``NetworkRms.route`` (downward-mux path
-        diversity) gets onto the datapath.  The plan belongs to its
-        caller alone: it is not entered into ``_plans`` or any reverse
-        index, so it is never handed out for a resolution and scoped
-        invalidation never sees it.  Raises :class:`RoutingError` when
+        diversity) gets onto the datapath, and how every resolved route
+        is compiled.  Called directly, the plan belongs to its caller
+        alone: it is in no ``_plans`` entry or path set, so it is never
+        handed out for a resolution.  Raises :class:`RoutingError` when
         a hop is not a link of the network.
         """
         network = self.network
@@ -637,16 +538,6 @@ class ForwardingEngine:
             self._make_deliver(plan, i + 1) for i in range(len(links))
         )
         self.plan_compiles += 1
-        return plan
-
-    def _compile_plan(self, route: List[str]) -> RoutePlan:
-        # A resolved route: compiled, then filed under every edge it
-        # crosses so scoped invalidation can find it.
-        plan = self.compile_route(route)
-        if self._track:
-            for hop in zip(route, route[1:]):
-                _index(self._edge_plans, hop, plan)
-            _index(self._src_plans, plan.src, plan)
         return plan
 
     # -- forwarding ---------------------------------------------------------
@@ -693,176 +584,39 @@ class ForwardingEngine:
 
     # -- invalidation -------------------------------------------------------
 
-    def invalidate_all(self) -> None:
-        """Drop every cached table and plan (topology grew, or the first
-        churn event before tracking was on)."""
-        for plan in self._plans.values():
-            plan.dead = True
-        for pathset in self._pathsets.values():
-            for plan in pathset.plans:
-                if plan is not None:
-                    plan.dead = True
-        self._plans.clear()
+    def _drop_routes(self) -> None:
+        # Everything computed from the link state; plans that admitted
+        # RMSs hold stay theirs.
+        self.scoped_table_drops += len(self._tables)
+        self.scoped_plan_drops += len(self._plans) + sum(
+            plan is not None
+            for pathset in self._pathsets.values() for plan in pathset.plans
+        )
         self._tables.clear()
+        self._plans.clear()
         self._pathsets.clear()
         self._search_memo.clear()
         self._components = None
-        self._view = None
-        self._edge_tables.clear()
-        self._search_leaves.clear()
-        for index in self._object_indexes:
-            for bucket in index.values():
-                bucket.clear()  # dead plans may outlive us in an RMS
-            index.clear()
         self.full_invalidations += 1
 
-    def _start_tracking(self) -> None:
-        # First link state change: everything cached was built without
-        # reverse indexes, so pay one full invalidation and maintain the
-        # indexes from here on.
-        self._track = True
-        self.invalidate_all()
-
-    def _kill_plan(self, plan: RoutePlan) -> None:
-        plan.dead = True
-        key = (plan.src, plan.dst)
-        if self._plans.get(key) is plan:
-            del self._plans[key]
-        _unindex(plan)
-        self.scoped_plan_drops += 1
-
-    def _drop_pathset(self, pathset: PathSet) -> None:
-        key = (pathset.src, pathset.dst)
-        if self._pathsets.get(key) is pathset:
-            del self._pathsets[key]
-        _unindex(pathset)
-        for plan in pathset.plans:
-            if plan is not None and not plan.dead:
-                self._kill_plan(plan)
-
-    def _prune_pathset(self, pathset: PathSet, u: str, v: str) -> None:
-        # Distances are unchanged (link removal can't shorten anything),
-        # so every surviving enumerated route is still cost-optimal:
-        # filter out the routes through (u, v), keep the rest in place.
-        keep_routes: List[List[str]] = []
-        keep_plans: List[Optional[RoutePlan]] = []
-        for route, plan in zip(pathset.routes, pathset.plans):
-            on_edge = any(
-                route[i] == u and route[i + 1] == v
-                for i in range(len(route) - 1)
-            )
-            if on_edge:
-                if plan is not None and not plan.dead:
-                    self._kill_plan(plan)
-            else:
-                keep_routes.append(route)
-                keep_plans.append(plan)
-        if keep_routes and len(keep_routes) < len(pathset.routes):
-            pathset.routes = keep_routes
-            pathset.plans = keep_plans
-            # Remember the prune so the matching link_up restores the
-            # lost siblings by rebuilding the (now stale) set.
-            _index(self._edge_pruned, (u, v), pathset)
-        elif not keep_routes:
-            del self._pathsets[(pathset.src, pathset.dst)]
-            _unindex(pathset)
+    def invalidate_all(self) -> None:
+        """Drop every cached route and the neighbour view: the topology
+        grew."""
+        self._drop_routes()
+        self._view = None
 
     def link_down(self, u: str, v: str) -> None:
-        """A link died: routes that avoid it are still shortest (the
-        path set only shrank), so drop exactly the indexed dependents.
-
-        Under ECMP a table whose DAG loses edge (u, v) but keeps another
-        predecessor into ``v`` still has optimal distances everywhere:
-        prune the DAG in place instead of dropping the table, and let
-        the surviving equal-cost siblings carry re-pinned flows."""
-        if not self._track:
-            self._start_tracking()
-            return
-        self._search_memo.clear()
-        self._components = None
-        edge = (u, v)
-        sources: Set[str] = set()
-        for owner in self._edge_tables.pop(edge, ()):
-            # A memo key stands for every leaf that copied its search.
-            leaves = self._search_leaves.get(owner)
-            if leaves is None:
-                sources.add(owner)
-            else:
-                sources.update(leaves)
-        for src in sources:
-            table = self._tables.get(src)
-            if table is None:
-                continue
-            preds = table.preds
-            if preds is not None:
-                plist = preds.get(v)
-                if plist is not None and u in plist and len(plist) > 1:
-                    plist.remove(u)
-                    if table.prev.get(v) == u:
-                        table.prev[v] = plist[0]
-                    self.dag_prunes += 1
-                    continue
-            del self._tables[src]
-            self.scoped_table_drops += 1
-        # Copies: a killed entry leaves the bucket being walked.
-        for plan in list(self._edge_plans.pop(edge, ())):
-            self._kill_plan(plan)
-        for pathset in list(self._edge_pathsets.pop(edge, ())):
-            self._prune_pathset(pathset, u, v)
+        """Link (u, v) died: any cached route may cross it."""
+        self._drop_routes()
 
     def link_up(self, u: str, v: str) -> None:
-        """A link recovered: it can only improve a source's routes when
-        ``dist(src, u) + w < dist(src, v)`` -- probe the cached distance
-        maps and drop exactly those sources (and their plans).  Under
-        ECMP a restored *tie* (``<=``) also matters: it re-enters the
-        equal-cost DAG, so tying sources are dropped too, and path sets
-        previously pruned by this edge are rebuilt on next use."""
-        if not self._track:
-            self._start_tracking()
-            return
-        self._search_memo.clear()
-        self._components = None
-        weight = self.network._link_weight(u, v)
-        inf = float("inf")
-        ecmp = self.ecmp
-        affected = []
-        for src, table in self._tables.items():
-            dist_u = table.dist.get(u, inf)
-            dist_v = table.dist.get(v, inf)
-            candidate = dist_u + weight
-            if candidate < dist_v or (
-                ecmp and dist_v != inf and candidate == dist_v
-            ):
-                affected.append(src)
-        for src in affected:
-            del self._tables[src]
-            self.scoped_table_drops += 1
-        # ``link_down`` spares plans that avoid its edge, not their table:
-        # the plans of a source with no table were not probed, so go too.
-        tables = self._tables
-        for src in [src for src in self._src_plans if src not in tables]:
-            for plan in list(self._src_plans.pop(src)):
-                self._kill_plan(plan)
-        for src in [src for src in self._src_pathsets if src not in tables]:
-            for pathset in list(self._src_pathsets.pop(src)):
-                self._drop_pathset(pathset)
-        for pathset in list(self._edge_pruned.pop((u, v), ())):
-            self._drop_pathset(pathset)
-
-    def index_sizes(self) -> Dict[str, int]:
-        """Entries held by each reverse index and by the search memo."""
-        names = ("edge_plans", "src_plans", "edge_pathsets", "src_pathsets",
-                 "edge_pruned", "edge_tables")
-        indexes = self._object_indexes + (self._edge_tables,)
-        sizes = {n: sum(map(len, i.values())) for n, i in zip(names, indexes)}
-        sizes["search_leaves"] = sum(map(len, self._search_leaves.values()))
-        sizes["search_memo"] = len(self._search_memo)
-        return sizes
+        """Link (u, v) recovered: any cached route may now be beaten or
+        tied by one across it."""
+        self._drop_routes()
 
     def __repr__(self) -> str:
         return (
             f"<ForwardingEngine tables={len(self._tables)} "
             f"plans={len(self._plans)} pathsets={len(self._pathsets)} "
-            f"ecmp={self.ecmp} "
-            f"tracking={self._track} indexes={self.index_sizes()}>"
+            f"ecmp={self.ecmp}>"
         )

@@ -6,7 +6,8 @@ pure function of (src, dst, flow) and the topology -- no interpreter
 salt, no iteration-order luck -- and on tie-free topologies the engine
 must hand out the *same* canonical plans as the single-path engine, so
 fixed-seed traces are byte-identical.  Link flaps must stay scoped:
-only flows pinned through the flapped edge reroute.
+only streams pinned through the flapped edge fail, and the equal-cost
+siblings carry them once they are re-established.
 """
 
 from __future__ import annotations
@@ -214,53 +215,18 @@ class TestTieFreeEquivalence:
 
 
 class TestDagScopedInvalidation:
-    """A flapped edge reroutes only the flows pinned through it; the
-    equal-cost siblings absorb them without a full invalidation."""
+    """A flapped edge fails only the streams pinned through it; the
+    equal-cost siblings absorb the re-resolved flows."""
 
     def _fabric(self):
         context = SimContext(seed=13)
         network = InternetNetwork(context, trusted=True, ecmp=True)
         mesh = build_two_tier(network, spines=3, leaves=3, hosts_per_leaf=2)
         engine = network._engine
-        # Prime tracking: the first state change pays one full
-        # invalidation and switches the reverse indexes on.
         primer = network.link("leaf2", "spine2")
         primer.set_down()
         primer.set_up()
         return context, network, mesh, engine
-
-    def test_only_pinned_through_plans_die(self):
-        _, network, _, engine = self._fabric()
-        plans = {
-            flow: engine.plan_for_flow("h0", "h2", flow) for flow in range(9)
-        }
-        assert len({id(p) for p in plans.values()}) > 1
-        full_before = engine.full_invalidations
-        builds_before = engine.table_builds
-        network.link("leaf0", "spine1").set_down()
-        network.link("spine1", "leaf0").set_down()
-        assert engine.full_invalidations == full_before
-        for flow, plan in plans.items():
-            assert plan.dead == ("spine1" in plan.route), (flow, plan.route)
-        # Re-resolution lands on surviving siblings with zero Dijkstra.
-        for flow in range(9):
-            replacement = engine.plan_for_flow("h0", "h2", flow)
-            assert "spine1" not in replacement.route
-            assert not replacement.dead
-        assert engine.table_builds == builds_before
-
-    def test_remote_tables_prune_in_place(self):
-        _, network, _, engine = self._fabric()
-        engine.plan_for_flow("h0", "h2", 0)
-        table = engine.table("h0")
-        # Edge (spine1, leaf1): h0's DAG reaches leaf1 via all three
-        # spines, so losing one prunes the DAG but keeps the table.
-        prunes_before = engine.dag_prunes
-        network.link("spine1", "leaf1").set_down()
-        assert engine.dag_prunes == prunes_before + 1
-        assert engine.table("h0") is table
-        assert "spine1" not in table.preds["leaf1"]
-        assert table.prev["leaf1"] == table.preds["leaf1"][0]
 
     def test_restored_sibling_rejoins_the_spread(self):
         _, network, _, engine = self._fabric()
@@ -386,11 +352,9 @@ class TestSoakBound:
                         engine.plan_for_flow(src, dst, flow)
 
         sizes = soak(network, trunks, resolve)
-        assert engine.dag_prunes > 0  # the in-place path really ran
-        for name in ("edge_plans", "src_plans", "edge_pathsets",
-                     "src_pathsets", "edge_tables"):
+        for name in ("tables", "plans", "pathsets", "search_memo"):
             assert sizes[-1][name] > 0
-        assert sizes[-2]["edge_pruned"] > 0  # trunk down: pruned sets indexed
+        assert engine.dag_prunes == 0
         assert_bounded(sizes)
 
 

@@ -392,9 +392,6 @@ class TestCoverage:
                      "flow_pins", "scoped_table_drops", "scoped_plan_drops",
                      "full_invalidations"):
             assert get(f"route_{attr}", network=network.name) == getattr(engine, attr)
-        for index, size in engine.index_sizes().items():
-            assert get("route_index_size", network=network.name, index=index) == size
-        assert system.obs.metrics.snapshot()["route_index_size"]["kind"] == "gauge"
         assert get("link_frames_transmitted", link=trunk.name) == (
             trunk.stats.frames_transmitted)
         st = system.nodes[hosts[0]].st

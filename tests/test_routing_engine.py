@@ -220,44 +220,34 @@ def two_region_network(observe=False):
 
 class TestScopedInvalidation:
     def test_fixed_topology_pays_no_tracking(self):
+        """A fixed topology resolves from its caches after the first
+        build.  A link state change is one full invalidation: it empties
+        every route cache and keeps the neighbour view, which only
+        ``add_link`` drops."""
         _, network = two_region_network()
         engine = network._engine
         network.route_between("h1", "h2")
         network.route_between("h3", "h4")
-        assert not engine._track
-        assert engine._edge_tables == {} and engine._edge_plans == {}
-        # The first state change switches tracking on with one full
-        # invalidation.
-        invalidations = engine.full_invalidations
-        network.link("g1", "g2").set_down()
-        assert engine._track
+        work = (engine.searches, engine.table_builds, engine.plan_compiles)
+        view, invalidations = engine._view, engine.full_invalidations
+        for _ in range(3):
+            network.route_between("h1", "h2")
+            network.route_between("h3", "h4")
+        assert (engine.searches, engine.table_builds,
+                engine.plan_compiles) == work
+        assert engine.full_invalidations == invalidations
+        tables, plans = len(engine._tables), len(engine._plans)
+        network.link("g3", "h2").set_down()  # off every cached route
         assert engine.full_invalidations == invalidations + 1
-
-    def test_flap_spares_disjoint_routes_by_identity(self):
-        _, network = two_region_network()
-        engine = network._engine
-        # Prime tracking (first flap is the full-invalidation fallback).
-        network.link("g1", "g2").set_down()
-        network.link("g1", "g2").set_up()
-        network.link("g2", "g1").set_down()
-        network.link("g2", "g1").set_up()
-        short = network.route_between("h1", "h2")
-        assert short == ["h1", "g1", "g2", "h2"]
-        other_plan = network._engine.plan("h3", "h4")
-        other_table = engine.table("h3")
-        # Down: only region-1 state is touched.
-        network.link("g1", "g2").set_down()
-        assert engine.table("h3") is other_table
-        assert engine.plan("h3", "h4") is other_plan
-        assert not other_plan.dead
-        assert network.route_between("h1", "h2") == ["h1", "g3", "h2"]
-        # Up: the asymmetric side routes through the scoped probe, and
-        # the flapped link's routes recover...
-        network.link("g1", "g2").set_up()
-        assert network.route_between("h1", "h2") == short
-        # ...while the disjoint region still holds its exact objects.
-        assert engine.table("h3") is other_table
-        assert engine.plan("h3", "h4") is other_plan
+        assert engine.scoped_table_drops == tables
+        assert engine.scoped_plan_drops == plans
+        assert not engine._tables and not engine._plans
+        assert engine._search_memo == {} and engine._components is None
+        assert engine._view is view
+        assert engine.dag_prunes == 0
+        network.add_router("g5")
+        network.add_link("g4", "g5")
+        assert engine._view is None
 
     def test_flapped_rms_fails_and_reestablishes(self):
         context, network = two_region_network()
@@ -282,27 +272,13 @@ class TestScopedInvalidation:
         context.run(until=context.now + 1.0)
         assert final.result().route == ["h1", "g1", "g2", "h2"]
 
-    def test_link_up_improvement_probe_is_scoped(self):
-        _, network = two_region_network()
-        engine = network._engine
-        network.link("g1", "g2").set_down()  # prime tracking
-        network.link("g1", "g2").set_up()
-        # Build tables for both regions under tracking.
-        assert network.route_between("h1", "h2") == ["h1", "g1", "g2", "h2"]
-        network.route_between("h3", "h4")
-        region2_table = engine.table("h3")
-        network.link("g1", "g2").set_down()
-        network.route_between("h1", "h2")  # rebuilt via the bypass
-        # The up-probe drops only sources the restored link improves:
-        # region 2 cannot use g1->g2 at all.
-        network.link("g1", "g2").set_up()
-        assert engine.table("h3") is region2_table
-        assert network.route_between("h1", "h2") == ["h1", "g1", "g2", "h2"]
-
 
 def soak(network, trunks, resolve, flaps=1000):
     """Flap ``trunks`` in turn, ``resolve()`` after every transition;
-    returns the engine's index sizes after each (two per flap)."""
+    returns the engine's cache sizes after each (two per flap).  Each
+    transition of both directions is two full invalidations."""
+    engine = network._engine
+    invalidations = engine.full_invalidations
     sizes = []
     for flap in range(flaps):
         u, v = trunks[flap % len(trunks)]
@@ -310,12 +286,23 @@ def soak(network, trunks, resolve, flaps=1000):
             for link in (network.link(u, v), network.link(v, u)):
                 link.set_up() if up else link.set_down()
             resolve()
-            sizes.append(network._engine.index_sizes())
+            sizes.append({
+                "tables": len(engine._tables), "plans": len(engine._plans),
+                "pathsets": len(engine._pathsets),
+                "search_memo": len(engine._search_memo),
+            })
+    assert engine.full_invalidations == invalidations + 4 * flaps
+    hosts = len(network.hosts)
+    for snapshot in sizes:
+        assert snapshot["tables"] <= hosts, snapshot
+        assert snapshot["search_memo"] <= hosts, snapshot
+        assert snapshot["plans"] <= hosts * hosts, snapshot
+        assert snapshot["pathsets"] <= hosts * hosts, snapshot
     return sizes
 
 
 def assert_bounded(sizes, factor=2):
-    """Every index stays within a constant factor of its size after the
+    """Every cache stays within a constant factor of its size after the
     first ten flaps -- nothing grows with the number of flaps."""
     early = {name: max(s[name] for s in sizes[:20]) for name in sizes[0]}
     for step, snapshot in enumerate(sizes[20:], start=20):
@@ -336,9 +323,9 @@ class TestSoakBound:
                     network.route_between(src, dst)
 
         sizes = soak(network, trunks, resolve)
-        assert sizes[-1]["edge_plans"] > 0 and sizes[-1]["edge_tables"] > 0
+        assert sizes[-1]["plans"] > 0 and sizes[-1]["tables"] > 0
         assert_bounded(sizes)
-        assert "indexes={" in repr(network._engine)
+        assert f"tables={sizes[-1]['tables']} " in repr(network._engine)
 
 
 class TestCanReachProbe:
@@ -441,22 +428,33 @@ class TestPlanDatapath:
         assert network.link("g3", "h2").stats.frames_transmitted == 1
 
     def test_pinned_plan_stays_out_of_every_index(self):
+        """A re-pinned plan is its RMS's alone: no resolution hands it
+        out, and a flap elsewhere, which empties the route caches,
+        leaves the RMS forwarding on it."""
         context, network = two_region_network()
         engine = network._engine
-        network.link("g1", "g2").set_down()  # tracking on: plans are indexed
-        network.link("g1", "g2").set_up()
         params = best_effort()
         future = network.create_rms(Label("h3"), Label("h4"), params, params)
         context.run(until=context.now + 1.0)
         rms = future.result()
-        sizes, drops = engine.index_sizes(), engine.scoped_plan_drops
         rms.route = ["h3", "g4", "h4"]
-        assert engine.index_sizes() == sizes
-        # A flap on the pinned route kills the resolved plan, not this one.
         pinned = rms.plan
-        network.link("g4", "h4").set_down()
-        assert engine.scoped_plan_drops == drops + 1
-        assert not pinned.dead
+        assert pinned not in engine._plans.values()
+        assert engine.plan("h3", "h4") is not pinned
+        assert engine.plan_for_flow("h3", "h4", 1) is not pinned
+        got = []
+        rms.port.set_handler(got.append)
+        last_hop = network.link("g4", "h4").stats
+        before = last_hop.frames_transmitted
+        for up in (False, True):
+            trunk = network.link("g1", "g2")
+            trunk.set_up() if up else trunk.set_down()
+            assert rms.plan is pinned and rms.is_open
+            assert engine.plan("h3", "h4") is not pinned
+            rms.send(b"p" * 100)
+            context.run(until=context.now + 1.0)
+        assert len(got) == 2
+        assert last_hop.frames_transmitted == before + 2
 
     def test_pinning_through_a_missing_link_raises_at_assignment(self):
         context, network = two_region_network()

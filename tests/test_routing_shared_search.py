@@ -102,9 +102,8 @@ class TestSharedSearchExactness:
     @settings(max_examples=12, deadline=None)
     @given(shape=shapes, flaps=flap_lists)
     def test_fresh_engine_equals_legacy_after_every_flap(self, shape, flaps):
-        """A fresh network per step, driven through the flaps so far, so
-        no table survives a link-up and the accepted tie divergence of
-        DESIGN 8.7 does not enter: everything must be *equal*."""
+        """A fresh network per step, driven through the flaps so far: no
+        cache was ever warm, and everything must be *equal*."""
         for step in range(len(flaps) + 1):
             network = build(shape)
             for pick in flaps[:step]:
@@ -148,24 +147,13 @@ class TestSharedSearchExactness:
     def test_warm_engine_stays_cost_exact_through_flaps(self, shape, flaps):
         """One engine kept warm across the flaps (every pair resolved
         after every transition, so the memo and the tables are live when
-        the next link changes): ties may break differently after a
-        link-up, reachability and cost may not."""
+        the next link changes): every route, tie-breaks included, and
+        every path profile is the reference's."""
         network = build(shape)
-        hosts = sorted(network.hosts)
-
-        def cost(route):
-            return [network._weights[hop] for hop in zip(route, route[1:])]
-
         for pick in [None] + flaps:
             if pick is not None:
                 toggle(network, pick)
-            for src in hosts:
-                for dst in hosts:
-                    route = reference_route(network, src, dst)
-                    mine = route_or_none(network, src, dst)
-                    assert (mine is None) == (route is None)
-                    if route is not None:
-                        assert sum(cost(mine)) == sum(cost(route))
+            all_pairs_route_exact(network)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=shapes, flaps=flap_lists, ecmp=st.booleans())
@@ -174,29 +162,27 @@ class TestSharedSearchExactness:
         """``grid_churn``'s pattern on one warm engine.  Each flap toggles
         its link and then the one before it, so links come up as often
         as they go down.  After every toggle every host pair is probed
-        with ``can_reach``, no route resolved in between; after every
-        link-up every pair is routed, at the reference's cost.  A plan
-        that outlived its table (``link_down`` spares it) and that the
-        next ``link_up`` did not probe would keep the longer route."""
+        with ``can_reach`` before anything is resolved, then routed: the
+        reference's route and profile, and under ECMP a path set led by
+        that route.  A plan that outlived its table would keep the
+        longer route after a link-up."""
         network = build(shape, ecmp=ecmp)
         hosts = sorted(network.hosts)
-        all_pairs_cost_exact(network)
+        all_pairs_route_exact(network)
         toggles = [p for i, pick in enumerate(flaps)
                    for p in [pick, *flaps[i - 1:i]]]
         for pick in toggles:
-            link = toggle(network, pick)
+            toggle(network, pick)
             for src in hosts:
                 for dst in hosts:
                     assert (network.can_reach(src, dst)
                             == reference_can_reach(network, src, dst))
-            if link.is_up:
-                all_pairs_cost_exact(network)
+            all_pairs_route_exact(network)
 
 
 class TestPlanOutlivesItsTable:
-    """``link_down`` drops a table whose tree uses the dead edge but keeps
-    that source's plans that avoid it, and ``link_up`` probes cached
-    tables: the plans of a source with no table must go at a link-up."""
+    """A plan resolved before a flap must not outlive it: once the short
+    trunk is back, the long route cached while it was down is gone."""
 
     @pytest.mark.parametrize("ecmp", [False, True], ids=["single", "ecmp"])
     def test_link_up_shortens_a_plan_whose_table_was_dropped(self, ecmp):
@@ -240,8 +226,8 @@ class TestSiblingTables:
         assert first.dist["h0"] == second.dist["h1"] == 0.0
         assert first.prev[gateway] == "h0" and second.prev[gateway] == "h1"
         assert "h0" not in first.prev and "h1" not in second.prev
-        assert first.preds[gateway] == ["h0"]
-        assert second.preds[gateway] == ["h1"]
+        assert first.preds[gateway] == ("h0",)
+        assert second.preds[gateway] == ("h1",)
         assert "h0" not in first.preds and "h1" not in second.preds
         # The sibling itself is an ordinary leaf of the other's tree.
         assert first.dist["h1"] == second.dist["h0"]
@@ -255,14 +241,17 @@ class TestSiblingTables:
                 assert first.preds[node] == second.preds[node]
 
     def test_siblings_share_no_mutable_preds_list(self):
+        """Siblings copy the shared search's dicts and share its preds,
+        which are tuples: damage to one sibling's table reaches neither
+        the other's nor the memo."""
         network = sibling_network(ecmp=True)
         engine = network._engine
         first, second = engine.table("h0"), engine.table("h1")
-        for node in set(first.preds) & set(second.preds):
-            assert first.preds[node] is not second.preds[node]
-        before = {node: list(p) for node, p in second.preds.items()}
-        for plist in first.preds.values():
-            plist.append("poison")
+        for table in (first, second):
+            assert all(type(p) is tuple for p in table.preds.values())
+        before = dict(second.preds)
+        for node in list(first.preds):
+            first.preds[node] = ("poison",)
         first.dist.clear()
         first.prev.clear()
         assert second.preds == before
@@ -277,10 +266,10 @@ class TestSiblingTables:
         engine.table("h0")
         engine.table("slow")  # same gateway, slower access link
         assert engine.searches == 2
-        assert engine.index_sizes()["search_memo"] == 2
+        assert len(engine._search_memo) == 2
         engine.table("multi")  # degree 2: its own full search, no memo
         assert engine.searches == 3
-        assert engine.index_sizes()["search_memo"] == 2
+        assert len(engine._search_memo) == 2
 
     def test_memo_is_emptied_by_every_link_state_change(self):
         network = sibling_network(ecmp=False)
@@ -290,46 +279,51 @@ class TestSiblingTables:
             link = network.link("g0x0", "g0x1")
             link.set_up() if up else link.set_down()
 
-        flip(up=False)  # the first change switches tracking on
+        flip(up=False)
         flip(up=True)
         direct = ["h0", "g0x0", "g0x1", "h3"]
         assert network.route_between("h0", "h3") == direct
-        assert engine.index_sizes()["search_memo"] == 1
+        assert len(engine._search_memo) == 1
         flip(up=False)
-        assert engine.index_sizes()["search_memo"] == 0
+        assert len(engine._search_memo) == 0
         # A sibling first resolved *after* the change must see it.
         detour = network.route_between("h1", "h3")
         assert detour == reference_route(network, "h1", "h3")
         assert detour[1:3] != ["g0x0", "g0x1"]
-        assert engine.index_sizes()["search_memo"] == 1
+        assert len(engine._search_memo) == 1
         flip(up=True)
-        assert engine.index_sizes()["search_memo"] == 0
+        assert len(engine._search_memo) == 0
         assert network.route_between("h2", "h3") == ["h2"] + direct[1:]
         network.add_link("h0", "g1x2", **ACCESS)  # topology grew
-        assert engine.index_sizes()["search_memo"] == 0
+        assert len(engine._search_memo) == 0
 
 
-def all_pairs_cost_exact(network):
-    """Every host pair of a warm engine: reachability and cost as the
-    reference has them (ties may break differently after a link-up)."""
-    def cost(route):
-        return sum(network._weights[hop] for hop in zip(route, route[1:]))
-
+def all_pairs_route_exact(network):
+    """Every host pair of a warm engine: the reference's route,
+    reachability and path profile, and under ECMP a path set whose first
+    route is the reference's."""
+    engine = network._engine
     hosts = sorted(network.hosts)
     for src in hosts:
         for dst in hosts:
             route = reference_route(network, src, dst)
-            mine = route_or_none(network, src, dst)
-            assert (mine is None) == (route is None), (src, dst)
+            assert route_or_none(network, src, dst) == route, (src, dst)
             assert network.can_reach(src, dst) == (route is not None)
-            if route is not None:
-                assert cost(mine) == cost(route), (src, dst)
+            if route is None:
+                continue
+            fixed, per_byte, path = network._path_profile(src, dst)
+            assert (fixed, per_byte) == reference_profile(network, route)
+            assert path == route
+            if engine.ecmp and src != dst:
+                assert engine.pathset(src, dst).routes[0] == route, (src, dst)
 
 
 class TestSharedRegistration:
-    """A shared search is filed once, under its memo key; a leaf is found
-    through the key and owns only its up-link.  These are the cases where
-    that index can answer differently from one filed per host."""
+    """A shared search serves every leaf behind its gateway, and a flap
+    drops it with every table copied from it.  These are the cases where
+    a shared search could outlive what it was computed from: a leaf's
+    own access link flapping, and siblings first resolved in different
+    link states."""
 
     # (leaf -> gateway) alone, (gateway -> leaf) alone, both, both back.
     ACCESS_STEPS = [("out", False), ("out", True), ("in", False),
@@ -341,11 +335,11 @@ class TestSharedRegistration:
                  "dark": "both"}
         network = build(shape, ecmp=ecmp)
         trunk = network.link("g0x1", "g0x2")
-        trunk.set_down()  # tracking on before the first access flap
+        trunk.set_down()
         trunk.set_up()
         for direction, up in steps:
             if warm:
-                all_pairs_cost_exact(network)
+                all_pairs_route_exact(network)
             edge = ("h0", "g0x0") if direction == "out" else ("g0x0", "h0")
             link = network.link(*edge)
             link.set_up() if up else link.set_down()
@@ -357,8 +351,8 @@ class TestSharedRegistration:
             steps = self.ACCESS_STEPS[:step]
             # Warm: every table and the memo live when the link changes.
             warm = self.access_network(ecmp, steps, warm=True)
-            all_pairs_cost_exact(warm)
-            # Fresh: no table survives a link-up, so routes are *equal*.
+            all_pairs_route_exact(warm)
+            # Fresh: the same link state, no cache ever warm.
             fresh = self.access_network(ecmp, steps, warm=False)
             for src in nodes_of(fresh):
                 for dst in nodes_of(fresh):
@@ -368,12 +362,10 @@ class TestSharedRegistration:
     def test_down_link_of_a_leaf_drops_every_table_that_reaches_it(self):
         network = self.access_network(False, [], warm=True)
         engine = network._engine
-        all_pairs_cost_exact(network)
+        all_pairs_route_exact(network)
+        assert engine._tables and engine._search_memo
         network.link("g0x0", "h0").set_down()
-        # Whoever could reach h0 did so over this edge (the parent's drop
-        # set); h0's own table may go with its siblings', never stay
-        # where theirs would not.
-        assert not set(engine._tables) - {"h0", "dark", "p0", "p1"}
+        assert not engine._tables and not engine._search_memo
         assert not network.can_reach("h1", "h0")
         assert network.can_reach("h0", "h1")
 
@@ -390,35 +382,32 @@ class TestSharedRegistration:
         network = self.tie_square()
         engine = network._engine
         far = "h6"  # behind g1x1
-        network.link("g0x1", "g1x1").set_down()  # tracking on
+        network.link("g0x1", "g1x1").set_down()
         older = ["h0", "g0x0", "g1x0", "g1x1", far]
         assert network.route_between("h0", far) == older
-        # The restored trunk only ties: h0's table is spared, h1's is
-        # built from a new search under the same key, which takes it.
+        # The restored trunk only ties.  h0's table goes with the flap,
+        # so both siblings take the route a fresh search takes.
         network.link("g0x1", "g1x1").set_up()
-        spared = engine.table("h0")
+        assert not engine._tables
         newer = ["h1", "g0x0", "g0x1", "g1x1", far]
         assert network.route_between("h1", far) == newer
         assert network.route_between("h1", far) == reference_route(
             network, "h1", far)
-        assert engine._tables["h0"] is spared
-        assert network.route_between("h0", far) == older
-        all_pairs_cost_exact(network)
-        # An edge only one of the two trees uses: its user is dropped, as
-        # it was when each host filed its own copy (the other may be).
+        assert network.route_between("h0", far) == ["h0"] + newer[1:]
+        all_pairs_route_exact(network)
+        # An edge only one of the two routes uses: both resolve again.
         if victim == "older":
             network.link("g1x0", "g1x1").set_down()
-            assert "h0" not in engine._tables
             assert network.route_between("h0", far) == ["h0"] + newer[1:]
         else:
             network.link("g0x1", "g1x1").set_down()
-            assert "h1" not in engine._tables
             assert network.route_between("h1", far) == ["h1"] + older[1:]
-        all_pairs_cost_exact(network)
+        all_pairs_route_exact(network)
 
     def test_a_search_is_filed_once_not_once_per_host(self):
         """The 6x6 grid with 6 hosts a router, plus one two-homed host,
-        after a tracked full sweep: one registration per search edge."""
+        after a flap: a full sweep runs one search per gateway, memoised
+        once, and the next flap empties the memo with the tables."""
         context = SimContext(seed=1)
         network = InternetNetwork(context)
         mesh = build_grid(network, 6, 6, hosts_per_router=6)
@@ -427,7 +416,7 @@ class TestSharedRegistration:
             network.add_link("multi", gateway, **ACCESS)
         engine = network._engine
         trunk = network.link("g2x2", "g2x3")
-        trunk.set_down()  # tracking on, every cache empty
+        trunk.set_down()
         trunk.set_up()
         before = engine.searches
         for src in sorted(network.hosts):
@@ -436,13 +425,8 @@ class TestSharedRegistration:
         leaves = len(mesh.hosts)
         searches = engine.searches - before
         assert (nodes, leaves, searches) == (253, 216, 36 + 1)
-        sizes = engine.index_sizes()
-        assert sizes["search_leaves"] == leaves
-        # 36 shared searches and multi's own, a spanning tree each, and
-        # every leaf's up-link: 9,540 (54,684 when each of the 217
-        # sources filed its own 252 edges).
-        assert sizes["edge_tables"] == searches * (nodes - 1) + leaves
-        # A full invalidation empties the map with the index.
-        network.add_link("multi", "g3x3", **ACCESS)
-        sizes = engine.index_sizes()
-        assert sizes["search_leaves"] == sizes["edge_tables"] == 0
+        # 36 shared searches; multi's own is not memoised.
+        assert len(engine._search_memo) == 36
+        assert len(engine._tables) == leaves + 1
+        trunk.set_down()
+        assert not engine._search_memo and not engine._tables
