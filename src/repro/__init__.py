@@ -8,7 +8,8 @@ from-scratch discrete-event network simulator:
 - :mod:`repro.core` -- RMS parameters, negotiation, the RMS base classes;
 - :mod:`repro.sim` -- the discrete-event substrate;
 - :mod:`repro.sched` -- deadline-based CPU and interface scheduling;
-- :mod:`repro.security` -- checksums, transform providers, MACs, keys;
+- :mod:`repro.security` -- the software checksum, transform providers,
+  MACs, keys;
 - :mod:`repro.netsim` -- simulated Ethernet/internetwork with admission
   control and network-level RMS;
 - :mod:`repro.subtransport` -- the ST layer: control channel, caching,
@@ -16,7 +17,7 @@ from-scratch discrete-event network simulator:
 - :mod:`repro.transport` -- RKOM request/reply, stream protocols, flow
   control, sub-user/user RMS levels;
 - :mod:`repro.baselines` -- datagrams, TCP-like stream, datagram RPC;
-- :mod:`repro.apps` -- voice/video/window/bulk/RPC workloads;
+- :mod:`repro.apps` -- voice/window/RPC workloads;
 - :mod:`repro.obs` -- the one recorder (``observe=True``: metrics registry
   and message spans) plus summary statistics and table rendering;
 - :mod:`repro.resilience` -- supervised sessions: retry, failover,

@@ -1,14 +1,8 @@
-"""Application workloads: voice, video, window system, bulk, RPC."""
+"""Application workloads: voice, window system, RPC."""
 
-from repro.apps.bulk import BulkReport, BulkTransfer
-from repro.apps.media import (
-    MediaReport,
-    VideoStream,
-    VoiceCall,
-    voice_rms_params,
-)
+from repro.apps.media import MediaReport, VoiceCall, voice_rms_params
 from repro.apps.rpcload import RpcReport, RpcWorkload
-from repro.apps.sources import PeriodicSource, PoissonSource
+from repro.apps.sources import PeriodicSource
 from repro.apps.window import (
     WindowReport,
     WindowSystemWorkload,
@@ -17,14 +11,10 @@ from repro.apps.window import (
 )
 
 __all__ = [
-    "BulkReport",
-    "BulkTransfer",
     "MediaReport",
     "PeriodicSource",
-    "PoissonSource",
     "RpcReport",
     "RpcWorkload",
-    "VideoStream",
     "VoiceCall",
     "WindowReport",
     "WindowSystemWorkload",

@@ -1,23 +1,22 @@
-"""Generic traffic sources used by the application workloads."""
+"""The periodic traffic source the voice workload sends with."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.rms import Rms, RmsState
 from repro.errors import RmsFailedError
 from repro.sim.context import SimContext
 
-__all__ = ["PeriodicSource", "PoissonSource"]
+__all__ = ["PeriodicSource"]
 
 
 class PeriodicSource:
     """Sends fixed-size messages at a fixed period on an RMS.
 
-    ``payload_fn(index)`` builds each payload; default is a constant
-    filler of ``size`` bytes.  Stops after ``count`` messages or when
-    stopped explicitly; silently ends if the RMS fails (clients observe
-    failure via the RMS's own notification).
+    Payload ``index`` is ``size`` bytes of ``index % 256``.  Stops after
+    ``count`` messages or when stopped explicitly; silently ends if the
+    RMS fails (clients observe failure via the RMS's own notification).
     """
 
     def __init__(
@@ -27,7 +26,6 @@ class PeriodicSource:
         period: float,
         size: int,
         count: Optional[int] = None,
-        payload_fn: Optional[Callable[[int], bytes]] = None,
         jitter_fraction: float = 0.0,
         rng_name: str = "periodic-source",
     ) -> None:
@@ -36,7 +34,6 @@ class PeriodicSource:
         self.period = period
         self.size = size
         self.count = count
-        self.payload_fn = payload_fn or (lambda index: bytes([index % 256]) * size)
         self.jitter_fraction = jitter_fraction
         self.sent = 0
         self._rng = context.rng.stream(rng_name)
@@ -54,7 +51,7 @@ class PeriodicSource:
             if self.rms.state is not RmsState.OPEN:
                 return self.sent
             try:
-                self.rms.send(self.payload_fn(index))
+                self.rms.send(bytes([index % 256]) * self.size)
             except RmsFailedError:
                 return self.sent
             self.sent += 1
@@ -64,47 +61,4 @@ class PeriodicSource:
                 swing = self.period * self.jitter_fraction
                 delay += self._rng.uniform(-swing, swing)
             yield max(delay, 0.0)
-        return self.sent
-
-
-class PoissonSource:
-    """Sends messages with exponential interarrivals (bursty traffic)."""
-
-    def __init__(
-        self,
-        context: SimContext,
-        rms: Rms,
-        rate: float,  # messages per second
-        size_fn: Callable[[], int],
-        count: Optional[int] = None,
-        rng_name: str = "poisson-source",
-    ) -> None:
-        self.context = context
-        self.rms = rms
-        self.rate = rate
-        self.size_fn = size_fn
-        self.count = count
-        self.sent = 0
-        self._rng = context.rng.stream(rng_name)
-        self._stopped = False
-        self.process = context.spawn(self._run(), name=f"poisson:{rms.name}")
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _run(self):
-        index = 0
-        while not self._stopped:
-            if self.count is not None and index >= self.count:
-                return self.sent
-            yield self._rng.expovariate(self.rate)
-            if self.rms.state is not RmsState.OPEN:
-                return self.sent
-            size = max(1, int(self.size_fn()))
-            try:
-                self.rms.send(bytes([index % 256]) * size)
-            except RmsFailedError:
-                return self.sent
-            self.sent += 1
-            index += 1
         return self.sent

@@ -16,11 +16,10 @@ abstractions.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
-from repro.errors import NetworkError
 from repro.netsim.network import Network, NetworkRms
 from repro.netsim.topology import Host
 from repro.sim.context import SimContext
@@ -74,9 +73,6 @@ class DatagramService:
             # The old path died; rebuild it.
             self._out.pop(dst_host, None)
             self._open_path(dst_host)
-
-    def _max_payload(self) -> int:
-        return self.network.properties.mtu - 64
 
     def _transmit(self, rms: NetworkRms, frame: bytes) -> None:
         if len(frame) > rms.params.max_message_size:

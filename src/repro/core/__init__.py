@@ -1,6 +1,5 @@
 """The paper's primary contribution: Real-Time Message Streams."""
 
-from repro.core.accounting import AccountingLedger, LedgerEntry, Tariff
 from repro.core.message import Label, Message
 from repro.core.negotiation import (
     CapabilityTable,
@@ -20,12 +19,10 @@ from repro.core.params import (
 from repro.core.rms import Rms, RmsLevel, RmsProvider, RmsState, RmsStats
 
 __all__ = [
-    "AccountingLedger",
     "CapabilityTable",
     "DelayBound",
     "DelayBoundType",
     "Label",
-    "LedgerEntry",
     "Message",
     "PerformanceLimits",
     "Rms",
@@ -36,7 +33,6 @@ __all__ = [
     "RmsState",
     "RmsStats",
     "StatisticalSpec",
-    "Tariff",
     "UNBOUNDED_DELAY",
     "combo_key",
     "is_compatible",

@@ -82,18 +82,6 @@ class DelayBound:
             return True
         return self.a <= other.a and self.b <= other.b
 
-    def plus(self, other: "DelayBound") -> "DelayBound":
-        """Compose bounds of two pipeline stages (section 4.1)."""
-        return DelayBound(self.a + other.a, self.b + other.b)
-
-    def minus(self, other: "DelayBound") -> "DelayBound":
-        """The slack left after reserving ``other`` for a later stage."""
-        a = self.a - other.a
-        b = self.b - other.b
-        if a < 0 or b < 0:
-            raise ParameterError(f"cannot subtract {other} from {self}")
-        return DelayBound(a, b)
-
     @classmethod
     def unbounded(cls) -> "DelayBound":
         return cls(UNBOUNDED_DELAY, 0.0)
@@ -135,18 +123,6 @@ class StatisticalSpec:
     def peak_load(self) -> float:
         """Worst-case short-term offered load in bytes per second."""
         return self.average_load * self.burstiness
-
-    def no_greater_than(self, other: "StatisticalSpec") -> bool:
-        """True when this spec demands no more than ``other``.
-
-        A spec demands more when it offers more load or asks for a higher
-        delay probability.
-        """
-        return (
-            self.average_load <= other.average_load
-            and self.burstiness <= other.burstiness
-            and self.delay_probability >= other.delay_probability
-        )
 
 
 @dataclass(frozen=True)
@@ -222,28 +198,7 @@ class RmsParams:
         worst_delay = self.delay_bound.bound_for(self.max_message_size)
         return worst_delay * self.max_message_size / self.capacity
 
-    # -- convenience constructors (section 2.5 examples) -----------------
-
-    @classmethod
-    def for_request_reply(cls, delay: float = 0.05, capacity: int = 65536) -> "RmsParams":
-        """Low delay bound, possibly large capacity (2.5)."""
-        return cls(
-            reliability=False,
-            capacity=capacity,
-            max_message_size=min(8192, capacity),
-            delay_bound=DelayBound(delay, 1e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-
-    @classmethod
-    def for_bulk_data(cls, capacity: int = 262144) -> "RmsParams":
-        """High capacity, high delay (2.5)."""
-        return cls(
-            capacity=capacity,
-            max_message_size=min(8192, capacity),
-            delay_bound=DelayBound(1.0, 1e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
+    # -- the section 2.5 voice example ------------------------------------
 
     @classmethod
     def for_voice(
@@ -265,26 +220,6 @@ class RmsParams:
                 delay_probability=delay_probability,
             ),
             bit_error_rate=1e-5,
-        )
-
-    @classmethod
-    def for_flow_control_acks(cls, delay: float = 0.02) -> "RmsParams":
-        """Low delay, low capacity (2.5)."""
-        return cls(
-            capacity=1024,
-            max_message_size=128,
-            delay_bound=DelayBound(delay, 1e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-
-    @classmethod
-    def for_reliability_acks(cls) -> "RmsParams":
-        """Low capacity, high delay (2.5)."""
-        return cls(
-            capacity=1024,
-            max_message_size=128,
-            delay_bound=DelayBound(1.0, 1e-6),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
         )
 
     def with_(self, **changes) -> "RmsParams":

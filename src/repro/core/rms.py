@@ -134,8 +134,6 @@ class Rms:
         self._late_threshold: Dict[int, float] = {}
         #: Per-size delay bound memoized by :meth:`send` (-1.0 = unbounded).
         self._send_bound: Dict[int, float] = {}
-        self.created_at = context.now
-        self.closed_at: Optional[float] = None
         self.layer = _LAYERS[self.level]  # a lookup, not a property frame
         context.obs.metrics.watch(
             self.stats, _FAMILIES, layer=self.layer, rms=self.name
@@ -291,14 +289,12 @@ class Rms:
         if self.state is not RmsState.OPEN:
             return
         self.state = RmsState.FAILED
-        self.closed_at = self.context.now
         self.on_failure.fire(self, reason)
 
     def delete(self) -> None:
         """Tear the stream down cleanly (no failure notification)."""
         if self.state is RmsState.OPEN:
             self.state = RmsState.DELETED
-            self.closed_at = self.context.now
 
     def close(self) -> None:
         """Idempotent teardown; already-failed or -deleted streams are a no-op.
@@ -319,12 +315,6 @@ class Rms:
     @property
     def is_open(self) -> bool:
         return self.state is RmsState.OPEN
-
-    @property
-    def connect_time(self) -> float:
-        """Seconds the stream has been (or was) open, for accounting."""
-        end = self.closed_at if self.closed_at is not None else self.context.now
-        return end - self.created_at
 
     def __repr__(self) -> str:
         return (

@@ -22,12 +22,7 @@ from repro.resilience.session import (
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.network import Network
-from repro.netsim.topology import (
-    Mesh,
-    build_grid,
-    build_star_of_routers,
-    build_two_tier,
-)
+from repro.netsim.topology import Mesh, build_grid, build_two_tier
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.config import StConfig
@@ -71,7 +66,6 @@ class DashSystem:
     #: Mesh builders :meth:`add_mesh` knows by name.
     _MESH_BUILDERS = {
         "grid": build_grid,
-        "star": build_star_of_routers,
         "two_tier": build_two_tier,
     }
 
@@ -86,14 +80,14 @@ class DashSystem:
     ) -> Tuple[InternetNetwork, Mesh]:
         """An internet router fabric with one DASH node per host slot.
 
-        ``kind`` picks a :mod:`repro.netsim.topology` builder (``grid``,
-        ``star``, ``two_tier``); ``builder_kwargs`` go to it (``rows``/
-        ``cols``, ``arms``, ``spines``/``leaves``, ``hosts_per_*``,
-        ``spec``...).  Every host slot becomes a full :class:`DashNode`
-        attached only to the mesh network.  ``ecmp=True`` spreads
-        distinct flows across equal-cost trunks (shorthand for the
-        ``InternetNetwork`` flag of the same name; ``two_tier`` is the
-        fabric with real path diversity to exploit).
+        ``kind`` picks a :mod:`repro.netsim.topology` builder (``grid``
+        or ``two_tier``); ``builder_kwargs`` go to it (``rows``/``cols``,
+        ``spines``/``leaves``, ``hosts_per_*``, ``spec``...).  Every host
+        slot becomes a full :class:`DashNode` attached only to the mesh
+        network.  ``ecmp=True`` spreads distinct flows across equal-cost
+        trunks (shorthand for the ``InternetNetwork`` flag of the same
+        name; ``two_tier`` is the fabric with real path diversity to
+        exploit).
         """
         try:
             builder = self._MESH_BUILDERS[kind]

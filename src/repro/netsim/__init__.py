@@ -15,7 +15,6 @@ from repro.netsim.topology import (
     Mesh,
     MeshSpec,
     build_grid,
-    build_star_of_routers,
     build_two_tier,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "Reservation",
     "RoutePlan",
     "build_grid",
-    "build_star_of_routers",
     "build_two_tier",
 ]

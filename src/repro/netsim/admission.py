@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.params import DelayBoundType, RmsParams
 from repro.errors import AdmissionError, ParameterError
@@ -106,13 +106,6 @@ class AdmissionController:
     @property
     def reserved_buffer(self) -> int:
         return sum(r.buffer_bytes for r in self._reservations.values())
-
-    @property
-    def free_bandwidth(self) -> float:
-        return self.total_bandwidth - self.reserved_bandwidth
-
-    def reservation_for(self, rms_id: int) -> Optional[Reservation]:
-        return self._reservations.get(rms_id)
 
     # -- admission ------------------------------------------------------------
 

@@ -200,11 +200,6 @@ class InternetNetwork(Network):
 
     # -- routing ------------------------------------------------------------
 
-    def _link_weight(self, src: str, dst: str) -> float:
-        if not self._links[(src, dst)].is_up:
-            return float("inf")
-        return self._weights[(src, dst)]
-
     def route_between(self, src: str, dst: str) -> List[str]:
         """Shortest path (by latency) between two nodes.
 

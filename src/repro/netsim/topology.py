@@ -32,7 +32,6 @@ __all__ = [
     "Mesh",
     "MeshSpec",
     "build_grid",
-    "build_star_of_routers",
     "build_two_tier",
 ]
 
@@ -270,9 +269,8 @@ class Host:
 #
 # The paper's internetwork is "point-to-point links between packet
 # switches"; these helpers stamp out the standard switch fabrics used by
-# the scale-out routing benchmarks: a grid (long multi-hop paths), a
-# star of routers (a shared core every path crosses), and a two-tier
-# spine/leaf fabric (many equal-cost core crossings).  They only *build*
+# the scale-out routing benchmarks: a grid (long multi-hop paths) and a
+# two-tier spine/leaf fabric (many equal-cost core crossings).  They only *build*
 # topology -- hosts come from an ``attach_host`` callback so the same
 # builders serve plain netsim benches and full DASH systems.
 
@@ -393,43 +391,6 @@ def build_grid(
     for router in mesh.routers:
         _attach_hosts(
             network, mesh, router, hosts_per_router, host_prefix, spec,
-            attach_host,
-        )
-    return mesh
-
-
-def build_star_of_routers(
-    network,
-    arms: int,
-    hosts_per_arm: int = 1,
-    spec: Optional[MeshSpec] = None,
-    attach_host: Optional[Callable[[object, str], str]] = None,
-    host_prefix: str = "h",
-    core_name: str = "core",
-) -> Mesh:
-    """Arm routers around one core; every cross-arm path shares the core.
-
-    The degenerate fabric: invalidating a core-adjacent link touches
-    most routes, so this is the builder that stresses invalidation.
-    """
-    _require_size(arms, 2, "star arms", "one arm has no cross-arm traffic")
-    _require_size(hosts_per_arm, 0, "hosts_per_arm", "cannot be negative")
-    spec = spec or MeshSpec()
-    mesh = Mesh([], [], {})
-    network.add_router(core_name)
-    mesh.routers.append(core_name)
-    for arm in range(arms):
-        name = f"arm{arm}"
-        network.add_router(name)
-        mesh.routers.append(name)
-        network.add_link(
-            name, core_name,
-            bandwidth=spec.trunk_bandwidth,
-            propagation_delay=spec.trunk_delay,
-            buffer_bytes=spec.buffer_bytes,
-        )
-        _attach_hosts(
-            network, mesh, name, hosts_per_arm, host_prefix, spec,
             attach_host,
         )
     return mesh

@@ -173,11 +173,6 @@ class HostCpu:
     def queue_length(self) -> int:
         return len(self._ready)
 
-    @property
-    def utilization_window(self) -> float:
-        """Busy seconds accumulated so far."""
-        return self.busy_time
-
     def pause(self) -> None:
         """Stop dispatching queued work (a running item still completes).
 

@@ -1,47 +1,18 @@
-"""Data-integrity checksums.
+"""The ST's software checksum.
 
 Section 2.5: "the optimal checksumming mechanism can be used based on
 RMS parameters" -- a network interface may checksum in hardware, the
 network may be clean enough to skip checksumming, or the ST must do it
-in software.  These are real algorithms over real bytes so corruption
-experiments actually detect (or miss) bit errors.
+in software.  The software checksum is a real CRC-32 over real bytes so
+corruption experiments actually detect (or miss) bit errors.
 
-All are implemented from scratch (no zlib/binascii) because the
+It is implemented from scratch (no zlib/binascii) because the
 reproduction builds its substrates rather than importing them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-__all__ = [
-    "internet_checksum",
-    "fletcher16",
-    "crc32",
-    "CHECKSUM_ALGORITHMS",
-    "checksum_bytes",
-]
-
-
-def internet_checksum(data: bytes) -> int:
-    """The 16-bit one's-complement Internet checksum (RFC 1071 style)."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
-def fletcher16(data: bytes) -> int:
-    """Fletcher-16: cheap, catches more than a plain sum."""
-    sum1 = 0
-    sum2 = 0
-    for byte in data:
-        sum1 = (sum1 + byte) % 255
-        sum2 = (sum2 + sum1) % 255
-    return (sum2 << 8) | sum1
+__all__ = ["crc32"]
 
 
 def _build_crc32_table() -> tuple:
@@ -68,17 +39,3 @@ def crc32(data: bytes) -> int:
     for byte in data:
         crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
-
-
-CHECKSUM_ALGORITHMS: Dict[str, Callable[[bytes], int]] = {
-    "internet": internet_checksum,
-    "fletcher16": fletcher16,
-    "crc32": crc32,
-}
-
-_CHECKSUM_WIDTH = {"internet": 2, "fletcher16": 2, "crc32": 4}
-
-
-def checksum_bytes(algorithm: str) -> int:
-    """Header bytes a checksum of the given algorithm occupies."""
-    return _CHECKSUM_WIDTH[algorithm]

@@ -3,7 +3,7 @@
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, EventLoop, Signal
 from repro.sim.ports import FlowControlledPort, Port
-from repro.sim.process import Future, Process, all_of
+from repro.sim.process import Future, Process
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "RandomStreams",
     "Signal",
     "SimContext",
-    "all_of",
 ]

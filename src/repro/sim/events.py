@@ -637,9 +637,5 @@ class Signal:
         for callback in list(self._listeners):
             callback(*args)
 
-    def fire_soon(self, *args: Any) -> None:
-        """Invoke listeners via the event loop (next same-time slot)."""
-        self._loop.call_soon(self.fire, *args)
-
     def __len__(self) -> int:
         return len(self._listeners)

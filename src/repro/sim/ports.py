@@ -80,18 +80,6 @@ class Port:
             self._getters.append(future)
         return future
 
-    def get_nowait(self) -> Any:
-        """Pop the next item immediately; raises if the port is empty."""
-        if not self._queue:
-            raise SimulationError(f"port {self.name} is empty")
-        return self._queue.popleft()
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items."""
-        items = list(self._queue)
-        self._queue.clear()
-        return items
-
     def __repr__(self) -> str:
         return f"<Port {self.name} queued={len(self._queue)}>"
 
@@ -120,10 +108,6 @@ class FlowControlledPort:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._queue) >= self.limit
-
     def put(self, item: Any) -> Future:
         """Offer ``item``; the returned future resolves when accepted."""
         self.total_puts += 1
@@ -138,17 +122,6 @@ class FlowControlledPort:
             self.blocked_puts += 1
             self._putters.append((item, future))
         return future
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False instead of queueing the producer."""
-        self.total_puts += 1
-        if self._getters:
-            self._getters.popleft().set_result(item)
-            return True
-        if len(self._queue) < self.limit:
-            self._queue.append(item)
-            return True
-        return False
 
     def take(self) -> Future:
         """A future resolving to the next item; admits one blocked putter."""

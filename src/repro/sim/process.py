@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, List, Optional
 from repro.errors import ProcessError
 from repro.sim.events import EventLoop
 
-__all__ = ["Future", "Process", "all_of"]
+__all__ = ["Future", "Process"]
 
 
 _PENDING = "pending"
@@ -80,34 +80,6 @@ class Future:
 
     def __repr__(self) -> str:
         return f"<Future {self._state}>"
-
-
-def all_of(loop: EventLoop, futures: List[Future]) -> Future:
-    """A future resolving to the list of results once every input resolves.
-
-    Fails as soon as any input fails.
-    """
-    combined = Future(loop)
-    remaining = len(futures)
-    if remaining == 0:
-        combined.set_result([])
-        return combined
-
-    def on_done(_: Future) -> None:
-        nonlocal remaining
-        if combined.done:
-            return
-        for future in futures:
-            if future.done and future.failed:
-                combined.set_exception(future._value)
-                return
-        remaining -= 1
-        if remaining == 0:
-            combined.set_result([future.result() for future in futures])
-
-    for future in futures:
-        future.add_done_callback(on_done)
-    return combined
 
 
 class Process:

@@ -159,10 +159,6 @@ class DownwardMux:
         self.on_failure.fire(self, self._failed)
 
     @property
-    def resequence_depth(self) -> int:
-        return len(self._resequence)
-
-    @property
     def path_flows(self) -> List[tuple]:
         """(flow key, route) per stripe, in path order.
 

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.bulk import BulkTransfer
-from repro.apps.media import VideoStream, VoiceCall, voice_rms_params
+from repro.apps.media import VoiceCall, voice_rms_params
 from repro.apps.rpcload import RpcWorkload
-from repro.apps.sources import PeriodicSource, PoissonSource
+from repro.apps.sources import PeriodicSource
 from repro.apps.window import (
     WindowSystemWorkload,
     event_rms_params,
@@ -16,7 +15,6 @@ from repro.apps.window import (
 from repro.dash.system import DashSystem
 from repro.obs.report import Table, format_table
 from repro.obs.stats import DelayRecorder, SummaryStats, percentile, summarize
-from repro.transport.stream import StreamConfig
 
 
 def lan_system(seed=42, **kwargs):
@@ -104,19 +102,6 @@ class TestMediaWorkloads:
         system.run(until=system.now + 3.0)
         assert call.report().jitter >= 0.0
 
-    def test_video_stream_fragments_frames(self):
-        system = lan_system()
-        params = voice_rms_params().with_(
-            capacity=65_536, max_message_size=12_000
-        )
-        rms = open_st(system, params=params, port="video")
-        stream = VideoStream(system.context, rms, duration=1.0)
-        system.run(until=system.now + 3.0)
-        report = stream.report()
-        assert report.sent == 30
-        assert report.delivered > 25
-        assert system.nodes["a"].st.stats.fragments_sent > 0
-
 
 class TestWindowWorkload:
     def test_interactive_round_trips(self):
@@ -141,22 +126,6 @@ class TestWindowWorkload:
         params = event_rms_params()
         assert params.capacity <= 4096
         assert graphics_rms_params().capacity > params.capacity
-
-
-class TestBulkWorkload:
-    def test_bulk_transfer_completes(self):
-        system = lan_system()
-        handle = system.connect("a", "b", kind="stream", config=StreamConfig())
-        system.run(until=system.now + 2.0)
-        session = handle.established.result()
-        transfer = BulkTransfer(
-            system.context, session, total_messages=30, message_size=2000
-        )
-        system.run(until=system.now + 20.0)
-        report = transfer.report()
-        assert transfer.done
-        assert report.consumed_messages == 30
-        assert report.goodput > 0
 
 
 class TestRpcWorkload:
@@ -200,15 +169,6 @@ class TestSources:
         sent = source.sent
         system.run(until=system.now + 0.5)
         assert source.sent <= sent + 1
-
-    def test_poisson_source_randomizes_arrivals(self):
-        system = lan_system()
-        rms = open_st(system)
-        source = PoissonSource(
-            system.context, rms, rate=100.0, size_fn=lambda: 64, count=50
-        )
-        system.run(until=system.now + 5.0)
-        assert source.sent == 50
 
     def test_source_survives_rms_failure(self):
         system = lan_system()

@@ -49,18 +49,6 @@ class TestDelayBound:
         bound = DelayBound(5.0, 1e-3)
         assert bound.no_greater_than(DelayBound.unbounded())
 
-    def test_plus_composes_stages(self):
-        total = DelayBound(0.01, 1e-6).plus(DelayBound(0.02, 2e-6))
-        assert total.a == pytest.approx(0.03)
-        assert total.b == pytest.approx(3e-6)
-
-    def test_minus_requires_enough_slack(self):
-        total = DelayBound(0.03, 3e-6)
-        rest = total.minus(DelayBound(0.01, 1e-6))
-        assert rest.a == pytest.approx(0.02)
-        with pytest.raises(ParameterError):
-            DelayBound(0.01).minus(DelayBound(0.02))
-
 
 class TestDelayBoundType:
     def test_strength_ordering(self):
@@ -95,12 +83,6 @@ class TestStatisticalSpec:
             StatisticalSpec(average_load=1.0, delay_probability=0.0)
         with pytest.raises(ParameterError):
             StatisticalSpec(average_load=1.0, delay_probability=1.5)
-
-    def test_no_greater_than(self):
-        small = StatisticalSpec(average_load=100.0, burstiness=1.0, delay_probability=0.99)
-        large = StatisticalSpec(average_load=200.0, burstiness=2.0, delay_probability=0.95)
-        assert small.no_greater_than(large)
-        assert not large.no_greater_than(small)
 
 
 class TestRmsParams:
@@ -147,16 +129,6 @@ class TestRmsParams:
         )
         # A size-M message every D*M/C = 0.1 * 1000/10000 = 10 ms.
         assert params.message_period() == pytest.approx(0.01)
-
-    def test_recipe_constructors_are_valid(self):
-        for params in (
-            RmsParams.for_request_reply(),
-            RmsParams.for_bulk_data(),
-            RmsParams.for_voice(),
-            RmsParams.for_flow_control_acks(),
-            RmsParams.for_reliability_acks(),
-        ):
-            assert params.capacity >= params.max_message_size
 
     def test_voice_recipe_is_statistical(self):
         params = RmsParams.for_voice()
@@ -248,14 +220,6 @@ def test_no_greater_than_implies_pointwise(first, second, size):
     """If first <= second element-wise, then first bounds every size better."""
     if first.no_greater_than(second) and not second.is_unbounded:
         assert first.bound_for(size) <= second.bound_for(size) + 1e-12
-
-
-@given(bounds, bounds)
-def test_plus_then_minus_roundtrips(first, second):
-    total = first.plus(second)
-    back = total.minus(second)
-    assert back.a == pytest.approx(first.a)
-    assert back.b == pytest.approx(first.b)
 
 
 params_strategy = st.builds(

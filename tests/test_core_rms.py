@@ -1,11 +1,10 @@
-"""Tests for messages, the RMS base class, and accounting."""
+"""Tests for messages and the RMS base class."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.accounting import AccountingLedger, Tariff
 from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.core.rms import Rms, RmsLevel, RmsState
@@ -283,49 +282,3 @@ class TestRmsSend:
         payloads = [b"a", bytearray(b"b"), b"c", memoryview(b"d"), b"e"]
         ids = [rms.send(payload).message_id for payload in payloads]
         assert ids == list(range(ids[0], ids[0] + len(payloads)))
-
-
-class TestAccounting:
-    def test_creator_owns_and_pays(self, context, params):
-        """Section 2.4 ownership + section 5 charging model."""
-        ledger = AccountingLedger()
-        rms = LoopbackRms(context, params)
-        ledger.open_rms("alice", rms)
-        rms.send(b"x" * 1000)
-        context.run(until=10.0)
-        rms.delete()
-        entry = ledger.close_rms(rms)
-        assert entry.owner == "alice"
-        assert entry.setup_cost > 0
-        assert entry.bytes_charge == pytest.approx(1000 * ledger.tariff.per_byte)
-        assert entry.time_charge > 0
-        assert ledger.owner_total("alice") == pytest.approx(entry.total)
-
-    def test_stronger_guarantees_cost_more(self, context):
-        tariff = Tariff()
-        deterministic = RmsParams(
-            capacity=10_000,
-            max_message_size=1_000,
-            delay_bound=DelayBound(0.1),
-            delay_bound_type=DelayBoundType.DETERMINISTIC,
-        )
-        best_effort = deterministic.with_(
-            delay_bound_type=DelayBoundType.BEST_EFFORT
-        )
-        assert tariff.parameter_rate(deterministic) > tariff.parameter_rate(
-            best_effort
-        )
-
-    def test_unknown_rms_close_raises(self, context, params):
-        ledger = AccountingLedger()
-        rms = LoopbackRms(context, params)
-        with pytest.raises(KeyError):
-            ledger.close_rms(rms)
-
-    def test_grand_total_sums_entries(self, context, params):
-        ledger = AccountingLedger()
-        first = LoopbackRms(context, params)
-        second = LoopbackRms(context, params)
-        ledger.open_rms("alice", first)
-        ledger.open_rms("bob", second)
-        assert ledger.grand_total == pytest.approx(2 * ledger.tariff.setup_cost)

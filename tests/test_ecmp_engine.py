@@ -52,9 +52,10 @@ def best_effort(mms: int = 500) -> RmsParams:
 
 
 def route_cost(network, route):
+    """The route's summed link weights; a hop over a down link costs inf."""
     return sum(
-        network._link_weight(route[i], route[i + 1])
-        for i in range(len(route) - 1)
+        network._weights[hop] if network.link(*hop).is_up else float("inf")
+        for hop in zip(route, route[1:])
     )
 
 

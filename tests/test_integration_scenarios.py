@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.accounting import AccountingLedger
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.transport.layers import SubUserRms, UserRms
@@ -130,48 +129,6 @@ class TestFigureThreeStack:
             user.send(bytes([index]) * (100 if index % 2 else 2000))
         system.run(until=system.now + 5.0)
         assert got == list(range(20))
-
-
-class TestAccountingIntegration:
-    def test_ledger_charges_real_sessions(self):
-        """Section 5's charging model applied to actual ST RMS usage."""
-        system = DashSystem(seed=64)
-        system.add_ethernet(trusted=True)
-        node_a = system.add_node("a")
-        system.add_node("b")
-        ledger = AccountingLedger()
-        params_cheap = RmsParams(
-            capacity=4096, max_message_size=1000,
-            delay_bound=DelayBound(0.5, 1e-4),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-        params_dear = RmsParams(
-            capacity=32 * 1024, max_message_size=1000,
-            delay_bound=DelayBound(0.1, 1e-5),
-            delay_bound_type=DelayBoundType.DETERMINISTIC,
-        )
-        sessions = []
-        for owner, params in (("alice", params_cheap), ("bob", params_dear)):
-            future = node_a.st.create_st_rms(
-                "b", port=f"acct-{owner}", desired=params, acceptable=params
-            )
-            system.run(until=system.now + 2.0)
-            rms = future.result()
-            ledger.open_rms(owner, rms)
-            sessions.append((owner, rms))
-        for owner, rms in sessions:
-            for index in range(20):
-                rms.send(bytes([index]) * 500)
-        system.run(until=system.now + 10.0)
-        for owner, rms in sessions:
-            rms.close()
-            ledger.close_rms(rms)
-        system.run(until=system.now + 1.0)
-        # Both paid setup + bytes + time; the deterministic high-capacity
-        # stream is the more expensive one (section 5: parameters map to
-        # resources consumed).
-        assert ledger.owner_total("alice") > 0
-        assert ledger.owner_total("bob") > ledger.owner_total("alice")
 
 
 class TestMixedBoundTypesOnOneSegment:

@@ -6,79 +6,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import SchedulingError
 from repro.sched import cpu as cpu_model
 from repro.sched.cpu import HostCpu, protocol_cost
-from repro.sched.policies import EdfQueue, FifoQueue, PriorityQueue, make_queue
+from repro.sched.policies import key_slot
 from repro.sim.context import SimContext
 from tests.sched_reference import Job, ReferenceCpu
-
-
-class TestPolicies:
-    def test_fifo_ignores_deadlines(self):
-        queue = FifoQueue()
-        queue.push("late", deadline=9.0)
-        queue.push("early", deadline=1.0)
-        assert queue.pop() == "late"
-        assert queue.pop() == "early"
-
-    def test_edf_orders_by_deadline(self):
-        queue = EdfQueue()
-        queue.push("late", deadline=9.0)
-        queue.push("early", deadline=1.0)
-        queue.push("middle", deadline=5.0)
-        assert [queue.pop() for _ in range(3)] == ["early", "middle", "late"]
-
-    def test_edf_stable_on_ties(self):
-        """Section 4.3.1 refinement: equal deadlines keep send order."""
-        queue = EdfQueue()
-        for index in range(10):
-            queue.push(index, deadline=1.0)
-        assert [queue.pop() for _ in range(10)] == list(range(10))
-
-    def test_priority_orders_by_priority(self):
-        queue = PriorityQueue()
-        queue.push("low", priority=5)
-        queue.push("high", priority=1)
-        assert queue.pop() == "high"
-
-    def test_pop_empty_raises(self):
-        for policy in ("fifo", "edf", "priority"):
-            with pytest.raises(SchedulingError):
-                make_queue(policy).pop()
-
-    def test_peek_does_not_remove(self):
-        queue = EdfQueue()
-        queue.push("x", deadline=1.0)
-        assert queue.peek() == "x"
-        assert len(queue) == 1
-
-    def test_make_queue_unknown_policy(self):
-        with pytest.raises(SchedulingError):
-            make_queue("random")
-
-    def test_bool_and_len(self):
-        queue = EdfQueue()
-        assert not queue
-        queue.push("x", deadline=1.0)
-        assert queue and len(queue) == 1
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(min_value=0, max_value=100, allow_nan=False),
-                      st.integers()),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    def test_edf_pops_in_nondecreasing_deadline_order(self, items):
-        queue = EdfQueue()
-        for deadline, tag in items:
-            queue.push((deadline, tag), deadline=deadline)
-        popped = [queue.pop()[0] for _ in range(len(items))]
-        assert popped == sorted(popped)
 
 
 class TestCpuCostModel:
@@ -116,6 +50,12 @@ class TestHostCpu:
         cpu.submit("x/b", 0.001, deadline=0.1, callback=lambda: order.append(2))
         context.run()
         assert order == [0, 1, 2]
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(SchedulingError):
+            key_slot("random")
+        with pytest.raises(SchedulingError):
+            HostCpu(SimContext(), policy="random")
 
     def test_deadline_miss_counted(self):
         context = SimContext()

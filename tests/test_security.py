@@ -14,13 +14,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SecurityError
 from repro.security.providers import resolve_provider
-from repro.security.checksum import (
-    CHECKSUM_ALGORITHMS,
-    checksum_bytes,
-    crc32,
-    fletcher16,
-    internet_checksum,
-)
+from repro.security.checksum import crc32
 from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac, verify_mac
 from tests.security_reference import (
@@ -39,25 +33,6 @@ class TestChecksums:
 
     def test_crc32_empty(self):
         assert crc32(b"") == 0
-
-    def test_internet_checksum_detects_flip(self):
-        data = bytearray(b"The quick brown fox")
-        original = internet_checksum(bytes(data))
-        data[3] ^= 0x40
-        assert internet_checksum(bytes(data)) != original
-
-    def test_internet_checksum_odd_length(self):
-        assert isinstance(internet_checksum(b"abc"), int)
-
-    def test_fletcher16_detects_transposition(self):
-        assert fletcher16(b"ab") != fletcher16(b"ba")
-
-    def test_all_algorithms_registered(self):
-        assert set(CHECKSUM_ALGORITHMS) == {"internet", "fletcher16", "crc32"}
-
-    def test_checksum_widths(self):
-        assert checksum_bytes("crc32") == 4
-        assert checksum_bytes("internet") == 2
 
     @given(st.binary(min_size=1, max_size=256), st.integers(min_value=0))
     def test_crc32_detects_single_bit_flips(self, data, bit_seed):

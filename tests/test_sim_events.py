@@ -588,16 +588,6 @@ class TestSignal:
         signal.fire()
         assert signal.fire_count == 2
 
-    def test_fire_soon_defers_to_loop(self):
-        loop = EventLoop()
-        signal = Signal(loop)
-        seen = []
-        signal.listen(seen.append)
-        signal.fire_soon(9)
-        assert seen == []
-        loop.run()
-        assert seen == [9]
-
     def test_listener_count(self):
         loop = EventLoop()
         signal = Signal(loop)

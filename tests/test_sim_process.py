@@ -8,7 +8,7 @@ from repro.errors import ProcessError, SimulationError
 from repro.sim.context import SimContext
 from repro.sim.events import EventLoop
 from repro.sim.ports import FlowControlledPort, Port
-from repro.sim.process import Future, Process, all_of
+from repro.sim.process import Future, Process
 
 
 class TestFuture:
@@ -56,29 +56,6 @@ class TestFuture:
         future.add_done_callback(lambda f: seen.append(f.result()))
         loop.run()
         assert seen == [3]
-
-    def test_all_of_collects_results(self):
-        loop = EventLoop()
-        futures = [Future(loop) for _ in range(3)]
-        combined = all_of(loop, futures)
-        for index, future in enumerate(futures):
-            future.set_result(index)
-        loop.run()
-        assert combined.result() == [0, 1, 2]
-
-    def test_all_of_empty_resolves_immediately(self):
-        loop = EventLoop()
-        combined = all_of(loop, [])
-        assert combined.result() == []
-
-    def test_all_of_fails_on_any_failure(self):
-        loop = EventLoop()
-        futures = [Future(loop), Future(loop)]
-        combined = all_of(loop, futures)
-        futures[0].set_exception(RuntimeError("bad"))
-        futures[1].set_result(1)
-        loop.run()
-        assert combined.failed
 
 
 class TestProcess:
@@ -221,14 +198,8 @@ class TestPort:
         port = Port(context.loop)
         for index in range(5):
             port.deliver(index)
-        values = [port.get_nowait() for _ in range(5)]
+        values = [port.get().result() for _ in range(5)]
         assert values == list(range(5))
-
-    def test_get_nowait_empty_raises(self):
-        context = SimContext()
-        port = Port(context.loop)
-        with pytest.raises(SimulationError):
-            port.get_nowait()
 
     def test_callback_mode(self):
         context = SimContext()
@@ -282,12 +253,6 @@ class TestFlowControlledPort:
         taken = port.take()
         port.put("x")
         assert taken.result() == "x"
-
-    def test_try_put_returns_false_when_full(self):
-        context = SimContext()
-        port = FlowControlledPort(context.loop, limit=1)
-        assert port.try_put("a")
-        assert not port.try_put("b")
 
     def test_sender_process_blocks_at_limit(self):
         """The paper's sender flow control: producer suspends when full."""

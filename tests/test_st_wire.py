@@ -144,7 +144,7 @@ class TestControlCodec:
 
 
 class TestPiggybackQueue:
-    def make_queue(self, context, enabled=True, max_payload=500):
+    def piggyback_queue(self, context, enabled=True, max_payload=500):
         flushes = []
 
         def flush(payload, deadline, st_ids, count):
@@ -162,14 +162,14 @@ class TestPiggybackQueue:
 
     def test_disabled_queue_sends_immediately(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context, enabled=False)
+        queue, flushes = self.piggyback_queue(context, enabled=False)
         queue.submit(entry(payload=b"a"), max_deadline=context.now + 1.0)
         assert len(flushes) == 1
         assert flushes[0][3] == 1
 
     def test_components_accumulate_until_timer(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context)
+        queue, flushes = self.piggyback_queue(context)
         queue.submit(entry(seq=0, payload=b"a" * 10), max_deadline=0.010)
         queue.submit(entry(seq=1, payload=b"b" * 10), max_deadline=0.012)
         assert flushes == []
@@ -184,7 +184,7 @@ class TestPiggybackQueue:
 
     def test_overflow_flushes_before_append(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context, max_payload=120)
+        queue, flushes = self.piggyback_queue(context, max_payload=120)
         queue.submit(entry(seq=0, payload=b"a" * 60), max_deadline=1.0)
         queue.submit(entry(seq=1, payload=b"b" * 60), max_deadline=1.0)
         assert len(flushes) == 1  # first flushed to make room
@@ -193,7 +193,7 @@ class TestPiggybackQueue:
 
     def test_overdue_message_flushes_whole_queue(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context)
+        queue, flushes = self.piggyback_queue(context)
         queue.submit(entry(seq=0, payload=b"a"), max_deadline=context.now + 1.0)
         queue.submit(entry(seq=1, payload=b"b"), max_deadline=context.now)  # no slack
         assert len(flushes) == 1
@@ -216,19 +216,19 @@ class TestPiggybackQueue:
 
     def test_oversized_component_rejected(self):
         context = SimContext()
-        queue, _ = self.make_queue(context, max_payload=50)
+        queue, _ = self.piggyback_queue(context, max_payload=50)
         with pytest.raises(TransportError):
             queue.submit(entry(payload=b"x" * 100), max_deadline=1.0)
 
     def test_forced_flush_empty_is_noop(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context)
+        queue, flushes = self.piggyback_queue(context)
         queue.flush("forced")
         assert flushes == []
 
     def test_bundle_decodes_after_flush(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context)
+        queue, flushes = self.piggyback_queue(context)
         queue.submit(entry(seq=0, payload=b"first"), max_deadline=0.001)
         queue.submit(entry(seq=1, payload=b"second"), max_deadline=0.002)
         context.run()
@@ -237,7 +237,7 @@ class TestPiggybackQueue:
 
     def test_timer_rearms_for_earlier_deadline(self):
         context = SimContext()
-        queue, flushes = self.make_queue(context)
+        queue, flushes = self.piggyback_queue(context)
         queue.submit(entry(seq=0, payload=b"later"), max_deadline=0.5)
         queue.submit(entry(seq=1, payload=b"sooner"), max_deadline=0.1)
         context.run()
@@ -268,7 +268,7 @@ class TestPiggybackQueue:
         an empty queue holds no live timer, a disabled queue never arms
         one, and the flush counts by reason are the model's."""
         context = SimContext()
-        queue, flushes = self.make_queue(context, enabled=enabled)
+        queue, flushes = self.piggyback_queue(context, enabled=enabled)
         queued = []  # (flush_by, encoded size) of what should be waiting
         expected = []  # component count of every flush, in order
         reasons = dict(timer=0, overflow=0, immediate=0, forced=0)
