@@ -15,7 +15,8 @@ from-scratch discrete-event network simulator:
 - :mod:`repro.subtransport` -- the ST layer: control channel, caching,
   multiplexing, piggybacking, fragmentation, security elision;
 - :mod:`repro.transport` -- RKOM request/reply, stream protocols, flow
-  control, sub-user/user RMS levels;
+  control (section 3.4's sub-user and user RMS levels are out of scope:
+  the ST's own CPU stages carry the section 4.1 deadlines);
 - :mod:`repro.baselines` -- datagrams, TCP-like stream, datagram RPC;
 - :mod:`repro.apps` -- voice/window/RPC workloads;
 - :mod:`repro.obs` -- the one recorder (``observe=True``: metrics registry

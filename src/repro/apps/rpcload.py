@@ -74,10 +74,6 @@ class RpcWorkload:
             self.rtts.append(self.context.now - start)
         return len(self.rtts)
 
-    @property
-    def done(self) -> bool:
-        return all(process.done for process in self.processes)
-
     def report(self) -> RpcReport:
         return RpcReport(
             calls_attempted=self.attempted,

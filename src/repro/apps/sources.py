@@ -15,8 +15,8 @@ class PeriodicSource:
     """Sends fixed-size messages at a fixed period on an RMS.
 
     Payload ``index`` is ``size`` bytes of ``index % 256``.  Stops after
-    ``count`` messages or when stopped explicitly; silently ends if the
-    RMS fails (clients observe failure via the RMS's own notification).
+    ``count`` messages or when its process is stopped; silently ends if
+    the RMS fails (clients observe failure via the RMS's own notification).
     """
 
     def __init__(
@@ -37,15 +37,11 @@ class PeriodicSource:
         self.jitter_fraction = jitter_fraction
         self.sent = 0
         self._rng = context.rng.stream(rng_name)
-        self._stopped = False
         self.process = context.spawn(self._run(), name=f"source:{rms.name}")
-
-    def stop(self) -> None:
-        self._stopped = True
 
     def _run(self):
         index = 0
-        while not self._stopped:
+        while True:
             if self.count is not None and index >= self.count:
                 return self.sent
             if self.rms.state is not RmsState.OPEN:
@@ -61,4 +57,3 @@ class PeriodicSource:
                 swing = self.period * self.jitter_fraction
                 delay += self._rng.uniform(-swing, swing)
             yield max(delay, 0.0)
-        return self.sent

@@ -16,7 +16,7 @@ from repro.core.params import (
     StatisticalSpec,
     is_compatible,
 )
-from repro.core.rms import Rms, RmsLevel, RmsProvider, RmsState, RmsStats
+from repro.core.rms import Rms, RmsLevel, RmsState, RmsStats
 
 __all__ = [
     "CapabilityTable",
@@ -29,7 +29,6 @@ __all__ = [
     "RmsLevel",
     "RmsParams",
     "RmsRequest",
-    "RmsProvider",
     "RmsState",
     "RmsStats",
     "StatisticalSpec",

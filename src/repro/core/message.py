@@ -100,19 +100,6 @@ class Message:
         """Total accounted bytes on the wire."""
         return self.size + self.header_size
 
-    def copy(self) -> "Message":
-        """An independent copy with a fresh message id."""
-        return Message(
-            payload=self.payload,
-            source=self.source,
-            target=self.target,
-            headers=dict(self.headers),
-            send_time=self.send_time,
-            deliver_time=self.deliver_time,
-            deadline=self.deadline,
-            trace_id=self.trace_id,
-        )
-
     @property
     def delay(self) -> Optional[float]:
         """Measured delay if both timestamps are present."""

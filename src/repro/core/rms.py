@@ -33,20 +33,19 @@ from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
 
-__all__ = ["RmsLevel", "RmsState", "RmsStats", "Rms", "RmsProvider"]
+__all__ = ["RmsLevel", "RmsState", "RmsStats", "Rms"]
 
 _rms_ids = itertools.count(1)
 #: Layer label of each :class:`RmsLevel`, indexed by it (levels are ints).
-_LAYERS = ("net", "st", "subuser", "user")
+_LAYERS = ("net", "st")
 
 
 class RmsLevel(enum.IntEnum):
-    """The RMS levels of Figure 3, bottom to top."""
+    """The RMS levels of Figure 3 this system builds, bottom to top (the
+    sub-user and user levels of section 3.4 are out of scope)."""
 
     NETWORK = 0
     SUBTRANSPORT = 1
-    SUBUSER = 2
-    USER = 3
 
     @property
     def layer(self) -> str:
@@ -300,17 +299,10 @@ class Rms:
         """Idempotent teardown; already-failed or -deleted streams are a no-op.
 
         Subclasses that need provider-side cleanup override this (and
-        keep it idempotent) so ``with``-blocks and the session layer can
-        always call it without tracking state themselves.
+        keep it idempotent) so the session layer can always call it
+        without tracking state themselves.
         """
         self.delete()
-
-    def __enter__(self) -> "Rms":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     @property
     def is_open(self) -> bool:
@@ -321,24 +313,3 @@ class Rms:
             f"<{type(self).__name__} {self.name} {self.sender}->{self.receiver} "
             f"{self.state.value}>"
         )
-
-
-class RmsProvider:
-    """Interface of an RMS provider (network module, ST, ...).
-
-    A client at one level may be a provider at a higher level
-    (section 2); concrete providers implement :meth:`create_rms` with
-    whatever negotiation and admission control their level requires.
-    """
-
-    def create_rms(
-        self,
-        sender: Label,
-        receiver: Label,
-        desired: RmsParams,
-        acceptable: RmsParams,
-    ) -> Rms:
-        raise NotImplementedError
-
-    def delete_rms(self, rms: Rms) -> None:
-        rms.delete()

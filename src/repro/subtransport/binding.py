@@ -14,13 +14,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.message import Label
-from repro.core.params import DelayBound, DelayBoundType, RmsParams, StatisticalSpec
+from repro.core.params import DelayBoundType, RmsParams, StatisticalSpec
 from repro.errors import AdmissionError, TransportError
 from repro.netsim.network import Network
 from repro.netsim.topology import Host
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
-from repro.subtransport.config import STAGE_ALLOWANCE, StConfig
+from repro.subtransport.config import StConfig, network_bounds
 from repro.subtransport.control import ControlChannel
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.piggyback import QUEUE_FAMILIES, PiggybackQueue
@@ -203,23 +203,14 @@ class NetworkBindings:
         if guaranteed:
             # Reserved resources scale with capacity and tighten with the
             # delay bound, so guaranteed streams ask lean: modest
-            # capacity headroom for multiplexing, and the loosest legal
-            # bound (the budget) to minimize the worst-case reservation.
+            # capacity headroom for multiplexing (and, network_bounds,
+            # the loosest legal bound).
             capacity = st_params.capacity * 2
         else:
             capacity = max(self.config.default_network_capacity, st_params.capacity)
-        allowances = STAGE_ALLOWANCE + STAGE_ALLOWANCE
-        if st_params.delay_bound.is_unbounded:
-            desired_bound = DelayBound.unbounded()
-            acceptable_bound = DelayBound.unbounded()
-        else:
-            budget = max(st_params.delay_bound.a - allowances, 1e-6)
-            if guaranteed:
-                desired_bound = DelayBound(budget, st_params.delay_bound.b)
-            else:
-                # Leave half the remaining slack as piggybacking window.
-                desired_bound = DelayBound(budget * 0.5, st_params.delay_bound.b)
-            acceptable_bound = DelayBound(budget, st_params.delay_bound.b)
+        desired_bound, acceptable_bound = network_bounds(
+            st_params.delay_bound, guaranteed
+        )
         statistical = None
         if st_params.delay_bound_type == DelayBoundType.STATISTICAL:
             spec = st_params.statistical

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.message import Label, Message, fast_message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
-from repro.core.params import DelayBound, RmsParams, RmsRequest
+from repro.core.params import RmsParams, RmsRequest
 from repro.core.rms import RmsState
 from repro.errors import NegotiationError, RmsError, TransportError
 from repro.netsim.network import Network, NetworkRms
@@ -41,7 +41,12 @@ from repro.sim.context import SimContext
 from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
-from repro.subtransport.config import STAGE_ALLOWANCE, StConfig
+from repro.subtransport.config import (
+    StConfig,
+    receive_deadline,
+    send_deadlines,
+    st_best_delay,
+)
 from repro.subtransport.control import CONTROL_PORT, ControlChannel, Fields
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.security import plan_security
@@ -121,10 +126,10 @@ class _RxStream:
     #: smaller (hence earlier-deadline) later message could overtake its
     #: predecessor in the EDF CPU queue, violating in-sequence delivery.
     last_cpu_deadline: float = 0.0
-    #: Per-size memos of the delay bound (-1.0 marks unbounded) and of
-    #: the receive-stage CPU cost: both pure functions of the size, so a
-    #: hit is the float a per-message call would compute.
-    bound_cache: Dict[int, float] = field(default_factory=dict)
+    #: Per-size memos of the receive-stage deadline (``receive_deadline``)
+    #: and CPU cost: both pure functions of the size, so a hit is the
+    #: float a per-message call would compute.
+    deadline_cache: Dict[int, Tuple[float, bool]] = field(default_factory=dict)
     cost_cache: Dict[int, float] = field(default_factory=dict)
 
 
@@ -221,10 +226,7 @@ class SubtransportLayer:
         if limits is None:  # pragma: no cover - networks always offer plain
             raise NegotiationError(f"network {network.name} offers no service")
         st_limits = PerformanceLimits(
-            best_delay=DelayBound(
-                limits.best_delay.a + STAGE_ALLOWANCE + STAGE_ALLOWANCE,
-                limits.best_delay.b,
-            ),
+            best_delay=st_best_delay(limits.best_delay),
             max_capacity=limits.max_capacity,
             max_message_size=limits.max_message_size
             * self.config.max_message_multiple,
@@ -425,31 +427,38 @@ class SubtransportLayer:
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
             st_rms._send_cost_cache[size] = cost
+        deadlines = st_rms._deadline_cache.get(size)
+        if deadlines is None:
+            deadlines = send_deadlines(
+                st_rms.params.delay_bound,
+                st_rms.binding.network_rms.params.delay_bound,
+                size,
+            )
+            st_rms._deadline_cache[size] = deadlines
+        stage, slack = deadlines
         cpu.submit(
             st_rms._send_stage_name,
             cost,
-            arrival + STAGE_ALLOWANCE,
+            arrival + stage,
             self._send_stage_done,
-            (st_rms, message, size, arrival),
+            # Maximum transmission deadline (4.3.1): arrival plus the slack.
+            (st_rms, message, size, arrival, arrival + slack),
             owner="st",
             trace_id=message.trace_id,
         )
 
     def _send_stage_done(
-        self, st_rms: StRms, message: Message, size: int, arrival: float
+        self,
+        st_rms: StRms,
+        message: Message,
+        size: int,
+        arrival: float,
+        max_deadline: float,
     ) -> None:
         binding = st_rms.binding
         if binding is None or not binding.network_rms.is_open:
             st_rms._drop(message, "binding lost")
             return
-        slack = st_rms._slack_cache.get(size)
-        if slack is None:
-            slack = self._transmission_slack(
-                st_rms, binding.network_rms.params, size
-            )
-            st_rms._slack_cache[size] = slack
-        # Maximum transmission deadline (4.3.1): arrival plus the slack.
-        max_deadline = arrival + slack
         if size > st_rms.max_component:
             self._send_fragments(st_rms, binding, message, max_deadline, arrival)
             return
@@ -462,19 +471,6 @@ class SubtransportLayer:
         binding.queue.submit(
             entry, max_deadline, arrival + self.config.piggyback_window_cap
         )
-
-    def _transmission_slack(
-        self, st_rms: StRms, net_params: RmsParams, size: int
-    ) -> float:
-        """The ST-minus-network delay slack of a message (4.3.1)."""
-        st_bound = st_rms.params.delay_bound
-        if st_bound.is_unbounded or net_params.delay_bound.is_unbounded:
-            # Best-effort traffic has no bound; give it a generous
-            # scheduling deadline so bounded traffic outranks it.
-            return 1.0
-        slack = st_bound.bound_for(size) - net_params.delay_bound.bound_for(size)
-        slack -= STAGE_ALLOWANCE + STAGE_ALLOWANCE
-        return max(slack, 0.0)
 
     def _make_entry(
         self,
@@ -669,19 +665,12 @@ class SubtransportLayer:
         """Queue the receive-side protocol stage of one whole message."""
         st_rms = rx.st_rms
         size = len(payload)
-        bound = rx.bound_cache.get(size)
-        if bound is None:
-            delay_bound = st_rms.params.delay_bound
-            bound = (
-                delay_bound.bound_for(size)
-                if not delay_bound.is_unbounded
-                else -1.0
-            )
-            rx.bound_cache[size] = bound
-        if bound >= 0.0:
-            deadline = send_time + bound
-        else:
-            deadline = self.context.now + STAGE_ALLOWANCE
+        cached = rx.deadline_cache.get(size)
+        if cached is None:
+            cached = receive_deadline(st_rms.params.delay_bound, size)
+            rx.deadline_cache[size] = cached
+        offset, after_receipt = cached
+        deadline = (self.context.now if after_receipt else send_time) + offset
         # In-sequence delivery (basic property 2): CPU-stage deadlines on
         # one stream never decrease, so stable EDF keeps stream order.
         if deadline < rx.last_cpu_deadline:

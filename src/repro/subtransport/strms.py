@@ -16,7 +16,7 @@ establishment.
 from __future__ import annotations
 
 import weakref
-from typing import ClassVar, Dict, Optional, TYPE_CHECKING
+from typing import ClassVar, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
@@ -81,13 +81,14 @@ class StRms(Rms):
         #: bigger messages fragment.  Set by the ST with the binding.
         self.max_component = 0
         # Resolved once for the send path: the CPU stage names and, per
-        # message size, the send-stage cost and the section-4.3.1 slack.
+        # message size, the send-stage cost and the send-stage and
+        # transmission deadlines after arrival (``send_deadlines``).
         # The memos hold what the pure per-size functions return, so a
         # hit is the very float a per-message call would compute.
         self._send_stage_name = f"st/send:{self.rms_id}"
         self._recv_stage_name = f"st/recv:{self.rms_id}"
         self._send_cost_cache: Dict[int, float] = {}
-        self._slack_cache: Dict[int, float] = {}
+        self._deadline_cache: Dict[int, Tuple[float, float]] = {}
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)

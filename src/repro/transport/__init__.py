@@ -6,7 +6,6 @@ from repro.transport.flowcontrol import (
     ReceiverCredit,
     WindowEnforcer,
 )
-from repro.transport.layers import LayeredRms, SubUserRms, UserRms
 from repro.transport.rkom import RkomConfig, RkomService, RkomStats
 from repro.transport.stream import (
     StreamConfig,
@@ -17,7 +16,6 @@ from repro.transport.stream import (
 
 __all__ = [
     "FlowControlMode",
-    "LayeredRms",
     "RateBasedEnforcer",
     "ReceiverCredit",
     "RkomConfig",
@@ -26,8 +24,6 @@ __all__ = [
     "StreamConfig",
     "StreamSession",
     "StreamStats",
-    "SubUserRms",
-    "UserRms",
     "WindowEnforcer",
     "open_stream",
 ]

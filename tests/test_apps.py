@@ -142,7 +142,7 @@ class TestRpcWorkload:
             calls_per_client=10,
         )
         system.run(until=system.now + 20.0)
-        assert workload.done
+        assert all(p.done for p in workload.processes)
         report = workload.report()
         assert report.calls_completed == 20
         assert report.calls_failed == 0
@@ -159,16 +159,6 @@ class TestSources:
         system.run(until=system.now + 2.0)
         assert source.sent == 25
         assert rms.stats.messages_sent == 25
-
-    def test_periodic_source_stop(self):
-        system = lan_system()
-        rms = open_st(system)
-        source = PeriodicSource(system.context, rms, period=0.01, size=100)
-        system.run(until=system.now + 0.2)
-        source.stop()
-        sent = source.sent
-        system.run(until=system.now + 0.5)
-        assert source.sent <= sent + 1
 
     def test_source_survives_rms_failure(self):
         system = lan_system()

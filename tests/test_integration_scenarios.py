@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
-from repro.transport.layers import SubUserRms, UserRms
 from repro.transport.stream import StreamConfig
 
 
@@ -66,69 +65,6 @@ class TestMultiNetworkCampus:
         lan_rms.send(b"still local")
         system.run(until=system.now + 1.0)
         assert len(got) == 1
-
-
-class TestFigureThreeStack:
-    """All four RMS levels of Figure 3 composed and measured."""
-
-    def test_delay_grows_monotonically_up_the_stack(self):
-        system = DashSystem(seed=62)
-        system.add_ethernet(trusted=True)
-        node_a = system.add_node("a")
-        node_b = system.add_node("b")
-        params = RmsParams(
-            capacity=32 * 1024,
-            max_message_size=4 * 1024,
-            delay_bound=DelayBound(0.1, 1e-5),
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-        future = node_a.st.create_st_rms("b", port="stack", desired=params,
-                                         acceptable=params)
-        system.run(until=2.0)
-        st_rms = future.result()
-        subuser = SubUserRms(system.context, st_rms, node_a.host, node_b.host,
-                             stage_allowance=3e-3)
-        user = UserRms(system.context, subuser, node_a.host, node_b.host,
-                       stage_allowance=5e-3)
-        got = []
-        user.port.set_handler(got.append)
-        for index in range(10):
-            user.send(bytes([index]) * 500)
-        system.run(until=system.now + 3.0)
-        assert len(got) == 10
-        # Figure-3 structure: each level's bound includes the one below.
-        assert (
-            st_rms.params.delay_bound.a
-            < subuser.params.delay_bound.a
-            < user.params.delay_bound.a
-        )
-        # Measured delay at the user level includes every stage below.
-        assert user.stats.mean_delay > st_rms.stats.mean_delay
-
-    def test_user_level_in_order(self):
-        system = DashSystem(seed=63)
-        system.add_ethernet(trusted=True)
-        node_a = system.add_node("a")
-        node_b = system.add_node("b")
-        params = RmsParams(capacity=32 * 1024, max_message_size=4096,
-                           delay_bound=DelayBound(0.2, 1e-5),
-                           delay_bound_type=DelayBoundType.BEST_EFFORT)
-        future = node_a.st.create_st_rms("b", port="ord", desired=params,
-                                         acceptable=params)
-        system.run(until=2.0)
-        user = UserRms(
-            system.context,
-            SubUserRms(system.context, future.result(), node_a.host,
-                       node_b.host),
-            node_a.host,
-            node_b.host,
-        )
-        got = []
-        user.port.set_handler(lambda m: got.append(m.payload[0]))
-        for index in range(20):
-            user.send(bytes([index]) * (100 if index % 2 else 2000))
-        system.run(until=system.now + 5.0)
-        assert got == list(range(20))
 
 
 class TestMixedBoundTypesOnOneSegment:

@@ -164,17 +164,6 @@ class TestRmsLifecycle:
         with pytest.raises(RmsFailedError):
             rms.send(b"closed")
 
-    def test_rms_context_manager(self):
-        system = lan_system()
-        params = be_params()
-        session = system.connect(
-            "a", "b", desired=params, acceptable=params, port="ctx"
-        )
-        system.run(until=system.now + 2.0)
-        with session.established.result() as rms:
-            assert rms.is_open
-        assert not rms.is_open
-
 
 class TestRmsRequest:
     def test_of_rejects_both_forms(self):

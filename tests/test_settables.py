@@ -26,7 +26,6 @@ from repro.netsim.topology import Host
 from repro.resilience.policy import ResiliencePolicy
 from repro.sched.cpu import HostCpu
 from repro.subtransport.config import StConfig
-from repro.transport.layers import LayeredRms
 from repro.transport.rkom import RkomConfig
 from repro.transport.stream import StreamConfig
 
@@ -58,15 +57,10 @@ PARAMETERS = {
     ),
     Host: ("context", "name", "cpu_policy"),
     HostCpu: ("context", "name", "policy", "charge_context_switches"),
-    LayeredRms: (
-        "context", "inner", "send_host", "recv_host", "stage_allowance",
-        "name",
-    ),
 }
 
 #: Arguments that wire objects together rather than set a value.
-_WIRING = {"context", "name", "networks", "key_registry", "inner",
-           "send_host", "recv_host"}
+_WIRING = {"context", "name", "networks", "key_registry"}
 
 
 def _design_section_5_code() -> str:
@@ -96,6 +90,15 @@ class TestPinnedKnobs:
         missing = [f"{cls.__name__}.{name}" for cls, name in settables
                    if not re.search(rf"\b{name}\b", code)]
         assert not missing, f"DESIGN section 5 does not list {missing}"
+
+    def test_one_module_divides_the_delay_bound(self):
+        # Section 4.1's division of an ST bound among its stages lives
+        # in subtransport/config.py alone; the ST resolves its results.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        users = sorted(path.relative_to(src / "repro").as_posix()
+                       for path in src.rglob("*.py")
+                       if "STAGE_ALLOWANCE" in path.read_text())
+        assert users == ["subtransport/config.py"]
 
     def test_no_quench_threshold(self):
         # E11's source quench fires on every buffer overrun; a threshold
