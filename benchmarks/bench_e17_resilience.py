@@ -34,7 +34,7 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.errors import CapacityError, RmsFailedError
 from repro.netsim.chaos import ChaosSchedule
-from repro.resilience import ResiliencePolicy, SessionState
+from repro.resilience import SessionState
 
 SEED = 17
 RECORD = 480  # bytes per record
@@ -65,10 +65,9 @@ def run_variant(chaos: bool, supervised: bool, seed: int = SEED):
         delay_bound=DelayBound(0.5, 1e-4),
         delay_bound_type=DelayBoundType.BEST_EFFORT,
     )
-    policy = ResiliencePolicy() if supervised else None
     session = system.connect(
         "a", "b", desired=params, acceptable=params,
-        port="e17", resilience=policy, name="e17",
+        port="e17", resilience=supervised, name="e17",
     )
     system.run(until=system.now + WARMUP)
     start = system.now

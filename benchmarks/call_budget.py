@@ -67,7 +67,6 @@ from repro import (
     DelayBound,
     DelayBoundType,
     FlowControlMode,
-    ResiliencePolicy,
     RmsParams,
     StreamConfig,
 )
@@ -236,7 +235,7 @@ def recover(rounds: int = 3, seed: int = 1) -> dict:
         delay_bound_type=DelayBoundType.BEST_EFFORT,
     )
     session = system.connect("a", "b", desired=params, acceptable=params,
-                             resilience=ResiliencePolicy())
+                             resilience=True)
     system.run(until=2.0)
     session.established.result()
     segment = system.networks["ether0"].segment

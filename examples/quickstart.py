@@ -57,10 +57,9 @@ def main() -> None:
     system.run(until=3.0)
     print(f"RKOM reply: {reply.result().decode()}")
 
-    # Failure notification is a basic RMS property; without a resilience
-    # policy the first failure is terminal.  (Pass
-    # resilience=ResiliencePolicy() to connect() for automatic retry,
-    # failover, and degradation instead.)
+    # Failure notification is a basic RMS property; without resilience
+    # the first failure is terminal.  (Pass resilience=True to connect()
+    # for automatic retry, failover, and degradation instead.)
     session.on_state_change.listen(
         lambda s, old, new, reason: print(
             f"session {old.value} -> {new.value}: {reason}"

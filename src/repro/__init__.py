@@ -39,7 +39,7 @@ Quickstart::
     session.send(b"hello DASH")
     system.run(until=2.0)
 
-Pass ``resilience=ResiliencePolicy()`` to :meth:`DashSystem.connect` to
+Pass ``resilience=True`` to :meth:`DashSystem.connect` to
 put the session under supervision: automatic re-establishment with
 jittered backoff, failover across attached networks, and parameter
 degradation toward the acceptable floor (paper section 2.4).
@@ -68,7 +68,6 @@ from repro.errors import (
 )
 from repro.netsim import ChaosSchedule
 from repro.resilience import (
-    ResiliencePolicy,
     Session,
     SessionState,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "RmsRequest",
     "RkomService",
     "ChaosSchedule",
-    "ResiliencePolicy",
     "Session",
     "SessionState",
     "SimContext",

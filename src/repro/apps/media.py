@@ -39,13 +39,17 @@ class MediaReport:
         return (self.delivered - self.late) / self.sent
 
 
-def voice_rms_params(
-    playout_deadline: float = 0.08, delay_probability: float = 0.98
-) -> RmsParams:
+#: Seconds after sending by which a packet must arrive to be played.
+PLAYOUT_DEADLINE = 0.08
+#: Share of packets the statistical bound promises by the deadline.
+DELAY_PROBABILITY = 0.98
+
+
+def voice_rms_params() -> RmsParams:
     """Section-2.5 voice parameters: 64 kbit/s PCM, statistical bound."""
     return RmsParams.for_voice(
-        delay=playout_deadline,
-        delay_probability=delay_probability,
+        delay=PLAYOUT_DEADLINE,
+        delay_probability=DELAY_PROBABILITY,
         average_load=8000.0,
     )
 
@@ -62,12 +66,9 @@ class VoiceCall:
         context: SimContext,
         rms: Rms,
         duration: float,
-        playout_deadline: float = 0.08,
-        rng_name: str = "voice",
     ) -> None:
         self.context = context
         self.rms = rms
-        self.playout_deadline = playout_deadline
         self.recorder = DelayRecorder()
         self.delivered = 0
         self.late = 0
@@ -79,7 +80,7 @@ class VoiceCall:
             size=self.PACKET_BYTES,
             count=int(duration / self.PACKET_PERIOD),
             jitter_fraction=0.05,
-            rng_name=rng_name,
+            rng_name="voice",
         )
 
     def _arrived(self, message) -> None:
@@ -87,7 +88,7 @@ class VoiceCall:
         delay = message.delay
         if delay is not None:
             self.recorder.record(delay)
-            if delay > self.playout_deadline:
+            if delay > PLAYOUT_DEADLINE:
                 self.late += 1
 
     def report(self) -> MediaReport:

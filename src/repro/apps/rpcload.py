@@ -40,7 +40,6 @@ class RpcWorkload:
         calls_per_client: int = 20,
         request_bytes: int = 64,
         think_time: float = 0.01,
-        rng_name: str = "rpc-load",
     ) -> None:
         self.context = context
         self.service = service
@@ -51,7 +50,7 @@ class RpcWorkload:
         self.rtts: List[float] = []
         self.failed = 0
         self.attempted = 0
-        self._rng = context.rng.stream(rng_name)
+        self._rng = context.rng.stream("rpc-load")
         self.processes = [
             context.spawn(
                 self._client(index, calls_per_client), name=f"rpc-client-{index}"

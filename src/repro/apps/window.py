@@ -75,13 +75,12 @@ class WindowSystemWorkload:
         event_rms: Rms,
         graphics_rms: Rms,
         duration: float,
-        rng_name: str = "window",
     ) -> None:
         self.context = context
         self.event_rms = event_rms
         self.graphics_rms = graphics_rms
         self.duration = duration
-        self._rng = context.rng.stream(rng_name)
+        self._rng = context.rng.stream("window")
         self.event_delay = DelayRecorder()
         self.update_delay = DelayRecorder()
         self.events_sent = 0

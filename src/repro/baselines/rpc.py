@@ -21,7 +21,7 @@ from repro.sim.context import SimContext
 from repro.sim.events import EventHandle
 from repro.sim.process import Future
 
-__all__ = ["DatagramRpcConfig", "DatagramRpc"]
+__all__ = ["DatagramRpc"]
 
 _HEADER = struct.Struct(">BQH")  # kind, request id, op length
 _KIND_REQUEST = 1
@@ -31,13 +31,13 @@ _request_ids = itertools.count(1)
 
 RPC_PORT = "dgram-rpc"
 
-
-@dataclass
-class DatagramRpcConfig:
-    request_timeout: float = 0.25
-    max_retransmits: int = 5
-    backoff: float = 2.0
-    reply_cache_size: int = 256
+# The retransmission schedule equals RKOM's (transport/rkom.py), so E9
+# compares the two protocols and not their timers.
+REQUEST_TIMEOUT = 0.25
+MAX_RETRANSMITS = 5
+BACKOFF = 2.0
+#: Replies kept for duplicate suppression.
+REPLY_CACHE_SIZE = 256
 
 
 @dataclass
@@ -57,11 +57,9 @@ class DatagramRpc:
         self,
         context: SimContext,
         dgram: DatagramService,
-        config: Optional[DatagramRpcConfig] = None,
     ) -> None:
         self.context = context
         self.dgram = dgram
-        self.config = config or DatagramRpcConfig()
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
         self._pending: Dict[int, _Pending] = {}
         self._served: Dict[Any, Optional[bytes]] = {}
@@ -91,7 +89,7 @@ class DatagramRpc:
             future=Future(self.context.loop),
             frame=frame,
             peer=peer_host,
-            timeout=timeout or self.config.request_timeout,
+            timeout=timeout or REQUEST_TIMEOUT,
         )
         self._pending[request_id] = pending
         self.calls += 1
@@ -106,7 +104,7 @@ class DatagramRpc:
         if pending is None:
             return
         pending.retries += 1
-        if pending.retries > self.config.max_retransmits:
+        if pending.retries > MAX_RETRANSMITS:
             self._pending.pop(request_id, None)
             self.timeouts += 1
             pending.future.set_exception(
@@ -115,7 +113,7 @@ class DatagramRpc:
             return
         self.retransmissions += 1
         self.dgram.send(pending.peer, RPC_PORT, pending.frame)
-        pending.timeout *= self.config.backoff
+        pending.timeout *= BACKOFF
         pending.timer = self.context.loop.call_after(
             pending.timeout, self._timeout, request_id
         )
@@ -150,7 +148,7 @@ class DatagramRpc:
             self._send_reply(source, request_id, b"")
             return
         self._served[key] = None
-        if len(self._served) > self.config.reply_cache_size:
+        if len(self._served) > REPLY_CACHE_SIZE:
             self._served.pop(next(iter(self._served)))
         result = handler(payload, source)
         if isinstance(result, Future):

@@ -35,18 +35,18 @@ _KIND_ACK = 2
 _conn_ids = itertools.count(1)
 
 
+INITIAL_CWND = 1  # segments
+MAX_WINDOW = 64  # segments (receiver window)
+MIN_RTO = 0.2
+SLOW_START_THRESHOLD = 32
+
+
 @dataclass
 class TcpConfig:
-    """Tunables of the TCP-like baseline."""
+    """What E11 sets: the segment size and the first retransmit timeout."""
 
     mss: int = 512  # segment payload bytes
-    initial_cwnd: int = 1  # segments
-    max_window: int = 64  # segments (receiver window)
     retransmit_timeout: float = 0.5
-    min_rto: float = 0.2
-    slow_start_threshold: int = 32
-    #: React to ICMP source quench by halving the congestion window.
-    obey_source_quench: bool = True
 
 
 @dataclass
@@ -84,8 +84,8 @@ class TcpLikeConnection:
         self._send_buffer: Dict[int, bytes] = {}
         self._next_seq = 0
         self._send_base = 0  # oldest unacked
-        self._cwnd = float(self.config.initial_cwnd)
-        self._ssthresh = self.config.slow_start_threshold
+        self._cwnd = float(INITIAL_CWND)
+        self._ssthresh = SLOW_START_THRESHOLD
         self._rto = self.config.retransmit_timeout
         self._timer: Optional[EventHandle] = None
         self._duplicate_acks = 0
@@ -96,8 +96,8 @@ class TcpLikeConnection:
         self._rx_buffer: Dict[int, bytes] = {}
         receiver.bind(self._port_name, self._segment_arrived)
         sender.bind(self._port_name, self._ack_arrived)
-        if self.config.obey_source_quench:
-            sender.register_quench_handler(self._quench_arrived)
+        # React to ICMP source quench by halving the congestion window.
+        sender.register_quench_handler(self._quench_arrived)
 
     # ------------------------------------------------------------------
     # Sender
@@ -117,7 +117,7 @@ class TcpLikeConnection:
     @property
     def window(self) -> int:
         """Usable window in segments: min(congestion, receiver)."""
-        return max(1, min(int(self._cwnd), self.config.max_window))
+        return max(1, min(int(self._cwnd), MAX_WINDOW))
 
     @property
     def congestion_window(self) -> float:
@@ -162,7 +162,7 @@ class TcpLikeConnection:
         # Classic TCP timeout: collapse to slow start.
         self.stats.timeouts += 1
         self._ssthresh = max(2, int(self._cwnd / 2))
-        self._cwnd = float(self.config.initial_cwnd)
+        self._cwnd = float(INITIAL_CWND)
         self._rto = min(self._rto * 2, 8.0)
         self.stats.retransmissions += 1
         self._transmit(self._send_base)
@@ -187,7 +187,7 @@ class TcpLikeConnection:
         for seq in range(self._send_base, ack_seq):
             self._send_buffer.pop(seq, None)
         self._send_base = ack_seq
-        self._rto = max(self.config.min_rto, self._rto * 0.9)
+        self._rto = max(MIN_RTO, self._rto * 0.9)
         if self._cwnd < self._ssthresh:
             self._cwnd += 1.0  # slow start
         else:

@@ -43,7 +43,6 @@ class PerformanceLimits:
     max_message_size: int
     floor_bit_error_rate: float = 0.0
     strongest_type: DelayBoundType = DelayBoundType.BEST_EFFORT
-    max_delay_probability: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_capacity <= 0 or self.max_message_size <= 0:
@@ -197,7 +196,7 @@ def negotiate(
         statistical = StatisticalSpec(
             average_load=spec.average_load,
             burstiness=spec.burstiness,
-            delay_probability=min(spec.delay_probability, limits.max_delay_probability),
+            delay_probability=spec.delay_probability,
         )
         if (
             acceptable.statistical is not None

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.params import RmsParams, RmsRequest
 from repro.errors import NetworkError, ParameterError
-from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.session import (
     RkomSession,
     Session,
@@ -153,7 +152,7 @@ class DashSystem:
         acceptable: Optional[RmsParams] = None,
         request: Optional[RmsRequest] = None,
         kind: str = "st",
-        resilience: Optional[ResiliencePolicy] = None,
+        resilience: bool = False,
         port: Optional[str] = None,
         fast_ack: bool = False,
         config: Optional[StreamConfig] = None,
@@ -167,11 +166,12 @@ class DashSystem:
         it is up.  ``kind`` selects the channel: a raw subtransport RMS
         (``"st"``), a reliable byte stream (``"stream"``), or RKOM
         request/reply (``"rkom"``, one shared session per node pair).
-        Passing a :class:`ResiliencePolicy` as ``resilience`` puts an
-        ST or stream channel under supervision: automatic
-        re-establishment, failover across attached networks, and
-        parameter degradation (the RKOM service recovers its channel on
-        its own).  A stream takes its data parameters from ``config`` or
+        ``resilience=True`` puts an ST or stream channel under
+        supervision: automatic re-establishment on the backoff schedule
+        of :mod:`repro.resilience.policy`, failover across attached
+        networks, parameter degradation and queueing sends while the
+        channel is down (the RKOM service recovers its channel on its
+        own).  A stream takes its data parameters from ``config`` or
         from ``desired`` / ``acceptable`` / ``request``, not both.
         """
         sender_node = self._node(sender)
@@ -187,7 +187,7 @@ class DashSystem:
                 receiver_node.name,
                 port=port_name,
                 request=req,
-                policy=resilience,
+                resilient=resilience,
                 fast_ack=fast_ack,
                 name=name
                 or f"{sender_node.name}->{receiver_node.name}:{port_name}",
@@ -218,13 +218,13 @@ class DashSystem:
                 sender_node.st,
                 receiver_node.st,
                 config=config,
-                policy=resilience,
+                resilient=resilience,
                 name=name or f"{sender_node.name}~{receiver_node.name}:stream",
             )
         if kind == "rkom":
-            if (desired, acceptable, request, resilience) != (None,) * 4:
+            if resilience or (desired, acceptable, request) != (None,) * 3:
                 raise ParameterError(
-                    "rkom sessions take their parameters from RkomConfig "
+                    "rkom sessions have RKOM's fixed channel parameters "
                     "and recover their channel on their own"
                 )
             key = (sender_node.name, receiver_node.name)

@@ -31,6 +31,16 @@ class Reservation:
     bound_type: DelayBoundType
 
 
+#: Shares of a pool's bandwidth the deterministic and the statistical
+#: reservations may fill (section 2.3).
+DETERMINISTIC_SHARE = 1.0
+STATISTICAL_SHARE = 0.95
+#: Global conservatism of the statistical effective bandwidth.
+STATISTICAL_CONFIDENCE_WEIGHT = 0.5
+#: Deterministic reservation over the sustained rate (burst phasing).
+DETERMINISTIC_GUARD = 1.5
+
+
 class AdmissionController:
     """Tracks reservations against one pool of bandwidth and buffer.
 
@@ -38,25 +48,11 @@ class AdmissionController:
     one per link, admitting along the whole path.
     """
 
-    def __init__(
-        self,
-        total_bandwidth: float,
-        total_buffer_bytes: int,
-        deterministic_share: float = 1.0,
-        statistical_share: float = 0.95,
-        statistical_confidence_weight: float = 0.5,
-        deterministic_guard: float = 1.5,
-    ) -> None:
+    def __init__(self, total_bandwidth: float, total_buffer_bytes: int) -> None:
         if total_bandwidth <= 0 or total_buffer_bytes <= 0:
             raise ParameterError("admission pool must have positive resources")
-        if not 0 < deterministic_share <= 1 or not 0 < statistical_share <= 1:
-            raise ParameterError("shares must be in (0, 1]")
         self.total_bandwidth = total_bandwidth
         self.total_buffer_bytes = total_buffer_bytes
-        self.deterministic_share = deterministic_share
-        self.statistical_share = statistical_share
-        self.statistical_confidence_weight = statistical_confidence_weight
-        self.deterministic_guard = deterministic_guard
         self._reservations: Dict[int, Reservation] = {}
         self.admitted = 0
         self.rejected = 0
@@ -74,7 +70,7 @@ class AdmissionController:
         the reservation carries a guard factor above the sustained rate.
         The capacity itself bounds the buffer the stream can occupy.
         """
-        demand = params.implied_bandwidth() * self.deterministic_guard
+        demand = params.implied_bandwidth() * DETERMINISTIC_GUARD
         return demand, params.capacity
 
     def statistical_demand(self, params: RmsParams) -> Tuple[float, int]:
@@ -91,7 +87,7 @@ class AdmissionController:
         # requested delay probability, the closer to the peak, scaled by
         # a global conservatism weight well below the deterministic
         # worst case.
-        weight = self.statistical_confidence_weight * spec.delay_probability
+        weight = STATISTICAL_CONFIDENCE_WEIGHT * spec.delay_probability
         effective = spec.average_load + (spec.peak_load - spec.average_load) * weight
         # Statistical streams share buffers; reserve only the burst slack.
         buffer_demand = min(params.capacity, int(spec.peak_load * 0.05) + 1)
@@ -122,7 +118,7 @@ class AdmissionController:
             reservation = Reservation(rms_id, 0.0, 0, bound_type)
         elif bound_type == DelayBoundType.DETERMINISTIC:
             bandwidth, buffer_bytes = self.deterministic_demand(params)
-            limit = self.total_bandwidth * self.deterministic_share
+            limit = self.total_bandwidth * DETERMINISTIC_SHARE
             if self.reserved_bandwidth + bandwidth > limit + 1e-9:
                 self.rejected += 1
                 raise AdmissionError(
@@ -138,7 +134,7 @@ class AdmissionController:
             reservation = Reservation(rms_id, bandwidth, buffer_bytes, bound_type)
         elif bound_type == DelayBoundType.STATISTICAL:
             bandwidth, buffer_bytes = self.statistical_demand(params)
-            limit = self.total_bandwidth * self.statistical_share
+            limit = self.total_bandwidth * STATISTICAL_SHARE
             if self.reserved_bandwidth + bandwidth > limit + 1e-9:
                 self.rejected += 1
                 raise AdmissionError(

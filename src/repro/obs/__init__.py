@@ -88,14 +88,9 @@ class Observability:
 
     enabled = True
 
-    def __init__(
-        self,
-        loop: Any,
-        max_span_events: int = 1_000_000,
-        span_keep: str = "head",
-    ) -> None:
+    def __init__(self, loop: Any) -> None:
         self.metrics = MetricsRegistry()
-        self.spans = SpanTracer(loop, max_events=max_span_events, keep=span_keep)
+        self.spans = SpanTracer(loop)
 
     def snapshot(self) -> Dict[str, Any]:
         """Combined JSON-serializable state (metrics + span summary)."""

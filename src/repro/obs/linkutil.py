@@ -45,21 +45,20 @@ def jain_fairness(values: Sequence[float]) -> float:
 
 
 class LinkUtilizationCollector:
-    """Windowed per-link byte counters over an internetwork's links.
+    """Windowed per-link byte counters over an internetwork's trunks.
 
-    ``trunks_only=True`` (the default) restricts the view to
-    router-to-router links — the contended fabric core — ignoring the
-    host access links, which are per-flow by construction and would
-    dilute an imbalance measurement.
+    Only router-to-router links -- the contended fabric core -- are
+    tracked; the host access links are per-flow by construction and
+    would dilute an imbalance measurement.
     """
 
-    def __init__(self, network, trunks_only: bool = True) -> None:
+    def __init__(self, network) -> None:
         self.network = network
         routers = getattr(network, "routers", set())
         self._links: Dict[_EdgeKey, object] = {
             edge: link
             for edge, link in network._links.items()
-            if not trunks_only or (edge[0] in routers and edge[1] in routers)
+            if edge[0] in routers and edge[1] in routers
         }
         self._marks: Dict[_EdgeKey, int] = {}
         self.mark()

@@ -25,11 +25,8 @@ layer can rejoin a component's trace without widening the wire format.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Tuple
-
-from repro.errors import ParameterError
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # repro.sim imports repro.obs, not the other way round
     from repro.sim.events import EventLoop
@@ -127,32 +124,25 @@ class SpanBreakdown:
         )
 
 
+#: Events one tracer keeps; later events are dropped and counted, which
+#: bounds the memory of a long observed run.
+MAX_EVENTS = 1_000_000
+
+
 class SpanTracer:
     """Collects span events per trace id.
 
-    ``keep`` selects the overflow policy once ``max_events`` is reached:
-    ``"head"`` drops new events (the default, cheapest), ``"tail"``
-    evicts the oldest trace's events ring-buffer style.  Either way
-    :attr:`dropped` counts what was lost.
+    Once :data:`MAX_EVENTS` are held, new events are dropped and
+    :attr:`dropped` counts them.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        max_events: int = 1_000_000,
-        keep: str = "head",
-    ) -> None:
-        if keep not in ("head", "tail"):
-            raise ParameterError(f"keep must be 'head' or 'tail': {keep!r}")
+    def __init__(self, loop: EventLoop) -> None:
         self._loop = loop
-        self._max_events = max_events
-        self._keep = keep
         self._ids = itertools.count(1)
         self._events = 0
         self._traces: "Dict[int, List[SpanEvent]]" = {}
-        self._order: Deque[int] = deque()  # trace ids, oldest first
         self._wire: Dict[Tuple[int, int], int] = {}
         self.dropped = 0
 
@@ -165,19 +155,13 @@ class SpanTracer:
         """Record one lifecycle event; a ``None`` trace id is ignored."""
         if trace_id is None:
             return
-        if self._events >= self._max_events:
-            if self._keep == "head" or not self._order:
-                self.dropped += 1
-                return
-            oldest = self._order.popleft()
-            evicted = self._traces.pop(oldest, [])
-            self._events -= len(evicted)
-            self.dropped += len(evicted)
+        if self._events >= MAX_EVENTS:
+            self.dropped += 1
+            return
         bucket = self._traces.get(trace_id)
         if bucket is None:
             bucket = []
             self._traces[trace_id] = bucket
-            self._order.append(trace_id)
         bucket.append(SpanEvent(trace_id, self._loop.now, layer, event, fields))
         self._events += 1
 
@@ -221,7 +205,6 @@ class SpanTracer:
 
     def clear(self) -> None:
         self._traces.clear()
-        self._order.clear()
         self._wire.clear()
         self._events = 0
         self.dropped = 0

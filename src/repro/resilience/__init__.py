@@ -3,8 +3,8 @@
 The paper's basic RMS property 3 only promises that "clients are
 notified of an RMS failure" (section 2.1).  This subsystem turns that
 notification into recovery: one establishment loop keeps an ST RMS or a
-stream up, and a session given a :class:`ResiliencePolicy` retries
-establishment with jittered exponential backoff, fails over to an
+stream up, and a resilient session retries establishment with jittered
+exponential backoff (:mod:`repro.resilience.policy`), fails over to an
 alternate attached network when the node is multi-homed, and gracefully
 degrades the requested parameter set from desired toward acceptable
 (the section 2.4 compatibility rules) when the surviving network cannot
@@ -13,7 +13,7 @@ carry the original request.  Transitions surface through ``Session.on_state_chan
 ``SessionStats.transitions`` (the ``rms_failovers_total`` metric family).
 """
 
-from repro.resilience.policy import ResiliencePolicy, degradation_ladder
+from repro.resilience.policy import degradation_ladder
 from repro.resilience.session import (
     RkomSession,
     Session,
@@ -23,7 +23,6 @@ from repro.resilience.session import (
 )
 
 __all__ = [
-    "ResiliencePolicy",
     "RkomSession",
     "Session",
     "SessionState",

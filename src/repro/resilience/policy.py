@@ -10,51 +10,30 @@ above the acceptable floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
-from repro.errors import ParameterError
 
-__all__ = ["ResiliencePolicy", "degradation_ladder"]
+__all__ = ["backoff_delay", "degradation_ladder"]
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The backoff schedule of a session's establishment attempts.
+#: The backoff schedule of a resilient session's establishment attempts:
+#: consecutive failed attempts before giving up, and a jittered
+#: exponential backoff between attempts.
+MAX_ATTEMPTS = 8
+BACKOFF_INITIAL = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+#: Fractional jitter: each delay is scaled by ``1 + U(-j, +j)``.
+JITTER = 0.5
 
-    Giving a session a policy is what turns on retry, failover to
-    another attached network, the degradation ladder and queueing sends
-    (up to the request floor's capacity) while the channel is down;
-    without one, the first failure is final.
-    """
 
-    #: Consecutive failed establishment attempts before giving up.
-    max_attempts: int = 8
-    #: Jittered exponential backoff between attempts.
-    backoff_initial: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    #: Fractional jitter: each delay is scaled by ``1 + U(-j, +j)``.
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ParameterError("max_attempts must be >= 1")
-        if self.backoff_initial <= 0 or self.backoff_factor < 1:
-            raise ParameterError("backoff schedule must grow from > 0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ParameterError("jitter must be in [0, 1)")
-
-    def backoff_delay(self, failures: int, rng) -> float:
-        """Delay before attempt ``failures + 1`` (jitter from ``rng``)."""
-        delay = min(
-            self.backoff_cap,
-            self.backoff_initial * self.backoff_factor ** failures,
-        )
-        if self.jitter > 0:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(delay, 1e-3)
+def backoff_delay(failures: int, rng) -> float:
+    """Delay before attempt ``failures + 1`` (jitter from ``rng``)."""
+    delay = min(BACKOFF_CAP, BACKOFF_INITIAL * BACKOFF_FACTOR ** failures)
+    if JITTER > 0:
+        delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
+    return max(delay, 1e-3)
 
 
 def _weaken(current: RmsParams, floor: RmsParams) -> RmsParams:

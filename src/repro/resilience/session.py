@@ -12,9 +12,10 @@ A session exposes ``send``/``close``, context-manager support, an
        FAILED                 (any state) -> CLOSED
 
 An ST RMS and a stream are kept up by one establishment loop
-(:class:`_ChannelSession`).  With a :class:`ResiliencePolicy` a failure
-moves the session through backoff, failover and degradation, and a lost
-channel to RE-ESTABLISHING; without one the first failure and the first
+(:class:`_ChannelSession`).  On a resilient session a failure moves the
+session through backoff (the schedule in
+:mod:`repro.resilience.policy`), failover and degradation, and a lost
+channel to RE-ESTABLISHING; otherwise the first failure and the first
 loss are terminal (FAILED), the paper's bare notify-on-failure semantics.
 """
 
@@ -34,7 +35,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.obs.registry import families
-from repro.resilience.policy import ResiliencePolicy, degradation_ladder
+from repro.resilience import policy
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, Signal
 from repro.sim.ports import Port
@@ -184,18 +185,19 @@ class _ChannelSession(Session):
     :meth:`_open`) and ends established or failed.  ``AdmissionError``
     steps one rung down the degradation ladder and tries again at once
     while a rung is left; any other failure counts one consecutive
-    failure and waits out the policy's backoff or gives up.  A lost
+    failure and waits out the backoff or gives up.  A lost
     channel is re-established from the top rung, what it carried
     unacknowledged (the kind's :meth:`_salvage`) put back in front of the
-    queue.  Without a policy the ladder has one rung and there is no
-    queue: the first failure gives up and the first loss fails.
+    queue.  Unless the session is resilient the ladder has one rung and
+    there is no queue: the first failure gives up and the first loss
+    fails.
     """
 
     def __init__(
         self,
         context: SimContext,
         request: RmsRequest,
-        policy: Optional[ResiliencePolicy],
+        resilient: bool,
         name: Optional[str],
         rungs: List[RmsRequest],
         queue_limit: int,
@@ -203,7 +205,7 @@ class _ChannelSession(Session):
         super().__init__(context, name=name)
         #: The normalized request behind this session.
         self.request = request
-        self.policy = policy
+        self.resilient = resilient
         #: The established channel; None while there is none.
         self.channel = None
         self._rungs = rungs
@@ -265,9 +267,8 @@ class _ChannelSession(Session):
     def _failed_attempt(self, error: Exception) -> None:
         self._failures += 1
         self._avoid = self._network
-        policy = self.policy
-        if policy is None or self._failures >= policy.max_attempts:
-            if policy is not None:
+        if not self.resilient or self._failures >= policy.MAX_ATTEMPTS:
+            if self.resilient:
                 self._note("gave_up", str(error))
             self._fail(error)
             return
@@ -300,7 +301,7 @@ class _ChannelSession(Session):
             return
         self.channel = None
         salvaged = self._salvage(channel)
-        if self.policy is None:
+        if not self.resilient:
             self._fail(RmsFailedError(reason))
             return
         self._avoid = self._network
@@ -325,7 +326,7 @@ class _ChannelSession(Session):
 
     def _enqueue(self, payload) -> None:
         size = _payload_size(payload)
-        if self.policy is None or self._queued_bytes + size > self._queue_limit:
+        if not self.resilient or self._queued_bytes + size > self._queue_limit:
             self.stats.queue_drops += 1
             return
         self._queue.append(payload)
@@ -351,7 +352,7 @@ class _ChannelSession(Session):
 
 
 class StSession(_ChannelSession):
-    """A subtransport RMS, under a policy or bare."""
+    """A subtransport RMS, resilient or bare."""
 
     kind = "st"
 
@@ -362,13 +363,13 @@ class StSession(_ChannelSession):
         peer_host: str,
         port: str,
         request: RmsRequest,
-        policy: Optional[ResiliencePolicy] = None,
+        resilient: bool = False,
         fast_ack: bool = False,
         name: Optional[str] = None,
     ) -> None:
-        rungs = [request] if policy is None else degradation_ladder(request)
+        rungs = policy.degradation_ladder(request) if resilient else [request]
         super().__init__(
-            context, request, policy, name, rungs, request.floor.capacity
+            context, request, resilient, name, rungs, request.floor.capacity
         )
         self._watch(st.host.name)
         self.st = st
@@ -383,10 +384,10 @@ class StSession(_ChannelSession):
         return self.channel
 
     def _open(self, rung: RmsRequest) -> Future:
-        # A policy steers the ST toward a usable network, avoiding the
-        # one that failed last.
+        # A resilient session steers the ST toward a usable network,
+        # avoiding the one that failed last.
         st, host, peer = self.st, self.st.host.name, self.peer_host
-        usable = [] if self.policy is None else [
+        usable = [] if not self.resilient else [
             network
             for network in st.networks
             if host in network.hosts
@@ -449,13 +450,13 @@ class StSession(_ChannelSession):
         )
 
     def _teardown(self) -> None:
-        if self.policy is not None:
+        if self.resilient:
             self.st.set_network_preference(self.peer_host, None)
         super()._teardown()
 
 
 class TransportSession(_ChannelSession):
-    """A reliable byte stream, under a policy or bare.
+    """A reliable byte stream, resilient or bare.
 
     Re-establishment salvages messages the failed incarnation had not
     seen acknowledged and resends them first -- delivery across a
@@ -473,13 +474,13 @@ class TransportSession(_ChannelSession):
         sender_st,
         receiver_st,
         config: Optional[StreamConfig] = None,
-        policy: Optional[ResiliencePolicy] = None,
+        resilient: bool = False,
         name: Optional[str] = None,
     ) -> None:
         config = config or StreamConfig()
         request = config.data_request()
         super().__init__(
-            context, request, policy, name, [request], config.data_capacity
+            context, request, resilient, name, [request], config.data_capacity
         )
         self._watch(sender_st.host.name)
         self.sender_st = sender_st

@@ -110,7 +110,6 @@ class HostCpu:
         context: SimContext,
         name: str = "cpu",
         policy: str = "edf",
-        charge_context_switches: bool = True,
     ) -> None:
         self.context = context
         self.name = name
@@ -122,7 +121,6 @@ class HostCpu:
         self._started_at = 0.0
         self._paused = False
         self._last_owner: Optional[str] = None
-        self._charge_switches = charge_context_switches
         # Statistics.
         self.items_run = 0
         self.busy_time = 0.0
@@ -196,7 +194,7 @@ class HostCpu:
         if owner is None:
             owner = item[0].split("/", 1)[0]
         run_time = item[1]
-        if self._charge_switches and owner != self._last_owner:
+        if owner != self._last_owner:
             run_time += PER_CONTEXT_SWITCH
             self.context_switches += 1
         self._last_owner = owner

@@ -16,6 +16,9 @@ from repro.errors import SecurityError
 
 __all__ = ["KeyRegistry"]
 
+#: The one realm every host enrolls in; its keys derive from this secret.
+REALM_SECRET = b"dash-realm"
+
 
 class KeyRegistry:
     """Derives and caches 16-byte pairwise keys for host pairs.
@@ -25,15 +28,14 @@ class KeyRegistry:
     service of the DASH security protocol.
     """
 
-    def __init__(self, realm_secret: bytes = b"dash-realm") -> None:
-        self._realm = bytes(realm_secret)
+    def __init__(self) -> None:
         self._host_keys: Dict[str, bytes] = {}
         self._pair_keys: Dict[Tuple[str, str], bytes] = {}
 
     def register_host(self, host: str) -> bytes:
         """Enroll a host; returns its master key."""
         if host not in self._host_keys:
-            digest = hashlib.sha256(self._realm + b"/host/" + host.encode()).digest()
+            digest = hashlib.sha256(REALM_SECRET + b"/host/" + host.encode()).digest()
             self._host_keys[host] = digest[:16]
         return self._host_keys[host]
 
@@ -48,7 +50,7 @@ class KeyRegistry:
         pair = (min(host_a, host_b), max(host_a, host_b))
         if pair not in self._pair_keys:
             material = (
-                self._realm
+                REALM_SECRET
                 + b"/pair/"
                 + pair[0].encode()
                 + b"|"

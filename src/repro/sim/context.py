@@ -21,23 +21,13 @@ __all__ = ["SimContext"]
 class SimContext:
     """The shared substrate of one simulation run."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        observe: bool = False,
-        obs: Optional[Union[Observability, NullObservability]] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, observe: bool = False) -> None:
         self.loop = EventLoop()
         self.rng = RandomStreams(seed)
         #: Metrics registry + span tracer; a stateless null facade unless
-        #: ``observe=True`` (or a prebuilt facade is injected).
-        self.obs: Union[Observability, NullObservability]
-        if obs is not None:
-            self.obs = obs
-        elif observe:
-            self.obs = Observability(self.loop)
-        else:
-            self.obs = NullObservability()
+        #: ``observe=True``.
+        self.obs: Union[Observability, NullObservability] = (
+            Observability(self.loop) if observe else NullObservability())
 
     @property
     def now(self) -> float:

@@ -129,8 +129,8 @@ class EventLoop:
     which keeps protocol traces deterministic.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._seq = itertools.count()
         self._running = False
         self._events_run = 0

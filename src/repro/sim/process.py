@@ -71,6 +71,10 @@ class Future:
         for callback in callbacks:
             self._loop.call_soon(callback, self)
 
+    def copy_to(self, sink: "Future") -> None:
+        """Resolve ``sink`` with this resolved future's outcome."""
+        sink._resolve(self._state, self._value)
+
     def add_done_callback(self, callback: Callable[["Future"], None]) -> None:
         """Run ``callback(self)`` once resolved (immediately if already)."""
         if self._state != _PENDING:

@@ -30,6 +30,10 @@ from repro.subtransport.strms import StRms
 __all__ = ["DATA_PORT", "NetworkBindings", "Peer"]
 
 DATA_PORT = "st-data"
+#: Cached idle data network RMSs kept per peer host (4.2).
+CACHE_SIZE_PER_PEER = 4
+#: Least capacity asked of a best-effort data network RMS.
+DEFAULT_NETWORK_CAPACITY = 64 * 1024
 
 
 class Peer:
@@ -207,7 +211,7 @@ class NetworkBindings:
             # the loosest legal bound).
             capacity = st_params.capacity * 2
         else:
-            capacity = max(self.config.default_network_capacity, st_params.capacity)
+            capacity = max(DEFAULT_NETWORK_CAPACITY, st_params.capacity)
         desired_bound, acceptable_bound = network_bounds(
             st_params.delay_bound, guaranteed
         )
@@ -256,7 +260,7 @@ class NetworkBindings:
         binding.queue.flush("forced")
         if (
             self.config.cache_enabled
-            and len(peer.cached) < self.config.cache_size_per_peer
+            and len(peer.cached) < CACHE_SIZE_PER_PEER
             and binding.network_rms.is_open
         ):
             peer.cached.append(binding)

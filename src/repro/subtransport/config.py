@@ -2,10 +2,12 @@
 
 A field here is one of the section 5 design choices an experiment
 ablates -- piggybacking (E4), network-RMS caching and multiplexing (E7),
-multiplexing-rule enforcement (E14) -- or a bound one test file varies
-(DESIGN 5 lists each with its reason).  What the paper fixes is a
-module constant beside the code that reads it: the per-stage CPU
-allowance here, the control channel's parameters and retry schedule in
+multiplexing-rule enforcement (E14); DESIGN 5 lists each with its
+reason.  Every other value is a module constant beside the code that
+reads it: the per-stage CPU allowance here, the ST's message-size
+multiple in :mod:`repro.subtransport.st`, the network-RMS cache size
+and capacity in :mod:`repro.subtransport.binding`, the control
+channel's parameters and retry schedule in
 :mod:`repro.subtransport.control`.
 
 This module is also the one home of section 4.1's division of an ST RMS
@@ -103,22 +105,7 @@ class StConfig:
     enforce_mux_rules: bool = True
     #: Retain data network RMSs after their last ST RMS closes (4.2).
     cache_enabled: bool = True
-    #: Maximum cached data network RMSs per peer host.
-    cache_size_per_peer: int = 4
-    #: Largest message the ST offers clients, as a multiple of the
-    #: network maximum message size (section 4.3 discusses choosing it).
-    max_message_multiple: int = 8
-    #: Default capacity for data network RMSs the ST creates.
-    default_network_capacity: int = 64 * 1024
-    #: ``auth1`` retransmissions before a handshake gives up.
-    auth_max_retries: int = 5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.piggyback_window_cap < math.inf:
             raise ParameterError("piggyback_window_cap must be finite and >= 0")
-        if self.max_message_multiple < 1:
-            raise ParameterError("max_message_multiple must be >= 1")
-        if self.cache_size_per_peer < 0:
-            raise ParameterError("cache size must be >= 0")
-        if self.auth_max_retries < 0:
-            raise ParameterError("auth_max_retries must be >= 0")

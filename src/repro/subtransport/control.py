@@ -31,7 +31,6 @@ from repro.security.mac import compute_mac, verify_mac
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.sim.process import Future
-from repro.subtransport.config import StConfig
 from repro.subtransport.wire import control_mac_material, decode_control, encode_control
 
 __all__ = [
@@ -107,9 +106,8 @@ _CONTROL_ACCEPTABLE = CONTROL_PARAMS.with_(
     delay_bound=DelayBound(CONTROL_DELAY_BOUND * 4, 1e-5)
 )
 #: The channel is best-effort, so a request and the handshake's
-#: ``auth1`` are sent again after ``RETRY_BASE * 2**attempt`` seconds; a
-#: request up to ``CONTROL_MAX_RETRIES`` times (the handshake's budget
-#: is ``StConfig.auth_max_retries``).
+#: ``auth1`` are sent again after ``RETRY_BASE * 2**attempt`` seconds,
+#: each up to ``CONTROL_MAX_RETRIES`` times.
 RETRY_BASE = 0.3
 CONTROL_MAX_RETRIES = 5
 
@@ -121,7 +119,6 @@ class _Retry:
     ``auth1`` awaiting its ``auth2``."""
 
     fields: Fields
-    limit: int
     future: Optional[Future] = None
     attempts: int = 0
     timer: Any = None
@@ -145,7 +142,6 @@ class ControlChannel:
     def __init__(
         self,
         context: SimContext,
-        config: StConfig,
         stats: Any,
         host_name: str,
         peer_host: str,
@@ -156,7 +152,6 @@ class ControlChannel:
         before_connect: Callable[[], None],
     ) -> None:
         self.context = context
-        self.config = config
         self.stats = stats
         self.host_name = host_name
         self.peer_host = peer_host
@@ -202,9 +197,7 @@ class ControlChannel:
         timeout; the future resolves to the reply's fields."""
         fields = dict(fields)
         fields["req"] = req_id = next(self._req_ids)
-        retry = self.pending[req_id] = _Retry(
-            fields, CONTROL_MAX_RETRIES, Future(self.context.loop)
-        )
+        retry = self.pending[req_id] = _Retry(fields, Future(self.context.loop))
         self._send_retrying(retry)
         return retry.future
 
@@ -314,7 +307,7 @@ class ControlChannel:
         elif self.pending.get(retry.fields["req"]) is not retry:
             return
         retry.attempts += 1
-        if retry.attempts <= retry.limit:
+        if retry.attempts <= CONTROL_MAX_RETRIES:
             self._send_retrying(retry)
         elif retry.future is None:
             self._auth1 = None
@@ -358,9 +351,7 @@ class ControlChannel:
         self.stats.auth_handshakes += 1
         self._nonce = self._nonce48()
         self._auth1 = _Retry(
-            {"op": "auth1", "from": self.host_name, "na": self._nonce},
-            self.config.auth_max_retries,
-        )
+            {"op": "auth1", "from": self.host_name, "na": self._nonce})
         self._send_retrying(self._auth1)
 
     def _answer_auth1(self, fields: Fields) -> None:
@@ -368,7 +359,7 @@ class ControlChannel:
         # correct peer can still answer (one per retry) stays acceptable.
         nb = self._nonce48()
         self._issued.append(nb)
-        del self._issued[: -(self.config.auth_max_retries + 1)]
+        del self._issued[: -(CONTROL_MAX_RETRIES + 1)]
         self.send(
             {"op": "auth2", "from": self.host_name, "na": fields["na"], "nb": nb}
         )

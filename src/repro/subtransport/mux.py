@@ -12,8 +12,8 @@
 - the maximum message size of the ST RMS's may exceed that of the
   network RMS (this requires fragmentation and reassembly by the ST)."
 
-Downward multiplexing (one ST RMS across several network RMSs) is
-deliberately absent, as in the paper.
+Downward multiplexing (one ST RMS across several network RMSs), which
+the paper excludes, is :mod:`repro.subtransport.downmux` (bench E15).
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ def mux_violation(
                 f"aggregate statistical load {total:.0f}B/s exceeds the "
                 f"network RMS spec {network_params.statistical.average_load:.0f}B/s"
             )
-    # Security rule: properties the ST expects the *medium* to provide
-    # must actually be present on the network RMS.
-    if st_params.privacy and not network_params.privacy:
-        # Only a violation when no software encryption compensates; the
-        # caller checks the security plan first, so reaching here with a
-        # privacy mismatch means the plan relies on the network.
-        pass
     return None
 
 

@@ -67,6 +67,9 @@ __all__ = ["SubtransportLayer", "StStats"]
 
 _BUNDLE_COUNT_BYTES = 2
 _SECURITY_FLAGS = FLAG_CHECKSUM | FLAG_MAC | FLAG_ENCRYPTED
+#: Largest message the ST offers clients, as a multiple of the network
+#: maximum message size (section 4.3 discusses choosing it).
+MAX_MESSAGE_MULTIPLE = 8
 
 
 @dataclass
@@ -126,11 +129,11 @@ class _RxStream:
     #: smaller (hence earlier-deadline) later message could overtake its
     #: predecessor in the EDF CPU queue, violating in-sequence delivery.
     last_cpu_deadline: float = 0.0
-    #: Per-size memos of the receive-stage deadline (``receive_deadline``)
-    #: and CPU cost: both pure functions of the size, so a hit is the
-    #: float a per-message call would compute.
+    #: Per-size memo of the receive-stage deadline (``receive_deadline``):
+    #: a pure function of the size, so a hit is the float a per-message
+    #: call would compute.  The stage's CPU cost is the sender's memo,
+    #: ``StRms._cost_cache``: both stages run one plan.
     deadline_cache: Dict[int, Tuple[float, bool]] = field(default_factory=dict)
-    cost_cache: Dict[int, float] = field(default_factory=dict)
 
 
 class SubtransportLayer:
@@ -194,7 +197,7 @@ class SubtransportLayer:
             peer.timers, TIMER_FAMILIES, group=f"st:{self.host.name}->{peer_host}"
         )
         peer.control = ControlChannel(
-            self.context, self.config, self.stats, self.host.name, peer_host,
+            self.context, self.stats, self.host.name, peer_host,
             self._bindings.network_for(peer_host), self._session_key(peer_host),
             peer.timers, self._control_handlers,
             before_connect=partial(self._bindings.retarget, peer),
@@ -228,8 +231,7 @@ class SubtransportLayer:
         st_limits = PerformanceLimits(
             best_delay=st_best_delay(limits.best_delay),
             max_capacity=limits.max_capacity,
-            max_message_size=limits.max_message_size
-            * self.config.max_message_multiple,
+            max_message_size=limits.max_message_size * MAX_MESSAGE_MULTIPLE,
             floor_bit_error_rate=limits.floor_bit_error_rate,
             strongest_type=limits.strongest_type,
         )
@@ -266,7 +268,7 @@ class SubtransportLayer:
             self._create_flow(peer_host, port, desired, acceptable, fast_ack),
             name=f"st-create:{self.host.name}->{peer_host}",
         )
-        process.finished.add_done_callback(lambda f: _pipe(f, result))
+        process.finished.add_done_callback(lambda f: f.copy_to(result))
         return result
 
     def _create_flow(self, peer_host, port, desired, acceptable, fast_ack):
@@ -420,13 +422,12 @@ class SubtransportLayer:
         size = len(message.payload)
         arrival = message.send_time
         cpu = self.host.cpu
-        cost = st_rms._send_cost_cache.get(size)
+        cost = st_rms._cost_cache.get(size)
         if cost is None:
             plan = st_rms.plan
-            cost = protocol_cost(
+            cost = st_rms._cost_cache[size] = protocol_cost(
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
-            st_rms._send_cost_cache[size] = cost
         deadlines = st_rms._deadline_cache.get(size)
         if deadlines is None:
             deadlines = send_deadlines(
@@ -678,13 +679,12 @@ class SubtransportLayer:
         else:
             rx.last_cpu_deadline = deadline
         cpu = self.host.cpu
-        cost = rx.cost_cache.get(size)
+        cost = st_rms._cost_cache.get(size)
         if cost is None:
             plan = st_rms.plan
-            cost = protocol_cost(
+            cost = st_rms._cost_cache[size] = protocol_cost(
                 size, checksum=plan.checksum, encrypt=plan.encrypt, mac=plan.mac
             )
-            rx.cost_cache[size] = cost
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "st", "rx", st=st_rms.name, size=size)
@@ -739,14 +739,3 @@ class SubtransportLayer:
             f"<SubtransportLayer host={self.host.name} peers={len(self._peers)} "
             f"rx={len(self._rx)}>"
         )
-
-
-def _pipe(source: Future, sink: Future) -> None:
-    """Copy one future's outcome into another."""
-    if source.failed:
-        try:
-            source.result()
-        except BaseException as error:  # noqa: BLE001
-            sink.set_exception(error)
-    else:
-        sink.set_result(source.result())

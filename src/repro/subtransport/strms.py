@@ -80,14 +80,15 @@ class StRms(Rms):
         #: Largest component that fits a bundle on the bound network RMS;
         #: bigger messages fragment.  Set by the ST with the binding.
         self.max_component = 0
-        # Resolved once for the send path: the CPU stage names and, per
-        # message size, the send-stage cost and the send-stage and
+        # Resolved once: the CPU stage names and, per message size, the
+        # cost of one protocol stage (the send and the receive stage run
+        # the same plan, so both read this memo) and the send-stage and
         # transmission deadlines after arrival (``send_deadlines``).
         # The memos hold what the pure per-size functions return, so a
         # hit is the very float a per-message call would compute.
         self._send_stage_name = f"st/send:{self.rms_id}"
         self._recv_stage_name = f"st/recv:{self.rms_id}"
-        self._send_cost_cache: Dict[int, float] = {}
+        self._cost_cache: Dict[int, float] = {}
         self._deadline_cache: Dict[int, Tuple[float, float]] = {}
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).

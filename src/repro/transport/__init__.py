@@ -6,7 +6,7 @@ from repro.transport.flowcontrol import (
     ReceiverCredit,
     WindowEnforcer,
 )
-from repro.transport.rkom import RkomConfig, RkomService, RkomStats
+from repro.transport.rkom import RkomService, RkomStats
 from repro.transport.stream import (
     StreamConfig,
     StreamSession,
@@ -18,7 +18,6 @@ __all__ = [
     "FlowControlMode",
     "RateBasedEnforcer",
     "ReceiverCredit",
-    "RkomConfig",
     "RkomService",
     "RkomStats",
     "StreamConfig",

@@ -35,7 +35,7 @@ from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.strms import StRms
 
-__all__ = ["CallHandle", "RkomConfig", "RkomStats", "RkomService"]
+__all__ = ["CallHandle", "RkomStats", "RkomService"]
 
 LOW_PORT = "rkom-lo"
 HIGH_PORT = "rkom-hi"
@@ -58,6 +58,12 @@ CHANNEL_MAX_MESSAGE = 8 * 1024
 #: Requests a server remembers (with their replies) to answer a
 #: retransmitted request without running it twice.
 REPLY_CACHE_SIZE = 256
+#: The retransmission schedule of a call (3.3): the first timeout (a
+#: call's ``timeout=`` overrides it), the retransmissions allowed and the
+#: factor each timeout grows by.
+REQUEST_TIMEOUT = 0.25
+MAX_RETRANSMITS = 5
+BACKOFF = 2.0
 
 
 def _request_pair(delay: float) -> Tuple[RmsParams, RmsParams]:
@@ -79,24 +85,6 @@ def _request_pair(delay: float) -> Tuple[RmsParams, RmsParams]:
 
 _LOW_REQUEST = _request_pair(LOW_DELAY)
 _HIGH_REQUEST = _request_pair(HIGH_DELAY)
-
-
-@dataclass
-class RkomConfig:
-    """The retransmission schedule of a call: the first timeout, the
-    retransmissions allowed and the factor each timeout grows by."""
-
-    request_timeout: float = 0.25
-    max_retransmits: int = 5
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.request_timeout < math.inf:
-            raise ParameterError("request_timeout must be positive and finite")
-        if self.max_retransmits < 0:
-            raise ParameterError("max_retransmits must be >= 0")
-        if not self.backoff >= 1:
-            raise ParameterError("backoff must be >= 1")
 
 
 @dataclass
@@ -211,11 +199,9 @@ class RkomService:
         self,
         context: SimContext,
         st: SubtransportLayer,
-        config: Optional[RkomConfig] = None,
     ) -> None:
         self.context = context
         self.st = st
-        self.config = config or RkomConfig()
         self.stats = RkomStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, host=st.host.name)
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
@@ -258,12 +244,12 @@ class RkomService:
 
         Returns a :class:`CallHandle` -- a :class:`Future` resolving to
         the reply bytes, with ``.cancel()`` and ``.elapsed`` on top.
-        ``timeout`` is the first retransmission timeout (``None``: the
-        configured ``request_timeout``); anything but a positive finite
-        number raises :class:`ParameterError` before the call is made.
+        ``timeout`` is the first retransmission timeout (``None``:
+        :data:`REQUEST_TIMEOUT`); anything but a positive finite number
+        raises :class:`ParameterError` before the call is made.
         """
         if timeout is None:
-            timeout = self.config.request_timeout
+            timeout = REQUEST_TIMEOUT
         elif not 0.0 < timeout < math.inf:
             raise ParameterError(
                 f"RKOM call timeout must be positive and finite, not {timeout!r}"
@@ -331,7 +317,7 @@ class RkomService:
             return
         record.retries += 1
         obs = self.context.obs
-        if record.retries > self.config.max_retransmits:
+        if record.retries > MAX_RETRANSMITS:
             self._pending.pop(request_id, None)
             self.stats.timeouts += 1
             if obs.enabled:
@@ -342,7 +328,7 @@ class RkomService:
             record.handle.set_exception(
                 RkomTimeoutError(
                     f"no reply from {record.peer} after "
-                    f"{self.config.max_retransmits} retransmissions"
+                    f"{MAX_RETRANSMITS} retransmissions"
                 )
             )
             return
@@ -356,7 +342,7 @@ class RkomService:
         # the retransmission goes through the fresh one if the call still
         # waits then.
         self._send_request(request_id, False)
-        record.timeout *= self.config.backoff
+        record.timeout *= BACKOFF
         record.timer = self._timers.call_after(
             record.timeout, self._timeout_fired, request_id
         )

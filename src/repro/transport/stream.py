@@ -23,7 +23,6 @@ the call when it has room; a gate the configuration omits is skipped.
 from __future__ import annotations
 
 import itertools
-import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
@@ -55,6 +54,12 @@ _ACK_FORMAT = struct.Struct(">BII")  # kind, cumulative ack, credit grant
 _FLAG_NONE = 0
 _ACK_KIND = 1
 
+#: The oldest unacknowledged message is sent again after
+#: ``RETRANSMIT_TIMEOUT`` seconds; the stream fails after
+#: ``MAX_RETRANSMITS`` timeouts without progress.
+RETRANSMIT_TIMEOUT = 0.5
+MAX_RETRANSMITS = 10
+
 
 @dataclass
 class StreamConfig:
@@ -71,8 +76,6 @@ class StreamConfig:
     #: legal for fixed-size records (``record_size`` must be set).
     use_fast_ack: bool = False
     record_size: Optional[int] = None
-    retransmit_timeout: float = 0.5
-    max_retransmits: int = 10
     #: Send a cumulative ack every N in-order deliveries.
     ack_every: int = 2
     #: ST RMS capacity for the data path.
@@ -88,10 +91,6 @@ class StreamConfig:
             raise ParameterError("fast-ack streaming requires a fixed record_size")
         if self.ack_every < 1:
             raise ParameterError("ack_every must be >= 1")
-        if not 0.0 < self.retransmit_timeout < math.inf:
-            raise ParameterError("retransmit_timeout must be positive and finite")
-        if self.max_retransmits < 0:
-            raise ParameterError("max_retransmits must be >= 0")
         if self.receive_buffer <= 0:
             raise ParameterError("receive_buffer must be > 0")
         if self.sender_port_limit < 1:
@@ -315,7 +314,7 @@ class StreamSession:
         if not self.tx_unacked:
             return
         self._retransmit_timer = self.context.loop.call_after(
-            self.config.retransmit_timeout, self._retransmit_fired
+            RETRANSMIT_TIMEOUT, self._retransmit_fired
         )
 
     def _retransmit_fired(self) -> None:
@@ -323,7 +322,7 @@ class StreamSession:
         if not self.tx_unacked or self.failed:
             return
         self._retransmit_count += 1
-        if self._retransmit_count > self.config.max_retransmits:
+        if self._retransmit_count > MAX_RETRANSMITS:
             self._fail("retransmission limit exceeded")
             return
         oldest = min(self.tx_unacked)
@@ -576,14 +575,5 @@ def open_stream(
 
     process = context.spawn(flow(), name=f"open-stream-{session_tag}")
 
-    def done(future: Future) -> None:
-        if future.failed:
-            try:
-                future.result()
-            except BaseException as error:  # noqa: BLE001
-                result.set_exception(error)
-        else:
-            result.set_result(future.result())
-
-    process.finished.add_done_callback(done)
+    process.finished.add_done_callback(lambda f: f.copy_to(result))
     return result

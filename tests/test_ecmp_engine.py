@@ -23,7 +23,7 @@ from repro.netsim.internet import InternetNetwork
 from repro.netsim.routing import flow_hash
 from repro.netsim.topology import Host, MeshSpec, build_two_tier
 from repro.obs import LinkUtilizationCollector, jain_fairness
-from repro.resilience import ResiliencePolicy
+from repro.resilience import policy
 from repro.sim.context import SimContext
 from tests.routing_reference import reference_distances
 from tests.streams import assert_in_sequence
@@ -277,7 +277,9 @@ class TestRepinKeepsOrder:
     kills a flow's pinned plan and the supervised session comes back on
     a sibling spine, nothing of that flow may overtake anything else."""
 
-    def test_repin_after_flap_does_not_reorder_within_a_flow(self):
+    def test_repin_after_flap_does_not_reorder_within_a_flow(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 12)
         system = DashSystem(seed=13, observe=True)
         network, _ = system.add_mesh(
             "two_tier", ecmp=True, spines=3, leaves=3, hosts_per_leaf=2,
@@ -290,7 +292,7 @@ class TestRepinKeepsOrder:
         sessions = {
             peer: system.connect(
                 "h0", peer, port="flow", desired=params, acceptable=params,
-                resilience=ResiliencePolicy(max_attempts=12),
+                resilience=True,
             )
             for peer in ("h2", "h3", "h4", "h5")
         }

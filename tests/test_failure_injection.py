@@ -17,8 +17,16 @@ from repro.core.params import (
 )
 from repro.dash.system import DashSystem
 from repro.errors import RmsFailedError
-from repro.resilience import ResiliencePolicy, SessionState
+from repro.resilience import SessionState, policy
+from repro.transport import stream
 from repro.transport.stream import StreamConfig
+
+
+@pytest.fixture
+def short_retransmits(monkeypatch):
+    """A stream gives up after 3 retransmissions 0.1 s apart."""
+    monkeypatch.setattr(stream, "RETRANSMIT_TIMEOUT", 0.1)
+    monkeypatch.setattr(stream, "MAX_RETRANSMITS", 3)
 
 
 def lan_system(seed=51, **kwargs):
@@ -162,12 +170,9 @@ class TestStreamFailureRecovery:
         with pytest.raises(TransportError):
             session.send(b"more")
 
-    def test_retransmit_timer_stops_after_failure(self):
+    def test_retransmit_timer_stops_after_failure(self, short_retransmits):
         system = lan_system()
-        session = system.connect(
-            "a", "b", kind="stream",
-            config=StreamConfig(retransmit_timeout=0.1, max_retransmits=3),
-        )
+        session = system.connect("a", "b", kind="stream")
         system.run(until=system.now + 2.0)
         assert session.is_up
         session.send(b"x" * 500)
@@ -178,12 +183,9 @@ class TestStreamFailureRecovery:
         # No runaway timer: the loop settles once the failure lands.
         assert system.context.loop.pending_events <= events_after
 
-    def test_reliable_stream_gives_up_on_black_hole(self):
+    def test_reliable_stream_gives_up_on_black_hole(self, short_retransmits):
         system = lan_system()
-        session = system.connect(
-            "a", "b", kind="stream",
-            config=StreamConfig(retransmit_timeout=0.1, max_retransmits=3),
-        )
+        session = system.connect("a", "b", kind="stream")
         system.run(until=system.now + 2.0)
         stream = session.established.result()
         system.networks["ether0"].segment.impairment.frame_loss_rate = 1.0
@@ -243,7 +245,7 @@ class TestSupervisedResilience:
         params = self._params()
         session = system.connect(
             "a", "b", desired=params, acceptable=params,
-            port="failover", resilience=ResiliencePolicy(),
+            port="failover", resilience=True,
         )
         system.run(until=system.now + 2.0)
         rms = session.established.result()
@@ -280,7 +282,7 @@ class TestSupervisedResilience:
         floor = self._params(capacity=2048)
         session = system.connect(
             "a", "b", desired=desired, acceptable=floor,
-            port="degrade", resilience=ResiliencePolicy(),
+            port="degrade", resilience=True,
         )
         system.run(until=system.now + 2.0)
         first = session.established.result()
@@ -314,14 +316,16 @@ class TestSupervisedResilience:
         with pytest.raises(RmsFailedError):
             session.send(b"too late")
 
-    def test_supervisor_retries_through_transient_outage_on_single_network(self):
+    def test_supervisor_retries_through_transient_outage_on_single_network(
+            self, monkeypatch):
         """No alternate network: backoff keeps trying until the segment
         heals, then the session recovers on the same network."""
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 12)
         system = lan_system(seed=54)
         params = self._params()
         session = system.connect(
             "a", "b", desired=params, acceptable=params,
-            port="heal", resilience=ResiliencePolicy(max_attempts=12),
+            port="heal", resilience=True,
         )
         system.run(until=system.now + 2.0)
         session.established.result()
@@ -337,14 +341,15 @@ class TestSupervisedResilience:
         assert session.stats.recoveries >= 1
         assert len(got) == 1
 
-    def test_supervisor_gives_up_after_max_attempts(self):
+    def test_supervisor_gives_up_after_max_attempts(self, monkeypatch):
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(policy, "BACKOFF_CAP", 0.2)
         system = lan_system(seed=55)
         system.networks["ether0"].segment.set_down()
         params = self._params()
         session = system.connect(
             "a", "b", desired=params, acceptable=params,
-            port="doomed",
-            resilience=ResiliencePolicy(max_attempts=2, backoff_cap=0.2),
+            port="doomed", resilience=True,
         )
         system.run(until=system.now + 60.0)
         assert session.state is SessionState.FAILED

@@ -29,7 +29,6 @@ from repro.obs.registry import (
     NullRegistry,
     families,
 )
-from repro.resilience import ResiliencePolicy
 from repro.sim.context import SimContext
 from repro.subtransport.st import StStats
 
@@ -269,7 +268,7 @@ class TestSnapshotIsTheStats:
         a, b = system.add_node("a"), system.add_node("b")
         b.rkom.register_handler("echo", lambda payload, sender: payload)
         st_session = system.connect("a", "b", port="p", name="s1",
-                                    resilience=ResiliencePolicy())
+                                    resilience=True)
         call = system.connect("a", "b", kind="rkom").call("echo", b"x")
         stream = system.connect("a", "b", kind="stream", name="s3")
         system.run(until=2.0)
@@ -351,8 +350,7 @@ class TestSnapshotIsTheStats:
         system.add_ethernet(trusted=True)
         system.add_node("a")
         system.add_node("b")
-        session = system.connect(
-            "a", "b", name="s", resilience=ResiliencePolicy())
+        session = system.connect("a", "b", name="s", resilience=True)
         session.send(b"queued before establishment")
         session.close()
         assert session.stats.queue_drops == 1
@@ -376,7 +374,7 @@ class TestCoverage:
         )
         session = system.connect(
             hosts[0], hosts[-1], desired=params, acceptable=params,
-            resilience=ResiliencePolicy())
+            resilience=True)
         system.run(until=2.0)
         route = session.established.result().binding.network_rms.route
         trunk = network.link(route[1], route[2])

@@ -6,15 +6,15 @@ import pytest
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
-from repro.errors import ParameterError
+from repro.obs import spans
 from repro.obs.export import flight_recorder, metrics_payload, span_lines
 from repro.obs.spans import NullSpanTracer, SpanBreakdown, SpanEvent, SpanTracer
 from repro.sim.events import EventLoop
 from repro.subtransport.wire import FLAG_MAC
 
 
-def make_tracer(**kwargs) -> SpanTracer:
-    return SpanTracer(EventLoop(), **kwargs)
+def make_tracer() -> SpanTracer:
+    return SpanTracer(EventLoop())
 
 
 class TestSpanTracer:
@@ -33,12 +33,9 @@ class TestSpanTracer:
         tracer.event(None, "st", "send")
         assert len(tracer) == 0
 
-    def test_bad_keep_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            make_tracer(keep="middle")
-
-    def test_head_mode_drops_new_events(self):
-        tracer = make_tracer(max_events=2, keep="head")
+    def test_head_mode_drops_new_events(self, monkeypatch):
+        monkeypatch.setattr(spans, "MAX_EVENTS", 2)
+        tracer = make_tracer()
         first = tracer.new_trace()
         tracer.event(first, "st", "send")
         tracer.event(first, "st", "deliver")
@@ -48,18 +45,6 @@ class TestSpanTracer:
         assert tracer.dropped == 1
         assert tracer.events_for(second) == []
         assert len(tracer.events_for(first)) == 2
-
-    def test_tail_mode_evicts_oldest_trace(self):
-        tracer = make_tracer(max_events=2, keep="tail")
-        first = tracer.new_trace()
-        tracer.event(first, "st", "send")
-        tracer.event(first, "st", "deliver")
-        second = tracer.new_trace()
-        tracer.event(second, "st", "send")
-        # The oldest trace's two events made room for the new one.
-        assert tracer.dropped == 2
-        assert tracer.events_for(first) == []
-        assert len(tracer.events_for(second)) == 1
 
     def test_wire_table_stash_claim(self):
         tracer = make_tracer()

@@ -20,11 +20,8 @@ from repro.core.params import (
 from repro.dash.system import DashSystem
 from repro.errors import NetworkError, ParameterError, RmsFailedError
 from repro.netsim.chaos import ChaosSchedule
-from repro.resilience import (
-    ResiliencePolicy,
-    SessionState,
-    degradation_ladder,
-)
+from repro.resilience import SessionState, degradation_ladder, policy
+from repro.transport import stream
 from repro.transport.stream import StreamConfig, StreamSession
 
 
@@ -109,11 +106,11 @@ class TestConnectFacade:
             system.connect("a", "b", kind="rkom", desired=be_params())
 
     def test_rkom_rejects_a_resilience_policy(self):
-        """The RKOM service recovers its own channel; a policy given
-        here would be stored and never read."""
+        """The RKOM service recovers its own channel; ``resilience``
+        given here would be stored and never read."""
         system = lan_system()
         with pytest.raises(ParameterError):
-            system.connect("a", "b", kind="rkom", resilience=ResiliencePolicy())
+            system.connect("a", "b", kind="rkom", resilience=True)
 
     def test_stream_rejects_rms_parameters_beside_a_config(self):
         """A config fixes the stream's data parameters; a desired set
@@ -182,28 +179,19 @@ class TestRmsRequest:
 
 
 class TestResiliencePolicy:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            ResiliencePolicy(max_attempts=0)
-        with pytest.raises(ParameterError):
-            ResiliencePolicy(jitter=1.5)
-        with pytest.raises(ParameterError):
-            ResiliencePolicy(backoff_factor=0.5)
-
     def test_backoff_grows_to_cap_within_jitter_envelope(self):
         import random
 
-        policy = ResiliencePolicy()
         rng = random.Random(7)
         previous_nominal = 0.0
         for failures in range(8):
             nominal = min(
-                policy.backoff_cap,
-                policy.backoff_initial * policy.backoff_factor ** failures,
+                policy.BACKOFF_CAP,
+                policy.BACKOFF_INITIAL * policy.BACKOFF_FACTOR ** failures,
             )
             delay = policy.backoff_delay(failures, rng)
-            assert nominal * (1 - policy.jitter) - 1e-12 <= delay
-            assert delay <= nominal * (1 + policy.jitter) + 1e-12
+            assert nominal * (1 - policy.JITTER) - 1e-12 <= delay
+            assert delay <= nominal * (1 + policy.JITTER) + 1e-12
             assert nominal >= previous_nominal
             previous_nominal = nominal
 
@@ -309,13 +297,12 @@ class TestChaosSchedule:
 
 
 class TestStreamContinuity:
-    def test_supervised_stream_redelivers_salvaged_sends(self):
+    def test_supervised_stream_redelivers_salvaged_sends(self, monkeypatch):
+        monkeypatch.setattr(stream, "RETRANSMIT_TIMEOUT", 0.1)
+        monkeypatch.setattr(stream, "MAX_RETRANSMITS", 3)
+        monkeypatch.setattr(policy, "MAX_ATTEMPTS", 12)
         system = lan_system(seed=63)
-        session = system.connect(
-            "a", "b", kind="stream",
-            config=StreamConfig(retransmit_timeout=0.1, max_retransmits=3),
-            resilience=ResiliencePolicy(max_attempts=12),
-        )
+        session = system.connect("a", "b", kind="stream", resilience=True)
         system.run(until=system.now + 2.0)
         assert session.is_up
         got = []
@@ -367,14 +354,14 @@ class TestRkomContinuity:
         assert session.state is SessionState.UP
         assert SessionState.RE_ESTABLISHING in states
 
-    def test_close_during_backoff_leaves_no_timer_and_opens_nothing(self):
+    def test_close_during_backoff_leaves_no_timer_and_opens_nothing(
+            self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_INITIAL", 1.0)
+        monkeypatch.setattr(policy, "JITTER", 0.0)
         system = lan_system(seed=64)
         segment = system.networks["ether0"].segment
         segment.set_down()
-        session = system.connect(
-            "a", "b", kind="stream",
-            resilience=ResiliencePolicy(backoff_initial=1.0, jitter=0.0),
-        )
+        session = system.connect("a", "b", kind="stream", resilience=True)
         while not session.stats.transitions and system.now < 30.0:
             system.run(until=system.now + 0.25)
         assert session.stats.transitions == {"retry": 1}  # waiting to retry
@@ -403,7 +390,7 @@ TEARDOWN_STATES = {
 }
 
 
-def session_in(kind, state):
+def session_in(kind, state, monkeypatch):
     """A supervised session of ``kind`` on one Ethernet, driven into
     ``state``; returns (system, session, segment)."""
     system = DashSystem(seed=71)
@@ -415,10 +402,10 @@ def session_in(kind, state):
     segment = system.networks["ether0"].segment
     if state in ("waiting in backoff", "failed after giving up"):
         segment.set_down()
-    policy = ResiliencePolicy(
-        max_attempts=2 if state == "failed after giving up" else 8,
-        backoff_initial=1.0, jitter=0.0,
-    )
+    monkeypatch.setattr(policy, "MAX_ATTEMPTS",
+                        2 if state == "failed after giving up" else 8)
+    monkeypatch.setattr(policy, "BACKOFF_INITIAL", 1.0)
+    monkeypatch.setattr(policy, "JITTER", 0.0)
     if kind == "st":
         desired = be_params()
         if state == "degraded":
@@ -426,9 +413,9 @@ def session_in(kind, state):
                                     delay_bound_type=DelayBoundType.DETERMINISTIC)
         session = system.connect("a", "b", desired=desired,
                                  acceptable=be_params(2048), port="teardown",
-                                 resilience=policy)
+                                 resilience=True)
     else:
-        session = system.connect("a", "b", kind="stream", resilience=policy)
+        session = system.connect("a", "b", kind="stream", resilience=True)
     if state == "waiting in backoff":
         while "retry" not in session.stats.transitions:
             system.run(until=system.now + 0.25)
@@ -455,8 +442,9 @@ class TestTeardownFromEveryState:
         (kind, state) for kind in ("st", "stream") for state in TEARDOWN_STATES
         if (kind, state) != ("stream", "degraded")
     ])
-    def test_close_leaves_nothing_live_and_opens_nothing(self, kind, state):
-        system, session, segment = session_in(kind, state)
+    def test_close_leaves_nothing_live_and_opens_nothing(self, kind, state,
+                                                         monkeypatch):
+        system, session, segment = session_in(kind, state, monkeypatch)
         st = system.nodes["a"].st
         opened = []
         create = st.create_st_rms

@@ -7,12 +7,15 @@ The routing test cross-validates the from-scratch Dijkstra in
 
 from __future__ import annotations
 
+from unittest import mock
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams, StatisticalSpec
 from repro.errors import AdmissionError, RoutingError
+from repro.netsim import admission
 from repro.netsim.admission import AdmissionController
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.packet import FRAME_OVERHEAD_BYTES
@@ -126,21 +129,23 @@ statistical_requests = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(requests=statistical_requests)
 def test_statistical_reservations_respect_share(requests):
-    pool = AdmissionController(total_bandwidth=2e5, total_buffer_bytes=10**6,
-                               statistical_share=0.9)
-    for index, (load, burst) in enumerate(requests):
-        params = RmsParams(
-            capacity=10_000,
-            max_message_size=500,
-            delay_bound=DelayBound(0.1, 0.0),
-            delay_bound_type=DelayBoundType.STATISTICAL,
-            statistical=StatisticalSpec(average_load=load, burstiness=burst),
-        )
-        try:
-            pool.admit(index, params)
-        except AdmissionError:
-            pass
-        assert pool.reserved_bandwidth <= 0.9 * pool.total_bandwidth + 1e-6
+    with mock.patch.object(admission, "STATISTICAL_SHARE", 0.9):
+        pool = AdmissionController(total_bandwidth=2e5,
+                                   total_buffer_bytes=10**6)
+        for index, (load, burst) in enumerate(requests):
+            params = RmsParams(
+                capacity=10_000,
+                max_message_size=500,
+                delay_bound=DelayBound(0.1, 0.0),
+                delay_bound_type=DelayBoundType.STATISTICAL,
+                statistical=StatisticalSpec(average_load=load,
+                                            burstiness=burst),
+            )
+            try:
+                pool.admit(index, params)
+            except AdmissionError:
+                pass
+            assert pool.reserved_bandwidth <= 0.9 * pool.total_bandwidth + 1e-6
 
 
 @settings(max_examples=50, deadline=None)

@@ -29,10 +29,16 @@ class TestCpuCostModel:
         )
 
 
+@pytest.fixture
+def free_switches(monkeypatch):
+    """Items run for exactly their cpu_time: a switch costs nothing."""
+    monkeypatch.setattr(cpu_model, "PER_CONTEXT_SWITCH", 0.0)
+
+
 class TestHostCpu:
-    def test_items_run_in_deadline_order(self):
+    def test_items_run_in_deadline_order(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, policy="edf", charge_context_switches=False)
+        cpu = HostCpu(context, policy="edf")
         order = []
         # Submit in one batch while the CPU is busy with a long item.
         cpu.submit("x/busy", 0.010, deadline=99.0, callback=lambda: order.append("busy"))
@@ -41,9 +47,9 @@ class TestHostCpu:
         context.run()
         assert order == ["busy", "early", "late"]
 
-    def test_fifo_cpu_runs_in_arrival_order(self):
+    def test_fifo_cpu_runs_in_arrival_order(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, policy="fifo", charge_context_switches=False)
+        cpu = HostCpu(context, policy="fifo")
         order = []
         cpu.submit("x/busy", 0.010, deadline=99.0, callback=lambda: order.append(0))
         cpu.submit("x/a", 0.001, deadline=50.0, callback=lambda: order.append(1))
@@ -57,23 +63,23 @@ class TestHostCpu:
         with pytest.raises(SchedulingError):
             HostCpu(SimContext(), policy="random")
 
-    def test_deadline_miss_counted(self):
+    def test_deadline_miss_counted(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         cpu.submit("x/slow", 0.2, deadline=0.1, callback=lambda: None)
         context.run()
         assert cpu.deadline_misses == 1
 
-    def test_on_time_item_not_a_miss(self):
+    def test_on_time_item_not_a_miss(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         cpu.submit("x/fast", 0.01, deadline=0.1, callback=lambda: None)
         context.run()
         assert cpu.deadline_misses == 0
 
-    def test_busy_time_accumulates(self):
+    def test_busy_time_accumulates(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         cpu.submit("x/a", 0.05, deadline=1.0, callback=lambda: None)
         cpu.submit("x/b", 0.03, deadline=1.0, callback=lambda: None)
         context.run()
@@ -82,7 +88,7 @@ class TestHostCpu:
 
     def test_context_switch_charged_between_owners(self):
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=True)
+        cpu = HostCpu(context)
         cpu.submit("alpha/1", 0.01, deadline=1.0, callback=lambda: None)
         cpu.submit("alpha/2", 0.01, deadline=1.0, callback=lambda: None)
         cpu.submit("beta/1", 0.01, deadline=1.0, callback=lambda: None)
@@ -91,10 +97,10 @@ class TestHostCpu:
         # then alpha->beta switches again.
         assert cpu.context_switches == 2
 
-    def test_nonpreemptive_execution(self):
+    def test_nonpreemptive_execution(self, free_switches):
         """A running item finishes before a tighter-deadline arrival."""
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         order = []
         cpu.submit("x/long", 0.1, deadline=10.0, callback=lambda: order.append("long"))
         context.loop.call_after(
@@ -106,10 +112,10 @@ class TestHostCpu:
         context.run()
         assert order == ["long", "urgent"]
 
-    def test_protocol_stage_uses_cost_model(self):
+    def test_protocol_stage_uses_cost_model(self, free_switches):
         """A protocol stage runs for what the cost model charges it."""
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         cost = protocol_cost(1000, checksum=True)
         assert cost == pytest.approx(
             cpu_model.PER_MESSAGE
@@ -124,9 +130,9 @@ class TestHostCpu:
         assert done == [pytest.approx(cost)]
         assert cpu.busy_time == pytest.approx(cost)
 
-    def test_keep_history(self):
+    def test_keep_history(self, free_switches):
         context = SimContext()
-        cpu = HostCpu(context, charge_context_switches=False)
+        cpu = HostCpu(context)
         cpu.keep_history = True
         cpu.submit("x/a", 0.01, deadline=1.0, callback=lambda: None)
         context.run()
@@ -134,12 +140,13 @@ class TestHostCpu:
         assert cpu.completed[0].finished_at == pytest.approx(0.01)
 
     @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
-    def test_raising_callback_does_not_wedge_the_cpu(self, policy):
+    def test_raising_callback_does_not_wedge_the_cpu(self, policy,
+                                                     free_switches):
         """What ``EventLoop.run`` promises for events holds for items: a
         callback that raises loses nothing, the next ``run()`` resumes
         with the item after it."""
         context = SimContext()
-        cpu = HostCpu(context, policy=policy, charge_context_switches=False)
+        cpu = HostCpu(context, policy=policy)
         ran = []
 
         def boom():

@@ -152,14 +152,6 @@ class TestKeyRegistry:
         registry = KeyRegistry()
         assert registry.register_host("a") == registry.register_host("a")
 
-    def test_different_realms_differ(self):
-        first = KeyRegistry(b"realm-one")
-        second = KeyRegistry(b"realm-two")
-        for registry in (first, second):
-            registry.register_host("a")
-            registry.register_host("b")
-        assert first.pairwise_key("a", "b") != second.pairwise_key("a", "b")
-
     def test_session_keys_vary_by_id(self):
         registry = KeyRegistry()
         registry.register_host("a")

@@ -4,7 +4,7 @@
 four events it allows is driven through a real :class:`StSession` (over
 a stand-in ST: two networks, futures the test resolves) and a real
 :class:`TransportSession` (``open_stream`` replaced by one that hands
-out stand-in streams), with and without a policy, and after every event
+out stand-in streams), resilient and bare, and after every event
 the session is compared with the model: state, the ``established``
 future, every ``SessionStats`` counter, the bytes waiting in the queue,
 live loop events, which rung and which network each attempt asked for,
@@ -31,11 +31,11 @@ from repro.errors import (
     TransportError,
 )
 from repro.resilience import (
-    ResiliencePolicy,
     StSession,
     TransportSession,
     degradation_ladder,
 )
+from repro.resilience import policy as policy_module
 from repro.resilience import session as session_module
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
@@ -56,10 +56,9 @@ FLOOR = RmsParams(
 REQUEST = RmsRequest(desired=DESIRED, acceptable=FLOOR)
 LADDER = degradation_ladder(REQUEST)
 STREAM_CONFIG = StreamConfig(data_capacity=1000, data_max_message=600)
-POLICY = ResiliencePolicy(
-    max_attempts=2, backoff_initial=0.25, backoff_factor=2.0,
-    backoff_cap=2.0, jitter=0.0,
-)
+#: The backoff schedule every test here runs under, and the model's copy.
+SCHEDULE = dict(MAX_ATTEMPTS=2, BACKOFF_INITIAL=0.25, BACKOFF_FACTOR=2.0,
+                BACKOFF_CAP=2.0, JITTER=0.0)
 MODEL_POLICY = dict(max_attempts=2, initial=0.25, factor=2.0, cap=2.0)
 ERRORS = {
     "admission": AdmissionError,
@@ -166,15 +165,21 @@ class Rig:
             future.set_exception(ERRORS[event](event))
 
 
+@pytest.fixture(autouse=True)
+def schedule(monkeypatch):
+    for name, value in SCHEDULE.items():
+        monkeypatch.setattr(policy_module, name, value)
+
+
 def _st(rig, policy):
-    return StSession(rig.context, rig, "b", "p", REQUEST, policy=policy,
+    return StSession(rig.context, rig, "b", "p", REQUEST, resilient=policy,
                      name="s")
 
 
 def _stream(rig, policy, monkeypatch):
     monkeypatch.setattr(session_module, "open_stream", rig.open_stream)
     return TransportSession(rig.context, rig, rig, config=STREAM_CONFIG,
-                            policy=policy, name="s")
+                            resilient=policy, name="s")
 
 
 def _established(session):
@@ -222,9 +227,9 @@ def _model(kind, policy):
 def _drive(kind, policy, events, monkeypatch):
     rig = Rig()
     if kind == "st":
-        session = _st(rig, POLICY if policy else None)
+        session = _st(rig, policy)
     else:
-        session = _stream(rig, POLICY if policy else None, monkeypatch)
+        session = _stream(rig, policy, monkeypatch)
     model = _model(kind, policy)
     rig.settle()
     _compare(session, model, rig, "opened")
@@ -294,7 +299,7 @@ def test_a_first_establishment_is_not_a_recovery():
     """A supervised ST session that comes up once and never fails has
     re-established nothing."""
     rig = Rig()
-    session = _st(rig, POLICY)
+    session = _st(rig, True)
     rig.settle()
     rig.resolve("ok")
     rig.settle()

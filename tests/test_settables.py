@@ -1,11 +1,14 @@
 """Every value a user can set, pinned by name, and each one validated.
 
 A settable survives only as an RMS parameter (section 2), a network
-property (section 3.1), a section 5 design choice an experiment ablates,
-or a bound one test file varies; everything else is a module constant
-citing the section that fixes it.  DESIGN section 5 lists the survivors
-with their reasons.  A new field or constructor argument fails here
-until the change that adds it updates both the pin and that table.
+property (section 3.1), a section 5 design choice an experiment
+ablates, or a value an experiment, an example or a workload sets to
+more than one value; a test setting it does not count.  Everything else
+is a module constant citing the section that fixes it, which a test
+varies with ``monkeypatch.setattr``.  DESIGN section 5 lists the
+survivors with their reasons.  A new field or constructor argument
+fails here until the change that adds it updates both the pin and that
+table.
 """
 
 from __future__ import annotations
@@ -18,34 +21,43 @@ import re
 
 import pytest
 
+from repro.apps.media import VoiceCall
+from repro.apps.rpcload import RpcWorkload
+from repro.apps.window import WindowSystemWorkload
+from repro.baselines.rpc import DatagramRpc
+from repro.baselines.tcp import TcpConfig
+from repro.core.negotiation import PerformanceLimits
 from repro.dash.node import DashNode
 from repro.dash.system import DashSystem
 from repro.errors import ParameterError
+from repro.netsim.admission import AdmissionController
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host
-from repro.resilience.policy import ResiliencePolicy
+from repro.obs import Observability
+from repro.obs.linkutil import LinkUtilizationCollector
+from repro.obs.spans import SpanTracer
 from repro.sched.cpu import HostCpu
+from repro.security.keys import KeyRegistry
+from repro.sim.context import SimContext
+from repro.sim.events import EventLoop
 from repro.subtransport.config import StConfig
-from repro.transport.rkom import RkomConfig
+from repro.transport.rkom import RkomService
 from repro.transport.stream import StreamConfig
 
 FIELDS = {
     StConfig: (
         "piggyback_enabled", "piggyback_window_cap", "multiplexing_enabled",
-        "enforce_mux_rules", "cache_enabled", "cache_size_per_peer",
-        "max_message_multiple", "default_network_capacity",
-        "auth_max_retries",
+        "enforce_mux_rules", "cache_enabled",
     ),
-    RkomConfig: ("request_timeout", "max_retransmits", "backoff"),
     StreamConfig: (
         "reliable", "capacity_mode", "flow_control", "receive_buffer",
-        "sender_port_limit", "use_fast_ack", "record_size",
-        "retransmit_timeout", "max_retransmits", "ack_every",
+        "sender_port_limit", "use_fast_ack", "record_size", "ack_every",
         "data_capacity", "data_max_message", "data_delay_bound",
     ),
-    ResiliencePolicy: (
-        "max_attempts", "backoff_initial", "backoff_factor", "backoff_cap",
-        "jitter",
+    TcpConfig: ("mss", "retransmit_timeout"),
+    PerformanceLimits: (
+        "best_delay", "max_capacity", "max_message_size",
+        "floor_bit_error_rate", "strongest_type",
     ),
 }
 
@@ -56,11 +68,29 @@ PARAMETERS = {
         "cpu_policy",
     ),
     Host: ("context", "name", "cpu_policy"),
-    HostCpu: ("context", "name", "policy", "charge_context_switches"),
+    HostCpu: ("context", "name", "policy"),
+    SimContext: ("seed", "observe"),
+    EventLoop: (),
+    KeyRegistry: (),
+    Observability: ("loop",),
+    SpanTracer: ("loop",),
+    LinkUtilizationCollector: ("network",),
+    AdmissionController: ("total_bandwidth", "total_buffer_bytes"),
+    RkomService: ("context", "st"),
+    DatagramRpc: ("context", "dgram"),
+    VoiceCall: ("context", "rms", "duration"),
+    RpcWorkload: (
+        "context", "service", "peer_host", "op", "clients",
+        "calls_per_client", "request_bytes", "think_time",
+    ),
+    WindowSystemWorkload: ("context", "event_rms", "graphics_rms", "duration"),
 }
 
 #: Arguments that wire objects together rather than set a value.
-_WIRING = {"context", "name", "networks", "key_registry"}
+_WIRING = {
+    "context", "name", "networks", "key_registry", "loop", "network", "st",
+    "dgram", "rms", "event_rms", "graphics_rms", "service", "peer_host",
+}
 
 
 def _design_section_5_code() -> str:
@@ -112,11 +142,6 @@ class TestRejectedAtConstruction:
     """A bad value raises where it is written, not at the first send."""
 
     @pytest.mark.parametrize("changes", [
-        {"retransmit_timeout": -1.0},
-        {"retransmit_timeout": math.nan},
-        {"retransmit_timeout": 0.0},
-        {"retransmit_timeout": math.inf},
-        {"max_retransmits": -1},
         {"receive_buffer": 0},
         {"sender_port_limit": 0},
     ], ids=repr)
@@ -128,27 +153,11 @@ class TestRejectedAtConstruction:
         {"piggyback_window_cap": math.nan},
         {"piggyback_window_cap": math.inf},
         {"piggyback_window_cap": -1.0},
-        {"auth_max_retries": -1},
     ], ids=repr)
     def test_st_config(self, changes):
         with pytest.raises(ParameterError):
             StConfig(**changes)
 
-    @pytest.mark.parametrize("changes", [
-        {"request_timeout": -1.0},
-        {"request_timeout": 0.0},
-        {"request_timeout": math.nan},
-        {"request_timeout": math.inf},
-        {"max_retransmits": -1},
-        {"backoff": 0.5},
-        {"backoff": math.nan},
-    ], ids=repr)
-    def test_rkom_config(self, changes):
-        with pytest.raises(ParameterError):
-            RkomConfig(**changes)
-
     def test_boundary_values_accepted(self):
-        StreamConfig(max_retransmits=0, receive_buffer=1, sender_port_limit=1,
-                     retransmit_timeout=1e-3)
-        StConfig(piggyback_window_cap=0.0, auth_max_retries=0)
-        RkomConfig(max_retransmits=0, backoff=1.0)
+        StreamConfig(receive_buffer=1, sender_port_limit=1)
+        StConfig(piggyback_window_cap=0.0)

@@ -20,10 +20,6 @@ class TestEventLoop:
         loop = EventLoop()
         assert loop.now == 0.0
 
-    def test_custom_start_time(self):
-        loop = EventLoop(start_time=10.0)
-        assert loop.now == 10.0
-
     def test_call_after_advances_clock(self):
         loop = EventLoop()
         times = []

@@ -19,7 +19,7 @@ from repro.security.mac import compute_mac
 from repro.sim.context import SimContext
 from repro.sim.events import Signal, TimerGroup
 from repro.sim.process import Future
-from repro.subtransport.config import StConfig
+from repro.subtransport import control
 from repro.subtransport.control import (
     AUTH1_SENT,
     AUTH2_SENT,
@@ -41,8 +41,12 @@ from tests import handshake_reference as reference
 
 KEY = bytes(range(16))
 SEED = 5
-RETRIES = 1  # auth_max_retries: two ticks exhaust a handshake
-CONFIGS = {retries: StConfig(auth_max_retries=retries) for retries in (1, 3, 5)}
+RETRIES = 1  # CONTROL_MAX_RETRIES here: two ticks exhaust a handshake
+
+
+@pytest.fixture(autouse=True)
+def short_retry_budget(monkeypatch):
+    monkeypatch.setattr(control, "CONTROL_MAX_RETRIES", RETRIES)
 
 
 class StandInNetwork:
@@ -94,8 +98,7 @@ def tagged(fields, label=b"b"):
 class Rig:
     """One channel from ``host`` to ``peer``, and its model."""
 
-    def __init__(self, trusted=False, retries=RETRIES, host="a", peer="b",
-                 context=None):
+    def __init__(self, trusted=False, host="a", peer="b", context=None):
         self.context = context or SimContext(seed=SEED)
         self.stats = StStats()
         self.network = StandInNetwork(self.context, trusted, host)
@@ -105,7 +108,7 @@ class Rig:
         self.answered = trusted
         hand_over = lambda channel, fields: self.to_layer.append(fields["op"])
         self.channel = ControlChannel(
-            self.context, CONFIGS[retries], self.stats, host, peer,
+            self.context, self.stats, host, peer,
             self.network, KEY, self.timers,
             dict.fromkeys(("st_create", "st_close", "fast_ack"), hand_over),
             before_connect=lambda: None,
@@ -113,7 +116,7 @@ class Rig:
         twin = SimContext(seed=SEED).rng.stream(f"auth:{host}")
         self.model = reference.endpoint(
             host, iter(lambda: twin.getrandbits(48), None),
-            trusted=trusted, max_retries=retries,
+            trusted=trusted, max_retries=control.CONTROL_MAX_RETRIES,
         )
 
     def settle(self):
@@ -297,7 +300,7 @@ class TestTable:
 
     def test_any_outstanding_nb_is_accepted_and_an_evicted_one_is_not(self):
         """A fresh nb per auth1, retransmitted or not; the last
-        ``auth_max_retries + 1`` stay answerable."""
+        ``CONTROL_MAX_RETRIES + 1`` stay answerable."""
         for answer, accepted in ((0, False), (1, True), (2, True)):
             rig = Rig()  # RETRIES = 1: two nbs outstanding
             for _ in range(3):
@@ -398,10 +401,11 @@ class TestHandshakeBetweenTwo:
 
 
 class TestRetry:
-    def test_auth1_and_requests_share_one_back_off(self):
+    def test_auth1_and_requests_share_one_back_off(self, monkeypatch):
         """First copy at once, copy k+1 ``timeout * 2**k`` after copy k,
-        the config's limit of copies, then a typed failure."""
-        rig = Rig(retries=3)
+        one limit of copies for both, then a typed failure."""
+        monkeypatch.setattr(control, "CONTROL_MAX_RETRIES", 3)
+        rig = Rig()
         waiter = rig.ensure()
         reply = rig.channel.request({"op": "st_create", "st_id": 1})
         rig.context.run(until=60.0)
@@ -409,7 +413,7 @@ class TestRetry:
         for frame, when in zip(rig.sent(), rig.network.times):
             times[frame["op"]].append(round(when, 9))
         assert times["auth1"] == [0.0, 0.3, 0.9, 2.1]
-        assert times["st_create"] == [0.0, 0.3, 0.9, 2.1, 4.5, 9.3]
+        assert times["st_create"] == [0.0, 0.3, 0.9, 2.1]
         assert len({f["na"] for f in rig.sent() if f["op"] == "auth1"}) == 1
         with pytest.raises(AuthenticationError):
             waiter.result()

@@ -11,6 +11,7 @@ from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
+from repro.subtransport import binding, st as st_module
 from repro.subtransport.config import StConfig
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.wire import BundleEntry, encode_bundle
@@ -87,8 +88,9 @@ class TestStaleAndGarbledInput:
 
 
 class TestCacheLimits:
-    def test_cache_size_limit_evicts_beyond(self):
-        config = StConfig(cache_size_per_peer=1, multiplexing_enabled=False)
+    def test_cache_size_limit_evicts_beyond(self, monkeypatch):
+        monkeypatch.setattr(binding, "CACHE_SIZE_PER_PEER", 1)
+        config = StConfig(multiplexing_enabled=False)
         context, network, st_a, st_b = build_pair(st_config=config)
         first = open_rms(context, st_a, port="one")
         second = open_rms(context, st_a, port="two")
@@ -124,9 +126,9 @@ class TestParameterEdges:
         assert table.limits_for(params(privacy=True)) is not None
         assert table.limits_for(params(authentication=True)) is not None
 
-    def test_st_mms_multiple_respected(self):
-        config = StConfig(max_message_multiple=2)
-        context, network, st_a, st_b = build_pair(st_config=config)
+    def test_st_mms_multiple_respected(self, monkeypatch):
+        monkeypatch.setattr(st_module, "MAX_MESSAGE_MULTIPLE", 2)
+        context, network, st_a, st_b = build_pair()
         wanted = params(max_message_size=10_000, capacity=32_768)
         future = st_a.create_st_rms("b", port="big", desired=wanted,
                                     acceptable=wanted.with_(

@@ -15,6 +15,7 @@ from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac
 from repro.sim.context import SimContext
+from repro.subtransport import binding, control
 from repro.subtransport.config import StConfig
 from repro.subtransport.control import CONTROL_PARAMS
 from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
@@ -152,9 +153,9 @@ class TestStMultiplexing:
         assert st_a.stats.mux_joins == 1
         assert st_a.stats.network_rms_created == 1
 
-    def test_capacity_rule_forces_new_network_rms(self):
-        config = StConfig(default_network_capacity=20_000)
-        context, network, st_a, st_b = build_pair(st_config=config)
+    def test_capacity_rule_forces_new_network_rms(self, monkeypatch):
+        monkeypatch.setattr(binding, "DEFAULT_NETWORK_CAPACITY", 20_000)
+        context, network, st_a, st_b = build_pair()
         big = params(capacity=16_000)
         open_rms(context, st_a, port="one", p=big)
         open_rms(context, st_a, port="two", p=big)
@@ -640,8 +641,7 @@ class TestStHostileControlFrames:
         assert st_a.stats.auth_drops == 2
         assert not channel.authenticated and not ready.done
         context.run(until=context.now + 60.0)  # the whole retry budget
-        retries = st_a.config.auth_max_retries
-        assert st_a.stats.auth_drops == 2 + retries
+        assert st_a.stats.auth_drops == 2 + control.CONTROL_MAX_RETRIES
         assert st_a.stats.control_drops == 0
         assert st_b.stats.control_messages == 0
         assert not channel.authenticated

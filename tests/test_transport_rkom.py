@@ -19,8 +19,9 @@ from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
 from repro import DashSystem
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.transport import rkom
 from repro.transport.rkom import (
-    _HEADER, _KIND_REPLY, HIGH_PORT, LOW_PORT, RkomConfig, RkomService)
+    _HEADER, _KIND_REPLY, HIGH_PORT, LOW_PORT, RkomService)
 from tests.rkom_reference import STATS, payload_of, run_script
 
 
@@ -182,7 +183,6 @@ class TestRkomReliability:
         warm.result()
         # Now make the network eat everything.
         network.segment.impairment.frame_loss_rate = 1.0
-        config_timeout = rkom_a.config
         future = rkom_a.call("b", "echo", b"lost", timeout=0.05)
         context.run(until=60.0)
         assert future.failed
@@ -291,9 +291,9 @@ class TestCallTimeoutIsValidatedFirst:
         assert session.stats.messages_sent == 0
         assert system.nodes["a"].rkom.stats.calls == 0
 
-    def test_none_is_the_configured_default(self):
+    def test_none_is_the_configured_default(self, monkeypatch):
         context, network, rkom_a, rkom_b, executed = self._warm()
-        rkom_a.config.request_timeout = 0.125
+        monkeypatch.setattr(rkom, "REQUEST_TIMEOUT", 0.125)
         network.segment.impairment.frame_loss_rate = 1.0
         handle = rkom_a.call("b", "echo", b"lost", timeout=None)
         retransmitted = []
@@ -365,9 +365,8 @@ class Rig:
     def __init__(self, steps, drops, refuse):
         self.context = context = SimContext(seed=1)
         self.drops, self.refuse = drops, refuse
-        config = RkomConfig(max_retransmits=MAX_RETRANSMITS, backoff=BACKOFF)
         self.sts = {name: _St(self, name) for name in "ab"}
-        self.services = {name: RkomService(context, st, config)
+        self.services = {name: RkomService(context, st)
                          for name, st in self.sts.items()}
         self.attempts = {"a": 0, "b": 0}
         self.channels = {"a": {}, "b": {}}  # attempt -> {"low": rms, ...}
@@ -506,6 +505,11 @@ def approx_times(rows):
 class TestAgainstReference:
     """Seeded scripts through two real services and the list-and-dict
     model of ``tests/rkom_reference.py``."""
+
+    @pytest.fixture(autouse=True)
+    def schedule(self, monkeypatch):
+        monkeypatch.setattr(rkom, "MAX_RETRANSMITS", MAX_RETRANSMITS)
+        monkeypatch.setattr(rkom, "BACKOFF", BACKOFF)
 
     def _agree(self, steps, drops=frozenset(), refuse=None):
         refuse = refuse or {}

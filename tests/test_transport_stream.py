@@ -10,6 +10,7 @@ from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.st import SubtransportLayer
 from repro.transport.flowcontrol import FlowControlMode
+from repro.transport import stream
 from repro.transport.stream import StreamConfig, open_stream
 from repro.errors import ParameterError
 
@@ -67,10 +68,10 @@ class TestStreamBasics:
         # Ack RMS per section 2.5: low capacity relative to data.
         assert session.ack_rms.params.capacity < session.data_rms.params.capacity
 
-    def test_reliability_over_lossy_network(self):
+    def test_reliability_over_lossy_network(self, monkeypatch):
+        monkeypatch.setattr(stream, "RETRANSMIT_TIMEOUT", 0.2)
         context, _net, st_a, st_b = build(seed=5, frame_loss_rate=0.2)
-        config = StreamConfig(retransmit_timeout=0.2)
-        session = open_session(context, st_a, st_b, config, until=10.0)
+        session = open_session(context, st_a, st_b, until=10.0)
         received = drain(context, session, 25)
 
         def producer():
