@@ -23,7 +23,7 @@ def run_network(kind: str, seed: int = 1):
     node_b.rkom.register_handler("echo", lambda payload, src: payload)
 
     rpc = RpcWorkload(system.context, node_a.rkom, "b",
-                      clients=1, calls_per_client=20, think_time=0.01)
+                      calls_per_client=20, think_time=0.01)
     handle = system.connect("a", "b", kind="stream", config=StreamConfig(
         data_max_message=4000, data_capacity=32 * 1024))
     system.run(until=system.now + 5.0)

@@ -58,9 +58,8 @@ def run_rpc_under_load(kind: str, seed: int = 9):
             yield 0.035
 
     bulk_process = system.context.spawn(bulk_producer())
-    workload = RpcWorkload(system.context, service_a, "b", clients=1,
-                           calls_per_client=40, think_time=0.01,
-                           request_bytes=64)
+    workload = RpcWorkload(system.context, service_a, "b",
+                           calls_per_client=40, think_time=0.01)
     system.run(until=system.now + 30.0)
     bulk_process.stop()
     rtt = workload.report().rtt.scaled(1e3)

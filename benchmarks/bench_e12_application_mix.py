@@ -61,7 +61,7 @@ def run_mix(seed: int = 13):
 
     # Request/reply via RKOM.
     node_b.rkom.register_handler("echo", lambda payload, src: payload)
-    rpc = RpcWorkload(system.context, node_a.rkom, "b", clients=1,
+    rpc = RpcWorkload(system.context, node_a.rkom, "b",
                       calls_per_client=60, think_time=0.05)
 
     start = system.now

@@ -5,7 +5,8 @@ The same private, authenticated ST RMS is created over three network
 flavors.  The subtransport layer picks the optimal mechanism each time:
 software encryption only where the medium provides nothing.  An
 eavesdropper taps the broadcast segment to prove the point, and an
-impostor's forged component is rejected by the MAC.
+impostor's forged components are rejected: one by the MAC, one with its
+security flags stripped by the receiver's negotiated plan.
 
 Run:  python examples/secure_channel.py
 """
@@ -77,17 +78,24 @@ def main() -> None:
     delivered = []
     rms.port.set_handler(lambda m: delivered.append(m.payload))
 
-    from repro.subtransport.wire import BundleEntry, FLAG_MAC, encode_bundle
+    from repro.subtransport.wire import encode_bundle
     from repro.core.message import Label, Message
 
-    forged = BundleEntry(
-        st_rms_id=rms.rms_id, seq=999, flags=FLAG_MAC,
-        payload=b"evil payload" + b"\x00" * 8,  # wrong MAC tag
-        send_time=system.now,
-    )
-    # Inject the forgery straight onto bob's data path.
-    bob.st._data_arrived(None, Message(encode_bundle([forged]),
-                                       source=Label("mallory", "st-data")))
+    # A component is (st_rms_id, seq, flags, payload, send_time,
+    # frag_offset, frag_total).  The first forgery carries the stream's
+    # flags and a wrong MAC tag; the second strips the flags, claiming
+    # the plaintext needs nothing undone.  The receiver undoes the plan
+    # it negotiated, not what the flags say, so both are dropped.
+    evil = b"evil payload"
+    forgeries = [
+        (rms.rms_id, 999, rms.security.flags, evil + b"\x00" * 8,
+         system.now, 0, 0),
+        (rms.rms_id, 1000, 0, evil, system.now, 0, 0),
+    ]
+    # Inject the forgeries straight onto bob's data path.
+    for forged in forgeries:
+        bob.st._data_arrived(None, Message(encode_bundle([forged]),
+                                           source=Label("mallory", "st-data")))
     system.run(until=system.now + 1.0)
     print(f"\nforged message delivered: {len(delivered) > 0} "
           f"(auth drops at bob: {bob.st.stats.auth_drops})")

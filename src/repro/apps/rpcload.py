@@ -15,6 +15,13 @@ from repro.sim.context import SimContext
 
 __all__ = ["RpcWorkload", "RpcReport"]
 
+#: The operation every caller invokes, the number of closed-loop
+#: callers and the request size: every experiment runs one ``echo``
+#: caller with 64 B requests (a test monkeypatches them).
+OP = "echo"
+CLIENTS = 1
+REQUEST_BYTES = 64
+
 
 @dataclass
 class RpcReport:
@@ -27,25 +34,21 @@ class RpcReport:
 
 
 class RpcWorkload:
-    """``clients`` closed-loop callers, each issuing ``calls_per_client``
-    requests with exponential think time between them."""
+    """``CLIENTS`` closed-loop callers, each issuing ``calls_per_client``
+    requests of ``REQUEST_BYTES`` with exponential think time between
+    them."""
 
     def __init__(
         self,
         context: SimContext,
         service,
         peer_host: str,
-        op: str = "echo",
-        clients: int = 1,
         calls_per_client: int = 20,
-        request_bytes: int = 64,
         think_time: float = 0.01,
     ) -> None:
         self.context = context
         self.service = service
         self.peer_host = peer_host
-        self.op = op
-        self.request_bytes = request_bytes
         self.think_time = think_time
         self.rtts: List[float] = []
         self.failed = 0
@@ -55,18 +58,18 @@ class RpcWorkload:
             context.spawn(
                 self._client(index, calls_per_client), name=f"rpc-client-{index}"
             )
-            for index in range(clients)
+            for index in range(CLIENTS)
         ]
 
     def _client(self, index: int, calls: int):
-        payload = bytes([index % 256]) * self.request_bytes
+        payload = bytes([index % 256]) * REQUEST_BYTES
         for _ in range(calls):
             if self.think_time > 0:
                 yield self._rng.expovariate(1.0 / self.think_time)
             start = self.context.now
             self.attempted += 1
             try:
-                yield self.service.call(self.peer_host, self.op, payload)
+                yield self.service.call(self.peer_host, OP, payload)
             except Exception:  # noqa: BLE001 - timeouts count as failures
                 self.failed += 1
                 continue

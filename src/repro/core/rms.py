@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.core.message import Label, Message, fast_message
+from repro.core.message import Label, Message
 from repro.core.params import RmsParams
 from repro.errors import MessageTooLargeError, RmsFailedError
 from repro.obs.registry import families
@@ -159,13 +159,10 @@ class Rms:
                 if self.state is RmsState.FAILED
                 else f"{self.name} has been deleted"
             )
-        if type(payload) is bytes:
-            # Nothing for ``Message.__post_init__`` to validate or copy.
-            message = fast_message(payload, self.sender, self.receiver)
-        elif isinstance(payload, Message):
+        if isinstance(payload, Message):
             message = payload
         else:
-            message = Message(payload, source=self.sender, target=self.receiver)
+            message = Message(payload, self.sender, self.receiver)
         params = self.params
         size = len(message.payload)
         if size > params.max_message_size:

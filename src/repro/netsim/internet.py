@@ -184,10 +184,9 @@ class InternetNetwork(Network):
         if offending.kind != "data" or offending.src_host not in self.hosts:
             return
         self.quenches_sent += 1
-        message = Message(
-            b"\x00" * 8,
-            headers={"op": "quench", "about_rms": offending.rms_id},
-        )
+        # 8 body bytes plus 4 each for the operation and the offending
+        # RMS id (the frame carries both as ``kind`` and ``rms_id``).
+        message = Message(bytes(16))
         frame = Frame(
             message=message,
             src_host=offending.dst_host,

@@ -46,8 +46,10 @@ class _PendingSetup:
     attempts: int = 0
     timer: Optional[EventHandle] = None
 
-#: Accounted payload bytes of setup/teardown control frames.
-SETUP_PAYLOAD_BYTES = 64
+#: Accounted payload bytes of setup/teardown control frames (the
+#: frame's ``kind`` is the operation; the 4 bytes after the 64 are its
+#: on-wire code).
+SETUP_PAYLOAD_BYTES = 68
 
 
 @dataclass(frozen=True)
@@ -408,7 +410,6 @@ class Network:
             b"\x00" * SETUP_PAYLOAD_BYTES,
             source=rms.sender,
             target=rms.receiver,
-            headers={"op": kind},
         )
         src, dst = rms.sender.host, rms.receiver.host
         if kind == "setup_ack":

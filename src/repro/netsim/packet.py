@@ -39,10 +39,8 @@ class Frame:
     #: route list (never mutated; rebinding only), so per-frame route
     #: copies disappear from the datapath.
     route: List[str] = field(default_factory=list)
-    hops_taken: int = 0
     corrupted: bool = False
     frame_id: int = field(default_factory=_frame_ids.__next__)
-    enqueued_at: Optional[float] = None
     #: Per-frame drop callback, set at transmit time by the forwarding
     #: engine.  Compiled plans cache one deliver callback per *hop*, so
     #: the only per-frame state (which stream to notify on a drop) rides

@@ -561,7 +561,6 @@ class ForwardingEngine:
                         f"{plan.route[next_hop + 1]}",
                     )
                 return
-            frame.hops_taken = next_hop + 1
             link.transmit(frame, deliver=plan.delivers[next_hop],
                           on_drop=frame.on_drop)
 
@@ -579,7 +578,6 @@ class ForwardingEngine:
             if on_drop is not None:
                 on_drop(frame, f"no usable link {plan.route[0]}->{plan.route[1]}")
             return
-        frame.hops_taken = 1
         link.transmit(frame, deliver=plan.delivers[0], on_drop=on_drop)
 
     # -- invalidation -------------------------------------------------------

@@ -138,7 +138,6 @@ class Link:
             if on_drop is not None:
                 on_drop(frame, "buffer overrun")
             return False
-        frame.enqueued_at = self.context.loop._now
         self._queued_bytes = queued
         if queued > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = queued

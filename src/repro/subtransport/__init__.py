@@ -8,7 +8,6 @@ from repro.subtransport.security import SecurityPlan, plan_security
 from repro.subtransport.st import StStats, SubtransportLayer
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
-    BundleEntry,
     decode_bundle,
     decode_control,
     encode_bundle,
@@ -16,7 +15,6 @@ from repro.subtransport.wire import (
 )
 
 __all__ = [
-    "BundleEntry",
     "DownmuxStats",
     "DownwardMux",
     "MuxBinding",

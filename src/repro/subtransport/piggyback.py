@@ -27,7 +27,7 @@ from repro.errors import TransportError
 from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import EventHandle, TimerGroup
-from repro.subtransport.wire import BundleEntry, encode_bundle, encode_single
+from repro.subtransport.wire import SUBHEADER_BYTES, Component, encode_bundle
 
 __all__ = ["PiggybackQueue", "QUEUE_FAMILIES"]
 
@@ -37,6 +37,7 @@ _BUNDLE_HEADER_BYTES = 2
 _NEVER = float("inf")
 
 FlushCallback = Callable[[bytes, float, List[int], int], None]
+_Entry = Tuple[Component, float, float, Optional[int]]
 
 #: How a queue's counters export; the owner of the queue registers it.
 QUEUE_FAMILIES = families(
@@ -73,8 +74,10 @@ class PiggybackQueue:
         self.flush_fn = flush_fn
         self.ordering_floor = ordering_floor
         self.enabled = enabled
-        #: (entry, network transmission deadline, flush-by time).
-        self._entries: List[Tuple[BundleEntry, float, float]] = []
+        #: (component, network transmission deadline, flush-by time,
+        #: trace id): the trace id rides beside the component, never on
+        #: the wire.
+        self._entries: List[_Entry] = []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
         #: Earliest flush-by time among ``_entries`` (inf when empty).
         self._flush_by = _NEVER
@@ -96,9 +99,10 @@ class PiggybackQueue:
 
     def submit(
         self,
-        entry: BundleEntry,
+        component: Component,
         max_deadline: float,
         flush_by: Optional[float] = None,
+        trace_id: Optional[int] = None,
     ) -> None:
         """Queue one component, flushing as the deadline rules demand.
 
@@ -108,11 +112,11 @@ class PiggybackQueue:
         hoping for piggyback companions and actually sends -- at most
         ``max_deadline``, usually much earlier (the configured window
         cap), so that waiting for companions does not consume the whole
-        slack.
+        slack.  ``trace_id`` is the component's observability span.
         """
         if flush_by is None or flush_by > max_deadline:
             flush_by = max_deadline
-        size = entry.encoded_size
+        size = SUBHEADER_BYTES + len(component[3])  # never a fragment
         limit = self.max_bundle_payload
         if size + _BUNDLE_HEADER_BYTES > limit:
             raise TransportError(
@@ -122,13 +126,13 @@ class PiggybackQueue:
         if not self.enabled:
             # Piggybacking off: every component ships alone, immediately.
             self.flushes["immediate"] += 1
-            self._send([(entry, max_deadline, flush_by)])
+            self._send([(component, max_deadline, flush_by, trace_id)])
             return
         if self._encoded_bytes + size > limit:
             # Does not fit: the queue goes first, the component follows,
             # still in order.
             self.flush("overflow")
-        self._entries.append((entry, max_deadline, flush_by))
+        self._entries.append((component, max_deadline, flush_by, trace_id))
         self._encoded_bytes += size
         if flush_by < self._flush_by:
             self._flush_by = flush_by
@@ -164,27 +168,28 @@ class PiggybackQueue:
             self._timer = None
         self._send(entries)
 
-    def _send(self, entries: List[Tuple[BundleEntry, float, float]]) -> None:
+    def _send(self, entries: List[_Entry]) -> None:
         # The deadline passed to the network layer is the queue's maximum
         # transmission deadline, floored by the per-stream ordering rule.
         if len(entries) == 1:
-            entry, deadline, _ = entries[0]
-            payload = encode_single(entry)
-            st_ids = [entry.st_rms_id]
+            component, deadline, _, _ = entries[0]
+            payload = encode_bundle([component])
+            st_ids = [component[0]]
         else:
-            payload = encode_bundle([entry for entry, _, _ in entries])
-            st_ids = sorted({entry.st_rms_id for entry, _, _ in entries})
-            deadline = max([max_deadline for _, max_deadline, _ in entries])
+            components = [entry[0] for entry in entries]
+            payload = encode_bundle(components)
+            st_ids = sorted({component[0] for component in components})
+            deadline = max([entry[1] for entry in entries])
         floor = self.ordering_floor(st_ids)
         if floor > deadline:
             deadline = floor
         self.bundle_components[len(entries)] += 1
         obs = self.context.obs
         if obs.enabled:
-            for entry, _, _ in entries:
+            for component, _, _, trace_id in entries:
                 obs.spans.event(
-                    entry.trace_id, "net", "tx",
-                    st_rms=entry.st_rms_id, seq=entry.seq,
+                    trace_id, "net", "tx",
+                    st_rms=component[0], seq=component[1],
                     bundled=len(entries),
                 )
         self.flush_fn(payload, deadline, st_ids, len(entries))

@@ -16,8 +16,9 @@ require privacy, no mechanism is used (which is again optimal).  Without
 the RMS security parameters, this optimization would not be possible."
 
 The mechanisms themselves are :class:`~repro.security.providers.
-ShakeBlake2Provider`'s; :class:`SecurityContext` keys one per ST RMS and
-binds its methods for the data path.
+ShakeBlake2Provider`'s; :class:`SecurityContext` keys one per ST RMS
+that needs one and binds the plan's transform and its undo for the data
+path.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = ["SecurityContext", "SecurityPlan", "plan_security"]
 
 _CHECKSUM_BYTES = 4
 _PACK_U32 = struct.Struct(">I").pack
+#: The subheader fields a component's MAC covers, in their wire
+#: encoding: seq(4) send_time(8) frag_offset(4) frag_total(4).
+_PACK_MAC_FIELDS = struct.Struct(">IdII").pack
 
 
 @dataclass(frozen=True)
@@ -78,29 +82,31 @@ def plan_security(params: RmsParams, network: Network) -> SecurityPlan:
 class SecurityContext:
     """Per-ST-RMS security state, built once at negotiation time.
 
-    Everything a message would otherwise re-derive is hoisted to
-    creation: the bound provider instance (keyed hash states derived
-    once), the encoded MAC-context prefix, the wire-flag word, and the
-    tag overhead.  ``_seal``/``_open``/``_mac``/``_verify`` are the
-    provider's bound methods.
+    Both directions run the stream's plan and nothing else, bound here
+    once: ``protect(seq, data, send_time, frag_offset, frag_total)`` on
+    the sender and ``unprotect`` with the same arguments on the
+    receiver, both ``None`` on a channel with no software mechanism
+    (section 2.4: the client asked for no security, or the medium
+    provides it), which builds no provider either.  ``flags`` is the
+    plan's wire-flag word: the flags on the wire are not authenticated,
+    so the receiver checks them against it and never reads from them
+    what to undo.
 
-    On a parameter-elided channel (section 2.4: the client asked for no
-    security, or the medium provides it) ``protect`` is ``None`` -- the
-    send path tests a single attribute and pays zero security branches.
-    The receive path is driven by the flags on the wire, so
-    :meth:`unprotect` works on every channel.
+    The MAC of a component covers its ciphertext, the sender's label and
+    every subheader field the receiver acts on: the sequence number, the
+    send time and the fragment offset and total.  The stream id needs no
+    cover, the key is the stream's own.
     """
 
-    __slots__ = ("plan", "key", "rms_id", "flags", "overhead", "provider",
+    __slots__ = ("plan", "rms_id", "flags", "overhead", "provider",
                  "_seal", "_open", "_mac", "_verify", "_mac_prefix",
-                 "protect")
+                 "protect", "unprotect")
 
     def __init__(
         self, plan: SecurityPlan, session_key: bytes, sender_label: object,
         rms_id: int,
     ) -> None:
         self.plan = plan
-        self.key = session_key
         self.rms_id = rms_id
         flags = 0
         overhead = 0
@@ -114,24 +120,24 @@ class SecurityContext:
             overhead += _CHECKSUM_BYTES
         self.flags = flags
         self.overhead = overhead
-        # Built unconditionally: a mismatched wire flag (corruption) must
-        # still decrypt-attempt rather than crash the receive path.
-        provider = ShakeBlake2Provider(session_key)
-        self.provider = provider
-        self._seal = provider.seal
-        self._open = provider.open
-        self._mac = provider.mac
-        self._verify = provider.verify
-        self._mac_prefix = (
-            f"{sender_label}|".encode("utf-8") if plan.mac else b""
-        )
-        self.protect = self._protect if plan.any_software_mechanism else None
-
-    def _mac_context(self, seq: int) -> bytes:
-        return self._mac_prefix + str(seq).encode("utf-8")
+        self.provider = None
+        if plan.encrypt or plan.mac:
+            provider = ShakeBlake2Provider(session_key)
+            self.provider = provider
+            self._seal = provider.seal
+            self._open = provider.open
+            self._mac = provider.mac
+            self._verify = provider.verify
+        self._mac_prefix = f"{sender_label}|".encode("utf-8")
+        if plan.any_software_mechanism:
+            self.protect = self._protect
+            self.unprotect = self._unprotect
+        else:
+            self.protect = self.unprotect = None
 
     def _protect(
-        self, seq: int, data: Union[bytes, memoryview]
+        self, seq: int, data: Union[bytes, memoryview], send_time: float,
+        frag_offset: int, frag_total: int,
     ) -> bytes:
         """Transform one outgoing component; wire flags are ``self.flags``."""
         plan = self.plan
@@ -139,7 +145,8 @@ class SecurityContext:
             nonce = (self.rms_id << 32) | (seq & 0xFFFFFFFF)
             data = self._seal(nonce, data)
         if plan.mac:
-            tag = self._mac(data, self._mac_context(seq))
+            tag = self._mac(data, self._mac_prefix + _PACK_MAC_FIELDS(
+                seq, send_time, frag_offset, frag_total))
             if type(data) is bytes:
                 data = data + tag
             else:
@@ -152,10 +159,11 @@ class SecurityContext:
             data = data + _PACK_U32(crc32(data))
         return data
 
-    def unprotect(
-        self, flags: int, seq: int, data: Union[bytes, memoryview]
+    def _unprotect(
+        self, seq: int, data: Union[bytes, memoryview], send_time: float,
+        frag_offset: int, frag_total: int,
     ) -> Tuple[bytes, Optional[str]]:
-        """Undo the transforms named by ``flags`` on one received component.
+        """Undo the plan's transforms on one received component.
 
         Returns ``(payload, None)`` on success.  On a verification
         failure returns ``(rest, reason)``: ``reason`` is "checksum
@@ -164,21 +172,24 @@ class SecurityContext:
         """
         if type(data) is not bytes:
             data = bytes(data)
-        if flags & FLAG_CHECKSUM:
+        plan = self.plan
+        if plan.checksum:
             if len(data) < _CHECKSUM_BYTES:
                 return data, "checksum failure"
             body, tag = data[:-_CHECKSUM_BYTES], data[-_CHECKSUM_BYTES:]
             if _PACK_U32(crc32(body)) != tag:
                 return body, "checksum failure"
             data = body
-        if flags & FLAG_MAC:
+        if plan.mac:
             if len(data) < MAC_BYTES:
                 return data, "authentication failure"
             body, tag = data[:-MAC_BYTES], data[-MAC_BYTES:]
-            if not self._verify(body, tag, self._mac_context(seq)):
+            context = self._mac_prefix + _PACK_MAC_FIELDS(
+                seq, send_time, frag_offset, frag_total)
+            if not self._verify(body, tag, context):
                 return body, "authentication failure"
             data = body
-        if flags & FLAG_ENCRYPTED:
+        if plan.encrypt:
             nonce = (self.rms_id << 32) | (seq & 0xFFFFFFFF)
             data = self._open(nonce, data)
         return data, None

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.message import Label, Message, fast_message
+from repro.core.message import Label, Message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
 from repro.core.params import RmsParams, RmsRequest
 from repro.core.rms import RmsState
@@ -52,15 +52,15 @@ from repro.subtransport.mux import MuxBinding
 from repro.subtransport.security import plan_security
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
-    BundleEntry,
     FLAG_CHECKSUM,
     FLAG_ENCRYPTED,
     FLAG_FRAGMENT,
     FLAG_MAC,
     FRAG_HEADER_BYTES,
     SUBHEADER_BYTES,
-    decode_bundle_flat,
-    encode_single,
+    Component,
+    decode_bundle,
+    encode_bundle,
 )
 
 __all__ = ["SubtransportLayer", "StStats"]
@@ -122,7 +122,6 @@ class _RxStream:
     partial: bytearray = field(default_factory=bytearray)
     partial_expected: int = 0  # total bytes of the message being reassembled
     partial_offset: int = 0  # next expected fragment offset
-    partial_deadline_time: float = 0.0
     partial_send_time: float = 0.0
     partial_trace: Optional[int] = None  # span of the message being reassembled
     #: Monotonic floor on receive-stage CPU deadlines: without it, a
@@ -463,14 +462,17 @@ class SubtransportLayer:
         if size > st_rms.max_component:
             self._send_fragments(st_rms, binding, message, max_deadline, arrival)
             return
-        entry = self._make_entry(st_rms, message.payload, 0, arrival, message)
+        component = self._make_entry(
+            st_rms, message.payload, 0, arrival, message
+        )
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(
                 message.trace_id, "st", "enqueue", st=st_rms.name, queued=True
             )
         binding.queue.submit(
-            entry, max_deadline, arrival + self.config.piggyback_window_cap
+            component, max_deadline,
+            arrival + self.config.piggyback_window_cap, message.trace_id,
         )
 
     def _make_entry(
@@ -482,9 +484,9 @@ class SubtransportLayer:
         message: Message,
         frag_offset: int = 0,
         frag_total: int = 0,
-    ) -> BundleEntry:
-        """Number one component of ``message``, apply the stream's
-        negotiated security transform and wrap it for the wire."""
+    ) -> Component:
+        """Number one component of ``message`` and apply the stream's
+        negotiated security transform."""
         seq = st_rms.next_seq
         st_rms.next_seq = seq + 1
         trace_id = message.trace_id
@@ -496,10 +498,9 @@ class SubtransportLayer:
         protect = security.protect
         if protect is not None:
             flags |= security.flags
-            chunk = protect(seq, chunk)
-        return BundleEntry(
-            st_rms.rms_id, seq, flags, chunk, arrival, frag_offset, frag_total,
-            trace_id,
+            chunk = protect(seq, chunk, arrival, frag_offset, frag_total)
+        return (
+            st_rms.rms_id, seq, flags, chunk, arrival, frag_offset, frag_total
         )
 
     def _send_fragments(
@@ -523,7 +524,6 @@ class SubtransportLayer:
                 "network maximum message size too small for fragments"
             )
         total = len(message.payload)
-        st_rms.messages_fragmented += 1
         obs = self.context.obs
         if obs.enabled:
             obs.spans.event(
@@ -535,7 +535,7 @@ class SubtransportLayer:
         # slice of it all the way through encode_bundle's join.
         payload_view = memoryview(message.payload)
         for offset in range(0, total, chunk_size):
-            entry = self._make_entry(
+            component = self._make_entry(
                 st_rms,
                 payload_view[offset : offset + chunk_size],
                 FLAG_FRAGMENT,
@@ -546,23 +546,22 @@ class SubtransportLayer:
             )
             if obs.enabled:
                 obs.spans.event(
-                    entry.trace_id, "net", "tx",
-                    st_rms=entry.st_rms_id, seq=entry.seq, bundled=1,
+                    message.trace_id, "net", "tx",
+                    st_rms=st_rms.rms_id, seq=component[1], bundled=1,
                 )
             queue.flush_fn(
-                encode_single(entry),
+                encode_bundle([component]),
                 max(max_deadline, binding.ordering_floor(st_ids)),
                 st_ids,
                 1,
             )
             self.stats.fragments_sent += 1
-            st_rms.fragments_sent += 1
 
     # -- receive path ----------------------------------------------------------
 
     def _data_arrived(self, network_rms: NetworkRms, message: Message) -> None:
         try:
-            components = decode_bundle_flat(message.payload)
+            components = decode_bundle(message.payload)
         except TransportError:
             self.stats.garbled_bundles += 1
             return
@@ -595,19 +594,26 @@ class SubtransportLayer:
         if rx is None:
             self.stats.orphan_components += 1
             return
-        if flags & _SECURITY_FLAGS:
-            # The flags on the wire, not the plan, say what to undo: a
-            # flagged component on a security-elided stream is verified
-            # too rather than trusted.
-            st_rms = rx.st_rms
-            data, failure = st_rms.security.unprotect(flags, seq, data)
-            if failure is not None:
-                if failure == "checksum failure":
-                    self.stats.checksum_drops += 1
-                else:
-                    self.stats.auth_drops += 1
-                st_rms._drop(Message(data, trace_id=trace_id), failure)
-                return
+        # The stream's negotiated plan says what to undo.  The flags on
+        # the wire are not authenticated: a component whose security
+        # flags are not the plan's is a forgery (or a corruption), never
+        # a reason to undo something else.
+        security = rx.st_rms.security
+        if flags & _SECURITY_FLAGS != security.flags:
+            failure = "authentication failure"
+        elif security.unprotect is not None:
+            data, failure = security.unprotect(
+                seq, data, send_time, frag_offset, frag_total
+            )
+        else:
+            failure = None
+        if failure is not None:
+            if failure == "checksum failure":
+                self.stats.checksum_drops += 1
+            else:
+                self.stats.auth_drops += 1
+            rx.st_rms._drop(Message(data, trace_id=trace_id), failure)
+            return
         self.stats.components_received += 1
         if flags & FLAG_FRAGMENT:
             self._receive_fragment(
@@ -713,10 +719,7 @@ class SubtransportLayer:
             # a view pinned to the network message's buffer.
             payload = bytes(payload)
         st_rms._deliver(
-            fast_message(
-                payload, st_rms.sender, st_rms.receiver,
-                send_time=send_time, trace_id=trace_id,
-            )
+            Message(payload, st_rms.sender, st_rms.receiver, send_time, trace_id)
         )
         if rx.fast_ack:
             self._peer(rx.sender_host).control.send(

@@ -71,9 +71,9 @@ class StRms(Rms):
         #: Per-stream security state, built once at negotiation time:
         #: the keyed provider instance, MAC context prefix, and wire
         #: flags.  Both ends of an in-process stream share this one
-        #: object, so sender and receiver always run the same transform
-        #: engine; ``security.protect`` is ``None`` on parameter-elided
-        #: channels.
+        #: object, so the receiver's ``security.unprotect`` undoes
+        #: exactly the plan the sender's ``security.protect`` runs; both
+        #: are ``None`` on parameter-elided channels.
         self.security = SecurityContext(
             plan, self.session_key, sender, self.rms_id
         )
@@ -93,8 +93,6 @@ class StRms(Rms):
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)
-        self.fragments_sent = 0
-        self.messages_fragmented = 0
         StRms.registry[self.rms_id] = self
 
     def _transmit(self, message: Message) -> None:

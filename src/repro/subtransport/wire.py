@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import TransportError
 
 __all__ = [
-    "BundleEntry",
+    "Component",
     "encode_bundle",
-    "encode_single",
     "decode_bundle",
-    "decode_bundle_flat",
     "encode_control",
     "decode_control",
     "control_mac_material",
@@ -54,101 +51,48 @@ FLAG_ENCRYPTED = 0x0002
 FLAG_MAC = 0x0004
 FLAG_CHECKSUM = 0x0008
 
-
-@dataclass
-class BundleEntry:
-    """One ST client message (or fragment) inside a bundle."""
-
-    st_rms_id: int
-    seq: int
-    flags: int
-    #: Component bytes.  May be a ``memoryview`` slice of the original
-    #: client payload (send side) or of the received bundle (receive
-    #: side) -- the zero-copy fast path.  Materialized to ``bytes`` only
-    #: where a security transform runs or at client delivery.
-    payload: Union[bytes, memoryview]
-    send_time: float
-    frag_offset: int = 0
-    frag_total: int = 0  # total original-message bytes, 0 if not a fragment
-    #: Observability span id.  In-process metadata only -- never encoded
-    #: (the receiving ST rejoins traces via the tracer's wire side table,
-    #: keyed by ``(st_rms_id, seq)``), so wire accounting is unchanged.
-    trace_id: Optional[int] = None
-
-    @property
-    def is_fragment(self) -> bool:
-        return bool(self.flags & FLAG_FRAGMENT)
-
-    @property
-    def encoded_size(self) -> int:
-        size = SUBHEADER_BYTES + len(self.payload)
-        if self.flags & FLAG_FRAGMENT:
-            size += FRAG_HEADER_BYTES
-        return size
+#: One ST client message (or fragment) inside a bundle:
+#: ``(st_rms_id, seq, flags, payload, send_time, frag_offset,
+#: frag_total)``.  ``frag_total`` is the whole message's bytes, 0 (and
+#: ``frag_offset`` 0) when the component is not a fragment.  The payload
+#: may be a ``memoryview`` slice of the client payload (send side) or of
+#: the received bundle (receive side), materialized to ``bytes`` only
+#: where a security transform runs or at client delivery.
+Component = Tuple[int, int, int, Union[bytes, memoryview], float, int, int]
 
 
-def encode_bundle(entries: List[BundleEntry]) -> bytes:
+def encode_bundle(components: List[Component]) -> bytes:
     """Serialize components into one network-message payload."""
-    if not entries:
+    if not components:
         raise TransportError("cannot encode an empty bundle")
-    if len(entries) > 0xFFFF:
-        raise TransportError(f"bundle too large: {len(entries)} components")
-    parts = [_BUNDLE_COUNT.pack(len(entries))]
-    for entry in entries:
-        body = entry.payload
+    if len(components) > 0xFFFF:
+        raise TransportError(f"bundle too large: {len(components)} components")
+    parts = [_BUNDLE_COUNT.pack(len(components))]
+    append = parts.append
+    pack_subheader = _SUBHEADER.pack
+    for st_rms_id, seq, flags, body, send_time, frag_offset, frag_total in components:
         # The fragment prefix is appended as its own part instead of
         # being concatenated onto the body: ``bytes.join`` accepts
         # memoryviews, so a fragment slice of the client payload crosses
         # the encoder without an intermediate copy.
-        if entry.flags & FLAG_FRAGMENT:
-            parts.append(
-                _SUBHEADER.pack(
-                    entry.st_rms_id, entry.seq, entry.flags,
-                    len(body) + FRAG_HEADER_BYTES, entry.send_time,
-                )
-            )
-            parts.append(_FRAG_HEADER.pack(entry.frag_offset, entry.frag_total))
+        if flags & FLAG_FRAGMENT:
+            append(pack_subheader(
+                st_rms_id, seq, flags, len(body) + FRAG_HEADER_BYTES, send_time
+            ))
+            append(_FRAG_HEADER.pack(frag_offset, frag_total))
         else:
-            parts.append(
-                _SUBHEADER.pack(
-                    entry.st_rms_id, entry.seq, entry.flags, len(body),
-                    entry.send_time,
-                )
-            )
-        parts.append(body)
+            append(pack_subheader(st_rms_id, seq, flags, len(body), send_time))
+        append(body)
     return b"".join(parts)
 
 
-#: Precomputed count header of the dominant one-component bundle.
-_SINGLE_COUNT = _BUNDLE_COUNT.pack(1)
-
-
-def encode_single(entry: BundleEntry) -> bytes:
-    """``encode_bundle([entry])``, specialized for one non-fragment
-    component (the dominant case once a message overflows or bypasses
-    the piggyback queue).  Produces bit-identical bytes."""
-    if entry.flags & FLAG_FRAGMENT:
-        return encode_bundle([entry])
-    body = entry.payload
-    return b"".join((
-        _SINGLE_COUNT,
-        _SUBHEADER.pack(
-            entry.st_rms_id, entry.seq, entry.flags, len(body),
-            entry.send_time,
-        ),
-        body,
-    ))
-
-
-def decode_bundle_flat(data: bytes) -> List[tuple]:
+def decode_bundle(data: bytes) -> List[Component]:
     """Parse a bundle payload; raises :class:`TransportError` if mangled.
 
-    Returns one ``(st_rms_id, seq, flags, payload, send_time,
-    frag_offset, frag_total)`` tuple per component -- the field order of
-    :class:`BundleEntry`, which the ST receive path iterates without
-    building the objects.  Payloads are ``memoryview`` slices of
-    ``data`` (zero-copy); callers that retain one past the lifetime of
-    the network message must materialize it with ``bytes()``.
+    Returns one component tuple per component.  Payloads are
+    ``memoryview`` slices of ``data`` (zero-copy); callers that retain
+    one past the lifetime of the network message must materialize it
+    with ``bytes()``.
     """
     total = len(data)
     if total < _BUNDLE_COUNT.size:
@@ -156,8 +100,8 @@ def decode_bundle_flat(data: bytes) -> List[tuple]:
     (count,) = _BUNDLE_COUNT.unpack_from(data, 0)
     view = memoryview(data)
     offset = _BUNDLE_COUNT.size
-    entries: List[tuple] = []
-    append = entries.append
+    components: List[Component] = []
+    append = components.append
     unpack_subheader = _SUBHEADER.unpack_from
     for _ in range(count):
         if offset + SUBHEADER_BYTES > total:
@@ -178,12 +122,7 @@ def decode_bundle_flat(data: bytes) -> List[tuple]:
         append((st_rms_id, seq, flags, body, send_time, frag_offset, frag_total))
     if offset != total:
         raise TransportError("bundle has trailing garbage")
-    return entries
-
-
-def decode_bundle(data: bytes) -> List[BundleEntry]:
-    """:func:`decode_bundle_flat` as :class:`BundleEntry` objects."""
-    return [BundleEntry(*fields) for fields in decode_bundle_flat(data)]
+    return components
 
 
 _CONTROL_TAG = b"\x01"

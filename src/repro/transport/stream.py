@@ -291,15 +291,11 @@ class StreamSession:
         self._in_protocol = max(0, self._in_protocol - 1)
         if self.failed:
             return
-        frame = _DATA_HEADER.pack(seq, _FLAG_NONE) + payload
-        if trace_id is not None:
-            message = Message(
-                frame, source=self.data_rms.sender, target=self.data_rms.receiver
-            )
-            message.trace_id = trace_id
-            self.data_rms.send(message)
-        else:
-            self.data_rms.send(frame)
+        data_rms = self.data_rms
+        data_rms.send(Message(
+            _DATA_HEADER.pack(seq, _FLAG_NONE) + payload,
+            data_rms.sender, data_rms.receiver, trace_id=trace_id,
+        ))
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(payload)
         if self.config.reliable:

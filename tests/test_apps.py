@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import rpcload
 from repro.apps.media import VoiceCall, voice_rms_params
 from repro.apps.rpcload import RpcWorkload
 from repro.apps.sources import PeriodicSource
@@ -129,7 +130,8 @@ class TestWindowWorkload:
 
 
 class TestRpcWorkload:
-    def test_rpc_workload_measures_rtt(self):
+    def test_rpc_workload_measures_rtt(self, monkeypatch):
+        monkeypatch.setattr(rpcload, "CLIENTS", 2)
         system = lan_system()
         system.nodes["b"].rkom.register_handler(
             "echo", lambda payload, src: payload
@@ -138,7 +140,6 @@ class TestRpcWorkload:
             system.context,
             system.nodes["a"].rkom,
             "b",
-            clients=2,
             calls_per_client=10,
         )
         system.run(until=system.now + 20.0)

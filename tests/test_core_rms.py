@@ -53,12 +53,11 @@ class TestMessage:
     def test_size_is_payload_length(self):
         assert Message(b"12345").size == 5
 
-    def test_wire_size_accounts_labels_and_headers(self):
+    def test_wire_size_accounts_labels(self):
         bare = Message(b"1234")
         labeled = Message(b"1234", source=Label("a"), target=Label("b"))
-        labeled.headers["seq"] = 1
         assert bare.wire_size == 4
-        assert labeled.wire_size == 4 + 8 + 8 + Message.HEADER_FIELD_BYTES
+        assert labeled.wire_size == 4 + 8 + 8
 
     def test_delay_requires_both_stamps(self):
         message = Message(b"x")
@@ -216,7 +215,7 @@ class TestRmsEnforcement:
 
 
 class TestRmsSend:
-    """``Rms.send`` on the per-size bound memo and ``fast_message``."""
+    """``Rms.send`` on the per-size bound memo and its two arms."""
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8))
     def test_deadline_is_now_plus_bound_exactly(self, sizes):
@@ -258,7 +257,7 @@ class TestRmsSend:
         assert rms.send(prepared) is prepared
         sent = rms.send(b"raw")
         assert (sent.source, sent.target) == (rms.sender, rms.receiver)
-        assert (sent.headers, sent.deliver_time, sent.trace_id) == ({}, None, None)
+        assert (sent.deliver_time, sent.trace_id) == (None, None)
 
     def test_too_large_raises_before_any_counter_moves(self, context, params):
         rms = LoopbackRms(context, params)

@@ -19,7 +19,7 @@ from repro.core.message import Message
 from repro.subtransport.wire import (
     FLAG_FRAGMENT,
     FRAG_HEADER_BYTES,
-    BundleEntry,
+    SUBHEADER_BYTES,
     decode_bundle,
     encode_bundle,
 )
@@ -38,15 +38,7 @@ def _fragment_entries(payload, chunk_size, st_rms_id=7, send_time=1.25):
     while offset < total:
         chunk = view[offset : offset + chunk_size]
         entries.append(
-            BundleEntry(
-                st_rms_id=st_rms_id,
-                seq=seq,
-                flags=FLAG_FRAGMENT,
-                payload=chunk,
-                send_time=send_time,
-                frag_offset=offset,
-                frag_total=total,
-            )
+            (st_rms_id, seq, FLAG_FRAGMENT, chunk, send_time, offset, total)
         )
         offset += len(chunk)
         seq += 1
@@ -72,41 +64,39 @@ class TestWireRoundTrip:
             decoded = decode_bundle(wire)
             assert len(decoded) == len(entries)
             rebuilt = bytearray()
-            for entry in decoded:
-                assert entry.is_fragment
-                assert entry.frag_total == size
-                assert entry.frag_offset == len(rebuilt)
-                rebuilt.extend(entry.payload)
+            for _, _, flags, chunk, _, frag_offset, frag_total in decoded:
+                assert flags & FLAG_FRAGMENT
+                assert frag_total == size
+                assert frag_offset == len(rebuilt)
+                rebuilt.extend(chunk)
             assert bytes(rebuilt) == payload
 
     def test_fragments_are_views_of_the_client_payload(self):
         payload = bytes(range(256)) * 8
         entries = _fragment_entries(payload, 100)
         for entry in entries:
-            assert isinstance(entry.payload, memoryview)
-            assert entry.payload.obj is payload  # no copy was taken
+            assert isinstance(entry[3], memoryview)
+            assert entry[3].obj is payload  # no copy was taken
 
     def test_decoded_components_are_views_of_the_bundle(self):
         payload = b"x" * 700
         wire = encode_bundle(_fragment_entries(payload, 256))
         for entry in decode_bundle(wire):
-            assert isinstance(entry.payload, memoryview)
-            assert entry.payload.obj is wire  # zero-copy decode
+            assert isinstance(entry[3], memoryview)
+            assert entry[3].obj is wire  # zero-copy decode
 
     def test_encoded_size_accounts_fragment_header(self):
         entries = _fragment_entries(b"y" * 10, 4)
         for entry in entries:
-            assert entry.encoded_size == 22 + FRAG_HEADER_BYTES + len(entry.payload)
+            assert len(encode_bundle([entry])) == (
+                2 + SUBHEADER_BYTES + FRAG_HEADER_BYTES + len(entry[3])
+            )
 
     def test_non_fragment_entry_round_trips_memoryview(self):
         payload = b"hello world"
-        entry = BundleEntry(
-            st_rms_id=3, seq=9, flags=0,
-            payload=memoryview(payload), send_time=0.5,
-        )
+        entry = (3, 9, 0, memoryview(payload), 0.5, 0, 0)
         (decoded,) = decode_bundle(encode_bundle([entry]))
-        assert decoded.payload == payload
-        assert decoded.st_rms_id == 3 and decoded.seq == 9
+        assert decoded == (3, 9, 0, payload, 0.5, 0, 0)
 
 
 class TestMessageViewAdoption:

@@ -7,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.subtransport.piggyback import PiggybackQueue
-from repro.subtransport.wire import BundleEntry, decode_bundle
+from repro.subtransport.wire import decode_bundle
 
 MAX_PAYLOAD = 600
 
 
 def make_entry(st_id, seq, size):
-    return BundleEntry(
-        st_rms_id=st_id, seq=seq, flags=0,
-        payload=bytes([seq % 256]) * size, send_time=0.0,
-    )
+    return (st_id, seq, 0, bytes([seq % 256]) * size, 0.0, 0, 0)
 
 
 submissions = st.lists(
@@ -80,7 +77,7 @@ def test_every_submitted_entry_is_flushed_exactly_once(items):
     seqs = []
     for _, payload, _, _, _ in flushed:
         for entry in decode_bundle(payload):
-            seqs.append(entry.seq)
+            seqs.append(entry[1])
     assert sorted(seqs) == list(range(len(items)))
 
 
@@ -106,7 +103,7 @@ def test_no_entry_flushed_after_its_max_deadline(items):
         now += gap
     for flush_time, payload, _, _, _ in context_now_of_flush:
         for entry in decode_bundle(payload):
-            assert flush_time <= deadlines[entry.seq] + 1e-9
+            assert flush_time <= deadlines[entry[1]] + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,11 +112,10 @@ def test_per_stream_order_preserved_within_and_across_bundles(items):
     flushed = drive(items)
     last_seq = {}
     for _, payload, _, _, _ in flushed:
-        for entry in decode_bundle(payload):
-            st_id = entry.st_rms_id
+        for st_id, seq, *_ in decode_bundle(payload):
             if st_id in last_seq:
-                assert entry.seq > last_seq[st_id]
-            last_seq[st_id] = entry.seq
+                assert seq > last_seq[st_id]
+            last_seq[st_id] = seq
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.st import SubtransportLayer
-from repro.subtransport.wire import BundleEntry, decode_bundle, encode_bundle
+from repro.subtransport.wire import decode_bundle, encode_bundle
 from tests.streams import assert_in_sequence
 
 slow = settings(
@@ -116,12 +116,9 @@ def test_order_preserved_under_loss(seed, count):
                       max_size=15),
 )
 def test_bundle_roundtrip_arbitrary_payloads(seed, payloads):
-    entries = [
-        BundleEntry(st_rms_id=i, seq=i, flags=0, payload=p, send_time=0.0)
-        for i, p in enumerate(payloads)
-    ]
+    entries = [(i, i, 0, p, 0.0, 0, 0) for i, p in enumerate(payloads)]
     decoded = decode_bundle(encode_bundle(entries))
-    assert [e.payload for e in decoded] == payloads
+    assert [e[3] for e in decoded] == payloads
 
 
 capability_limits = st.builds(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -225,19 +226,35 @@ class TestNegotiation:
     def test_context_transform_roundtrip(self):
         """The wire bytes of one component, built by hand from the
         oracle: sealed under ``(rms_id << 32) | seq``, tagged over the
-        ciphertext with the sender label and sequence number as
-        context."""
+        ciphertext with the sender label and the sequence number, send
+        time, fragment offset and fragment total in their wire encoding
+        as context."""
         system = DashSystem(seed=1)
         network = system.add_ethernet(trusted=False)
         params = RmsParams(privacy=True, authentication=True)
         context = SecurityContext(plan_security(params, network), KEY, "a", 7)
         payload = b"x" * 100
-        wire = context.protect(3, memoryview(payload))
+        wire = context.protect(3, memoryview(payload), 0.5, 200, 900)
         sealed = reference_seal(KEY, (7 << 32) | 3, payload)
-        assert wire == sealed + reference_mac(KEY, sealed, b"a|3")
-        data, reason = context.unprotect(context.flags, 3, wire)
-        assert reason is None
-        assert data == payload
+        covered = b"a|" + struct.pack(">IdII", 3, 0.5, 200, 900)
+        assert wire == sealed + reference_mac(KEY, sealed, covered)
+        assert context.unprotect(3, wire, 0.5, 200, 900) == (payload, None)
+        for field, value in enumerate((4, 0.25, 0, 901)):
+            fields = [3, 0.5, 200, 900]
+            fields[field] = value
+            data, reason = context.unprotect(fields[0], wire, *fields[1:])
+            assert reason == "authentication failure"
+
+    def test_elided_plan_builds_no_provider(self):
+        """A stream with no software mechanism has nothing to protect,
+        nothing to undo and no keyed provider."""
+        system = DashSystem(seed=1)
+        network = system.add_ethernet(trusted=True)
+        params = RmsParams(privacy=True, authentication=True)
+        context = SecurityContext(plan_security(params, network), KEY, "a", 7)
+        assert context.flags == 0
+        assert (context.protect, context.unprotect, context.provider) == (
+            None, None, None)
 
 
 def _secured_trace(messages=40, loss=0.04):

@@ -80,8 +80,7 @@ PARAMETERS = {
     DatagramRpc: ("context", "dgram"),
     VoiceCall: ("context", "rms", "duration"),
     RpcWorkload: (
-        "context", "service", "peer_host", "op", "clients",
-        "calls_per_client", "request_bytes", "think_time",
+        "context", "service", "peer_host", "calls_per_client", "think_time",
     ),
     WindowSystemWorkload: ("context", "event_rms", "graphics_rms", "duration"),
 }

@@ -14,7 +14,7 @@ from repro.sim.context import SimContext
 from repro.subtransport import binding, st as st_module
 from repro.subtransport.config import StConfig
 from repro.subtransport.st import SubtransportLayer
-from repro.subtransport.wire import BundleEntry, encode_bundle
+from repro.subtransport.wire import encode_bundle
 
 
 def build_pair(seed=91, st_config=None, **net_kwargs):
@@ -56,8 +56,7 @@ class TestStaleAndGarbledInput:
         """Data for an unknown ST RMS id is dropped and counted."""
         context, network, st_a, st_b = build_pair()
         open_rms(context, st_a)  # establish the data path
-        orphan = BundleEntry(st_rms_id=99_999, seq=0, flags=0,
-                             payload=b"stale", send_time=context.now)
+        orphan = (99_999, 0, 0, b"stale", context.now, 0, 0)
         st_b._data_arrived(None, Message(encode_bundle([orphan])))
         assert st_b.stats.orphan_components == 1
 
@@ -73,8 +72,7 @@ class TestStaleAndGarbledInput:
         rms_id = rms.rms_id
         rms.close()
         context.run(until=context.now + 1.0)
-        late = BundleEntry(st_rms_id=rms_id, seq=5, flags=0,
-                           payload=b"late", send_time=context.now)
+        late = (rms_id, 5, 0, b"late", context.now, 0, 0)
         st_b._data_arrived(None, Message(encode_bundle([late])))
         assert st_b.stats.orphan_components == 1
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.message import Label, Message
@@ -20,9 +18,9 @@ from repro.subtransport.config import StConfig
 from repro.subtransport.control import CONTROL_PARAMS
 from repro.subtransport.st import CONTROL_PORT, SubtransportLayer
 from repro.subtransport.wire import (
-    BundleEntry,
     FLAG_CHECKSUM,
     FLAG_ENCRYPTED,
+    FLAG_FRAGMENT,
     FLAG_MAC,
     control_mac_material,
     decode_bundle,
@@ -79,6 +77,16 @@ def _flip_bit(payload, index):
     flipped = bytearray(payload)
     flipped[index] ^= 0x01
     return bytes(flipped)
+
+
+_COMPONENT_FIELDS = ("st_rms_id", "seq", "flags", "payload", "send_time",
+                     "frag_offset", "frag_total")
+
+
+def _with(component, **changes):
+    """``component`` with the named fields rewritten."""
+    return tuple(changes.get(name, value)
+                 for name, value in zip(_COMPONENT_FIELDS, component))
 
 
 class TestStEstablishment:
@@ -318,9 +326,10 @@ class TestStSecurityPath:
         sealed = {}
 
         def sniff(frame):
-            for entry in decode_bundle(bytes(frame.message.payload)):
-                if entry.flags & FLAG_ENCRYPTED:
-                    sealed[entry.st_rms_id] = (entry.seq, bytes(entry.payload))
+            for st_id, seq, flags, payload, *_ in decode_bundle(
+                    bytes(frame.message.payload)):
+                if flags & FLAG_ENCRYPTED:
+                    sealed[st_id] = (seq, bytes(payload))
 
         network.add_sniffer(sniff)
         plaintext = b"SAME-PLAINTEXT-ON-BOTH-STREAMS"
@@ -354,35 +363,47 @@ class TestStSecurityPath:
         context.run(until=context.now + 0.5)
         assert [m.payload for m in got] == [body]
         assert len(fragments) == st_a.stats.fragments_sent >= 6
-        assert sum(len(f.payload) - MAC_BYTES for f in fragments) == len(body)
+        assert sum(len(f[3]) - MAC_BYTES for f in fragments) == len(body)
         sealed = []
-        for fragment in fragments:
-            assert fragment.flags & FLAG_ENCRYPTED and fragment.flags & FLAG_MAC
-            ciphertext = bytes(fragment.payload)[:-MAC_BYTES]
-            start = fragment.frag_offset
+        for _, _, flags, payload, _, start, _ in fragments:
+            assert flags & FLAG_ENCRYPTED and flags & FLAG_MAC
+            ciphertext = bytes(payload)[:-MAC_BYTES]
             assert ciphertext != body[start : start + len(ciphertext)]
             sealed.append(ciphertext[:64])
         # The plaintext is one repeated byte, so equal ciphertext
         # prefixes would mean a reused keystream.
         assert len(set(sealed)) == len(sealed)
 
-    @pytest.mark.parametrize("tamper", [
-        lambda entry, previous, other_id: replace(
-            entry, payload=_flip_bit(entry.payload, 0)),
-        lambda entry, previous, other_id: replace(
-            entry, payload=_flip_bit(entry.payload, -1)),
-        lambda entry, previous, other_id: replace(
-            entry, payload=bytes(previous.payload)),
-        lambda entry, previous, other_id: replace(
-            entry, st_rms_id=other_id),
+    @pytest.mark.parametrize("frame, tamper", [
+        (3, lambda entry, previous, other_id: _with(
+            entry, payload=_flip_bit(entry[3], 0))),
+        (3, lambda entry, previous, other_id: _with(
+            entry, payload=_flip_bit(entry[3], -1))),
+        (3, lambda entry, previous, other_id: _with(
+            entry, payload=bytes(previous[3]))),
+        (3, lambda entry, previous, other_id: _with(
+            entry, st_rms_id=other_id)),
+        (1, lambda entry, previous, other_id: _with(
+            entry, flags=FLAG_FRAGMENT, payload=b"FORGED-BY-ATTACKER",
+            frag_total=len(b"FORGED-BY-ATTACKER"))),
+        (1, lambda entry, previous, other_id: _with(
+            entry, frag_total=len(entry[3]) - MAC_BYTES)),
+        (3, lambda entry, previous, other_id: _with(
+            entry, frag_offset=entry[5] + 1)),
+        (3, lambda entry, previous, other_id: _with(
+            entry, send_time=entry[4] + 1.0)),
     ], ids=["ciphertext-bit", "tag-bit", "replayed-under-next-seq",
-            "relabelled-stream"])
-    def test_tampered_component_fails_authentication(self, tamper):
+            "relabelled-stream", "flags-stripped", "first-fragment-total",
+            "fragment-offset", "send-time"])
+    def test_tampered_component_fails_authentication(self, frame, tamper):
         """An active adversary on the untrusted medium rewrites one
         fragment of one message: it is dropped as an authentication
-        failure, counted once, its message is never delivered, nothing
-        raises, and every untampered message arrives whole and in
-        order -- on the stream attacked and on its neighbour."""
+        failure, counted once, its message is never delivered, in part
+        or whole, nothing raises, and every untampered message arrives
+        whole and in order -- on the stream attacked and on its
+        neighbour.  The fragments after a dropped one leave a partial
+        the next message's first fragment discards; after a dropped
+        first fragment there is no partial to discard."""
         context, network, st_a, st_b = build_pair(trusted=False, observe=True)
         rms, other = (
             open_rms(context, st_a, port=port, p=SECURED_BULK)
@@ -392,21 +413,22 @@ class TestStSecurityPath:
         rms.port.set_handler(got.append)
         other.port.set_handler(got_other.append)
 
-        class RewriteThirdFragment(ImpairmentModel):
-            """The medium alters the third frame it carries for ``rms``;
-            ``tamper`` also sees the component before it."""
+        class RewriteFragment(ImpairmentModel):
+            """The medium alters the ``frame``-th frame it carries for
+            ``rms``; ``tamper`` also sees the component before it."""
 
             def __init__(self):
                 super().__init__()
                 self.seen = []
 
-            def maybe_corrupt(self, frame, rng):
-                (entry,) = decode_bundle(bytes(frame.message.payload))
-                if entry.st_rms_id == rms.rms_id:
+            def maybe_corrupt(self, carried, rng):
+                (entry,) = decode_bundle(bytes(carried.message.payload))
+                if entry[0] == rms.rms_id:
                     self.seen.append(entry)
-                    if len(self.seen) == 3:
-                        forged = tamper(entry, self.seen[-2], other.rms_id)
-                        frame.message.payload = encode_bundle([forged])
+                    if len(self.seen) == frame:
+                        previous = self.seen[-2] if frame > 1 else None
+                        forged = tamper(entry, previous, other.rms_id)
+                        carried.message.payload = encode_bundle([forged])
                 return False
 
         bodies = [bytes([index + 1]) * 8_000 for index in range(4)]
@@ -414,7 +436,7 @@ class TestStSecurityPath:
         rms.send(bodies[0])
         other.send(other_bodies[0])
         context.run(until=context.now + 0.5)
-        network.segment.impairment = RewriteThirdFragment()
+        network.segment.impairment = RewriteFragment()
         for body in bodies[1:]:
             rms.send(body)
         other.send(other_bodies[1])
@@ -423,11 +445,12 @@ class TestStSecurityPath:
         assert [m.payload for m in got] == [bodies[0], bodies[2], bodies[3]]
         assert [m.payload for m in got_other] == other_bodies
         assert st_b.stats.auth_drops == 1
-        assert st_b.stats.partials_discarded == 1
+        partials = 0 if frame == 1 else 1
+        assert st_b.stats.partials_discarded == partials
         assert st_b.stats.checksum_drops == st_b.stats.garbled_bundles == 0
-        assert drop_reasons(context) == [
-            "authentication failure", "partial discarded"
-        ]
+        assert drop_reasons(context) == (
+            ["authentication failure"] + ["partial discarded"] * partials
+        )
 
     def test_trusted_stream_plaintext_on_wire(self):
         context, network, st_a, st_b = build_pair(trusted=True)
@@ -463,26 +486,53 @@ class TestStSecurityPath:
         rms = open_rms(context, st_a)
         assert not rms.plan.checksum
 
-    @pytest.mark.parametrize("flag, counter", [
-        (FLAG_MAC, "auth_drops"),
-        (FLAG_CHECKSUM, "checksum_drops"),
+    @pytest.mark.parametrize("flag, counter, network", [
+        (FLAG_MAC, "auth_drops", dict(trusted=False)),
+        (FLAG_CHECKSUM, "checksum_drops",
+         dict(trusted=True, link_checksum=False, bit_error_rate=1e-9)),
     ], ids=["mac", "checksum"])
     def test_component_shorter_than_its_tag_is_dropped(
-        self, flag, counter
+        self, flag, counter, network
     ):
-        """A component too short to hold the tag its flags announce fails
-        verification like a bad tag does: the ST counter *and* the
-        stream's drop accounting both see it."""
-        context, _net, st_a, st_b = build_pair(trusted=False)
+        """A component too short to hold the tag its stream's plan
+        appends fails verification like a bad tag does: the ST counter
+        *and* the stream's drop accounting both see it."""
+        context, _net, st_a, st_b = build_pair(**network)
         rms = open_rms(context, st_a, p=params().with_(authentication=True))
-        crafted = BundleEntry(
-            st_rms_id=rms.rms_id, seq=0, flags=flag, payload=b"abc",
-            send_time=context.now,
-        )
+        assert rms.security.flags == flag
+        crafted = (rms.rms_id, 0, flag, b"abc", context.now, 0, 0)
         st_b._data_arrived(None, Message(encode_bundle([crafted])))
         assert getattr(st_b.stats, counter) == 1
         assert rms.stats.messages_dropped == 1
         assert st_b.stats.components_received == 0
+
+    @pytest.mark.parametrize("flags, trusted", [
+        (FLAG_ENCRYPTED, True),
+        (0, False),
+        (FLAG_CHECKSUM | FLAG_ENCRYPTED | FLAG_MAC, False),
+    ], ids=["encrypted-on-elided", "unflagged-on-secured", "checksum-on-sealed"])
+    def test_flags_other_than_the_plan_are_an_auth_drop(self, flags, trusted):
+        """The receiver undoes its stream's plan, never what the
+        unauthenticated flags on the wire announce: a component whose
+        security flags are not the plan's is one ``auth_drops`` and is
+        never delivered, whatever its bytes."""
+        context, _net, st_a, st_b = build_pair(observe=True, trusted=trusted)
+        rms = open_rms(context, st_a, p=params().with_(
+            privacy=True, authentication=True))
+        assert rms.security.flags != flags
+        got = []
+        rms.port.set_handler(got.append)
+        forged = (rms.rms_id, 0, flags, b"FORGED-BY-ATTACKER" + bytes(12),
+                  context.now, 0, 0)
+        st_b._data_arrived(None, Message(encode_bundle([forged])))
+        context.run(until=context.now + 1.0)
+        assert got == []
+        assert st_b.stats.auth_drops == 1
+        assert st_b.stats.checksum_drops == st_b.stats.components_received == 0
+        assert drop_reasons(context) == ["authentication failure"]
+        rms.send(b"genuine")
+        context.run(until=context.now + 1.0)
+        assert [m.payload for m in got] == [b"genuine"]
 
     def test_fast_ack_service(self):
         """Section 3.2: the ST arranges fast acknowledgement."""

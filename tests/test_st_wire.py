@@ -10,8 +10,8 @@ from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.subtransport.piggyback import PiggybackQueue
 from repro.subtransport.wire import (
-    BundleEntry,
     FLAG_FRAGMENT,
+    SUBHEADER_BYTES,
     control_mac_material,
     decode_bundle,
     decode_control,
@@ -20,43 +20,36 @@ from repro.subtransport.wire import (
 )
 
 
-def entry(st_id=1, seq=0, payload=b"data", flags=0, send_time=0.0, **kwargs):
-    return BundleEntry(
-        st_rms_id=st_id,
-        seq=seq,
-        flags=flags,
-        payload=payload,
-        send_time=send_time,
-        **kwargs,
-    )
+def entry(st_id=1, seq=0, payload=b"data", flags=0, send_time=0.0,
+          frag_offset=0, frag_total=0):
+    """One component: ``(st_rms_id, seq, flags, payload, send_time,
+    frag_offset, frag_total)``."""
+    return (st_id, seq, flags, payload, send_time, frag_offset, frag_total)
 
 
 class TestBundleCodec:
     def test_roundtrip_single(self):
         data = encode_bundle([entry(payload=b"hello", seq=3)])
         decoded = decode_bundle(data)
-        assert len(decoded) == 1
-        assert decoded[0].payload == b"hello"
-        assert decoded[0].seq == 3
+        assert decoded == [(1, 3, 0, b"hello", 0.0, 0, 0)]
 
     def test_roundtrip_multiple(self):
         entries = [entry(st_id=i, seq=i, payload=bytes([i]) * (i + 1)) for i in range(5)]
         decoded = decode_bundle(encode_bundle(entries))
-        assert [e.st_rms_id for e in decoded] == list(range(5))
-        assert [e.payload for e in decoded] == [bytes([i]) * (i + 1) for i in range(5)]
+        assert [e[0] for e in decoded] == list(range(5))
+        assert [e[3] for e in decoded] == [bytes([i]) * (i + 1) for i in range(5)]
+        assert decoded == entries
 
     def test_fragment_fields_roundtrip(self):
         frag = entry(
             flags=FLAG_FRAGMENT, payload=b"chunk", frag_offset=100, frag_total=500
         )
         decoded = decode_bundle(encode_bundle([frag]))[0]
-        assert decoded.is_fragment
-        assert decoded.frag_offset == 100
-        assert decoded.frag_total == 500
+        assert decoded == frag
 
     def test_send_time_roundtrips(self):
         decoded = decode_bundle(encode_bundle([entry(send_time=1.25)]))[0]
-        assert decoded.send_time == pytest.approx(1.25)
+        assert decoded[4] == 1.25
 
     def test_empty_bundle_rejected(self):
         with pytest.raises(TransportError):
@@ -74,7 +67,7 @@ class TestBundleCodec:
 
     def test_encoded_size_matches_wire(self):
         single = entry(payload=b"x" * 100)
-        assert len(encode_bundle([single])) == 2 + single.encoded_size
+        assert len(encode_bundle([single])) == 2 + SUBHEADER_BYTES + 100
 
     @given(
         st.lists(
@@ -89,10 +82,7 @@ class TestBundleCodec:
     )
     def test_roundtrip_property(self, raw):
         entries = [entry(st_id=i, seq=s, payload=p) for i, s, p in raw]
-        decoded = decode_bundle(encode_bundle(entries))
-        assert [(e.st_rms_id, e.seq, e.payload) for e in decoded] == [
-            (e.st_rms_id, e.seq, e.payload) for e in entries
-        ]
+        assert decode_bundle(encode_bundle(entries)) == entries
 
 
 class TestControlCodec:
@@ -233,7 +223,7 @@ class TestPiggybackQueue:
         queue.submit(entry(seq=1, payload=b"second"), max_deadline=0.002)
         context.run()
         decoded = decode_bundle(flushes[0][0])
-        assert [e.payload for e in decoded] == [b"first", b"second"]
+        assert [e[3] for e in decoded] == [b"first", b"second"]
 
     def test_timer_rearms_for_earlier_deadline(self):
         context = SimContext()
