@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.baselines.datagram import DatagramService
 from repro.errors import RkomTimeoutError
 from repro.sim.context import SimContext
-from repro.sim.events import EventHandle
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 
 __all__ = ["DatagramRpc"]
 
@@ -40,14 +40,8 @@ BACKOFF = 2.0
 REPLY_CACHE_SIZE = 256
 
 
-@dataclass
-class _Pending:
-    future: Future
-    frame: bytes
-    peer: str
-    timeout: float
-    retries: int = 0
-    timer: Optional[EventHandle] = None
+def _request_delay(attempt: int) -> float:
+    return REQUEST_TIMEOUT * BACKOFF ** attempt
 
 
 class DatagramRpc:
@@ -61,7 +55,8 @@ class DatagramRpc:
         self.context = context
         self.dgram = dgram
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
-        self._pending: Dict[int, _Pending] = {}
+        #: request id -> (future, frame, peer, retry) awaiting a reply
+        self._pending: Dict[int, Tuple[Future, bytes, str, Retry]] = {}
         self._served: Dict[Any, Optional[bytes]] = {}
         self.calls = 0
         self.retransmissions = 0
@@ -71,13 +66,7 @@ class DatagramRpc:
     def register_handler(self, op: str, handler: Callable[[bytes, str], Any]) -> None:
         self.handlers[op] = handler
 
-    def call(
-        self,
-        peer_host: str,
-        op: str,
-        payload: bytes = b"",
-        timeout: Optional[float] = None,
-    ) -> Future:
+    def call(self, peer_host: str, op: str, payload: bytes = b"") -> Future:
         request_id = next(_request_ids)
         op_bytes = op.encode("utf-8")
         frame = (
@@ -85,38 +74,29 @@ class DatagramRpc:
             + op_bytes
             + payload
         )
-        pending = _Pending(
-            future=Future(self.context.loop),
-            frame=frame,
-            peer=peer_host,
-            timeout=timeout or REQUEST_TIMEOUT,
+        future = Future(self.context.loop)
+        retry = Retry(
+            self.context.loop, _request_delay, MAX_RETRANSMITS,
+            partial(self._timeout, request_id),
+            partial(self._timed_out, request_id),
         )
-        self._pending[request_id] = pending
+        self._pending[request_id] = (future, frame, peer_host, retry)
         self.calls += 1
         self.dgram.send(peer_host, RPC_PORT, frame)
-        pending.timer = self.context.loop.call_after(
-            pending.timeout, self._timeout, request_id
-        )
-        return pending.future
+        retry.arm()
+        return future
 
     def _timeout(self, request_id: int) -> None:
-        pending = self._pending.get(request_id)
-        if pending is None:
-            return
-        pending.retries += 1
-        if pending.retries > MAX_RETRANSMITS:
-            self._pending.pop(request_id, None)
-            self.timeouts += 1
-            pending.future.set_exception(
-                RkomTimeoutError(f"no reply from {pending.peer}")
-            )
-            return
-        self.retransmissions += 1
-        self.dgram.send(pending.peer, RPC_PORT, pending.frame)
-        pending.timeout *= BACKOFF
-        pending.timer = self.context.loop.call_after(
-            pending.timeout, self._timeout, request_id
-        )
+        _future, frame, peer, retry = self._pending[request_id]
+        if retry.again():
+            self.retransmissions += 1
+            self.dgram.send(peer, RPC_PORT, frame)
+            retry.arm()
+
+    def _timed_out(self, request_id: int) -> None:
+        future, _, peer, _ = self._pending.pop(request_id)
+        self.timeouts += 1
+        future.set_exception(RkomTimeoutError(f"no reply from {peer}"))
 
     def _arrived(self, payload: bytes, source: str) -> None:
         if len(payload) < _HEADER.size:
@@ -129,9 +109,9 @@ class DatagramRpc:
             pending = self._pending.pop(request_id, None)
             if pending is None:
                 return
-            if pending.timer is not None:
-                pending.timer.cancel()
-            pending.future.set_result(body)
+            future, _frame, _peer, retry = pending
+            retry.stop()
+            future.set_result(body)
 
     def _serve(self, source: str, request_id: int, body: bytes, op_length: int) -> None:
         key = (source, request_id)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from math import ldexp
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.message import Label, Message
@@ -30,21 +32,19 @@ from repro.netsim.packet import FRAME_OVERHEAD_BYTES, Frame
 from repro.netsim.topology import Host
 from repro.obs.registry import families
 from repro.sim.context import SimContext
-from repro.sim.events import EventHandle
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 
 __all__ = ["NetworkProperties", "NetworkRms", "Network"]
 
 _setup_ids = itertools.count(1)
 
+#: The setup handshake is sent again after ``SETUP_TIMEOUT * 2**attempt``
+#: seconds, up to ``SETUP_RETRIES`` times (the network-specific RMS
+#: creation protocol must survive frame loss).
+SETUP_TIMEOUT = 0.25
+SETUP_RETRIES = 4
 
-@dataclass
-class _PendingSetup:
-    """An in-flight RMS setup handshake with retransmission state."""
-
-    future: Future
-    attempts: int = 0
-    timer: Optional[EventHandle] = None
 
 #: Accounted payload bytes of setup/teardown control frames (the
 #: frame's ``kind`` is the operation; the 4 bytes after the 64 are its
@@ -178,11 +178,8 @@ class Network:
         self.medium_bit_error_rate = medium_bit_error_rate
         self.hosts: Dict[str, Host] = {}
         self._rms_table: Dict[int, NetworkRms] = {}
-        self._pending_setups: Dict[int, "_PendingSetup"] = {}
-        #: Setup handshake retransmission (the network-specific RMS
-        #: creation protocol must survive frame loss).
-        self.setup_timeout = 0.25
-        self.setup_retries = 4
+        #: rms id -> (future, retry) of each setup handshake in flight
+        self._pending_setups: Dict[int, Tuple[Future, Retry]] = {}
         self._incoming_listeners: Dict[str, List[Callable[[NetworkRms], None]]] = {}
         self._quench_handlers: Dict[str, Callable[[Frame], None]] = {}
         self.frames_delivered = 0
@@ -331,7 +328,6 @@ class Network:
         self._require_host(receiver.host)
         table = self.capability_table(sender.host, receiver.host)
         actual = negotiate(desired, acceptable, table)
-        fixed, per_byte, route = self._path_profile(sender.host, receiver.host)
         rms = NetworkRms(
             self.context,
             actual,
@@ -343,11 +339,11 @@ class Network:
         if flow is None:
             flow = self._next_flow(sender.host, receiver.host)
         plan = self._route_plan(sender.host, receiver.host, flow)
-        if plan is not None:
-            # The pinned plan's path is the admitted contract: route and
-            # reservations both follow it (it may be an equal-cost
-            # sibling of the canonical shortest path under ECMP).
-            route = plan.route
+        # The pinned plan's path is the admitted contract: route and
+        # reservations both follow it (it may be an equal-cost sibling of
+        # the canonical shortest path under ECMP).  Without hop-by-hop
+        # forwarding the peer is one hop away.
+        route = [sender.host, receiver.host] if plan is None else plan.route
         rms.flow_key = flow
         rms._route = route
         rms.plan = plan
@@ -363,33 +359,27 @@ class Network:
         self._rms_table[rms.rms_id] = rms
         self.setup_count += 1
         future = Future(self.context.loop)
-        pending = _PendingSetup(future=future)
-        self._pending_setups[rms.rms_id] = pending
-        self._send_control(rms, "setup")
-        pending.timer = self.context.loop.call_after(
-            self.setup_timeout, self._setup_timeout, rms.rms_id
+        retry = Retry(  # ldexp(t, n) is t * 2**n, exact, and no Python frame
+            self.context.loop, partial(ldexp, SETUP_TIMEOUT), SETUP_RETRIES,
+            partial(self._setup_due, rms), partial(self._setup_failed, rms),
         )
+        self._pending_setups[rms.rms_id] = (future, retry)
+        self._send_control(rms, "setup")
+        retry.arm()
         return future
 
-    def _setup_timeout(self, rms_id: int) -> None:
-        pending = self._pending_setups.get(rms_id)
-        rms = self._rms_table.get(rms_id)
-        if pending is None or rms is None:
-            return
-        pending.attempts += 1
-        if pending.attempts > self.setup_retries:
-            self._pending_setups.pop(rms_id, None)
-            self._release(rms)
-            rms.fail("setup timed out")
-            pending.future.set_exception(
-                NetworkError(f"RMS setup to {rms.receiver.host} timed out")
-            )
-            return
-        self._send_control(rms, "setup")
-        pending.timer = self.context.loop.call_after(
-            self.setup_timeout * (2 ** pending.attempts),
-            self._setup_timeout,
-            rms_id,
+    def _setup_due(self, rms: NetworkRms) -> None:
+        retry = self._pending_setups[rms.rms_id][1]
+        if retry.again():
+            self._send_control(rms, "setup")
+            retry.arm()
+
+    def _setup_failed(self, rms: NetworkRms) -> None:
+        future, _ = self._pending_setups.pop(rms.rms_id)
+        self._release(rms)
+        rms.fail("setup timed out")
+        future.set_exception(
+            NetworkError(f"RMS setup to {rms.receiver.host} timed out")
         )
 
     def delete_rms(self, rms: NetworkRms) -> None:
@@ -401,9 +391,17 @@ class Network:
         rms.delete()
 
     def _release(self, rms: NetworkRms) -> None:
+        """Forget ``rms`` and its reservations; fail its setup, if any."""
         self._rms_table.pop(rms.rms_id, None)
-        for pool in self._admission_pools(rms.route):
+        for pool in self._admission_pools(rms._route):
             pool.release(rms.rms_id)
+        pending = self._pending_setups.pop(rms.rms_id, None)
+        if pending is not None:
+            future, retry = pending
+            retry.stop()
+            future.set_exception(NetworkError(
+                f"RMS setup to {rms.receiver.host} abandoned: {rms.name} released"
+            ))
 
     def _send_control(self, rms: NetworkRms, kind: str) -> None:
         message = Message(
@@ -462,12 +460,12 @@ class Network:
             self._send_control(rms, "setup_ack")
         elif frame.kind == "setup_ack":
             pending = self._pending_setups.pop(frame.rms_id, None)
-            rms = self._rms_table.get(frame.rms_id)
-            if pending is not None and rms is not None:
-                if pending.timer is not None:
-                    pending.timer.cancel()
+            if pending is not None:
+                future, retry = pending
+                retry.stop()
+                rms = self._rms_table[frame.rms_id]
                 rms.established = True
-                pending.future.set_result(rms)
+                future.set_result(rms)
         elif frame.kind == "teardown":
             rms = self._rms_table.get(frame.rms_id)
             if rms is not None:

@@ -37,9 +37,10 @@ from repro.errors import (
 from repro.obs.registry import families
 from repro.resilience import policy
 from repro.sim.context import SimContext
-from repro.sim.events import EventHandle, Signal
+from repro.sim.events import Signal
 from repro.sim.ports import Port
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 from repro.transport.stream import StreamConfig, open_stream
 
 __all__ = [
@@ -210,13 +211,17 @@ class _ChannelSession(Session):
         self.channel = None
         self._rungs = rungs
         self._rung = 0
-        self._failures = 0
         #: The network an ST session is steered to / bound on, and the
         #: one that failed last (the next attempt avoids it).
         self._network: Optional[str] = None
         self._avoid: Optional[str] = None
-        #: The backoff timer of the next attempt, while one waits.
-        self._retry: Optional[EventHandle] = None
+        #: Consecutive failed attempts and the backoff before the next:
+        #: the first failure gives up unless the session is resilient.
+        self._backoff = Retry(
+            context.loop, self._backoff_delay,
+            policy.MAX_ATTEMPTS - 1 if resilient else 0,
+            self._attempt, self._give_up,
+        )
         #: Sends held while the channel is down, bounded (section 4.4:
         #: overflow is dropped and counted, not grown without bound).
         self._queue: List = []
@@ -237,7 +242,6 @@ class _ChannelSession(Session):
     # -- the loop ----------------------------------------------------------
 
     def _attempt(self) -> None:
-        self._retry = None
         if self.state is SessionState.CLOSED:
             return
         future = self._open(self._rungs[self._rung])
@@ -265,22 +269,25 @@ class _ChannelSession(Session):
             self._established(channel)
 
     def _failed_attempt(self, error: Exception) -> None:
-        self._failures += 1
         self._avoid = self._network
-        if not self.resilient or self._failures >= policy.MAX_ATTEMPTS:
-            if self.resilient:
-                self._note("gave_up", str(error))
-            self._fail(error)
-            return
+        if self._backoff.again(error):
+            delay = self._backoff.arm()
+            self._note(
+                "retry",
+                f"attempt {self._backoff.attempts + 1} in {delay:.3f}s ({error})",
+            )
+
+    def _backoff_delay(self, failures: int) -> float:
         rng = self.context.rng.stream(f"resilience:{self.name}")
-        delay = policy.backoff_delay(self._failures - 1, rng)
-        self._note(
-            "retry", f"attempt {self._failures + 1} in {delay:.3f}s ({error})"
-        )
-        self._retry = self.context.loop.call_after(delay, self._attempt)
+        return policy.backoff_delay(failures - 1, rng)
+
+    def _give_up(self, error: Exception) -> None:
+        if self.resilient:
+            self._note("gave_up", str(error))
+        self._fail(error)
 
     def _established(self, channel) -> None:
-        self._failures = 0
+        self._backoff.reset()
         self._avoid = None
         self.channel = channel
         degraded = self._adopt(channel)
@@ -342,9 +349,7 @@ class _ChannelSession(Session):
         raise NotImplementedError
 
     def _teardown(self) -> None:
-        if self._retry is not None:
-            self._retry.cancel()
-            self._retry = None
+        self._backoff.stop()
         channel, self.channel = self.channel, None
         if channel is not None:
             channel.close()

@@ -73,7 +73,7 @@ class EventHandle:
     ``(time, seq)`` head of their heap entries, so a handle carries no
     sequence number and is never compared."""
 
-    __slots__ = ("time", "_callback", "_args", "_cancelled", "_queued",
+    __slots__ = ("time", "_callback", "_args", "cancelled", "_queued",
                  "_loop")
 
     def __init__(
@@ -86,26 +86,22 @@ class EventHandle:
         self.time = time
         self._callback = callback
         self._args = args
-        self._cancelled = False
+        self.cancelled = False  # set by cancel() alone; read on every arm
         self._queued = True
         self._loop = loop
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._cancelled = True
+        self.cancelled = True
         self._callback = _noop
         self._args = ()
         if self._queued:
             self._loop._note_cancel()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} {state}>"
 
 
@@ -187,7 +183,7 @@ class EventLoop:
             handle.time = when
             handle._callback = callback
             handle._args = args
-            handle._cancelled = False
+            handle.cancelled = False
             handle._queued = True
         else:
             handle = EventHandle(when, callback, args, self)
@@ -211,7 +207,7 @@ class EventLoop:
             handle.time = when
             handle._callback = callback
             handle._args = args
-            handle._cancelled = False
+            handle.cancelled = False
             handle._queued = True
         else:
             handle = EventHandle(when, callback, args, self)
@@ -230,7 +226,7 @@ class EventLoop:
             handle.time = self._now
             handle._callback = callback
             handle._args = args
-            handle._cancelled = False
+            handle.cancelled = False
             handle._queued = True
         else:
             handle = EventHandle(self._now, callback, args, self)
@@ -250,15 +246,15 @@ class EventLoop:
         stay valid."""
         dropped: List[EventHandle] = []
         bucket = self._bucket
-        kept = [handle for handle in bucket if not handle._cancelled]
+        kept = [handle for handle in bucket if not handle.cancelled]
         if len(kept) != len(bucket):
-            dropped.extend(handle for handle in bucket if handle._cancelled)
+            dropped.extend(handle for handle in bucket if handle.cancelled)
             bucket.clear()
             bucket.extend(kept)
         heap = self._heap
-        live = [entry for entry in heap if not entry[2]._cancelled]
+        live = [entry for entry in heap if not entry[2].cancelled]
         if len(live) != len(heap):
-            dropped.extend(entry[2] for entry in heap if entry[2]._cancelled)
+            dropped.extend(entry[2] for entry in heap if entry[2].cancelled)
             heap[:] = live
             heapq.heapify(heap)
         self._cancelled_in_queue = 0
@@ -338,7 +334,7 @@ class EventLoop:
                     # the clock -- in a lazy-cancel heap, skipped events
                     # never move `now`.
                     when, _, handle = heap[0]
-                    if handle._cancelled:
+                    if handle.cancelled:
                         pass
                     elif until is not None and when > until:
                         # Nothing left at or before `until`: the clock
@@ -357,7 +353,7 @@ class EventLoop:
                         self._now = now = when
                     heappop(heap)
                 handle._queued = False
-                if handle._cancelled:
+                if handle.cancelled:
                     self._cancelled_in_queue -= 1
                 else:
                     handle._callback(*handle._args)
@@ -418,7 +414,7 @@ class GroupTimer:
     interchangeably.
     """
 
-    __slots__ = ("time", "_seq", "_callback", "_args", "_cancelled", "_group")
+    __slots__ = ("time", "_seq", "_callback", "_args", "cancelled", "_group")
 
     def __init__(
         self,
@@ -432,14 +428,14 @@ class GroupTimer:
         self._seq = seq
         self._callback = callback
         self._args = args
-        self._cancelled = False
+        self.cancelled = False  # set by cancel() alone
         self._group = group
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
-        if self._cancelled:
+        if self.cancelled:
             return
-        self._cancelled = True
+        self.cancelled = True
         self._callback = _noop
         self._args = ()
         group = self._group
@@ -447,12 +443,8 @@ class GroupTimer:
             self._group = None
             group._note_cancel()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending"
         return f"<GroupTimer t={self.time:.6f} {state}>"
 
 
@@ -502,14 +494,6 @@ class TimerGroup:
         """Live (not-yet-fired, not-cancelled) deadlines in the group."""
         return self._live
 
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        # Without this, __len__ would make an *empty* group falsy --
-        # and ``group or loop`` fallbacks would silently skip it.
-        return True
-
     @property
     def armed(self) -> bool:
         """Whether the group currently holds a loop timer."""
@@ -551,7 +535,7 @@ class TimerGroup:
         self._live -= 1
         self._dead += 1
         heap = self._heap
-        while heap and heap[0][2]._cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
         if not self._live:
@@ -563,7 +547,7 @@ class TimerGroup:
             del heap[:]
             return
         if self._dead > self._live:
-            live_entries = [e for e in heap if not e[2]._cancelled]
+            live_entries = [e for e in heap if not e[2].cancelled]
             heap[:] = live_entries
             heapq.heapify(heap)
             self._dead = 0
@@ -575,7 +559,7 @@ class TimerGroup:
         now = self._loop._now
         while heap and heap[0][0] <= now:
             entry = heapq.heappop(heap)[2]
-            if entry._cancelled:
+            if entry.cancelled:
                 self._dead -= 1
                 continue
             self._live -= 1
@@ -590,8 +574,8 @@ class TimerGroup:
     def cancel_all(self) -> None:
         """Cancel every pending deadline and disarm the loop timer."""
         for _, _, entry in self._heap:
-            if not entry._cancelled:
-                entry._cancelled = True
+            if not entry.cancelled:
+                entry.cancelled = True
                 entry._callback = _noop
                 entry._args = ()
                 entry._group = None

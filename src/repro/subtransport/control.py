@@ -20,8 +20,9 @@ is one whose tag does not verify.  Nothing a peer sends raises.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from functools import partial
+from math import ldexp
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
@@ -31,6 +32,7 @@ from repro.security.mac import compute_mac, verify_mac
 from repro.sim.context import SimContext
 from repro.sim.events import TimerGroup
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 from repro.subtransport.wire import control_mac_material, decode_control, encode_control
 
 __all__ = [
@@ -45,7 +47,7 @@ Fields = Dict[str, Any]  # one control frame, decoded
 #: frame on the channel and starts its own handshake as soon as that
 #: frame is out, so ``CROSSED`` is the ordinary responder's state.
 IDLE = "idle"  # no handshake, not authenticated
-AUTH1_SENT = "auth1-sent"  # this host's challenge is out, its retry armed
+AUTH1_SENT = "auth1-sent"  # this host's challenge is out, its retry running
 AUTH2_SENT = "auth2-sent"  # this host answered a challenge with its own
 CROSSED = "crossed"  # both of the above
 OPEN = "open"  # authenticated
@@ -112,23 +114,6 @@ RETRY_BASE = 0.3
 CONTROL_MAX_RETRIES = 5
 
 
-@dataclass
-class _Retry:
-    """One frame sent again, with exponential back-off, until answered:
-    a request awaiting its reply, or (``future`` None) the handshake's
-    ``auth1`` awaiting its ``auth2``."""
-
-    fields: Fields
-    future: Optional[Future] = None
-    attempts: int = 0
-    timer: Any = None
-
-    def stop(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-
-
 class ControlChannel:
     """The control channel from one host to one peer.
 
@@ -165,9 +150,10 @@ class ControlChannel:
         self.out_state = "none"  # none | creating | ready
         self.outbox: List[Message] = []
         self.waiters: List[Future] = []
-        self.pending: Dict[int, _Retry] = {}
+        #: ``req`` -> (fields, future, retry) of each unanswered request
+        self.pending: Dict[int, Tuple[Fields, Future, Retry]] = {}
         self._req_ids = itertools.count(1)
-        self._auth1: Optional[_Retry] = None  # this host's challenge, while out
+        self._auth1: Optional[Retry] = None  # this host's challenge, while out
         self._nonce: Optional[int] = None  # the ``na`` of that challenge
         self._issued: List[int] = []  # every ``nb`` still awaiting its auth3
 
@@ -197,9 +183,15 @@ class ControlChannel:
         timeout; the future resolves to the reply's fields."""
         fields = dict(fields)
         fields["req"] = req_id = next(self._req_ids)
-        retry = self.pending[req_id] = _Retry(fields, Future(self.context.loop))
-        self._send_retrying(retry)
-        return retry.future
+        future = Future(self.context.loop)
+        retry = Retry(  # ldexp(t, n) is t * 2**n, exact, and no Python frame
+            self.timers, partial(ldexp, RETRY_BASE), CONTROL_MAX_RETRIES,
+            partial(self._request_due, req_id),
+            partial(self._request_timed_out, req_id),
+        )
+        self.pending[req_id] = (fields, future, retry)
+        self._send_retrying(fields, retry)
+        return future
 
     def send(self, fields: Fields) -> None:
         """Tag and send one frame, creating the outgoing RMS at need."""
@@ -225,10 +217,9 @@ class ControlChannel:
         timer of this channel is live afterwards."""
         error = TransportError(f"peer {self.peer_host} closed")
         pending, self.pending = self.pending, {}
-        for retry in pending.values():
+        for _fields, future, retry in pending.values():
             retry.stop()
-            if not retry.future.done:
-                retry.future.set_exception(error)
+            future.set_exception(error)
         if self.out is not None and self.out.is_open:
             self.network.delete_rms(self.out)
         self._out_gone(error)
@@ -293,33 +284,33 @@ class ControlChannel:
 
     # -- retransmission -------------------------------------------------------
 
-    def _send_retrying(self, retry: _Retry) -> None:
-        self.send(retry.fields)
-        retry.timer = self.timers.call_after(
-            RETRY_BASE * (2 ** retry.attempts), self._retry_due, retry
-        )
+    def _send_retrying(self, fields: Fields, retry: Retry) -> None:
+        self.send(fields)
+        retry.arm()
 
-    def _retry_due(self, retry: _Retry) -> None:
-        retry.timer = None
-        if retry.future is None:
-            if self.state not in _INITIATING:
-                return  # authenticated by the peer's auth3 meanwhile
-        elif self.pending.get(retry.fields["req"]) is not retry:
-            return
-        retry.attempts += 1
-        if retry.attempts <= CONTROL_MAX_RETRIES:
-            self._send_retrying(retry)
-        elif retry.future is None:
-            self._auth1 = None
-            self.state = IDLE if self.state is AUTH1_SENT else AUTH2_SENT
-            self._settle_waiters(AuthenticationError(
-                f"authentication with {self.peer_host} timed out"
-            ))
-        else:
-            del self.pending[retry.fields["req"]]
-            retry.future.set_exception(TransportError(
-                f"control request to {self.peer_host} timed out"
-            ))
+    def _request_due(self, req_id: int) -> None:
+        fields, _future, retry = self.pending[req_id]
+        if retry.again():
+            self._send_retrying(fields, retry)
+
+    def _request_timed_out(self, req_id: int) -> None:
+        _, future, _ = self.pending.pop(req_id)
+        future.set_exception(TransportError(
+            f"control request to {self.peer_host} timed out"
+        ))
+
+    def _auth1_due(self, fields: Fields) -> None:
+        if self.state not in _INITIATING:
+            return  # authenticated by the peer's auth3 meanwhile
+        if self._auth1.again():
+            self._send_retrying(fields, self._auth1)
+
+    def _auth1_timed_out(self) -> None:
+        self._auth1 = None
+        self.state = IDLE if self.state is AUTH1_SENT else AUTH2_SENT
+        self._settle_waiters(AuthenticationError(
+            f"authentication with {self.peer_host} timed out"
+        ))
 
     # -- the handshake (challenge/response on the channel) ---------------------
 
@@ -350,9 +341,12 @@ class ControlChannel:
         self.state = CROSSED if self.state is AUTH2_SENT else AUTH1_SENT
         self.stats.auth_handshakes += 1
         self._nonce = self._nonce48()
-        self._auth1 = _Retry(
-            {"op": "auth1", "from": self.host_name, "na": self._nonce})
-        self._send_retrying(self._auth1)
+        fields = {"op": "auth1", "from": self.host_name, "na": self._nonce}
+        self._auth1 = Retry(
+            self.timers, partial(ldexp, RETRY_BASE), CONTROL_MAX_RETRIES,
+            partial(self._auth1_due, fields), self._auth1_timed_out,
+        )
+        self._send_retrying(fields, self._auth1)
 
     def _answer_auth1(self, fields: Fields) -> None:
         # A fresh nb per auth1, retransmitted or not; any of those a
@@ -420,7 +414,8 @@ class ControlChannel:
             getattr(self, action)(fields)
 
     def _reply_arrived(self, fields: Fields) -> None:
-        retry = self.pending.pop(fields["req"], None)
-        if retry is not None:
+        pending = self.pending.pop(fields["req"], None)
+        if pending is not None:
+            _request, future, retry = pending
             retry.stop()
-            retry.future.set_result(fields)
+            future.set_result(fields)

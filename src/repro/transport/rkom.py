@@ -19,6 +19,7 @@ import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
@@ -30,8 +31,9 @@ from repro.errors import (
 )
 from repro.obs.registry import families
 from repro.sim.context import SimContext
-from repro.sim.events import TIMER_FAMILIES, GroupTimer, Signal, TimerGroup
+from repro.sim.events import TIMER_FAMILIES, Signal, TimerGroup
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.strms import StRms
 
@@ -64,6 +66,10 @@ REPLY_CACHE_SIZE = 256
 REQUEST_TIMEOUT = 0.25
 MAX_RETRANSMITS = 5
 BACKOFF = 2.0
+
+
+def _call_delay(first: float, attempt: int) -> float:
+    return first * BACKOFF ** attempt
 
 
 def _request_pair(delay: float) -> Tuple[RmsParams, RmsParams]:
@@ -107,10 +113,8 @@ class CallHandle(Future):
 
     It *is* the future the old API returned (``yield handle``,
     ``.result()``, ``.done``, ``.failed``, ``add_done_callback`` all work
-    unchanged) plus call-control surface: ``.future`` (itself, for
-    callers that want to be explicit), ``.cancel()`` to abandon the call
-    and stop its retransmissions, and ``.elapsed`` for latency
-    measurement.
+    unchanged), plus ``.cancel()`` to abandon the call and stop its
+    retransmissions, and ``started_at`` / ``finished_at``.
     """
 
     def __init__(
@@ -122,27 +126,16 @@ class CallHandle(Future):
         self.started_at = started_at
         self.finished_at: Optional[float] = None
 
-    @property
-    def future(self) -> "CallHandle":
-        """The underlying future -- this object itself."""
-        return self
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds from the call to its resolution (or to now while
-        still in flight)."""
-        end = self.finished_at
-        if end is None:
-            end = self._loop._now
-        return end - self.started_at
-
     def cancel(self) -> bool:
         """Abandon the call: drop its pending record, stop its timeout/
         retransmission timer, and fail the future.  Returns ``False``
         when the call already resolved."""
         if self.done:
             return False
-        self._service._cancel_call(self._request_id, self)
+        # Not resolved, so still pending: every resolution pops the call.
+        _, _, peer, retry, _ = self._service._pending.pop(self._request_id)
+        retry.stop()
+        self.set_exception(TransportError(f"RKOM call to {peer} cancelled"))
         return True
 
     def _resolve(self, state: str, value: Any) -> None:
@@ -151,24 +144,6 @@ class CallHandle(Future):
 
     def __repr__(self) -> str:
         return f"<CallHandle #{self._request_id} {self._state}>"
-
-
-class _CallRecord:
-    """Client-side state of one outstanding request."""
-
-    __slots__ = ("handle", "frame", "peer", "retries", "timeout", "timer",
-                 "trace_id")
-
-    def __init__(
-        self, handle: CallHandle, frame: bytes, peer: str, timeout: float
-    ) -> None:
-        self.handle = handle
-        self.frame = frame
-        self.peer = peer
-        self.retries = 0
-        self.timeout = timeout
-        self.timer: Optional[GroupTimer] = None
-        self.trace_id: Optional[int] = None  # observability span of the call
 
 
 class _Channel:
@@ -206,7 +181,9 @@ class RkomService:
         context.obs.metrics.watch(self.stats, _FAMILIES, host=st.host.name)
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
         self._channels: Dict[str, _Channel] = {}
-        self._pending: Dict[int, _CallRecord] = {}
+        #: request id -> (handle, frame, peer, retry, trace_id) of each
+        #: call awaiting its reply (``trace_id`` its span, or None)
+        self._pending: Dict[int, tuple] = {}
         #: op-name -> encoded bytes; op names are a small fixed set, so
         #: the per-call ``str.encode`` disappears after warm-up.
         self._op_cache: Dict[str, bytes] = {}
@@ -243,7 +220,7 @@ class RkomService:
         """Invoke ``op`` on ``peer_host``.
 
         Returns a :class:`CallHandle` -- a :class:`Future` resolving to
-        the reply bytes, with ``.cancel()`` and ``.elapsed`` on top.
+        the reply bytes, with ``.cancel()`` on top.
         ``timeout`` is the first retransmission timeout (``None``:
         :data:`REQUEST_TIMEOUT`); anything but a positive finite number
         raises :class:`ParameterError` before the call is made.
@@ -259,36 +236,30 @@ class RkomService:
         if op_bytes is None:
             op_bytes = self._op_cache[op] = op.encode("utf-8")
         handle = CallHandle(self, request_id, self.context.loop._now)
-        record = _CallRecord(
+        retry = Retry(
+            self._timers, partial(_call_delay, timeout), MAX_RETRANSMITS,
+            partial(self._request_due, request_id),
+            partial(self._call_timed_out, request_id),
+        )
+        obs = self.context.obs
+        trace_id = obs.spans.new_trace() if obs.enabled else None
+        self._pending[request_id] = (
             handle,
             _HEADER.pack(_KIND_REQUEST, request_id, len(op_bytes))
             + op_bytes
             + payload,
             peer_host,
-            timeout,
+            retry,
+            trace_id,
         )
-        self._pending[request_id] = record
         self.stats.calls += 1
-        obs = self.context.obs
         if obs.enabled:
-            record.trace_id = obs.spans.new_trace()
             obs.spans.event(
-                record.trace_id, "rkom", "call",
+                trace_id, "rkom", "call",
                 host=self.st.host.name, peer=peer_host, op=op,
             )
         self._send_request(request_id, True)
         return handle
-
-    def _cancel_call(self, request_id: int, handle: CallHandle) -> None:
-        """Abandon an in-flight call (CallHandle.cancel)."""
-        record = self._pending.get(request_id)
-        peer = "peer"
-        if record is not None and record.handle is handle:
-            del self._pending[request_id]
-            if record.timer is not None:
-                record.timer.cancel()
-            peer = record.peer
-        handle.set_exception(TransportError(f"RKOM call to {peer} cancelled"))
 
     def _send_request(self, request_id: int, first: bool) -> None:
         """Send a waiting call's request: the first on the low-delay RMS,
@@ -296,55 +267,50 @@ class RkomService:
         record = self._pending.get(request_id)
         if record is None:
             return  # resolved while its channel was being created
-        channel = self._channels.get(record.peer)
+        _handle, frame, peer, retry, _trace_id = record
+        channel = self._channels.get(peer)
         if channel is None or channel.state != "ready":
-            self._with_channel(record.peer, self._send_request, request_id, first)
+            self._with_channel(peer, self._send_request, request_id, first)
             return
         try:
-            (channel.low if first else channel.high).send(record.frame)
+            (channel.low if first else channel.high).send(frame)
         except RmsFailedError:
             # The channel died between "ready" and this send; the timeout
             # path re-establishes it and retransmits.
             pass
         if first:
-            record.timer = self._timers.call_after(
-                record.timeout, self._timeout_fired, request_id
-            )
+            retry.arm()
 
-    def _timeout_fired(self, request_id: int) -> None:
-        record = self._pending.get(request_id)
-        if record is None:
-            return
-        record.retries += 1
-        obs = self.context.obs
-        if record.retries > MAX_RETRANSMITS:
-            self._pending.pop(request_id, None)
-            self.stats.timeouts += 1
-            if obs.enabled:
-                obs.spans.event(
-                    record.trace_id, "rkom", "timeout",
-                    host=self.st.host.name, retries=record.retries - 1,
-                )
-            record.handle.set_exception(
-                RkomTimeoutError(
-                    f"no reply from {record.peer} after "
-                    f"{MAX_RETRANSMITS} retransmissions"
-                )
-            )
+    def _request_due(self, request_id: int) -> None:
+        _handle, _frame, _peer, retry, trace_id = self._pending[request_id]
+        if not retry.again():
             return
         self.stats.retransmissions += 1
+        obs = self.context.obs
         if obs.enabled:
             obs.spans.event(
-                record.trace_id, "rkom", "retransmit",
-                host=self.st.host.name, attempt=record.retries,
+                trace_id, "rkom", "retransmit",
+                host=self.st.host.name, attempt=retry.attempts,
             )
         # A channel that died (or never finished) is re-established and
         # the retransmission goes through the fresh one if the call still
         # waits then.
         self._send_request(request_id, False)
-        record.timeout *= BACKOFF
-        record.timer = self._timers.call_after(
-            record.timeout, self._timeout_fired, request_id
+        retry.arm()
+
+    def _call_timed_out(self, request_id: int) -> None:
+        handle, _, peer, _, trace_id = self._pending.pop(request_id)
+        self.stats.timeouts += 1
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.event(
+                trace_id, "rkom", "timeout",
+                host=self.st.host.name, retries=MAX_RETRANSMITS,
+            )
+        handle.set_exception(
+            RkomTimeoutError(
+                f"no reply from {peer} after {MAX_RETRANSMITS} retransmissions"
+            )
         )
 
     def _send(self, peer_host: str, frame: bytes, high: bool) -> None:
@@ -407,18 +373,17 @@ class RkomService:
             )
             obs = self.context.obs
             for request_id in list(self._pending):
-                record = self._pending[request_id]
-                if record.peer == peer_host:
-                    self._pending.pop(request_id, None)
-                    if record.timer is not None:
-                        record.timer.cancel()
+                handle, _frame, peer, retry, trace_id = self._pending[request_id]
+                if peer == peer_host:
+                    del self._pending[request_id]
+                    retry.stop()
                     self.stats.timeouts += 1
                     if obs.enabled:
                         obs.spans.event(
-                            record.trace_id, "rkom", "timeout",
+                            trace_id, "rkom", "timeout",
                             host=self.st.host.name, reason="no-channel",
                         )
-                    record.handle.set_exception(error)
+                    handle.set_exception(error)
             self.on_channel_event.fire(peer_host, "failed")
             return
         channel.state = "ready"
@@ -499,21 +464,21 @@ class RkomService:
             record = self._pending.get(request_id)
             if record is None:
                 return
-            if record.peer != source_host:
+            handle, _frame, peer, retry, trace_id = record
+            if peer != source_host:
                 # Only the called peer can answer; the call keeps waiting.
                 self.stats.stray_replies += 1
                 return
             del self._pending[request_id]
-            if record.timer is not None:
-                record.timer.cancel()
+            retry.stop()
             self.stats.replies += 1
             obs = self.context.obs
             if obs.enabled:
                 obs.spans.event(
-                    record.trace_id, "rkom", "reply",
+                    trace_id, "rkom", "reply",
                     host=self.st.host.name, peer=source_host,
                 )
-            record.handle.set_result(body)
+            handle.set_result(body)
             self._send(source_host, _HEADER.pack(_KIND_ACK, request_id, 0), True)
         elif kind == _KIND_ACK:
             self._served.pop((source_host, request_id), None)

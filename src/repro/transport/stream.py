@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Union
 
 from repro.core.message import Message
@@ -32,9 +33,10 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
 from repro.errors import ParameterError, TransportError
 from repro.obs.registry import families
 from repro.sim.context import SimContext
-from repro.sim.events import EventHandle, Signal
+from repro.sim.events import Signal
 from repro.sim.ports import FlowControlledPort, Port
 from repro.sim.process import Future
+from repro.sim.retry import Retry
 from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.strms import StRms
 from repro.transport.flowcontrol import (
@@ -59,6 +61,10 @@ _ACK_KIND = 1
 #: ``MAX_RETRANSMITS`` timeouts without progress.
 RETRANSMIT_TIMEOUT = 0.5
 MAX_RETRANSMITS = 10
+
+
+def _retransmit_delay(attempt: int) -> float:
+    return RETRANSMIT_TIMEOUT
 
 
 @dataclass
@@ -164,8 +170,13 @@ class StreamSession:
         self.tx_unacked: Dict[int, bytes] = {}
         self.tx_sizes: Dict[int, int] = {}
         self.tx_cumulative_acked = -1
-        self._retransmit_timer: Optional[EventHandle] = None
-        self._retransmit_count = 0
+        #: Resends the oldest unacknowledged message; progress resets it.
+        self._retransmit = Retry(
+            context.loop, _retransmit_delay, MAX_RETRANSMITS,
+            self._retransmit_fired,
+            partial(self._fail, "retransmission limit exceeded"),
+        )
+        #: Why the stream is unusable (failed or closed), or None.
         self.failed: Optional[str] = None
         #: Fired once, with (session, reason), when the stream fails.
         #: The resilience layer listens here to salvage and re-open.
@@ -298,28 +309,14 @@ class StreamSession:
         ))
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(payload)
-        if self.config.reliable:
-            self._arm_retransmit()
+        if self.config.reliable and self.tx_unacked:
+            self._retransmit.arm()
         self._pump_tx_port()
 
     # -- reliability ------------------------------------------------------
 
-    def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is not None and not self._retransmit_timer.cancelled:
-            return
-        if not self.tx_unacked:
-            return
-        self._retransmit_timer = self.context.loop.call_after(
-            RETRANSMIT_TIMEOUT, self._retransmit_fired
-        )
-
     def _retransmit_fired(self) -> None:
-        self._retransmit_timer = None
-        if not self.tx_unacked or self.failed:
-            return
-        self._retransmit_count += 1
-        if self._retransmit_count > MAX_RETRANSMITS:
-            self._fail("retransmission limit exceeded")
+        if not self.tx_unacked or self.failed or not self._retransmit.again():
             return
         oldest = min(self.tx_unacked)
         frame = _DATA_HEADER.pack(oldest, _FLAG_NONE) + self.tx_unacked[oldest]
@@ -331,7 +328,7 @@ class StreamSession:
             # No enforcement, or the window still holds the space of the
             # original send and the retransmission reuses it.
             self._resend(oldest, frame)
-        self._arm_retransmit()
+        self._retransmit.arm()
 
     def _resend(self, seq: int, frame: bytes) -> None:
         if not self.failed and seq in self.tx_unacked:
@@ -341,8 +338,7 @@ class StreamSession:
         if self.failed:
             return
         self.failed = reason
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
+        self._retransmit.stop()
         self.on_failed.fire(self, reason)
 
     def salvage_unsent(self) -> list:
@@ -385,10 +381,9 @@ class StreamSession:
             self._credit.grant(record - _DATA_HEADER.size)
         seq = self._fast_acked - 1
         self.tx_unacked.pop(seq, None)
-        if not self.tx_unacked and self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
-            self._retransmit_timer = None
-        self._retransmit_count = 0
+        if not self.tx_unacked:
+            self._retransmit.stop()
+        self._retransmit.reset()
 
     def _apply_ack(self, cumulative: int, grant: int) -> None:
         acked_bytes = 0
@@ -400,16 +395,15 @@ class StreamSession:
                 acked_bytes += self.tx_sizes.pop(seq) + _DATA_HEADER.size
         if cumulative > self.tx_cumulative_acked:
             self.tx_cumulative_acked = cumulative
-            self._retransmit_count = 0
+            self._retransmit.reset()
         if self._window is not None and acked_bytes:
             self._window.acknowledge(acked_bytes)
         if self._credit is not None and grant:
             self._credit.grant(grant)
-        if not self.tx_unacked and self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
-            self._retransmit_timer = None
-        elif self.tx_unacked:
-            self._arm_retransmit()
+        if not self.tx_unacked:
+            self._retransmit.stop()
+        else:
+            self._retransmit.arm()
 
     @property
     def all_acked(self) -> bool:
@@ -504,7 +498,12 @@ class StreamSession:
         return self.stats.bytes_delivered / elapsed
 
     def close(self) -> None:
-        """Tear down both ST RMSs."""
+        """Tear down both ST RMSs.  Closing is final: no timer of the
+        stream stays armed, a send the gates still hold is dropped and a
+        later :meth:`send` raises."""
+        if not self.failed:
+            self.failed = "closed"
+        self._retransmit.stop()
         self.data_rms.close()
         if self.ack_rms is not None:
             self.ack_rms.close()

@@ -1,6 +1,8 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its per-test time limit."""
 
 from __future__ import annotations
+
+import signal
 
 import pytest
 
@@ -12,6 +14,43 @@ from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.subtransport.st import SubtransportLayer
+
+#: Wall-clock seconds each phase of a test (setup, call, teardown) may
+#: take: a hang fails the test instead of stalling the suite.  The slowest
+#: phase takes about 5 s (``test_paper_claims``'s module setup).
+PHASE_LIMIT_S = 60
+
+
+def _overran(signum, frame):
+    raise TimeoutError(f"test phase ran over {PHASE_LIMIT_S} s of wall clock")
+
+
+def _time_limited():
+    if not hasattr(signal, "SIGALRM"):  # not on this platform
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(PHASE_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _time_limited()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _time_limited()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield from _time_limited()
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import rpc
 from repro.baselines.datagram import DatagramService
 from repro.baselines.rpc import DatagramRpc
 from repro.baselines.tcp import TcpConfig, TcpLikeConnection
@@ -178,14 +179,15 @@ class TestDatagramRpc:
         assert len(completed) == 8
         assert rpc_a.retransmissions > 0
 
-    def test_timeout_raises(self):
+    def test_timeout_raises(self, monkeypatch):
+        monkeypatch.setattr(rpc, "REQUEST_TIMEOUT", 0.05)
         context, network, dgram_a, dgram_b = build_lan()
         rpc_a = DatagramRpc(context, dgram_a)
         DatagramRpc(context, dgram_b)  # no handler registered is fine; kill net
         warm = rpc_a.call("b", "missing")
         context.run(until=2.0)
         network.segment.impairment.frame_loss_rate = 1.0
-        future = rpc_a.call("b", "missing", timeout=0.05)
+        future = rpc_a.call("b", "missing")
         context.run(until=30.0)
         assert future.failed
         with pytest.raises(RkomTimeoutError):

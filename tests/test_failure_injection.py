@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.message import Label
 from repro.core.params import (
     DelayBound,
     DelayBoundType,
@@ -16,7 +17,8 @@ from repro.core.params import (
     is_compatible,
 )
 from repro.dash.system import DashSystem
-from repro.errors import RmsFailedError
+from repro.errors import NetworkError, RmsFailedError, TransportError
+from repro.netsim import network
 from repro.resilience import SessionState, policy
 from repro.transport import stream
 from repro.transport.stream import StreamConfig
@@ -378,3 +380,88 @@ class TestControlPlaneResilience:
         doomed = rkom.call("echo", b"y", timeout=0.05)
         system.run(until=system.now + 30.0)
         assert doomed.done and doomed.failed
+
+    @pytest.mark.parametrize("outage", ["segment", "route"])
+    def test_setup_caught_by_an_outage_fails_typed_within_its_budget(
+            self, outage):
+        """A segment (``fail_all``) or a link on the route
+        (``_fail_rms_on_route``) goes down while a network RMS's setup
+        handshake is in flight: the outage releases the RMS, and the
+        creator's future fails with a NetworkError instead of waiting
+        forever."""
+        if outage == "segment":
+            system = lan_system()
+            net = system.networks["ether0"]
+            cut = net.segment.set_down
+        else:
+            system, net = wan_system()
+            cut = net.link("g1", "g2").set_down
+        best_effort = RmsParams(capacity=4096, max_message_size=512)
+        future = net.create_rms(
+            Label("a", "p"), Label("b", "p"), best_effort, best_effort)
+        cut()
+        budget = sum(network.SETUP_TIMEOUT * 2 ** attempt
+                     for attempt in range(network.SETUP_RETRIES + 1))
+        system.run(until=system.now + budget)
+        assert future.failed
+        with pytest.raises(NetworkError):
+            future.result()
+        assert system.context.loop.pending_events == 0  # its retry stopped
+
+    def test_connect_after_an_outage_during_setup_establishes(self):
+        """A 10 ms outage catches the control channel's setup: the first
+        session fails, typed, and a second one made after the segment
+        healed comes up (neither stays ESTABLISHING)."""
+        system = lan_system()
+        ether = system.networks["ether0"]
+        params = RmsParams(capacity=8192, max_message_size=1400)
+        first = system.connect("a", "b", desired=params, acceptable=params)
+        system.run(until=system.now + 1e-4)
+        assert ether._pending_setups  # the control channel's handshake
+        ether.segment.set_down()
+        system.context.loop.call_after(0.01, ether.segment.set_up)
+        system.run(until=system.now + 60.0)
+        assert first.state is SessionState.FAILED
+        with pytest.raises(TransportError):
+            first.established.result()
+        second = system.connect("a", "b", desired=params, acceptable=params,
+                                port="healed")
+        system.run(until=system.now + 60.0)
+        assert second.state is SessionState.UP
+
+
+class TestStreamClose:
+    """Closing a stream is final and quiet: no timer of the stream stays
+    armed, a send still held by the pump or a gate is dropped rather than
+    raised out of ``run``, and a later send raises."""
+
+    def _stream(self, system):
+        session = system.connect("a", "b", kind="stream")
+        system.run(until=system.now + 2.0)
+        return session, session.established.result()
+
+    @pytest.mark.parametrize("closer", ["stream", "session"])
+    def test_close_right_after_a_send_on_a_loss_free_lan(self, closer):
+        system = lan_system()
+        session, channel = self._stream(system)
+        session.send(b"x" * 500)  # still in the sender's pump
+        (channel if closer == "stream" else session).close()
+        system.run(until=system.now + 5.0)
+        assert channel.stats.messages_sent == 0
+        assert channel._retransmit._timer is None
+        with pytest.raises(TransportError):
+            channel.send(b"later")
+
+    def test_close_with_one_unacked_record_on_a_dead_medium(self):
+        system = lan_system()
+        session, channel = self._stream(system)
+        system.networks["ether0"].segment.impairment.frame_loss_rate = 1.0
+        session.send(b"x" * 500)
+        system.run(until=system.now + 0.1)
+        assert len(channel.tx_unacked) == 1 and channel.stats.messages_sent == 1
+        channel.close()
+        system.run(until=system.now + 20.0)
+        assert channel.stats.retransmissions == 0
+        assert channel._retransmit._timer is None
+        with pytest.raises(TransportError):
+            channel.send(b"later")

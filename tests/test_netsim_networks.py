@@ -8,6 +8,7 @@ from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import AdmissionError, NegotiationError, NetworkError, RoutingError
 from repro.netsim.ethernet import EthernetNetwork
+from repro.netsim import network as network_module
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import Host
 from repro.sim.context import SimContext
@@ -156,16 +157,16 @@ class TestEthernetRms:
         limits = table.limits_for(best_effort())
         assert limits.max_message_size == 1500
 
-    def test_setup_survives_loss(self, context):
+    def test_setup_survives_loss(self, context, monkeypatch):
+        monkeypatch.setattr(network_module, "SETUP_RETRIES", 12)
+        monkeypatch.setattr(network_module, "SETUP_TIMEOUT", 0.05)
         lossy = EthernetNetwork(context, trusted=True, frame_loss_rate=0.5)
-        lossy.setup_retries = 12
-        lossy.setup_timeout = 0.05
         lossy.attach(Host(context, "a"))
         lossy.attach(Host(context, "b"))
         future = lossy.create_rms(Label("a"), Label("b"), best_effort(), best_effort())
         context.run(until=60.0)
         assert future.done  # retransmitted setup eventually lands or fails
-        # With 4 retries at 50% loss, success is overwhelmingly likely.
+        # With 12 retries at 50% loss, success is overwhelmingly likely.
         assert not future.failed
 
 

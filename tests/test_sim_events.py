@@ -714,6 +714,6 @@ class TestTimerGroup:
     def test_empty_group_is_truthy(self):
         loop = EventLoop()
         group = TimerGroup(loop)
-        assert len(group) == 0
+        assert group.live == 0
         # ``group or loop`` fallbacks must pick the (empty) group.
         assert (group or loop) is group

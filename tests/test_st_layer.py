@@ -708,3 +708,35 @@ class TestStFailure:
         network.segment.set_down()
         context.run(until=context.now + 1.0)
         assert reasons
+
+
+class TestClosePeer:
+    """``close_peer`` on both hosts releases everything the pair
+    reserved: every network RMS between them is closed and the
+    segment's admission totals are back where they were before the
+    first stream (checked against the admission controller's own
+    totals, not a pinned trace)."""
+
+    @pytest.mark.parametrize("trusted", [True, False],
+                             ids=["trusted", "untrusted"])
+    def test_close_peer_releases_every_network_rms_and_reservation(
+            self, trusted):
+        context, network, st_a, st_b = build_pair(trusted=trusted)
+        pool = network.admission
+        before = (pool.reserved_bandwidth, pool.reserved_buffer)
+        # Guaranteed streams: best-effort ones reserve nothing.
+        guaranteed = params(delay_bound_type=DelayBoundType.DETERMINISTIC)
+        opened = [open_rms(context, st_a, port=port, p=guaranteed)
+                  for port in ("x", "y")]
+        for rms in opened:
+            rms.send(b"payload" * 10)
+        context.run(until=context.now + 0.05)
+        network_rmss = {rms.binding.network_rms for rms in opened} | {
+            st_a._peers["b"].control.out, st_b._peers["a"].control.out}
+        assert all(rms.is_open for rms in network_rmss)
+        assert (pool.reserved_bandwidth, pool.reserved_buffer) != before
+        st_a.close_peer("b")
+        st_b.close_peer("a")
+        context.run(until=context.now + 1.0)
+        assert not any(rms.is_open for rms in network_rmss)
+        assert (pool.reserved_bandwidth, pool.reserved_buffer) == before

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
+from repro.sim.events import Signal
 from repro.subtransport.st import SubtransportLayer
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport import stream
 from repro.transport.stream import StreamConfig, open_stream
-from repro.errors import ParameterError
+from repro.errors import ParameterError, TransportError
+from tests import stream_reference
 
 
 def build(seed=42, **net_kwargs):
@@ -249,3 +254,206 @@ class TestStreamFailure:
         context.run(until=context.now + 5.0)
         assert session.goodput(1.0) == pytest.approx(10_000)
         assert session.goodput(0.0) == 0.0
+
+
+# -- the retransmit and ack discipline against tests/stream_reference.py ----
+
+LATENCY, TIMEOUT, MAX_RETRANSMITS, ACK_EVERY = 0.00131, 0.0107, 3, 2
+GRID = 0.00293
+RECORD = 8
+
+
+class _RigPort:
+    handler = None
+
+    def set_handler(self, handler):
+        self.handler = handler
+
+
+class _RigRms:
+    """One direction of the stream: ``send`` takes a ``Message`` (a
+    first transmission) or bytes (a retransmission, an ack)."""
+
+    def __init__(self, rig, kind):
+        self.rig, self.kind = rig, kind
+        self.port = _RigPort()
+        self.on_failure = Signal(rig.context.loop)
+        self.on_fast_ack = Signal(rig.context.loop)
+        self.sender = self.receiver = None
+
+    def send(self, message):
+        self.rig.transmit(self.kind, getattr(message, "payload", message))
+
+    def close(self):
+        pass
+
+
+class StreamRig:
+    """A real :class:`StreamSession` between two scripted channels."""
+
+    def __init__(self, steps, drops, fast_ack):
+        self.context = SimContext(seed=1)
+        self.drops = drops
+        self.transmissions = []
+        self.deliveries = []
+        self.sent = {}
+        self.acks = {"ack": 0, "fast": 0}
+        self.data = _RigRms(self, "data")
+        self.ack = None if fast_ack else _RigRms(self, "ack")
+        config = StreamConfig(
+            reliable=True, capacity_mode=None,
+            flow_control=FlowControlMode.NONE, ack_every=ACK_EVERY,
+            use_fast_ack=fast_ack, record_size=RECORD if fast_ack else None,
+        )
+        self.session = stream.StreamSession(
+            self.context, config, self.data, self.ack)
+        self.session.drain_to(
+            lambda payload: self.deliveries.append(
+                (self.context.now, int(payload))))
+        for time, count in steps:
+            self.context.loop.call_at(time, self.offer, count)
+
+    def offer(self, count):
+        for _ in range(count):
+            seq = self.session.tx_next_seq
+            try:
+                self.session.send(b"%08d" % seq)
+            except TransportError:
+                return
+
+    def transmit(self, kind, frame):
+        if kind == "data":
+            seq = int(frame[5:])
+            n = self.sent.get(seq, 0)
+            self.sent[seq] = n + 1
+            key, dropped = seq, ("data", seq, n) in self.drops
+        else:
+            key = n = self.acks["ack"]
+            self.acks["ack"] += 1
+            dropped, n = ("ack", key) in self.drops, 0
+        self.transmissions.append((self.context.now, kind, key, n, dropped))
+        if not dropped:
+            self.context.loop.call_after(LATENCY, self.arrive, kind, frame)
+
+    def arrive(self, kind, frame):
+        message = SimpleNamespace(payload=frame)
+        if kind == "ack":
+            self.ack.port.handler(message)
+            return
+        if self.ack is None:  # the layer below answers every arrival
+            index = self.acks["fast"]
+            self.acks["fast"] += 1
+            dropped = ("fast", index) in self.drops
+            self.transmissions.append(
+                (self.context.now, "fast", index, 0, dropped))
+            if not dropped:
+                self.context.loop.call_after(
+                    LATENCY, self.data.on_fast_ack.fire, 1)
+        self.data.port.handler(message)
+
+    def run(self):
+        self.context.run()
+        return self.session
+
+
+def draw_stream_script(rng, fast_ack):
+    """A few bursts of records; drops of first sends, retransmissions
+    and acks; sometimes every transmission of one record (a black hole
+    that fails the stream)."""
+    steps = sorted((rng.randrange(30) * GRID, rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 4)))
+    offered = sum(count for _time, count in steps)
+    drops = {("data", seq, n) for seq in range(offered) for n in range(4)
+             if rng.random() < (0.3 if n == 0 else 0.15)}
+    if rng.random() < 0.2:
+        doomed = rng.randrange(offered)
+        drops |= {("data", doomed, n) for n in range(MAX_RETRANSMITS + 2)}
+    drops |= {("fast" if fast_ack else "ack", index) for index in range(40)
+              if rng.random() < 0.25}
+    return steps, drops
+
+
+def rounded(rows):
+    return [(round(row[0], 9),) + tuple(row[1:]) for row in rows]
+
+
+class TestAgainstReference:
+    """Seeded scripts through a real stream session and the list-and-dict
+    model of ``tests/stream_reference.py``: the oldest unacknowledged
+    record is what is sent again, progress (a cumulative ack moving up,
+    any fast ack) resets the count of timeouts, and the stream fails
+    after ``MAX_RETRANSMITS`` timeouts without progress."""
+
+    @pytest.fixture(autouse=True)
+    def schedule(self, monkeypatch):
+        monkeypatch.setattr(stream, "RETRANSMIT_TIMEOUT", TIMEOUT)
+        monkeypatch.setattr(stream, "MAX_RETRANSMITS", MAX_RETRANSMITS)
+
+    def _agree(self, steps, drops, fast_ack):
+        model = stream_reference.run_script(
+            steps, drops, latency=LATENCY, timeout=TIMEOUT,
+            max_retransmits=MAX_RETRANSMITS, ack_every=ACK_EVERY,
+            fast_ack=fast_ack)
+        rig = StreamRig(steps, drops, fast_ack)
+        session = rig.run()
+        assert rounded(rig.transmissions) == rounded(model.transmissions)
+        assert rounded(rig.deliveries) == rounded(model.deliveries)
+        failed_at = None if model.failed_at is None else "retransmission limit exceeded"
+        assert session.failed == failed_at
+        assert {name: getattr(session.stats, name)
+                for name in stream_reference.STATS} == model.stats
+        assert sorted(session.tx_unacked) == model.unacked
+        return model
+
+    @pytest.mark.parametrize("fast_ack", [False, True], ids=["acks", "fast-acks"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_transmissions_deliveries_and_failure(self, seed, fast_ack):
+        rng = random.Random(seed * 2 + fast_ack)
+        self._agree(*draw_stream_script(rng, fast_ack), fast_ack)
+
+    def test_the_oldest_unacked_record_is_sent_again(self):
+        model = self._agree([(0.0, 3)], {("data", 0, 0)}, False)
+        resent = [row for row in model.transmissions
+                  if row[1] == "data" and row[3] > 0]
+        assert [row[2] for row in resent] == [0]
+        assert model.stats["retransmissions"] == 1
+
+    def test_cumulative_progress_resets_the_count(self):
+        # Record 0 costs two timeouts and record 1 four more: six in all,
+        # more than MAX_RETRANSMITS, but the cumulative ack for record 0
+        # comes between them, so the stream does not fail.
+        drops = {("data", 0, n) for n in range(2)} | {
+            ("data", 1, n) for n in range(3)}
+        model = self._agree([(0.0, 3)], drops, False)
+        assert model.stats["retransmissions"] == 6 > MAX_RETRANSMITS
+        assert model.failed_at is None
+        assert model.stats["messages_delivered"] == 3
+
+    def test_fast_acks_reset_the_count(self):
+        drops = {("data", 0, n) for n in range(2)} | {
+            ("data", 1, n) for n in range(3)}
+        model = self._agree([(0.0, 2)], drops, True)
+        assert model.stats["retransmissions"] == 5 > MAX_RETRANSMITS
+        assert model.failed_at is None
+        assert model.stats["messages_delivered"] == 2
+
+    def test_gives_up_after_max_retransmits_without_progress(self):
+        drops = {("data", 0, n) for n in range(MAX_RETRANSMITS + 1)}
+        model = self._agree([(0.0, 1)], drops, False)
+        assert model.stats["retransmissions"] == MAX_RETRANSMITS
+        assert model.failed_at == pytest.approx(
+            (MAX_RETRANSMITS + 1) * TIMEOUT)
+
+    def test_the_reference_covers_both_outcomes(self):
+        failed = delivered = 0
+        for seed in range(12):
+            for fast_ack in (False, True):
+                rng = random.Random(seed * 2 + fast_ack)
+                steps, drops = draw_stream_script(rng, fast_ack)
+                model = stream_reference.run_script(
+                    steps, drops, latency=LATENCY, timeout=TIMEOUT,
+                    max_retransmits=MAX_RETRANSMITS, ack_every=ACK_EVERY,
+                    fast_ack=fast_ack)
+                failed += model.failed_at is not None
+                delivered += model.failed_at is None
+        assert failed and delivered
