@@ -28,14 +28,12 @@ One workload on a 200+-host router grid:
 * **Soak leg** -- a long horizon of flap cycles checking recovery holds
   and the engine's caches stay bounded.
 
-Results go to the repo-root ``BENCH_e22.json`` for the CI perf-smoke
-job; see DESIGN.md section 8.7 for the engine design.
+Its exact checks are also tier-1 tests (``tests/test_mesh_experiments.py``);
+see DESIGN.md section 8.7 for the engine design.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import time
 from typing import Dict, List, Tuple
@@ -47,9 +45,6 @@ from repro.errors import AdmissionError, NegotiationError, RoutingError
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.topology import MeshSpec, build_grid
 from repro.sim.context import SimContext
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON_SCHEMA = "dash-bench-e22/2"
 
 SEED = 22
 
@@ -288,29 +283,7 @@ def run_experiment(seed: int = SEED):
         "soak": _soak(run),
         "seed": seed,
     }
-    _write_bench_json(result)
     return result
-
-
-def _write_bench_json(result) -> None:
-    payload = {
-        "schema": BENCH_JSON_SCHEMA,
-        "hosts": result["hosts"],
-        "routers": result["routers"],
-        "pairs": result["pairs"],
-        "static_msgs_per_sec": round(result["static_msgs_per_sec"], 1),
-        "churn_msgs_per_sec": round(result["churn_msgs_per_sec"], 1),
-        "resolutions_per_msg": round(result["resolutions_per_msg"], 4),
-        "churn_recovery_ratio": round(result["churn_recovery_ratio"], 3),
-        "soak_recovery_ratio": round(result["soak"]["recovery_ratio"], 3),
-        "soak_flaps": result["soak"]["flaps"],
-        "soak_cached_tables": result["soak"]["cached_tables"],
-        "soak_cached_plans": result["soak"]["cached_plans"],
-        "seed": result["seed"],
-    }
-    with open(os.path.join(REPO_ROOT, "BENCH_e22.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
 def render(result):

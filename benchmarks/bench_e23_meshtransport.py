@@ -35,14 +35,12 @@ Four legs, asserted by ``test_e23_meshtransport``:
   WAN, ECMP on vs off, one seed, lossy links: byte-identical delivery
   traces (ECMP must be a provable no-op without cost ties).
 
-Results go to the repo-root ``BENCH_e23.json`` for the CI perf-smoke
-job; see DESIGN.md section 8.8 for the engine design.
+Its exact checks are also tier-1 tests (``tests/test_mesh_experiments.py``);
+see DESIGN.md section 8.8 for the engine design.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Tuple
 
 from common import Table, bench_main, make_run, report
@@ -50,9 +48,6 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.netsim.topology import MeshSpec
 from repro.obs import LinkUtilizationCollector
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON_SCHEMA = "dash-bench-e23/1"
 
 SEED = 23
 
@@ -383,41 +378,7 @@ def run_experiment(seed: int = SEED):
         "trace_deliveries": len(trace_on) - 1,
         "seed": seed,
     }
-    _write_bench_json(result)
     return result
-
-
-def _write_bench_json(result) -> None:
-    flap = result["flap"]
-    payload = {
-        "schema": BENCH_JSON_SCHEMA,
-        "hosts": result["hosts"],
-        "routers": result["routers"],
-        "streams": result["streams"],
-        "ecmp_bytes_per_sec": round(result["ecmp_bytes_per_sec"], 1),
-        "single_bytes_per_sec": round(result["single_bytes_per_sec"], 1),
-        "ecmp_speedup": round(result["ecmp_speedup"], 3),
-        "jain_ecmp": round(result["jain_ecmp"], 3),
-        "jain_single": round(result["jain_single"], 3),
-        "ecmp_rkom_calls_per_sec":
-            round(result["ecmp_rkom_calls_per_sec"], 1),
-        "single_rkom_calls_per_sec":
-            round(result["single_rkom_calls_per_sec"], 1),
-        "flap_streams": flap["streams"],
-        "flap_pinned_through": flap["pinned_through"],
-        "flap_failed_match_pinned": flap["failed_match_pinned"],
-        "flap_survivors_delivering": flap["survivors_delivering"],
-        "flap_survivors": flap["survivors"],
-        "flap_rerouted_avoid_edge": flap["rerouted_avoid_edge"],
-        "flap_full_invalidations": flap["full_invalidations"],
-        "flap_dag_prunes": flap["dag_prunes"],
-        "flap_recovered_delivering": flap["recovered_delivering"],
-        "tiefree_trace_identical": result["tiefree_trace_identical"],
-        "seed": result["seed"],
-    }
-    with open(os.path.join(REPO_ROOT, "BENCH_e23.json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
 def render(result):

@@ -1,68 +1,82 @@
-"""Python-level calls per delivered message, module by module.
+"""Exact counts per delivered message, layer by layer: the perf gate.
 
-A wall-clock-free reading of ROADMAP aim 1's "layer by layer": small
-scenarios on one Ethernet are run under ``sys.setprofile`` and
-every Python ``call`` event (a function body entered, a generator
-resumed) is counted under the module that defines the code.  C functions
-are not frames and are not counted.  The simulator is deterministic, so
-the counts repeat exactly on any host, which makes them a budget CI can
-hold (``tests/test_call_budget.py``) where nanoseconds cannot be.
+Wall clock on a shared host moves by tens of percent from one run to the
+next; what the stack *does* per message does not.  This script runs
+fixed amounts of work under ``sys.setprofile`` and counts, per layer of
+the e2e ledger (``layer_of`` in ``benchmarks/e2e/trace.py``):
 
-* ``burst`` -- rounds of 40 x 100 B one-way messages (what
-  ``lan_small_burst`` sends), per delivered message;
-* ``rkom``  -- 8 closed-loop RKOM callers echoing 64 B (what
-  ``lan_rkom_closed`` does), per completed call;
-* ``stream`` -- one reliable windowed byte stream, end-to-end flow
-  control, rounds of 40 x 1,000 B (the path ``fabric_secured_mix``'s
-  flow stream takes through ``transport/``), per delivered message,
-  once with acknowledgement-based and once with rate-based capacity
-  enforcement;
-* ``setup`` -- one stream opened to a peer never spoken to before (the
-  control channel, on an untrusted medium the handshake, ``st_create``
-  and the data network RMS: what ``grid_churn`` pays per
-  re-establishment), per established stream, trusted and untrusted;
-* ``recover`` -- one supervised ST session on a trusted Ethernet whose
-  segment goes down for 0.5 s each round, the round running until the
-  session is up again (the failure notice, the re-establishing attempt
-  and the ST RMS it opens once the segment heals), per recovery;
-* ``flap`` -- ``grid_churn``'s round, imported from
-  ``benchmarks/e2e/workloads.py``: one trunk of the 216-host grid down
-  and up, each transition followed by the 1,728-probe ``can_reach``
-  sweep, re-establishment and a round of traffic; per flap cycle, with
-  the forwarding engine's ``searches``, ``table_builds``,
-  ``scoped_table_drops`` (the tables the flap's invalidations discard:
-  every link state change drops every cached route) and
-  ``plan_compiles`` beside the frames, so a cheaper flap can be told
-  from one that skipped work.  The sweep reads the up-link graph's
-  strongly connected components and builds no forwarding table: the
-  searches and tables a flap still does are the ones
-  re-establishment's routes need.  Seed 1, two cycles, CPython 3.11:
-  8.5 searches, 13 table builds, 13 table drops and 14 plan compiles
-  per flap, 51,196.5 frames.
+* Python frames of this repository's code: a function body entered or
+  a generator resumed.  C functions are not frames, and frames of the
+  standard library are not counted: they belong to the interpreter's
+  patch release, which CI picks, not to this repository.  The
+  ``security`` row's frames are the security calls;
+* loop events (``sim.events``), CPU work items (``sched.cpu``), timer
+  fires (``sim.timers``), piggybacked components
+  (``subtransport.piggyback``) and control messages
+  (``subtransport.st_send``);
+* the forwarding engine's searches, table builds, table drops and plan
+  compiles (``netsim.routing``), where the system has an engine.
 
-Only public ``DashSystem`` attributes are used, except the forwarding
-engine's counters in ``flap``.  Counting starts after
-one warm-up round, so in ``burst`` / ``rkom`` establishment and the
-per-size memos are paid, and in ``setup`` whatever the first
-establishment in a process pays once.
+The simulator is deterministic, so every count repeats exactly on one
+CPython minor version, and ``BUDGET.json`` at the repository root holds
+them, one section per version.  ``--check`` fails on any count that
+differs from this interpreter's section, up or down: a change that
+makes the stack do less re-records the file and says so.
 
-``--observe`` runs ``burst`` and ``rkom`` on ``DashSystem(observe=True)``
-instead: what observation costs, by module (``repro.obs.spans`` and
-``repro.obs.registry`` are its own rows).
+The scenarios, each counted after its warm-up:
 
-Usage: ``PYTHONPATH=src python benchmarks/call_budget.py [--rounds N] [--observe]``
+* the six workloads of ``benchmarks/e2e/workloads.py`` at their quick
+  prefix, final drain included; per delivered message, and
+  ``grid_churn``'s routing counts per flap;
+* ``observed_lan_small_burst`` / ``observed_lan_rkom_closed``: the same
+  on ``DashSystem(observe=True)``, what observation costs;
+* ``stream_ack`` / ``stream_rate``: one reliable windowed byte stream,
+  end-to-end flow control, rounds of 40 x 1,000 B against a 16 KB
+  window, with acknowledgement-based or rate-based capacity; per
+  delivered message;
+* ``setup_untrusted`` / ``setup_trusted``: one stream to a peer never
+  spoken to before (the control channel, on an untrusted medium the
+  handshake, ``st_create`` and the data network RMS); per established
+  stream;
+* ``recover``: one supervised ST session whose Ethernet segment goes
+  down for 0.5 s each round, the round running until the session is up
+  again; per recovery.
+
+Allocated blocks per message (``sys.getallocatedblocks`` over the
+counted work, collector disabled, profiler on) are printed but not
+budgeted: they depend on the free lists that earlier systems in the
+process left behind, so two fresh systems in one process differ.
+
+Usage::
+
+    python benchmarks/call_budget.py            # print the counts
+    python benchmarks/call_budget.py --check    # exit 1 if one differs from BUDGET.json
+    python benchmarks/call_budget.py --record   # rewrite this version's section
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
 import gc
+import json
 import os
 import sys
 from collections import Counter
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
-from repro import (
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
+BUDGET = os.path.join(ROOT, "BUDGET.json")
+for path in (HERE, SRC):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+from e2e.trace import layer_of  # noqa: E402
+from e2e.workloads import WORKLOADS  # noqa: E402
+from repro import (  # noqa: E402
     DashSystem,
     DelayBound,
     DelayBoundType,
@@ -70,119 +84,210 @@ from repro import (
     RmsParams,
     StreamConfig,
 )
+from repro.sim.events import TimerGroup  # noqa: E402
 
-BURST, BURST_BYTES, BURST_ROUND_S = 40, 100, 0.02
-CALLERS, CALL_BYTES, CALLS_PER_ROUND, CALL_ROUND_S = 8, 64, 96, 0.25
+BURST = 40
 STREAM_BYTES, STREAM_WINDOW, STREAM_ROUND_S = 1000, 16 * 1024, 1.0
 SETUP_ROUND_S = 1.0
 RECOVER_DOWN_S, RECOVER_POLL_S = 0.5, 0.05
+ROUNDS = 2
+SEED = 1
 ENGINE_COUNTS = ("searches", "table_builds", "scoped_table_drops",
                  "plan_compiles")
+VERSION = "%d.%d" % sys.version_info[:2]
+#: The ST RMS of ``setup`` and ``recover``.
+PARAMS = RmsParams(
+    capacity=32 * 1024, max_message_size=4000,
+    delay_bound=DelayBound(0.1, 1e-5),
+    delay_bound_type=DelayBoundType.BEST_EFFORT,
+)
 
 
-def _pair(seed: int, trusted: bool = True, peers=("b",),
-          observe: bool = False) -> DashSystem:
-    system = DashSystem(seed=seed, observe=observe)
+def _pair(trusted: bool = True, peers=("b",)) -> DashSystem:
+    system = DashSystem(seed=SEED)
     system.add_ethernet(trusted=trusted)
     for name in ("a", *peers):
         system.add_node(name)
     return system
 
 
-def _counted(system: DashSystem, one_round: Callable[[], None],
-             rounds: int, delivered: list) -> dict:
-    """Run ``rounds`` rounds under the profiler (after one warm-up)."""
-    one_round()
+# -- counting -------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _defs(path: str) -> List[tuple]:
+    """``(first line, last line, qualname)`` of every ``def`` in ``path``;
+    a decorated function starts at its first decorator, as its code does."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    found = []
+
+    def walk(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                found.append((first, child.end_lineno, prefix + child.name))
+                walk(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return found
+
+
+def _qualname(code) -> str:
+    """The innermost ``def`` around ``code`` (a lambda or a comprehension
+    answers its enclosing function), the same on every CPython version."""
+    if not os.path.isfile(code.co_filename):  # generated, e.g. dataclasses
+        return code.co_name
+    line = code.co_firstlineno
+    around = [(first, name) for first, last, name in _defs(code.co_filename)
+              if first <= line <= last]
+    return max(around)[1] if around else code.co_name
+
+
+def _layer(frame):
+    """The ledger layer of ``frame``'s code; None outside ``repro`` and
+    ``benchmarks/`` (not counted)."""
+    module = frame.f_globals.get("__name__", "")
+    if module.startswith("repro."):
+        return layer_of(module, _qualname(frame.f_code))
+    if frame.f_code.co_filename.startswith(HERE + os.sep):
+        return "driver"
+    return None
+
+
+def _counters(system) -> Counter:
+    """The stack's own running totals, keyed ``"<layer> <count>"``."""
     nodes = list(system.nodes.values())
-    before = (len(delivered),
-              sum(node.cpu.items_run for node in nodes),
-              sum(node.st.stats.components_sent for node in nodes),
-              sum(node.st.stats.control_messages for node in nodes))
-    calls: Counter = Counter()
+    loop = system.context.loop
+    counts = Counter({
+        "sim.events events": loop.events_run,
+        # Timer groups hang off private attributes: the collector finds them.
+        "sim.timers fires": sum(obj.fires for obj in gc.get_objects()
+                                if type(obj) is TimerGroup
+                                and obj._loop is loop),
+        "sched.cpu items": sum(node.cpu.items_run for node in nodes),
+        "subtransport.piggyback components":
+            sum(node.st.stats.components_sent for node in nodes),
+        "subtransport.st_send control_messages":
+            sum(node.st.stats.control_messages for node in nodes),
+    })
+    engines = [network._engine for network in system.networks.values()
+               if hasattr(network, "_engine")]
+    for name in ENGINE_COUNTS if engines else ():
+        counts[f"netsim.routing {name}"] = sum(
+            getattr(engine, name) for engine in engines)
+    return counts
+
+
+def _counted(system, work: Callable[[], None],
+             delivered: Callable[[], int]) -> dict:
+    """Run ``work`` under the profiler; its counts, frames by layer and
+    by module, and the allocated blocks it left."""
+    layers: Counter = Counter()
+    modules: Counter = Counter()
+    seen: Dict[int, tuple] = {}
 
     def profiler(frame, event, arg) -> None:
-        if event == "call":
-            calls[frame.f_globals.get("__name__", "?")] += 1
+        if event != "call":
+            return
+        code = frame.f_code
+        entry = seen.get(id(code))
+        if entry is None:
+            # ``code`` is kept so that its id is not reused.
+            entry = seen[id(code)] = (
+                _layer(frame), frame.f_globals.get("__name__", "?"), code)
+        if entry[0] is not None:
+            layers[entry[0]] += 1
+            modules[entry[1]] += 1
 
     previous = sys.getprofile()
     collecting = gc.isenabled()
+    gc.collect()
+    before = _counters(system)
+    messages = delivered()
     gc.disable()  # a collection runs whatever gc.callbacks a host registered
+    blocks = sys.getallocatedblocks()
     sys.setprofile(profiler)
     try:
-        for _ in range(rounds):
-            one_round()
+        work()
     finally:
         sys.setprofile(previous)
+        blocks = sys.getallocatedblocks() - blocks
         if collecting:
             gc.enable()
-    calls["driver"] = calls.pop(__name__, 0)  # this file's rounds and handlers
-    return {
-        "messages": len(delivered) - before[0],
-        "items": sum(node.cpu.items_run for node in nodes) - before[1],
-        "components":
-            sum(node.st.stats.components_sent for node in nodes) - before[2],
-        "control":
-            sum(node.st.stats.control_messages for node in nodes) - before[3],
-        "calls": dict(calls),
-    }
+    counts = _counters(system)
+    counts.subtract(before)
+    counts["messages"] = delivered() - messages
+    for layer, frames in layers.items():
+        counts[f"{layer} frames"] = frames
+    return {"counts": dict(counts), "modules": dict(modules),
+            "alloc_blocks": blocks}
 
 
-def burst(rounds: int = 5, seed: int = 1, observe: bool = False) -> dict:
-    """One-way bursts of 40 x 100 B; per delivered message."""
-    system = _pair(seed, observe=observe)
-    params = RmsParams(
-        capacity=32 * 1024, max_message_size=4000,
-        delay_bound=DelayBound(0.1, 1e-5),
-        delay_bound_type=DelayBoundType.BEST_EFFORT,
-    )
-    session = system.connect("a", "b", desired=params, acceptable=params)
-    system.run(until=2.0)
-    session.established.result()
-    delivered: list = []
-    session.port.set_handler(delivered.append)
-    payload = bytes(BURST_BYTES)
-
-    def one_round() -> None:
-        for _ in range(BURST):
-            session.send(payload)
-        system.run(until=system.now + BURST_ROUND_S)
-
-    return _counted(system, one_round, rounds, delivered)
+# -- scenarios ------------------------------------------------------------
 
 
-def rkom(rounds: int = 2, seed: int = 1, observe: bool = False) -> dict:
-    """Eight closed-loop callers echoing 64 B; per completed call."""
-    system = _pair(seed, observe=observe)
-    system.nodes["b"].rkom.register_handler(
-        "echo", lambda payload, sender: payload)
-    sessions = [system.connect("a", "b", kind="rkom") for _ in range(CALLERS)]
-    payload = bytes(CALL_BYTES)
-    done: list = []
-    left = [0]
+class _Observed:
+    """Mixin: a workload built on ``DashSystem(observe=True)``."""
 
-    def issue(session) -> None:
-        left[0] -= 1
-        session.call("echo", payload).add_done_callback(
-            lambda handle: finished(session, handle))
-
-    def finished(session, handle) -> None:
-        done.append(handle.result())
-        if left[0] > 0:
-            issue(session)
-
-    def one_round() -> None:
-        left[0] = CALLS_PER_ROUND
-        for session in sessions:
-            issue(session)
-        system.run(until=system.now + CALL_ROUND_S)
-
-    return _counted(system, one_round, rounds, done)
+    def _system(self) -> DashSystem:
+        self.system = DashSystem(seed=self.seed, observe=True)
+        self.loop = self.system.context.loop
+        return self.system
 
 
-def stream(rounds: int = 3, seed: int = 1, capacity_mode: str = "ack") -> dict:
+def workload(name: str, observe: bool = False):
+    """``name``'s workload, built and warmed up."""
+    cls = WORKLOADS[name]
+    if observe:
+        cls = type("Observed" + cls.__name__, (_Observed, cls), {})
+    built = cls(SEED)
+    built.build()
+    built.warmup()
+    return built
+
+
+def run_workload(name: str, observe: bool = False) -> dict:
+    """One e2e workload's quick prefix and final drain; per delivered
+    message (and per flap)."""
+    built = workload(name, observe)
+    flaps = built.flaps
+
+    def work() -> None:
+        for _ in range(built.quick_prefix_rounds):
+            built.round()
+        built.drain()
+
+    result = _counted(built.system, work, lambda: built.tally.delivered)
+    errors = built.leftover_errors()
+    if errors:
+        raise RuntimeError(f"{name}: {errors}")
+    if built.flaps > flaps:
+        result["counts"]["flaps"] = built.flaps - flaps
+    return result
+
+
+def _rounds(system, one_round: Callable[[], None],
+            delivered: list) -> dict:
+    """``ROUNDS`` rounds counted after one warm-up round."""
+    one_round()
+
+    def work() -> None:
+        for _ in range(ROUNDS):
+            one_round()
+
+    return _counted(system, work, lambda: len(delivered))
+
+
+def stream(capacity_mode: str) -> dict:
     """One reliable windowed byte stream, 40 x 1,000 B per round; per
     delivered message."""
-    system = _pair(seed)
+    system = _pair()
     config = StreamConfig(
         reliable=True, capacity_mode=capacity_mode,
         flow_control=FlowControlMode.END_TO_END, data_delay_bound=0.1,
@@ -200,41 +305,31 @@ def stream(rounds: int = 3, seed: int = 1, capacity_mode: str = "ack") -> dict:
             session.send(payload)
         system.run(until=system.now + STREAM_ROUND_S)
 
-    return _counted(system, one_round, rounds, delivered)
+    return _rounds(system, one_round, delivered)
 
 
-def setup(rounds: int = 3, seed: int = 1, trusted: bool = False) -> dict:
+def setup(trusted: bool) -> dict:
     """One stream to a fresh peer per round; per established stream."""
-    peers = [f"b{index}" for index in range(rounds + 1)]
-    system = _pair(seed, trusted, peers)
-    params = RmsParams(
-        capacity=32 * 1024, max_message_size=4000,
-        delay_bound=DelayBound(0.1, 1e-5),
-        delay_bound_type=DelayBoundType.BEST_EFFORT,
-    )
+    peers = [f"b{index}" for index in range(ROUNDS + 1)]
+    system = _pair(trusted, peers)
     established: list = []
     fresh = iter(peers)
 
     def one_round() -> None:
         session = system.connect(
-            "a", next(fresh), desired=params, acceptable=params)
+            "a", next(fresh), desired=PARAMS, acceptable=PARAMS)
         system.run(until=system.now + SETUP_ROUND_S)
         established.append(session.established.result())
 
-    return _counted(system, one_round, rounds, established)
+    return _rounds(system, one_round, established)
 
 
-def recover(rounds: int = 3, seed: int = 1) -> dict:
+def recover() -> dict:
     """One supervised ST session; each round the segment is down for
     ``RECOVER_DOWN_S`` and the round runs until the session is up again;
     per recovery."""
-    system = _pair(seed)
-    params = RmsParams(
-        capacity=32 * 1024, max_message_size=4000,
-        delay_bound=DelayBound(0.1, 1e-5),
-        delay_bound_type=DelayBoundType.BEST_EFFORT,
-    )
-    session = system.connect("a", "b", desired=params, acceptable=params,
+    system = _pair()
+    session = system.connect("a", "b", desired=PARAMS, acceptable=PARAMS,
                              resilience=True)
     system.run(until=2.0)
     session.established.result()
@@ -249,109 +344,131 @@ def recover(rounds: int = 3, seed: int = 1) -> dict:
             system.run(until=system.now + RECOVER_POLL_S)
         recovered.append(session.stats.recoveries)
 
-    return _counted(system, one_round, rounds, recovered)
+    return _rounds(system, one_round, recovered)
 
 
-def grid_churn(seed: int = 1):
-    """``grid_churn``'s workload, built, from ``benchmarks/e2e/workloads.py``."""
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    try:
-        from e2e.workloads import GridChurn
-    finally:
-        sys.path.pop(0)
-    workload = GridChurn(seed)
-    workload.build()
-    return workload
+#: ``(name, unit, scenario)`` in the order they run.
+SCENARIOS = [
+    *((name, "message", functools.partial(run_workload, name))
+      for name in WORKLOADS),
+    *((f"observed_{name}", "message",
+       functools.partial(run_workload, name, observe=True))
+      for name in ("lan_small_burst", "lan_rkom_closed")),
+    ("stream_ack", "message", functools.partial(stream, "ack")),
+    ("stream_rate", "message", functools.partial(stream, "rate")),
+    ("setup_untrusted", "stream", functools.partial(setup, False)),
+    ("setup_trusted", "stream", functools.partial(setup, True)),
+    ("recover", "recovery", recover),
+]
 
 
-def flap(rounds: int = 2, seed: int = 1) -> dict:
-    """``grid_churn``'s flap cycle on its own grid; per flap, with the
-    forwarding engine's work counts (``result["engine"]``)."""
-    workload = grid_churn(seed)
-    engine = workload.network._engine
-    flapped: list = []
-    counts: list = []
-
-    def one_round() -> None:
-        workload.round()
-        flapped.append(workload.flaps)
-        counts.append([getattr(engine, name) for name in ENGINE_COUNTS])
-
-    result = _counted(workload.system, one_round, rounds, flapped)
-    # counts[0] was taken after the warm-up round.
-    result["engine"] = {
-        name: last - first
-        for name, first, last in zip(ENGINE_COUNTS, counts[0], counts[-1])
-    }
-    return result
+def measure() -> Dict[str, dict]:
+    """Every scenario, in order, in this process."""
+    return {name: scenario() for name, _unit, scenario in SCENARIOS}
 
 
-def per(result: dict, unit: str, *modules: str) -> float:
-    """Calls per ``unit`` ('messages' / 'items' / 'components') inside the
-    modules whose names start with one of ``modules`` (all when empty)."""
-    total = sum(
-        count for module, count in result["calls"].items()
-        if not modules or module.startswith(modules)
-    )
-    return total / result[unit]
+# -- the budget -----------------------------------------------------------
 
 
-def table(result: dict, what: str, whats: str = "") -> str:
-    messages = result["messages"]
-    whats = whats or f"{what}s"
-    lines = [f"{'module':<36}{'calls/' + what:>12}"]
-    rows: Dict[str, int] = result["calls"]
-    for module in sorted(rows, key=lambda name: (-rows[name], name)):
-        lines.append(f"{module:<36}{rows[module] / messages:>12.2f}")
-    lines.append(f"{'TOTAL':<36}{per(result, 'messages'):>12.2f}")
-    if result["components"]:  # establishment alone sends none
-        lines.append(
-            f"{messages} {whats}; repro.sched per work item "
-            f"{per(result, 'items', 'repro.sched'):.2f}; piggyback.py per "
-            f"component {per(result, 'components', 'repro.subtransport.piggyback'):.2f}"
-        )
-    else:
-        lines.append(
-            f"{messages} {whats}; control messages per {what} "
-            f"{result['control'] / messages:.2f}; repro.subtransport per "
-            f"{what} {per(result, 'messages', 'repro.subtransport'):.2f}"
-        )
-    if "engine" in result:
-        lines.append("; ".join(
-            f"{name} per {what} {count / messages:.1f}"
-            for name, count in result["engine"].items()
-        ))
+def differences(budget: Dict[str, dict], fresh: Dict[str, dict]) -> List[str]:
+    """One line per count that differs, naming scenario, layer and count
+    (a missing count is 0)."""
+    lines = []
+    for scenario in sorted(budget.keys() | fresh.keys()):
+        old, new = budget.get(scenario), fresh.get(scenario)
+        if old is None or new is None:
+            lines.append(f"{scenario}: "
+                         + ("not in the budget" if old is None else "not run"))
+            continue
+        for key in sorted(old.keys() | new.keys()):
+            was, now = old.get(key, 0), new.get(key, 0)
+            if was != now:
+                lines.append(f"{scenario} {key}: budget {was}, "
+                             f"measured {now} ({now - was:+d})")
+    return lines
+
+
+def load(path: str = BUDGET) -> dict:
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def check(path: str, fresh: Dict[str, dict]) -> List[str]:
+    """The differences between ``fresh`` counts and this version's
+    section of the budget at ``path``."""
+    section = load(path).get(VERSION)
+    if section is None:
+        return [f"{path} has no section for CPython {VERSION}: "
+                "run call_budget.py --record"]
+    return differences(section, fresh)
+
+
+def record(path: str, fresh: Dict[str, dict]) -> None:
+    """Rewrite this version's section of the budget at ``path``."""
+    budget = load(path) if os.path.exists(path) else {}
+    budget[VERSION] = fresh
+    with open(path, "w") as handle:
+        json.dump(budget, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def table(name: str, unit: str, result: dict, modules: bool = False) -> str:
+    counts = result["counts"]
+    messages = counts["messages"]
+    flaps = counts.get("flaps")
+    rows: Dict[str, List[str]] = {}
+    frames: Dict[str, int] = {}
+    for key, value in counts.items():
+        if key in ("messages", "flaps"):
+            continue
+        layer, what = key.split(" ")
+        if what == "frames":
+            frames[layer] = value
+        elif layer == "netsim.routing" and flaps:
+            rows.setdefault(layer, []).append(f"{what} {value / flaps:g}/flap")
+        else:
+            rows.setdefault(layer, []).append(f"{what} {value / messages:.2f}")
+    lines = [f"# {name}: per {unit}, over {messages}"
+             + (f"; routing per flap, over {flaps}" if flaps else ""),
+             f"{'layer':<26}{'frames/' + unit:>16}  other counts per {unit}"]
+    for layer in sorted(frames.keys() | rows.keys(),
+                        key=lambda layer: (-frames.get(layer, 0), layer)):
+        lines.append(f"{layer:<26}{frames.get(layer, 0) / messages:>16.2f}  "
+                     + ", ".join(rows.get(layer, ())))
+    lines.append(f"{'TOTAL':<26}{sum(frames.values()) / messages:>16.2f}")
+    lines.append(f"allocated blocks per {unit} (not budgeted): "
+                 f"{result['alloc_blocks'] / messages:.2f}")
+    if modules:
+        by_module = result["modules"]
+        for module in sorted(by_module, key=lambda m: (-by_module[m], m)):
+            lines.append(f"  {module:<40}{by_module[module] / messages:>10.2f}")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--observe", action="store_true",
-                        help="burst and rkom with observability on")
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--check", action="store_true",
+                        help=f"exit 1 if a count differs from {BUDGET}")
+    action.add_argument("--record", action="store_true",
+                        help="rewrite this CPython version's section")
+    parser.add_argument("--budget", default=BUDGET,
+                        help="the budget file (default: %(default)s)")
     args = parser.parse_args(argv)
-    mode = ", observe=True" if args.observe else ""
-    print(f"# burst: {BURST} x {BURST_BYTES} B one-way per round{mode}")
-    print(table(burst(args.rounds, args.seed, args.observe), "message"))
-    print(f"\n# rkom: {CALLERS} closed-loop callers echoing {CALL_BYTES} B{mode}")
-    print(table(rkom(args.rounds, args.seed, args.observe), "call"))
-    for capacity_mode in () if args.observe else ("ack", "rate"):
-        print(f"\n# stream: {BURST} x {STREAM_BYTES} B per round, reliable, "
-              f"end-to-end flow control, capacity_mode={capacity_mode!r}")
-        print(table(stream(args.rounds, args.seed, capacity_mode), "message"))
-    for trusted in () if args.observe else (False, True):
-        medium = "a trusted" if trusted else "an untrusted"
-        print(f"\n# setup: one stream to a fresh peer on {medium} Ethernet")
-        print(table(setup(args.rounds, args.seed, trusted), "stream"))
-    if not args.observe:
-        print(f"\n# recover: one supervised ST session on a trusted Ethernet, "
-              f"segment down {RECOVER_DOWN_S} s per round")
-        print(table(recover(args.rounds, args.seed), "recovery", "recoveries"))
-        print("\n# flap: grid_churn's cycle, one trunk of the 216-host grid "
-              "down and up")
-        print(table(flap(args.rounds, args.seed), "flap"))
-    return 0
+    results = measure()
+    fresh = {name: result["counts"] for name, result in results.items()}
+    failures = check(args.budget, fresh) if args.check else []
+    failed = {line.split(" ")[0].rstrip(":") for line in failures}
+    for name, unit, _scenario in SCENARIOS:
+        print(table(name, unit, results[name], modules=name in failed) + "\n")
+    if args.record:
+        record(args.budget, fresh)
+        print(f"recorded CPython {VERSION}'s counts in {args.budget}")
+    for line in failures:
+        print(f"FAIL {line}", file=sys.stderr)
+    if args.check and not failures:
+        print(f"every count matches CPython {VERSION}'s section of {args.budget}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

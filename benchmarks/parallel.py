@@ -122,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seeds", nargs="+", default=["1"],
                         help="seed list; ranges like 1..8 are expanded")
     parser.add_argument("--experiments", nargs="*", default=[],
-                        help="experiment tags (e01 e18 ...); default: all")
+                        help="experiment tags (e01 e22 ...); default: all")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 2)
     parser.add_argument("--out-dir", default=DEFAULT_OUT)
     args = parser.parse_args(argv)

@@ -7,7 +7,7 @@ list is measured, not remembered.  In one process, under
 ``sys.setprofile`` (standard library only), it runs
 
 * every ``bench_e*.py``'s ``run(out_dir=<temporary directory>)`` in
-  filename order, except the E18 and E19 microbenches;
+  filename order;
 * the five examples, as ``__main__``;
 * the six e2e workloads of ``benchmarks/e2e/workloads.py``, one rep each
   through ``harness.run_rep`` with a zero budget, which stops at the
@@ -50,9 +50,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 REPORT = os.path.join(HERE, "results", "reach.txt")
-#: Engine microbenches that time one layer in a loop against their own
-#: wall-clock baselines; they are not experiments.
-SKIPPED_BENCHES = ("bench_e18_", "bench_e19_")
 E2E_SEED = 1
 TITLE = ("# Functions of src/repro that E1-E17, E22, E23, the five examples and\n"
          "# the six e2e workloads (quick prefix) never enter.\n"
@@ -125,27 +122,15 @@ def survey(src: str, package: str, drive: Callable[[], None]) -> str:
 def drive_everything() -> None:
     sys.path.insert(0, SRC)
     sys.path.insert(0, HERE)
-    # E22 and E23 also rewrite their repo-root BENCH_e*.json (the CI
-    # perf-smoke baselines) whatever ``out_dir`` says: put them back.
-    baselines = {}
-    for path in glob.glob(os.path.join(ROOT, "BENCH_e*.json")):
-        with open(path, "rb") as handle:
-            baselines[path] = handle.read()
-    try:
-        with tempfile.TemporaryDirectory() as out_dir, \
-                contextlib.redirect_stdout(io.StringIO()):
-            _drive(out_dir)
-    finally:
-        for path, data in baselines.items():
-            with open(path, "wb") as handle:
-                handle.write(data)
+    with tempfile.TemporaryDirectory() as out_dir, \
+            contextlib.redirect_stdout(io.StringIO()):
+        _drive(out_dir)
 
 
 def _drive(out_dir: str) -> None:
     for path in sorted(glob.glob(os.path.join(HERE, "bench_e*.py"))):
-        name = os.path.basename(path)[:-len(".py")]
-        if not name.startswith(SKIPPED_BENCHES):
-            importlib.import_module(name).run(out_dir=out_dir)
+        importlib.import_module(os.path.basename(path)[:-len(".py")]).run(
+            out_dir=out_dir)
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
         runpy.run_path(path, run_name="__main__")
     from e2e import harness

@@ -51,9 +51,11 @@ This module amortizes that work:
   resolved `Link` sequence, the admission pools along it, the path
   profile (fixed and per-byte delay), and one pre-built deliver
   callback per hop.  Forwarding a frame does zero dict lookups and
-  zero closure allocation: each hop is a tuple index plus an `is_up`
-  test.  The per-frame drop callback rides on the frame itself
-  (``Frame.on_drop``) instead of being captured per hop per frame.
+  zero closure allocation: each hop is a tuple index plus a read of
+  the link's ``_up`` flag (the ``is_up`` property would be one more
+  frame per hop).  The per-frame drop callback rides on the frame
+  itself (``Frame.on_drop``) instead of being captured per hop per
+  frame.
 
 * **Equal-cost multipath (ECMP)** -- with ``ecmp=True`` the same full
   run also records *every* equal-cost predecessor per node, turning the
@@ -552,7 +554,7 @@ class ForwardingEngine:
 
         def deliver(frame: Frame) -> None:
             link = plan.links[next_hop]
-            if not link.is_up:
+            if not link._up:
                 on_drop = frame.on_drop
                 if on_drop is not None:
                     on_drop(
@@ -574,7 +576,7 @@ class ForwardingEngine:
             self.network._frame_arrived(frame)
             return
         link = links[0]
-        if not link.is_up:
+        if not link._up:
             if on_drop is not None:
                 on_drop(frame, f"no usable link {plan.route[0]}->{plan.route[1]}")
             return

@@ -63,9 +63,13 @@ class Link:
     the configured policy; EDF realizes the paper's deadline-based
     interface scheduling, FIFO is the ablation baseline.
 
-    A frame costs two bodies per hop, :meth:`transmit` and
-    ``_transmission_done``, which push and pop the stable ``(key, seq,
-    frame, size, deliver, on_drop)`` heap themselves (DESIGN 8.3).
+    Per hop a frame runs :meth:`transmit` (with ``Frame.size``) and
+    ``_transmission_done`` (with the impairment model's ``loses_frame``
+    and ``maybe_corrupt``), which push and pop the stable ``(key, seq,
+    frame, size, deliver, on_drop)`` heap themselves (DESIGN 8.3), and on
+    a routed path the route plan's deliver closure for the next hop.  The
+    ``netsim.link`` and ``netsim.routing`` rows of ``BUDGET.json`` hold
+    what that comes to per message.
     """
 
     def __init__(

@@ -55,7 +55,7 @@ def protocol_cost(
     return cost
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)  # no slots=True: CPython 3.9 has no such option
 class WorkItem:
     """What :attr:`HostCpu.completed` records of one finished work item.
 
@@ -99,9 +99,11 @@ class HostCpu:
 
     A work item is the tuple ``(name, cpu_time, deadline, callback, args,
     owner, trace_id, submitted_at)``: no object is built per item.  An
-    item costs two bodies, :meth:`submit` and ``_finish``, which push and
-    pop the stable ``(key, seq, item)`` heap themselves (DESIGN 8.3).
-    ``_busy`` is the running item (``None`` while idle) and
+    item runs :meth:`submit`, ``_begin`` (start it: charge a context
+    switch, arm its completion) and ``_finish``, which push and pop the
+    stable ``(key, seq, item)`` heap themselves (DESIGN 8.3); the
+    ``sched.cpu`` rows of ``BUDGET.json`` hold the frames and items per
+    message.  ``_busy`` is the running item (``None`` while idle) and
     ``_started_at`` the time it started.
     """
 

@@ -30,7 +30,8 @@ BENCHMARKS = REPO / "benchmarks"
 RESULTS = BENCHMARKS / "results"
 
 #: E1-E15 are the paper's claims, E16 / E17 the two later experiments
-#: whose output is simulated; E18+ report wall clock.
+#: whose output is simulated; E22 / E23 print wall clock beside exact
+#: figures, which tests/test_mesh_experiments.py holds.
 MODULES = sorted(
     path.stem for path in BENCHMARKS.glob("bench_e*.py")
     if "bench_e01" <= path.stem[:9] <= "bench_e17"
