@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.core.message import Message
 from repro.core.params import RmsRequest, is_compatible
+from repro.core.rms import RmsState
 from repro.errors import (
     AdmissionError,
     CapacityError,
@@ -425,9 +426,10 @@ class StSession(_ChannelSession):
     def send(self, payload, deadline: Optional[float] = None):
         if self.state in (SessionState.FAILED, SessionState.CLOSED):
             raise RmsFailedError(f"session {self.name} is {self.state.value}")
-        if self.channel is not None and self.channel.is_open:
+        channel = self.channel
+        if channel is not None and channel.state is RmsState.OPEN:
             self.stats.messages_sent += 1
-            return self.channel.send(payload, deadline=deadline)
+            return channel.send(payload, deadline)
         self._enqueue(payload)
         return None
 

@@ -99,12 +99,13 @@ class HostCpu:
 
     A work item is the tuple ``(name, cpu_time, deadline, callback, args,
     owner, trace_id, submitted_at)``: no object is built per item.  An
-    item runs :meth:`submit`, ``_begin`` (start it: charge a context
-    switch, arm its completion) and ``_finish``, which push and pop the
-    stable ``(key, seq, item)`` heap themselves (DESIGN 8.3); the
-    ``sched.cpu`` rows of ``BUDGET.json`` hold the frames and items per
-    message.  ``_busy`` is the running item (``None`` while idle) and
-    ``_started_at`` the time it started.
+    item runs two frames, :meth:`submit` and ``_finish``: each pushes and
+    pops the stable ``(key, seq, item)`` heap itself and starts the item
+    it picks in its own body (charge a context switch, arm the
+    completion), as ``Link`` does (DESIGN 8.3); the ``sched.cpu`` rows of
+    ``BUDGET.json`` hold the frames and items per message.  ``_busy`` is
+    the running item (``None`` while idle) and ``_started_at`` the time
+    it started.
     """
 
     def __init__(
@@ -151,23 +152,35 @@ class HostCpu:
         The stage state travels in ``args`` (no closure allocation) and
         ``owner`` skips the name split at dispatch.
         """
-        item = (name, cpu_time, deadline, callback, args, owner, trace_id,
-                self.context.loop._now)
-        obs = self.context.obs
+        context = self.context
+        now = context.loop._now
+        item = (name, cpu_time, deadline, callback, args, owner, trace_id, now)
+        obs = context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
         ready = self._ready
         if self._busy or self._paused or ready:
             key = (0, deadline, priority)[self._key_slot]
             heappush(ready, (key, next(self._seq), item))
-            if not (self._busy or self._paused):
-                # Offered by a completion callback over a backlog: the
-                # newcomer competes with it, the best of them runs.
-                self._begin(heappop(ready)[2])
-        else:
-            # An idle CPU starts its only item directly and draws no
-            # sequence number (any policy pops a singleton identically).
-            self._begin(item)
+            if self._busy or self._paused:
+                return
+            # Offered by a completion callback over a backlog: the
+            # newcomer competes with it, the best of them runs.
+            item = heappop(ready)[2]
+            name, cpu_time, owner, trace_id = item[0], item[1], item[5], item[6]
+        # Otherwise an idle CPU starts its only item directly and draws no
+        # sequence number (any policy pops a singleton identically).
+        self._busy = item
+        self._started_at = now
+        if owner is None:
+            owner = name.split("/", 1)[0]
+        if owner != self._last_owner:
+            cpu_time += PER_CONTEXT_SWITCH
+            self.context_switches += 1
+        self._last_owner = owner
+        if obs.enabled:
+            obs.spans.event(trace_id, "cpu", "dequeue", cpu=self.name, item=name)
+        context.loop.call_after(cpu_time, self._finish, item, cpu_time)
 
     @property
     def queue_length(self) -> int:
@@ -185,58 +198,56 @@ class HostCpu:
         if not self._paused:
             return
         self._paused = False
-        if self._ready and not self._busy:
-            self._begin(heappop(self._ready)[2])
+        self._finish(None, 0.0)  # completes nothing, starts the best item
 
-    def _begin(self, item: tuple) -> None:
-        context = self.context
-        self._busy = item
-        self._started_at = context.loop._now
-        owner = item[5]
-        if owner is None:
-            owner = item[0].split("/", 1)[0]
-        run_time = item[1]
-        if owner != self._last_owner:
-            run_time += PER_CONTEXT_SWITCH
-            self.context_switches += 1
-        self._last_owner = owner
-        obs = context.obs
-        if obs.enabled:
-            obs.spans.event(
-                item[6], "cpu", "dequeue", cpu=self.name, item=item[0]
-            )
-        context.loop.call_after(run_time, self._finish, item, run_time)
-
-    def _finish(self, item: tuple, run_time: float) -> None:
-        (name, cpu_time, deadline, callback, args, owner, trace_id,
-         submitted_at) = item
+    def _finish(self, item: Optional[tuple], run_time: float) -> None:
+        """Complete ``item`` (``None``: nothing) and start the best ready
+        item, if the CPU is free to."""
         context = self.context
         now = context.loop._now
-        self._busy = None
-        self.items_run += 1
-        self.busy_time += run_time
-        missed = now > deadline + 1e-12
-        if missed:
-            self.deadline_misses += 1
-        if self.keep_history:
-            self.completed.append(WorkItem(
-                name, cpu_time, deadline, owner, trace_id, submitted_at,
-                self._started_at, now))
         obs = context.obs
-        if obs.enabled:
-            self.queue_wait.observe(self._started_at - submitted_at)
-            obs.spans.event(
-                trace_id, "cpu", "done",
-                cpu=self.name, item=name, missed=missed,
-            )
         try:
-            callback(*args)
+            if item is not None:
+                (name, cpu_time, deadline, callback, args, owner, trace_id,
+                 submitted_at) = item
+                self._busy = None
+                self.items_run += 1
+                self.busy_time += run_time
+                missed = now > deadline + 1e-12
+                if missed:
+                    self.deadline_misses += 1
+                if self.keep_history:
+                    self.completed.append(WorkItem(
+                        name, cpu_time, deadline, owner, trace_id,
+                        submitted_at, self._started_at, now))
+                if obs.enabled:
+                    self.queue_wait.observe(self._started_at - submitted_at)
+                    obs.spans.event(
+                        trace_id, "cpu", "done",
+                        cpu=self.name, item=name, missed=missed,
+                    )
+                callback(*args)
         finally:
             # Also when the callback raises: the backlog must not wait for
             # a submit that may never come.  The callback may itself have
             # offered work and started it, hence the ``_busy`` test.
-            if self._ready and not self._busy and not self._paused:
-                self._begin(heappop(self._ready)[2])
+            ready = self._ready
+            if ready and not self._busy and not self._paused:
+                item = heappop(ready)[2]
+                name, run_time, owner, trace_id = (
+                    item[0], item[1], item[5], item[6])
+                self._busy = item
+                self._started_at = now
+                if owner is None:
+                    owner = name.split("/", 1)[0]
+                if owner != self._last_owner:
+                    run_time += PER_CONTEXT_SWITCH
+                    self.context_switches += 1
+                self._last_owner = owner
+                if obs.enabled:
+                    obs.spans.event(
+                        trace_id, "cpu", "dequeue", cpu=self.name, item=name)
+                context.loop.call_after(run_time, self._finish, item, run_time)
 
     def __repr__(self) -> str:
         return (

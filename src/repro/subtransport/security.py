@@ -41,6 +41,11 @@ _PACK_U32 = struct.Struct(">I").pack
 #: The subheader fields a component's MAC covers, in their wire
 #: encoding: seq(4) send_time(8) frag_offset(4) frag_total(4).
 _PACK_MAC_FIELDS = struct.Struct(">IdII").pack
+#: What the software checksum covers ahead of the data: the stream id,
+#: which no key binds on a checksum-only stream, then the MAC's fields.
+#: A bit error in any field the receiver acts on is then a checksum
+#: failure, never a wrong sequence number, time or fragment position.
+_PACK_CHECKSUM_FIELDS = struct.Struct(">IIdII").pack
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,8 @@ class SecurityContext:
         if plan.checksum:
             if type(data) is not bytes:
                 data = bytes(data)
-            data = data + _PACK_U32(crc32(data))
+            data = data + _PACK_U32(crc32(_PACK_CHECKSUM_FIELDS(
+                self.rms_id, seq, send_time, frag_offset, frag_total) + data))
         return data
 
     def _unprotect(
@@ -177,7 +183,9 @@ class SecurityContext:
             if len(data) < _CHECKSUM_BYTES:
                 return data, "checksum failure"
             body, tag = data[:-_CHECKSUM_BYTES], data[-_CHECKSUM_BYTES:]
-            if _PACK_U32(crc32(body)) != tag:
+            if _PACK_U32(crc32(_PACK_CHECKSUM_FIELDS(
+                    self.rms_id, seq, send_time, frag_offset, frag_total)
+                    + body)) != tag:
                 return body, "checksum failure"
             data = body
         if plan.mac:

@@ -3,9 +3,12 @@
 An :class:`StRms` is the RMS the subtransport layer provides to its
 clients (transport protocols and kernel services).  Its delay bound
 covers ST send processing, piggyback queueing, the underlying network
-RMS, and ST receive processing.  Sending hands the message to the
-sender's subtransport layer; delivery happens on a port of the receiving
-host.
+RMS, and ST receive processing.  The stream runs its own send stage
+(section 4.1): one CPU item per message, whose completion numbers the
+message, applies the stream's security transform and queues it on its
+network RMS's piggyback queue (4.3.1), or fragments it (4.3).  Delivery
+happens on a port of the receiving host, through the receiving
+layer's :class:`~repro.subtransport.receiver.RxStream`.
 
 The class-level registry maps ST RMS ids to objects so the receiving
 subtransport layer can resolve ids arriving in bundle subheaders -- the
@@ -20,11 +23,15 @@ from typing import ClassVar, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
-from repro.core.rms import Rms, RmsLevel
+from repro.core.rms import Rms, RmsLevel, RmsState
+from repro.errors import RmsError, TransportError
+from repro.sched.cpu import protocol_cost
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
+from repro.subtransport.config import send_deadlines
 from repro.subtransport.security import SecurityContext, SecurityPlan
+from repro.subtransport.wire import FLAG_FRAGMENT, FRAG_HEADER_BYTES, encode_bundle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.subtransport.mux import MuxBinding
@@ -80,23 +87,136 @@ class StRms(Rms):
         #: Largest component that fits a bundle on the bound network RMS;
         #: bigger messages fragment.  Set by the ST with the binding.
         self.max_component = 0
-        # Resolved once: the CPU stage names and, per message size, the
-        # cost of one protocol stage (the send and the receive stage run
-        # the same plan, so both read this memo) and the send-stage and
-        # transmission deadlines after arrival (``send_deadlines``).
-        # The memos hold what the pure per-size functions return, so a
-        # hit is the very float a per-message call would compute.
-        self._send_stage_name = f"st/send:{self.rms_id}"
-        self._recv_stage_name = f"st/recv:{self.rms_id}"
-        self._cost_cache: Dict[int, float] = {}
-        self._deadline_cache: Dict[int, Tuple[float, float]] = {}
+        # Resolved once: the host's CPU, the piggyback hold cap, the
+        # send stage's name and, per message size, its ``(cost, deadline,
+        # slack)``: the CPU cost of the stage (``protocol_cost``), and
+        # how long after arrival the stage must finish and the message
+        # may wait for transmission (``send_deadlines``).  The memo holds
+        # what the pure per-size functions return, so a hit is the very
+        # float a per-message call would compute.
+        self._cpu = sender_st.host.cpu
+        self._window_cap = sender_st.config.piggyback_window_cap
+        self._stage_name = f"st/send:{self.rms_id}"
+        self._stages: Dict[int, Tuple[float, float, float]] = {}
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)
         StRms.registry[self.rms_id] = self
 
     def _transmit(self, message: Message) -> None:
-        self.sender_st._st_send(self, message)
+        """Queue the send stage of one message on this host's CPU."""
+        binding = self.binding
+        if binding is None:
+            raise RmsError(f"{self.name} has no network binding yet")
+        size = len(message.payload)
+        arrival = message.send_time
+        stage = self._stages.get(size)
+        if stage is None:
+            plan = self.plan
+            deadline, slack = send_deadlines(
+                self.params.delay_bound,
+                binding.network_rms.params.delay_bound,
+                size,
+            )
+            stage = self._stages[size] = (
+                protocol_cost(size, plan.checksum, plan.encrypt, plan.mac),
+                deadline,
+                slack,
+            )
+        cost, deadline, slack = stage
+        self._cpu.submit(
+            self._stage_name, cost, arrival + deadline, self._send_stage_done,
+            # Maximum transmission deadline (4.3.1): arrival plus the slack.
+            (message, size, arrival, arrival + slack), "st", 0,
+            message.trace_id,
+        )
+
+    def _send_stage_done(
+        self, message: Message, size: int, arrival: float, max_deadline: float
+    ) -> None:
+        """Number the message as one component, apply the stream's
+        security transform and queue it to piggyback (4.3.1)."""
+        binding = self.binding
+        if binding is None or binding.network_rms.state is not RmsState.OPEN:
+            self._drop(message, "binding lost")
+            return
+        if size > self.max_component:
+            self._send_fragments(binding, message, max_deadline, arrival)
+            return
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        trace_id = message.trace_id
+        obs = self.context.obs
+        if trace_id is not None:
+            # Correlate the in-flight component with its span so the
+            # receiving ST can rejoin the trace (no wire-format change).
+            obs.spans.stash((self.rms_id, seq), trace_id)
+        payload = message.payload
+        security = self.security
+        if security.protect is not None:
+            payload = security.protect(seq, payload, arrival, 0, 0)
+        if obs.enabled:
+            obs.spans.event(trace_id, "st", "enqueue", st=self.name, queued=True)
+        binding.queue.submit(
+            (self.rms_id, seq, security.flags, payload, arrival, 0, 0),
+            max_deadline, arrival + self._window_cap, trace_id,
+        )
+
+    def _send_fragments(
+        self,
+        binding: "MuxBinding",
+        message: Message,
+        max_deadline: float,
+        arrival: float,
+    ) -> None:
+        """Fragment a large client message (section 4.3).
+
+        Fragments are never piggybacked; the queue is flushed first so
+        per-stream ordering survives the direct sends.
+        """
+        queue = binding.queue
+        queue.flush("forced")
+        chunk_size = self.max_component - FRAG_HEADER_BYTES
+        if chunk_size <= 0:
+            raise TransportError(
+                "network maximum message size too small for fragments"
+            )
+        total = len(message.payload)
+        trace_id = message.trace_id
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.event(
+                trace_id, "st", "enqueue",
+                st=self.name, fragmented=True, total=total,
+            )
+        rms_id = self.rms_id
+        st_ids = [rms_id]
+        security = self.security
+        protect = security.protect
+        flags = FLAG_FRAGMENT | security.flags
+        stats = self.sender_st.stats
+        # One view over the client payload; each fragment is a zero-copy
+        # slice of it all the way through encode_bundle's join.
+        payload_view = memoryview(message.payload)
+        for offset in range(0, total, chunk_size):
+            seq = self.next_seq
+            self.next_seq = seq + 1
+            if trace_id is not None:
+                obs.spans.stash((rms_id, seq), trace_id)
+            chunk = payload_view[offset : offset + chunk_size]
+            if protect is not None:
+                chunk = protect(seq, chunk, arrival, offset, total)
+            if obs.enabled:
+                obs.spans.event(
+                    trace_id, "net", "tx", st_rms=rms_id, seq=seq, bundled=1,
+                )
+            queue.flush_fn(
+                encode_bundle([(rms_id, seq, flags, chunk, arrival, offset, total)]),
+                max(max_deadline, binding.ordering_floor(st_ids)),
+                st_ids,
+                1,
+            )
+            stats.fragments_sent += 1
 
     def close(self) -> None:
         """Tear the stream down via the owning subtransport layer."""

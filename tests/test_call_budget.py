@@ -153,7 +153,7 @@ def test_scenarios_deliver_everything(counts):
 def test_sched_frames_per_work_item_on_a_busy_cpu(counts):
     for name in ("lan_small_burst", "lan_rkom_closed"):
         scenario = counts[name]
-        assert frames(scenario, "sched.cpu") == 3 * scenario["sched.cpu items"]
+        assert frames(scenario, "sched.cpu") == 2 * scenario["sched.cpu items"]
 
 
 def test_piggyback_frames_per_component(budget, counts):

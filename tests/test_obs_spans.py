@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.message import Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.obs import spans
 from repro.obs.export import flight_recorder, metrics_payload, span_lines
 from repro.obs.spans import NullSpanTracer, SpanBreakdown, SpanEvent, SpanTracer
 from repro.sim.events import EventLoop
-from repro.subtransport.wire import FLAG_MAC
+from repro.subtransport.wire import FLAG_MAC, encode_bundle
 
 
 def make_tracer() -> SpanTracer:
@@ -185,9 +186,8 @@ class TestForgedComponentDrop:
         known = set(spans.traces())
         receiver = system.nodes["b"].st
         # Never sent under this (stream, seq): nothing to claim.
-        receiver._receive_component(
-            rms.rms_id, 999, FLAG_MAC, b"\x00" * 40, system.now, 0, 0
-        )
+        forged = (rms.rms_id, 999, FLAG_MAC, b"\x00" * 40, system.now, 0, 0)
+        receiver._data_arrived(None, Message(encode_bundle([forged])))
         assert receiver.stats.auth_drops == 1
         (fresh,) = set(spans.traces()) - known
         (drop,) = [e for e in spans.events_for(fresh) if e.event == "drop"]

@@ -24,6 +24,7 @@ from repro.core.params import (
     RmsRequest,
     is_compatible,
 )
+from repro.core.rms import RmsState
 from repro.errors import (
     AdmissionError,
     NegotiationError,
@@ -87,9 +88,13 @@ class FakeChannel:
             self.binding = SimpleNamespace(network_rms=SimpleNamespace(
                 network=SimpleNamespace(name=network)))
         self.on_failure = self.on_failed = Signal(rig.context.loop)
-        self.is_open = True
+        self.state = RmsState.OPEN  # an ST session reads the field
         self.failed = None
         self.sent = []
+
+    @property
+    def is_open(self):
+        return self.state is RmsState.OPEN
 
     def send(self, payload, deadline=None):
         if not self.is_open:
@@ -107,11 +112,11 @@ class FakeChannel:
 
     def close(self):
         if self.is_open:
-            self.is_open = False
+            self.state = RmsState.DELETED
             self.rig.closed += 1
 
     def lose(self):
-        self.is_open = False
+        self.state = RmsState.FAILED
         self.failed = "lost"
         self.on_failure.fire(self, "lost")
 
