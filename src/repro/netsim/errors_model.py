@@ -11,11 +11,14 @@ whatever the security layer actually achieves over the corrupted bytes.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
 from repro.netsim.packet import Frame
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.netsim.topology import Link
 
 __all__ = ["ImpairmentModel"]
 
@@ -28,6 +31,8 @@ class ImpairmentModel:
     medium; a frame of ``n`` bytes is corrupted with probability
     ``1 - (1 - ber)^(8n)``.  ``frame_loss_rate`` models losses the medium
     itself eats (collisions, receiver overruns) independent of queueing.
+    Both hooks draw from the carrying link's stream (``link.rng()``) and
+    only once a rate is non-zero, so a clean medium builds none.
     """
 
     bit_error_rate: float = 0.0
@@ -47,10 +52,11 @@ class ImpairmentModel:
             return 0.0
         return 1.0 - math.pow(1.0 - self.bit_error_rate, 8 * size_bytes)
 
-    def loses_frame(self, rng: random.Random) -> bool:
-        return self.frame_loss_rate > 0.0 and rng.random() < self.frame_loss_rate
+    def loses_frame(self, link: "Link") -> bool:
+        rate = self.frame_loss_rate
+        return rate > 0.0 and link.rng().random() < rate
 
-    def maybe_corrupt(self, frame: Frame, rng: random.Random) -> bool:
+    def maybe_corrupt(self, frame: Frame, link: "Link") -> bool:
         """Sample corruption; flips a payload bit on a hit.
 
         Returns True when the frame was corrupted.
@@ -58,11 +64,9 @@ class ImpairmentModel:
         if self.bit_error_rate <= 0.0:
             return False  # the common medium: no size read, nothing drawn
         probability = self.corruption_probability(frame.size)
-        if probability > 0.0 and rng.random() < probability:
-            frame.corrupt_payload(rng.getrandbits(20))
-            return True
+        if probability > 0.0:
+            rng = link.rng()
+            if rng.random() < probability:
+                frame.corrupt_payload(rng.getrandbits(20))
+                return True
         return False
-
-    @property
-    def is_clean(self) -> bool:
-        return self.bit_error_rate == 0.0 and self.frame_loss_rate == 0.0

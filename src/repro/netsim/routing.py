@@ -7,8 +7,8 @@ mesh with link churn it is an O(N^2) recompute storm on the hot path.
 This module amortizes that work:
 
 * **Forwarding tables** -- one full-run Dijkstra covers every
-  destination at once (`ForwardingTable`: final distances plus the
-  shortest-path-tree predecessor map).  Tables are built lazily.
+  destination at once (`ForwardingTable`: the shortest-path-tree
+  predecessor map).  Tables are built lazily.
   Because Dijkstra's relaxations are
   deterministic and a settled node's predecessor never changes after it
   is popped, the route reconstructed from a full-run table is *exactly*
@@ -23,13 +23,16 @@ This module amortizes that work:
   pop order of every other node, and every float, is unchanged.
   Likewise a leaf *source*'s search is, after its first pop, the
   search from its gateway started at the access link's weight ``d0``
-  (``0.0 + w == w``), so its table is a copy of that search with the
-  leaf at 0.0 in front of the gateway.  The memo key is ``(gateway,
-  d0)``, not the gateway: every distance is a float sum that starts at
-  ``d0``, so hosts with different access bandwidths need their own
-  search to stay bit-exact.  Measured on the 216-host grid under flaps
-  (e2e ``grid_churn``, seed 3): 139 tables per flap from 23 searches
-  instead of 139; 3,344 -> 8,426 msgs/s.
+  (``0.0 + w == w``), so its table *is* that search, shared with its
+  siblings: a route walks the shared predecessors back to the gateway
+  and puts the leaf in front.  Nothing is copied per leaf.  The memo
+  key is ``(gateway, d0)``, not the gateway: every distance is a float
+  sum that starts at ``d0``, so hosts with different access bandwidths
+  need their own search to stay bit-exact.  The memo keeps only what
+  the walks read (predecessors); distances die with the search.
+  Measured on the 216-host grid under flaps (e2e ``grid_churn``, seed
+  3): 139 tables per flap from 23 searches instead of 139; 3,344 ->
+  8,426 msgs/s.
 
 * **A compiled neighbour view** -- the search walks, per node, a tuple
   of ``(neighbor, link, weight, relays)`` built from the network's
@@ -115,31 +118,38 @@ def flow_hash(src: str, dst: str, flow: int) -> int:
 
 
 class ForwardingTable:
-    """One source's shortest paths to every reachable node."""
+    """One source's shortest paths to every reachable node.
 
-    __slots__ = ("src", "dist", "prev", "preds")
+    A route from ``src`` walks ``prev`` from the destination back to
+    ``root`` and, when ``root`` is not ``src`` (a leaf reading its
+    gateway's shared search), puts ``src`` in front.
+    """
+
+    __slots__ = ("src", "root", "prev", "preds")
 
     def __init__(
         self,
         src: str,
-        dist: Dict[str, float],
+        root: str,
         prev: Dict[str, str],
         preds: Optional[Dict[str, Tuple[str, ...]]] = None,
     ) -> None:
         self.src = src
-        #: Final shortest distance per reachable node.
-        self.dist = dist
+        #: Where the search started: ``src``, or a leaf's gateway.
+        self.root = root
         #: Shortest-path-tree predecessor per reachable node (except the
-        #: source itself); routes are reconstructed by walking it.
+        #: root); routes are reconstructed by walking it.  A leaf's is
+        #: its gateway search's own dict, shared with its siblings:
+        #: nothing may write to it.
         self.prev = prev
         #: ECMP only: *all* equal-cost predecessors per node, in settle
         #: order, with the invariant ``preds[v][0] == prev[v]``.  None
-        #: when the engine runs single-path.  Tuples: the leaves behind
-        #: one gateway share them.
+        #: when the engine runs single-path.  Shared like ``prev``.
         self.preds = preds
 
     def __repr__(self) -> str:
-        return f"<ForwardingTable src={self.src} reach={len(self.dist)}>"
+        return (f"<ForwardingTable src={self.src} root={self.root} "
+                f"reach={len(self.prev) + 1}>")
 
 
 class RoutePlan:
@@ -226,7 +236,8 @@ class ForwardingEngine:
         self._tables: Dict[str, ForwardingTable] = {}
         self._plans: Dict[Tuple[str, str], RoutePlan] = {}
         self._pathsets: Dict[Tuple[str, str], PathSet] = {}
-        #: Shared leaf searches by (gateway, distance at the gateway).
+        #: Shared leaf searches, ``(prev, preds)``, by (gateway, distance
+        #: at the gateway).
         self._search_memo: Dict[Tuple[str, float], tuple] = {}
         #: The compiled neighbour view ``_search`` walks; built on first
         #: use and dropped by ``invalidate_all``.
@@ -310,7 +321,7 @@ class ForwardingEngine:
                     preds[neighbor] += (node,)
         self.searches += 1
         self.network.route_resolutions += 1
-        return distances, previous, preds
+        return previous, preds
 
     def reaches(self, src: str, dst: str) -> bool:
         """True when a path of up links leads from ``src`` to ``dst``: both
@@ -382,24 +393,16 @@ class ForwardingEngine:
             view = self._view = self._compile_view()
         edges = view.get(src, ())
         if len(edges) == 1 and edges[0][1]._up:
-            # A leaf shares its gateway's search with its siblings and
-            # takes a copy of its dicts with three fix-ups.
+            # A leaf's table is its gateway's search, shared with its
+            # siblings; routes put the leaf in front of the gateway.
             gateway, _link, weight, _relays = edges[0]
             key = (gateway, weight)
             shared = self._search_memo.get(key)
             if shared is None:
                 shared = self._search_memo[key] = self._search(view, *key)
-            distances, previous, preds = dict(shared[0]), dict(shared[1]), shared[2]
-            distances[src] = 0.0
-            previous[gateway] = src
-            previous.pop(src, None)
-            if preds is not None:
-                preds = dict(preds)
-                preds[gateway] = (src,)
-                preds.pop(src, None)
+            table = ForwardingTable(src, gateway, *shared)
         else:
-            distances, previous, preds = self._search(view, src, 0.0)
-        table = ForwardingTable(src, distances, previous, preds)
+            table = ForwardingTable(src, src, *self._search(view, src, 0.0))
         self._tables[src] = table
         self.table_builds += 1
         return table
@@ -417,12 +420,14 @@ class ForwardingEngine:
             plan = self._plans[key] = self.compile_route([src])
             return plan
         table = self.table(src)
-        if dst not in table.prev:
+        prev, root = table.prev, table.root
+        if dst not in prev and dst != root:
             raise RoutingError(f"no route from {src} to {dst} in {network.name}")
         route = [dst]
-        prev = table.prev
-        while route[-1] != src:
+        while route[-1] != root:
             route.append(prev[route[-1]])
+        if root != src:
+            route.append(src)
         route.reverse()
         plan = self._plans[key] = self.compile_route(route)
         return plan
@@ -464,7 +469,7 @@ class ForwardingEngine:
         if not network._node_exists(src) or not network._node_exists(dst):
             raise RoutingError(f"unknown endpoint in {src}->{dst}")
         table = self.table(src)
-        if dst not in table.prev:
+        if dst == src or (dst not in table.prev and dst != table.root):
             raise RoutingError(f"no route from {src} to {dst} in {network.name}")
         routes = self._enumerate_routes(table, src, dst)
         pathset = PathSet(src, dst, routes)
@@ -476,19 +481,22 @@ class ForwardingEngine:
         self, table: ForwardingTable, src: str, dst: str
     ) -> List[List[str]]:
         # Bounded DFS over the predecessor DAG, walking backwards from
-        # the destination.  Predecessor lists are in settle order and
+        # the destination to the table's root (a leaf goes in front of
+        # it).  Predecessor lists are in settle order and
         # preds[v][0] == prev[v], so the first emitted route is exactly
         # the canonical tree route and the whole enumeration order is
         # deterministic; the bound truncates it without reordering.
         preds = table.preds
         assert preds is not None
+        root = table.root
+        head = [src] if root != src else []
         bound = self.max_paths
         routes: List[List[str]] = []
         suffix = [dst]
 
         def walk(node: str) -> None:
-            if node == src:
-                routes.append(list(reversed(suffix)))
+            if node == root:
+                routes.append(head + suffix[::-1])
                 return
             for pred_node in preds[node]:
                 if len(routes) >= bound:

@@ -11,6 +11,7 @@ its network attachments.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, Optional
@@ -70,6 +71,11 @@ class Link:
     a routed path the route plan's deliver closure for the next hop.  The
     ``netsim.link`` and ``netsim.routing`` rows of ``BUDGET.json`` hold
     what that comes to per message.
+
+    A frame on the wire when :meth:`set_down` runs is lost, with
+    ``"link down"``, when its transmission ends, even if the link is up
+    again by then.  The link's random stream (``link:<name>``) is built
+    by :meth:`rng` at the first draw, so a clean medium has none.
     """
 
     def __init__(
@@ -98,18 +104,30 @@ class Link:
         self.policy = policy
         self._queued_bytes = 0
         self._busy = False
+        #: ``set_down`` caught the frame on the wire; cleared when the
+        #: wire is free again.
+        self._cut = False
         self._up = True
         self.stats = LinkStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, link=name)
         self.on_down: Signal = Signal(context.loop)
         self.on_up: Signal = Signal(context.loop)
-        self._rng = context.rng.stream(f"link:{name}")
+        self._rng: Optional[random.Random] = None
         #: Optional observer of overruns (used by source-quench gateways).
         self.on_overrun: Optional[Callable[[Frame], None]] = None
 
     @property
     def is_up(self) -> bool:
         return self._up
+
+    def rng(self) -> random.Random:
+        """The link's named stream, built at its first draw.  Its seed
+        is a hash of the name, so building it late draws the numbers an
+        early build would."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.context.rng.stream(f"link:{self.name}")
+        return rng
 
     @property
     def queued_bytes(self) -> int:
@@ -171,28 +189,30 @@ class Link:
         on_drop: Optional[Callable[[Frame, str], None]],
     ) -> None:
         self._queued_bytes -= size
-        if not self._up:
-            self._busy = False
-            if on_drop is not None:
-                on_drop(frame, "link down")
-            return
-        stats = self.stats
-        stats.frames_transmitted += 1
-        stats.bytes_transmitted += size
         loop = self.context.loop
         try:
-            if self.impairment.loses_frame(self._rng):
-                stats.frames_dropped_loss += 1
+            if self._cut:
                 if on_drop is not None:
-                    on_drop(frame, "medium loss")
+                    on_drop(frame, "link down")
             else:
-                if self.impairment.maybe_corrupt(frame, self._rng):
-                    stats.frames_corrupted += 1
-                loop.call_after(self.propagation_delay, deliver, frame)
+                stats = self.stats
+                stats.frames_transmitted += 1
+                stats.bytes_transmitted += size
+                if self.impairment.loses_frame(self):
+                    stats.frames_dropped_loss += 1
+                    if on_drop is not None:
+                        on_drop(frame, "medium loss")
+                else:
+                    if self.impairment.maybe_corrupt(frame, self):
+                        stats.frames_corrupted += 1
+                    loop.call_after(self.propagation_delay, deliver, frame)
         finally:
             # ``_busy`` is held across the drop callback -- a frame it
             # offers queues behind what is already waiting instead of
-            # jumping it -- and released here even when it raises.
+            # jumping it -- and released here even when it raises.  The
+            # wire is free: whatever starts next was not on it when a
+            # ``set_down`` ran.
+            self._cut = False
             ready = self._ready
             if ready and self._up:
                 _, _, frame, size, deliver, on_drop = heappop(ready)
@@ -208,6 +228,7 @@ class Link:
         if not self._up:
             return
         self._up = False
+        self._cut = self._busy
         ready = self._ready
         errors = []
         try:
@@ -225,7 +246,7 @@ class Link:
             raise errors[0]
 
     def set_up(self) -> None:
-        """Restore the link and resume transmission of queued frames."""
+        """Restore the link; frames offered from now on are sent."""
         if self._up:
             return
         self._up = True

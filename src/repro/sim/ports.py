@@ -28,7 +28,9 @@ class Port:
 
     ``deliver`` enqueues an item (or hands it directly to a waiting
     ``get`` future).  An optional ``on_deliver`` callback supports
-    callback-style protocol receivers.
+    callback-style protocol receivers.  The mailbox (the item queue, the
+    line of getters) is built by the first item queued or getter that
+    waits, so a callback-driven port never holds one.
     """
 
     def __init__(
@@ -39,17 +41,17 @@ class Port:
     ) -> None:
         self._loop = loop
         self.name = name
-        self._queue: Deque[Any] = deque()
-        self._getters: Deque[Future] = deque()
+        self._queue: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Future]] = None
         self._on_deliver = on_deliver
         self.delivered_count = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._queue or ())
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._queue or ())
 
     def set_handler(self, on_deliver: Optional[Callable[[Any], None]]) -> None:
         """Switch to callback delivery; queued items are replayed first."""
@@ -66,6 +68,8 @@ class Port:
             return
         if self._getters:
             self._getters.popleft().set_result(item)
+        elif self._queue is None:
+            self._queue = deque((item,))
         else:
             self._queue.append(item)
 
@@ -76,12 +80,14 @@ class Port:
         future = Future(self._loop)
         if self._queue:
             future.set_result(self._queue.popleft())
+        elif self._getters is None:
+            self._getters = deque((future,))
         else:
             self._getters.append(future)
         return future
 
     def __repr__(self) -> str:
-        return f"<Port {self.name} queued={len(self._queue)}>"
+        return f"<Port {self.name} queued={len(self)}>"
 
 
 class FlowControlledPort:

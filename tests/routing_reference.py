@@ -13,6 +13,7 @@ popped.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 
 from repro.netsim.packet import FRAME_OVERHEAD_BYTES
 
@@ -65,6 +66,35 @@ def reference_route(network, src, dst):
         route.append(previous[route[-1]])
     route.reverse()
     return route
+
+
+def reference_pathsets(network, src, bound):
+    """Per destination reachable from ``src`` (not ``src`` itself), its
+    first ``bound`` equal-cost routes in ECMP order.
+
+    A node's equal-cost predecessors are every ``u`` with an up link
+    ``u -> v`` and ``dist[u] + w == dist[v]``, ordered as a full search
+    settles them: by ``(distance, name)``.  The routes are a depth-first
+    walk back from the destination over them, first predecessor first.
+    """
+    distances = reference_distances(network, src)
+    preds = {}
+    for (u, v), link in network._links.items():
+        if (link.is_up and u in distances and v in distances
+                and distances[u] + network._weights[(u, v)] == distances[v]):
+            preds.setdefault(v, []).append(u)
+    for nodes in preds.values():
+        nodes.sort(key=lambda u: (distances[u], u))
+
+    def walk(node, suffix):
+        if node == src:
+            yield [src] + suffix
+            return
+        for pred in preds[node]:
+            yield from walk(pred, [node] + suffix)
+
+    return {dst: list(islice(walk(dst, []), bound))
+            for dst in distances if dst != src}
 
 
 def reference_can_reach(network, src, dst):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -52,7 +54,6 @@ class TestFrame:
 class TestImpairmentModel:
     def test_clean_model(self):
         model = ImpairmentModel()
-        assert model.is_clean
         assert model.corruption_probability(1000) == 0.0
 
     def test_corruption_probability_grows_with_size(self):
@@ -68,17 +69,17 @@ class TestImpairmentModel:
     def test_loss_sampling_statistics(self):
         context = SimContext(seed=11)
         model = ImpairmentModel(frame_loss_rate=0.3)
-        rng = context.rng.stream("test")
-        losses = sum(model.loses_frame(rng) for _ in range(5000))
+        link = Link(context, "test", bandwidth=1e6, propagation_delay=0.0)
+        losses = sum(model.loses_frame(link) for _ in range(5000))
         assert 0.25 < losses / 5000 < 0.35
 
     def test_corruption_actually_corrupts(self):
         context = SimContext(seed=11)
         model = ImpairmentModel(bit_error_rate=1e-3)
-        rng = context.rng.stream("test")
+        link = Link(context, "test", bandwidth=1e6, propagation_delay=0.0)
         frame = make_frame(size=1000)
         original = frame.message.payload
-        corrupted = model.maybe_corrupt(frame, rng)
+        corrupted = model.maybe_corrupt(frame, link)
         assert corrupted  # at 1e-3 ber over 8000+ bits, near certain
         assert frame.message.payload != original
 
@@ -167,6 +168,97 @@ class TestLink:
                                  on_drop=lambda f, r: drops.append(r))
         context.run()
         assert len(drops) >= 2
+
+    def test_frame_on_the_wire_is_lost_when_the_link_flaps(self):
+        # 1,000 B at 1,000 B/s: on the wire from 0 to 1 s.  The link is
+        # down from 0.5 s to 0.6 s; the frame is lost at 1 s all the same.
+        context = SimContext()
+        link = Link(context, "l", bandwidth=1e3, propagation_delay=0.0)
+        delivered, drops = [], []
+        link.transmit(make_frame(size=1000 - FRAME_OVERHEAD_BYTES),
+                      deliver=delivered.append,
+                      on_drop=lambda f, reason: drops.append(
+                          (context.now, reason)))
+        context.loop.call_at(0.5, link.set_down)
+        context.loop.call_at(0.6, link.set_up)
+        context.run()
+        assert delivered == []
+        assert drops == [(1.0, "link down")]
+        assert link.stats.frames_transmitted == 0
+        assert not link._busy and link.queued_bytes == 0
+
+    def test_frame_queued_behind_a_cut_frame_starts_after_it(self):
+        context = SimContext()
+        link = Link(context, "l", bandwidth=1e3, propagation_delay=0.0)
+        arrivals, drops = [], []
+        cut = make_frame(size=1000 - FRAME_OVERHEAD_BYTES)
+        link.transmit(cut, deliver=arrivals.append,
+                      on_drop=lambda f, reason: drops.append((f, reason)))
+        context.loop.call_at(0.5, link.set_down)
+        context.loop.call_at(0.6, link.set_up)
+        later = make_frame(size=500 - FRAME_OVERHEAD_BYTES)
+        context.loop.call_at(
+            0.7, link.transmit, later,
+            lambda f: arrivals.append((f, context.now)))
+        context.run()
+        assert drops == [(cut, "link down")]
+        assert arrivals == [(later, 1.5)]
+        assert link.stats.frames_transmitted == 1
+        # A frame started after the flap is not cut by it.
+        again = make_frame(size=100 - FRAME_OVERHEAD_BYTES)
+        link.transmit(again, deliver=arrivals.append)
+        context.run()
+        assert arrivals[-1] is again
+
+    def test_clean_medium_builds_no_stream(self):
+        context = SimContext(seed=5)
+        link = Link(context, "l", bandwidth=1e4, propagation_delay=0.0)
+        delivered = []
+        for _ in range(20):
+            link.transmit(make_frame(), deliver=delivered.append)
+        context.run()
+        assert len(delivered) == 20
+        assert link._rng is None
+        assert "link:l" not in context.rng._streams
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_impaired_link_draws_the_streams_sequence(self, seed):
+        """Loss 0.3 and BER 1e-4: per frame, a loss draw, then (kept
+        frames) a corruption draw and on a hit the bit to flip, all from
+        ``link:<name>`` of the master seed, as when the link built the
+        stream up front."""
+        context = SimContext(seed=seed)
+        link = Link(context, "l", bandwidth=1e5, propagation_delay=0.0,
+                    impairment=ImpairmentModel(bit_error_rate=1e-4,
+                                               frame_loss_rate=0.3))
+        sizes = [40 + 37 * i % 600 for i in range(200)]
+        outcomes = []
+        for index, size in enumerate(sizes):
+            frame = make_frame(size=size)
+            frame.src_host = str(index)
+            link.transmit(
+                frame,
+                deliver=lambda f: outcomes.append(
+                    (int(f.src_host), f.corrupted, bytes(f.message.payload))),
+                on_drop=lambda f, reason: outcomes.append(
+                    (int(f.src_host), reason)))
+        context.run()
+
+        digest = hashlib.sha256(f"{seed}:link:l".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:8], "big"))
+        expected = []
+        for index, size in enumerate(sizes):
+            frame = make_frame(size=size)
+            if rng.random() < 0.3:
+                expected.append((index, "medium loss"))
+                continue
+            probability = 1.0 - math.pow(1.0 - 1e-4, 8 * frame.size)
+            if rng.random() < probability:
+                frame.corrupt_payload(rng.getrandbits(20))
+            expected.append((index, frame.corrupted,
+                             bytes(frame.message.payload)))
+        assert outcomes == expected
+        assert {o[1] for o in outcomes} == {"medium loss", False, True}
 
     def test_shared_downstream_link_serves_ties_in_loop_order(self):
         # Two FIFO source links feed one EDF link.  All times are

@@ -22,6 +22,7 @@ from repro.netsim.topology import Host, build_grid, build_two_tier
 from repro.sim.context import SimContext
 from tests.routing_reference import (
     reference_can_reach,
+    reference_pathsets,
     reference_profile,
     reference_route,
 )
@@ -180,6 +181,38 @@ class TestSharedSearchExactness:
             all_pairs_route_exact(network)
 
 
+class TestLeafRoutesWalkTheSharedSearch:
+    """A leaf's routes are walked over its gateway's search, which its
+    siblings read too."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=shapes, flaps=flap_lists)
+    def test_leaf_routes_and_pathsets_equal_the_reference(self, shape, flaps):
+        """One warm ECMP engine, before and after every flap: each route
+        from a leaf is the reference's, and so is each path set, every
+        route of it in order."""
+        network = build(shape, ecmp=True)
+        engine = network._engine
+        for pick in [None] + flaps:
+            if pick is not None:
+                toggle(network, pick)
+            nodes = nodes_of(network)
+            for src in nodes:
+                if len(network._adjacency[src]) != 1:
+                    continue
+                pathsets = reference_pathsets(network, src, engine.max_paths)
+                for dst in nodes:
+                    if dst == src:
+                        continue
+                    route = reference_route(network, src, dst)
+                    assert route_or_none(network, src, dst) == route
+                    if route is None:
+                        assert dst not in pathsets
+                        continue
+                    assert pathsets[dst][0] == route
+                    assert engine.pathset(src, dst).routes == pathsets[dst]
+
+
 class TestPlanOutlivesItsTable:
     """A plan resolved before a flap must not outlive it: once the short
     trunk is back, the long route cached while it was down is gone."""
@@ -217,48 +250,48 @@ def sibling_network(ecmp):
 
 
 class TestSiblingTables:
-    def test_siblings_differ_only_in_the_three_fixups(self):
+    def test_siblings_read_one_shared_search(self):
+        """A leaf's table is its gateway's memoised search itself: the
+        same ``prev`` and ``preds`` dicts, no distances, and the leaf
+        goes in front of the gateway when a route is walked."""
         network = sibling_network(ecmp=True)
         engine = network._engine
         first, second = engine.table("h0"), engine.table("h1")
         assert engine.searches == 1 and engine.table_builds == 2
         gateway = "g0x0"
-        assert first.dist["h0"] == second.dist["h1"] == 0.0
-        assert first.prev[gateway] == "h0" and second.prev[gateway] == "h1"
-        assert "h0" not in first.prev and "h1" not in second.prev
-        assert first.preds[gateway] == ("h0",)
-        assert second.preds[gateway] == ("h1",)
-        assert "h0" not in first.preds and "h1" not in second.preds
-        # The sibling itself is an ordinary leaf of the other's tree.
-        assert first.dist["h1"] == second.dist["h0"]
-        assert first.prev["h1"] == second.prev["h0"] == gateway
-        rest = set(first.dist) - {"h0", "h1"}
-        assert rest == set(second.dist) - {"h0", "h1"}
-        for node in rest:
-            assert first.dist[node] == second.dist[node]
-            if node != gateway:
-                assert first.prev[node] == second.prev[node]
-                assert first.preds[node] == second.preds[node]
+        ((key, (prev, preds)),) = engine._search_memo.items()
+        assert key == (gateway, network._weights[("h0", gateway)])
+        for table in (first, second):
+            assert table.root == gateway
+            assert table.prev is prev and table.preds is preds
+            assert not hasattr(table, "dist")
+        assert network.route_between("h0", gateway) == ["h0", gateway]
+        assert network.route_between("h0", "h1") == ["h0", gateway, "h1"]
+        assert engine.pathset("h1", "h0").routes == [["h1", gateway, "h0"]]
+        with pytest.raises(RoutingError):
+            engine.pathset("h0", "h0")
 
-    def test_siblings_share_no_mutable_preds_list(self):
-        """Siblings copy the shared search's dicts and share its preds,
-        which are tuples: damage to one sibling's table reaches neither
-        the other's nor the memo."""
+    def test_memo_equals_a_fresh_search_after_every_siblings_plans(self):
+        """Every sibling's plans and path sets walk the shared search and
+        write nothing to it: afterwards each memo entry still equals a
+        fresh search from its key, and its predecessor lists are
+        tuples."""
         network = sibling_network(ecmp=True)
         engine = network._engine
-        first, second = engine.table("h0"), engine.table("h1")
-        for table in (first, second):
-            assert all(type(p) is tuple for p in table.preds.values())
-        before = dict(second.preds)
-        for node in list(first.preds):
-            first.preds[node] = ("poison",)
-        first.dist.clear()
-        first.prev.clear()
-        assert second.preds == before
-        third = engine.table("h2")  # built from the memo after the damage
-        assert engine.searches == 1
-        assert all("poison" not in p for p in third.preds.values())
-        assert third.dist["h2"] == 0.0 and third.dist["h1"] == second.dist["h0"]
+        siblings = [h for h in sorted(network.hosts)
+                    if len(network._adjacency[h]) == 1]
+        for src in siblings:
+            for dst in nodes_of(network):
+                if src != dst and route_or_none(network, src, dst):
+                    engine.pathset(src, dst)
+                    for flow in range(4):
+                        engine.plan_for_flow(src, dst, flow)
+        searches = engine.searches
+        assert len(engine._search_memo) > 1
+        for key, shared in engine._search_memo.items():
+            assert all(type(p) is tuple for p in shared[1].values())
+            assert shared == engine._search(engine._view, *key)
+        assert engine.searches == searches + len(engine._search_memo)
 
     def test_other_access_weight_gets_its_own_search(self):
         network = sibling_network(ecmp=False)

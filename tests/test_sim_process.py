@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.errors import ProcessError, SimulationError
@@ -227,6 +229,33 @@ class TestPort:
         port.deliver("a")
         port.deliver("b")
         assert port.delivered_count == 2
+
+    def test_callback_driven_port_holds_no_deque(self):
+        context = SimContext()
+        seen = []
+        ports = [Port(context.loop, on_deliver=seen.append),
+                 Port(context.loop)]
+        ports[1].set_handler(seen.append)
+        for port in ports:
+            for item in range(3):
+                port.deliver(item)
+            assert len(port) == port.queue_length == 0
+            assert not any(isinstance(value, deque)
+                           for value in vars(port).values())
+        assert seen == [0, 1, 2] * 2
+
+    def test_mailbox_serves_getters_then_items_in_order(self):
+        context = SimContext()
+        port = Port(context.loop)
+        early = [port.get(), port.get()]
+        for item in range(4):
+            port.deliver(item)
+        assert [future.result() for future in early] == [0, 1]
+        assert len(port) == 2 and "queued=2" in repr(port)
+        assert [port.get().result() for _ in range(2)] == [2, 3]
+        late = port.get()
+        port.deliver(4)
+        assert late.result() == 4 and len(port) == 0
 
 
 class TestFlowControlledPort:

@@ -278,7 +278,7 @@ class TestStFragmentation:
 
             carried = 0
 
-            def loses_frame(self, rng):
+            def loses_frame(self, link):
                 self.carried += 1
                 return self.carried == 2
 
@@ -421,7 +421,7 @@ class TestStSecurityPath:
                 super().__init__()
                 self.seen = []
 
-            def maybe_corrupt(self, carried, rng):
+            def maybe_corrupt(self, carried, link):
                 (entry,) = decode_bundle(bytes(carried.message.payload))
                 if entry[0] == rms.rms_id:
                     self.seen.append(entry)
