@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from common import Table, bench_main, build_lan, make_run, open_st_rms, report
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.obs.stats import DelayRecorder
 from repro.subtransport.config import StConfig
 
 STREAMS = 6
@@ -34,6 +35,9 @@ def run_case(piggyback: bool, window: float = 0.02, seed: int = 4):
         open_st_rms(system, "a", "b", params=params, port=f"pb{i}")
         for i in range(STREAMS)
     ]
+    recorders = [DelayRecorder() for _ in streams]
+    for rms, recorder in zip(streams, recorders):
+        rms.port.set_handler(recorder.record_message)
     network = system.networks["ether0"]
     frames_before = network.segment.stats.frames_transmitted
     bytes_before = network.segment.stats.bytes_transmitted
@@ -51,7 +55,7 @@ def run_case(piggyback: bool, window: float = 0.02, seed: int = 4):
     st = system.nodes["a"].st
     total_delivered = sum(r.stats.messages_delivered for r in streams)
     total_late = sum(r.stats.messages_late for r in streams)
-    delays = [d for r in streams for d in r.stats.delays]
+    delays = [d for recorder in recorders for d in recorder.delays]
     return {
         "piggyback": piggyback,
         "delivered": total_delivered,

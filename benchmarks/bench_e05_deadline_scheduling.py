@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from common import Table, bench_main, build_lan, make_run, open_st_rms, report
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
-from repro.obs.stats import summarize
+from repro.obs.stats import DelayRecorder
 
 RT_MESSAGES = 150
 RT_PERIOD = 0.02
@@ -41,6 +41,8 @@ def run_policy(policy: str, seed: int = 5):
     )
     rt_rms = open_st_rms(system, "a", "b", params=rt_params, port="rt")
     bulk_rms = open_st_rms(system, "a", "b", params=bulk_params, port="bulk")
+    rt_delays = DelayRecorder()
+    rt_rms.port.set_handler(rt_delays.record_message)
 
     def rt_producer():
         for index in range(RT_MESSAGES):
@@ -58,7 +60,7 @@ def run_policy(policy: str, seed: int = 5):
     bulk.stop()
     system.run(until=system.now + 1.0)
 
-    delays = summarize(rt_rms.stats.delays).scaled(1e3)
+    delays = rt_delays.summary().scaled(1e3)
     delivered = rt_rms.stats.messages_delivered
     return {
         "policy": policy,

@@ -17,7 +17,9 @@ pairs the layers' own counters give and how many of them the snapshot
 disagrees with.  The native side is gathered from every counted object the
 scenario built, never from the registry: ``__init__`` of each counted
 class is wrapped from outside for the length of the run, because a push
-registry outlives the streams and queues a failover discards.
+registry outlives the streams and queues a failover discards.  The
+delays behind ``rms_delay_seconds`` are recorded the same way, at each
+RMS's delivery (``Rms._deliver``): a delivered message's ``delay``.
 
 *recover* checks that every series of an old ``.metrics.json`` ``metrics``
 section can be read back from a new one: the new series whose labels
@@ -80,9 +82,12 @@ def _key(**labels: Any) -> Labels:
 def retained():
     """Every instance of a counted class built inside the block (the
     classes are bases that define ``__init__``: a subclass is listed once,
-    by its ``super().__init__``)."""
+    by its ``super().__init__``), and per RMS the delay of each message
+    it delivered inside the block."""
     built: List[Any] = []
+    delays: Dict[Any, List[float]] = defaultdict(list)
     originals = {cls: cls.__dict__["__init__"] for cls in COUNTED}
+    deliver = Rms._deliver
 
     def recording(original):
         def __init__(self, *args, **kwargs):
@@ -90,13 +95,21 @@ def retained():
             original(self, *args, **kwargs)
         return __init__
 
+    def _deliver(self, message):
+        delivered = self.stats.messages_delivered
+        deliver(self, message)
+        if self.stats.messages_delivered > delivered and message.delay is not None:
+            delays[self].append(message.delay)
+
     for cls, original in originals.items():
         cls.__init__ = recording(original)
+    Rms._deliver = _deliver
     try:
-        yield built
+        yield built, delays
     finally:
         for cls, original in originals.items():
             cls.__init__ = original
+        Rms._deliver = deliver
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -194,11 +207,11 @@ SCENARIOS = {
 
 # -- the native side ---------------------------------------------------------
 
-def native_view(built: List[Any]):
+def native_view(built: List[Any], delays: Dict[Any, List[float]]):
     """``{family: {labels: value}}`` and ``{family: {labels: [samples]}}``
-    from the counters of the objects in ``built``.  A family the layers
-    cannot give (it exists only in the registry) is absent here and
-    reported as such."""
+    from the counters of the objects in ``built`` and the ``delays`` their
+    deliveries had.  A family the layers cannot give (it exists only in
+    the registry) is absent here and reported as such."""
     counters: Dict[str, Dict[Labels, float]] = defaultdict(
         lambda: defaultdict(float))
     samples: Dict[str, Dict[Labels, List[float]]] = defaultdict(
@@ -210,7 +223,7 @@ def native_view(built: List[Any]):
             for name in RMS_FIELDS:
                 counters[f"rms_{name}"][key] += getattr(obj.stats, name)
             counters["rms_messages_out_of_order"][key] += obj.stats.out_of_order
-            samples["rms_delay_seconds"][key].extend(obj.stats.delays)
+            samples["rms_delay_seconds"][key].extend(delays.get(obj, ()))
         elif isinstance(obj, HostCpu):
             key = _key(cpu=obj.name)
             counters["cpu_items_run"][key] += obj.items_run
@@ -285,10 +298,10 @@ def _bucketed(values: List[float]) -> List[int]:
 
 def compare(build) -> Tuple[List[str], List[str]]:
     """(report lines, disagreement lines) of one observed scenario."""
-    with retained() as built:
+    with retained() as (built, delays):
         system = build()
     snapshot = json.loads(json.dumps(system.obs.metrics.snapshot(), default=str))
-    counters, samples, waits = native_view(built)
+    counters, samples, waits = native_view(built, delays)
     lines: List[str] = []
     wrong: List[str] = []
     covered = set()

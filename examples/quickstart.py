@@ -13,6 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
+from repro.obs import DelayRecorder
 
 
 def main() -> None:
@@ -39,8 +40,12 @@ def main() -> None:
     print(f"  implied bandwidth:      "
           f"{rms.params.implied_bandwidth() / 1e3:.1f} kB/s")
 
-    # Receive by handler; messages preserve boundaries and order.
+    # Receive by handler; messages preserve boundaries and order.  The
+    # RMS counts deliveries; a client that wants delays records them.
+    delays = DelayRecorder()
+
     def on_message(message):
+        delays.record_message(message)
         print(f"  [{system.now * 1e3:8.3f} ms] bob got {message.size:5d} B "
               f"(delay {message.delay * 1e3:.3f} ms)")
 
@@ -71,7 +76,7 @@ def main() -> None:
     stats = rms.stats
     print(f"totals: sent={stats.messages_sent} "
           f"delivered={stats.messages_delivered} "
-          f"mean delay={stats.mean_delay * 1e3:.3f} ms")
+          f"mean delay={delays.summary().mean * 1e3:.3f} ms")
 
 
 if __name__ == "__main__":

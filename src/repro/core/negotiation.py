@@ -97,9 +97,6 @@ class CapabilityTable:
                     best, best_extra = limits, extra
         return best
 
-    def __len__(self) -> int:
-        return len(self._limits)
-
 
 def negotiate(
     desired: RmsParams,

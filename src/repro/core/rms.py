@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.message import Label, Message
@@ -47,11 +47,6 @@ class RmsLevel(enum.IntEnum):
     NETWORK = 0
     SUBTRANSPORT = 1
 
-    @property
-    def layer(self) -> str:
-        """Short layer label used by observability spans and metrics."""
-        return _LAYERS[self]
-
 
 class RmsState(enum.Enum):
     OPEN = "open"
@@ -61,7 +56,8 @@ class RmsState(enum.Enum):
 
 @dataclass
 class RmsStats:
-    """Counters kept by every RMS for tests and benchmarks."""
+    """Counters kept by every RMS: counts, not logs (a client that wants
+    delays records ``Message.delay``; observing keeps :attr:`Rms.delays`)."""
 
     messages_sent: int = 0
     messages_delivered: int = 0
@@ -71,27 +67,11 @@ class RmsStats:
     bytes_sent: int = 0
     bytes_delivered: int = 0
     capacity_violations: int = 0
-    delays: List[float] = field(default_factory=list)
-
-    @property
-    def max_delay(self) -> float:
-        return max(self.delays) if self.delays else 0.0
-
-    @property
-    def mean_delay(self) -> float:
-        return sum(self.delays) / len(self.delays) if self.delays else 0.0
-
-    @property
-    def loss_rate(self) -> float:
-        if self.messages_sent == 0:
-            return 0.0
-        return self.messages_dropped / self.messages_sent
 
 
-_FAMILIES = families(
-    "rms", RmsStats,
-    delays="rms_delay_seconds", out_of_order="rms_messages_out_of_order",
-)
+_FAMILIES = families("rms", RmsStats, out_of_order="rms_messages_out_of_order")
+#: The delay samples an observed RMS keeps (a list exports as a histogram).
+_DELAYS = families("rms", ["delays"], delays="rms_delay_seconds")
 
 
 class Rms:
@@ -133,10 +113,13 @@ class Rms:
         self._late_threshold: Dict[int, float] = {}
         #: Per-size delay bound memoized by :meth:`send` (-1.0 = unbounded).
         self._send_bound: Dict[int, float] = {}
-        self.layer = _LAYERS[self.level]  # a lookup, not a property frame
-        context.obs.metrics.watch(
-            self.stats, _FAMILIES, layer=self.layer, rms=self.name
-        )
+        self.layer = _LAYERS[self.level]
+        obs = context.obs
+        obs.metrics.watch(self.stats, _FAMILIES, layer=self.layer, rms=self.name)
+        if obs.enabled:
+            #: Each delivery's delay, kept only while observing.
+            self.delays: List[float] = []
+            obs.metrics.watch(self, _DELAYS, layer=self.layer, rms=self.name)
 
     # -- client side ------------------------------------------------------
 
@@ -227,7 +210,6 @@ class Rms:
             delay = None
         else:
             delay = now - send_time
-            stats.delays.append(delay)
             # Lateness threshold per message size, memoized: ``bound_for``
             # is a pure function of the size, so the memo holds the very
             # float a per-message call returns (``inf`` = unbounded).
@@ -244,6 +226,8 @@ class Rms:
                 late = True
         obs = context.obs
         if obs.enabled:
+            if delay is not None:
+                self.delays.append(delay)
             obs.spans.event(
                 message.trace_id, self.layer, "deliver",
                 rms=self.name, delay=delay,

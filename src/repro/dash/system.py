@@ -181,7 +181,7 @@ class DashSystem:
                 desired=desired, acceptable=acceptable, request=request
             )
             port_name = port or f"connect-{next(self._connect_ids)}"
-            return StSession(
+            session = StSession(
                 self.context,
                 sender_node.st,
                 receiver_node.name,
@@ -192,6 +192,8 @@ class DashSystem:
                 name=name
                 or f"{sender_node.name}->{receiver_node.name}:{port_name}",
             )
+            session.owns_port = port is None
+            return session
         if kind == "stream":
             if config is not None and (desired, acceptable, request) != (None,) * 3:
                 raise ParameterError(

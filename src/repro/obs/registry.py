@@ -8,7 +8,7 @@ fact is counted once, there.  The one :class:`MetricsRegistry` of a
 is a list of *sources*.  An object registers the thing it counts in once,
 when it is built, with the family table of its class and its labels::
 
-    _FAMILIES = families("rms", RmsStats, delays="rms_delay_seconds")
+    _FAMILIES = families("rms", RmsStats, out_of_order="rms_messages_out_of_order")
     ...
     context.obs.metrics.watch(self.stats, _FAMILIES, layer="st", rms=name)
 
@@ -18,8 +18,8 @@ the attributes when asked.  What an attribute holds says how it exports:
 - an ``int`` / ``float`` is one series of its family;
 - a ``dict`` is one series per key, under the label the table names
   (``"net_control_drops{kind}"``);
-- a ``list`` of samples (``RmsStats.delays``) is bucketed into a
-  :class:`Histogram` at snapshot time;
+- a ``list`` of samples (``Rms.delays``, kept while observing) is
+  bucketed into a :class:`Histogram` at snapshot time;
 - a :class:`Histogram` the object owns (``HostCpu.queue_wait``: a
   distribution with no sample list behind it) exports as it stands;
 - a method is called and its result exported by the same rules.

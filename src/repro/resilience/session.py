@@ -381,6 +381,8 @@ class StSession(_ChannelSession):
         self.st = st
         self.peer_host = peer_host
         self.port_name = port
+        #: Closing releases the port (a ``connect-N`` one, never a named one).
+        self.owns_port = False
         self.fast_ack = fast_ack
         self._attempt()
 
@@ -460,6 +462,11 @@ class StSession(_ChannelSession):
         if self.resilient:
             self.st.set_network_preference(self.peer_host, None)
         super()._teardown()
+        if self.owns_port:
+            for network in self.st.networks:
+                host = network.hosts.get(self.peer_host)
+                if host is not None:
+                    host.ports.pop(self.port_name, None)
 
 
 class TransportSession(_ChannelSession):

@@ -275,11 +275,16 @@ class SubtransportLayer:
             - SUBHEADER_BYTES
             - st_rms.security.overhead
         )
-        st_rms.on_failure.listen(
-            lambda rms, reason: self._bindings.detach(peer, rms)
-        )
+        st_rms.on_failure.listen(partial(self._stream_failed, peer))
         self.stats.st_rms_created += 1
         return st_rms
+
+    def _stream_failed(self, peer: Peer, st_rms: StRms, reason: str) -> None:
+        """Drop a failed stream's binding here and receiver at the peer."""
+        self._bindings.detach(peer, st_rms)
+        rx = st_rms.rx
+        if rx is not None:
+            rx.layer._rx.pop(st_rms.rms_id, None)
 
     def close_st_rms(self, st_rms: StRms) -> None:
         """Tear one ST RMS down, possibly caching its network RMS."""
@@ -340,7 +345,7 @@ class SubtransportLayer:
                 {"op": "st_reject", "req": fields["req"], "reason": "unknown st_id"}
             )
             return
-        self._rx[st_id] = RxStream(
+        self._rx[st_id] = st_rms.rx = RxStream(
             self, st_rms, bool(fields.get("fast_ack")), channel.peer_host
         )
         channel.send({"op": "st_accept", "req": fields["req"]})

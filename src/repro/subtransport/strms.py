@@ -35,6 +35,7 @@ from repro.subtransport.wire import FLAG_FRAGMENT, FRAG_HEADER_BYTES, encode_bun
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.subtransport.mux import MuxBinding
+    from repro.subtransport.receiver import RxStream
     from repro.subtransport.st import SubtransportLayer
 
 __all__ = ["StRms"]
@@ -74,6 +75,8 @@ class StRms(Rms):
         )
         self.fast_ack = fast_ack
         self.binding: Optional["MuxBinding"] = None
+        #: The receiving layer's :class:`RxStream`, set at ``st_create``.
+        self.rx: Optional["RxStream"] = None
         self.next_seq = 0
         #: Per-stream security state, built once at negotiation time:
         #: the keyed provider instance, MAC context prefix, and wire

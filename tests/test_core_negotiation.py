@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.negotiation import (
@@ -78,7 +80,9 @@ class TestCapabilityTable:
 
     def test_set_uniform_covers_all_eight(self):
         capability = table()
-        assert len(capability) == 8
+        assert sorted(capability._limits) == sorted(
+            itertools.product((False, True), repeat=3)
+        )
 
     def test_combo_key(self):
         assert combo_key(request(privacy=True)) == (False, False, True)
