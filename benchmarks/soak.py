@@ -5,8 +5,8 @@ Two properties of each of the six workloads of
 
 * **retained heap per message.**  ``tracemalloc`` traces from before
   ``build()``.  The workload runs until every stream has sent each of
-  its payload bodies once, so the per-size memos of its streams are
-  full, then two equal blocks of rounds, each followed by its final
+  its payload bodies once, so that what a stream builds on first use is
+  built, then two equal blocks of rounds, each followed by its final
   drain.  What the heap of ``repro`` code grew by across the second
   block, per message delivered in it, is at most ``RETAINED_BOUND``
   bytes: a stack that logs per message fails it.  A block is the quick
@@ -18,7 +18,10 @@ Two properties of each of the six workloads of
   receiver (``RxStream``) and a failed or closed one none; each open ST
   session holds one auto-named (``connect-N``) port on its receiving
   host and a closed one none, and no closed ``StSession`` stays in
-  memory.
+  memory.  Each open byte-stream session holds one ``stream-data-N``
+  port on its receiving host and, unless fast acknowledgements replace
+  its ack RMS, one ``stream-ack-N`` port on its sending host; a closed
+  one neither.
 
 Before it counts, the check empties the event loop's free pool of
 handles: a pooled handle keeps the callback it last ran until it is
@@ -111,16 +114,26 @@ def channel_state(built) -> Dict[str, int]:
     _settle(built)
     objects = gc.get_objects()
     nodes = list(built.system.nodes.values())
+    ports = [port for node in nodes for port in node.host.ports]
+    streams = [session.channel for session in built.sessions
+               if session.kind == "stream" and session.is_up]
     return {
         "open_st_rms": sum(1 for obj in objects
                            if isinstance(obj, StRms) and obj.is_open),
         "rx_streams": sum(len(node.st._rx) for node in nodes),
         "open_st_sessions": sum(1 for session in built.sessions
                                 if session.kind == "st" and session.is_up),
-        "connect_ports": sum(1 for node in nodes for port in node.host.ports
+        "connect_ports": sum(1 for port in ports
                              if port.startswith("connect-")),
         "live_st_sessions": sum(1 for obj in objects
                                 if type(obj) is StSession),
+        "open_streams": len(streams),
+        "acked_streams": sum(1 for stream in streams
+                             if stream.ack_rms is not None),
+        "stream_data_ports": sum(1 for port in ports
+                                 if port.startswith("stream-data-")),
+        "stream_ack_ports": sum(1 for port in ports
+                                if port.startswith("stream-ack-")),
     }
 
 
@@ -133,10 +146,13 @@ def failures(name: str, state: Dict[str, float]) -> List[str]:
     if state["rx_streams"] != state["open_st_rms"]:
         lines.append(f"{name}: {state['rx_streams']} receivers for "
                      f"{state['open_st_rms']} open ST RMSs")
-    for held in ("connect_ports", "live_st_sessions"):
-        if state[held] != state["open_st_sessions"]:
+    for held, owners in (("connect_ports", "open_st_sessions"),
+                         ("live_st_sessions", "open_st_sessions"),
+                         ("stream_data_ports", "open_streams"),
+                         ("stream_ack_ports", "acked_streams")):
+        if state[held] != state[owners]:
             lines.append(f"{name}: {state[held]} {held} for "
-                         f"{state['open_st_sessions']} open ST sessions")
+                         f"{state[owners]} {owners}")
     return lines
 
 
@@ -148,14 +164,16 @@ def main(argv=None) -> int:
     failed: List[str] = []
     print(f"{'workload':<20}{'rounds':>7}{'msgs':>6}{'retained B':>12}"
           f"{'B/msg':>8}{'open RMS':>10}{'rx':>5}{'sessions':>10}"
-          f"{'ports':>7}{'live':>6}")
+          f"{'ports':>7}{'live':>6}{'streams':>9}{'data':>6}{'ack':>5}")
     for name in WORKLOADS:
         state = measure(name)
         print(f"{name:<20}{state['rounds']:>7}{state['messages']:>6}"
               f"{state['retained_b']:>12}{state['b_per_msg']:>8.2f}"
               f"{state['open_st_rms']:>10}{state['rx_streams']:>5}"
               f"{state['open_st_sessions']:>10}{state['connect_ports']:>7}"
-              f"{state['live_st_sessions']:>6}")
+              f"{state['live_st_sessions']:>6}{state['open_streams']:>9}"
+              f"{state['stream_data_ports']:>6}"
+              f"{state['stream_ack_ports']:>5}")
         failed += failures(name, state)
     for line in failed:
         print(f"FAIL {line}")

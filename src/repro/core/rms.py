@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
@@ -36,6 +37,7 @@ from repro.sim.ports import Port
 __all__ = ["RmsLevel", "RmsState", "RmsStats", "Rms"]
 
 _rms_ids = itertools.count(1)
+_INF = math.inf
 #: Layer label of each :class:`RmsLevel`, indexed by it (levels are ints).
 _LAYERS = ("net", "st")
 
@@ -109,10 +111,12 @@ class Rms:
         self.on_failure: Signal = Signal(context.loop)
         self.outstanding_bytes = 0
         self._last_delivered_id = 0
-        #: Per-size lateness thresholds memoized by :meth:`_deliver`.
-        self._late_threshold: Dict[int, float] = {}
-        #: Per-size delay bound memoized by :meth:`send` (-1.0 = unbounded).
-        self._send_bound: Dict[int, float] = {}
+        #: The delay bound's terms: a ``size``-byte message's bound is
+        #: ``a + b * size`` (``DelayBound.bound_for``'s float), and there
+        #: is none where ``a`` is infinite (an unbounded stream).
+        delay = params.delay_bound
+        self._bound_a = delay.a
+        self._bound_b = delay.b
         self.layer = _LAYERS[self.level]
         obs = context.obs
         obs.metrics.watch(self.stats, _FAMILIES, layer=self.layer, rms=self.name)
@@ -159,14 +163,9 @@ class Rms:
         if deadline is not None:
             message.deadline = deadline
         else:
-            # Memoized like the lateness threshold: ``bound_for`` is pure.
-            bound = self._send_bound.get(size)
-            if bound is None:
-                delay = params.delay_bound
-                bound = -1.0 if delay.is_unbounded else delay.bound_for(size)
-                self._send_bound[size] = bound
-            if bound >= 0.0:
-                message.deadline = now + bound
+            a = self._bound_a
+            if a < _INF:
+                message.deadline = now + (a + self._bound_b * size)
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
@@ -210,18 +209,8 @@ class Rms:
             delay = None
         else:
             delay = now - send_time
-            # Lateness threshold per message size, memoized: ``bound_for``
-            # is a pure function of the size, so the memo holds the very
-            # float a per-message call returns (``inf`` = unbounded).
-            threshold = self._late_threshold.get(size)
-            if threshold is None:
-                bound = self.params.delay_bound
-                if bound.is_unbounded:
-                    threshold = float("inf")
-                else:
-                    threshold = bound.bound_for(size) + 1e-12
-                self._late_threshold[size] = threshold
-            if delay > threshold:
+            a = self._bound_a
+            if a < _INF and delay > a + self._bound_b * size + 1e-12:
                 stats.messages_late += 1
                 late = True
         obs = context.obs

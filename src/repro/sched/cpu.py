@@ -25,7 +25,7 @@ from repro.obs.registry import Histogram, families
 from repro.sim.context import SimContext
 from repro.sched.policies import key_slot
 
-__all__ = ["HostCpu", "WorkItem", "protocol_cost"]
+__all__ = ["HostCpu", "WorkItem", "stage_costs"]
 
 
 # Per-operation CPU costs, in seconds, of a late-1980s workstation-class
@@ -41,18 +41,21 @@ MAC_PER_BYTE = 60e-9  # software message authentication
 COPY_PER_BYTE = 10e-9  # buffer copies / fragmentation
 
 
-def protocol_cost(
-    size: int, checksum: bool = False, encrypt: bool = False, mac: bool = False
-) -> float:
-    """CPU seconds to run one protocol stage over ``size`` bytes."""
-    cost = PER_MESSAGE + COPY_PER_BYTE * size
+def stage_costs(
+    checksum: bool = False, encrypt: bool = False, mac: bool = False
+) -> Tuple[float, Tuple[float, ...]]:
+    """The cost model of one protocol stage: its fixed cost and its
+    per-byte rates.  A stage over ``size`` bytes costs the fixed cost
+    plus ``rate * size`` for each rate, summed left to right; a stream
+    resolves the terms once, when it is created, and sums per message."""
+    rates: Tuple[float, ...] = (COPY_PER_BYTE,)
     if checksum:
-        cost += CHECKSUM_PER_BYTE * size
+        rates += (CHECKSUM_PER_BYTE,)
     if encrypt:
-        cost += ENCRYPT_PER_BYTE * size
+        rates += (ENCRYPT_PER_BYTE,)
     if mac:
-        cost += MAC_PER_BYTE * size
-    return cost
+        rates += (MAC_PER_BYTE,)
+    return PER_MESSAGE, rates
 
 
 @dataclass(frozen=True)  # no slots=True: CPython 3.9 has no such option

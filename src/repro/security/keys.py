@@ -9,10 +9,10 @@ The ST control channel uses these keys for peer authentication (3.2).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Tuple
 
 from repro.errors import SecurityError
+from repro.security.hashes import sha256
 
 __all__ = ["KeyRegistry"]
 
@@ -35,7 +35,7 @@ class KeyRegistry:
     def register_host(self, host: str) -> bytes:
         """Enroll a host; returns its master key."""
         if host not in self._host_keys:
-            digest = hashlib.sha256(REALM_SECRET + b"/host/" + host.encode()).digest()
+            digest = sha256(REALM_SECRET + b"/host/" + host.encode()).digest()
             self._host_keys[host] = digest[:16]
         return self._host_keys[host]
 
@@ -58,11 +58,11 @@ class KeyRegistry:
                 + self._host_keys[pair[0]]
                 + self._host_keys[pair[1]]
             )
-            self._pair_keys[pair] = hashlib.sha256(material).digest()[:16]
+            self._pair_keys[pair] = sha256(material).digest()[:16]
         return self._pair_keys[pair]
 
     def session_key(self, host_a: str, host_b: str, session_id: int) -> bytes:
         """A per-session key derived from the pairwise key."""
         base = self.pairwise_key(host_a, host_b)
         material = base + session_id.to_bytes(8, "big")
-        return hashlib.sha256(material).digest()[:16]
+        return sha256(material).digest()[:16]

@@ -3,18 +3,17 @@
 The RMS authentication parameter guarantees that "impersonation
 (delivery of a message with incorrect source label) is impossible"
 (section 2.1).  The ST realizes this on its control channel with a
-keyed MAC over the message and its source label: the standard library's
-keyed BLAKE2b, its digest size set to the tag width the data-path
-provider shares.
+keyed MAC over the message and its source label: CPython's built-in
+keyed BLAKE2b (:mod:`repro.security.hashes`, no OpenSSL), its digest
+size set to the tag width the data-path provider shares.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import struct
 
 from repro.errors import SecurityError
+from repro.security.hashes import blake2b, compare_digest
 
 __all__ = ["compute_mac", "verify_mac", "MAC_BYTES"]
 
@@ -41,7 +40,7 @@ def compute_mac(key: bytes, data: bytes, context: bytes = b"") -> bytes:
         raise SecurityError(
             f"control key must be {_KEY_BYTES} bytes, got {len(key)}"
         )
-    state = hashlib.blake2b(key=key, person=_PERSON, digest_size=MAC_BYTES)
+    state = blake2b(key=key, person=_PERSON, digest_size=MAC_BYTES)
     state.update(context + _PACK_U32(len(data)))
     state.update(data)
     return state.digest()
@@ -51,4 +50,4 @@ def verify_mac(key: bytes, data: bytes, tag: bytes, context: bytes = b"") -> boo
     """Check a tag; returns False rather than raising on mismatch."""
     if len(tag) != MAC_BYTES:
         raise SecurityError(f"MAC tag must be {MAC_BYTES} bytes, got {len(tag)}")
-    return hmac.compare_digest(compute_mac(key, data, context), tag)
+    return compare_digest(compute_mac(key, data, context), tag)

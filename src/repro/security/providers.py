@@ -10,21 +10,27 @@ library's C primitives (``hashlib.algorithms_guaranteed`` lists them in
 every CPython).  The class docstring gives the construction byte for
 byte; ``tests/security_reference.py`` is its one-shot oracle.
 
+The tag is CPython's built-in BLAKE2b (:mod:`repro.security.hashes`);
+the keystream is OpenSSL's SHAKE-128, which squeezes a 1,460 B keystream
+in a third of the time the built-in ``_sha3`` takes on CPython 3.11
+(DESIGN 8.5).  Importing ``hashlib`` maps OpenSSL, about 3.5 MB of
+resident memory, so it happens when a provider is keyed: a run whose
+streams elide security never maps it (DESIGN 8.9).
+
 What a transform costs on the wall clock is simulator overhead, not a
 modelled quantity: the cost the paper's section 2.5 argues about is
-charged in simulated CPU time (``repro.sched.cpu.protocol_cost``), whatever runs
-here.  The 8-byte tag is the wire format's width
+charged in simulated CPU time (``repro.sched.cpu.stage_costs``),
+whatever runs here.  The 8-byte tag is the wire format's width
 (:data:`~repro.security.mac.MAC_BYTES`), not a security margin.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import struct
 from typing import Tuple, Type, Union
 
 from repro.errors import SecurityError
+from repro.security.hashes import blake2b, compare_digest
 from repro.security.mac import MAC_BYTES
 
 __all__ = [
@@ -77,9 +83,13 @@ class ShakeBlake2Provider:
             raise SecurityError(
                 f"session key must be {_KEY_BYTES} bytes, got {len(key)}"
             )
+        # Here, not at module import: ``hashlib`` maps OpenSSL, which
+        # only a stream that applies software security needs.
+        import hashlib
+
         self.key = key
         self._keystream_state = hashlib.shake_128(_KEYSTREAM_PREFIX + key)
-        self._mac_state = hashlib.blake2b(
+        self._mac_state = blake2b(
             key=key, person=_TAG_PERSON, digest_size=MAC_BYTES
         )
 
@@ -116,7 +126,7 @@ class ShakeBlake2Provider:
             raise SecurityError(
                 f"MAC tag must be {MAC_BYTES} bytes, got {len(tag)}"
             )
-        return hmac.compare_digest(self.mac(data, context), tag)
+        return compare_digest(self.mac(data, context), tag)
 
 
 # benchmarks/e2e/trace.py, which sits outside what a PR may edit, finds

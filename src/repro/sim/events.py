@@ -317,11 +317,11 @@ class EventLoop:
                 # scheduled before the clock got here (call_at(now) goes
                 # to the deque), so they precede everything in the deque.
                 if heap and heap[0][0] <= now:
-                    if ran == budget:
+                    if ran == budget and not heap[0][2].cancelled:
                         break
                     handle = heappop(heap)[2]
                 elif bucket:
-                    if ran == budget:
+                    if ran == budget and not bucket[0].cancelled:
                         break  # event budget spent with work still due
                     handle = bucket_popleft()
                 elif not heap:

@@ -8,9 +8,10 @@ added or removed without perturbing each other's draws.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+from repro.security.hashes import sha256
 
 __all__ = ["RandomStreams"]
 
@@ -30,7 +31,7 @@ class RandomStreams:
         streams exist.
         """
         if name not in self._streams:
-            digest = hashlib.sha256(
+            digest = sha256(
                 f"{self.master_seed}:{name}".encode("utf-8")
             ).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
@@ -38,7 +39,7 @@ class RandomStreams:
 
     def spawn(self, name: str) -> "RandomStreams":
         """A child factory whose streams are independent of this one's."""
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self.master_seed}/child:{name}".encode("utf-8")
         ).digest()
         return RandomStreams(int.from_bytes(digest[:8], "big"))

@@ -26,8 +26,8 @@ from typing import Tuple
 from repro.core.params import DelayBound
 from repro.errors import ParameterError
 
-__all__ = ["STAGE_ALLOWANCE", "StConfig", "network_bounds", "receive_deadline",
-           "send_deadlines", "st_best_delay"]
+__all__ = ["STAGE_ALLOWANCE", "StConfig", "network_bounds", "receive_terms",
+           "send_terms", "st_best_delay"]
 
 #: CPU-time allowance reserved out of an ST RMS delay bound for each of
 #: the two protocol stages, send and receive.
@@ -61,30 +61,32 @@ def network_bounds(
     return DelayBound(budget * 0.5, st_bound.b), acceptable
 
 
-def send_deadlines(
-    st_bound: DelayBound, network_bound: DelayBound, size: int
-) -> Tuple[float, float]:
-    """How long after a ``size``-byte message's arrival its send stage
-    must finish, and how long it may wait for transmission: the slack of
-    the ST bound over the network's and both stages (4.3.1).  Without a
-    bound (an unbounded bound is infinite at every size) the slack is a
-    generous 1 s, so bounded traffic outranks it."""
-    st, network = st_bound.bound_for(size), network_bound.bound_for(size)
-    if math.isinf(st) or math.isinf(network):
-        return STAGE_ALLOWANCE, 1.0
-    slack = st - network - (STAGE_ALLOWANCE + STAGE_ALLOWANCE)
-    return STAGE_ALLOWANCE, max(slack, 0.0)
+def send_terms(
+    st_bound: DelayBound, network_bound: DelayBound
+) -> Tuple[float, float, float, float, float, float]:
+    """A stream's send-stage terms ``(deadline, st_a, st_b, net_a, net_b,
+    reserve)`` (4.3.1).  A ``size``-byte message's send stage must finish
+    ``deadline`` after its arrival, and the message may wait for
+    transmission ``(st_a + st_b * size) - (net_a + net_b * size) -
+    reserve`` after it, floored at 0: the slack of the ST bound over the
+    network's and both stages, which the ST computes per message in that
+    float order.  Without a bound (either one unbounded: an infinite
+    ``a``) the terms make the slack exactly a generous 1 s, so bounded
+    traffic outranks it."""
+    if math.isinf(st_bound.a) or math.isinf(network_bound.a):
+        return STAGE_ALLOWANCE, 1.0, 0.0, 0.0, 0.0, 0.0
+    return (STAGE_ALLOWANCE, st_bound.a, st_bound.b, network_bound.a,
+            network_bound.b, STAGE_ALLOWANCE + STAGE_ALLOWANCE)
 
 
-def receive_deadline(st_bound: DelayBound, size: int) -> Tuple[float, bool]:
-    """When a ``size``-byte message's receive stage must finish: the
-    whole ST bound after it was sent, or, on an unbounded stream, one
-    stage allowance after it was received.  Returns the offset and
-    whether it counts from receipt."""
-    bound = st_bound.bound_for(size)
-    if math.isinf(bound):
-        return STAGE_ALLOWANCE, True
-    return bound, False
+def receive_terms(st_bound: DelayBound) -> Tuple[float, float, bool]:
+    """A stream's receive-stage terms ``(a, b, after_receipt)``: a
+    ``size``-byte message's receive stage must finish ``a + b * size``
+    after it was sent -- the whole ST bound -- or, on an unbounded
+    stream, one stage allowance after it was received."""
+    if math.isinf(st_bound.a):
+        return STAGE_ALLOWANCE, 0.0, True
+    return st_bound.a, st_bound.b, False
 
 
 @dataclass

@@ -15,12 +15,11 @@ fragment of the next message arrives, the partial message is discarded"
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.message import Message
 from repro.core.rms import RmsState
-from repro.sched.cpu import protocol_cost
-from repro.subtransport.config import receive_deadline
+from repro.subtransport.config import receive_terms
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
     FLAG_CHECKSUM,
@@ -49,7 +48,8 @@ class RxStream:
 
     __slots__ = (
         "layer", "st_rms", "fast_ack", "sender_host", "stats", "_context",
-        "_loop", "_cpu", "_flags", "_unprotect", "_stage_name", "_stages",
+        "_loop", "_cpu", "_flags", "_unprotect", "_stage_name", "_cost_terms",
+        "_deadline_terms",
         "last_seq", "last_cpu_deadline", "partial", "partial_expected",
         "partial_offset", "partial_send_time", "partial_trace",
     )
@@ -73,11 +73,11 @@ class RxStream:
         self._flags = security.flags
         self._unprotect = security.unprotect
         self._stage_name = f"st/recv:{st_rms.rms_id}"
-        #: Per message size, the receive stage's CPU cost and deadline
-        #: (``receive_deadline``'s offset and whether it counts from
-        #: receipt): pure functions of the size, so a hit is the very
-        #: float a per-message call would compute.
-        self._stages: Dict[int, Tuple[float, float, bool]] = {}
+        #: The receive stage's CPU cost terms (the send stage's: one
+        #: plan) and deadline terms (``receive_terms``), from which each
+        #: message computes its figures with no call.
+        self._cost_terms = st_rms.cost_terms
+        self._deadline_terms = receive_terms(st_rms.params.delay_bound)
         #: Sequence number of the last component accepted.  Sequence
         #: numbers rise per component on a stream and the network keeps
         #: a stream's order, so one at or below it is a replay or a
@@ -141,20 +141,13 @@ class RxStream:
             send_time = self.partial_send_time
             trace_id = self.partial_trace
         size = len(data)
-        stage = self._stages.get(size)
-        if stage is None:
-            st_rms = self.st_rms
-            plan = st_rms.plan
-            offset, after_receipt = receive_deadline(
-                st_rms.params.delay_bound, size
-            )
-            stage = self._stages[size] = (
-                protocol_cost(size, plan.checksum, plan.encrypt, plan.mac),
-                offset,
-                after_receipt,
-            )
-        cost, offset, after_receipt = stage
-        deadline = (self._loop._now if after_receipt else send_time) + offset
+        cost, rates = self._cost_terms
+        for rate in rates:
+            cost += rate * size
+        a, b, after_receipt = self._deadline_terms
+        deadline = (self._loop._now if after_receipt else send_time) + (
+            a + b * size
+        )
         # In-sequence delivery (basic property 2): CPU-stage deadlines on
         # one stream never decrease, so stable EDF keeps stream order.
         if deadline < self.last_cpu_deadline:

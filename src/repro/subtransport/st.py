@@ -43,7 +43,7 @@ from repro.sim.context import SimContext
 from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
-from repro.subtransport.config import StConfig, st_best_delay
+from repro.subtransport.config import StConfig, send_terms, st_best_delay
 from repro.subtransport.control import CONTROL_PORT, ControlChannel, Fields
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.receiver import RxStream
@@ -274,6 +274,9 @@ class SubtransportLayer:
             - _BUNDLE_COUNT_BYTES
             - SUBHEADER_BYTES
             - st_rms.security.overhead
+        )
+        st_rms.send_terms = send_terms(
+            actual.delay_bound, binding.network_rms.params.delay_bound
         )
         st_rms.on_failure.listen(partial(self._stream_failed, peer))
         self.stats.st_rms_created += 1

@@ -19,17 +19,16 @@ establishment.
 from __future__ import annotations
 
 import weakref
-from typing import ClassVar, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import ClassVar, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
 from repro.core.rms import Rms, RmsLevel, RmsState
 from repro.errors import RmsError, TransportError
-from repro.sched.cpu import protocol_cost
+from repro.sched.cpu import stage_costs
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
-from repro.subtransport.config import send_deadlines
 from repro.subtransport.security import SecurityContext, SecurityPlan
 from repro.subtransport.wire import FLAG_FRAGMENT, FRAG_HEADER_BYTES, encode_bundle
 
@@ -91,16 +90,15 @@ class StRms(Rms):
         #: bigger messages fragment.  Set by the ST with the binding.
         self.max_component = 0
         # Resolved once: the host's CPU, the piggyback hold cap, the
-        # send stage's name and, per message size, its ``(cost, deadline,
-        # slack)``: the CPU cost of the stage (``protocol_cost``), and
-        # how long after arrival the stage must finish and the message
-        # may wait for transmission (``send_deadlines``).  The memo holds
-        # what the pure per-size functions return, so a hit is the very
-        # float a per-message call would compute.
+        # send stage's name and the terms of its CPU cost (``stage_costs``,
+        # which the receive stage shares: one plan) and of its deadlines
+        # (``send_terms``, set by the ST with the binding).  Each message
+        # computes its cost and deadlines from them, with no call.
         self._cpu = sender_st.host.cpu
         self._window_cap = sender_st.config.piggyback_window_cap
         self._stage_name = f"st/send:{self.rms_id}"
-        self._stages: Dict[int, Tuple[float, float, float]] = {}
+        self.cost_terms = stage_costs(plan.checksum, plan.encrypt, plan.mac)
+        self.send_terms: Optional[Tuple[float, ...]] = None
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)
@@ -113,20 +111,13 @@ class StRms(Rms):
             raise RmsError(f"{self.name} has no network binding yet")
         size = len(message.payload)
         arrival = message.send_time
-        stage = self._stages.get(size)
-        if stage is None:
-            plan = self.plan
-            deadline, slack = send_deadlines(
-                self.params.delay_bound,
-                binding.network_rms.params.delay_bound,
-                size,
-            )
-            stage = self._stages[size] = (
-                protocol_cost(size, plan.checksum, plan.encrypt, plan.mac),
-                deadline,
-                slack,
-            )
-        cost, deadline, slack = stage
+        cost, rates = self.cost_terms
+        for rate in rates:
+            cost += rate * size
+        deadline, st_a, st_b, net_a, net_b, reserve = self.send_terms
+        slack = (st_a + st_b * size) - (net_a + net_b * size) - reserve
+        if slack < 0.0:
+            slack = 0.0
         self._cpu.submit(
             self._stage_name, cost, arrival + deadline, self._send_stage_done,
             # Maximum transmission deadline (4.3.1): arrival plus the slack.

@@ -26,11 +26,12 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.message import Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
 from repro.errors import ParameterError, TransportError
+from repro.netsim.topology import Host
 from repro.obs.registry import families
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
@@ -153,11 +154,15 @@ class StreamSession:
         config: StreamConfig,
         data_rms: StRms,
         ack_rms: Optional[StRms],
+        ports: Sequence[Tuple[Host, str]] = (),
     ) -> None:
         self.context = context
         self.config = config
         self.data_rms = data_rms
         self.ack_rms = ack_rms
+        #: The ``(host, port name)`` pairs bound for this session alone;
+        #: failing or closing releases them.
+        self._ports = ports
         self.stats = StreamStats()
         self.session_id = next(_session_ids)
         context.obs.metrics.watch(
@@ -339,6 +344,7 @@ class StreamSession:
             return
         self.failed = reason
         self._retransmit.stop()
+        self._release_ports()
         self.on_failed.fire(self, reason)
 
     def salvage_unsent(self) -> list:
@@ -507,6 +513,13 @@ class StreamSession:
         self.data_rms.close()
         if self.ack_rms is not None:
             self.ack_rms.close()
+        self._release_ports()
+
+    def _release_ports(self) -> None:
+        """Unbind the ports named for this session alone: nothing is
+        delivered to them once it has failed or closed."""
+        for host, port in self._ports:
+            host.ports.pop(port, None)
 
     def __repr__(self) -> str:
         return (
@@ -531,9 +544,11 @@ def open_stream(
     session_tag = next(_session_ids)
 
     def flow():
+        data_port = f"stream-data-{session_tag}"
+        ports = [(receiver_st.host, data_port)]
         data_rms = yield sender_st.create_st_rms(
             receiver_st.host.name,
-            port=f"stream-data-{session_tag}",
+            port=data_port,
             request=config.data_request(),
             fast_ack=config.use_fast_ack,
         )
@@ -560,13 +575,15 @@ def open_stream(
             ack_acceptable = ack_desired.with_(
                 delay_bound=DelayBound(ack_delay * 4, 1e-5)
             )
+            ack_port = f"stream-ack-{session_tag}"
+            ports.append((sender_st.host, ack_port))
             ack_rms = yield receiver_st.create_st_rms(
                 sender_st.host.name,
-                port=f"stream-ack-{session_tag}",
+                port=ack_port,
                 desired=ack_desired,
                 acceptable=ack_acceptable,
             )
-        return StreamSession(context, config, data_rms, ack_rms)
+        return StreamSession(context, config, data_rms, ack_rms, tuple(ports))
 
     process = context.spawn(flow(), name=f"open-stream-{session_tag}")
 

@@ -216,7 +216,8 @@ class TestRmsEnforcement:
 
 
 class TestRmsSend:
-    """``Rms.send`` on the per-size bound memo and its two arms."""
+    """``Rms.send``'s deadline, computed per message from the bound's
+    terms, and its two arms."""
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8))
     def test_deadline_is_now_plus_bound_exactly(self, sizes):
@@ -225,12 +226,11 @@ class TestRmsSend:
         rms = LoopbackRms(context, RmsParams(
             capacity=10**6, max_message_size=1000, delay_bound=bound,
             delay_bound_type=DelayBoundType.BEST_EFFORT))
-        for size in sizes + sizes:  # the second pass reads the memo
+        for size in sizes + sizes:
             now = context.run(until=context.now + 0.013)
             message = rms.send(b"x" * size)
             assert message.send_time == now
             assert message.deadline == now + bound.bound_for(size)
-        assert set(rms._send_bound) == set(sizes)
 
     def test_unbounded_stream_leaves_deadline_unset(self, context):
         rms = LoopbackRms(context, RmsParams(
@@ -239,10 +239,9 @@ class TestRmsSend:
         assert rms.send(b"x" * 10).deadline is None
         assert rms.send(b"x" * 10).deadline is None
 
-    def test_explicit_deadline_wins_and_fills_no_memo(self, context, params):
+    def test_explicit_deadline_wins(self, context, params):
         rms = LoopbackRms(context, params)
         assert rms.send(b"x" * 10, deadline=0.042).deadline == 0.042
-        assert rms._send_bound == {}
 
     def test_payload_types_keep_their_validation(self, context, params):
         rms = LoopbackRms(context, params)
@@ -266,8 +265,8 @@ class TestRmsSend:
             with pytest.raises(MessageTooLargeError):
                 rms.send(payload)
         stats = rms.stats
-        assert (stats.messages_sent, stats.bytes_sent, rms.outstanding_bytes,
-                rms._send_bound) == (0, 0, 0, {})
+        assert (stats.messages_sent, stats.bytes_sent,
+                rms.outstanding_bytes) == (0, 0, 0)
 
     def test_consecutive_sends_draw_consecutive_ids(self, context, params):
         rms = LoopbackRms(context, params)

@@ -9,10 +9,18 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.sched import cpu as cpu_model
-from repro.sched.cpu import HostCpu, protocol_cost
+from repro.sched.cpu import HostCpu, stage_costs
 from repro.sched.policies import key_slot
 from repro.sim.context import SimContext
 from tests.sched_reference import Job, ReferenceCpu
+
+
+def protocol_cost(size, checksum=False, encrypt=False, mac=False):
+    """One stage's CPU seconds over ``size`` bytes, as a stream sums it."""
+    cost, rates = stage_costs(checksum, encrypt, mac)
+    for rate in rates:
+        cost += rate * size
+    return cost
 
 
 class TestCpuCostModel:

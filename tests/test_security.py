@@ -9,6 +9,12 @@ checked against ``tests/security_reference.py``.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,11 +23,19 @@ from repro.security.providers import resolve_provider
 from repro.security.checksum import crc32
 from repro.security.keys import KeyRegistry
 from repro.security.mac import MAC_BYTES, compute_mac, verify_mac
+from repro.sim.rng import RandomStreams
 from tests.security_reference import (
+    reference_child_seed,
     reference_control_mac,
+    reference_host_key,
     reference_mac,
+    reference_pair_key,
     reference_seal,
+    reference_session_key,
+    reference_stream_seed,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 KEY = b"0123456789abcdef"
 
@@ -90,6 +104,9 @@ class TestMac:
         fed = memoryview(data) if as_view else data
         assert compute_mac(KEY, fed, context) == expected
         assert verify_mac(KEY, fed, expected, context)
+        # One flipped bit of hashlib's tag is refused.
+        forged = bytes([expected[0] ^ 1]) + expected[1:]
+        assert not verify_mac(KEY, fed, forged, context)
 
     def test_control_tag_is_not_the_data_path_tag(self):
         """Same key, context and data on both channels: the
@@ -158,8 +175,106 @@ class TestKeyRegistry:
         registry.register_host("b")
         assert registry.session_key("a", "b", 1) != registry.session_key("a", "b", 2)
 
+    @pytest.mark.parametrize("hosts", [("a", "b"), ("b", "a"),
+                                       ("h12", "h3"), ("node-α", "gw")])
+    def test_keys_equal_the_hashlib_reference(self, hosts):
+        registry = KeyRegistry()
+        for host in hosts:
+            assert registry.register_host(host) == reference_host_key(host)
+        assert registry.pairwise_key(*hosts) == reference_pair_key(*hosts)
+        for session_id in (0, 1, 2**32 + 5):
+            assert (registry.session_key(*hosts, session_id)
+                    == reference_session_key(*hosts, session_id))
+
+    def test_known_answers(self):
+        """Literals: a change made to the reference too shows here."""
+        registry = KeyRegistry()
+        assert registry.register_host("a").hex() == (
+            "005e5245ffb8a616a173736aa5997849")
+        registry.register_host("b")
+        assert registry.pairwise_key("b", "a").hex() == (
+            "ac3a44e43de46f68295c60e8ce0fb72f")
+        assert registry.session_key("a", "b", 7).hex() == (
+            "9cd646ecefa6f8313bc664d4a5ae41a4")
+
     def test_key_sizes(self):
         registry = KeyRegistry()
         assert len(registry.register_host("a")) == 16
         registry.register_host("b")
         assert len(registry.pairwise_key("a", "b")) == 16
+
+
+class TestSubstreamSeeds:
+    @pytest.mark.parametrize("master", [0, 1, 7, 2**40 + 3])
+    @pytest.mark.parametrize("name", ["link:l", "resilience:s1", "ü"])
+    def test_seeds_equal_the_hashlib_reference(self, master, name):
+        streams = RandomStreams(master)
+        expected = reference_stream_seed(master, name)
+        assert (streams.stream(name).getstate()
+                == random.Random(expected).getstate())
+        assert streams.spawn(name).master_seed == reference_child_seed(
+            master, name)
+
+    def test_known_answers(self):
+        assert RandomStreams(1).spawn("x").master_seed == 12783948680584370351
+        assert RandomStreams(1).stream("link:l").random() == 0.44114804116073536
+
+
+_FOOTPRINT = """
+import sys
+
+from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
+
+
+def deliver(trusted, **security):
+    system = DashSystem(seed=1)
+    system.add_ethernet(trusted=trusted)
+    system.add_node("a"), system.add_node("b")
+    params = RmsParams(capacity=16384, max_message_size=4096,
+                       delay_bound=DelayBound(0.1, 1e-5),
+                       delay_bound_type=DelayBoundType.BEST_EFFORT,
+                       **security)
+    session = system.connect("a", "b", desired=params, acceptable=params)
+    system.run(until=1.0)
+    received = []
+    session.established.result().port.set_handler(received.append)
+    session.send(b"x" * 3000)
+    system.run(until=2.0)
+    assert len(received) == 1, received
+    return session.established.result().security.provider
+
+
+def loaded():
+    return sorted(name for name in ("_hashlib", "hashlib", "hmac")
+                  if name in sys.modules)
+
+
+print(loaded())
+assert deliver(True) is None
+print(loaded())
+assert deliver(False, privacy=True, authentication=True) is not None
+print(loaded())
+"""
+
+
+class TestWhatLoads:
+    """Only a stream whose plan applies software security maps OpenSSL
+    (``_hashlib``, about 3.6 MB resident): keys, seeds and control tags
+    use CPython's built-in hashes (DESIGN 8.9)."""
+
+    def test_openssl_is_mapped_by_the_first_secured_stream(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        # ``-S``: no site-packages, whose ``.pth`` hooks could import
+        # ``hashlib`` before ``repro`` does.
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _FOOTPRINT], capture_output=True,
+            text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "[]",  # after import repro
+            "[]",  # after an unsecured LAN delivered
+            "['_hashlib', 'hashlib']",  # after a secured stream delivered
+        ]

@@ -9,7 +9,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import SchedulingError
 from repro.sim.events import EventLoop, Signal, TimerGroup
@@ -458,6 +458,10 @@ _RUNS = st.one_of(
 class TestAgainstHeapReference:
     @given(st.lists(st.one_of(_SCHEDULES, _SCHEDULES, _CANCELS, _CHURNS, _RUNS),
                     max_size=30))
+    # A spent budget with only a cancelled event due: the dead event is
+    # discarded and the clock still lands on ``until``.
+    @example([("schedule", 0.0007, ()), ("schedule", None, ()),
+              ("cancel", 1), ("run", 0.0005, 0, None)])
     def test_order_clock_and_pending_match_reference(self, program):
         real, reference = _Driver(EventLoop()), _Driver(_HeapReference())
         for action in program + [("run", None, None, None)]:

@@ -46,4 +46,8 @@ def test_flaps_leave_no_channel_state_behind():
         "open_st_sessions": streams,
         "connect_ports": streams,
         "live_st_sessions": streams,
+        "open_streams": 0,
+        "acked_streams": 0,
+        "stream_data_ports": 0,
+        "stream_ack_ports": 0,
     }

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.dash.system import DashSystem
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
@@ -254,6 +255,55 @@ class TestStreamFailure:
         context.run(until=context.now + 5.0)
         assert session.goodput(1.0) == pytest.approx(10_000)
         assert session.goodput(0.0) == 0.0
+
+
+class TestStreamClose:
+    def test_closed_sessions_leave_no_stream_ports(self):
+        # open_stream names a data port on the receiver and an ack port
+        # on the sender for each session; closing releases both.
+        system = DashSystem(seed=3)
+        system.add_ethernet(trusted=True)
+        hosts = [system.add_node(name).host for name in ("a", "b")]
+        for cycle in range(3):
+            session = system.connect("a", "b", kind="stream")
+            system.run(until=system.now + 1.0)
+            channel = session.established.result()
+            assert channel.ack_rms is not None
+            received = []
+            channel.drain_to(received.append)
+            session.send(b"cycle %d" % cycle)
+            system.run(until=system.now + 1.0)
+            assert received == [b"cycle %d" % cycle]
+            assert [[port.rsplit("-", 1)[0] for port in host.ports
+                     if port.startswith("stream-")] for host in hosts] \
+                == [["stream-ack"], ["stream-data"]]
+            session.close()
+            system.run(until=system.now + 1.0)
+        for host in hosts:
+            assert not [port for port in host.ports
+                        if port.startswith("stream-")], host.ports
+
+    def test_a_recovered_session_holds_one_pair_of_stream_ports(self):
+        # Each re-establishment opens a fresh stream; the failed one's
+        # ports go with it.
+        system = DashSystem(seed=2)
+        system.add_ethernet(trusted=True)
+        hosts = [system.add_node(name).host for name in ("a", "b")]
+        session = system.connect("a", "b", kind="stream", resilience=True)
+        system.run(until=1.0)
+        session.established.result()
+        segment = system.networks["ether0"].segment
+        for recoveries in range(1, 4):
+            session.send(b"x" * 100)
+            system.run(until=system.now + 0.2)
+            segment.set_down()
+            system.run(until=system.now + 0.5)
+            segment.set_up()
+            system.run(until=system.now + 3.0)
+            assert session.is_up and session.stats.recoveries == recoveries
+            assert [[port.rsplit("-", 1)[0] for port in host.ports
+                     if port.startswith("stream-")] for host in hosts] \
+                == [["stream-ack"], ["stream-data"]]
 
 
 # -- the retransmit and ack discipline against tests/stream_reference.py ----
