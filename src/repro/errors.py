@@ -64,10 +64,6 @@ class MessageTooLargeError(CapacityError):
     """A message exceeded the RMS maximum message size (section 2.2)."""
 
 
-class MultiplexingError(RmsError):
-    """An ST RMS cannot legally be multiplexed onto a network RMS (4.2)."""
-
-
 class SecurityError(ReproError):
     """Authentication or privacy machinery failed (section 2.1)."""
 

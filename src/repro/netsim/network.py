@@ -92,10 +92,6 @@ class NetworkRms(Rms):
         #: a dead on-route link fails the RMS through the usual
         #: notification path.
         self.plan = None
-        #: Flow identity used for ECMP plan pinning: a small per-(src,
-        #: dst) sequence number assigned at creation, deterministic per
-        #: run (unlike the process-global rms_id counter).
-        self.flow_key = 0
         self._route: List[str] = []  # filled by ``create_rms``
         self.established = False
 
@@ -311,7 +307,6 @@ class Network:
         receiver: Label,
         desired: RmsParams,
         acceptable: RmsParams,
-        flow: Optional[int] = None,
     ) -> Future:
         """Create a network RMS between two attached hosts.
 
@@ -319,10 +314,9 @@ class Network:
         :class:`NegotiationError` / :class:`AdmissionError` on
         rejection); the returned future resolves to the
         :class:`NetworkRms` once the setup handshake (one network round
-        trip) completes.  ``flow`` overrides the stream's flow identity
-        for ECMP path pinning; by default each (src, dst) pair hands
-        out sequence numbers, so successive streams between the same
-        hosts spread across equal-cost paths.
+        trip) completes.  Each (src, dst) pair hands out flow numbers for
+        ECMP path pinning, so successive streams between the same hosts
+        spread across equal-cost paths.
         """
         self._require_host(sender.host)
         self._require_host(receiver.host)
@@ -336,15 +330,13 @@ class Network:
             network=self,
             name=f"{self.name}.rms{next(_setup_ids)}",
         )
-        if flow is None:
-            flow = self._next_flow(sender.host, receiver.host)
+        flow = self._next_flow(sender.host, receiver.host)
         plan = self._route_plan(sender.host, receiver.host, flow)
         # The pinned plan's path is the admitted contract: route and
         # reservations both follow it (it may be an equal-cost sibling of
         # the canonical shortest path under ECMP).  Without hop-by-hop
         # forwarding the peer is one hop away.
         route = [sender.host, receiver.host] if plan is None else plan.route
-        rms.flow_key = flow
         rms._route = route
         rms.plan = plan
         admitted: List[AdmissionController] = []

@@ -16,9 +16,9 @@ Span sites pay a single attribute check when observability is off::
         obs.spans.event(message.trace_id, "st", "tx")
 
 Counting has no such sites: a counter is a plain attribute of its layer
-whether or not anyone is watching.  The disabled path is a
-:class:`NullObservability` whose registry and tracer are stateless
-no-ops, so benchmarks with observability off run at full speed.
+whether or not anyone is watching.  An unobserved context holds a
+:class:`NullObservability`: ``enabled`` is False, there is no tracer
+(``spans`` is None), and ``metrics.watch`` keeps nothing.
 
 The package also holds what workloads and benches summarise with:
 :mod:`repro.obs.stats` (percentiles, :class:`SummaryStats`,
@@ -34,36 +34,26 @@ from repro.obs.export import (
     metrics_payload,
     span_lines,
     write_metrics_json,
-    write_spans_jsonl,
 )
 from repro.obs.linkutil import LinkUtilizationCollector, jain_fairness
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     families,
 )
 from repro.obs.report import Table, format_table
-from repro.obs.spans import (
-    NullSpanTracer,
-    Segment,
-    SpanBreakdown,
-    SpanEvent,
-    SpanTracer,
-)
+from repro.obs.spans import Segment, SpanBreakdown, SpanEvent, SpanTracer
 from repro.obs.stats import DelayRecorder, SummaryStats, percentile, summarize
 
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "families",
     "SpanEvent",
     "Segment",
     "SpanBreakdown",
     "SpanTracer",
-    "NullSpanTracer",
     "Observability",
     "NullObservability",
     "DEFAULT_LATENCY_BUCKETS",
@@ -72,7 +62,6 @@ __all__ = [
     "metrics_payload",
     "write_metrics_json",
     "span_lines",
-    "write_spans_jsonl",
     "flight_recorder",
     "Table",
     "format_table",
@@ -92,25 +81,23 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.spans = SpanTracer(loop)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Combined JSON-serializable state (metrics + span summary)."""
-        return metrics_payload(obs=self)
-
     def __repr__(self) -> str:
         return f"<Observability span_events={len(self.spans)}>"
 
 
 class NullObservability:
-    """The disabled facade: every instrument is a stateless no-op."""
+    """The off facade: no tracer, and it is its own ``metrics``, whose
+    :meth:`watch` keeps nothing (a closed stream's stats stay
+    collectable)."""
 
     enabled = False
+    spans = None
 
     def __init__(self) -> None:
-        self.metrics = NullRegistry()
-        self.spans = NullSpanTracer()
+        self.metrics = self
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
+    def watch(self, source: Any, table: Dict[str, Any], **labels: Any) -> None:
+        return None
 
     def __repr__(self) -> str:
         return "<NullObservability>"

@@ -1,11 +1,11 @@
-"""Exporters: JSON metrics snapshots, JSONL span dumps, flight recorder.
+"""Exporters: JSON metrics snapshots, JSONL span lines, flight recorder.
 
 Three machine/operator surfaces over one :class:`~repro.obs.Observability`:
 
 - :func:`write_metrics_json` -- one JSON document with the registry
   snapshot (plus optional bench tables and metadata); this is what every
   benchmark writes next to its ``.txt`` table as ``*.metrics.json``.
-- :func:`write_spans_jsonl` -- one span event per line, for external
+- :func:`span_lines` -- one span event per JSON line, for external
   trace tooling.
 - :func:`flight_recorder` -- a plain-text report of the top-N slowest
   messages with their per-layer delay breakdowns and deadline-miss
@@ -24,7 +24,6 @@ __all__ = [
     "metrics_payload",
     "write_metrics_json",
     "span_lines",
-    "write_spans_jsonl",
     "flight_recorder",
 ]
 
@@ -88,19 +87,6 @@ def span_lines(tracer: Any) -> Iterator[str]:
                 sort_keys=True,
                 default=str,
             )
-
-
-def write_spans_jsonl(path: str, tracer: Any) -> int:
-    """Dump every span event to ``path``; returns the line count."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    count = 0
-    with open(path, "w") as handle:
-        for line in span_lines(tracer):
-            handle.write(line + "\n")
-            count += 1
-    return count
 
 
 def flight_recorder(obs: Any, top_n: int = 10) -> str:

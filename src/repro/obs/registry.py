@@ -27,8 +27,8 @@ the attributes when asked.  What an attribute holds says how it exports:
 Sources that share a family and a label set add up (the incarnations of
 one re-established stream).  A zero is exported as a zero: a family that
 is absent was never registered, which is not the same thing.  With
-observability off the registry is a :class:`NullRegistry`, whose
-``watch`` keeps nothing.
+observability off there is no registry: the off facade's ``watch``
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.errors import ParameterError
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "families",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -155,8 +154,6 @@ def families(
 class MetricsRegistry:
     """The watched sources of one context, read when asked."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._sources: List[Tuple[Any, Dict[str, Export], Dict[str, Any]]] = []
 
@@ -247,18 +244,3 @@ def _add(
         series[key] = Histogram(getattr(value, "bounds", None))
     series[key].absorb(value)
 
-
-class NullRegistry:
-    """The disabled-path registry: stateless, so nothing a layer registers
-    with observability off is kept alive by it."""
-
-    enabled = False
-
-    def watch(self, source: Any, table: Dict[str, Export], **labels: Any) -> None:
-        return None
-
-    def get(self, name: str, **labels: Any) -> None:
-        return None
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}

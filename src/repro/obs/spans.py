@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 if TYPE_CHECKING:  # repro.sim imports repro.obs, not the other way round
     from repro.sim.events import EventLoop
 
-__all__ = ["SpanEvent", "Segment", "SpanBreakdown", "SpanTracer", "NullSpanTracer"]
+__all__ = ["SpanEvent", "Segment", "SpanBreakdown", "SpanTracer"]
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,8 @@ class SpanTracer:
     """Collects span events per trace id.
 
     Once :data:`MAX_EVENTS` are held, new events are dropped and
-    :attr:`dropped` counts them.
+    :attr:`dropped` counts them, and no component is stashed.
     """
-
-    enabled = True
 
     def __init__(self, loop: EventLoop) -> None:
         self._loop = loop
@@ -168,8 +166,13 @@ class SpanTracer:
     # -- wire correlation ------------------------------------------------
 
     def stash(self, key: Tuple[int, int], trace_id: int) -> None:
-        """Remember a trace id for an in-flight ``(st_rms_id, seq)``."""
-        self._wire[key] = trace_id
+        """Remember a trace id for an in-flight ``(st_rms_id, seq)``.
+
+        Nothing is stashed once the tracer is full: a component whose
+        frame is lost is never claimed, and its trace records no more.
+        """
+        if self._events < MAX_EVENTS:
+            self._wire[key] = trace_id
 
     def claim(self, key: Tuple[int, int]) -> Optional[int]:
         """Retrieve (and forget) the trace id of an arriving component."""
@@ -215,39 +218,3 @@ class SpanTracer:
             f"dropped={self.dropped}>"
         )
 
-
-class NullSpanTracer:
-    """The disabled-path tracer: stateless, records nothing."""
-
-    enabled = False
-    dropped = 0
-
-    def new_trace(self) -> None:
-        return None
-
-    def event(self, trace_id: Optional[int], layer: str, event: str, **fields: Any) -> None:
-        return None
-
-    def stash(self, key: Tuple[int, int], trace_id: int) -> None:
-        return None
-
-    def claim(self, key: Tuple[int, int]) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def traces(self) -> Iterable[int]:
-        return ()
-
-    def events_for(self, trace_id: int) -> List[SpanEvent]:
-        return []
-
-    def breakdown(self, trace_id: int) -> None:
-        return None
-
-    def slowest(self, n: int = 10, delivered_only: bool = True) -> List[SpanBreakdown]:
-        return []
-
-    def clear(self) -> None:
-        return None

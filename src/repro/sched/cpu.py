@@ -6,8 +6,7 @@ protocol processing).  Each piece of protocol work submitted to a
 :class:`HostCpu` carries the deadline of its stage; the CPU executes one
 work item at a time and picks the next by the configured policy (EDF by
 default, FIFO/priority for the ablation benchmarks).  A work item is a
-plain tuple in the CPU's ready heap; :class:`WorkItem` is only the
-record ``HostCpu.keep_history`` keeps of a finished one.
+plain tuple in the CPU's ready heap.
 
 Protocol CPU costs are linear in message size: the constants below
 charge a fixed cost per message and per context switch, and per-byte
@@ -17,7 +16,6 @@ costs for copying, checksumming, encryption and authentication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -25,7 +23,7 @@ from repro.obs.registry import Histogram, families
 from repro.sim.context import SimContext
 from repro.sched.policies import key_slot
 
-__all__ = ["HostCpu", "WorkItem", "stage_costs"]
+__all__ = ["HostCpu", "stage_costs"]
 
 
 # Per-operation CPU costs, in seconds, of a late-1980s workstation-class
@@ -56,31 +54,6 @@ def stage_costs(
     if mac:
         rates += (MAC_PER_BYTE,)
     return PER_MESSAGE, rates
-
-
-@dataclass(frozen=True)  # no slots=True: CPython 3.9 has no such option
-class WorkItem:
-    """What :attr:`HostCpu.completed` records of one finished work item.
-
-    A queued or running item is a plain tuple (see :class:`HostCpu`);
-    this record is built only while ``keep_history`` is set.  ``owner``
-    is the context-switch accounting owner as submitted (``None`` means
-    "derived from the name prefix"); ``trace_id`` is the observability
-    span, if the item carried one message's protocol stage.
-    """
-
-    name: str
-    cpu_time: float
-    deadline: float
-    owner: Optional[str]
-    trace_id: Optional[int]
-    submitted_at: float
-    started_at: float
-    finished_at: float
-
-    @property
-    def missed_deadline(self) -> bool:
-        return self.finished_at > self.deadline + 1e-12
 
 
 _FAMILIES = families(
@@ -135,8 +108,6 @@ class HostCpu:
         #: Seconds items waited for the CPU; observed only while spans are
         #: (a distribution has no cheap always-on form).
         self.queue_wait = Histogram()
-        self.completed: List[WorkItem] = []
-        self.keep_history = False
         context.obs.metrics.watch(self, _FAMILIES, cpu=name)
 
     def submit(
@@ -211,18 +182,13 @@ class HostCpu:
         obs = context.obs
         try:
             if item is not None:
-                (name, cpu_time, deadline, callback, args, owner, trace_id,
-                 submitted_at) = item
+                name, _, deadline, callback, args, _, trace_id, submitted_at = item
                 self._busy = None
                 self.items_run += 1
                 self.busy_time += run_time
                 missed = now > deadline + 1e-12
                 if missed:
                     self.deadline_misses += 1
-                if self.keep_history:
-                    self.completed.append(WorkItem(
-                        name, cpu_time, deadline, owner, trace_id,
-                        submitted_at, self._started_at, now))
                 if obs.enabled:
                     self.queue_wait.observe(self._started_at - submitted_at)
                     obs.spans.event(

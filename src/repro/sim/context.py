@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 from repro.errors import ParameterError
 from repro.obs import NullObservability, Observability
-from repro.sim.events import EventLoop, Signal
+from repro.sim.events import EventLoop
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 
@@ -24,8 +24,8 @@ class SimContext:
     def __init__(self, seed: int = 0, observe: bool = False) -> None:
         self.loop = EventLoop()
         self.rng = RandomStreams(seed)
-        #: Metrics registry + span tracer; a stateless null facade unless
-        #: ``observe=True``.
+        #: Metrics registry + span tracer with ``observe=True``; else the
+        #: off facade (``enabled`` False, ``spans`` None).
         self.obs: Union[Observability, NullObservability] = (
             Observability(self.loop) if observe else NullObservability())
 
@@ -38,9 +38,6 @@ class SimContext:
     def spawn(self, generator, name: Optional[str] = None) -> Process:
         """Start a generator as a simulated process."""
         return Process(self.loop, generator, name)
-
-    def signal(self) -> Signal:
-        return Signal(self.loop)
 
     def run(
         self,

@@ -601,7 +601,6 @@ class Signal:
     def __init__(self, loop: EventLoop) -> None:
         self._loop = loop
         self._listeners: List[Callable[..., None]] = []
-        self.fire_count = 0
 
     def listen(self, callback: Callable[..., None]) -> Callable[[], None]:
         """Subscribe; returns an unsubscribe function."""
@@ -617,7 +616,6 @@ class Signal:
 
     def fire(self, *args: Any) -> None:
         """Invoke every current listener synchronously with ``args``."""
-        self.fire_count += 1
         for callback in list(self._listeners):
             callback(*args)
 

@@ -15,15 +15,6 @@ messages across them by least-outstanding-bytes, and resequences at the
 receiver — exactly the "additional ST protocol complexity" the paper
 worried about (sequence numbers, a resequencing buffer, and head-of-line
 stalls when one path lags).
-
-With ECMP enabled on the underlying internetwork the "multiple network
-paths" premise holds *within one network*: each constituent network RMS
-carries its own flow key (``NetworkRms.flow_key``, assigned per (src,
-dst) at creation), so the N stripes of a downward mux are pinned to
-distinct equal-cost trunks by the routing engine's flow hash — real
-path diversity, not N queues on the same bottleneck.  The
-:attr:`DownwardMux.path_flows` view exposes the (flow key, route) per
-stripe for benches asserting that spread.
 """
 
 from __future__ import annotations
@@ -157,16 +148,6 @@ class DownwardMux:
             return
         self._failed = f"path {rms.name} failed: {reason}"
         self.on_failure.fire(self, self._failed)
-
-    @property
-    def path_flows(self) -> List[tuple]:
-        """(flow key, route) per stripe, in path order.
-
-        Under ECMP distinct flow keys hash to (usually) distinct
-        equal-cost routes, so this is the place to check a mux's
-        stripes actually diverge across the fabric.
-        """
-        return [(path.flow_key, list(path.route)) for path in self.paths]
 
     def __repr__(self) -> str:
         return (

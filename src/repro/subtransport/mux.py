@@ -95,8 +95,6 @@ class MuxBinding:
         #: Last transmission deadline handed to the network per ST RMS
         #: (the *minimum transmission deadline* rule of section 4.3.1).
         self.last_network_deadline: Dict[int, float] = {}
-        self.bundles_sent = 0
-        self.components_sent = 0
 
     @property
     def assigned_capacity(self) -> int:

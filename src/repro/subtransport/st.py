@@ -375,8 +375,6 @@ class SubtransportLayer:
         def flush(payload: bytes, deadline: float, st_ids: List[int], count: int):
             network_rms.send(payload, deadline)
             binding.record_deadline(st_ids, deadline)
-            binding.bundles_sent += 1
-            binding.components_sent += count
             stats.bundles_sent += 1
             stats.components_sent += count
 

@@ -141,16 +141,15 @@ class StRms(Rms):
         self.next_seq = seq + 1
         trace_id = message.trace_id
         obs = self.context.obs
-        if trace_id is not None:
+        if obs.enabled:
             # Correlate the in-flight component with its span so the
             # receiving ST can rejoin the trace (no wire-format change).
             obs.spans.stash((self.rms_id, seq), trace_id)
+            obs.spans.event(trace_id, "st", "enqueue", st=self.name, queued=True)
         payload = message.payload
         security = self.security
         if security.protect is not None:
             payload = security.protect(seq, payload, arrival, 0, 0)
-        if obs.enabled:
-            obs.spans.event(trace_id, "st", "enqueue", st=self.name, queued=True)
         binding.queue.submit(
             (self.rms_id, seq, security.flags, payload, arrival, 0, 0),
             max_deadline, arrival + self._window_cap, trace_id,
@@ -195,15 +194,14 @@ class StRms(Rms):
         for offset in range(0, total, chunk_size):
             seq = self.next_seq
             self.next_seq = seq + 1
-            if trace_id is not None:
-                obs.spans.stash((rms_id, seq), trace_id)
-            chunk = payload_view[offset : offset + chunk_size]
-            if protect is not None:
-                chunk = protect(seq, chunk, arrival, offset, total)
             if obs.enabled:
+                obs.spans.stash((rms_id, seq), trace_id)
                 obs.spans.event(
                     trace_id, "net", "tx", st_rms=rms_id, seq=seq, bundled=1,
                 )
+            chunk = payload_view[offset : offset + chunk_size]
+            if protect is not None:
+                chunk = protect(seq, chunk, arrival, offset, total)
             queue.flush_fn(
                 encode_bundle([(rms_id, seq, flags, chunk, arrival, offset, total)]),
                 max(max_deadline, binding.ordering_floor(st_ids)),

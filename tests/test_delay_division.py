@@ -13,6 +13,8 @@ and ``st/recv`` CPU work items.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import pytest
 
 from repro.core.params import (
@@ -26,6 +28,9 @@ from repro.subtransport.piggyback import PiggybackQueue
 
 SIZES = (2, 700, 1000)  # the best-effort row's slack order matters at each
 UNBOUNDED = DelayBound.unbounded()
+
+#: One work item as a CPU was offered it.
+Offer = namedtuple("Offer", "name deadline submitted_at")
 
 BEST_EFFORT = DelayBoundType.BEST_EFFORT
 STATISTICAL = DelayBoundType.STATISTICAL
@@ -111,8 +116,15 @@ def test_per_message_deadlines(bound_type, bound, monkeypatch):
     rms = session.established.result()
     assert rms.params.delay_bound == bound
     network_bound = rms.binding.network_rms.params.delay_bound
-    sender, receiver = (system.nodes[name].cpu for name in ("a", "b"))
-    sender.keep_history = receiver.keep_history = True
+    offered = []  # every item either CPU is offered, in order
+    for name in ("a", "b"):
+        cpu = system.nodes[name].cpu
+
+        def offer(name, cpu_time, deadline, *args, submit=cpu.submit, **kwargs):
+            offered.append(Offer(name, deadline, system.now))
+            return submit(name, cpu_time, deadline, *args, **kwargs)
+
+        monkeypatch.setattr(cpu, "submit", offer)
 
     max_deadlines = []
     submit = PiggybackQueue.submit
@@ -128,12 +140,12 @@ def test_per_message_deadlines(bound_type, bound, monkeypatch):
     system.run(until=system.now + 1.0)
     assert [len(message.payload) for message in received] == list(SIZES)
 
-    def items(cpu, prefix):
-        return [item for item in cpu.completed
+    def items(prefix):
+        return [item for item in offered
                 if item.name == f"{prefix}:{rms.rms_id}"]
 
-    sends = items(sender, "st/send")
-    recvs = items(receiver, "st/recv")
+    sends = items("st/send")
+    recvs = items("st/recv")
     assert len(sends) == len(recvs) == len(max_deadlines) == len(SIZES)
     for size, message, send, recv, max_deadline in zip(
             SIZES, sent, sends, recvs, max_deadlines):

@@ -23,12 +23,7 @@ from repro import DashSystem, DelayBound, DelayBoundType, RmsParams
 from repro.core.rms import RmsStats
 from repro.errors import ParameterError
 from repro.obs import NullObservability, Observability
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    families,
-)
+from repro.obs.registry import Histogram, MetricsRegistry, families
 from repro.sim.context import SimContext
 from repro.subtransport.st import StStats
 
@@ -198,18 +193,20 @@ class TestRegistry:
 
 
 class TestNullRegistry:
+    """The registry of an unobserved context: the off facade itself."""
+
     def test_disabled_and_stateless(self):
-        registry = NullRegistry()
-        assert not registry.enabled
-        assert registry.watch(Stats(sent=100), FAMILIES, rms="r1") is None
-        assert registry.get("x_sent", rms="r1") is None
-        assert registry.snapshot() == {}
+        obs = SimContext().obs
+        assert not obs.enabled
+        assert obs.metrics is obs
+        assert obs.metrics.watch(Stats(sent=100), FAMILIES, rms="r1") is None
+        assert vars(obs) == {"metrics": obs}
 
     def test_two_instances_share_nothing_mutable(self):
-        one, two = NullRegistry(), NullRegistry()
-        assert vars(one) == vars(two) == {}
+        one, two = SimContext().obs, SimContext().obs
+        assert one is not two
         assert [
-            name for name, value in vars(NullRegistry).items()
+            name for name, value in vars(NullObservability).items()
             if isinstance(value, (dict, list, set))
         ] == []
 
@@ -241,8 +238,8 @@ class TestObservabilityFacade:
         context = SimContext()
         assert not context.obs.enabled
         assert isinstance(context.obs, NullObservability)
-        # The whole disabled path is one attribute check + no-ops.
-        assert context.obs.spans.new_trace() is None
+        # The whole disabled path is one attribute check: no tracer.
+        assert context.obs.spans is None
 
     def test_observe_flag_enables(self):
         context = SimContext(observe=True)

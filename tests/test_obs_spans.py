@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core.message import Message
@@ -9,9 +12,12 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.obs import spans
 from repro.obs.export import flight_recorder, metrics_payload, span_lines
-from repro.obs.spans import NullSpanTracer, SpanBreakdown, SpanEvent, SpanTracer
+from repro.obs.spans import SpanBreakdown, SpanEvent, SpanTracer
 from repro.sim.events import EventLoop
 from repro.subtransport.wire import FLAG_MAC, encode_bundle
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def make_tracer() -> SpanTracer:
@@ -94,17 +100,6 @@ class TestSpanBreakdown:
             )
         slowest = tracer.slowest(2)
         assert [b.trace_id for b in slowest] == [slow, fast]
-
-
-class TestNullSpanTracer:
-    def test_all_no_ops(self):
-        tracer = NullSpanTracer()
-        assert not tracer.enabled
-        assert tracer.new_trace() is None
-        tracer.event(1, "st", "send")
-        assert len(tracer) == 0
-        assert tracer.breakdown(1) is None
-        assert tracer.slowest() == []
 
 
 class TestEndToEndBreakdown:
@@ -193,3 +188,97 @@ class TestForgedComponentDrop:
         (drop,) = [e for e in spans.events_for(fresh) if e.event == "drop"]
         assert drop.fields["reason"] == "authentication failure"
         assert drop.fields["rms"] == rms.name
+
+
+class TestLossyObservedRun:
+    def test_wire_table_stops_growing_once_the_tracer_is_full(self, monkeypatch):
+        """A component whose frame is lost is never claimed, so every
+        stash of a lossy run past :data:`spans.MAX_EVENTS` would stay."""
+        monkeypatch.setattr(spans, "MAX_EVENTS", 2000)
+        system = DashSystem(seed=5, observe=True)
+        system.add_ethernet(trusted=True, frame_loss_rate=0.2)
+        system.add_node("a")
+        system.add_node("b")
+        params = RmsParams(
+            capacity=16384,
+            max_message_size=1400,
+            delay_bound=DelayBound(0.1, 1e-5),
+            delay_bound_type=DelayBoundType.BEST_EFFORT,
+        )
+        session = system.connect("a", "b", port="lossy", desired=params)
+        system.run(until=2.0)
+        rms = session.established.result()
+        tracer = system.obs.spans
+        link = system.networks["ether0"].segment
+
+        def send(count):
+            for _ in range(count):
+                rms.send(bytes(100))
+                system.run(until=system.now + 0.005)
+            system.run(until=system.now + 1.0)
+
+        send(400)
+        assert tracer.dropped > 0
+        held, lost = len(tracer._wire), link.stats.frames_dropped_loss
+        send(800)
+        assert link.stats.frames_dropped_loss > lost
+        assert len(tracer._wire) == held
+
+
+def _tests_enabled(test: ast.expr) -> bool:
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr == "enabled")
+        or (isinstance(node, ast.Name) and node.id == "enabled")
+        for node in ast.walk(test)
+    )
+
+
+def unguarded_span_calls(source: str):
+    """Line of each ``<x>.spans.<method>(...)`` call not in the body of
+    an ``if`` or conditional expression that tests ``enabled``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "spans"):
+            continue
+        child, parent = node, parents.get(node)
+        while parent is not None:
+            body = (parent.body if isinstance(parent, ast.If)
+                    else [parent.body] if isinstance(parent, ast.IfExp)
+                    else ())
+            if any(child is part for part in body) and _tests_enabled(parent.test):
+                break
+            child, parent = parent, parents.get(parent)
+        else:
+            yield node.lineno
+
+
+class TestSpanSitesAreGuarded:
+    """An unobserved context has no tracer (``obs.spans`` is None): every
+    span site outside ``repro.obs`` runs only under ``obs.enabled``."""
+
+    def test_every_span_call_tests_enabled(self):
+        found = {}
+        for path in sorted(SRC.rglob("*.py")):
+            if path.parent.name == "obs":
+                continue
+            lines = list(unguarded_span_calls(path.read_text()))
+            if lines:
+                found[str(path.relative_to(SRC))] = lines
+        assert found == {}
+
+    def test_the_check_sees_an_unguarded_call(self):
+        source = (
+            "if obs.enabled:\n"
+            "    obs.spans.event(1, 'st', 'tx')\n"
+            "else:\n"
+            "    obs.spans.event(2, 'st', 'tx')\n"
+            "trace = obs.spans.new_trace() if obs.enabled else None\n"
+            "if trace is not None:\n"
+            "    obs.spans.stash((1, 2), trace)\n"
+        )
+        assert list(unguarded_span_calls(source)) == [4, 7]

@@ -138,15 +138,6 @@ class TestHostCpu:
         assert done == [pytest.approx(cost)]
         assert cpu.busy_time == pytest.approx(cost)
 
-    def test_keep_history(self, free_switches):
-        context = SimContext()
-        cpu = HostCpu(context)
-        cpu.keep_history = True
-        cpu.submit("x/a", 0.01, deadline=1.0, callback=lambda: None)
-        context.run()
-        assert len(cpu.completed) == 1
-        assert cpu.completed[0].finished_at == pytest.approx(0.01)
-
     @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
     def test_raising_callback_does_not_wedge_the_cpu(self, policy,
                                                      free_switches):
@@ -194,34 +185,39 @@ class TestHostCpuOracle:
         rng = random.Random(seed)
         context = SimContext(seed=seed, observe=observe)
         cpu = HostCpu(context, policy=policy)
-        cpu.keep_history = True
         ref = ReferenceCpu(policy, cpu_model.PER_CONTEXT_SWITCH)
         names = itertools.count()
-        submitted = []
+        submitted = {}
+        #: (name, submitted, started, finished, missed) per completion,
+        #: recorded by the completion callback.
+        history = []
 
         def submit(job):
             # Half the jobs leave the owner to the name prefix.
             explicit = int(job.name.split("/")[1]) % 2 == 0
-            submitted.append(job.name)
+            submitted[job.name] = context.now
             cpu.submit(
                 job.name, job.cpu_time, job.deadline, completed, (job,),
                 owner=job.owner if explicit else None, priority=job.priority)
 
         def completed(job):
+            # The CPU counts a miss before it calls back, and starts no
+            # other item until the callback offers one.
+            missed = cpu.deadline_misses > sum(row[4] for row in history)
+            history.append((job.name, submitted[job.name], cpu._started_at,
+                            context.now, missed))
             for child in job.children:
                 submit(child)
 
         def seen():
             """Per job name: (submitted, started, finished, missed), read
             from the history, the running entry and the ready heap."""
-            jobs = {record.name: (record.submitted_at, record.started_at,
-                                  record.finished_at, record.missed_deadline)
-                    for record in cpu.completed}
+            jobs = {name: row for name, *row in history}
             if cpu._busy:
-                jobs[cpu._busy[0]] = (cpu._busy[7], cpu._started_at,
-                                      None, None)
+                jobs[cpu._busy[0]] = [cpu._busy[7], cpu._started_at,
+                                      None, None]
             for _key, _seq, item in cpu._ready:
-                jobs[item[0]] = (item[7], None, None, None)
+                jobs[item[0]] = [item[7], None, None, None]
             return jobs
 
         def check():
@@ -229,7 +225,7 @@ class TestHostCpuOracle:
             assert bool(cpu._busy) == (ref.running is not None)
             assert sorted((key, seq, item[0])
                           for key, seq, item in cpu._ready) == ref.queued()
-            assert [record.name for record in cpu.completed] == [
+            assert [row[0] for row in history] == [
                 job.name for job in ref.done]
             assert (cpu.items_run, cpu.context_switches, cpu.busy_time,
                     cpu.deadline_misses) == (
@@ -238,8 +234,8 @@ class TestHostCpuOracle:
             jobs = seen()
             assert sorted(jobs) == sorted(submitted)
             for job in ref.done + running + ref.waiting:
-                assert jobs[job.name] == (
-                    job.submitted, job.started, job.finished, job.missed)
+                assert jobs[job.name] == [
+                    job.submitted, job.started, job.finished, job.missed]
 
         for _ in range(80):
             step = rng.random()
@@ -265,9 +261,7 @@ class TestHostCpuOracle:
         check()
         assert cpu.queue_length == 0 and not cpu._busy
         assert len(ref.done) == len(submitted) > 40
-        return [(record.name, record.submitted_at, record.started_at,
-                 record.finished_at, record.missed_deadline)
-                for record in cpu.completed]
+        return history
 
     @pytest.mark.parametrize("policy", ["fifo", "edf", "priority"])
     @pytest.mark.parametrize("seed", range(6))

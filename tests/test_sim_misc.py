@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.context import SimContext
+from repro.sim.events import Signal
 from repro.sim.rng import RandomStreams
 
 
@@ -74,7 +75,7 @@ class TestSimContext:
 
     def test_signal_factory(self):
         context = SimContext()
-        signal = context.signal()
+        signal = Signal(context.loop)
         seen = []
         signal.listen(seen.append)
         signal.fire(1)

@@ -295,20 +295,26 @@ class TestResolvedStages:
         assert len(delivered) == 2
 
     @pytest.mark.parametrize("trusted", [True, False], ids=["plain", "sealed"])
-    def test_each_stage_costs_the_literal_sum(self, trusted):
+    def test_each_stage_costs_the_literal_sum(self, trusted, monkeypatch):
         # 50 us, then 10 ns/B of copying and, on a sealed stream, 120 ns/B
         # of encryption and 60 ns/B of authentication, added in that
         # order: the stream's terms must give these very floats.
         system, _network, rms, delivered = stream(trusted=trusted)
-        cpus = [system.nodes[name].host.cpu for name in ("alice", "bob")]
-        for cpu in cpus:
-            cpu.keep_history = True
+        submitted = []
+        for name in ("alice", "bob"):
+            cpu = system.nodes[name].host.cpu
+
+            def recording(name, cpu_time, *args, submit=cpu.submit, **kwargs):
+                submitted.append((name, cpu_time))
+                return submit(name, cpu_time, *args, **kwargs)
+
+            monkeypatch.setattr(cpu, "submit", recording)
         sizes = (1, 700, 1000, 4000)
         send_all(system, rms, [bytes(size) for size in sizes])
         assert len(delivered) == len(sizes)
-        for cpu, stage in zip(cpus, ("st/send", "st/recv")):
-            costs = [item.cpu_time for item in cpu.completed
-                     if item.name == f"{stage}:{rms.rms_id}"]
+        for stage in ("st/send", "st/recv"):
+            costs = [cpu_time for name, cpu_time in submitted
+                     if name == f"{stage}:{rms.rms_id}"]
             expected = []
             for size in sizes:
                 cost = 50e-6 + 10e-9 * size
