@@ -95,9 +95,9 @@ def retained():
             original(self, *args, **kwargs)
         return __init__
 
-    def _deliver(self, message):
+    def _deliver(self, message, order):
         delivered = self.stats.messages_delivered
-        deliver(self, message)
+        deliver(self, message, order)
         if self.stats.messages_delivered > delivered and message.delay is not None:
             delays[self].append(message.delay)
 

@@ -22,6 +22,11 @@ Two properties of each of the six workloads of
   port on its receiving host and, unless fast acknowledgements replace
   its ack RMS, one ``stream-ack-N`` port on its sending host; a closed
   one neither.
+* **per-size figure tables** (DESIGN 8.3), after those blocks.  There is
+  one table per distinct set of terms the open channels read, and the
+  tables together hold at most ``FIGURE_TABLE_CAP`` sizes per table: a
+  memo that grows with the sizes sent, or keeps terms no open channel
+  has, fails.
 
 Before it counts, the check empties the event loop's free pool of
 handles: a pooled handle keeps the callback it last ran until it is
@@ -51,7 +56,9 @@ for path in (HERE, SRC):
         sys.path.insert(0, path)
 
 from e2e.workloads import BODIES, WORKLOADS  # noqa: E402
+from repro.core.rms import Rms  # noqa: E402
 from repro.resilience.session import StSession  # noqa: E402
+from repro.sim import context as sim_context  # noqa: E402
 from repro.subtransport.strms import StRms  # noqa: E402
 
 SEED = 1
@@ -106,7 +113,8 @@ def measure(name: str) -> Dict[str, float]:
     messages = delivered[1] - delivered[0]
     grown = heap[1] - heap[0]
     return {"rounds": rounds, "messages": messages, "retained_b": grown,
-            "b_per_msg": grown / messages, **channel_state(built)}
+            "b_per_msg": grown / messages, **channel_state(built),
+            **figure_state(built)}
 
 
 def channel_state(built) -> Dict[str, int]:
@@ -137,6 +145,25 @@ def channel_state(built) -> Dict[str, int]:
     }
 
 
+def figure_state(built) -> Dict[str, int]:
+    """The per-size figure tables (DESIGN 8.3) beside the distinct terms
+    of the open channels: the tables the open RMSs and receivers read,
+    one per set of terms, since channels with equal terms share one."""
+    _settle(built)
+    nodes = built.system.nodes.values()
+    rms = [obj for obj in gc.get_objects()
+           if isinstance(obj, Rms) and obj.is_open]
+    read = [each._bounds for each in rms]
+    read += [each.send_figures for each in rms if isinstance(each, StRms)]
+    read += [rx._figures for node in nodes for rx in node.st._rx.values()]
+    figures = built.system.context.figures
+    return {
+        "open_terms": len({id(table) for table in read if table is not None}),
+        "figure_tables": len(figures),
+        "figure_entries": sum(len(table) for table in figures.values()),
+    }
+
+
 def failures(name: str, state: Dict[str, float]) -> List[str]:
     """One line per property ``name`` fails."""
     lines = []
@@ -153,6 +180,14 @@ def failures(name: str, state: Dict[str, float]) -> List[str]:
         if state[held] != state[owners]:
             lines.append(f"{name}: {state[held]} {held} for "
                          f"{state[owners]} {owners}")
+    cap = sim_context.FIGURE_TABLE_CAP
+    if state["figure_tables"] > state["open_terms"]:
+        lines.append(f"{name}: {state['figure_tables']} figure tables for "
+                     f"{state['open_terms']} distinct open terms")
+    if state["figure_entries"] > cap * state["open_terms"]:
+        lines.append(f"{name}: {state['figure_entries']} figure table "
+                     f"entries for {state['open_terms']} distinct open terms "
+                     f"(cap {cap} each)")
     return lines
 
 
@@ -164,7 +199,8 @@ def main(argv=None) -> int:
     failed: List[str] = []
     print(f"{'workload':<20}{'rounds':>7}{'msgs':>6}{'retained B':>12}"
           f"{'B/msg':>8}{'open RMS':>10}{'rx':>5}{'sessions':>10}"
-          f"{'ports':>7}{'live':>6}{'streams':>9}{'data':>6}{'ack':>5}")
+          f"{'ports':>7}{'live':>6}{'streams':>9}{'data':>6}{'ack':>5}"
+          f"{'terms':>7}{'tables':>8}{'sizes':>7}")
     for name in WORKLOADS:
         state = measure(name)
         print(f"{name:<20}{state['rounds']:>7}{state['messages']:>6}"
@@ -173,7 +209,8 @@ def main(argv=None) -> int:
               f"{state['open_st_sessions']:>10}{state['connect_ports']:>7}"
               f"{state['live_st_sessions']:>6}{state['open_streams']:>9}"
               f"{state['stream_data_ports']:>6}"
-              f"{state['stream_ack_ports']:>5}")
+              f"{state['stream_ack_ports']:>5}{state['open_terms']:>7}"
+              f"{state['figure_tables']:>8}{state['figure_entries']:>7}")
         failed += failures(name, state)
     for line in failed:
         print(f"FAIL {line}")

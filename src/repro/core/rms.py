@@ -24,13 +24,13 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
 from repro.errors import MessageTooLargeError, RmsFailedError
 from repro.obs.registry import families
-from repro.sim.context import SimContext
+from repro.sim.context import FIGURE_TABLE_CAP, SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
 
@@ -65,7 +65,7 @@ class RmsStats:
     messages_delivered: int = 0
     messages_dropped: int = 0  # lost, corrupted-and-discarded, or overrun
     messages_late: int = 0  # delivered after their delay bound
-    out_of_order: int = 0  # delivered behind a later id; must stay 0
+    out_of_order: int = 0  # delivered behind a later-sent one; must stay 0
     bytes_sent: int = 0
     bytes_delivered: int = 0
     capacity_violations: int = 0
@@ -110,13 +110,19 @@ class Rms:
         #: Fired with (rms, reason) on failure -- basic property 3.
         self.on_failure: Signal = Signal(context.loop)
         self.outstanding_bytes = 0
-        self._last_delivered_id = 0
+        #: What the sender numbered the last delivered message by.
+        self._last_order = -1
         #: The delay bound's terms: a ``size``-byte message's bound is
         #: ``a + b * size`` (``DelayBound.bound_for``'s float), and there
-        #: is none where ``a`` is infinite (an unbounded stream).
+        #: is none where ``a`` is infinite (an unbounded stream).  Each
+        #: size's bound is computed once into ``_bounds``, the table every
+        #: RMS with these terms shares (None on an unbounded stream).
         delay = params.delay_bound
-        self._bound_a = delay.a
-        self._bound_b = delay.b
+        self._bound_a = a = delay.a
+        self._bound_b = b = delay.b
+        self._bounds: Optional[Dict[int, float]] = (
+            context.figures.setdefault((a, b), {}) if a < _INF else None
+        )
         self.layer = _LAYERS[self.level]
         obs = context.obs
         obs.metrics.watch(self.stats, _FAMILIES, layer=self.layer, rms=self.name)
@@ -163,9 +169,14 @@ class Rms:
         if deadline is not None:
             message.deadline = deadline
         else:
-            a = self._bound_a
-            if a < _INF:
-                message.deadline = now + (a + self._bound_b * size)
+            bounds = self._bounds
+            if bounds is not None:
+                bound = bounds.get(size)
+                if bound is None:
+                    if len(bounds) >= FIGURE_TABLE_CAP:
+                        bounds.clear()
+                    bound = bounds[size] = self._bound_a + self._bound_b * size
+                message.deadline = now + bound
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size
@@ -190,8 +201,13 @@ class Rms:
         """Carry ``message`` toward the receiver.  Subclasses implement."""
         raise NotImplementedError
 
-    def _deliver(self, message: Message) -> None:
-        """Deliver ``message`` at the receiver (enqueue on the port)."""
+    def _deliver(self, message: Message, order: int) -> None:
+        """Deliver ``message`` at the receiver (enqueue on the port).
+
+        ``order`` is what the sender numbered the message by (a network
+        RMS's ``message_id``, an ST stream's sequence number): one below
+        the last delivered message's is counted ``out_of_order``.
+        """
         if self.state is not RmsState.OPEN:
             return
         context = self.context
@@ -209,10 +225,16 @@ class Rms:
             delay = None
         else:
             delay = now - send_time
-            a = self._bound_a
-            if a < _INF and delay > a + self._bound_b * size + 1e-12:
-                stats.messages_late += 1
-                late = True
+            bounds = self._bounds
+            if bounds is not None:
+                bound = bounds.get(size)
+                if bound is None:
+                    if len(bounds) >= FIGURE_TABLE_CAP:
+                        bounds.clear()
+                    bound = bounds[size] = self._bound_a + self._bound_b * size
+                if delay > bound + 1e-12:
+                    stats.messages_late += 1
+                    late = True
         obs = context.obs
         if obs.enabled:
             if delay is not None:
@@ -225,8 +247,7 @@ class Rms:
                 obs.spans.event(
                     message.trace_id, self.layer, "late", rms=self.name
                 )
-        message_id = message.message_id
-        if message_id < self._last_delivered_id:
+        if order < self._last_order:
             # In-sequence delivery is a basic property; a violation is a
             # provider bug, so this is a must-be-0 counter.
             stats.out_of_order += 1
@@ -235,7 +256,7 @@ class Rms:
                     message.trace_id, self.layer, "out_of_order", rms=self.name
                 )
         else:
-            self._last_delivered_id = message_id
+            self._last_order = order
         self.port.deliver(message)
 
     def _drop(self, message: Message, reason: str) -> None:

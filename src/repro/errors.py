@@ -80,6 +80,11 @@ class RkomTimeoutError(TransportError):
     """An RKOM request exhausted its retransmissions without a reply."""
 
 
+class RkomRefusedError(TransportError):
+    """The server held as many of this host's requests as it answers
+    retransmissions of, and refused the call without running it (3.3)."""
+
+
 class NetworkError(ReproError):
     """A failure inside the simulated network substrate (3.1)."""
 

@@ -134,7 +134,8 @@ class NetworkRms(Rms):
             # Hardware checksum: corrupted frames never reach clients.
             self._drop(frame.message, "checksum failure")
             return
-        self._deliver(frame.message)
+        message = frame.message
+        self._deliver(message, message.message_id)
 
     def close(self) -> None:
         """Tear down through the owning network (releases reservations)."""

@@ -20,13 +20,18 @@ vocabulary)::
 The tracer also keeps a *wire side table* correlating in-flight
 ``(st_rms_id, seq)`` pairs with trace ids, so the receiving subtransport
 layer can rejoin a component's trace without widening the wire format.
+A stream's components travel in order, so claiming one retires every
+earlier entry of its stream: those components were lost.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional, Tuple,
+)
 
 if TYPE_CHECKING:  # repro.sim imports repro.obs, not the other way round
     from repro.sim.events import EventLoop
@@ -141,7 +146,9 @@ class SpanTracer:
         self._ids = itertools.count(1)
         self._events = 0
         self._traces: "Dict[int, List[SpanEvent]]" = {}
-        self._wire: Dict[Tuple[int, int], int] = {}
+        #: Per ST stream, its in-flight components' ``(seq, trace_id)``
+        #: in the order they were sent.
+        self._wire: Dict[int, Deque[Tuple[int, int]]] = {}
         self.dropped = 0
 
     # -- trace lifecycle -------------------------------------------------
@@ -168,15 +175,38 @@ class SpanTracer:
     def stash(self, key: Tuple[int, int], trace_id: int) -> None:
         """Remember a trace id for an in-flight ``(st_rms_id, seq)``.
 
-        Nothing is stashed once the tracer is full: a component whose
-        frame is lost is never claimed, and its trace records no more.
+        A stream stashes its components in ``seq`` order.  Nothing is
+        stashed once the tracer is full.
         """
         if self._events < MAX_EVENTS:
-            self._wire[key] = trace_id
+            st_rms_id, seq = key
+            line = self._wire.get(st_rms_id)
+            if line is None:
+                line = self._wire[st_rms_id] = deque()
+            line.append((seq, trace_id))
 
     def claim(self, key: Tuple[int, int]) -> Optional[int]:
-        """Retrieve (and forget) the trace id of an arriving component."""
-        return self._wire.pop(key, None)
+        """Retrieve (and forget) the trace id of an arriving component.
+
+        The network keeps a stream's order, so the entries of its stream
+        stashed before this one were lost in flight and are forgotten
+        too.  A ``seq`` outside the stream's stashed range (claimed
+        already, or never sent) claims nothing and retires nothing.
+        """
+        st_rms_id, seq = key
+        line = self._wire.get(st_rms_id)
+        if line is None or not line[0][0] <= seq <= line[-1][0]:
+            return None
+        stashed, trace_id = line.popleft()
+        while stashed < seq:
+            stashed, trace_id = line.popleft()
+        if not line:
+            del self._wire[st_rms_id]
+        return trace_id if stashed == seq else None
+
+    def forget(self, st_rms_id: int) -> None:
+        """Drop what a closed or failed stream left in flight."""
+        self._wire.pop(st_rms_id, None)
 
     # -- queries -----------------------------------------------------------
 

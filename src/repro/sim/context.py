@@ -7,7 +7,7 @@ coexist in one Python process (the benchmark harness relies on this).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Any, Dict, Hashable, Optional, Union
 
 from repro.errors import ParameterError
 from repro.obs import NullObservability, Observability
@@ -15,7 +15,11 @@ from repro.sim.events import EventLoop
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 
-__all__ = ["SimContext"]
+__all__ = ["FIGURE_TABLE_CAP", "SimContext"]
+
+#: Sizes one per-size figure table holds; a fill that finds it full
+#: empties it first (DESIGN 8.3).
+FIGURE_TABLE_CAP = 256
 
 
 class SimContext:
@@ -28,6 +32,10 @@ class SimContext:
         #: off facade (``enabled`` False, ``spans`` None).
         self.obs: Union[Observability, NullObservability] = (
             Observability(self.loop) if observe else NullObservability())
+        #: The per-size figure tables, one per set of terms: a stream's
+        #: per-message figures are pure functions of its terms and the
+        #: size, so streams whose terms are equal share a table.
+        self.figures: Dict[Hashable, Dict[int, Any]] = {}
 
     @property
     def now(self) -> float:

@@ -15,10 +15,11 @@ fragment of the next message arrives, the partial message is discarded"
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.core.message import Message
 from repro.core.rms import RmsState
+from repro.sim.context import FIGURE_TABLE_CAP
 from repro.subtransport.config import receive_terms
 from repro.subtransport.strms import StRms
 from repro.subtransport.wire import (
@@ -49,7 +50,7 @@ class RxStream:
     __slots__ = (
         "layer", "st_rms", "fast_ack", "sender_host", "stats", "_context",
         "_loop", "_cpu", "_flags", "_unprotect", "_stage_name", "_cost_terms",
-        "_deadline_terms",
+        "_deadline_terms", "_figures",
         "last_seq", "last_cpu_deadline", "partial", "partial_expected",
         "partial_offset", "partial_send_time", "partial_trace",
     )
@@ -74,10 +75,15 @@ class RxStream:
         self._unprotect = security.unprotect
         self._stage_name = f"st/recv:{st_rms.rms_id}"
         #: The receive stage's CPU cost terms (the send stage's: one
-        #: plan) and deadline terms (``receive_terms``), from which each
-        #: message computes its figures with no call.
-        self._cost_terms = st_rms.cost_terms
-        self._deadline_terms = receive_terms(st_rms.params.delay_bound)
+        #: plan) and deadline terms (``receive_terms``), and the table of
+        #: each size's ``(cost, deadline offset, after_receipt)`` that
+        #: every receiver with these terms shares.  The first message of
+        #: a size computes its figures from the terms, inline.
+        self._cost_terms = cost_terms = st_rms.cost_terms
+        self._deadline_terms = terms = receive_terms(st_rms.params.delay_bound)
+        self._figures: Dict[int, Tuple[float, float, bool]] = (
+            layer.context.figures.setdefault(("recv", cost_terms, terms), {})
+        )
         #: Sequence number of the last component accepted.  Sequence
         #: numbers rise per component on a stream and the network keeps
         #: a stream's order, so one at or below it is a replay or a
@@ -141,13 +147,18 @@ class RxStream:
             send_time = self.partial_send_time
             trace_id = self.partial_trace
         size = len(data)
-        cost, rates = self._cost_terms
-        for rate in rates:
-            cost += rate * size
-        a, b, after_receipt = self._deadline_terms
-        deadline = (self._loop._now if after_receipt else send_time) + (
-            a + b * size
-        )
+        figures = self._figures
+        figure = figures.get(size)
+        if figure is None:
+            if len(figures) >= FIGURE_TABLE_CAP:
+                figures.clear()
+            cost, rates = self._cost_terms
+            for rate in rates:
+                cost += rate * size
+            a, b, after_receipt = self._deadline_terms
+            figure = figures[size] = (cost, a + b * size, after_receipt)
+        cost, offset, after_receipt = figure
+        deadline = (self._loop._now if after_receipt else send_time) + offset
         # In-sequence delivery (basic property 2): CPU-stage deadlines on
         # one stream never decrease, so stable EDF keeps stream order.
         if deadline < self.last_cpu_deadline:
@@ -159,7 +170,7 @@ class RxStream:
             obs.spans.event(trace_id, "st", "rx", st=self.st_rms.name, size=size)
         self._cpu.submit(
             self._stage_name, cost, deadline, self.deliver,
-            (data, send_time, trace_id), "st", 0, trace_id,
+            (data, send_time, trace_id, seq), "st", 0, trace_id,
         )
 
     def receive_fragment(
@@ -206,8 +217,13 @@ class RxStream:
         payload: Union[bytes, memoryview],
         send_time: float,
         trace_id: Optional[int],
+        seq: int,
     ) -> None:
-        """The receive stage is done: deliver the message to the client."""
+        """The receive stage is done: deliver the message to the client.
+
+        ``seq`` is the sequence number of the component that completed
+        the message, the order the sender put it in.
+        """
         st_rms = self.st_rms
         if st_rms.state is not RmsState.OPEN:
             return
@@ -216,14 +232,18 @@ class RxStream:
             # a view pinned to the network message's buffer.
             payload = bytes(payload)
         st_rms._deliver(
-            Message(payload, st_rms.sender, st_rms.receiver, send_time, trace_id)
+            Message(payload, st_rms.sender, st_rms.receiver, send_time, trace_id),
+            seq,
         )
         if self.fast_ack:
-            seq = st_rms.stats.messages_delivered
+            # The acknowledgement numbers deliveries, not components.
+            delivered = st_rms.stats.messages_delivered
             self.layer._peer(self.sender_host).control.send(
-                {"op": "fast_ack", "st_id": st_rms.rms_id, "seq": seq}
+                {"op": "fast_ack", "st_id": st_rms.rms_id, "seq": delivered}
             )
             self.stats.fast_acks_sent += 1
             obs = self._context.obs
             if obs.enabled:
-                obs.spans.event(trace_id, "st", "ack", st=st_rms.name, seq=seq)
+                obs.spans.event(
+                    trace_id, "st", "ack", st=st_rms.name, seq=delivered
+                )

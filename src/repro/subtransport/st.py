@@ -275,8 +275,11 @@ class SubtransportLayer:
             - SUBHEADER_BYTES
             - st_rms.security.overhead
         )
-        st_rms.send_terms = send_terms(
+        st_rms.send_terms = terms = send_terms(
             actual.delay_bound, binding.network_rms.params.delay_bound
+        )
+        st_rms.send_figures = self.context.figures.setdefault(
+            ("send", st_rms.cost_terms, terms), {}
         )
         st_rms.on_failure.listen(partial(self._stream_failed, peer))
         self.stats.st_rms_created += 1
@@ -288,6 +291,9 @@ class SubtransportLayer:
         rx = st_rms.rx
         if rx is not None:
             rx.layer._rx.pop(st_rms.rms_id, None)
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.forget(st_rms.rms_id)
 
     def close_st_rms(self, st_rms: StRms) -> None:
         """Tear one ST RMS down, possibly caching its network RMS."""
@@ -354,7 +360,12 @@ class SubtransportLayer:
         channel.send({"op": "st_accept", "req": fields["req"]})
 
     def _handle_st_close(self, channel: ControlChannel, fields: Fields) -> None:
+        # What arrives for the stream from now on is an orphan, so the
+        # tracer keeps none of its components in flight.
         self._rx.pop(fields["st_id"], None)
+        obs = self.context.obs
+        if obs.enabled:
+            obs.spans.forget(fields["st_id"])
 
     def _handle_fast_ack(self, channel: ControlChannel, fields: Fields) -> None:
         st_rms = StRms.registry.get(fields["st_id"])

@@ -19,14 +19,14 @@ establishment.
 from __future__ import annotations
 
 import weakref
-from typing import ClassVar, Optional, Tuple, TYPE_CHECKING
+from typing import ClassVar, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.message import Label, Message
 from repro.core.params import RmsParams
 from repro.core.rms import Rms, RmsLevel, RmsState
 from repro.errors import RmsError, TransportError
 from repro.sched.cpu import stage_costs
-from repro.sim.context import SimContext
+from repro.sim.context import FIGURE_TABLE_CAP, SimContext
 from repro.sim.events import Signal
 from repro.sim.ports import Port
 from repro.subtransport.security import SecurityContext, SecurityPlan
@@ -92,13 +92,16 @@ class StRms(Rms):
         # Resolved once: the host's CPU, the piggyback hold cap, the
         # send stage's name and the terms of its CPU cost (``stage_costs``,
         # which the receive stage shares: one plan) and of its deadlines
-        # (``send_terms``, set by the ST with the binding).  Each message
-        # computes its cost and deadlines from them, with no call.
+        # (``send_terms``, set by the ST with the binding, and with them
+        # ``send_figures``, the table of each size's ``(cost, deadline,
+        # slack)`` shared by every stream with these terms).  The first
+        # message of a size computes its figures from the terms, inline.
         self._cpu = sender_st.host.cpu
         self._window_cap = sender_st.config.piggyback_window_cap
         self._stage_name = f"st/send:{self.rms_id}"
         self.cost_terms = stage_costs(plan.checksum, plan.encrypt, plan.mac)
         self.send_terms: Optional[Tuple[float, ...]] = None
+        self.send_figures: Optional[Dict[int, Tuple[float, float, float]]] = None
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
         self.on_fast_ack: Signal = Signal(context.loop)
@@ -111,13 +114,20 @@ class StRms(Rms):
             raise RmsError(f"{self.name} has no network binding yet")
         size = len(message.payload)
         arrival = message.send_time
-        cost, rates = self.cost_terms
-        for rate in rates:
-            cost += rate * size
-        deadline, st_a, st_b, net_a, net_b, reserve = self.send_terms
-        slack = (st_a + st_b * size) - (net_a + net_b * size) - reserve
-        if slack < 0.0:
-            slack = 0.0
+        figures = self.send_figures
+        figure = figures.get(size)
+        if figure is None:
+            if len(figures) >= FIGURE_TABLE_CAP:
+                figures.clear()
+            cost, rates = self.cost_terms
+            for rate in rates:
+                cost += rate * size
+            deadline, st_a, st_b, net_a, net_b, reserve = self.send_terms
+            slack = (st_a + st_b * size) - (net_a + net_b * size) - reserve
+            if slack < 0.0:
+                slack = 0.0
+            figure = figures[size] = (cost, deadline, slack)
+        cost, deadline, slack = figure
         self._cpu.submit(
             self._stage_name, cost, arrival + deadline, self._send_stage_done,
             # Maximum transmission deadline (4.3.1): arrival plus the slack.

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -25,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import (
     ParameterError,
+    RkomRefusedError,
     RkomTimeoutError,
     RmsFailedError,
     TransportError,
@@ -46,6 +46,7 @@ _HEADER = struct.Struct(">BQH")  # kind, request id, op-name length
 _KIND_REQUEST = 1
 _KIND_REPLY = 2
 _KIND_ACK = 3
+_KIND_REFUSED = 4
 
 _request_ids = itertools.count(1)
 
@@ -57,8 +58,10 @@ LOW_DELAY = 0.05
 HIGH_DELAY = 1.0
 CHANNEL_CAPACITY = 64 * 1024
 CHANNEL_MAX_MESSAGE = 8 * 1024
-#: Requests a server remembers (with their replies) to answer a
-#: retransmitted request without running it twice.
+#: Requests a server holds per client -- running, or answered and not yet
+#: acknowledged -- so that a retransmitted one is answered, never run
+#: twice.  A request beyond them is refused (``RkomRefusedError`` at the
+#: caller); none of them is evicted while its call may still retransmit.
 REPLY_CACHE_SIZE = 256
 #: The retransmission schedule of a call (3.3): the first timeout (a
 #: call's ``timeout=`` overrides it), the retransmissions allowed and the
@@ -193,8 +196,10 @@ class RkomService:
         context.obs.metrics.watch(
             self._timers, TIMER_FAMILIES, group=f"rkom:{st.host.name}"
         )
-        #: Reply cache for at-most-once execution of duplicates.
-        self._served: "OrderedDict[Tuple[str, int], Optional[bytes]]" = OrderedDict()
+        #: Per client host, its requests by id, in arrival order: None
+        #: while running, then ``(reply, answered_at)`` until the client
+        #: acknowledges it.  At-most-once execution of duplicates.
+        self._served: Dict[str, Dict[int, Optional[Tuple[bytes, float]]]] = {}
         #: Fired with (peer_host, "ready" | "failed") on channel state
         #: changes; the resilience layer surfaces these as session states.
         self.on_channel_event: Signal = Signal(context.loop)
@@ -427,28 +432,32 @@ class RkomService:
         source_host = message.source.host if message.source else ""
         if kind == _KIND_REQUEST:
             # Server side: execute once, answer duplicates from the cache.
-            key = (source_host, request_id)
-            served = self._served
-            if key in served:
+            served = self._served.get(source_host)
+            if served is None:
+                served = self._served[source_host] = {}
+            elif request_id in served:
                 self.stats.duplicate_requests += 1
-                reply = served[key]
-                if reply is not None:
+                entry = served[request_id]
+                if entry is not None:
                     # Retransmitted replies ride the high-delay RMS.
                     self._send(
                         source_host,
-                        _HEADER.pack(_KIND_REPLY, request_id, 0) + reply,
+                        _HEADER.pack(_KIND_REPLY, request_id, 0) + entry[0],
                         True,
                     )
+                return
+            if len(served) >= REPLY_CACHE_SIZE and not self._make_room(served):
+                self._send(
+                    source_host, _HEADER.pack(_KIND_REFUSED, request_id, 0), False
+                )
                 return
             handler = self.handlers.get(
                 body[:op_length].decode("utf-8", errors="replace")
             )
             if handler is None:
-                reply = served[key] = b""
+                reply = b""
             else:
-                served[key] = None  # in progress
-                while len(served) > REPLY_CACHE_SIZE:
-                    served.popitem(last=False)
+                served[request_id] = None  # in progress
                 self.stats.requests_served += 1
                 result = handler(body[op_length:], source_host)
                 if isinstance(result, Future):
@@ -456,11 +465,12 @@ class RkomService:
                         lambda f: self._reply_ready(source_host, request_id, f)
                     )
                     return
-                reply = served[key] = bytes(result)
+                reply = bytes(result)
+            served[request_id] = (reply, self.context.loop._now)
             self._send(
                 source_host, _HEADER.pack(_KIND_REPLY, request_id, 0) + reply, False
             )
-        elif kind == _KIND_REPLY:
+        elif kind == _KIND_REPLY or kind == _KIND_REFUSED:
             record = self._pending.get(request_id)
             if record is None:
                 return
@@ -471,6 +481,12 @@ class RkomService:
                 return
             del self._pending[request_id]
             retry.stop()
+            if kind == _KIND_REFUSED:
+                handle.set_exception(RkomRefusedError(
+                    f"{peer} holds {REPLY_CACHE_SIZE} requests of "
+                    f"{self.st.host.name} and refused the call"
+                ))
+                return
             self.stats.replies += 1
             obs = self.context.obs
             if obs.enabled:
@@ -481,14 +497,36 @@ class RkomService:
             handle.set_result(body)
             self._send(source_host, _HEADER.pack(_KIND_ACK, request_id, 0), True)
         elif kind == _KIND_ACK:
-            self._served.pop((source_host, request_id), None)
+            served = self._served.get(source_host)
+            if served is not None:
+                served.pop(request_id, None)
+                if not served:
+                    del self._served[source_host]
 
     def _reply_ready(self, source_host: str, request_id: int, future: Future) -> None:
         reply = b"" if future.failed else bytes(future.result())
-        self._served[(source_host, request_id)] = reply
+        self._served[source_host][request_id] = (reply, self.context.loop._now)
         self._send(
             source_host, _HEADER.pack(_KIND_REPLY, request_id, 0) + reply, False
         )
+
+    def _make_room(self, served: Dict[int, Optional[Tuple[bytes, float]]]) -> bool:
+        """Forget a full client's answers that no call can ask for again.
+
+        A call retransmits for at most its timeouts' sum, and a
+        retransmission arrives within the high-delay bound, so an answer
+        older than both (at the default timeout) is one whose
+        acknowledgement was lost.  True if that made room.
+        """
+        window = HIGH_DELAY + sum(
+            _call_delay(REQUEST_TIMEOUT, attempt)
+            for attempt in range(MAX_RETRANSMITS + 1)
+        )
+        now = self.context.loop._now
+        for request_id, entry in list(served.items()):
+            if entry is not None and now - entry[1] > window:
+                del served[request_id]
+        return len(served) < REPLY_CACHE_SIZE
 
     def __repr__(self) -> str:
         return (

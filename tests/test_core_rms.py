@@ -22,7 +22,8 @@ class LoopbackRms(Rms):
         self.latency = latency
 
     def _transmit(self, message):
-        self.context.loop.call_after(self.latency, self._deliver, message)
+        self.context.loop.call_after(
+            self.latency, self._deliver, message, message.message_id)
 
 
 @pytest.fixture
@@ -111,8 +112,8 @@ class TestRmsBasicProperties:
                 if self.held is None:
                     self.held = message
                 else:
-                    self._deliver(message)
-                    self._deliver(self.held)
+                    self._deliver(message, message.message_id)
+                    self._deliver(self.held, self.held.message_id)
                     self.held = None
 
         context = SimContext(seed=9, observe=observe)

@@ -136,9 +136,18 @@ def test_per_message_deadlines(bound_type, bound, monkeypatch):
     monkeypatch.setattr(PiggybackQueue, "submit", recording)
     received = []
     rms.port.set_handler(received.append)
-    sent = [rms.send(bytes(size)) for size in SIZES]
-    system.run(until=system.now + 1.0)
-    assert [len(message.payload) for message in received] == list(SIZES)
+    # Each size three times: the first fills the per-size figure tables,
+    # the second hits them, the third fills them again after every table
+    # is emptied.
+    sizes = SIZES * 3
+    sent = []
+    for rerun in range(3):
+        if rerun == 2:
+            for table in system.context.figures.values():
+                table.clear()
+        sent += [rms.send(bytes(size)) for size in SIZES]
+        system.run(until=system.now + 1.0)
+    assert [len(message.payload) for message in received] == list(sizes)
 
     def items(prefix):
         return [item for item in offered
@@ -146,10 +155,14 @@ def test_per_message_deadlines(bound_type, bound, monkeypatch):
 
     sends = items("st/send")
     recvs = items("st/recv")
-    assert len(sends) == len(recvs) == len(max_deadlines) == len(SIZES)
+    assert len(sends) == len(recvs) == len(max_deadlines) == len(sizes)
     for size, message, send, recv, max_deadline in zip(
-            SIZES, sent, sends, recvs, max_deadlines):
+            sizes, sent, sends, recvs, max_deadlines):
         arrival = message.send_time
+        if bound.is_unbounded:
+            assert message.deadline is None
+        else:
+            assert message.deadline == arrival + (bound.a + bound.b * size)
         assert send.deadline == arrival + 2e-3
         if bound.is_unbounded or network_bound.is_unbounded:
             slack = 1.0

@@ -224,6 +224,51 @@ class TestLossyObservedRun:
         assert link.stats.frames_dropped_loss > lost
         assert len(tracer._wire) == held
 
+    @pytest.mark.parametrize("max_events", [2000, spans.MAX_EVENTS],
+                             ids=["full", "roomy"])
+    def test_wire_table_holds_only_what_may_still_arrive(
+        self, monkeypatch, max_events
+    ):
+        """A lost component is retired when a later one of its stream is
+        claimed, and what is left goes with the stream: the table follows
+        the components in flight, however many the tracer may hold."""
+        monkeypatch.setattr(spans, "MAX_EVENTS", max_events)
+        system = DashSystem(seed=5, observe=True)
+        system.add_ethernet(trusted=True, frame_loss_rate=0.2)
+        system.add_node("a")
+        system.add_node("b")
+        params = RmsParams(
+            capacity=16384,
+            max_message_size=1400,
+            delay_bound=DelayBound(0.1, 1e-5),
+            delay_bound_type=DelayBoundType.BEST_EFFORT,
+        )
+        session = system.connect("a", "b", port="lossy", desired=params)
+        system.run(until=2.0)
+        rms = session.established.result()
+        tracer = system.obs.spans
+        link = system.networks["ether0"].segment
+        rx = system.nodes["b"].st._rx[rms.rms_id]
+        lost = link.stats.frames_dropped_loss
+
+        def held():
+            return [(st_rms_id, seq) for st_rms_id, line in tracer._wire.items()
+                    for seq, _trace in line]
+
+        for _ in range(400):
+            rms.send(bytes(100))
+            system.run(until=system.now + 0.005)
+            # At most the components sent since the last one received.
+            assert all(st_rms_id == rms.rms_id and seq > rx.last_seq
+                       for st_rms_id, seq in held())
+            assert len(held()) <= rms.next_seq - 1 - rx.last_seq
+        system.run(until=system.now + 1.0)
+        assert link.stats.frames_dropped_loss - lost > 40
+        assert len(held()) == rms.next_seq - 1 - rx.last_seq < 5
+        session.close()
+        system.run(until=system.now + 1.0)
+        assert held() == []
+
 
 def _tests_enabled(test: ast.expr) -> bool:
     return any(

@@ -51,3 +51,19 @@ def test_flaps_leave_no_channel_state_behind():
         "stream_data_ports": 0,
         "stream_ack_ports": 0,
     }
+
+
+def test_figure_tables_follow_the_open_terms():
+    """The per-size figure tables are one per distinct set of terms the
+    open channels read, however many sizes were sent, through trunk flaps
+    and re-establishment."""
+    built = soak.WORKLOADS["grid_churn"](soak.SEED)
+    built.build()
+    built.warmup()
+    for _ in range(FLAPS):
+        built.round()
+    built.drain()
+    state = soak.figure_state(built)
+    assert 0 < state["figure_tables"] == state["open_terms"]
+    cap = soak.sim_context.FIGURE_TABLE_CAP
+    assert 0 < state["figure_entries"] <= cap * state["open_terms"]

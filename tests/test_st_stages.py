@@ -15,12 +15,16 @@ its sequence number is above the last one it accepted on the stream.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core.message import Message
+from repro.core.message import Label, Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
+from repro.core.rms import Rms
 from repro.dash.system import DashSystem
 from repro.security.providers import ShakeBlake2Provider
+from repro.sim.context import FIGURE_TABLE_CAP, SimContext
 from repro.subtransport.binding import DATA_PORT
 from repro.subtransport.security import SecurityContext
 from repro.subtransport.wire import FLAG_FRAGMENT, decode_bundle, encode_bundle
@@ -38,17 +42,20 @@ def params(secured: bool = True, size: int = 8000) -> RmsParams:
 
 
 def stream(
-    trusted: bool, secured: bool = True, fast_ack: bool = False, **network
+    trusted: bool, secured: bool = True, fast_ack: bool = False,
+    request: RmsParams = None, **network
 ):
     """``(system, network, rms, delivered)``: one ST RMS from alice to
-    bob, its deliveries collected; ``network`` goes to the Ethernet."""
+    bob, its deliveries collected; ``network`` goes to the Ethernet and
+    ``request`` (default ``params(secured)``) is what alice asks for."""
     system = DashSystem(seed=3)
     network = system.add_ethernet(trusted=trusted, **network)
     alice = system.add_node("alice")
     system.add_node("bob")
+    request = request or params(secured)
     future = alice.st.create_st_rms(
-        "bob", port="stages", desired=params(secured),
-        acceptable=params(secured), fast_ack=fast_ack,
+        "bob", port="stages", desired=request, acceptable=request,
+        fast_ack=fast_ack,
     )
     system.run(until=system.now + 2.0)
     rms = future.result()
@@ -335,3 +342,152 @@ class TestResolvedStages:
         assert len(queued) == len(messages)
         assert queued == sorted(queued)
         assert queued[1] == queued[0]  # floored at the 6,000 B message's
+
+    # -- the per-size figure tables -----------------------------------
+
+    #: Each plan's per-byte CPU rates after the 10 ns/B copy, in the
+    #: order they are added, and the ``stream()`` arguments that get it.
+    PLANS = {
+        "plain": ((), dict(trusted=True, secured=False)),
+        "checksummed": ((30e-9,), dict(
+            trusted=True, secured=False, link_checksum=False,
+            bit_error_rate=1e-12)),
+        "sealed": ((120e-9, 60e-9), dict(trusted=False, secured=True)),
+    }
+
+    @pytest.mark.parametrize("bound", [
+        DelayBound(0.1, 1e-5), DelayBound.unbounded(),
+    ], ids=["bounded", "unbounded"])
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    def test_every_size_gets_the_literal_figures(self, plan, bound, monkeypatch):
+        """Every size from 0 to the maximum message size, each twice
+        (the first fills the tables, the second hits them), past the cap
+        several times (so tables are emptied and filled again): each of
+        ``Rms.send``, ``StRms._transmit`` and ``RxStream.receive`` reads
+        the very float its literal expression gives."""
+        rates, network = self.PLANS[plan]
+        request = params(network["secured"], size=2000).with_(
+            delay_bound=bound)
+        system, _network, rms, _delivered = stream(
+            request=request, **network)
+        assert rms.params.delay_bound == bound
+        assert [rms.plan.checksum, rms.plan.encrypt or rms.plan.mac] == [
+            plan == "checksummed", plan == "sealed"]
+        net = rms.binding.network_rms.params.delay_bound
+        offered = {}
+        for name in ("alice", "bob"):
+            monkeypatch.setattr(  # record each stage, run none
+                system.nodes[name].host.cpu, "submit",
+                lambda *item, _name=name: offered.__setitem__(_name, item))
+        rx = rms.rx
+        protect = rms.security.protect
+        now = system.now
+        a, b = bound.a, bound.b
+        seq = rx.last_seq
+        for size in range(rms.params.max_message_size + 1):
+            cost = 50e-6 + 10e-9 * size
+            for rate in rates:
+                cost += rate * size
+            if bound.is_unbounded or net.is_unbounded:
+                slack = 1.0
+            else:
+                slack = (a + b * size) - (net.a + net.b * size)
+                slack = max(slack - (2e-3 + 2e-3), 0.0)
+            for _ in range(2):
+                # Rms.send: the default transmission deadline.
+                message = rms.send(bytes(size))
+                if bound.is_unbounded:
+                    assert message.deadline is None
+                else:
+                    assert message.deadline == now + (a + b * size)
+                # StRms._transmit: the send stage's cost and deadlines.
+                name, cpu_time, deadline, _done, args = offered["alice"][:5]
+                assert (cpu_time, deadline, args[3]) == (
+                    cost, now + 2e-3, now + slack), size
+                # RxStream.receive: the receive stage's cost and deadline.
+                seq += 1
+                data = bytes(size)
+                if protect is not None:
+                    data = protect(seq, data, now, 0, 0)
+                rx.last_cpu_deadline = 0.0  # no floor from the last size
+                rx.receive(seq, rms.security.flags, data, now, 0, 0, None)
+                name, cpu_time, deadline = offered.pop("bob")[:3]
+                assert name == f"st/recv:{rms.rms_id}"
+                if bound.is_unbounded:
+                    assert (cpu_time, deadline) == (cost, now + 2e-3)
+                else:
+                    assert (cpu_time, deadline) == (
+                        cost, now + (a + b * size)), size
+            for table in system.context.figures.values():
+                assert len(table) <= FIGURE_TABLE_CAP
+
+    def test_late_exactly_past_the_literal_threshold_at_every_size(self):
+        """``Rms._deliver`` (the fourth site): a message is late when its
+        delay exceeds ``a + b * size + 1e-12``, probed at that very float
+        and the next one up, each size twice, past the cap."""
+        bound = DelayBound(0.1, 1e-5)
+        context = SimContext()  # the clock reads 0: a delay is -send_time
+        rms = Rms(context, params(False, size=2000).with_(delay_bound=bound),
+                  Label("a", "p"), Label("b", "p"))
+        rms.port.set_handler(lambda message: None)
+        order = 0
+        for size in range(rms.params.max_message_size + 1):
+            threshold = bound.a + bound.b * size + 1e-12
+            for _ in range(2):
+                for delay, late in ((threshold, 0), (
+                        math.nextafter(threshold, math.inf), 1)):
+                    before = rms.stats.messages_late
+                    order += 1
+                    rms._deliver(
+                        Message(bytes(size), send_time=-delay), order)
+                    assert rms.stats.messages_late - before == late, size
+            assert len(rms._bounds) <= FIGURE_TABLE_CAP
+        assert rms.stats.out_of_order == 0
+
+    def test_a_table_holds_at_most_the_cap_and_one_set_of_terms_one_table(
+        self
+    ):
+        """More distinct sizes than the cap, on two streams with equal
+        terms: the tables follow the terms, never the sizes sent."""
+        system, _network, rms, delivered = stream(trusted=True, secured=False)
+        future = system.nodes["alice"].st.create_st_rms(
+            "bob", port="twin", desired=params(False),
+            acceptable=params(False))
+        system.run(until=system.now + 2.0)
+        twin = future.result()
+        twin.port.set_handler(lambda message: None)
+        tables = system.context.figures
+        assert twin.send_figures is rms.send_figures
+        assert twin.rx._figures is rms.rx._figures
+        assert twin._bounds is rms._bounds
+        count = len(tables)
+        sizes = range(1, FIGURE_TABLE_CAP + 60)
+        for size in sizes:
+            for each in (rms, twin):
+                each.send(bytes(size))
+            system.run(until=system.now + 0.05)
+            assert all(len(table) <= FIGURE_TABLE_CAP
+                       for table in tables.values())
+        assert len(delivered) == len(sizes)
+        assert len(tables) == count
+        # Filled and emptied: what is left is the sizes since the last
+        # time the table was full.
+        assert 0 < len(rms.send_figures) <= FIGURE_TABLE_CAP
+        assert len(rms.send_figures) == (len(sizes) - 1) % FIGURE_TABLE_CAP + 1
+
+
+class TestInSequenceAtTheSt:
+    def test_a_delivery_behind_a_later_sequence_number_is_counted(self):
+        """The receiver builds a fresh ``Message`` per delivery, so ST
+        order is the sender's sequence number, not a message id."""
+        system, _network, rms, delivered = stream(trusted=True, secured=False)
+        rx = rms.rx
+        now = system.now
+        rx.deliver(b"first", now, None, 4)
+        rx.deliver(b"second", now, None, 7)
+        assert rms.stats.out_of_order == 0
+        rx.deliver(b"late", now, None, 5)
+        assert delivered == [b"first", b"second", b"late"]
+        assert rms.stats.out_of_order == 1
+        rx.deliver(b"next", now, None, 8)
+        assert rms.stats.out_of_order == 1

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import (
-    ParameterError, RkomTimeoutError, RmsFailedError, TransportError)
+    ParameterError, RkomRefusedError, RkomTimeoutError, RmsFailedError,
+    TransportError)
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
 from repro.security.keys import KeyRegistry
@@ -197,6 +198,79 @@ class TestRkomReliability:
         context.run(until=2.0)
         future.result()
         assert len(rkom_b._served) == 0  # ACK purged the cached reply
+
+
+class TestReplyCacheBound:
+    """A server answers a retransmitted request from what it holds of
+    the request's client; it never evicts an entry a call may still ask
+    for, and refuses a request beyond :data:`rkom.REPLY_CACHE_SIZE`."""
+
+    def slow_server(self, rkom_b, context, delay):
+        executions = []
+
+        def handler(payload, src):
+            executions.append(payload)
+            done = Future(context.loop)
+            context.loop.call_after(delay, done.set_result, payload)
+            return done
+
+        rkom_b.register_handler("slow", handler)
+        return executions
+
+    def test_more_calls_than_the_cache_run_each_request_at_most_once(self):
+        context, _net, rkom_a, rkom_b = build()
+        TestRkomReliability()._warm(context, rkom_a, rkom_b)
+        # Each request runs longer than the first retransmission timeout,
+        # so every call retransmits while its request is in progress.
+        executions = self.slow_server(rkom_b, context, 3 * rkom.REQUEST_TIMEOUT)
+        calls = rkom.REPLY_CACHE_SIZE + 40
+        futures = [rkom_a.call("b", "slow", b"%d" % index)
+                   for index in range(calls)]
+        context.run(until=context.now + 30.0)
+        assert all(future.done for future in futures)
+        assert rkom_a.stats.retransmissions > 0
+        assert sorted(executions) == sorted(set(executions))  # none twice
+        answered = [future for future in futures if not future.failed]
+        refused = [future for future in futures if future.failed]
+        assert len(answered) == len(executions) == rkom.REPLY_CACHE_SIZE
+        for future in refused:
+            with pytest.raises(RkomRefusedError):
+                future.result()
+        assert [future.result() for future in answered] == [
+            b"%d" % index for index in range(rkom.REPLY_CACHE_SIZE)]
+        # Every answer was acknowledged: nothing is held.
+        assert rkom_b._served == {}
+
+    def test_answers_whose_acks_were_lost_make_room_once_no_call_can_ask(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(rkom, "REPLY_CACHE_SIZE", 4)
+        context, network, rkom_a, rkom_b = build()
+        TestRkomReliability()._warm(context, rkom_a, rkom_b)
+        acks = []
+        send = rkom_a._send
+
+        def losing_acks(peer, frame, high):
+            if frame[0] == rkom._KIND_ACK:
+                acks.append(frame)  # lost on the way
+                return
+            send(peer, frame, high)
+
+        monkeypatch.setattr(rkom_a, "_send", losing_acks)
+        first = [rkom_a.call("b", "echo", b"%d" % i) for i in range(4)]
+        context.run(until=context.now + 1.0)
+        assert [f.result() for f in first] == [b"0", b"1", b"2", b"3"]
+        assert len(rkom_b._served["a"]) == 4 and len(acks) == 4
+        # Held answers a call could still ask for: refused.
+        early = rkom_a.call("b", "echo", b"early")
+        context.run(until=context.now + 1.0)
+        with pytest.raises(RkomRefusedError):
+            early.result()
+        # Past every retransmission of a default call: room again.
+        context.run(until=context.now + 20.0)
+        late = rkom_a.call("b", "echo", b"late")
+        context.run(until=context.now + 1.0)
+        assert late.result() == b"late"
 
 
 class TestOnlyTheCalledPeerAnswers:
@@ -470,7 +544,8 @@ class Rig:
                     "timeout")
             outcomes[call] = (what, handle.finished_at, None)
         cached = sorted(self.calls[request_id]
-                        for _source, request_id in self.services["b"]._served)
+                        for served in self.services["b"]._served.values()
+                        for request_id in served)
         return outcomes, cached
 
 
