@@ -257,7 +257,7 @@ def _soak(run: _MeshRun) -> Dict[str, float]:
         "msgs_per_sec": (run.delivered - before) / elapsed,
         "recovery_ratio": recovery,
         "cached_tables": len(engine._tables),
-        "cached_plans": len(engine._plans),
+        "cached_plans": engine._compiled,
     }
 
 

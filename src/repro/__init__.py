@@ -53,7 +53,6 @@ from repro.core import (
     Rms,
     RmsLevel,
     RmsParams,
-    RmsRequest,
     StatisticalSpec,
     is_compatible,
     negotiate,
@@ -98,7 +97,6 @@ __all__ = [
     "RmsFailedError",
     "RmsLevel",
     "RmsParams",
-    "RmsRequest",
     "RkomService",
     "ChaosSchedule",
     "Session",

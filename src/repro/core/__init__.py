@@ -12,7 +12,6 @@ from repro.core.params import (
     DelayBound,
     DelayBoundType,
     RmsParams,
-    RmsRequest,
     StatisticalSpec,
     is_compatible,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Rms",
     "RmsLevel",
     "RmsParams",
-    "RmsRequest",
     "RmsState",
     "RmsStats",
     "StatisticalSpec",

@@ -21,7 +21,6 @@ __all__ = [
     "DelayBound",
     "StatisticalSpec",
     "RmsParams",
-    "RmsRequest",
     "is_compatible",
     "UNBOUNDED_DELAY",
 ]
@@ -270,44 +269,3 @@ def is_compatible(actual: RmsParams, requested: RmsParams) -> bool:
                 return False
         # A deterministic actual bound satisfies any statistical request.
     return True
-
-
-@dataclass(frozen=True)
-class RmsRequest:
-    """What a client asks for: a desired and an acceptable parameter set.
-
-    Section 2.4: establishment succeeds with any actual parameter set
-    compatible with ``acceptable``; the provider aims for ``desired``.
-    ``acceptable=None`` means the desired set is also the floor (no
-    degradation allowed).  This is the one request shape every creation
-    entry point takes; the resilience layer weakens ``desired`` toward
-    the floor when re-establishing on constrained networks.
-    """
-
-    desired: RmsParams = field(default_factory=RmsParams)
-    acceptable: Optional[RmsParams] = None
-
-    @property
-    def floor(self) -> RmsParams:
-        """The weakest parameter set the client will accept."""
-        return self.acceptable if self.acceptable is not None else self.desired
-
-    @classmethod
-    def of(
-        cls,
-        desired: Optional[RmsParams] = None,
-        acceptable: Optional[RmsParams] = None,
-        request: Optional["RmsRequest"] = None,
-    ) -> "RmsRequest":
-        """Normalize the two ways callers spell a request.
-
-        Either pass a ready-made ``request`` or the legacy
-        ``desired``/``acceptable`` pair -- never both.
-        """
-        if request is not None:
-            if desired is not None or acceptable is not None:
-                raise ParameterError(
-                    "pass either request= or desired=/acceptable=, not both"
-                )
-            return request
-        return cls(desired=desired or RmsParams(), acceptable=acceptable)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.params import RmsParams, RmsRequest
+from repro.core.params import RmsParams
 from repro.errors import NetworkError, ParameterError
 from repro.resilience.session import (
     RkomSession,
@@ -150,7 +150,6 @@ class DashSystem:
         *,
         desired: Optional[RmsParams] = None,
         acceptable: Optional[RmsParams] = None,
-        request: Optional[RmsRequest] = None,
         kind: str = "st",
         resilience: bool = False,
         port: Optional[str] = None,
@@ -171,22 +170,23 @@ class DashSystem:
         of :mod:`repro.resilience.policy`, failover across attached
         networks, parameter degradation and queueing sends while the
         channel is down (the RKOM service recovers its channel on its
-        own).  A stream takes its data parameters from ``config`` or
-        from ``desired`` / ``acceptable`` / ``request``, not both.
+        own).  ``acceptable`` defaults to ``desired``, ``desired`` to
+        ``RmsParams()``.  A stream takes its data parameters from
+        ``config`` or from ``desired`` / ``acceptable``, not both.
         """
         sender_node = self._node(sender)
         receiver_node = self._node(receiver)
         if kind == "st":
-            req = RmsRequest.of(
-                desired=desired, acceptable=acceptable, request=request
-            )
+            if desired is None:
+                desired = RmsParams()
             port_name = port or f"connect-{next(self._connect_ids)}"
             session = StSession(
                 self.context,
                 sender_node.st,
                 receiver_node.name,
                 port=port_name,
-                request=req,
+                desired=desired,
+                acceptable=desired if acceptable is None else acceptable,
                 resilient=resilience,
                 fast_ack=fast_ack,
                 name=name
@@ -195,24 +195,21 @@ class DashSystem:
             session.owns_port = port is None
             return session
         if kind == "stream":
-            if config is not None and (desired, acceptable, request) != (None,) * 3:
+            if config is not None and (desired, acceptable) != (None, None):
                 raise ParameterError(
                     "a stream takes its parameters from config or from "
-                    "desired / acceptable / request, not both"
+                    "desired / acceptable, not both"
                 )
-            if config is None and (desired is not None or request is not None):
+            if config is None and desired is not None:
                 # Honor the unified signature: derive the stream's data
                 # parameters from the desired set.
-                req = RmsRequest.of(
-                    desired=desired, acceptable=acceptable, request=request
-                )
                 config = StreamConfig(
-                    data_capacity=req.desired.capacity,
-                    data_max_message=req.desired.max_message_size,
+                    data_capacity=desired.capacity,
+                    data_max_message=desired.max_message_size,
                     data_delay_bound=(
                         None
-                        if req.desired.delay_bound.is_unbounded
-                        else req.desired.delay_bound.a
+                        if desired.delay_bound.is_unbounded
+                        else desired.delay_bound.a
                     ),
                 )
             return TransportSession(
@@ -224,7 +221,7 @@ class DashSystem:
                 name=name or f"{sender_node.name}~{receiver_node.name}:stream",
             )
         if kind == "rkom":
-            if resilience or (desired, acceptable, request) != (None,) * 3:
+            if resilience or (desired, acceptable) != (None, None):
                 raise ParameterError(
                     "rkom sessions have RKOM's fixed channel parameters "
                     "and recover their channel on their own"

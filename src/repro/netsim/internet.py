@@ -30,6 +30,10 @@ from repro.sim.context import SimContext
 
 __all__ = ["InternetNetwork"]
 
+#: Equal-cost routes an ``ecmp=True`` network enumerates per (src, dst)
+#: at most (DESIGN 8.8); read when the network is built.
+ECMP_MAX_PATHS = 8
+
 
 class InternetNetwork(Network):
     """A routed network of hosts and gateways.
@@ -52,7 +56,6 @@ class InternetNetwork(Network):
         source_quench: bool = False,
         queue_policy: str = "edf",
         ecmp: bool = False,
-        ecmp_max_paths: int = 8,
     ) -> None:
         properties = NetworkProperties(
             trusted=trusted,
@@ -70,15 +73,12 @@ class InternetNetwork(Network):
         #: Per directed edge, the cost of one MTU frame over it, fixed at
         #: :meth:`add_link` (only ``is_up`` changes after build).
         self._weights: Dict[Tuple[str, str], float] = {}
-        #: Spread distinct flows across equal-cost shortest paths.  Off
-        #: by default: the single-path engine is the ablation arm.
-        self.ecmp = ecmp
-        self.ecmp_max_paths = ecmp_max_paths
         #: The resolver and the forwarder: per-source forwarding tables
         #: and compiled route plans, dropped at every link state change.
-        self._engine = ForwardingEngine(
-            self, ecmp=self.ecmp, max_paths=ecmp_max_paths
-        )
+        #: ``ecmp`` spreads distinct flows across up to ``ECMP_MAX_PATHS``
+        #: equal-cost shortest paths; off (E23's ablation arm), every
+        #: pair has one route.
+        self._engine = ForwardingEngine(self, ECMP_MAX_PATHS if ecmp else 1)
         self._link_edges: Dict[Link, Tuple[str, str]] = {}
         #: Shortest-path searches run: one per gateway and access-link
         #: weight, shared by the hosts behind it, or one per multi-homed
@@ -235,7 +235,7 @@ class InternetNetwork(Network):
     def _route_plan(
         self, src: str, dst: str, flow: Optional[int] = None
     ) -> RoutePlan:
-        return self._engine.plan_for_flow(src, dst, flow)
+        return self._engine.plan(src, dst, flow)
 
     def _pinned_plan(self, route: List[str]) -> RoutePlan:
         return self._engine.compile_route(route)

@@ -93,6 +93,9 @@ class NetworkRms(Rms):
         #: notification path.
         self.plan = None
         self._route: List[str] = []  # filled by ``create_rms``
+        #: The pools the RMS was admitted to, released when it goes: a
+        #: re-pinned route holds no reservation.
+        self._pools: List[AdmissionController] = []
         self.established = False
 
     @property
@@ -340,7 +343,7 @@ class Network:
         route = [sender.host, receiver.host] if plan is None else plan.route
         rms._route = route
         rms.plan = plan
-        admitted: List[AdmissionController] = []
+        admitted = rms._pools
         try:
             for pool in self._admission_pools(route):
                 pool.admit(rms.rms_id, actual)
@@ -386,7 +389,7 @@ class Network:
     def _release(self, rms: NetworkRms) -> None:
         """Forget ``rms`` and its reservations; fail its setup, if any."""
         self._rms_table.pop(rms.rms_id, None)
-        for pool in self._admission_pools(rms._route):
+        for pool in rms._pools:
             pool.release(rms.rms_id)
         pending = self._pending_setups.pop(rms.rms_id, None)
         if pending is not None:

@@ -7,14 +7,13 @@ mesh with link churn it is an O(N^2) recompute storm on the hot path.
 This module amortizes that work:
 
 * **Forwarding tables** -- one full-run Dijkstra covers every
-  destination at once (`ForwardingTable`: the shortest-path-tree
-  predecessor map).  Tables are built lazily.
-  Because Dijkstra's relaxations are
-  deterministic and a settled node's predecessor never changes after it
-  is popped, the route reconstructed from a full-run table is *exactly*
-  the route the per-pair early-exit search would have produced -- not
-  merely cost-equal -- so fixed-seed traces are byte-identical with
-  that resolver's.
+  destination at once (`ForwardingTable`: the equal-cost predecessors
+  of every node).  Tables are built lazily.  Because Dijkstra's
+  relaxations are deterministic and a settled node's predecessors never
+  change after it is popped, the tree route reconstructed from a
+  full-run table is *exactly* the route the per-pair early-exit search
+  would have produced -- not merely cost-equal -- so fixed-seed traces
+  are byte-identical with that resolver's.
 
 * **One search per gateway, not per host** -- a node of degree 1 (a
   host behind its gateway) relays nothing: popped, it could only relax
@@ -60,21 +59,22 @@ This module amortizes that work:
   itself (``Frame.on_drop``) instead of being captured per hop per
   frame.
 
-* **Equal-cost multipath (ECMP)** -- with ``ecmp=True`` the same full
-  run also records *every* equal-cost predecessor per node, turning the
-  shortest-path tree into a DAG.  Per (src, dst) the engine enumerates
-  a bounded, deterministic set of equal-cost routes (`PathSet`) and
-  pins each *flow* -- identified by a small integer threaded down from
-  the RMS layer -- to one of them via a seed-independent hash
-  (``zlib.crc32``, never Python's salted ``hash``).  A flow keeps
-  byte-identical in-order delivery on its pinned plan while distinct
-  flows spread across the parallel trunks.  Tie-free topologies
-  enumerate exactly one route and hand out the *same* canonical plan
-  object as the single-path engine, so their traces are byte-identical
-  by construction.
+* **One resolver, a path set per pair** -- the same full run records
+  *every* equal-cost predecessor per node (``preds[v][0]`` is the
+  shortest-path-tree predecessor), so per (src, dst) the engine
+  enumerates a bounded, deterministic set of equal-cost routes
+  (`PathSet`), the tree route first.  A network with ``ecmp=True``
+  caps the set at ``internet.ECMP_MAX_PATHS`` and pins each *flow* --
+  a small integer threaded down from the RMS layer -- to one route via
+  a seed-independent hash (``zlib.crc32``, never Python's salted
+  ``hash``): a flow keeps in-order delivery on its pinned plan while
+  distinct flows spread across the parallel trunks.  Single-path
+  forwarding is the same resolver with the set capped at one route: it
+  hands out the tree route, the reference's, as does an anonymous flow
+  or a tie-free pair under ECMP.
 
 * **One cache lifetime** -- the search memo, the components, the
-  tables, the canonical plans and the path sets live exactly as long as
+  tables and the path sets with their plans live exactly as long as
   the link state they were computed from: every ``link_down`` and
   ``link_up`` empties them all, so every resolution after a flap is a
   from-scratch search and its route is the reference's, ties included.
@@ -120,36 +120,27 @@ def flow_hash(src: str, dst: str, flow: int) -> int:
 class ForwardingTable:
     """One source's shortest paths to every reachable node.
 
-    A route from ``src`` walks ``prev`` from the destination back to
+    A route from ``src`` walks ``preds`` from the destination back to
     ``root`` and, when ``root`` is not ``src`` (a leaf reading its
     gateway's shared search), puts ``src`` in front.
     """
 
-    __slots__ = ("src", "root", "prev", "preds")
+    __slots__ = ("src", "root", "preds")
 
-    def __init__(
-        self,
-        src: str,
-        root: str,
-        prev: Dict[str, str],
-        preds: Optional[Dict[str, Tuple[str, ...]]] = None,
-    ) -> None:
+    def __init__(self, src: str, root: str, preds: Dict[str, Tuple[str, ...]]) -> None:
         self.src = src
         #: Where the search started: ``src``, or a leaf's gateway.
         self.root = root
-        #: Shortest-path-tree predecessor per reachable node (except the
-        #: root); routes are reconstructed by walking it.  A leaf's is
-        #: its gateway search's own dict, shared with its siblings:
-        #: nothing may write to it.
-        self.prev = prev
-        #: ECMP only: *all* equal-cost predecessors per node, in settle
-        #: order, with the invariant ``preds[v][0] == prev[v]``.  None
-        #: when the engine runs single-path.  Shared like ``prev``.
+        #: Every equal-cost predecessor per reachable node (except the
+        #: root), in settle order: ``preds[v][0]`` is the
+        #: shortest-path-tree predecessor.  A leaf's is its gateway
+        #: search's own dict, shared with its siblings: nothing may
+        #: write to it.
         self.preds = preds
 
     def __repr__(self) -> str:
         return (f"<ForwardingTable src={self.src} root={self.root} "
-                f"reach={len(self.prev) + 1}>")
+                f"reach={len(self.preds) + 1}>")
 
 
 class RoutePlan:
@@ -179,10 +170,9 @@ class RoutePlan:
 class PathSet:
     """The bounded equal-cost route set for one (src, dst) pair.
 
-    ``routes[0]`` starts as the canonical predecessor-tree route (the
-    one the single-path engine would compile); plans are compiled
-    lazily, one per pinned route, and cached in ``plans`` parallel to
-    ``routes``.
+    ``routes[0]`` is the shortest-path-tree route, the one an anonymous
+    flow and a single-path network take; plans are compiled lazily, one
+    per route handed out, and cached in ``plans`` parallel to ``routes``.
     """
 
     __slots__ = ("src", "dst", "routes", "plans")
@@ -218,27 +208,20 @@ class ForwardingEngine:
     under those names.
     """
 
-    def __init__(
-        self,
-        network: "InternetNetwork",
-        ecmp: bool = False,
-        max_paths: int = 8,
-    ) -> None:
+    def __init__(self, network: "InternetNetwork", max_paths: int) -> None:
         self.network = network
-        #: Spread flows across equal-cost routes when True; the default
-        #: single-path mode reproduces the per-pair reference exactly.
-        self.ecmp = ecmp
-        #: Cap on enumerated equal-cost routes per (src, dst); the DFS
-        #: over the predecessor DAG stops once the bound is reached, in
-        #: deterministic settle order, so the bound never introduces
-        #: nondeterminism.
+        #: Cap on enumerated equal-cost routes per (src, dst): 1 on a
+        #: single-path network.  The walk over the predecessor DAG stops
+        #: once it is reached, in deterministic settle order, so the
+        #: bound never introduces nondeterminism.
         self.max_paths = max(1, max_paths)
         self._tables: Dict[str, ForwardingTable] = {}
-        self._plans: Dict[Tuple[str, str], RoutePlan] = {}
         self._pathsets: Dict[Tuple[str, str], PathSet] = {}
-        #: Shared leaf searches, ``(prev, preds)``, by (gateway, distance
-        #: at the gateway).
-        self._search_memo: Dict[Tuple[str, float], tuple] = {}
+        #: Plans compiled into path sets since the last invalidation.
+        self._compiled = 0
+        #: Shared leaf searches' predecessors by (gateway, distance at
+        #: the gateway).
+        self._search_memo: Dict[Tuple[str, float], Dict[str, Tuple[str, ...]]] = {}
         #: The compiled neighbour view ``_search`` walks; built on first
         #: use and dropped by ``invalidate_all``.
         self._view: Optional[Dict[str, tuple]] = None
@@ -288,13 +271,11 @@ class ForwardingEngine:
         # One full-run Dijkstra from ``root`` at distance ``d0``:
         # identical float operations, relaxation order, and tie-breaking
         # as the per-pair reference search, minus the early exit and the
-        # heap traffic of degree-1 neighbours (module docstring).
-        # Under ECMP the only extra work is the equal-cost bookkeeping:
-        # a strict improvement resets preds[v], an exact tie appends, so
+        # heap traffic of degree-1 neighbours (module docstring).  A
+        # strict improvement resets preds[v], an exact tie appends, so
         # preds[v][0] is always the canonical tree predecessor.
         distances: Dict[str, float] = {root: d0}
-        previous: Dict[str, str] = {}
-        preds: Optional[Dict[str, Tuple[str, ...]]] = {} if self.ecmp else None
+        preds: Dict[str, Tuple[str, ...]] = {}
         heap: List[Tuple[float, str]] = [(d0, root)]
         visited: Set[str] = set()
         heappop = heapq.heappop
@@ -312,16 +293,14 @@ class ForwardingEngine:
                 best = distances.get(neighbor, inf)
                 if candidate < best:
                     distances[neighbor] = candidate
-                    previous[neighbor] = node
-                    if preds is not None:
-                        preds[neighbor] = (node,)
+                    preds[neighbor] = (node,)
                     if relays:
                         heappush(heap, (candidate, neighbor))
-                elif preds is not None and candidate == best:
+                elif candidate == best:
                     preds[neighbor] += (node,)
         self.searches += 1
         self.network.route_resolutions += 1
-        return previous, preds
+        return preds
 
     def reaches(self, src: str, dst: str) -> bool:
         """True when a path of up links leads from ``src`` to ``dst``: both
@@ -400,67 +379,34 @@ class ForwardingEngine:
             shared = self._search_memo.get(key)
             if shared is None:
                 shared = self._search_memo[key] = self._search(view, *key)
-            table = ForwardingTable(src, gateway, *shared)
+            table = ForwardingTable(src, gateway, shared)
         else:
-            table = ForwardingTable(src, src, *self._search(view, src, 0.0))
+            table = ForwardingTable(src, src, self._search(view, src, 0.0))
         self._tables[src] = table
         self.table_builds += 1
         return table
 
-    def plan(self, src: str, dst: str) -> RoutePlan:
-        """The compiled canonical plan for (src, dst); raises RoutingError."""
-        key = (src, dst)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        network = self.network
-        if not network._node_exists(src) or not network._node_exists(dst):
-            raise RoutingError(f"unknown endpoint in {src}->{dst}")
-        if src == dst:
-            plan = self._plans[key] = self.compile_route([src])
-            return plan
-        table = self.table(src)
-        prev, root = table.prev, table.root
-        if dst not in prev and dst != root:
-            raise RoutingError(f"no route from {src} to {dst} in {network.name}")
-        route = [dst]
-        while route[-1] != root:
-            route.append(prev[route[-1]])
-        if root != src:
-            route.append(src)
-        route.reverse()
-        plan = self._plans[key] = self.compile_route(route)
-        return plan
-
-    def plan_for_flow(self, src: str, dst: str, flow: Optional[int]) -> RoutePlan:
-        """The compiled plan a given flow is pinned to.
-
-        Single-path mode, an anonymous flow, or a tie-free pair all
-        resolve to the canonical :meth:`plan` (same object, so tie-free
-        ECMP traces are byte-identical to the single-path engine).  With
-        real equal-cost alternatives the flow hash picks one route and
-        the pinned plan is compiled lazily and cached in the PathSet.
-        """
-        if not self.ecmp or flow is None or src == dst:
-            return self.plan(src, dst)
-        pathset = self._pathset(src, dst)
+    def plan(self, src: str, dst: str, flow: Optional[int] = None) -> RoutePlan:
+        """The compiled plan ``flow`` takes from ``src`` to ``dst``: route
+        0 for an anonymous flow or a pair with one route, else the route
+        the flow's hash picks.  Raises RoutingError."""
+        pathset = self._pathsets.get((src, dst))
+        if pathset is None:
+            pathset = self.pathset(src, dst)
         routes = pathset.routes
-        if len(routes) == 1:
-            return self.plan(src, dst)
-        index = flow_hash(src, dst, flow) % len(routes)
+        index = 0
+        if flow is not None and len(routes) > 1:
+            index = flow_hash(src, dst, flow) % len(routes)
+            self.flow_pins += 1
         plan = pathset.plans[index]
         if plan is None:
             plan = pathset.plans[index] = self.compile_route(routes[index])
-        self.flow_pins += 1
+            self._compiled += 1
         return plan
 
     def pathset(self, src: str, dst: str) -> PathSet:
-        """The equal-cost route set for (src, dst) (ECMP mode only)."""
-        if not self.ecmp:
-            raise RoutingError("pathset() requires ecmp=True")
-        return self._pathset(src, dst)
-
-    def _pathset(self, src: str, dst: str) -> PathSet:
+        """The equal-cost routes from ``src`` to ``dst``, the tree route
+        first, at most ``max_paths`` of them; raises RoutingError."""
         key = (src, dst)
         pathset = self._pathsets.get(key)
         if pathset is not None:
@@ -468,45 +414,46 @@ class ForwardingEngine:
         network = self.network
         if not network._node_exists(src) or not network._node_exists(dst):
             raise RoutingError(f"unknown endpoint in {src}->{dst}")
-        table = self.table(src)
-        if dst == src or (dst not in table.prev and dst != table.root):
-            raise RoutingError(f"no route from {src} to {dst} in {network.name}")
-        routes = self._enumerate_routes(table, src, dst)
-        pathset = PathSet(src, dst, routes)
-        self._pathsets[key] = pathset
+        if src == dst:
+            routes = [[src]]
+        else:
+            table = self._tables.get(src) or self._build_table(src)
+            preds, root = table.preds, table.root
+            if dst not in preds and dst != root:
+                raise RoutingError(f"no route from {src} to {dst} in {network.name}")
+            # Depth-first over the predecessor DAG from the destination
+            # back to the root (a leaf goes in front of it): descend
+            # through each node's first untried predecessor, emit, then
+            # back up to the deepest node with one left.  Predecessors
+            # are in settle order, so the first route is the tree route
+            # and the order is deterministic; the bound truncates it.
+            head = [src] if root != src else []
+            routes = []
+            path = [dst]  # path[k + 1] is preds[path[k]][tried[k]]
+            tried = []
+            node = dst
+            while True:
+                while node != root:
+                    node = preds[node][0]
+                    path.append(node)
+                    tried.append(0)
+                routes.append(head + path[::-1])
+                if len(routes) == self.max_paths:
+                    break
+                while tried:
+                    index = tried.pop() + 1
+                    path.pop()
+                    options = preds[path[-1]]
+                    if index < len(options):
+                        node = options[index]
+                        path.append(node)
+                        tried.append(index)
+                        break
+                else:
+                    break
+        pathset = self._pathsets[key] = PathSet(src, dst, routes)
         self.pathset_builds += 1
         return pathset
-
-    def _enumerate_routes(
-        self, table: ForwardingTable, src: str, dst: str
-    ) -> List[List[str]]:
-        # Bounded DFS over the predecessor DAG, walking backwards from
-        # the destination to the table's root (a leaf goes in front of
-        # it).  Predecessor lists are in settle order and
-        # preds[v][0] == prev[v], so the first emitted route is exactly
-        # the canonical tree route and the whole enumeration order is
-        # deterministic; the bound truncates it without reordering.
-        preds = table.preds
-        assert preds is not None
-        root = table.root
-        head = [src] if root != src else []
-        bound = self.max_paths
-        routes: List[List[str]] = []
-        suffix = [dst]
-
-        def walk(node: str) -> None:
-            if node == root:
-                routes.append(head + suffix[::-1])
-                return
-            for pred_node in preds[node]:
-                if len(routes) >= bound:
-                    return
-                suffix.append(pred_node)
-                walk(pred_node)
-                suffix.pop()
-
-        walk(dst)
-        return routes
 
     def compile_route(self, route: List[str]) -> RoutePlan:
         """Compile a plan for an explicit node list.
@@ -514,9 +461,9 @@ class ForwardingEngine:
         This is how a re-pinned ``NetworkRms.route`` (downward-mux path
         diversity) gets onto the datapath, and how every resolved route
         is compiled.  Called directly, the plan belongs to its caller
-        alone: it is in no ``_plans`` entry or path set, so it is never
-        handed out for a resolution.  Raises :class:`RoutingError` when
-        a hop is not a link of the network.
+        alone: it is in no path set, so it is never handed out for a
+        resolution.  Raises :class:`RoutingError` when a hop is not a
+        link of the network.
         """
         network = self.network
         if not route:
@@ -596,12 +543,9 @@ class ForwardingEngine:
         # Everything computed from the link state; plans that admitted
         # RMSs hold stay theirs.
         self.scoped_table_drops += len(self._tables)
-        self.scoped_plan_drops += len(self._plans) + sum(
-            plan is not None
-            for pathset in self._pathsets.values() for plan in pathset.plans
-        )
+        self.scoped_plan_drops += self._compiled
+        self._compiled = 0
         self._tables.clear()
-        self._plans.clear()
         self._pathsets.clear()
         self._search_memo.clear()
         self._components = None
@@ -625,6 +569,5 @@ class ForwardingEngine:
     def __repr__(self) -> str:
         return (
             f"<ForwardingEngine tables={len(self._tables)} "
-            f"plans={len(self._plans)} pathsets={len(self._pathsets)} "
-            f"ecmp={self.ecmp}>"
+            f"pathsets={len(self._pathsets)} max_paths={self.max_paths}>"
         )

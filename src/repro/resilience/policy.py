@@ -10,9 +10,9 @@ above the acceptable floor.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
+from repro.core.params import DelayBound, DelayBoundType, RmsParams
 
 __all__ = ["backoff_delay", "degradation_ladder"]
 
@@ -80,22 +80,24 @@ def _weaken(current: RmsParams, floor: RmsParams) -> RmsParams:
     return current.with_(**changes)
 
 
-def degradation_ladder(request: RmsRequest) -> List[RmsRequest]:
-    """The renegotiation ladder for a request, strongest first.
+def degradation_ladder(
+    desired: RmsParams, acceptable: RmsParams
+) -> List[Tuple[RmsParams, RmsParams]]:
+    """The renegotiation ladder for a request, strongest first: one
+    ``(desired, acceptable)`` pair per rung.
 
     Rung 0 is the original desired set; each later rung weakens the
     desired set one step toward the acceptable floor (which every rung
-    keeps as its own floor, so any rung's establishment still satisfies
-    the client's stated minimum).  The ladder stops when weakening
+    keeps as its own, so any rung's establishment still satisfies the
+    client's stated minimum).  The ladder stops when weakening
     converges, or after four weakened rungs.
     """
-    rungs = [RmsRequest(desired=request.desired, acceptable=request.floor)]
-    current = request.desired
-    floor = request.floor
+    rungs = [(desired, acceptable)]
+    current = desired
     for _ in range(4):
-        weakened = _weaken(current, floor)
+        weakened = _weaken(current, acceptable)
         if weakened == current:
             break
-        rungs.append(RmsRequest(desired=weakened, acceptable=floor))
+        rungs.append((weakened, acceptable))
         current = weakened
     return rungs

@@ -24,10 +24,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.message import Message
-from repro.core.params import RmsRequest, is_compatible
+from repro.core.params import RmsParams, is_compatible
 from repro.core.rms import RmsState
 from repro.errors import (
     AdmissionError,
@@ -198,15 +198,15 @@ class _ChannelSession(Session):
     def __init__(
         self,
         context: SimContext,
-        request: RmsRequest,
         resilient: bool,
         name: Optional[str],
-        rungs: List[RmsRequest],
+        rungs: List[Tuple[RmsParams, RmsParams]],
         queue_limit: int,
     ) -> None:
         super().__init__(context, name=name)
-        #: The normalized request behind this session.
-        self.request = request
+        #: The request behind this session (section 2.4): the top rung's
+        #: desired and acceptable parameter sets.
+        self.desired, self.acceptable = rungs[0]
         self.resilient = resilient
         #: The established channel; None while there is none.
         self.channel = None
@@ -229,7 +229,7 @@ class _ChannelSession(Session):
         self._queued_bytes = 0
         self._queue_limit = queue_limit
 
-    def _open(self, rung: RmsRequest) -> Future:
+    def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
         raise NotImplementedError
 
     def _adopt(self, channel) -> bool:
@@ -368,15 +368,15 @@ class StSession(_ChannelSession):
         st,
         peer_host: str,
         port: str,
-        request: RmsRequest,
+        desired: RmsParams,
+        acceptable: RmsParams,
         resilient: bool = False,
         fast_ack: bool = False,
         name: Optional[str] = None,
     ) -> None:
-        rungs = policy.degradation_ladder(request) if resilient else [request]
-        super().__init__(
-            context, request, resilient, name, rungs, request.floor.capacity
-        )
+        rungs = (policy.degradation_ladder(desired, acceptable) if resilient
+                 else [(desired, acceptable)])
+        super().__init__(context, resilient, name, rungs, acceptable.capacity)
         self._watch(st.host.name)
         self.st = st
         self.peer_host = peer_host
@@ -391,7 +391,7 @@ class StSession(_ChannelSession):
         """The established ST RMS; None while there is none."""
         return self.channel
 
-    def _open(self, rung: RmsRequest) -> Future:
+    def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
         # A resilient session steers the ST toward a usable network,
         # avoiding the one that failed last.
         st, host, peer = self.st, self.st.host.name, self.peer_host
@@ -413,15 +413,15 @@ class StSession(_ChannelSession):
                 self._note("failover", f"{self._network}->{pick.name}")
             st.set_network_preference(peer, pick.name)
             self._network = pick.name
-        return st.create_st_rms(
-            peer, port=self.port_name, request=rung, fast_ack=self.fast_ack
-        )
+        desired, acceptable = rung
+        return st.create_st_rms(peer, port=self.port_name, desired=desired,
+                                acceptable=acceptable, fast_ack=self.fast_ack)
 
     def _adopt(self, rms) -> bool:
         if rms.binding is not None:
             self._network = rms.binding.network_rms.network.name
         rms.on_failure.listen(self._lost)
-        return not is_compatible(rms.params, self.request.desired)
+        return not is_compatible(rms.params, self.desired)
 
     # -- client API --------------------------------------------------------
 
@@ -492,10 +492,8 @@ class TransportSession(_ChannelSession):
         name: Optional[str] = None,
     ) -> None:
         config = config or StreamConfig()
-        request = config.data_request()
-        super().__init__(
-            context, request, resilient, name, [request], config.data_capacity
-        )
+        super().__init__(context, resilient, name, [config.data_request()],
+                         config.data_capacity)
         self._watch(sender_st.host.name)
         self.sender_st = sender_st
         self.receiver_st = receiver_st
@@ -507,7 +505,7 @@ class TransportSession(_ChannelSession):
         self._relay_active = False
         self._attempt()
 
-    def _open(self, rung: RmsRequest) -> Future:
+    def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
         return open_stream(
             self.context, self.sender_st, self.receiver_st, self.config
         )

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.core.message import Label, Message
 from repro.core.negotiation import CapabilityTable, PerformanceLimits, negotiate
-from repro.core.params import RmsParams, RmsRequest
+from repro.core.params import RmsParams
 from repro.core.rms import RmsState
 from repro.errors import NegotiationError, TransportError
 from repro.netsim.network import Network, NetworkRms
@@ -212,21 +212,21 @@ class SubtransportLayer:
         desired: Optional[RmsParams] = None,
         acceptable: Optional[RmsParams] = None,
         fast_ack: bool = False,
-        request: Optional[RmsRequest] = None,
     ) -> Future:
         """Create an ST RMS from this host to a port on ``peer_host``.
 
-        Parameters may be given either as an :class:`RmsRequest` or as
-        the legacy ``desired``/``acceptable`` pair (not both).  Returns
-        a future resolving to the :class:`StRms`.  The first request to
+        Section 2.4's request: the provider aims for ``desired`` (default
+        ``RmsParams()``) and settles for anything compatible with
+        ``acceptable`` (default: ``desired`` itself).  Returns a future
+        resolving to the :class:`StRms`.  The first request to
         a peer triggers control-channel creation and authentication;
         later requests reuse the channel and, when the multiplexing
         rules allow, an existing or cached network RMS.
         """
-        request = RmsRequest.of(desired=desired, acceptable=acceptable,
-                                request=request)
-        desired = request.desired
-        acceptable = request.floor
+        if desired is None:
+            desired = RmsParams()
+        if acceptable is None:
+            acceptable = desired
         result = Future(self.context.loop)
         process = self.context.spawn(
             self._create_flow(peer_host, port, desired, acceptable, fast_ack),

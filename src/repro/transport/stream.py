@@ -29,7 +29,7 @@ from functools import partial
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.message import Message
-from repro.core.params import DelayBound, DelayBoundType, RmsParams, RmsRequest
+from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import ParameterError, TransportError
 from repro.netsim.topology import Host
 from repro.obs.registry import families
@@ -103,10 +103,10 @@ class StreamConfig:
         if self.sender_port_limit < 1:
             raise ParameterError("sender_port_limit must be >= 1")
 
-    def data_request(self) -> RmsRequest:
+    def data_request(self) -> Tuple[RmsParams, RmsParams]:
         """What the data ST RMS is asked for (section 2.5: high
         capacity, high delay): the desired set, and the same set with a
-        looser delay bound as the floor."""
+        looser delay bound as the acceptable one."""
         if self.data_delay_bound is not None:
             bound = DelayBound(self.data_delay_bound, 2e-6)
             bound_loose = DelayBound(self.data_delay_bound * 2, 1e-5)
@@ -118,9 +118,7 @@ class StreamConfig:
             delay_bound=bound,
             delay_bound_type=DelayBoundType.BEST_EFFORT,
         )
-        return RmsRequest(
-            desired=desired, acceptable=desired.with_(delay_bound=bound_loose)
-        )
+        return desired, desired.with_(delay_bound=bound_loose)
 
 
 @dataclass
@@ -546,10 +544,12 @@ def open_stream(
     def flow():
         data_port = f"stream-data-{session_tag}"
         ports = [(receiver_st.host, data_port)]
+        desired, acceptable = config.data_request()
         data_rms = yield sender_st.create_st_rms(
             receiver_st.host.name,
             port=data_port,
-            request=config.data_request(),
+            desired=desired,
+            acceptable=acceptable,
             fast_ack=config.use_fast_ack,
         )
         ack_rms = None

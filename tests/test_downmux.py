@@ -174,3 +174,30 @@ class TestDownwardMux:
         assert reasons
         with pytest.raises(TransportError):
             mux.send(b"x")
+
+
+class TestRepinnedReservations:
+    def test_closing_a_repinned_rms_frees_the_pools_it_was_admitted_on(self):
+        """The reservation lives on the links the RMS was admitted on; a
+        re-pin moves its frames, not its reservation, and closing it
+        frees exactly those pools."""
+        context, network = dual_path_network()
+        params = RmsParams(
+            capacity=2048,
+            max_message_size=512,
+            delay_bound=DelayBound(0.5, 1e-3),
+            delay_bound_type=DelayBoundType.DETERMINISTIC,
+        )
+        future = network.create_rms(Label("a"), Label("z"), params, params)
+        context.run(until=context.now + 2.0)
+        rms = future.result()
+        assert rms.route == ["a", "g1", "z"]
+        admitted = [("a", "g1"), ("g1", "z")]
+        assert all(rms.rms_id in network._pools[edge]._reservations
+                   for edge in admitted)
+        rms.route = ["a", "g2", "z"]
+        rms.close()
+        held = [edge for edge, pool in network._pools.items()
+                if rms.rms_id in pool._reservations]
+        assert held == []
+        assert network._pools[("a", "g1")].reserved_bandwidth == 0.0

@@ -19,6 +19,7 @@ from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.errors import RoutingError
+from repro.netsim import internet
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.routing import flow_hash
 from repro.netsim.topology import Host, MeshSpec, build_two_tier
@@ -76,10 +77,10 @@ class TestEcmpOptimality:
                     continue
                 if dst not in reference:
                     with pytest.raises(RoutingError):
-                        engine.plan_for_flow(src, dst, 0)
+                        engine.plan(src, dst, 0)
                     continue
                 for flow in range(5):
-                    plan = engine.plan_for_flow(src, dst, flow)
+                    plan = engine.plan(src, dst, flow)
                     assert route_cost(network, plan.route) == reference[dst]
                     assert plan.route[0] == src and plan.route[-1] == dst
 
@@ -121,8 +122,8 @@ class TestEcmpDeterminism:
             return
         for flow in range(8):
             assert (
-                first._engine.plan_for_flow(src, dst, flow).route
-                == second._engine.plan_for_flow(src, dst, flow).route
+                first._engine.plan(src, dst, flow).route
+                == second._engine.plan(src, dst, flow).route
             )
 
     def test_flow_hash_is_not_interpreter_salted(self):
@@ -138,7 +139,7 @@ class TestEcmpDeterminism:
         build_two_tier(network, spines=4, leaves=4, hosts_per_leaf=1)
         engine = network._engine
         spines_used = {
-            engine.plan_for_flow("h0", "h2", flow).route[2]
+            engine.plan("h0", "h2", flow).route[2]
             for flow in range(16)
         }
         assert len(spines_used) > 1  # distinct flows take distinct trunks
@@ -147,10 +148,10 @@ class TestEcmpDeterminism:
         # The canonical route is always enumerated first.
         assert pathset.routes[0] == engine.plan("h0", "h2").route
 
-    def test_max_paths_bounds_enumeration(self):
+    def test_max_paths_bounds_enumeration(self, monkeypatch):
+        monkeypatch.setattr(internet, "ECMP_MAX_PATHS", 2)
         context = SimContext(seed=9)
-        network = InternetNetwork(context, trusted=True, ecmp=True,
-                                  ecmp_max_paths=2)
+        network = InternetNetwork(context, trusted=True, ecmp=True)
         build_two_tier(network, spines=5, leaves=3, hosts_per_leaf=1)
         pathset = network._engine.pathset("h0", "h1")
         assert len(pathset.routes) == 2
@@ -212,7 +213,7 @@ class TestTieFreeEquivalence:
     def test_tie_free_pair_reuses_the_canonical_plan_object(self):
         _, network = tie_free_diamond(ecmp=True)
         engine = network._engine
-        assert engine.plan_for_flow("a", "b", 4) is engine.plan("a", "b")
+        assert engine.plan("a", "b", 4) is engine.plan("a", "b")
 
 
 class TestDagScopedInvalidation:
@@ -232,16 +233,16 @@ class TestDagScopedInvalidation:
     def test_restored_sibling_rejoins_the_spread(self):
         _, network, _, engine = self._fabric()
         for flow in range(9):
-            engine.plan_for_flow("h0", "h2", flow)
+            engine.plan("h0", "h2", flow)
         down = network.link("leaf0", "spine1")
         down.set_down()
         assert all(
-            "spine1" not in engine.plan_for_flow("h0", "h2", flow).route
+            "spine1" not in engine.plan("h0", "h2", flow).route
             for flow in range(9)
         )
         down.set_up()
         spines_used = {
-            engine.plan_for_flow("h0", "h2", flow).route[2]
+            engine.plan("h0", "h2", flow).route[2]
             for flow in range(16)
         }
         assert "spine1" in spines_used
@@ -352,7 +353,7 @@ class TestSoakBound:
             for src in mesh.hosts:
                 for dst in mesh.hosts:
                     for flow in range(3):
-                        engine.plan_for_flow(src, dst, flow)
+                        engine.plan(src, dst, flow)
 
         sizes = soak(network, trunks, resolve)
         for name in ("tables", "plans", "pathsets", "search_memo"):

@@ -1,8 +1,7 @@
 """The unified session API and its resilience machinery.
 
 Covers the ``DashSystem.connect`` facade for every session kind, RMS
-lifetime conveniences, the ``RmsRequest`` creation shape, the resilience
-policy / degradation ladder, chaos schedules, and session continuity
+lifetime conveniences, the resilience policy / degradation ladder, chaos schedules, and session continuity
 for streams and RKOM.
 """
 
@@ -14,7 +13,6 @@ from repro.core.params import (
     DelayBound,
     DelayBoundType,
     RmsParams,
-    RmsRequest,
     is_compatible,
 )
 from repro.dash.system import DashSystem
@@ -63,14 +61,20 @@ class TestConnectFacade:
         assert session.stats.messages_sent == 1
 
     def test_accepts_node_objects_and_request_form(self):
+        """Node objects for names; the session keeps the request it was
+        opened with, and ``acceptable`` defaults to ``desired``."""
         system = lan_system()
-        request = RmsRequest(desired=be_params(), acceptable=be_params(2048))
+        desired, acceptable = be_params(), be_params(2048)
         session = system.connect(
-            system.nodes["a"], system.nodes["b"], request=request, port="obj"
+            system.nodes["a"], system.nodes["b"], desired=desired,
+            acceptable=acceptable, port="obj"
         )
         system.run(until=system.now + 2.0)
         assert session.established.done and not session.established.failed
-        assert session.request is request
+        assert session.desired is desired
+        assert session.acceptable is acceptable
+        bare = system.connect("a", "b", desired=desired, port="bare")
+        assert bare.acceptable is desired
 
     def test_stream_session_resolves_to_raw_stream(self):
         system = lan_system()
@@ -121,7 +125,7 @@ class TestConnectFacade:
                            desired=be_params(capacity=4096, mms=400))
         with pytest.raises(ParameterError):
             system.connect("a", "b", kind="stream", config=StreamConfig(),
-                           request=RmsRequest(desired=be_params()))
+                           acceptable=be_params())
 
     def test_unknown_kind_and_unknown_node_raise(self):
         system = lan_system()
@@ -162,22 +166,6 @@ class TestRmsLifecycle:
             rms.send(b"closed")
 
 
-class TestRmsRequest:
-    def test_of_rejects_both_forms(self):
-        with pytest.raises(ParameterError):
-            RmsRequest.of(desired=be_params(), request=RmsRequest())
-
-    def test_of_passes_request_through(self):
-        request = RmsRequest(desired=be_params())
-        assert RmsRequest.of(request=request) is request
-
-    def test_floor_defaults_to_desired(self):
-        desired = be_params()
-        assert RmsRequest(desired=desired).floor is desired
-        floor = be_params(2048)
-        assert RmsRequest(desired=desired, acceptable=floor).floor is floor
-
-
 class TestResiliencePolicy:
     def test_backoff_grows_to_cap_within_jitter_envelope(self):
         import random
@@ -208,20 +196,21 @@ class TestResiliencePolicy:
             delay_bound=DelayBound.unbounded(),
             delay_bound_type=DelayBoundType.BEST_EFFORT,
         )
-        rungs = degradation_ladder(RmsRequest(desired, floor))
-        assert rungs[0].desired == desired
-        assert all(rung.floor == floor for rung in rungs)
-        for earlier, later in zip(rungs, rungs[1:]):
+        rungs = degradation_ladder(desired, floor)
+        assert rungs[0] == (desired, floor)
+        assert all(acceptable == floor for _, acceptable in rungs)
+        for (earlier, _), (later, _) in zip(rungs, rungs[1:]):
             # Each rung is strictly weaker: the earlier desired set would
             # satisfy a request for the later one, never vice versa.
-            assert is_compatible(earlier.desired, later.desired)
-            assert not is_compatible(later.desired, earlier.desired)
-        assert rungs[-1].desired.capacity >= floor.capacity
-        assert rungs[-1].desired.delay_bound_type == DelayBoundType.BEST_EFFORT
+            assert is_compatible(earlier, later)
+            assert not is_compatible(later, earlier)
+        weakest = rungs[-1][0]
+        assert weakest.capacity >= floor.capacity
+        assert weakest.delay_bound_type == DelayBoundType.BEST_EFFORT
 
     def test_ladder_is_single_rung_when_no_floor_slack(self):
         desired = be_params()
-        rungs = degradation_ladder(RmsRequest(desired, None))
+        rungs = degradation_ladder(desired, desired)
         assert len(rungs) == 1
 
 

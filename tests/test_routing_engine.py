@@ -236,12 +236,12 @@ class TestScopedInvalidation:
         assert (engine.searches, engine.table_builds,
                 engine.plan_compiles) == work
         assert engine.full_invalidations == invalidations
-        tables, plans = len(engine._tables), len(engine._plans)
+        tables, plans = len(engine._tables), cached_plans(engine)
         network.link("g3", "h2").set_down()  # off every cached route
         assert engine.full_invalidations == invalidations + 1
         assert engine.scoped_table_drops == tables
         assert engine.scoped_plan_drops == plans
-        assert not engine._tables and not engine._plans
+        assert not engine._tables and not engine._pathsets
         assert engine._search_memo == {} and engine._components is None
         assert engine._view is view
         assert engine.dag_prunes == 0
@@ -273,6 +273,12 @@ class TestScopedInvalidation:
         assert final.result().route == ["h1", "g1", "g2", "h2"]
 
 
+def cached_plans(engine):
+    """The compiled plans the engine's path sets hold."""
+    return sum(plan is not None for pathset in engine._pathsets.values()
+               for plan in pathset.plans)
+
+
 def soak(network, trunks, resolve, flaps=1000):
     """Flap ``trunks`` in turn, ``resolve()`` after every transition;
     returns the engine's cache sizes after each (two per flap).  Each
@@ -287,7 +293,7 @@ def soak(network, trunks, resolve, flaps=1000):
                 link.set_up() if up else link.set_down()
             resolve()
             sizes.append({
-                "tables": len(engine._tables), "plans": len(engine._plans),
+                "tables": len(engine._tables), "plans": cached_plans(engine),
                 "pathsets": len(engine._pathsets),
                 "search_memo": len(engine._search_memo),
             })
@@ -296,7 +302,8 @@ def soak(network, trunks, resolve, flaps=1000):
     for snapshot in sizes:
         assert snapshot["tables"] <= hosts, snapshot
         assert snapshot["search_memo"] <= hosts, snapshot
-        assert snapshot["plans"] <= hosts * hosts, snapshot
+        # A pair's path set holds a plan per route it handed out.
+        assert snapshot["plans"] <= hosts * hosts * engine.max_paths, snapshot
         assert snapshot["pathsets"] <= hosts * hosts, snapshot
     return sizes
 
@@ -439,9 +446,10 @@ class TestPlanDatapath:
         rms = future.result()
         rms.route = ["h3", "g4", "h4"]
         pinned = rms.plan
-        assert pinned not in engine._plans.values()
+        assert all(pinned not in pathset.plans
+                   for pathset in engine._pathsets.values())
         assert engine.plan("h3", "h4") is not pinned
-        assert engine.plan_for_flow("h3", "h4", 1) is not pinned
+        assert engine.plan("h3", "h4", 1) is not pinned
         got = []
         rms.port.set_handler(got.append)
         last_hop = network.link("g4", "h4").stats

@@ -134,13 +134,9 @@ class TestSharedSearchExactness:
             engine = network._engine
             nodes = nodes_of(network)
             for src in nodes:
-                table = engine.table(src)
-                assert set(table.preds) == set(table.prev)
-                for node, plist in table.preds.items():
-                    assert plist[0] == table.prev[node]
                 for dst in nodes:
                     route = reference_route(network, src, dst)
-                    if route is not None and src != dst:
+                    if route is not None:
                         assert engine.pathset(src, dst).routes[0] == route
 
     @settings(max_examples=12, deadline=None)
@@ -164,8 +160,8 @@ class TestSharedSearchExactness:
         its link and then the one before it, so links come up as often
         as they go down.  After every toggle every host pair is probed
         with ``can_reach`` before anything is resolved, then routed: the
-        reference's route and profile, and under ECMP a path set led by
-        that route.  A plan that outlived its table would keep the
+        reference's route and profile, and a path set led by that
+        route.  A plan that outlived its table would keep the
         longer route after a link-up."""
         network = build(shape, ecmp=ecmp)
         hosts = sorted(network.hosts)
@@ -179,6 +175,32 @@ class TestSharedSearchExactness:
                     assert (network.can_reach(src, dst)
                             == reference_can_reach(network, src, dst))
             all_pairs_route_exact(network)
+
+
+class TestSinglePathIsAPathSetOfOne:
+    """Without ECMP the resolver is the same, capped at one route."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=shapes, flaps=flap_lists)
+    def test_single_path_pathsets_are_the_reference_route(self, shape, flaps):
+        """A fresh single-path network after every flap: each pair's path
+        set is the reference's route alone, and an unreachable pair has
+        none."""
+        for step in range(len(flaps) + 1):
+            network = build(shape)
+            for pick in flaps[:step]:
+                toggle(network, pick)
+            engine = network._engine
+            nodes = nodes_of(network)
+            for src in nodes:
+                for dst in nodes:
+                    route = reference_route(network, src, dst)
+                    if route is None:
+                        with pytest.raises(RoutingError):
+                            engine.pathset(src, dst)
+                        continue
+                    assert engine.pathset(src, dst).routes == [route]
+                    assert engine.plan(src, dst, 5) is engine.plan(src, dst)
 
 
 class TestLeafRoutesWalkTheSharedSearch:
@@ -252,24 +274,23 @@ def sibling_network(ecmp):
 class TestSiblingTables:
     def test_siblings_read_one_shared_search(self):
         """A leaf's table is its gateway's memoised search itself: the
-        same ``prev`` and ``preds`` dicts, no distances, and the leaf
+        same ``preds`` dict, no distances, and the leaf
         goes in front of the gateway when a route is walked."""
         network = sibling_network(ecmp=True)
         engine = network._engine
         first, second = engine.table("h0"), engine.table("h1")
         assert engine.searches == 1 and engine.table_builds == 2
         gateway = "g0x0"
-        ((key, (prev, preds)),) = engine._search_memo.items()
+        ((key, preds),) = engine._search_memo.items()
         assert key == (gateway, network._weights[("h0", gateway)])
         for table in (first, second):
             assert table.root == gateway
-            assert table.prev is prev and table.preds is preds
+            assert table.preds is preds
             assert not hasattr(table, "dist")
         assert network.route_between("h0", gateway) == ["h0", gateway]
         assert network.route_between("h0", "h1") == ["h0", gateway, "h1"]
         assert engine.pathset("h1", "h0").routes == [["h1", gateway, "h0"]]
-        with pytest.raises(RoutingError):
-            engine.pathset("h0", "h0")
+        assert engine.pathset("h0", "h0").routes == [["h0"]]
 
     def test_memo_equals_a_fresh_search_after_every_siblings_plans(self):
         """Every sibling's plans and path sets walk the shared search and
@@ -285,11 +306,11 @@ class TestSiblingTables:
                 if src != dst and route_or_none(network, src, dst):
                     engine.pathset(src, dst)
                     for flow in range(4):
-                        engine.plan_for_flow(src, dst, flow)
+                        engine.plan(src, dst, flow)
         searches = engine.searches
         assert len(engine._search_memo) > 1
         for key, shared in engine._search_memo.items():
-            assert all(type(p) is tuple for p in shared[1].values())
+            assert all(type(p) is tuple for p in shared.values())
             assert shared == engine._search(engine._view, *key)
         assert engine.searches == searches + len(engine._search_memo)
 
@@ -333,8 +354,8 @@ class TestSiblingTables:
 
 def all_pairs_route_exact(network):
     """Every host pair of a warm engine: the reference's route,
-    reachability and path profile, and under ECMP a path set whose first
-    route is the reference's."""
+    reachability and path profile, and a path set whose first route is
+    the reference's, in either mode."""
     engine = network._engine
     hosts = sorted(network.hosts)
     for src in hosts:
@@ -347,8 +368,7 @@ def all_pairs_route_exact(network):
             fixed, per_byte, path = network._path_profile(src, dst)
             assert (fixed, per_byte) == reference_profile(network, route)
             assert path == route
-            if engine.ecmp and src != dst:
-                assert engine.pathset(src, dst).routes[0] == route, (src, dst)
+            assert engine.pathset(src, dst).routes[0] == route, (src, dst)
 
 
 class TestSharedRegistration:

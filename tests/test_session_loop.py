@@ -21,7 +21,6 @@ from repro.core.params import (
     DelayBound,
     DelayBoundType,
     RmsParams,
-    RmsRequest,
     is_compatible,
 )
 from repro.core.rms import RmsState
@@ -54,8 +53,7 @@ FLOOR = RmsParams(
     delay_bound=DelayBound.unbounded(),
     delay_bound_type=DelayBoundType.BEST_EFFORT,
 )
-REQUEST = RmsRequest(desired=DESIRED, acceptable=FLOOR)
-LADDER = degradation_ladder(REQUEST)
+LADDER = degradation_ladder(DESIRED, FLOOR)
 STREAM_CONFIG = StreamConfig(data_capacity=1000, data_max_message=600)
 #: The backoff schedule every test here runs under, and the model's copy.
 SCHEDULE = dict(MAX_ATTEMPTS=2, BACKOFF_INITIAL=0.25, BACKOFF_FACTOR=2.0,
@@ -139,8 +137,10 @@ class Rig:
     def set_network_preference(self, peer_host, network_name):
         self.preference = network_name
 
-    def create_st_rms(self, peer_host, port, request, fast_ack=False):
-        self.attempts.append((LADDER.index(request), self.preference))
+    def create_st_rms(self, peer_host, port, desired, acceptable,
+                      fast_ack=False):
+        self.attempts.append((LADDER.index((desired, acceptable)),
+                              self.preference))
         return self._future(self.preference or reference.NETWORKS[0])
 
     def close_st_rms(self, rms):
@@ -177,8 +177,8 @@ def schedule(monkeypatch):
 
 
 def _st(rig, policy):
-    return StSession(rig.context, rig, "b", "p", REQUEST, resilient=policy,
-                     name="s")
+    return StSession(rig.context, rig, "b", "p", DESIRED, FLOOR,
+                     resilient=policy, name="s")
 
 
 def _stream(rig, policy, monkeypatch):
@@ -223,7 +223,7 @@ def _model(kind, policy):
     to the floor's capacity, a stream has one rung and queues up to its
     data capacity."""
     if kind == "st":
-        rungs, limit = len(LADDER), REQUEST.floor.capacity
+        rungs, limit = len(LADDER), FLOOR.capacity
     else:
         rungs, limit = 1, STREAM_CONFIG.data_capacity
     return reference.Model(kind, MODEL_POLICY if policy else None, rungs, limit)
