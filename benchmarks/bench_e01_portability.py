@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from common import Table, bench_main, build_lan, build_wan, make_run, report
 from repro.apps.rpcload import RpcWorkload
-from repro.transport.stream import StreamConfig
+from repro.core.params import RmsParams
 
 
 def run_network(kind: str, seed: int = 1):
@@ -24,8 +24,8 @@ def run_network(kind: str, seed: int = 1):
 
     rpc = RpcWorkload(system.context, node_a.rkom, "b",
                       calls_per_client=20, think_time=0.01)
-    handle = system.connect("a", "b", kind="stream", config=StreamConfig(
-        data_max_message=4000, data_capacity=32 * 1024))
+    handle = system.connect("a", "b", kind="stream", desired=RmsParams(
+        capacity=32 * 1024, max_message_size=4000))
     system.run(until=system.now + 5.0)
     session = handle.established.result()
 

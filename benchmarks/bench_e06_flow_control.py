@@ -15,6 +15,7 @@ buffer overruns; with it, delivery is lossless.
 from __future__ import annotations
 
 from common import Table, bench_main, build_lan, make_run, report
+from repro.core.params import RmsParams
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport.stream import StreamConfig
 
@@ -23,24 +24,24 @@ SIZE = 1000
 RECEIVE_BUFFER = 8 * 1024
 
 CONFIGS = [
-    ("none", FlowControlMode.NONE, None),
-    ("capacity only", FlowControlMode.CAPACITY_ONLY, "ack"),
-    ("capacity+receiver", FlowControlMode.CAPACITY_AND_RECEIVER, "ack"),
-    ("end-to-end", FlowControlMode.END_TO_END, "ack"),
+    ("none", FlowControlMode.NONE),
+    ("capacity only", FlowControlMode.CAPACITY_ONLY),
+    ("capacity+receiver", FlowControlMode.CAPACITY_AND_RECEIVER),
+    ("end-to-end", FlowControlMode.END_TO_END),
 ]
+DATA = RmsParams(capacity=16 * 1024, max_message_size=8 * 1024)
 
 
-def run_case(label, mode, capacity_mode, consume_rate, seed=6):
+def run_case(label, mode, consume_rate, seed=6):
     system = build_lan(seed=seed)
     config = StreamConfig(
         reliable=False,  # show raw drops rather than masking via retransmit
-        capacity_mode=capacity_mode,
         flow_control=mode,
         receive_buffer=RECEIVE_BUFFER,
-        data_capacity=16 * 1024,
         sender_port_limit=8,
     )
-    handle = system.connect("a", "b", kind="stream", config=config)
+    handle = system.connect("a", "b", kind="stream", desired=DATA,
+                            config=config)
     system.run(until=system.now + 2.0)
     session = handle.established.result()
     consumed = []
@@ -79,10 +80,10 @@ def run_case(label, mode, capacity_mode, consume_rate, seed=6):
 
 def run_experiment():
     rows = []
-    for label, mode, capacity_mode in CONFIGS:
-        rows.append(run_case(label, mode, capacity_mode, consume_rate=None))
-    for label, mode, capacity_mode in CONFIGS:
-        rows.append(run_case(label, mode, capacity_mode, consume_rate=25.0))
+    for label, mode in CONFIGS:
+        rows.append(run_case(label, mode, consume_rate=None))
+    for label, mode in CONFIGS:
+        rows.append(run_case(label, mode, consume_rate=25.0))
     return rows
 
 

@@ -10,6 +10,7 @@ time until the sender knows everything arrived.
 from __future__ import annotations
 
 from common import Table, bench_main, build_lan, make_run, report
+from repro.core.params import RmsParams
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport.stream import StreamConfig, open_stream
 
@@ -17,20 +18,19 @@ RECORDS = 40
 RECORD_SIZE = 512
 
 
-def run_case(use_fast_ack: bool, seed: int = 14):
+def run_case(fast_ack: bool, seed: int = 14):
     system = build_lan(seed=seed)
     network = system.networks["ether0"]
     config = StreamConfig(
         reliable=True,
-        capacity_mode="ack",
         flow_control=FlowControlMode.CAPACITY_ONLY,
-        use_fast_ack=use_fast_ack,
-        record_size=RECORD_SIZE if use_fast_ack else None,
-        data_capacity=16 * 1024,
+        # A record size turns on fast acks.
+        record_size=RECORD_SIZE if fast_ack else None,
         ack_every=1,
     )
+    desired = RmsParams(capacity=16 * 1024, max_message_size=8 * 1024)
     future = open_stream(system.context, system.nodes["a"].st,
-                         system.nodes["b"].st, config)
+                         system.nodes["b"].st, desired, config)
     system.run(until=system.now + 3.0)
     session = future.result()
     setups_before_traffic = network.setup_count
@@ -56,8 +56,8 @@ def run_case(use_fast_ack: bool, seed: int = 14):
     system.context.spawn(watcher())
     system.run(until=system.now + 20.0)
     return {
-        "mode": "fast ack" if use_fast_ack else "ack RMS",
-        "st_rms_used": 1 if use_fast_ack else 2,
+        "mode": "fast ack" if fast_ack else "ack RMS",
+        "st_rms_used": 1 if fast_ack else 2,
         "network_setups": setups_before_traffic,
         "consumed": len(consumed),
         "all_acked_ms": ((all_acked_at["t"] or system.now) - start) * 1e3,

@@ -30,10 +30,9 @@ The scenarios, each counted after its warm-up:
   ``grid_churn``'s routing counts per flap;
 * ``observed_lan_small_burst`` / ``observed_lan_rkom_closed``: the same
   on ``DashSystem(observe=True)``, what observation costs;
-* ``stream_ack`` / ``stream_rate``: one reliable windowed byte stream,
-  end-to-end flow control, rounds of 40 x 1,000 B against a 16 KB
-  window, with acknowledgement-based or rate-based capacity; per
-  delivered message;
+* ``stream_ack``: one reliable windowed byte stream, end-to-end flow
+  control, rounds of 40 x 1,000 B against a 16 KB window; per delivered
+  message;
 * ``setup_untrusted`` / ``setup_trusted``: one stream to a peer never
   spoken to before (the control channel, on an untrusted medium the
   handshake, ``st_create`` and the data network RMS); per established
@@ -284,17 +283,19 @@ def _rounds(system, one_round: Callable[[], None],
     return _counted(system, work, lambda: len(delivered))
 
 
-def stream(capacity_mode: str) -> dict:
+def stream() -> dict:
     """One reliable windowed byte stream, 40 x 1,000 B per round; per
     delivered message."""
     system = _pair()
     config = StreamConfig(
-        reliable=True, capacity_mode=capacity_mode,
-        flow_control=FlowControlMode.END_TO_END, data_delay_bound=0.1,
+        reliable=True, flow_control=FlowControlMode.END_TO_END,
         # A burst is 2.5 windows: most sends wait at a gate, some do not.
-        data_capacity=STREAM_WINDOW, receive_buffer=STREAM_WINDOW,
+        receive_buffer=STREAM_WINDOW,
     )
-    session = system.connect("a", "b", kind="stream", config=config)
+    desired = RmsParams(capacity=STREAM_WINDOW, max_message_size=8 * 1024,
+                        delay_bound=DelayBound(0.1, 2e-6))
+    session = system.connect("a", "b", kind="stream", desired=desired,
+                             config=config)
     system.run(until=2.0)
     delivered: list = []
     session.established.result().drain_to(delivered.append)
@@ -354,8 +355,7 @@ SCENARIOS = [
     *((f"observed_{name}", "message",
        functools.partial(run_workload, name, observe=True))
       for name in ("lan_small_burst", "lan_rkom_closed")),
-    ("stream_ack", "message", functools.partial(stream, "ack")),
-    ("stream_rate", "message", functools.partial(stream, "rate")),
+    ("stream_ack", "message", stream),
     ("setup_untrusted", "stream", functools.partial(setup, False)),
     ("setup_trusted", "stream", functools.partial(setup, True)),
     ("recover", "recovery", recover),

@@ -145,9 +145,11 @@ def secured_lossy_lan(seed: int = 7) -> DashSystem:
 
 def rkom_closed_loop(seed: int = 1) -> DashSystem:
     """Eight closed-loop callers echoing 64 B over a 2%-lossy trusted LAN
-    (retransmissions and duplicate requests), then two byte streams of
-    8 KB capacity, one ack-windowed and one rate-enforced, each offered
-    64 KB at once so all three flow-control mechanisms hold sends."""
+    (retransmissions and duplicate requests), then three 8 KB channels,
+    each offered 64 KB at once so all three flow-control mechanisms hold
+    sends: byte streams with a 32 KB receive buffer (the window holds)
+    and a 4 KB one (receiver credit holds), and an ST RMS its client
+    paces with a rate-based enforcer, as E3 builds it."""
     system = DashSystem(seed=seed, observe=True)
     system.add_ethernet(trusted=True, frame_loss_rate=0.02)
     system.add_node("a")
@@ -165,13 +167,21 @@ def rkom_closed_loop(seed: int = 1) -> DashSystem:
     for session in sessions:
         issue(session)
     system.run(until=system.now + 5.0)
+    params = RmsParams(
+        capacity=8 * 1024, max_message_size=1_024,
+        delay_bound=DelayBound(0.05, 2e-6),
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+    )
     streams = [
-        system.connect("a", "b", kind="stream", config=StreamConfig(
-            capacity_mode=mode, data_capacity=8 * 1024, receive_buffer=buffer,
-            data_max_message=1_024, data_delay_bound=0.05))
-        for mode, buffer in (("ack", 32 * 1024), ("rate", 4 * 1024))
+        system.connect("a", "b", kind="stream", desired=params,
+                       config=StreamConfig(receive_buffer=buffer))
+        for buffer in (32 * 1024, 4 * 1024)
     ]
+    paced = system.connect("a", "b", port="paced", desired=params)
     system.run(until=system.now + 1.0)
+    rms = paced.established.result()
+    rms.port.set_handler(lambda message: None)
+    enforcer = RateBasedEnforcer(system.context, rms.params)
 
     def consume(stream):
         while True:
@@ -181,6 +191,8 @@ def rkom_closed_loop(seed: int = 1) -> DashSystem:
         system.context.spawn(consume(stream))
         for _ in range(64):
             stream.send(bytes(1_000))
+    for _ in range(64):
+        enforcer.request(1_000, rms.send, bytes(1_000))
     system.run(until=system.now + 10.0)
     return system
 

@@ -10,27 +10,27 @@ control.
 Run:  python examples/bulk_transfer_flow_control.py
 """
 
-from repro import DashSystem, FlowControlMode, StreamConfig
+from repro import DashSystem, FlowControlMode, RmsParams, StreamConfig
 
 MESSAGES = 60
 SIZE = 1000
 CONSUME_RATE = 30.0  # messages/second -- slower than the network
 
 
-def run_one(mode: FlowControlMode, capacity_mode) -> dict:
+def run_one(mode: FlowControlMode) -> dict:
     system = DashSystem(seed=33)
     system.add_ethernet(trusted=True)
     system.add_node("src")
     system.add_node("dst")
     config = StreamConfig(
         reliable=False,  # let missing flow control show up as loss
-        capacity_mode=capacity_mode,
         flow_control=mode,
         receive_buffer=8 * 1024,
-        data_capacity=16 * 1024,
         sender_port_limit=8,
     )
-    handle = system.connect("src", "dst", kind="stream", config=config)
+    handle = system.connect(
+        "src", "dst", kind="stream", config=config,
+        desired=RmsParams(capacity=16 * 1024, max_message_size=8 * 1024))
     system.run(until=system.now + 2.0)
     session = handle.established.result()
     consumed = []
@@ -62,17 +62,17 @@ def run_one(mode: FlowControlMode, capacity_mode) -> dict:
 
 def main() -> None:
     cases = [
-        (FlowControlMode.NONE, None),
-        (FlowControlMode.CAPACITY_ONLY, "ack"),
-        (FlowControlMode.CAPACITY_AND_RECEIVER, "ack"),
-        (FlowControlMode.END_TO_END, "ack"),
+        FlowControlMode.NONE,
+        FlowControlMode.CAPACITY_ONLY,
+        FlowControlMode.CAPACITY_AND_RECEIVER,
+        FlowControlMode.END_TO_END,
     ]
     print(f"slow consumer at {CONSUME_RATE:.0f} msg/s, "
           f"{MESSAGES} x {SIZE} B offered\n")
     print(f"{'configuration':<20} {'consumed':>8} {'dropped':>8} "
           f"{'sender blocked':>14}")
-    for mode, capacity_mode in cases:
-        row = run_one(mode, capacity_mode)
+    for mode in cases:
+        row = run_one(mode)
         print(f"{row['mode']:<20} {row['consumed']:>8} {row['dropped']:>8} "
               f"{row['sender_blocked']:>14}")
     print("\nwithout receiver flow control the receive buffer overruns;")

@@ -171,8 +171,10 @@ class DashSystem:
         networks, parameter degradation and queueing sends while the
         channel is down (the RKOM service recovers its channel on its
         own).  ``acceptable`` defaults to ``desired``, ``desired`` to
-        ``RmsParams()``.  A stream takes its data parameters from
-        ``config`` or from ``desired`` / ``acceptable``, not both.
+        ``RmsParams()``.  A stream asks for its data RMS with ``desired``
+        alone (:func:`repro.transport.stream.data_request` derives the
+        acceptable set; another ``acceptable`` is refused) and takes its
+        protocol from ``config``.
         """
         sender_node = self._node(sender)
         receiver_node = self._node(receiver)
@@ -195,27 +197,15 @@ class DashSystem:
             session.owns_port = port is None
             return session
         if kind == "stream":
-            if config is not None and (desired, acceptable) != (None, None):
+            if acceptable not in (None, desired):
                 raise ParameterError(
-                    "a stream takes its parameters from config or from "
-                    "desired / acceptable, not both"
-                )
-            if config is None and desired is not None:
-                # Honor the unified signature: derive the stream's data
-                # parameters from the desired set.
-                config = StreamConfig(
-                    data_capacity=desired.capacity,
-                    data_max_message=desired.max_message_size,
-                    data_delay_bound=(
-                        None
-                        if desired.delay_bound.is_unbounded
-                        else desired.delay_bound.a
-                    ),
+                    "a stream derives its own acceptable set from desired"
                 )
             return TransportSession(
                 self.context,
                 sender_node.st,
                 receiver_node.st,
+                desired=desired,
                 config=config,
                 resilient=resilience,
                 name=name or f"{sender_node.name}~{receiver_node.name}:stream",

@@ -286,6 +286,7 @@ class ForwardingEngine:
             if node in visited:
                 continue
             visited.add(node)
+            own = (node,)  # shared by every neighbour it improves
             for neighbor, link, weight, relays in view.get(node, ()):
                 if not link._up:
                     continue
@@ -293,7 +294,7 @@ class ForwardingEngine:
                 best = distances.get(neighbor, inf)
                 if candidate < best:
                     distances[neighbor] = candidate
-                    preds[neighbor] = (node,)
+                    preds[neighbor] = own
                     if relays:
                         heappush(heap, (candidate, neighbor))
                 elif candidate == best:

@@ -42,7 +42,7 @@ from repro.sim.events import Signal
 from repro.sim.ports import Port
 from repro.sim.process import Future
 from repro.sim.retry import Retry
-from repro.transport.stream import StreamConfig, open_stream
+from repro.transport.stream import StreamConfig, data_request, open_stream
 
 __all__ = [
     "RkomSession",
@@ -386,11 +386,6 @@ class StSession(_ChannelSession):
         self.fast_ack = fast_ack
         self._attempt()
 
-    @property
-    def rms(self):
-        """The established ST RMS; None while there is none."""
-        return self.channel
-
     def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
         # A resilient session steers the ST toward a usable network,
         # avoiding the one that failed last.
@@ -487,17 +482,17 @@ class TransportSession(_ChannelSession):
         context: SimContext,
         sender_st,
         receiver_st,
+        desired: Optional[RmsParams] = None,
         config: Optional[StreamConfig] = None,
         resilient: bool = False,
         name: Optional[str] = None,
     ) -> None:
-        config = config or StreamConfig()
-        super().__init__(context, resilient, name, [config.data_request()],
-                         config.data_capacity)
+        rung = data_request(desired)
+        super().__init__(context, resilient, name, [rung], rung[0].capacity)
         self._watch(sender_st.host.name)
         self.sender_st = sender_st
         self.receiver_st = receiver_st
-        self.config = config
+        self.config = config or StreamConfig()
         self.rx_port = Port(context.loop, name=f"{self.name}.rx")
         #: The receive relay only engages when the session's own
         #: receive() is used; legacy callers holding the raw stream keep
@@ -506,9 +501,9 @@ class TransportSession(_ChannelSession):
         self._attempt()
 
     def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
-        return open_stream(
-            self.context, self.sender_st, self.receiver_st, self.config
-        )
+        # The rung is derived already; deriving it again gives it back.
+        return open_stream(self.context, self.sender_st, self.receiver_st,
+                           rung[0], self.config)
 
     def _adopt(self, stream) -> bool:
         stream.on_failed.listen(self._lost)

@@ -109,10 +109,6 @@ class Process:
         self._stopped = False
         loop.call_soon(self._step, None, None)
 
-    @property
-    def done(self) -> bool:
-        return self.finished.done
-
     def stop(self, exc: Optional[BaseException] = None) -> None:
         """Terminate the process by throwing into the generator.
 
@@ -170,5 +166,5 @@ class Process:
             self._step(future.result(), None)
 
     def __repr__(self) -> str:
-        state = "done" if self.done else "running"
+        state = "done" if self.finished.done else "running"
         return f"<Process {self.name} {state}>"

@@ -8,8 +8,9 @@ protocol and receiver -- and treats them separately:
   responsibility; the provider neither detects nor blocks violations.
   Two mechanisms: rate-based ("using timers, the sender ensures that
   during any time period of duration A + CB, the number of bytes sent
-  does not exceed C") and acknowledgement-based (a byte window opened by
-  flow-control acknowledgements).
+  does not exceed C"), the gate an ST RMS's client paces itself with
+  (E3, E11), and acknowledgement-based (a byte window opened by
+  flow-control acknowledgements), the capacity gate of a stream.
 - *Receiver flow control* protects group (3): the protocol stops sending
   when the receive buffer limit is reached.
 - *Sender flow control* protects group (1): a flow-controlled local IPC

@@ -10,12 +10,15 @@ RMSs, following the section-2.5 parameter recipes:
 - alternatively the ST *fast acknowledgement* service replaces the
   reverse RMS for fixed-size record streams (section 3.2, bench E13).
 
-Reliability (sequence numbers, cumulative acks, retransmission),
-RMS capacity enforcement (rate- or window-based), receiver flow control
-(credits in acks), and sender flow control (a flow-controlled local IPC
-port) are each independently optional, composing the Figure-5 options.
-An admitted message passes the receiver-credit gate, then the capacity
-gate, then goes on the wire: each step is one ``request`` on a
+The data RMS is asked for like any other channel, with a ``desired``
+parameter set (:func:`data_request`); :class:`StreamConfig` sets the
+protocol alone.  Reliability (sequence numbers, cumulative acks,
+retransmission), RMS capacity enforcement (an acknowledgement window
+the size of the data RMS's capacity), receiver flow control (credits in
+acks), and sender flow control (a flow-controlled local IPC port) are
+each independently optional, composing the Figure-5 options.  An
+admitted message passes the receiver-credit gate, then the window, then
+goes on the wire: each step is one ``request`` on a
 :mod:`repro.transport.flowcontrol` gate, which runs the next step inside
 the call when it has room; a gate the configuration omits is skipped.
 """
@@ -26,7 +29,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.message import Message
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
@@ -42,7 +45,6 @@ from repro.subtransport.st import SubtransportLayer
 from repro.subtransport.strms import StRms
 from repro.transport.flowcontrol import (
     FlowControlMode,
-    RateBasedEnforcer,
     ReceiverCredit,
     WindowEnforcer,
 )
@@ -68,57 +70,58 @@ def _retransmit_delay(attempt: int) -> float:
     return RETRANSMIT_TIMEOUT
 
 
+#: What the data RMS is asked for when the client names nothing.
+DEFAULT_DATA = RmsParams(capacity=64 * 1024, max_message_size=8 * 1024)
+
+
+def data_request(desired: Optional[RmsParams]) -> Tuple[RmsParams, RmsParams]:
+    """What the data ST RMS is asked for (section 2.5: high capacity,
+    high delay): the desired set's capacity, message size, delay ``a``
+    and security at 2 us/B, and the same set at twice the delay and
+    10 us/B as the acceptable one; best-effort.  Deriving a derived set
+    again gives it back."""
+    desired = desired or DEFAULT_DATA
+    if desired.delay_bound.is_unbounded:
+        bound = loose = DelayBound.unbounded()
+    else:
+        delay = desired.delay_bound.a
+        bound, loose = DelayBound(delay, 2e-6), DelayBound(delay * 2, 1e-5)
+    data = RmsParams(
+        capacity=desired.capacity,
+        max_message_size=desired.max_message_size,
+        delay_bound=bound,
+        delay_bound_type=DelayBoundType.BEST_EFFORT,
+        privacy=desired.privacy,
+        authentication=desired.authentication,
+    )
+    return data, data.with_(delay_bound=loose)
+
+
 @dataclass
 class StreamConfig:
-    """Behaviour of one stream session."""
+    """The protocol of one stream session; its data RMS is asked for
+    with ``desired`` (:func:`data_request`)."""
 
     reliable: bool = True
-    #: "rate", "ack", or None (no RMS capacity enforcement).
-    capacity_mode: Optional[str] = "ack"
     flow_control: FlowControlMode = FlowControlMode.END_TO_END
     receive_buffer: int = 64 * 1024
     #: Sender-side IPC port depth in messages (sender flow control).
     sender_port_limit: int = 16
-    #: Use the ST fast-ack service instead of a reverse ack RMS.  Only
-    #: legal for fixed-size records (``record_size`` must be set).
-    use_fast_ack: bool = False
+    #: Fixed-size records, acknowledged by the ST fast-ack service
+    #: instead of a reverse ack RMS; None for messages of any size.
     record_size: Optional[int] = None
     #: Send a cumulative ack every N in-order deliveries.
     ack_every: int = 2
-    #: ST RMS capacity for the data path.
-    data_capacity: int = 64 * 1024
-    data_max_message: int = 8 * 1024
-    #: Delay bound (seconds) for the data ST RMS; None = best-effort.
-    data_delay_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.capacity_mode not in (None, "rate", "ack"):
-            raise ParameterError(f"unknown capacity mode {self.capacity_mode!r}")
-        if self.use_fast_ack and self.record_size is None:
-            raise ParameterError("fast-ack streaming requires a fixed record_size")
+        if self.record_size is not None and self.record_size < 1:
+            raise ParameterError("record_size must be >= 1")
         if self.ack_every < 1:
             raise ParameterError("ack_every must be >= 1")
         if self.receive_buffer <= 0:
             raise ParameterError("receive_buffer must be > 0")
         if self.sender_port_limit < 1:
             raise ParameterError("sender_port_limit must be >= 1")
-
-    def data_request(self) -> Tuple[RmsParams, RmsParams]:
-        """What the data ST RMS is asked for (section 2.5: high
-        capacity, high delay): the desired set, and the same set with a
-        looser delay bound as the acceptable one."""
-        if self.data_delay_bound is not None:
-            bound = DelayBound(self.data_delay_bound, 2e-6)
-            bound_loose = DelayBound(self.data_delay_bound * 2, 1e-5)
-        else:
-            bound = bound_loose = DelayBound.unbounded()
-        desired = RmsParams(
-            capacity=self.data_capacity,
-            max_message_size=self.data_max_message,
-            delay_bound=bound,
-            delay_bound_type=DelayBoundType.BEST_EFFORT,
-        )
-        return desired, desired.with_(delay_bound=bound_loose)
 
 
 @dataclass
@@ -191,17 +194,10 @@ class StreamSession:
                 limit=config.sender_port_limit,
                 name=f"stream{self.session_id}.txport",
             )
-        #: The RMS capacity gate: rate- or acknowledgement-based, or none.
-        self._capacity: Union[RateBasedEnforcer, WindowEnforcer, None] = None
-        #: The capacity gate again when acknowledgements are what opens it.
+        #: The RMS capacity gate, opened by acknowledgements.
         self._window: Optional[WindowEnforcer] = None
         if config.flow_control.enforces_capacity:
-            if config.capacity_mode == "rate":
-                self._capacity = RateBasedEnforcer(context, data_rms.params)
-            elif config.capacity_mode == "ack":
-                self._capacity = self._window = WindowEnforcer(
-                    context, data_rms.params.capacity
-                )
+            self._window = WindowEnforcer(context, data_rms.params.capacity)
         self._credit: Optional[ReceiverCredit] = None
         if config.flow_control.has_receiver_fc:
             self._credit = ReceiverCredit(context, config.receive_buffer)
@@ -217,7 +213,7 @@ class StreamSession:
         data_rms.on_failure.listen(lambda rms, reason: self._fail(reason))
         if ack_rms is not None:
             ack_rms.port.set_handler(self._ack_arrived)
-        if config.use_fast_ack:
+        if config.record_size is not None:
             data_rms.on_fast_ack.listen(self._fast_ack_arrived)
             self._fast_acked = 0
 
@@ -279,20 +275,20 @@ class StreamSession:
         # fc:hold/fc:release time spent waiting lands on its span.
         obs = self.context.obs
         trace_id = obs.spans.new_trace() if obs.enabled else None
-        # Receiver credit, then RMS capacity, then the wire.
+        # Receiver credit, then the window, then the wire.
         if self._credit is not None:
             self._credit.request(
-                len(payload), self._gate_capacity, seq, payload, trace_id,
+                len(payload), self._gate_window, seq, payload, trace_id,
                 trace_id=trace_id,
             )
         else:
-            self._gate_capacity(seq, payload, trace_id)
+            self._gate_window(seq, payload, trace_id)
 
-    def _gate_capacity(
+    def _gate_window(
         self, seq: int, payload: bytes, trace_id: Optional[int]
     ) -> None:
-        if self._capacity is not None:
-            self._capacity.request(
+        if self._window is not None:
+            self._window.request(
                 len(payload) + _DATA_HEADER.size, self._transmit,
                 seq, payload, trace_id, trace_id=trace_id,
             )
@@ -324,18 +320,10 @@ class StreamSession:
         oldest = min(self.tx_unacked)
         frame = _DATA_HEADER.pack(oldest, _FLAG_NONE) + self.tx_unacked[oldest]
         self.stats.retransmissions += 1
-        if isinstance(self._capacity, RateBasedEnforcer):
-            # A retransmission is more bytes in the trailing window.
-            self._capacity.request(len(frame), self._resend, oldest, frame)
-        else:
-            # No enforcement, or the window still holds the space of the
-            # original send and the retransmission reuses it.
-            self._resend(oldest, frame)
+        # The window still holds the space of the original send and the
+        # retransmission reuses it.
+        self.data_rms.send(frame)
         self._retransmit.arm()
-
-    def _resend(self, seq: int, frame: bytes) -> None:
-        if not self.failed and seq in self.tx_unacked:
-            self.data_rms.send(frame)
 
     def _fail(self, reason: str) -> None:
         if self.failed:
@@ -378,7 +366,7 @@ class StreamSession:
         # Fast acks carry only a delivery count; with fixed-size records
         # that is enough to open the capacity window and return credit.
         self._fast_acked += 1
-        record = (self.config.record_size or 0) + _DATA_HEADER.size
+        record = self.config.record_size + _DATA_HEADER.size
         if self._window is not None:
             self._window.acknowledge(record)
         if self._credit is not None:
@@ -530,62 +518,52 @@ def open_stream(
     context: SimContext,
     sender_st: SubtransportLayer,
     receiver_st: SubtransportLayer,
+    desired: Optional[RmsParams] = None,
     config: Optional[StreamConfig] = None,
 ) -> Future:
     """Open a stream session; resolves to a :class:`StreamSession`.
 
-    Creates the data ST RMS (sender to receiver) and, unless fast acks
-    replace it, the reverse ack ST RMS per the section-2.5 recipes.
+    Creates the data ST RMS (sender to receiver) for ``desired``
+    (:func:`data_request`) and, unless fast acks replace it, the reverse
+    ack ST RMS per the section-2.5 recipes.
     """
     config = config or StreamConfig()
+    data_desired, data_acceptable = data_request(desired)
+    fast_ack = config.record_size is not None
+    # Low delay when the acks gate flow; high delay when they only
+    # confirm reliability (section 2.5).
+    gating = (config.flow_control.enforces_capacity
+              or config.flow_control.has_receiver_fc)
     result = Future(context.loop)
     session_tag = next(_session_ids)
 
     def flow():
         data_port = f"stream-data-{session_tag}"
         ports = [(receiver_st.host, data_port)]
-        desired, acceptable = config.data_request()
         data_rms = yield sender_st.create_st_rms(
-            receiver_st.host.name,
-            port=data_port,
-            desired=desired,
-            acceptable=acceptable,
-            fast_ack=config.use_fast_ack,
+            receiver_st.host.name, port=data_port, desired=data_desired,
+            acceptable=data_acceptable, fast_ack=fast_ack,
         )
         ack_rms = None
-        needs_acks = (
-            config.reliable
-            or config.capacity_mode == "ack"
-            or config.flow_control.has_receiver_fc
-        )
-        if needs_acks and not config.use_fast_ack:
-            # Low delay when the acks gate flow; high delay when they
-            # only confirm reliability (section 2.5).
-            gating = (
-                config.capacity_mode == "ack"
-                or config.flow_control.has_receiver_fc
-            )
+        if (config.reliable or gating) and not fast_ack:
             ack_delay = 0.05 if gating else 1.0
+            # An authenticated stream authenticates its acks too: a
+            # forged one would open the window.
             ack_desired = RmsParams(
-                capacity=2048,
-                max_message_size=256,
+                capacity=2048, max_message_size=256,
                 delay_bound=DelayBound(ack_delay, 1e-6),
                 delay_bound_type=DelayBoundType.BEST_EFFORT,
-            )
-            ack_acceptable = ack_desired.with_(
-                delay_bound=DelayBound(ack_delay * 4, 1e-5)
+                authentication=data_desired.authentication,
             )
             ack_port = f"stream-ack-{session_tag}"
             ports.append((sender_st.host, ack_port))
             ack_rms = yield receiver_st.create_st_rms(
-                sender_st.host.name,
-                port=ack_port,
-                desired=ack_desired,
-                acceptable=ack_acceptable,
+                sender_st.host.name, port=ack_port, desired=ack_desired,
+                acceptable=ack_desired.with_(
+                    delay_bound=DelayBound(ack_delay * 4, 1e-5)),
             )
         return StreamSession(context, config, data_rms, ack_rms, tuple(ports))
 
     process = context.spawn(flow(), name=f"open-stream-{session_tag}")
-
     process.finished.add_done_callback(lambda f: f.copy_to(result))
     return result

@@ -143,7 +143,7 @@ class TestRpcWorkload:
             calls_per_client=10,
         )
         system.run(until=system.now + 20.0)
-        assert all(p.done for p in workload.processes)
+        assert all(p.finished.done for p in workload.processes)
         report = workload.report()
         assert report.calls_completed == 20
         assert report.calls_failed == 0
@@ -168,5 +168,5 @@ class TestSources:
         system.run(until=system.now + 0.1)
         rms.fail("induced")
         system.run(until=system.now + 0.5)
-        assert source.process.done  # ended cleanly, no crash
+        assert source.process.finished.done  # ended cleanly, no crash
 

@@ -265,7 +265,7 @@ class TestSupervisedResilience:
             session.send(bytes([index]) * 256)
         system.run(until=system.now + 10.0)
         assert session.is_up
-        assert session.rms.binding.network_rms.network.name == "wan"
+        assert session.channel.binding.network_rms.network.name == "wan"
         assert len(got) == 3
         assert SessionState.RE_ESTABLISHING in states
         assert session.stats.failovers >= 1
@@ -295,8 +295,8 @@ class TestSupervisedResilience:
         system.networks["lan"].segment.set_down()
         system.run(until=system.now + 10.0)
         assert session.state is SessionState.DEGRADED
-        assert session.rms.binding.network_rms.network.name == "wan"
-        actual = session.rms.params
+        assert session.channel.binding.network_rms.network.name == "wan"
+        actual = session.channel.params
         assert actual.delay_bound_type == DelayBoundType.BEST_EFFORT
         assert is_compatible(actual, floor)
         assert not is_compatible(actual, desired)

@@ -276,7 +276,7 @@ class TestSnapshotIsTheStats:
         mechanisms = [
             (gate, "sends_delayed", "fc_sends_delayed",
              dict(mechanism=gate.mechanism))
-            for gate in (channel._capacity, channel._credit)
+            for gate in (channel._window, channel._credit)
             if gate is not None
         ]
         assert mechanisms

@@ -20,7 +20,7 @@ from repro.errors import NetworkError, ParameterError, RmsFailedError
 from repro.netsim.chaos import ChaosSchedule
 from repro.resilience import SessionState, degradation_ladder, policy
 from repro.transport import stream
-from repro.transport.stream import StreamConfig, StreamSession
+from repro.transport.stream import StreamSession
 
 
 def lan_system(seed=61, **kwargs):
@@ -88,8 +88,12 @@ class TestConnectFacade:
         system = lan_system()
         desired = be_params(capacity=4096, mms=400)
         session = system.connect("a", "b", kind="stream", desired=desired)
-        assert session.config.data_capacity == 4096
-        assert session.config.data_max_message == 400
+        assert session.desired.capacity == 4096
+        assert session.desired.max_message_size == 400
+        system.run(until=system.now + 2.0)
+        data_rms = session.established.result().data_rms
+        assert data_rms.params.capacity == 4096
+        assert data_rms.params.max_message_size == 400
 
     def test_rkom_session_is_shared_per_pair(self):
         system = lan_system()
@@ -115,17 +119,6 @@ class TestConnectFacade:
         system = lan_system()
         with pytest.raises(ParameterError):
             system.connect("a", "b", kind="rkom", resilience=True)
-
-    def test_stream_rejects_rms_parameters_beside_a_config(self):
-        """A config fixes the stream's data parameters; a desired set
-        given beside it would be dropped."""
-        system = lan_system()
-        with pytest.raises(ParameterError):
-            system.connect("a", "b", kind="stream", config=StreamConfig(),
-                           desired=be_params(capacity=4096, mms=400))
-        with pytest.raises(ParameterError):
-            system.connect("a", "b", kind="stream", config=StreamConfig(),
-                           acceptable=be_params())
 
     def test_unknown_kind_and_unknown_node_raise(self):
         system = lan_system()

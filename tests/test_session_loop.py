@@ -40,7 +40,6 @@ from repro.resilience import session as session_module
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
 from repro.sim.process import Future
-from repro.transport.stream import StreamConfig
 from tests import session_reference as reference
 
 DESIRED = RmsParams(
@@ -54,7 +53,8 @@ FLOOR = RmsParams(
     delay_bound_type=DelayBoundType.BEST_EFFORT,
 )
 LADDER = degradation_ladder(DESIRED, FLOOR)
-STREAM_CONFIG = StreamConfig(data_capacity=1000, data_max_message=600)
+#: What the stream kind asks its data RMS for.
+STREAM_DESIRED = RmsParams(capacity=1000, max_message_size=600)
 #: The backoff schedule every test here runs under, and the model's copy.
 SCHEDULE = dict(MAX_ATTEMPTS=2, BACKOFF_INITIAL=0.25, BACKOFF_FACTOR=2.0,
                 BACKOFF_CAP=2.0, JITTER=0.0)
@@ -146,7 +146,7 @@ class Rig:
     def close_st_rms(self, rms):
         rms.close()
 
-    def open_stream(self, context, sender_st, receiver_st, config):
+    def open_stream(self, context, sender_st, receiver_st, desired, config):
         self.attempts.append((0, None))
         return self._future(None)
 
@@ -183,7 +183,7 @@ def _st(rig, policy):
 
 def _stream(rig, policy, monkeypatch):
     monkeypatch.setattr(session_module, "open_stream", rig.open_stream)
-    return TransportSession(rig.context, rig, rig, config=STREAM_CONFIG,
+    return TransportSession(rig.context, rig, rig, desired=STREAM_DESIRED,
                             resilient=policy, name="s")
 
 
@@ -225,7 +225,7 @@ def _model(kind, policy):
     if kind == "st":
         rungs, limit = len(LADDER), FLOOR.capacity
     else:
-        rungs, limit = 1, STREAM_CONFIG.data_capacity
+        rungs, limit = 1, STREAM_DESIRED.capacity
     return reference.Model(kind, MODEL_POLICY if policy else None, rungs, limit)
 
 

@@ -50,9 +50,8 @@ FIELDS = {
         "enforce_mux_rules", "cache_enabled",
     ),
     StreamConfig: (
-        "reliable", "capacity_mode", "flow_control", "receive_buffer",
-        "sender_port_limit", "use_fast_ack", "record_size", "ack_every",
-        "data_capacity", "data_max_message", "data_delay_bound",
+        "reliable", "flow_control", "receive_buffer", "sender_port_limit",
+        "record_size", "ack_every",
     ),
     TcpConfig: ("mss", "retransmit_timeout"),
     PerformanceLimits: (
@@ -143,6 +142,7 @@ class TestRejectedAtConstruction:
     @pytest.mark.parametrize("changes", [
         {"receive_buffer": 0},
         {"sender_port_limit": 0},
+        {"record_size": 0},
     ], ids=repr)
     def test_stream_config(self, changes):
         with pytest.raises(ParameterError):

@@ -16,6 +16,7 @@ from repro.sim.events import Signal
 from repro.subtransport.st import SubtransportLayer
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport import stream
+from repro.core.params import RmsParams
 from repro.transport.stream import StreamConfig, open_stream
 from repro.errors import ParameterError, TransportError
 from tests import stream_reference
@@ -35,8 +36,8 @@ def build(seed=42, **net_kwargs):
     return context, network, st_a, st_b
 
 
-def open_session(context, st_a, st_b, config=None, until=3.0):
-    future = open_stream(context, st_a, st_b, config)
+def open_session(context, st_a, st_b, config=None, until=3.0, desired=None):
+    future = open_stream(context, st_a, st_b, desired, config)
     context.run(until=context.now + until)
     return future.result()
 
@@ -97,7 +98,6 @@ class TestStreamBasics:
         context, _net, st_a, st_b = build(seed=6, frame_loss_rate=0.15)
         config = StreamConfig(
             reliable=False,
-            capacity_mode=None,
             flow_control=FlowControlMode.NONE,
         )
         session = open_session(context, st_a, st_b, config, until=10.0)
@@ -110,8 +110,8 @@ class TestStreamBasics:
     def test_window_never_exceeds_rms_capacity(self):
         """Section 5: the fixed window size is the RMS capacity."""
         context, _net, st_a, st_b = build()
-        config = StreamConfig(capacity_mode="ack", data_capacity=8192)
-        session = open_session(context, st_a, st_b, config)
+        session = open_session(context, st_a, st_b, desired=RmsParams(
+            capacity=8192, max_message_size=8192))
         drain(context, session, 50)
         for index in range(50):
             session.send(bytes([index]) * 1000)
@@ -130,20 +130,6 @@ class TestStreamBasics:
         assert max_outstanding <= 8192
         assert session.data_rms.stats.capacity_violations == 0
 
-    def test_rate_based_capacity_mode(self):
-        context, _net, st_a, st_b = build()
-        config = StreamConfig(
-            capacity_mode="rate",
-            data_capacity=8192,
-            data_delay_bound=0.05,
-        )
-        session = open_session(context, st_a, st_b, config)
-        drain(context, session, 30)
-        for index in range(30):
-            session.send(bytes([index]) * 1000)
-        context.run(until=context.now + 10.0)
-        assert session.stats.messages_delivered == 30
-        assert session.data_rms.stats.capacity_violations == 0
 
 
 class TestReceiverFlowControl:
@@ -167,7 +153,6 @@ class TestReceiverFlowControl:
         context, _net, st_a, st_b = build()
         config = StreamConfig(
             reliable=False,
-            capacity_mode=None,
             flow_control=FlowControlMode.NONE,
             receive_buffer=3000,
         )
@@ -211,9 +196,7 @@ class TestFastAckStream:
         context, _net, st_a, st_b = build()
         config = StreamConfig(
             reliable=True,
-            capacity_mode="ack",
             flow_control=FlowControlMode.CAPACITY_ONLY,
-            use_fast_ack=True,
             record_size=512,
         )
         session = open_session(context, st_a, st_b, config)
@@ -227,14 +210,10 @@ class TestFastAckStream:
 
     def test_record_size_enforced(self):
         context, _net, st_a, st_b = build()
-        config = StreamConfig(use_fast_ack=True, record_size=512)
+        config = StreamConfig(record_size=512)
         session = open_session(context, st_a, st_b, config)
         with pytest.raises(ParameterError):
             session.send(b"wrong size")
-
-    def test_fast_ack_without_record_size_rejected(self):
-        with pytest.raises(ParameterError):
-            StreamConfig(use_fast_ack=True)
 
 
 class TestStreamFailure:
@@ -351,9 +330,8 @@ class StreamRig:
         self.data = _RigRms(self, "data")
         self.ack = None if fast_ack else _RigRms(self, "ack")
         config = StreamConfig(
-            reliable=True, capacity_mode=None,
-            flow_control=FlowControlMode.NONE, ack_every=ACK_EVERY,
-            use_fast_ack=fast_ack, record_size=RECORD if fast_ack else None,
+            reliable=True, flow_control=FlowControlMode.NONE,
+            ack_every=ACK_EVERY, record_size=RECORD if fast_ack else None,
         )
         self.session = stream.StreamSession(
             self.context, config, self.data, self.ack)
