@@ -7,7 +7,7 @@ Demonstrates the core loop of the library:
 2. open a session through ``DashSystem.connect`` with explicit RMS
    parameters;
 3. send messages and observe delivery, delays, and failure notification;
-4. make a request/reply call through an RKOM session.
+4. make a request/reply call through an RKOM session, then close it.
 
 Run:  python examples/quickstart.py
 """
@@ -61,6 +61,7 @@ def main() -> None:
     reply = rpc.call("time")
     system.run(until=3.0)
     print(f"RKOM reply: {reply.result().decode()}")
+    rpc.close()  # releases alice's two channel RMSs to bob
 
     # Failure notification is a basic RMS property; without resilience
     # the first failure is terminal.  (Pass resilience=True to connect()

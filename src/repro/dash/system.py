@@ -12,12 +12,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.params import RmsParams
 from repro.errors import NetworkError, ParameterError
-from repro.resilience.session import (
-    RkomSession,
-    Session,
-    StSession,
-    TransportSession,
-)
+from repro.resilience.session import Session, StSession, TransportSession
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.internet import InternetNetwork
 from repro.netsim.network import Network
@@ -48,7 +43,6 @@ class DashSystem:
         self.st_config = st_config
         self.cpu_policy = cpu_policy
         self._connect_ids = itertools.count(1)
-        self._rkom_sessions: Dict[Tuple[str, str], RkomSession] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -164,7 +158,8 @@ class DashSystem:
         ``established`` future resolves to the underlying channel once
         it is up.  ``kind`` selects the channel: a raw subtransport RMS
         (``"st"``), a reliable byte stream (``"stream"``), or RKOM
-        request/reply (``"rkom"``, one shared session per node pair).
+        request/reply (``"rkom"``: the session of the sender's RKOM
+        service that keeps its channel to the receiver, one per pair).
         ``resilience=True`` puts an ST or stream channel under
         supervision: automatic re-establishment on the backoff schedule
         of :mod:`repro.resilience.policy`, failover across attached
@@ -216,17 +211,7 @@ class DashSystem:
                     "rkom sessions have RKOM's fixed channel parameters "
                     "and recover their channel on their own"
                 )
-            key = (sender_node.name, receiver_node.name)
-            session = self._rkom_sessions.get(key)
-            if session is None or session.state.value == "closed":
-                session = RkomSession(
-                    self.context,
-                    sender_node.rkom,
-                    receiver_node.name,
-                    name=name or f"{sender_node.name}~{receiver_node.name}:rkom",
-                )
-                self._rkom_sessions[key] = session
-            return session
+            return sender_node.rkom.session(receiver_node.name, name)
         raise ParameterError(f"unknown session kind {kind!r}")
 
     def run(

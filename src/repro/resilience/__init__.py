@@ -2,10 +2,11 @@
 
 The paper's basic RMS property 3 only promises that "clients are
 notified of an RMS failure" (section 2.1).  This subsystem turns that
-notification into recovery: one establishment loop keeps an ST RMS or a
-stream up, and a resilient session retries establishment with jittered
-exponential backoff (:mod:`repro.resilience.policy`), fails over to an
-alternate attached network when the node is multi-homed, and gracefully
+notification into recovery: one establishment loop keeps an ST RMS, a
+stream or an RKOM channel up, and a resilient session retries
+establishment with jittered exponential backoff
+(:mod:`repro.resilience.policy`), fails over to an alternate attached
+network when the node is multi-homed, and gracefully
 degrades the requested parameter set from desired toward acceptable
 (the section 2.4 compatibility rules) when the surviving network cannot
 carry the original request.  Transitions surface through ``Session.on_state_change``,

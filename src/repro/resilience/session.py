@@ -11,12 +11,14 @@ A session exposes ``send``/``close``, context-manager support, an
          v           RE-ESTABLISHING -> FAILED
        FAILED                 (any state) -> CLOSED
 
-An ST RMS and a stream are kept up by one establishment loop
-(:class:`_ChannelSession`).  On a resilient session a failure moves the
-session through backoff (the schedule in
+An ST RMS, a stream or an RKOM channel is kept by one establishment
+loop (:class:`_ChannelSession`).  On a resilient session a failure moves
+the session through backoff (the schedule in
 :mod:`repro.resilience.policy`), failover and degradation, and a lost
 channel to RE-ESTABLISHING; otherwise the first failure and the first
 loss are terminal (FAILED), the paper's bare notify-on-failure semantics.
+An RKOM channel is the exception: its calls retransmit on their own, so
+a failure or a loss leaves it in RE-ESTABLISHING until the next send.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.rms import RmsState
 from repro.errors import (
     AdmissionError,
     CapacityError,
+    RkomTimeoutError,
     RmsFailedError,
     TransportError,
 )
@@ -543,12 +546,16 @@ class TransportSession(_ChannelSession):
         return self.rx_port.get()
 
 
-class RkomSession(Session):
-    """Request/reply calls to one peer through the shared RKOM service.
+class RkomSession(_ChannelSession):
+    """RKOM's outbound channel to one peer (section 3.3): a low- and a
+    high-delay ST RMS.  The RKOM service keeps one per peer.
 
-    The service already retransmits with backoff and re-establishes its
-    channel after failures; the session adds the uniform handle, state
-    reporting, and transition metrics on top.
+    The first send that finds the channel down waits in the queue
+    (:meth:`defer`) and opens it; a non-empty queue is an attempt under
+    way.  Calls retransmit on their own, so the session neither retries
+    nor fails: a failed attempt fails the calls waiting on the peer, a
+    lost channel waits for the next send, and either way the session
+    sits in RE_ESTABLISHING until then.
     """
 
     kind = "rkom"
@@ -558,30 +565,74 @@ class RkomSession(Session):
         context: SimContext,
         rkom,
         peer_host: str,
-        name: Optional[str] = None,
+        request: Tuple[RmsParams, RmsParams],
+        name: str,
     ) -> None:
-        super().__init__(context, name=name)
+        # ``request`` is the low-delay RMS's; ``_open`` asks for both.
+        super().__init__(context, False, name, [request], 0)
         self._watch(rkom.st.host.name)
         self.rkom = rkom
         self.peer_host = peer_host
-        self._unsubscribe = rkom.on_channel_event.listen(self._channel_event)
-        # Channels are created lazily by the first call; the session is
-        # usable immediately.
-        self.established.set_result(self)
 
-    def _channel_event(self, peer_host: str, what: str) -> None:
-        if peer_host != self.peer_host or self.state is SessionState.CLOSED:
+    def defer(self, routine, *args) -> None:
+        """Run ``routine(*args)`` once the channel is up, opening it
+        unless an attempt is under way."""
+        self._queue.append((routine, args))
+        if len(self._queue) == 1:
+            self._attempt()
+
+    def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
+        process = self.context.spawn(
+            self.rkom._create_channel(self.peer_host),
+            name=f"rkom-chan:{self.rkom.st.host.name}->{self.peer_host}",
+        )
+        return process.finished
+
+    def _adopt(self, channel) -> bool:
+        for rms in (channel.low, channel.high):
+            rms.on_failure.listen(lambda _rms, reason: self._lost(channel, reason))
+        return False
+
+    def _flush_queue(self) -> None:
+        waiting, self._queue = self._queue, []
+        for routine, args in waiting:
+            routine(*args)
+
+    def _failed_attempt(self, error: Exception) -> None:
+        # The sends that waited are dropped, and every call still
+        # waiting on the peer fails instead of hanging.
+        self._queue = []
+        rkom, peer_host = self.rkom, self.peer_host
+        failure = RkomTimeoutError(
+            f"RKOM channel to {peer_host} could not be established"
+        )
+        obs = self.context.obs
+        for request_id, record in list(rkom._pending.items()):
+            handle, _frame, peer, retry, trace_id = record
+            if peer == peer_host:
+                del rkom._pending[request_id]
+                retry.stop()
+                rkom.stats.timeouts += 1
+                if obs.enabled:
+                    obs.spans.event(
+                        trace_id, "rkom", "timeout",
+                        host=rkom.st.host.name, reason="no-channel",
+                    )
+                handle.set_exception(failure)
+        self._note("reestablishing", str(error))
+        self._set_state(SessionState.RE_ESTABLISHING, str(failure))
+
+    def _lost(self, channel, reason: str) -> None:
+        # Pending calls keep their timers: the next retransmission
+        # re-opens the channel, so an outage costs retries, not calls.
+        if channel is not self.channel:
             return
-        if what == "ready":
-            if self.state is not SessionState.ESTABLISHING:
-                self.stats.recoveries += 1
-            self._set_state(SessionState.UP, "channel ready")
-        else:
-            self._note("reestablishing", "channel failed")
-            self._set_state(
-                SessionState.RE_ESTABLISHING,
-                "channel failed; next call re-establishes",
-            )
+        self.channel = None
+        self.rkom.stats.channel_failures += 1
+        self._note("reestablishing", reason)
+        self._set_state(SessionState.RE_ESTABLISHING, reason)
+
+    # -- client API --------------------------------------------------------
 
     def call(
         self, op: str, payload: bytes = b"", timeout: Optional[float] = None
@@ -592,9 +643,12 @@ class RkomSession(Session):
         self.stats.messages_sent += 1
         return handle
 
-    def send(self, payload: bytes) -> Future:
-        """Fire a call to the conventional ``send`` operation."""
-        return self.call("send", payload)
-
     def _teardown(self) -> None:
-        self._unsubscribe()
+        # The channel closes and the service forgets the session; the
+        # calls still waiting on the peer are abandoned with it.
+        super()._teardown()
+        rkom = self.rkom
+        del rkom._sessions[self.peer_host]
+        for handle, _frame, peer, _retry, _trace_id in list(rkom._pending.values()):
+            if peer == self.peer_host:
+                handle.cancel()

@@ -7,9 +7,10 @@ and one high-delay RMS in each direction.  The low-delay RMS's are used
 for initial request and reply messages, and the high-delay RMS's are
 used for retransmissions and acknowledgements."
 
-Each host runs one :class:`RkomService`.  Channels are created lazily on
-the first call to a peer; the reverse-direction pair is created by the
-peer's service when it first replies.
+Each host runs one :class:`RkomService`.  Its channel to a peer lives in
+that peer's :class:`~repro.resilience.session.RkomSession` (the session
+loop's RKOM kind), opened by the first send that needs it; the peer's
+service opens the reverse-direction pair when it first replies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import (
@@ -30,8 +31,9 @@ from repro.errors import (
     TransportError,
 )
 from repro.obs.registry import families
+from repro.resilience.session import RkomSession
 from repro.sim.context import SimContext
-from repro.sim.events import TIMER_FAMILIES, Signal, TimerGroup
+from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.sim.retry import Retry
 from repro.subtransport.st import SubtransportLayer
@@ -150,17 +152,17 @@ class CallHandle(Future):
 
 
 class _Channel:
-    """The outbound half of an RKOM channel to one peer (one per peer,
-    reused by every incarnation)."""
+    """The outbound half of an RKOM channel to one peer."""
 
-    __slots__ = ("low", "high", "state", "waiters")
+    __slots__ = ("low", "high")
 
-    def __init__(self) -> None:
-        self.low: Optional[StRms] = None
-        self.high: Optional[StRms] = None
-        self.state = "none"  # none | creating | ready
-        #: ``(routine, args)`` to run again once the channel is ready
-        self.waiters: List[Tuple[Callable[..., None], tuple]] = []
+    def __init__(self, low: StRms, high: StRms) -> None:
+        self.low = low
+        self.high = high
+
+    def close(self) -> None:
+        self.low.close()
+        self.high.close()
 
 
 class RkomService:
@@ -168,9 +170,9 @@ class RkomService:
 
     Every frame leaves through one routine per kind: :meth:`_send_request`
     for a call's request, :meth:`_send` for a reply or an ack.  Each sends
-    at once on a ready channel; otherwise it hands itself and its
-    arguments to :meth:`_with_channel`, which runs it again once the
-    channel is up.
+    at once on the peer's open channel; otherwise it hands itself and its
+    arguments to the peer's session (:meth:`RkomSession.defer`), which
+    runs it again once the channel is up.
     """
 
     def __init__(
@@ -183,7 +185,8 @@ class RkomService:
         self.stats = RkomStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, host=st.host.name)
         self.handlers: Dict[str, Callable[[bytes, str], Any]] = {}
-        self._channels: Dict[str, _Channel] = {}
+        #: peer host -> the session that keeps the channel to it
+        self._sessions: Dict[str, RkomSession] = {}
         #: request id -> (handle, frame, peer, retry, trace_id) of each
         #: call awaiting its reply (``trace_id`` its span, or None)
         self._pending: Dict[int, tuple] = {}
@@ -200,9 +203,6 @@ class RkomService:
         #: while running, then ``(reply, answered_at)`` until the client
         #: acknowledges it.  At-most-once execution of duplicates.
         self._served: Dict[str, Dict[int, Optional[Tuple[bytes, float]]]] = {}
-        #: Fired with (peer_host, "ready" | "failed") on channel state
-        #: changes; the resilience layer surfaces these as session states.
-        self.on_channel_event: Signal = Signal(context.loop)
         host = st.host
         host.bind_port(LOW_PORT).set_handler(self._arrived)
         host.bind_port(HIGH_PORT).set_handler(self._arrived)
@@ -210,6 +210,17 @@ class RkomService:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
+
+    def session(self, peer_host: str, name: Optional[str] = None) -> RkomSession:
+        """The session that keeps the channel to ``peer_host``, one per
+        peer, made on first use (its channel opens on the first send)."""
+        session = self._sessions.get(peer_host)
+        if session is None:
+            session = self._sessions[peer_host] = RkomSession(
+                self.context, self, peer_host, _LOW_REQUEST,
+                name or f"{self.st.host.name}~{peer_host}:rkom",
+            )
+        return session
 
     def register_handler(self, op: str, handler: Callable[[bytes, str], Any]) -> None:
         """Serve ``op`` requests; the handler returns bytes or a Future."""
@@ -273,14 +284,15 @@ class RkomService:
         if record is None:
             return  # resolved while its channel was being created
         _handle, frame, peer, retry, _trace_id = record
-        channel = self._channels.get(peer)
-        if channel is None or channel.state != "ready":
-            self._with_channel(peer, self._send_request, request_id, first)
+        session = self._sessions.get(peer)
+        channel = None if session is None else session.channel
+        if channel is None:
+            self.session(peer).defer(self._send_request, request_id, first)
             return
         try:
             (channel.low if first else channel.high).send(frame)
         except RmsFailedError:
-            # The channel died between "ready" and this send; the timeout
+            # The channel died before its session heard; the timeout
             # path re-establishes it and retransmits.
             pass
         if first:
@@ -321,9 +333,10 @@ class RkomService:
     def _send(self, peer_host: str, frame: bytes, high: bool) -> None:
         """Send a reply (low-delay RMS; high-delay when re-served) or an
         ack (high-delay RMS) to ``peer_host``."""
-        channel = self._channels.get(peer_host)
-        if channel is None or channel.state != "ready":
-            self._with_channel(peer_host, self._send, peer_host, frame, high)
+        session = self._sessions.get(peer_host)
+        channel = None if session is None else session.channel
+        if channel is None:
+            self.session(peer_host).defer(self._send, peer_host, frame, high)
             return
         try:
             (channel.high if high else channel.low).send(frame)
@@ -332,92 +345,18 @@ class RkomService:
             # cache; a lost ack leaves its cache entry to the trim.
             pass
 
-    # ------------------------------------------------------------------
-    # Channel management
-    # ------------------------------------------------------------------
-
-    def _with_channel(
-        self, peer_host: str, routine: Callable[..., None], *args: Any
-    ) -> None:
-        """Run ``routine(*args)`` again once the channel to ``peer_host``
-        is ready, creating the channel unless that is under way."""
-        channel = self._channels.get(peer_host)
-        if channel is None:
-            channel = self._channels[peer_host] = _Channel()
-        channel.waiters.append((routine, args))
-        if channel.state == "creating":
-            return
-        channel.state = "creating"
-        process = self.context.spawn(
-            self._create_channel(peer_host, channel),
-            name=f"rkom-chan:{self.st.host.name}->{peer_host}",
-        )
-        process.finished.add_done_callback(
-            lambda f: self._channel_done(peer_host, channel, f)
-        )
-
-    def _create_channel(self, peer_host: str, channel: _Channel):
+    def _create_channel(self, peer_host: str):
+        """Open the low-delay, then the high-delay ST RMS to ``peer_host``
+        (an :class:`RkomSession`'s attempt)."""
         low_desired, low_acceptable = _LOW_REQUEST
-        channel.low = yield self.st.create_st_rms(
+        low = yield self.st.create_st_rms(
             peer_host, port=LOW_PORT, desired=low_desired, acceptable=low_acceptable
         )
         high_desired, high_acceptable = _HIGH_REQUEST
-        channel.high = yield self.st.create_st_rms(
+        high = yield self.st.create_st_rms(
             peer_host, port=HIGH_PORT, desired=high_desired, acceptable=high_acceptable
         )
-        return channel
-
-    def _channel_done(self, peer_host: str, channel: _Channel, future: Future) -> None:
-        waiters, channel.waiters = channel.waiters, []
-        if future.failed:
-            channel.state = "none"
-            # Fail every call still waiting for this channel so callers
-            # see the error instead of hanging.
-            error = RkomTimeoutError(
-                f"RKOM channel to {peer_host} could not be established"
-            )
-            obs = self.context.obs
-            for request_id in list(self._pending):
-                handle, _frame, peer, retry, trace_id = self._pending[request_id]
-                if peer == peer_host:
-                    del self._pending[request_id]
-                    retry.stop()
-                    self.stats.timeouts += 1
-                    if obs.enabled:
-                        obs.spans.event(
-                            trace_id, "rkom", "timeout",
-                            host=self.st.host.name, reason="no-channel",
-                        )
-                    handle.set_exception(error)
-            self.on_channel_event.fire(peer_host, "failed")
-            return
-        channel.state = "ready"
-        for rms in (channel.low, channel.high):
-            rms.on_failure.listen(
-                lambda failed, _reason, p=peer_host, c=channel:
-                    self._channel_failed(p, c, failed)
-            )
-        self.on_channel_event.fire(peer_host, "ready")
-        for routine, args in waiters:
-            routine(*args)
-
-    def _channel_failed(self, peer_host: str, channel: _Channel, rms: StRms) -> None:
-        """An RMS of the ready channel failed: forget the channel.
-
-        Pending calls keep their retransmission timers; the next timeout
-        re-establishes the channel and retransmits, so a transient
-        network outage costs retries rather than failed calls.  An RMS
-        of an earlier incarnation of the channel changes nothing.
-        """
-        if channel.state != "ready" or (
-            rms is not channel.low and rms is not channel.high
-        ):
-            return
-        channel.state = "none"
-        channel.low = None
-        channel.high = None
-        self.stats.channel_failures += 1
-        self.on_channel_event.fire(peer_host, "failed")
+        return _Channel(low, high)
 
     # ------------------------------------------------------------------
     # Both sides: the port handler
@@ -530,6 +469,6 @@ class RkomService:
 
     def __repr__(self) -> str:
         return (
-            f"<RkomService host={self.st.host.name} channels="
-            f"{len(self._channels)} pending={len(self._pending)}>"
+            f"<RkomService host={self.st.host.name} sessions="
+            f"{len(self._sessions)} pending={len(self._pending)}>"
         )

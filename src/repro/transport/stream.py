@@ -270,7 +270,8 @@ class StreamSession:
         self._in_protocol += 1
         if self.config.reliable:
             self.tx_unacked[seq] = payload
-        self.tx_sizes[seq] = len(payload)
+        if self.ack_rms is not None:  # only a cumulative ack forgets it
+            self.tx_sizes[seq] = len(payload)
         # Allocate the message's trace before the flow-control gates so
         # fc:hold/fc:release time spent waiting lands on its span.
         obs = self.context.obs

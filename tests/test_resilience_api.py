@@ -16,7 +16,8 @@ from repro.core.params import (
     is_compatible,
 )
 from repro.dash.system import DashSystem
-from repro.errors import NetworkError, ParameterError, RmsFailedError
+from repro.errors import (
+    NetworkError, ParameterError, RmsFailedError, TransportError)
 from repro.netsim.chaos import ChaosSchedule
 from repro.resilience import SessionState, degradation_ladder, policy
 from repro.transport import stream
@@ -107,6 +108,53 @@ class TestConnectFacade:
         first.close()
         third = system.connect("a", "b", kind="rkom")
         assert third is not first
+
+    @staticmethod
+    def _record_rms(system, host):
+        """The ST RMSs ``host`` opens from now on."""
+        st, opened = system.nodes[host].st, []
+        create = st.create_st_rms
+
+        def recording(*args, **kwargs):
+            future = create(*args, **kwargs)
+            future.add_done_callback(
+                lambda f: f.failed or opened.append(f.result()))
+            return future
+
+        st.create_st_rms = recording
+        return opened
+
+    def test_closing_an_rkom_session_releases_its_channel(self):
+        system = lan_system()
+        system.nodes["b"].rkom.register_handler("echo", lambda p, s: p)
+        opened = self._record_rms(system, "a")
+        session = system.connect("a", "b", kind="rkom")
+        reply = session.call("echo", b"ping")
+        system.run(until=system.now + 2.0)
+        assert reply.result() == b"ping"
+        assert len(opened) == 2 and all(rms.is_open for rms in opened)
+        session.close()
+        system.run(until=system.now + 1.0)
+        assert not any(rms.is_open for rms in opened)
+        assert not any(left.state is SessionState.CLOSED
+                       for left in system.nodes["a"].rkom._sessions.values())
+        fresh = system.connect("a", "b", kind="rkom")
+        assert fresh is not session
+        again = fresh.call("echo", b"again")
+        system.run(until=system.now + 2.0)
+        assert again.result() == b"again"
+
+    def test_closing_an_rkom_session_abandons_its_waiting_calls(self):
+        system = lan_system()
+        system.nodes["b"].rkom.register_handler("echo", lambda p, s: p)
+        session = system.connect("a", "b", kind="rkom")
+        waiting = session.call("echo", b"never")  # the channel is opening
+        session.close()
+        system.run(until=system.now + 5.0)
+        assert waiting.failed
+        with pytest.raises(TransportError):
+            waiting.result()
+        assert system.nodes["b"].rkom.stats.requests_served == 0
 
     def test_rkom_rejects_rms_parameters(self):
         system = lan_system()

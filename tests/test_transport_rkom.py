@@ -23,7 +23,7 @@ from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.transport import rkom
 from repro.transport.rkom import (
     _HEADER, _KIND_REPLY, HIGH_PORT, LOW_PORT, RkomService)
-from tests.rkom_reference import STATS, payload_of, run_script
+from tests.rkom_reference import PEER, STATS, payload_of, run_script
 
 
 def build(seed=42, **net_kwargs):
@@ -59,8 +59,8 @@ class TestRkomBasics:
         future = rkom_a.call("b", "noop")
         context.run(until=1.0)
         future.result()
-        channel_ab = rkom_a._channels["b"]
-        channel_ba = rkom_b._channels["a"]
+        channel_ab = rkom_a._sessions["b"].channel
+        channel_ba = rkom_b._sessions["a"].channel
         assert channel_ab.low is not None and channel_ab.high is not None
         assert channel_ba.low is not None and channel_ba.high is not None
         # The low-delay RMS has the tighter bound.
@@ -342,7 +342,7 @@ class TestCallTimeoutIsValidatedFirst:
             rkom_a.call("b", "echo", b"never", timeout=-1)
         context.run(until=1.0)  # nothing left to raise out of the loop
         assert rkom_a.stats.calls == 0 and not rkom_a._pending
-        assert not rkom_a._channels and network.setup_count == 0
+        assert not rkom_a._sessions and network.setup_count == 0
 
     @pytest.mark.parametrize("timeout", [0.0, math.inf, math.nan])
     def test_zero_or_non_finite_timeout_is_refused(self, timeout):
@@ -437,7 +437,7 @@ class Rig:
     it, and channel creation takes ``SETUP`` per RMS unless refused."""
 
     def __init__(self, steps, drops, refuse):
-        self.context = context = SimContext(seed=1)
+        self.context = context = SimContext(seed=1, observe=True)
         self.drops, self.refuse = drops, refuse
         self.sts = {name: _St(self, name) for name in "ab"}
         self.services = {name: RkomService(context, st)
@@ -447,11 +447,7 @@ class Rig:
         self.complete = {"a": [], "b": []}
         self.calls = {}  # request id -> call number
         self.handles, self.executions = [], {}
-        self.sent, self.transmissions, self.channel_events = {}, [], []
-        for name, service in self.services.items():
-            service.on_channel_event.listen(
-                lambda peer, what, name=name: self.channel_events.append(
-                    (context.now, name, what)))
+        self.sent, self.transmissions = {}, []
         server = self.services["b"]
         server.register_handler("echo", self._execute)
         server.register_handler("slow", self._execute_slowly)
@@ -548,6 +544,22 @@ class Rig:
                         for request_id in served)
         return outcomes, cached
 
+    def channel_events(self):
+        """``(time, host, "ready" | "failed")`` of each host's channel, from
+        its session's trace: every ``up`` state and every
+        ``reestablishing`` note (two failures in a row are two notes, but
+        one state change)."""
+        spans, events = self.context.obs.spans, []
+        for host, service in self.services.items():
+            session = service._sessions.get(PEER[host])
+            for event in (() if session is None
+                          else spans.events_for(session._trace)):
+                if event.event == "session_state" and event.fields["to"] == "up":
+                    events.append((event.time, host, "ready"))
+                elif event.event == "reestablishing":
+                    events.append((event.time, host, "failed"))
+        return events
+
 
 def draw_script(rng):
     """A few calls, maybe a cancel, channel failures, drops, refusals."""
@@ -602,7 +614,7 @@ class TestAgainstReference:
             for call, (what, time, value) in model.outcomes.items()}
         assert rig.executions == model.executions
         assert all(count == 1 for count in model.executions.values())
-        assert approx_times(rig.channel_events) == approx_times(
+        assert approx_times(rig.channel_events()) == approx_times(
             model.channel_events)
         for host, service in rig.services.items():
             assert {name: getattr(service.stats, name) for name in STATS} == (

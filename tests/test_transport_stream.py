@@ -216,6 +216,26 @@ class TestFastAckStream:
             session.send(b"wrong size")
 
 
+class TestSenderState:
+    @pytest.mark.parametrize("config", [
+        StreamConfig(),
+        StreamConfig(flow_control=FlowControlMode.CAPACITY_ONLY,
+                     record_size=512),
+        StreamConfig(reliable=False, flow_control=FlowControlMode.NONE),
+    ], ids=["ack-rms", "fast-ack", "no-ack"])
+    def test_delivered_messages_leave_no_sizes_behind(self, config):
+        """Only a cumulative ack on the ack RMS forgets a message's size,
+        so a stream without one must not record it."""
+        context, _net, st_a, st_b = build()
+        session = open_session(context, st_a, st_b, config)
+        received = drain(context, session, 200)
+        for index in range(200):
+            session.send(bytes([index % 256]) * 512)
+        context.run(until=context.now + 20.0)
+        assert len(received) == 200 and not session.tx_unacked
+        assert not session.tx_sizes
+
+
 class TestStreamFailure:
     def test_stream_fails_when_rms_fails(self):
         context, network, st_a, st_b = build()
