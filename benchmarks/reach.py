@@ -1,10 +1,11 @@
-"""Which functions of ``src/repro`` the experiments, examples and workloads run.
+"""Which functions of ``src/repro`` the experiments, examples and workloads
+run, and which statements inside them never run.
 
 ROADMAP aim 2's rule for code: a public name in ``src/`` earns its place
 when an experiment, an example or an end-to-end workload reaches it.
 This script regenerates the list of what none of them reaches, so the
 list is measured, not remembered.  In one process, under
-``sys.setprofile`` (standard library only), it runs
+``sys.settrace`` (standard library only), it runs
 
 * every ``bench_e*.py``'s ``run(out_dir=<temporary directory>)`` in
   filename order;
@@ -18,12 +19,26 @@ A function counts as reached when its body is entered once (a ``call``
 event on its code object).  Every ``def`` in the package is a function,
 methods and nested functions included; lambdas and comprehensions are
 not.  A function's *body lines* are the lines of its ``def`` statement,
-signature and docstring included, decorators not.
+signature and docstring included, decorators not.  An unreached function
+is a *repr* (``__repr__`` / ``__str__``), a *hook* (its body only raises
+``NotImplementedError``) or *other*.
+
+Line events are traced in package code only.  A statement of a reached
+function has run when any line of its own header ran: for a compound
+statement that is its first line (decorators included) through the line
+before its body, for any other statement all of its lines.  Docstrings
+do not count, and the bodies of nested ``def``, ``class`` and ``lambda``
+belong to their own function (a ``def`` or ``class`` statement's header
+is a statement of the function that runs it).  ``raise`` statements are
+counted apart from the rest.
 
 The report, ``benchmarks/results/reach.txt``, is a header with the
-reached / total functions and the unreached body lines, then the
-unreached functions as ``module:qualname``, sorted, without line
-numbers (an edit elsewhere in a file does not change the list).
+reached / total functions, the unreached body lines, the unreached
+functions by kind and the statements never run; then the unreached
+functions as ``module:qualname``, sorted; then one row per reached
+function with statements that never ran, ``module:qualname <non-raise>
+<raise>``, sorted.  No row carries a line number, so an edit elsewhere in
+a file does not change the report.
 
 Usage::
 
@@ -44,7 +59,8 @@ import os
 import runpy
 import sys
 import tempfile
-from typing import Callable, Dict, NamedTuple
+from collections import defaultdict
+from typing import Callable, Dict, List, NamedTuple, Set, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -52,13 +68,18 @@ SRC = os.path.join(ROOT, "src")
 REPORT = os.path.join(HERE, "results", "reach.txt")
 E2E_SEED = 1
 TITLE = ("# Functions of src/repro that E1-E17, E22, E23, the five examples and\n"
-         "# the six e2e workloads (quick prefix) never enter.\n"
+         "# the six e2e workloads (quick prefix) never enter, and the statements\n"
+         "# never run in the functions they do enter.\n"
          "# Regenerate: python benchmarks/reach.py\n")
+LINE_SECTION = "# module:qualname <non-raise> <raise> statements never run"
 
 
 class Function(NamedTuple):
     name: str  # "package.module:Qualified.name"
     body_lines: int
+    kind: str  # "repr", "hook" or "other"
+    #: (header lines, is a raise) for each statement the function runs.
+    statements: List[Tuple[range, bool]]
 
 
 def functions(src: str, package: str) -> Dict[tuple, Function]:
@@ -82,9 +103,12 @@ def _collect(node, module: str, path: str, prefix: str, found: dict) -> None:
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = prefix + child.name
-            first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-            found[(path, first)] = Function(
-                f"{module}:{qualname}", child.end_lineno - child.lineno + 1)
+            body = child.body
+            if _is_docstring(body[0]):
+                body = body[1:]
+            found[(path, _first_line(child))] = Function(
+                f"{module}:{qualname}", child.end_lineno - child.lineno + 1,
+                _kind(child.name, body), list(_statements(body)))
             _collect(child, module, path, qualname + ".<locals>.", found)
         elif isinstance(child, ast.ClassDef):
             _collect(child, module, path, prefix + child.name + ".", found)
@@ -92,31 +116,111 @@ def _collect(node, module: str, path: str, prefix: str, found: dict) -> None:
             _collect(child, module, path, prefix, found)
 
 
+def _first_line(node) -> int:
+    return min([node.lineno] + [d.lineno for d in
+                                getattr(node, "decorator_list", ())])
+
+
+def _is_docstring(statement) -> bool:
+    return (isinstance(statement, ast.Expr)
+            and isinstance(statement.value, ast.Constant)
+            and isinstance(statement.value.value, str))
+
+
+def _kind(name: str, body: list) -> str:
+    if name in ("__repr__", "__str__"):
+        return "repr"
+    if len(body) == 1 and isinstance(body[0], ast.Raise):
+        raised = body[0].exc
+        if isinstance(raised, ast.Call):
+            raised = raised.func
+        if isinstance(raised, ast.Name) and raised.id == "NotImplementedError":
+            return "hook"
+    return "other"
+
+
+def _statements(body: list):
+    """(header lines, is a raise) for each statement of ``body`` and of
+    the compound statements in it, nested functions and classes aside."""
+    for statement in body:
+        inner = [block for block in (
+            getattr(statement, name, None)
+            for name in ("body", "orelse", "finalbody"))
+            if isinstance(block, list) and block]
+        inner += [handler.body for handler in getattr(statement, "handlers", ())]
+        inner += [case.body for case in getattr(statement, "cases", ())]
+        first = _first_line(statement)
+        if inner:
+            last = max(first, min(block[0].lineno for block in inner) - 1)
+        else:
+            last = statement.end_lineno
+        yield range(first, last + 1), isinstance(statement, ast.Raise)
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+            continue  # its body runs as its own code
+        for block in inner:
+            yield from _statements(block)
+
+
 def survey(src: str, package: str, drive: Callable[[], None]) -> str:
-    """Run ``drive`` under the profiler and render the report for every
+    """Run ``drive`` under the tracer and render the report for every
     function under ``src/<package>``.  Start it before ``package`` is
     imported, so that what runs at import time counts as reached."""
-    entered = {}
+    root = os.path.join(os.path.abspath(src), package) + os.sep
+    entered: Dict[int, tuple] = {}  # id(code) -> (code, its line tracer)
+    ran: Dict[str, Set[int]] = defaultdict(set)  # file -> lines run
 
-    def hook(frame, event, _arg):
-        if event == "call":
-            code = frame.f_code
-            entered[id(code)] = code
+    def line_tracer(lines: Set[int]):
+        def local(frame, event, _arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+        return local
 
-    previous = sys.getprofile()
-    sys.setprofile(hook)
+    def trace(frame, _event, _arg):
+        code = frame.f_code
+        known = entered.get(id(code))
+        if known is None:
+            path = os.path.abspath(code.co_filename)
+            known = entered[id(code)] = (
+                code, line_tracer(ran[path]) if path.startswith(root) else None)
+        return known[1]
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
         drive()
     finally:
-        sys.setprofile(previous)
+        sys.settrace(previous)
     reached = {(os.path.abspath(code.co_filename), code.co_firstlineno)
-               for code in entered.values()}
+               for code, _tracer in entered.values()}
     every = functions(src, package)
     missed = sorted(fn for key, fn in every.items() if key not in reached)
+    rows, unrun = [], [0, 0]
+    for (path, _first), fn in every.items():
+        if (path, _first) not in reached:
+            continue
+        counts = [0, 0]
+        for header, is_raise in fn.statements:
+            if ran[path].isdisjoint(header):
+                counts[is_raise] += 1
+        if any(counts):
+            rows.append(f"{fn.name} {counts[0]} {counts[1]}")
+            unrun[0] += counts[0]
+            unrun[1] += counts[1]
+    kinds = {kind: sum(fn.kind == kind for fn in missed)
+             for kind in ("repr", "hook", "other")}
     lines = sum(fn.body_lines for fn in missed)
-    header = (f"# reached {len(every) - len(missed)} / {len(every)} functions"
-              f" of {package}; {len(missed)} unreached hold {lines} body lines")
-    return "\n".join([header] + [fn.name for fn in missed]) + "\n"
+    header = [
+        f"# reached {len(every) - len(missed)} / {len(every)} functions"
+        f" of {package}; {len(missed)} unreached hold {lines} body lines",
+        f"# unreached: {kinds['repr']} reprs, {kinds['hook']} hooks,"
+        f" {kinds['other']} other",
+        f"# never run in {len(rows)} reached functions: {unrun[0]} statements"
+        f" and {unrun[1]} raise statements",
+    ]
+    return "\n".join(header + [fn.name for fn in missed]
+                     + [LINE_SECTION] + sorted(rows)) + "\n"
 
 
 def drive_everything() -> None:
@@ -149,7 +253,7 @@ def main(argv=None) -> int:
                         help="compare a fresh run with the committed report")
     args = parser.parse_args(argv)
     report = survey(SRC, "repro", drive_everything)
-    summary = report.split("\n", 1)[0][2:]
+    summary = "; ".join(line[2:] for line in report.splitlines()[:3])
     text = TITLE + report
     if not args.check:
         with open(REPORT, "w") as handle:

@@ -8,8 +8,7 @@ from-scratch discrete-event network simulator:
 - :mod:`repro.core` -- RMS parameters, negotiation, the RMS base classes;
 - :mod:`repro.sim` -- the discrete-event substrate;
 - :mod:`repro.sched` -- deadline-based CPU and interface scheduling;
-- :mod:`repro.security` -- the software checksum, transform providers,
-  MACs, keys;
+- :mod:`repro.security` -- transform providers, MACs, keys;
 - :mod:`repro.netsim` -- simulated Ethernet/internetwork with admission
   control and network-level RMS;
 - :mod:`repro.subtransport` -- the ST layer: control channel, caching,

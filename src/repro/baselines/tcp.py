@@ -84,7 +84,7 @@ class TcpLikeConnection:
         self._send_buffer: Dict[int, bytes] = {}
         self._next_seq = 0
         self._send_base = 0  # oldest unacked
-        self._cwnd = float(INITIAL_CWND)
+        self.congestion_window = float(INITIAL_CWND)
         self._ssthresh = SLOW_START_THRESHOLD
         self._rto = self.config.retransmit_timeout
         self._timer: Optional[EventHandle] = None
@@ -117,11 +117,7 @@ class TcpLikeConnection:
     @property
     def window(self) -> int:
         """Usable window in segments: min(congestion, receiver)."""
-        return max(1, min(int(self._cwnd), MAX_WINDOW))
-
-    @property
-    def congestion_window(self) -> float:
-        return self._cwnd
+        return max(1, min(int(self.congestion_window), MAX_WINDOW))
 
     def _try_transmit(self) -> None:
         while (
@@ -161,8 +157,8 @@ class TcpLikeConnection:
             return
         # Classic TCP timeout: collapse to slow start.
         self.stats.timeouts += 1
-        self._ssthresh = max(2, int(self._cwnd / 2))
-        self._cwnd = float(INITIAL_CWND)
+        self._ssthresh = max(2, int(self.congestion_window / 2))
+        self.congestion_window = float(INITIAL_CWND)
         self._rto = min(self._rto * 2, 8.0)
         self.stats.retransmissions += 1
         self._transmit(self._send_base)
@@ -180,7 +176,7 @@ class TcpLikeConnection:
                 # Fast retransmit.
                 self._duplicate_acks = 0
                 self.stats.retransmissions += 1
-                self._cwnd = max(1.0, self._cwnd / 2)
+                self.congestion_window = max(1.0, self.congestion_window / 2)
                 self._transmit(self._send_base)
             return
         self._duplicate_acks = 0
@@ -188,10 +184,11 @@ class TcpLikeConnection:
             self._send_buffer.pop(seq, None)
         self._send_base = ack_seq
         self._rto = max(MIN_RTO, self._rto * 0.9)
-        if self._cwnd < self._ssthresh:
-            self._cwnd += 1.0  # slow start
+        if self.congestion_window < self._ssthresh:
+            self.congestion_window += 1.0  # slow start
         else:
-            self._cwnd += 1.0 / max(self._cwnd, 1.0)  # congestion avoidance
+            # congestion avoidance
+            self.congestion_window += 1.0 / max(self.congestion_window, 1.0)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -201,8 +198,8 @@ class TcpLikeConnection:
     def _quench_arrived(self, _rms_id: int) -> None:
         """ICMP source quench: halve the congestion window (section 4.4)."""
         self.stats.quenches_received += 1
-        self._ssthresh = max(2, int(self._cwnd / 2))
-        self._cwnd = max(1.0, self._cwnd / 2)
+        self._ssthresh = max(2, int(self.congestion_window / 2))
+        self.congestion_window = max(1.0, self.congestion_window / 2)
 
     @property
     def all_acked(self) -> bool:
@@ -232,13 +229,8 @@ class TcpLikeConnection:
             self.sender_dgram.host.name, self._port_name, ack
         )
 
-    def goodput(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return self.stats.bytes_delivered / elapsed
-
     def __repr__(self) -> str:
         return (
-            f"<TcpLikeConnection #{self.conn_id} cwnd={self._cwnd:.1f} "
+            f"<TcpLikeConnection #{self.conn_id} cwnd={self.congestion_window:.1f} "
             f"base={self._send_base} next={self._next_seq}>"
         )

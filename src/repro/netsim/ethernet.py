@@ -70,7 +70,7 @@ class EthernetNetwork(Network):
         self.segment.on_down.listen(
             lambda _link: self.fail_all("Ethernet segment down")
         )
-        self._admission = AdmissionController(
+        self.admission = AdmissionController(
             total_bandwidth=bandwidth, total_buffer_bytes=buffer_bytes
         )
         self._sniffers: List[Callable[[Frame], None]] = []
@@ -113,9 +113,4 @@ class EthernetNetwork(Network):
         return fixed, per_byte, [src, dst]
 
     def _admission_pools(self, route: List[str]) -> List[AdmissionController]:
-        return [self._admission]
-
-    @property
-    def admission(self) -> AdmissionController:
-        return self._admission
-
+        return [self.admission]

@@ -29,12 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.obs.export import (
-    flight_recorder,
-    metrics_payload,
-    span_lines,
-    write_metrics_json,
-)
+from repro.obs.export import flight_recorder, metrics_payload, write_metrics_json
 from repro.obs.linkutil import LinkUtilizationCollector, jain_fairness
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -61,7 +56,6 @@ __all__ = [
     "jain_fairness",
     "metrics_payload",
     "write_metrics_json",
-    "span_lines",
     "flight_recorder",
     "Table",
     "format_table",

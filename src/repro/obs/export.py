@@ -1,12 +1,10 @@
-"""Exporters: JSON metrics snapshots, JSONL span lines, flight recorder.
+"""Exporters: JSON metrics snapshots and the flight recorder.
 
-Three machine/operator surfaces over one :class:`~repro.obs.Observability`:
+Two machine/operator surfaces over one :class:`~repro.obs.Observability`:
 
 - :func:`write_metrics_json` -- one JSON document with the registry
   snapshot (plus optional bench tables and metadata); this is what every
   benchmark writes next to its ``.txt`` table as ``*.metrics.json``.
-- :func:`span_lines` -- one span event per JSON line, for external
-  trace tooling.
 - :func:`flight_recorder` -- a plain-text report of the top-N slowest
   messages with their per-layer delay breakdowns and deadline-miss
   attribution; the operator's first stop when a latency budget leaks.
@@ -16,14 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.report import format_table
 
 __all__ = [
     "metrics_payload",
     "write_metrics_json",
-    "span_lines",
     "flight_recorder",
 ]
 
@@ -70,23 +67,6 @@ def write_metrics_json(path: str, **kwargs: Any) -> Dict[str, Any]:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)
         handle.write("\n")
     return payload
-
-
-def span_lines(tracer: Any) -> Iterator[str]:
-    """Each span event as one JSON line (JSONL)."""
-    for trace_id in tracer.traces():
-        for event in tracer.events_for(trace_id):
-            yield json.dumps(
-                {
-                    "trace": event.trace_id,
-                    "t": event.time,
-                    "layer": event.layer,
-                    "event": event.event,
-                    **event.fields,
-                },
-                sort_keys=True,
-                default=str,
-            )
 
 
 def flight_recorder(obs: Any, top_n: int = 10) -> str:

@@ -91,12 +91,6 @@ class LinkUtilizationCollector:
             values = list(deltas.values())
         return jain_fairness(values)
 
-    def busiest(self, n: int = 5) -> List[Tuple[_EdgeKey, int]]:
-        """The ``n`` busiest links of the window, descending by bytes."""
-        return sorted(
-            self.delta().items(), key=lambda item: (-item[1], item[0])
-        )[:n]
-
     def __repr__(self) -> str:
         return (
             f"<LinkUtilizationCollector links={len(self._links)} "

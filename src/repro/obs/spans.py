@@ -219,12 +219,6 @@ class SpanTracer:
     def events_for(self, trace_id: int) -> List[SpanEvent]:
         return list(self._traces.get(trace_id, ()))
 
-    def breakdown(self, trace_id: int) -> Optional[SpanBreakdown]:
-        events = self._traces.get(trace_id)
-        if not events:
-            return None
-        return SpanBreakdown(trace_id, events)
-
     def slowest(self, n: int = 10, delivered_only: bool = True) -> List[SpanBreakdown]:
         """The ``n`` traces with the largest end-to-end time, slowest first."""
         breakdowns = (
@@ -235,12 +229,6 @@ class SpanTracer:
         if delivered_only:
             breakdowns = (b for b in breakdowns if b.delivered)
         return sorted(breakdowns, key=lambda b: b.total, reverse=True)[:n]
-
-    def clear(self) -> None:
-        self._traces.clear()
-        self._wire.clear()
-        self._events = 0
-        self.dropped = 0
 
     def __repr__(self) -> str:
         return (

@@ -109,6 +109,3 @@ class DelayRecorder:
             abs(b - a) for a, b in zip(self.delays, self.delays[1:])
         ]
         return sum(diffs) / len(diffs)
-
-    def __len__(self) -> int:
-        return len(self.delays)

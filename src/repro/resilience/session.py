@@ -12,7 +12,7 @@ A session exposes ``send``/``close``, context-manager support, an
        FAILED                 (any state) -> CLOSED
 
 An ST RMS, a stream or an RKOM channel is kept by one establishment
-loop (:class:`_ChannelSession`).  On a resilient session a failure moves
+loop (:class:`Session`).  On a resilient session a failure moves
 the session through backoff (the schedule in
 :mod:`repro.resilience.policy`), failover and degradation, and a lost
 channel to RE-ESTABLISHING; otherwise the first failure and the first
@@ -95,11 +95,30 @@ def _payload_size(payload) -> int:
 
 
 class Session:
-    """Base class of all session handles."""
+    """One channel kept up by the establishment loop.
+
+    An attempt opens a channel on the current rung (the kind's
+    :meth:`_open`) and ends established or failed.  ``AdmissionError``
+    steps one rung down the degradation ladder and tries again at once
+    while a rung is left; any other failure counts one consecutive
+    failure and waits out the backoff or gives up.  A lost
+    channel is re-established from the top rung, what it carried
+    unacknowledged (the kind's :meth:`_salvage`) put back in front of the
+    queue.  Unless the session is resilient the ladder has one rung and
+    there is no queue: the first failure gives up and the first loss
+    fails.
+    """
 
     kind = "session"
 
-    def __init__(self, context: SimContext, name: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        context: SimContext,
+        resilient: bool,
+        name: Optional[str],
+        rungs: List[Tuple[RmsParams, RmsParams]],
+        queue_limit: int,
+    ) -> None:
         self.context = context
         self.session_id = next(_session_ids)
         self.name = name or f"session{self.session_id}"
@@ -117,6 +136,30 @@ class Session:
                 self._trace, "resilience", "session_open",
                 session=self.name, kind=self.kind,
             )
+        #: The request behind this session (section 2.4): the top rung's
+        #: desired and acceptable parameter sets.
+        self.desired, self.acceptable = rungs[0]
+        self.resilient = resilient
+        #: The established channel; None while there is none.
+        self.channel = None
+        self._rungs = rungs
+        self._rung = 0
+        #: The network an ST session is steered to / bound on, and the
+        #: one that failed last (the next attempt avoids it).
+        self._network: Optional[str] = None
+        self._avoid: Optional[str] = None
+        #: Consecutive failed attempts and the backoff before the next:
+        #: the first failure gives up unless the session is resilient.
+        self._backoff = Retry(
+            context.loop, self._backoff_delay,
+            policy.MAX_ATTEMPTS - 1 if resilient else 0,
+            self._attempt, self._give_up,
+        )
+        #: Sends held while the channel is down, bounded (section 4.4:
+        #: overflow is dropped and counted, not grown without bound).
+        self._queue: List = []
+        self._queued_bytes = 0
+        self._queue_limit = queue_limit
 
     # -- state machine -----------------------------------------------------
 
@@ -166,12 +209,6 @@ class Session:
             )
         self._set_state(SessionState.CLOSED, "closed by client")
 
-    def _teardown(self) -> None:
-        raise NotImplementedError
-
-    def send(self, payload):
-        raise NotImplementedError
-
     def __enter__(self) -> "Session":
         return self
 
@@ -181,56 +218,6 @@ class Session:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} {self.state.value}>"
-
-
-class _ChannelSession(Session):
-    """One channel kept up by the establishment loop.
-
-    An attempt opens a channel on the current rung (the kind's
-    :meth:`_open`) and ends established or failed.  ``AdmissionError``
-    steps one rung down the degradation ladder and tries again at once
-    while a rung is left; any other failure counts one consecutive
-    failure and waits out the backoff or gives up.  A lost
-    channel is re-established from the top rung, what it carried
-    unacknowledged (the kind's :meth:`_salvage`) put back in front of the
-    queue.  Unless the session is resilient the ladder has one rung and
-    there is no queue: the first failure gives up and the first loss
-    fails.
-    """
-
-    def __init__(
-        self,
-        context: SimContext,
-        resilient: bool,
-        name: Optional[str],
-        rungs: List[Tuple[RmsParams, RmsParams]],
-        queue_limit: int,
-    ) -> None:
-        super().__init__(context, name=name)
-        #: The request behind this session (section 2.4): the top rung's
-        #: desired and acceptable parameter sets.
-        self.desired, self.acceptable = rungs[0]
-        self.resilient = resilient
-        #: The established channel; None while there is none.
-        self.channel = None
-        self._rungs = rungs
-        self._rung = 0
-        #: The network an ST session is steered to / bound on, and the
-        #: one that failed last (the next attempt avoids it).
-        self._network: Optional[str] = None
-        self._avoid: Optional[str] = None
-        #: Consecutive failed attempts and the backoff before the next:
-        #: the first failure gives up unless the session is resilient.
-        self._backoff = Retry(
-            context.loop, self._backoff_delay,
-            policy.MAX_ATTEMPTS - 1 if resilient else 0,
-            self._attempt, self._give_up,
-        )
-        #: Sends held while the channel is down, bounded (section 4.4:
-        #: overflow is dropped and counted, not grown without bound).
-        self._queue: List = []
-        self._queued_bytes = 0
-        self._queue_limit = queue_limit
 
     def _open(self, rung: Tuple[RmsParams, RmsParams]) -> Future:
         raise NotImplementedError
@@ -360,7 +347,7 @@ class _ChannelSession(Session):
         self._drop_queue()
 
 
-class StSession(_ChannelSession):
+class StSession(Session):
     """A subtransport RMS, resilient or bare."""
 
     kind = "st"
@@ -467,7 +454,7 @@ class StSession(_ChannelSession):
                     host.ports.pop(self.port_name, None)
 
 
-class TransportSession(_ChannelSession):
+class TransportSession(Session):
     """A reliable byte stream, resilient or bare.
 
     Re-establishment salvages messages the failed incarnation had not
@@ -546,7 +533,7 @@ class TransportSession(_ChannelSession):
         return self.rx_port.get()
 
 
-class RkomSession(_ChannelSession):
+class RkomSession(Session):
     """RKOM's outbound channel to one peer (section 3.3): a low- and a
     high-delay ST RMS.  The RKOM service keeps one per peer.
 

@@ -49,10 +49,6 @@ class Port:
     def __len__(self) -> int:
         return len(self._queue or ())
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue or ())
-
     def set_handler(self, on_deliver: Optional[Callable[[Any], None]]) -> None:
         """Switch to callback delivery; queued items are replayed first."""
         self._on_deliver = on_deliver

@@ -37,12 +37,5 @@ class RandomStreams:
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of this one's."""
-        digest = sha256(
-            f"{self.master_seed}/child:{name}".encode("utf-8")
-        ).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
     def __repr__(self) -> str:
         return f"<RandomStreams seed={self.master_seed} streams={len(self._streams)}>"

@@ -26,10 +26,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
+from zlib import crc32
 
 from repro.core.params import RmsParams
 from repro.netsim.network import Network
-from repro.security.checksum import crc32
 from repro.security.mac import MAC_BYTES
 from repro.security.providers import ShakeBlake2Provider
 from repro.subtransport.wire import FLAG_CHECKSUM, FLAG_ENCRYPTED, FLAG_MAC

@@ -353,9 +353,14 @@ class RkomService:
             peer_host, port=LOW_PORT, desired=low_desired, acceptable=low_acceptable
         )
         high_desired, high_acceptable = _HIGH_REQUEST
-        high = yield self.st.create_st_rms(
-            peer_host, port=HIGH_PORT, desired=high_desired, acceptable=high_acceptable
-        )
+        try:
+            high = yield self.st.create_st_rms(
+                peer_host, port=HIGH_PORT, desired=high_desired,
+                acceptable=high_acceptable,
+            )
+        except Exception:
+            low.close()  # half a channel is none: the attempt failed
+            raise
         return _Channel(low, high)
 
     # ------------------------------------------------------------------

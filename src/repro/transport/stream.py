@@ -331,7 +331,7 @@ class StreamSession:
             return
         self.failed = reason
         self._retransmit.stop()
-        self._release_ports()
+        _release(self._ports)
         self.on_failed.fire(self, reason)
 
     def salvage_unsent(self) -> list:
@@ -484,12 +484,6 @@ class StreamSession:
 
     # ------------------------------------------------------------------
 
-    def goodput(self, elapsed: float) -> float:
-        """Delivered application bytes per second over ``elapsed``."""
-        if elapsed <= 0:
-            return 0.0
-        return self.stats.bytes_delivered / elapsed
-
     def close(self) -> None:
         """Tear down both ST RMSs.  Closing is final: no timer of the
         stream stays armed, a send the gates still hold is dropped and a
@@ -500,19 +494,20 @@ class StreamSession:
         self.data_rms.close()
         if self.ack_rms is not None:
             self.ack_rms.close()
-        self._release_ports()
-
-    def _release_ports(self) -> None:
-        """Unbind the ports named for this session alone: nothing is
-        delivered to them once it has failed or closed."""
-        for host, port in self._ports:
-            host.ports.pop(port, None)
+        _release(self._ports)
 
     def __repr__(self) -> str:
         return (
             f"<StreamSession #{self.session_id} sent={self.stats.messages_sent} "
             f"delivered={self.stats.messages_delivered}>"
         )
+
+
+def _release(ports) -> None:
+    """Unbind the ports named for one stream alone: nothing is delivered
+    to them once it has failed or closed."""
+    for host, port in ports:
+        host.ports.pop(port, None)
 
 
 def open_stream(
@@ -558,11 +553,17 @@ def open_stream(
             )
             ack_port = f"stream-ack-{session_tag}"
             ports.append((sender_st.host, ack_port))
-            ack_rms = yield receiver_st.create_st_rms(
-                sender_st.host.name, port=ack_port, desired=ack_desired,
-                acceptable=ack_desired.with_(
-                    delay_bound=DelayBound(ack_delay * 4, 1e-5)),
-            )
+            try:
+                ack_rms = yield receiver_st.create_st_rms(
+                    sender_st.host.name, port=ack_port, desired=ack_desired,
+                    acceptable=ack_desired.with_(
+                        delay_bound=DelayBound(ack_delay * 4, 1e-5)),
+                )
+            except Exception:
+                # No stream without its acks: give back the data side.
+                data_rms.close()
+                _release(ports)
+                raise
         return StreamSession(context, config, data_rms, ack_rms, tuple(ports))
 
     process = context.spawn(flow(), name=f"open-stream-{session_tag}")

@@ -75,9 +75,3 @@ def reference_stream_seed(master_seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def reference_child_seed(master_seed: int, name: str) -> int:
-    """The master seed of child factory ``name``: the same over
-    ``"<master>/child:<name>"``."""
-    digest = hashlib.sha256(f"{master_seed}/child:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")

@@ -67,7 +67,7 @@ class TestMetrics:
         for delay in (0.010, 0.012, 0.010):
             recorder.record(delay)
         assert recorder.jitter() == pytest.approx(0.002)
-        assert len(recorder) == 3
+        assert len(recorder.delays) == 3
 
     def test_format_table_alignment(self):
         text = format_table(

@@ -393,6 +393,4 @@ class TestLinkUtilization:
         context.run(until=context.now + 1.0)
         deltas = collector.delta()
         assert sum(deltas.values()) > 0
-        (edge, busiest), = collector.busiest(1)
-        assert deltas[edge] == busiest > 0
         assert 0.0 < collector.fairness() <= 1.0

@@ -38,13 +38,6 @@ class TestRandomStreams:
         seq_crowded = [crowded.stream("target").random() for _ in range(5)]
         assert seq_solo == seq_crowded
 
-    def test_spawn_children_independent(self):
-        parent = RandomStreams(5)
-        child_a = parent.spawn("one")
-        child_b = parent.spawn("two")
-        assert child_a.master_seed != child_b.master_seed
-        assert child_a.stream("x").random() != child_b.stream("x").random()
-
     def test_different_seeds_differ(self):
         assert RandomStreams(1).stream("x").random() != RandomStreams(
             2

@@ -239,7 +239,7 @@ class TestPort:
         for port in ports:
             for item in range(3):
                 port.deliver(item)
-            assert len(port) == port.queue_length == 0
+            assert len(port) == 0
             assert not any(isinstance(value, deque)
                            for value in vars(port).values())
         assert seen == [0, 1, 2] * 2

@@ -199,6 +199,37 @@ class TestRkomReliability:
         future.result()
         assert len(rkom_b._served) == 0  # ACK purged the cached reply
 
+    def test_a_refused_high_delay_rms_closes_the_low_delay_one(
+            self, monkeypatch):
+        # Half a channel is no channel: each failed attempt gives its
+        # low-delay RMS back instead of leaving it open.
+        system = DashSystem(seed=3)
+        system.add_ethernet(trusted=True)
+        system.add_node("a"), system.add_node("b")
+        st = system.nodes["a"].st
+        create, opened = st.create_st_rms, []
+
+        def refuse_high(peer, port, **kwargs):
+            if port == HIGH_PORT:
+                refused = Future(system.context.loop)
+                refused.set_exception(RmsFailedError("refused"))
+                return refused
+            future = create(peer, port=port, **kwargs)
+            future.add_done_callback(lambda f: opened.append(f.result()))
+            return future
+
+        monkeypatch.setattr(st, "create_st_rms", refuse_high)
+        session = system.connect("a", "b", kind="rkom")
+        calls = []
+        for _ in range(3):
+            calls.append(session.call("echo", b"x"))
+            system.run(until=system.now + 1.0)
+        for call in calls:
+            with pytest.raises(RkomTimeoutError):
+                call.result()
+        assert len(opened) == 3
+        assert [rms for rms in opened if rms.is_open] == []
+
 
 class TestReplyCacheBound:
     """A server answers a retransmitted request from what it holds of
@@ -429,6 +460,9 @@ class _Rms:
         if self.open:
             self.open = False
             self.on_failure.fire(self, "scripted failure")
+
+    def close(self):
+        self.open = False
 
 
 class Rig:

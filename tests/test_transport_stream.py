@@ -10,15 +10,17 @@ import pytest
 from repro.dash.system import DashSystem
 from repro.netsim.ethernet import EthernetNetwork
 from repro.netsim.topology import Host
+from repro.resilience.session import SessionState
 from repro.security.keys import KeyRegistry
 from repro.sim.context import SimContext
 from repro.sim.events import Signal
+from repro.sim.process import Future
 from repro.subtransport.st import SubtransportLayer
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport import stream
 from repro.core.params import RmsParams
 from repro.transport.stream import StreamConfig, open_stream
-from repro.errors import ParameterError, TransportError
+from repro.errors import ParameterError, RmsFailedError, TransportError
 from tests import stream_reference
 
 
@@ -245,18 +247,42 @@ class TestStreamFailure:
         context.run(until=context.now + 1.0)
         assert session.failed is not None
 
-    def test_goodput_calculation(self):
-        context, _net, st_a, st_b = build()
-        session = open_session(context, st_a, st_b)
-        drain(context, session, 10)
-        for index in range(10):
-            session.send(bytes([index]) * 1000)
-        context.run(until=context.now + 5.0)
-        assert session.goodput(1.0) == pytest.approx(10_000)
-        assert session.goodput(0.0) == 0.0
-
 
 class TestStreamClose:
+    def test_a_refused_ack_rms_gives_back_the_data_rms_and_ports(
+            self, monkeypatch):
+        # A stream that cannot open its ack RMS fails, and leaves no open
+        # data RMS and no bound stream port behind.
+        system = DashSystem(seed=3)
+        system.add_ethernet(trusted=True)
+        hosts = [system.add_node(name).host for name in ("a", "b")]
+        st_a, st_b = system.nodes["a"].st, system.nodes["b"].st
+        create_a, create_b, opened = st_a.create_st_rms, st_b.create_st_rms, []
+
+        def record_data(peer, port, **kwargs):
+            future = create_a(peer, port=port, **kwargs)
+            future.add_done_callback(lambda f: opened.append(f.result()))
+            return future
+
+        def refuse_ack(peer, port, **kwargs):
+            if port.startswith("stream-ack-"):
+                refused = Future(system.context.loop)
+                refused.set_exception(RmsFailedError("refused"))
+                return refused
+            return create_b(peer, port=port, **kwargs)
+
+        monkeypatch.setattr(st_a, "create_st_rms", record_data)
+        monkeypatch.setattr(st_b, "create_st_rms", refuse_ack)
+        sessions = [system.connect("a", "b", kind="stream") for _ in range(3)]
+        system.run(until=system.now + 1.0)
+        assert all(session.state is SessionState.FAILED
+                   for session in sessions)
+        assert len(opened) == 3
+        assert [rms for rms in opened if rms.is_open] == []
+        for host in hosts:
+            assert not [port for port in host.ports
+                        if port.startswith("stream-")], host.ports
+
     def test_closed_sessions_leave_no_stream_ports(self):
         # open_stream names a data port on the receiver and an ack port
         # on the sender for each session; closing releases both.
