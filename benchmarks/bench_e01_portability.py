@@ -8,7 +8,7 @@ differences explained entirely by the media.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, build_wan, make_run, report
+from common import Table, bench_main, build_lan, build_wan, make_run
 from repro.apps.rpcload import RpcWorkload
 from repro.core.params import RmsParams
 
@@ -71,9 +71,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e01_portability(run_once):
-    rows = run_once(run_experiment)
-    report("e01_portability", render(rows))
+def check(rows) -> None:
     ether, inet = rows
     # Both networks carry the full workload to completion.
     assert ether["rpc_completed"] == inet["rpc_completed"] == 20
@@ -83,7 +81,7 @@ def test_e01_portability(run_once):
     assert inet["goodput_kBps"] < ether["goodput_kBps"]
 
 
-run = make_run("e01_portability", run_experiment, render)
+run = make_run("e01_portability", run_experiment, render, check)
 
 
 if __name__ == "__main__":

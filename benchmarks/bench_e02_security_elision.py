@@ -9,7 +9,7 @@ requested properties.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.obs.stats import DelayRecorder
 
@@ -93,9 +93,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e02_security_elision(run_once):
-    rows = run_once(run_experiment)
-    report("e02_security_elision", render(rows))
+def check(rows) -> None:
     trusted, link_enc, untrusted, no_need = rows
     for row in rows:
         assert row["delivered"] == MESSAGES
@@ -113,7 +111,7 @@ def test_e02_security_elision(run_once):
     )
 
 
-run = make_run("e02_security_elision", run_experiment, render)
+run = make_run("e02_security_elision", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ rate-enforced sender tracks C/D until the medium saturates.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.transport.flowcontrol import RateBasedEnforcer
 
@@ -74,9 +74,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e03_capacity_bandwidth(run_once):
-    rows = run_once(run_experiment)
-    report("e03_capacity_bandwidth", render(rows))
+def check(rows) -> None:
     # Measured goodput tracks C/D within 25% across the sweep, and the
     # rate-enforced client never violates the capacity rule.
     for row in rows:
@@ -88,7 +86,7 @@ def test_e03_capacity_bandwidth(run_once):
     assert measured == sorted(measured)
 
 
-run = make_run("e03_capacity_bandwidth", run_experiment, render)
+run = make_run("e03_capacity_bandwidth", run_experiment, render, check)
 
 
 if __name__ == "__main__":

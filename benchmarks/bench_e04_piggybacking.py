@@ -8,7 +8,7 @@ every message within its ST delay bound.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.obs.stats import DelayRecorder
 from repro.subtransport.config import StConfig
@@ -86,9 +86,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e04_piggybacking(run_once):
-    rows = run_once(run_experiment)
-    report("e04_piggybacking", render(rows))
+def check(rows) -> None:
     off, on = rows
     total = STREAMS * MESSAGES_PER_STREAM
     assert off["delivered"] == on["delivered"] == total
@@ -103,7 +101,7 @@ def test_e04_piggybacking(run_once):
     assert on["mean_delay_ms"] < off["mean_delay_ms"] + 25.0
 
 
-run = make_run("e04_piggybacking", run_experiment, render)
+run = make_run("e04_piggybacking", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ fraction and delay percentiles.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.obs.stats import DelayRecorder
 
@@ -92,9 +92,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e05_deadline_scheduling(run_once):
-    rows = run_once(run_experiment)
-    report("e05_deadline_scheduling", render(rows))
+def check(rows) -> None:
     fifo, edf = rows
     # EDF meets the real-time bound; FIFO leaves the class behind bulk.
     assert edf["late_fraction"] < 0.02
@@ -104,7 +102,7 @@ def test_e05_deadline_scheduling(run_once):
     assert edf["bulk_delivered"] > 0.5 * fifo["bulk_delivered"]
 
 
-run = make_run("e05_deadline_scheduling", run_experiment, render)
+run = make_run("e05_deadline_scheduling", run_experiment, render, check)
 
 
 if __name__ == "__main__":

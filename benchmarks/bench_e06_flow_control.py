@@ -14,7 +14,7 @@ buffer overruns; with it, delivery is lossless.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, report
+from common import Table, bench_main, build_lan, make_run
 from repro.core.params import RmsParams
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport.stream import StreamConfig
@@ -101,9 +101,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e06_flow_control(run_once):
-    rows = run_once(run_experiment)
-    report("e06_flow_control", render(rows))
+def check(rows) -> None:
     fast = {row["config"]: row for row in rows if row["consumer"] == "fast"}
     slow = {row["config"]: row for row in rows if row["consumer"] == "slow"}
     # Fast receiver: every configuration is lossless; the mechanisms
@@ -121,7 +119,7 @@ def test_e06_flow_control(run_once):
     assert slow["end-to-end"]["consumed"] == MESSAGES
 
 
-run = make_run("e06_flow_control", run_experiment, render)
+run = make_run("e06_flow_control", run_experiment, render, check)
 
 
 if __name__ == "__main__":

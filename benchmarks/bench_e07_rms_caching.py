@@ -9,7 +9,7 @@ peer skip the network setup handshake.
 
 from __future__ import annotations
 
-from common import Table, bench_main, best_effort_params, build_lan, make_run, report
+from common import Table, bench_main, best_effort_params, build_lan, make_run
 from repro.subtransport.config import StConfig
 
 SESSIONS = 15
@@ -69,9 +69,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e07_rms_caching(run_once):
-    rows = run_once(run_experiment)
-    report("e07_rms_caching", render(rows))
+def check(rows) -> None:
     off, on = rows
     # The cache eliminates repeated network-RMS creation...
     assert on["network_rms_created"] == 1
@@ -83,7 +81,7 @@ def test_e07_rms_caching(run_once):
     assert on["mean_rest_ms"] < off["mean_rest_ms"]
 
 
-run = make_run("e07_rms_caching", run_experiment, render)
+run = make_run("e07_rms_caching", run_experiment, render, check)
 
 
 if __name__ == "__main__":

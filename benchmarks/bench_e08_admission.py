@@ -9,7 +9,7 @@ delays degrade without limit as load grows.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, report
+from common import Table, bench_main, build_lan, make_run
 from repro.core.params import DelayBound, DelayBoundType, RmsParams, StatisticalSpec
 from repro.errors import AdmissionError, NegotiationError
 
@@ -108,9 +108,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e08_admission(run_once):
-    rows = run_once(run_experiment)
-    report("e08_admission", render(rows))
+def check(rows) -> None:
     deterministic, statistical, best_effort = rows
     # Best-effort is never rejected (section 2.3).
     assert best_effort["admitted"] == OFFERED
@@ -124,7 +122,7 @@ def test_e08_admission(run_once):
     assert best_effort["late_fraction"] >= statistical["late_fraction"]
 
 
-run = make_run("e08_admission", run_experiment, render)
+run = make_run("e08_admission", run_experiment, render, check)
 
 
 if __name__ == "__main__":

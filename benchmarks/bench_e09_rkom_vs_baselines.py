@@ -15,7 +15,7 @@ Two claims:
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, build_wan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, build_wan, make_run, open_st_rms
 from repro.apps.rpcload import RpcWorkload
 from repro.baselines.datagram import DatagramService
 from repro.baselines.rpc import DatagramRpc
@@ -158,16 +158,8 @@ def render(results):
     return first, second
 
 
-def test_e09_rkom_vs_baselines(run_once):
-    rpc_rows, media_rows = run_once(run_experiment)
-    first, second = render((rpc_rows, media_rows))
-    report("e09_rkom_vs_baselines", first)
-    text = str(first) + "\n\n" + str(second)
-    print("\n" + str(second))
-    import os
-    from common import RESULTS_DIR
-    with open(os.path.join(RESULTS_DIR, "e09_rkom_vs_baselines.txt"), "w") as f:
-        f.write(text + "\n")
+def check(results) -> None:
+    rpc_rows, media_rows = results
     rkom, dgram = rpc_rows
     # Deadline-scheduled RKOM stays fast under congestion; the
     # deadline-less baseline queues behind bulk.
@@ -182,7 +174,7 @@ def test_e09_rkom_vs_baselines(run_once):
     assert rpc["achieved_pps"] < 0.5 * rpc["needed_pps"]
 
 
-run = make_run("e09_rkom_vs_baselines", run_experiment, render)
+run = make_run("e09_rkom_vs_baselines", run_experiment, render, check)
 
 
 if __name__ == "__main__":

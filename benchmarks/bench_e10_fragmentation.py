@@ -10,7 +10,7 @@ message.  Throughput therefore peaks at an intermediate size.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 
 TOTAL_BYTES = 600_000
@@ -90,9 +90,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e10_fragmentation(run_once):
-    rows = run_once(run_experiment)
-    report("e10_fragmentation", render(rows))
+def check(rows) -> None:
     by_size = {row["size"]: row for row in rows}
     goodputs = [row["goodput_kBps"] for row in rows]
     best = max(range(len(rows)), key=lambda i: goodputs[i])
@@ -104,7 +102,7 @@ def test_e10_fragmentation(run_once):
     assert by_size[12_000]["loss_fraction"] > by_size[1_000]["loss_fraction"]
 
 
-run = make_run("e10_fragmentation", run_experiment, render)
+run = make_run("e10_fragmentation", run_experiment, render, check)
 
 
 if __name__ == "__main__":

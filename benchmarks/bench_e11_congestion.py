@@ -12,7 +12,7 @@ and the gateway sheds load by dropping packets that must be retransmitted.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_wan, make_run, report
+from common import Table, bench_main, build_wan, make_run
 from repro.baselines.datagram import DatagramService
 from repro.baselines.tcp import TcpConfig, TcpLikeConnection
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
@@ -153,9 +153,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e11_congestion(run_once):
-    rows = run_once(run_experiment)
-    report("e11_congestion", render(rows))
+def check(rows) -> None:
     rms, tcp = rows
     # RMS admission turns away what the trunk cannot carry, and what it
     # admits flows without a single gateway drop.
@@ -169,7 +167,7 @@ def test_e11_congestion(run_once):
     assert tcp["delivery_ratio"] < rms["delivery_ratio"]
 
 
-run = make_run("e11_congestion", run_experiment, render)
+run = make_run("e11_congestion", run_experiment, render, check)
 
 
 if __name__ == "__main__":

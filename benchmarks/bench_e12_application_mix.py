@@ -9,7 +9,7 @@ network, because providers schedule by the declared deadlines.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.apps.media import VoiceCall, voice_rms_params
 from repro.apps.rpcload import RpcWorkload
 from repro.apps.window import (
@@ -106,9 +106,7 @@ def run_experiment():
     return run_mix()
 
 
-def test_e12_application_mix(run_once):
-    result = run_once(run_experiment)
-    report("e12_application_mix", render(result))
+def check(result) -> None:
     voice = result["voice"]
     window = result["window"]
     rpc = result["rpc"]
@@ -124,7 +122,7 @@ def test_e12_application_mix(run_once):
     assert result["bulk_goodput_kBps"] > 300
 
 
-run = make_run("e12_application_mix", run_experiment, render)
+run = make_run("e12_application_mix", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ time until the sender knows everything arrived.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, report
+from common import Table, bench_main, build_lan, make_run
 from repro.core.params import RmsParams
 from repro.transport.flowcontrol import FlowControlMode
 from repro.transport.stream import StreamConfig, open_stream
@@ -81,9 +81,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e13_fast_ack(run_once):
-    rows = run_once(run_experiment)
-    report("e13_fast_ack", render(rows))
+def check(rows) -> None:
     ack_rms, fast = rows
     assert ack_rms["consumed"] == fast["consumed"] == RECORDS
     # Fast acks eliminate the reverse stream and its establishment work.
@@ -93,7 +91,7 @@ def test_e13_fast_ack(run_once):
     assert fast["all_acked_ms"] <= ack_rms["all_acked_ms"] * 1.1
 
 
-run = make_run("e13_fast_ack", run_experiment, render)
+run = make_run("e13_fast_ack", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ capacity clause holds for both, and the voice bound is met with margin.
 
 from __future__ import annotations
 
-from common import Table, bench_main, build_lan, make_run, open_st_rms, report
+from common import Table, bench_main, build_lan, make_run, open_st_rms
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.obs.stats import DelayRecorder
 from repro.subtransport.config import StConfig
@@ -99,9 +99,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e14_mux_rules_ablation(run_once):
-    rows = run_once(run_experiment)
-    report("e14_mux_rules_ablation", render(rows))
+def check(rows) -> None:
     enforced, ablated = rows
     # With rules on, the capacity rule forces a second network RMS; both
     # streams stay within their negotiated capacities and the voice
@@ -118,7 +116,7 @@ def test_e14_mux_rules_ablation(run_once):
     assert ablated["net_capacity_violations"] > 100
 
 
-run = make_run("e14_mux_rules_ablation", run_experiment, render)
+run = make_run("e14_mux_rules_ablation", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ when the paths are unequal).
 
 from __future__ import annotations
 
-from common import Table, bench_main, make_run, report
+from common import Table, bench_main, make_run
 from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.netsim.internet import InternetNetwork
@@ -111,9 +111,7 @@ def render(rows) -> Table:
     return table
 
 
-def test_e15_downward_mux(run_once):
-    rows = run_once(run_experiment)
-    report("e15_downward_mux", render(rows))
+def check(rows) -> None:
     single, equal, unequal = rows
     # The gain is real: two equal paths nearly double goodput.
     assert equal["goodput_kBps"] > 1.6 * single["goodput_kBps"]
@@ -123,7 +121,7 @@ def test_e15_downward_mux(run_once):
     assert unequal["goodput_kBps"] < equal["goodput_kBps"]
 
 
-run = make_run("e15_downward_mux", run_experiment, render)
+run = make_run("e15_downward_mux", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -9,20 +9,19 @@ machine running the bench.
 
 The enabled run also exercises the full export path: the registry
 snapshot, span summary, and flight recorder land in
-``benchmarks/results/e16_observability.metrics.json``, which the test
-re-reads and validates as JSON.
+``e16_observability.metrics.json``, and the check round-trips the same
+snapshot through JSON and validates it.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 import time
 
-import pytest
-
 from bench_e03_capacity_bandwidth import run_capacity
-from common import RESULTS_DIR, Table, bench_main, make_run, report
+from common import Table, bench_main, make_run
+from repro.obs.export import metrics_payload
 
 CAPACITY = 8_000  # bytes; one point of the E3 sweep
 
@@ -61,32 +60,22 @@ def render(result) -> Table:
     return table
 
 
-def test_e16_observability(run_once):
-    result = run_once(run_experiment)
-    report(
-        "e16_observability",
-        render(result),
-        obs=result["obs"],
-        extra={
-            "wall_clock_ratio": result["wall_on_s"] / max(result["wall_off_s"], 1e-9)
-        },
-    )
+def check(result) -> None:
     # Disabled observability must not change what the simulation does:
     # goodput off vs on agrees within 3% (deterministic seed -> exact).
-    assert result["off_kBps"] == pytest.approx(result["on_kBps"], rel=0.03)
+    assert math.isclose(result["off_kBps"], result["on_kBps"], rel_tol=0.03)
     # The enabled run recorded spans for the workload's messages.
     assert result["traces"] > 0
     assert result["events"] > 0
     # The exported snapshot is valid, machine-readable JSON.
-    path = os.path.join(RESULTS_DIR, "e16_observability.metrics.json")
-    with open(path) as handle:
-        payload = json.load(handle)
+    payload = json.loads(
+        json.dumps(metrics_payload(obs=result["obs"]), default=str))
     assert payload["schema"] == 1
     assert "rms_messages_delivered" in payload["metrics"]
     assert payload["spans"]["events"] == result["events"]
 
 
-run = make_run("e16_observability", run_experiment, render)
+run = make_run("e16_observability", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ import random
 import time
 from typing import Dict, List, Tuple
 
-from common import Table, bench_main, make_run, report
+from common import Table, bench_main, make_run
 from repro.core.message import Label
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.errors import AdmissionError, NegotiationError, RoutingError
@@ -319,9 +319,7 @@ def render(result):
     return legs, checks
 
 
-def test_e22_scaleout(run_once):
-    result = run_once(run_experiment)
-    report("e22_scaleout", *render(result))
+def check(result) -> None:
     # One search per gateway shared by its hosts (simulation-exact:
     # 0.075 at the committed seed; one search per host measured 0.43,
     # the per-pair resolver 8.6), and none at all on a fixed topology.
@@ -335,7 +333,7 @@ def test_e22_scaleout(run_once):
     assert result["soak"]["cached_tables"] <= result["hosts"]
 
 
-run = make_run("e22_scaleout", run_experiment, render)
+run = make_run("e22_scaleout", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ keyed per (src, dst) creation order) is pinned by a deterministic hash
 to one equal-cost plan, spreading distinct flows across the spines
 while every flow keeps in-order delivery on its pinned path.
 
-Four legs, asserted by ``test_e23_meshtransport``:
+Four legs, asserted by ``check``:
 
 * **Throughput ablation** -- identical secured-stream workload, arms
   ``ecmp=True`` / ``ecmp=False``, offered load ~2.5x one trunk per
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from common import Table, bench_main, make_run, report
+from common import Table, bench_main, make_run
 from repro.core.params import DelayBound, DelayBoundType, RmsParams
 from repro.dash.system import DashSystem
 from repro.netsim.topology import MeshSpec
@@ -431,9 +431,7 @@ def render(result):
     return throughput, checks
 
 
-def test_e23_meshtransport(run_once):
-    result = run_once(run_experiment)
-    report("e23_meshtransport", *render(result))
+def check(result) -> None:
     # The tentpole claim: spreading flows across equal-cost trunks
     # delivers >= 1.5x the aggregate secured payload of the single-path
     # engine at the saturated core (simulated-time rates: exact).
@@ -455,7 +453,7 @@ def test_e23_meshtransport(run_once):
     assert result["trace_deliveries"] > 0
 
 
-run = make_run("e23_meshtransport", run_experiment, render)
+run = make_run("e23_meshtransport", run_experiment, render, check)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """Shared machinery for the experiment benches.
 
-Every bench builds small simulated systems, runs a workload, and renders
-the series its paper claim predicts as a table.  Tables are printed (run
-pytest with ``-s`` to see them) and appended to
-``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can cite them.
+Every bench builds small simulated systems, runs a workload, renders
+the series its paper claim predicts as a table and checks the claim's
+shape (``make_run``).
 """
 
 from __future__ import annotations
@@ -31,58 +30,24 @@ __all__ = [
     "build_wan",
     "make_run",
     "open_st_rms",
-    "report",
 ]
-
-
-def report(
-    experiment: str,
-    *tables: Table,
-    extra: Optional[Dict[str, Any]] = None,
-    obs: Optional[Any] = None,
-    echo: bool = True,
-    out_dir: Optional[str] = None,
-) -> str:
-    """Persist bench output under benchmarks/results/ (or ``out_dir``).
-
-    Writes ``<experiment>.txt`` (the rendered tables, plus the flight
-    recorder when an enabled observability facade is passed) and
-    ``<experiment>.metrics.json`` (the machine-readable snapshot:
-    tables, registry metrics, span summary, and ``extra`` metadata).
-    """
-    parts = [str(table) for table in tables]
-    if obs is not None and obs.enabled:
-        parts.append(flight_recorder(obs))
-    text = "\n\n".join(parts)
-    if echo:
-        print("\n" + text)
-    results_dir = out_dir or RESULTS_DIR
-    os.makedirs(results_dir, exist_ok=True)
-    with open(os.path.join(results_dir, f"{experiment}.txt"), "w") as handle:
-        handle.write(text + "\n")
-    write_metrics_json(
-        os.path.join(results_dir, f"{experiment}.metrics.json"),
-        obs=obs,
-        experiment=experiment,
-        tables=tables,
-        extra=extra,
-    )
-    return text
 
 
 def make_run(
     experiment: str,
     run_experiment: Callable[..., Any],
     render: Callable[[Any], Any],
+    check: Callable[[Any], None],
 ) -> Callable[..., Dict[str, Any]]:
-    """Build the uniform ``run(seed, out_dir) -> dict`` bench entry point.
+    """Build ``run(seed, out_dir) -> dict``, the one way a bench runs.
 
-    Every ``bench_e*`` module exposes one of these: it runs the
-    experiment, persists the rendered tables plus the machine-readable
-    ``.metrics.json`` snapshot (to ``out_dir`` or the default results
-    directory), and returns a JSON-ready summary dict.  ``seed`` is
-    forwarded to ``run_experiment`` only when its signature takes one;
-    passing ``seed=None`` always reproduces the committed default run.
+    ``run`` runs the experiment and writes ``<experiment>.txt`` (the
+    rendered tables, plus the flight recorder when the result carries an
+    enabled ``obs``) and ``<experiment>.metrics.json`` to ``out_dir`` or
+    ``benchmarks/results/``.  Then ``check(result)`` asserts the paper's
+    claim: a failed claim raises out of ``run`` with both files written.
+    ``seed`` is forwarded to ``run_experiment`` only when its signature
+    takes one; ``seed=None`` reproduces the committed run.
     """
 
     def run(
@@ -100,11 +65,22 @@ def make_run(
         elapsed = time.time() - started
         tables = rendered if isinstance(rendered, tuple) else (rendered,)
         obs = result.get("obs") if isinstance(result, dict) else None
-        extra: Dict[str, Any] = {"elapsed_s": elapsed}
-        if seed is not None:
-            extra["seed"] = seed
-        report(experiment, *tables, extra=extra, obs=obs, echo=echo,
-               out_dir=out_dir)
+        parts = [str(table) for table in tables]
+        if obs is not None and obs.enabled:
+            parts.append(flight_recorder(obs))
+        text = "\n\n".join(parts)
+        if echo:
+            print("\n" + text)
+        results_dir = out_dir or RESULTS_DIR
+        os.makedirs(results_dir, exist_ok=True)
+        path = os.path.join(results_dir, experiment)
+        with open(path + ".txt", "w") as handle:
+            handle.write(text + "\n")
+        write_metrics_json(
+            path + ".metrics.json", obs=obs, experiment=experiment,
+            tables=tables, extra=None if seed is None else {"seed": seed},
+        )
+        check(result)
         return {
             "experiment": experiment,
             "seed": seed,

@@ -3,7 +3,8 @@
 
 Shards (experiment, seed) pairs across worker processes, each invoking
 the bench module's uniform ``run(seed, out_dir)`` entry point, then
-merges the per-seed summaries into one JSON report.
+merges the per-seed summaries into one JSON report; a seed whose result
+breaks the claim is a failed shard.
 
 Usage::
 
@@ -31,7 +32,7 @@ DEFAULT_OUT = os.path.join(BENCH_DIR, "results", "parallel")
 
 sys.path.insert(0, BENCH_DIR)
 
-from run_all import EXPERIMENTS  # noqa: E402
+from run_all import EXPERIMENTS, failed_claim  # noqa: E402
 
 
 def _run_one(job: Tuple[str, int, str]) -> Dict[str, Any]:
@@ -51,7 +52,7 @@ def _run_one(job: Tuple[str, int, str]) -> Dict[str, Any]:
             "experiment": module_name[len("bench_"):],
             "seed": seed,
             "ok": False,
-            "error": f"{type(error).__name__}: {error}",
+            "error": failed_claim(error),
         }
     summary["wall_s"] = time.time() - started
     return summary

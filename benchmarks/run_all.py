@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run every experiment and print its table, without pytest.
+"""Run every experiment, print its table and check its claim.
 
 Usage:  python benchmarks/run_all.py [e01 e05 ...]
 
@@ -7,9 +7,10 @@ With no arguments, runs every experiment in order.  The experiment
 list is *discovered*, not maintained by hand: every ``bench_e*.py``
 module in this directory is an experiment (sorted by filename, so the
 ``eNN`` tag ordering holds), and each exposes the uniform
-``run(seed, out_dir)`` entry point built by ``common.make_run``.  A
-new bench is picked up by this runner, ``benchmarks/parallel.py``, and
-CI the moment the file lands.  For multi-seed sweeps across worker
+``run(seed, out_dir)`` entry point built by ``common.make_run``, which
+also checks the claim: a failed one is printed with its source line and
+the exit status is 1.  A new bench is picked up by this runner and
+``benchmarks/parallel.py`` the moment the file lands.  For multi-seed sweeps across worker
 processes use ``benchmarks/parallel.py``.
 """
 
@@ -20,6 +21,7 @@ import importlib
 import os
 import sys
 import time
+import traceback
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, _BENCH_DIR)
@@ -36,6 +38,15 @@ def discover_experiments() -> list:
 EXPERIMENTS = discover_experiments()
 
 
+def failed_claim(error: BaseException) -> str:
+    """What a failed run says: for a failed ``assert`` (whose message is
+    empty) the source line of the claim that failed, else the error."""
+    if not isinstance(error, AssertionError):
+        return f"{type(error).__name__}: {error}"
+    frame = traceback.extract_tb(error.__traceback__)[-1]
+    return f"{os.path.basename(frame.filename)}:{frame.lineno}: {frame.line}"
+
+
 def main(argv) -> int:
     wanted = [arg.lower() for arg in argv[1:]]
     failures = 0
@@ -46,12 +57,9 @@ def main(argv) -> int:
         module = importlib.import_module(name)
         started = time.time()
         try:
-            # run() persists the .txt table and the .metrics.json
-            # snapshot for every experiment, exactly like the pytest
-            # benches do.
             module.run(echo=True)
         except Exception as error:  # noqa: BLE001 - report and continue
-            print(f"!! {name} failed: {error}")
+            print(f"!! {name} failed: {failed_claim(error)}")
             failures += 1
             continue
         print(f"[{tag}: {time.time() - started:.1f}s]\n")

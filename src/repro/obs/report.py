@@ -1,8 +1,8 @@
 """Plain-text table rendering for the benchmark harness.
 
 Every bench prints the series the paper's claim predicts as an aligned
-ASCII table, so ``pytest benchmarks/ --benchmark-only`` output doubles
-as the EXPERIMENTS.md evidence.
+ASCII table, so ``python benchmarks/run_all.py`` output doubles as the
+EXPERIMENTS.md evidence.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""The paper's claims as a gate: E1-E17 regenerate their committed results.
+"""The paper's claims as a gate: E1-E17 hold and regenerate their results.
 
-Simulated time is exact, so the reproduction can be gated exactly: every
-``benchmarks/bench_eNN_*.py`` is run at its committed size and its
-regenerated ``eNN_*.txt`` must be byte-equal to the file committed under
-``benchmarks/results/`` (and the ``tables`` / ``metrics`` / ``spans``
-sections of its ``.metrics.json`` equal; ``extra.elapsed_s`` is wall clock).
+Every ``benchmarks/bench_eNN_*.py`` is run at its committed size through
+its ``run()``, which writes the experiment's result and then asserts the
+claim's shape (the module's ``check``): a claim that no longer holds
+stops the one subprocess that runs them all, and with it every
+regeneration test below.  Simulated time is exact, so the reproduction
+is also gated exactly: the regenerated ``eNN_*.txt`` must be
+byte-equal to the file committed under ``benchmarks/results/``, and the
+``tables`` / ``metrics`` / ``spans`` sections of its ``.metrics.json``
+equal.
 
 Order and process matter.  Stream ids travel as JSON text on the control
 channel, so a control message's length -- and with it a handful of
