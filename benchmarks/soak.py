@@ -27,6 +27,13 @@ Two properties of each of the six workloads of
   tables together hold at most ``FIGURE_TABLE_CAP`` sizes per table: a
   memo that grows with the sizes sent, or keeps terms no open channel
   has, fails.
+* **what a built grid holds** (DESIGN 8.9): the ``repro`` heap after
+  ``grid_static``'s build, its streams established, is at most
+  ``BUILD_BOUND_PER_LINK`` bytes per link for what ``repro.netsim``
+  allocated (links, pools, reservations, route tables and plans) and
+  ``BUILD_BOUND_PER_HOST`` bytes per host for the rest (nodes, layers,
+  sessions): per-hop closures on the plans or a reservation object per
+  best-effort RMS per hop fail it.
 
 Before it counts, the check empties the event loop's free pool of
 handles: a pooled handle keeps the callback it last ran until it is
@@ -67,6 +74,15 @@ SEED = 1
 RETAINED_BOUND = 4.0
 #: Fewest messages a block delivers.
 BLOCK_MESSAGES = 1000
+#: ``repro`` heap after ``grid_static``'s build, bytes per link for
+#: ``repro.netsim`` and per host for the rest: the largest figures of
+#: CPython 3.9, 3.11 and 3.12 (3.9's: 3,325 and 9,183; before
+#: hop-indexed forwarding and the shared best-effort reservation
+#: 4,648 and 10,923) plus 10%.
+BUILD_BOUND_PER_LINK = 3660
+BUILD_BOUND_PER_HOST = 10100
+#: The workload whose build is measured.
+BUILD_WORKLOAD = "grid_static"
 _REPRO = [tracemalloc.Filter(True, os.path.join("*", "repro", "*"))]
 
 
@@ -115,6 +131,39 @@ def measure(name: str) -> Dict[str, float]:
     return {"rounds": rounds, "messages": messages, "retained_b": grown,
             "b_per_msg": grown / messages, **channel_state(built),
             **figure_state(built)}
+
+
+def build_state() -> Dict[str, float]:
+    """Bytes of ``repro`` heap ``BUILD_WORKLOAD`` holds once built and
+    established: per link what ``repro.netsim`` allocated, per host the
+    rest."""
+    tracemalloc.start()
+    try:
+        built = WORKLOADS[BUILD_WORKLOAD](SEED)
+        built.build()
+        _settle(built)
+        snapshot = tracemalloc.take_snapshot().filter_traces(_REPRO)
+    finally:
+        tracemalloc.stop()
+    netsim = os.path.join("repro", "netsim", "")
+    link_heap = host_heap = 0
+    for stat in snapshot.statistics("filename"):
+        if netsim in stat.traceback[0].filename:
+            link_heap += stat.size
+        else:
+            host_heap += stat.size
+    links, hosts = len(built.network._links), len(built.mesh.hosts)
+    return {"links": links, "hosts": hosts,
+            "b_per_link": link_heap / links, "b_per_host": host_heap / hosts}
+
+
+def build_failures(state: Dict[str, float]) -> List[str]:
+    """One line per bound the built ``BUILD_WORKLOAD`` exceeds."""
+    return [f"{BUILD_WORKLOAD}: built, holds {state[key]:.0f} B per {unit} "
+            f"(bound {bound})"
+            for key, unit, bound in (("b_per_link", "link", BUILD_BOUND_PER_LINK),
+                                     ("b_per_host", "host", BUILD_BOUND_PER_HOST))
+            if state[key] > bound]
 
 
 def channel_state(built) -> Dict[str, int]:
@@ -212,6 +261,11 @@ def main(argv=None) -> int:
               f"{state['stream_ack_ports']:>5}{state['open_terms']:>7}"
               f"{state['figure_tables']:>8}{state['figure_entries']:>7}")
         failed += failures(name, state)
+    state = build_state()
+    print(f"\n{'built':<20}{'links':>7}{'hosts':>6}{'B/link':>9}{'B/host':>9}")
+    print(f"{BUILD_WORKLOAD:<20}{state['links']:>7}{state['hosts']:>6}"
+          f"{state['b_per_link']:>9.0f}{state['b_per_host']:>9.0f}")
+    failed += build_failures(state)
     for line in failed:
         print(f"FAIL {line}")
     return 1 if args.check and failed else 0

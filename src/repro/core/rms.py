@@ -108,7 +108,7 @@ class Rms:
         else:
             self.port = Port(context.loop, name=f"{self.name}.rx")
         #: Fired with (rms, reason) on failure -- basic property 3.
-        self.on_failure: Signal = Signal(context.loop)
+        self.on_failure: Signal = Signal()
         self.outstanding_bytes = 0
         #: What the sender numbered the last delivered message by.
         self._last_order = -1

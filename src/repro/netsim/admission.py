@@ -18,17 +18,22 @@ from typing import Dict, Tuple
 from repro.core.params import DelayBoundType, RmsParams
 from repro.errors import AdmissionError, ParameterError
 
-__all__ = ["Reservation", "AdmissionController", "NULL_POOLS"]
+__all__ = ["Reservation", "AdmissionController", "BEST_EFFORT", "NULL_POOLS"]
 
 
 @dataclass(frozen=True)
 class Reservation:
-    """Resources set aside for one admitted RMS."""
+    """Resources set aside for one admitted RMS (the pool's key names
+    the RMS)."""
 
-    rms_id: int
     bandwidth: float  # bytes per second
     buffer_bytes: int
     bound_type: DelayBoundType
+
+
+#: What every best-effort RMS holds on every pool: nothing (section 2.3),
+#: one frozen instance shared by all of them.
+BEST_EFFORT = Reservation(0.0, 0, DelayBoundType.BEST_EFFORT)
 
 
 #: Shares of a pool's bandwidth the deterministic and the statistical
@@ -108,14 +113,14 @@ class AdmissionController:
     def admit(self, rms_id: int, params: RmsParams) -> Reservation:
         """Admit or raise :class:`AdmissionError`.
 
-        Best-effort streams are always admitted with an empty
-        reservation.
+        Best-effort streams are always admitted with the shared empty
+        reservation, :data:`BEST_EFFORT`.
         """
         if rms_id in self._reservations:
             raise AdmissionError(f"rms {rms_id} already has a reservation")
         bound_type = params.delay_bound_type
         if bound_type == DelayBoundType.BEST_EFFORT:
-            reservation = Reservation(rms_id, 0.0, 0, bound_type)
+            reservation = BEST_EFFORT
         elif bound_type == DelayBoundType.DETERMINISTIC:
             bandwidth, buffer_bytes = self.deterministic_demand(params)
             limit = self.total_bandwidth * DETERMINISTIC_SHARE
@@ -131,7 +136,7 @@ class AdmissionController:
                     f"deterministic buffer demand {buffer_bytes}B exceeds free "
                     f"buffer {self.total_buffer_bytes - self.reserved_buffer}B"
                 )
-            reservation = Reservation(rms_id, bandwidth, buffer_bytes, bound_type)
+            reservation = Reservation(bandwidth, buffer_bytes, bound_type)
         elif bound_type == DelayBoundType.STATISTICAL:
             bandwidth, buffer_bytes = self.statistical_demand(params)
             limit = self.total_bandwidth * STATISTICAL_SHARE
@@ -144,7 +149,7 @@ class AdmissionController:
             if self.reserved_buffer + buffer_bytes > self.total_buffer_bytes:
                 self.rejected += 1
                 raise AdmissionError("statistical buffer demand exceeds free buffer")
-            reservation = Reservation(rms_id, bandwidth, buffer_bytes, bound_type)
+            reservation = Reservation(bandwidth, buffer_bytes, bound_type)
         else:  # pragma: no cover - exhaustive over the enum
             raise ParameterError(f"unknown delay bound type {bound_type!r}")
         self._reservations[rms_id] = reservation

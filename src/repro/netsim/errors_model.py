@@ -20,10 +20,10 @@ from repro.netsim.packet import Frame
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.topology import Link
 
-__all__ = ["ImpairmentModel"]
+__all__ = ["ImpairmentModel", "CLEAN"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpairmentModel:
     """Per-frame corruption and loss sampling.
 
@@ -32,7 +32,9 @@ class ImpairmentModel:
     ``1 - (1 - ber)^(8n)``.  ``frame_loss_rate`` models losses the medium
     itself eats (collisions, receiver overruns) independent of queueing.
     Both hooks draw from the carrying link's stream (``link.rng()``) and
-    only once a rate is non-zero, so a clean medium builds none.
+    only once a rate is non-zero, so a clean medium builds none.  A model
+    is frozen, so links share one: every clean link holds :data:`CLEAN`,
+    and a medium is impaired by giving its link a new model.
     """
 
     bit_error_rate: float = 0.0
@@ -70,3 +72,7 @@ class ImpairmentModel:
                 frame.corrupt_payload(rng.getrandbits(20))
                 return True
         return False
+
+
+#: The clean medium's model, shared by every link built without one.
+CLEAN = ImpairmentModel()

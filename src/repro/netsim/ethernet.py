@@ -85,10 +85,9 @@ class EthernetNetwork(Network):
         self,
         frame: Frame,
         on_drop: Optional[Callable[[Frame, str], None]] = None,
-        plan=None,
     ) -> None:
         # One shared segment: there is no route to follow.
-        self.segment.transmit(frame, deliver=self._medium_delivered, on_drop=on_drop)
+        self.segment.transmit(frame, self._medium_delivered, on_drop)
 
     def _medium_delivered(self, frame: Frame) -> None:
         # Physical broadcast: every station (including eavesdroppers)

@@ -80,6 +80,10 @@ class InternetNetwork(Network):
         #: pair has one route.
         self._engine = ForwardingEngine(self, ECMP_MAX_PATHS if ecmp else 1)
         self._link_edges: Dict[Link, Tuple[str, str]] = {}
+        #: One listener pair for every link: the edge a firing link
+        #: belongs to is a probe of ``_link_edges``, and the bound
+        #: methods are made once here, not twice per link.
+        self._link_listeners = (self._on_link_down, self._on_link_up)
         #: Shortest-path searches run: one per gateway and access-link
         #: weight, shared by the hosts behind it, or one per multi-homed
         #: source.
@@ -117,6 +121,14 @@ class InternetNetwork(Network):
         if (node_a, node_b) in self._links:
             raise NetworkError(f"link {node_a}<->{node_b} already exists")
         links = []
+        # Both directions share one frozen model; a clean pair takes the
+        # shared clean one.
+        impairment = (
+            ImpairmentModel(bit_error_rate=bit_error_rate,
+                            frame_loss_rate=frame_loss_rate)
+            if bit_error_rate or frame_loss_rate else None
+        )
+        on_down, on_up = self._link_listeners
         for src, dst in ((node_a, node_b), (node_b, node_a)):
             link = Link(
                 self.context,
@@ -125,9 +137,7 @@ class InternetNetwork(Network):
                 propagation_delay=propagation_delay,
                 buffer_bytes=buffer_bytes,
                 policy=self.queue_policy,
-                impairment=ImpairmentModel(
-                    bit_error_rate=bit_error_rate, frame_loss_rate=frame_loss_rate
-                ),
+                impairment=impairment,
             )
             self._links[(src, dst)] = link
             self._weights[(src, dst)] = propagation_delay + (
@@ -136,11 +146,9 @@ class InternetNetwork(Network):
             self._pools[(src, dst)] = AdmissionController(
                 total_bandwidth=bandwidth, total_buffer_bytes=buffer_bytes
             )
-            # One shared handler pair for every link; the edge a firing
-            # link belongs to is a dict probe, not a captured closure.
             self._link_edges[link] = (src, dst)
-            link.on_down.listen(self._on_link_down)
-            link.on_up.listen(self._on_link_up)
+            link.on_down.listen(on_down)
+            link.on_up.listen(on_up)
             if self.source_quench:
                 link.on_overrun = self._send_quench
             links.append(link)
@@ -214,15 +222,13 @@ class InternetNetwork(Network):
         self,
         frame: Frame,
         on_drop: Optional[Callable[[Frame, str], None]] = None,
-        plan: Optional[RoutePlan] = None,
     ) -> None:
-        if plan is None:
+        if frame.plan is None:
             # Control traffic and quenches take the current shortest
             # path; a data frame arrives with the plan its RMS was
             # admitted on (or re-pinned to).
-            plan = self._engine.plan(frame.src_host, frame.dst_host)
-            frame.route = plan.route
-        self._engine.transmit(frame, plan, on_drop)
+            frame.plan = self._engine.plan(frame.src_host, frame.dst_host)
+        self._engine.transmit(frame, on_drop)
 
     # -- shared-network interface -------------------------------------------------
 

@@ -86,8 +86,8 @@ class NetworkRms(Rms):
         super().__init__(context, params, sender, receiver, name=name)
         self.network = network
         #: Compiled forwarding plan (routed networks; ``None`` on a
-        #: shared segment): pre-resolved links and cached per-hop
-        #: deliver callbacks.  Data keeps following it even after
+        #: shared segment): the pre-resolved links each of its frames
+        #: carries.  Data keeps following it even after
         #: topology changes -- the admitted route is the contract -- and
         #: a dead on-route link fails the RMS through the usual
         #: notification path.
@@ -124,9 +124,9 @@ class NetworkRms(Rms):
             dst_host=self.receiver.host,
             rms_id=self.rms_id,
             deadline=deadline if deadline is not None else float("inf"),
-            route=self._route,
+            plan=self.plan,
         )
-        self.network._transmit_frame(frame, self._frame_dropped, self.plan)
+        self.network._transmit_frame(frame, self._frame_dropped)
 
     def _frame_dropped(self, frame: Frame, reason: str) -> None:
         self._drop(frame.message, reason)
@@ -224,7 +224,6 @@ class Network:
         self,
         frame: Frame,
         on_drop: Optional[Callable[[Frame, str], None]] = None,
-        plan=None,
     ) -> None:
         """Put one frame on the medium.
 

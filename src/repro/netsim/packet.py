@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.message import Message
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.netsim.routing import RoutePlan
 
 __all__ = ["Frame", "FRAME_OVERHEAD_BYTES"]
 
@@ -34,17 +37,16 @@ class Frame:
     rms_id: int  # network RMS the frame belongs to (0 = maintenance)
     kind: str = "data"  # "data" | "setup" | "teardown" | "quench"
     deadline: float = 0.0
-    #: Node names of the path the frame follows.  Routed networks with
-    #: the forwarding engine bind this to the compiled plan's *shared*
-    #: route list (never mutated; rebinding only), so per-frame route
-    #: copies disappear from the datapath.
-    route: List[str] = field(default_factory=list)
+    #: The compiled route plan the frame follows on a routed network
+    #: (``None`` on a shared segment) and the index of the plan's link
+    #: it is on.  The forwarding engine reads both at each hop, so a
+    #: plan holds no per-hop state.
+    plan: Optional["RoutePlan"] = None
+    hop: int = 0
     corrupted: bool = False
     frame_id: int = field(default_factory=_frame_ids.__next__)
     #: Per-frame drop callback, set at transmit time by the forwarding
-    #: engine.  Compiled plans cache one deliver callback per *hop*, so
-    #: the only per-frame state (which stream to notify on a drop) rides
-    #: on the frame instead of being closed over per hop per frame.
+    #: engine: which stream to notify on a drop rides on the frame.
     on_drop: Optional[Callable[["Frame", str], None]] = None
 
     # Cached wire size (unannotated: a plain class attribute, not a

@@ -49,15 +49,18 @@ This module amortizes that work:
   component the components it reaches.  A reachability sweep builds no
   forwarding table.
 
-* **Compiled route plans** -- per (src, dst) a `RoutePlan` freezes the
-  resolved `Link` sequence, the admission pools along it, the path
-  profile (fixed and per-byte delay), and one pre-built deliver
-  callback per hop.  Forwarding a frame does zero dict lookups and
-  zero closure allocation: each hop is a tuple index plus a read of
-  the link's ``_up`` flag (the ``is_up`` property would be one more
-  frame per hop).  The per-frame drop callback rides on the frame
-  itself (``Frame.on_drop``) instead of being captured per hop per
-  frame.
+* **Compiled route plans, hop-indexed forwarding** -- per (src, dst) a
+  `RoutePlan` freezes the resolved `Link` sequence, the admission pools
+  along it and the path profile (fixed and per-byte delay); it holds
+  nothing per hop but its links.  A frame carries its plan and the
+  index of the link it is on (``Frame.plan``, ``Frame.hop``), and one
+  engine method, :meth:`ForwardingEngine.forward`, shared by every
+  plan, moves it to the next link when it arrives at an interior node:
+  a tuple index plus a read of the link's ``_up`` flag (the ``is_up``
+  property would be one more frame per hop), no dict lookup and no
+  closure.  The last link hands the frame straight to the network's
+  demultiplexer.  The per-frame drop callback rides on the frame too
+  (``Frame.on_drop``).
 
 * **One resolver, a path set per pair** -- the same full run records
   *every* equal-cost predecessor per node (``preds[v][0]`` is the
@@ -88,7 +91,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.netsim.admission import NULL_POOLS
@@ -144,11 +147,11 @@ class ForwardingTable:
 
 
 class RoutePlan:
-    """A compiled (src, dst) route: links, pools, deliver callbacks."""
+    """A compiled (src, dst) route: links, pools, path profile."""
 
     __slots__ = (
-        "src", "dst", "route", "links", "pools", "delivers",
-        "fixed_delay", "per_byte_delay",
+        "src", "dst", "route", "links", "pools", "fixed_delay",
+        "per_byte_delay",
     )
 
     def __init__(self, src: str, dst: str, route: List[str]) -> None:
@@ -159,7 +162,6 @@ class RoutePlan:
         self.route = route
         self.links: Tuple = ()
         self.pools: List = []
-        self.delivers: Tuple = ()
         self.fixed_delay = 0.0
         self.per_byte_delay = 0.0
 
@@ -239,6 +241,11 @@ class ForwardingEngine:
         self.scoped_plan_drops = 0
         self.full_invalidations = 0
         network.context.obs.metrics.watch(self, _FAMILIES, network=network.name)
+        #: What a link calls when a frame reaches its far end: ``forward``
+        #: at an interior node, the network's demultiplexer at the last.
+        #: Bound once, shared by every frame of every plan.
+        self._forward = self.forward
+        self._arrived = network._frame_arrived
 
     # -- resolution ---------------------------------------------------------
 
@@ -492,51 +499,43 @@ class ForwardingEngine:
         plan.pools = pools or NULL_POOLS
         plan.fixed_delay = fixed
         plan.per_byte_delay = per_byte
-        plan.delivers = tuple(
-            self._make_deliver(plan, i + 1) for i in range(len(links))
-        )
         self.plan_compiles += 1
         return plan
 
     # -- forwarding ---------------------------------------------------------
 
-    def _make_deliver(self, plan: RoutePlan, next_hop: int) -> Callable:
-        """The cached deliver callback for arrival at route[next_hop]."""
-        network = self.network
-        if next_hop == len(plan.route) - 1:
-            # Final hop: deliver straight into the network's demux; the
-            # bound method itself is the callback (no closure at all).
-            return network._frame_arrived
-
-        def deliver(frame: Frame) -> None:
-            link = plan.links[next_hop]
-            if not link._up:
-                on_drop = frame.on_drop
-                if on_drop is not None:
-                    on_drop(
-                        frame,
-                        f"no usable link {plan.route[next_hop]}->"
-                        f"{plan.route[next_hop + 1]}",
-                    )
-                return
-            link.transmit(frame, deliver=plan.delivers[next_hop],
-                          on_drop=frame.on_drop)
-
-        return deliver
-
-    def transmit(self, frame: Frame, plan: RoutePlan, on_drop) -> None:
-        """Send ``frame`` along ``plan``: the zero-allocation datapath."""
+    def transmit(self, frame: Frame, on_drop) -> None:
+        """Send ``frame`` along ``frame.plan`` from its first link: the
+        zero-allocation datapath."""
         frame.on_drop = on_drop
+        plan = frame.plan
         links = plan.links
         if not links:
-            self.network._frame_arrived(frame)
+            self._arrived(frame)
             return
         link = links[0]
         if not link._up:
             if on_drop is not None:
                 on_drop(frame, f"no usable link {plan.route[0]}->{plan.route[1]}")
             return
-        link.transmit(frame, deliver=plan.delivers[0], on_drop=on_drop)
+        link.transmit(frame, self._forward if len(links) > 1 else self._arrived,
+                      on_drop)
+
+    def forward(self, frame: Frame) -> None:
+        """``frame`` crossed link ``frame.hop`` of its plan to an interior
+        node: send it on over the next link."""
+        plan = frame.plan
+        hop = frame.hop = frame.hop + 1
+        links = plan.links
+        link = links[hop]
+        on_drop = frame.on_drop
+        if not link._up:
+            if on_drop is not None:
+                on_drop(frame, f"no usable link {plan.route[hop]}->"
+                               f"{plan.route[hop + 1]}")
+            return
+        link.transmit(frame, self._forward if hop + 1 < len(links)
+                      else self._arrived, on_drop)
 
     # -- invalidation -------------------------------------------------------
 

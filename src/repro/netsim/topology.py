@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, Optional
 
 from repro.errors import NetworkError
-from repro.netsim.errors_model import ImpairmentModel
+from repro.netsim.errors_model import CLEAN, ImpairmentModel
 from repro.netsim.packet import Frame
 from repro.obs.registry import families
 from repro.sched.cpu import HostCpu
@@ -68,15 +68,25 @@ class Link:
     ``_transmission_done`` (with the impairment model's ``loses_frame``
     and ``maybe_corrupt``), which push and pop the stable ``(key, seq,
     frame, size, deliver, on_drop)`` heap themselves (DESIGN 8.3), and on
-    a routed path the route plan's deliver closure for the next hop.  The
+    a routed path ``ForwardingEngine.forward`` at each interior node.  The
     ``netsim.link`` and ``netsim.routing`` rows of ``BUDGET.json`` hold
     what that comes to per message.
 
     A frame on the wire when :meth:`set_down` runs is lost, with
     ``"link down"``, when its transmission ends, even if the link is up
     again by then.  The link's random stream (``link:<name>``) is built
-    by :meth:`rng` at the first draw, so a clean medium has none.
+    by :meth:`rng` at the first draw, so a clean medium has none, and
+    its impairment model is the shared, frozen :data:`CLEAN` unless one
+    is given.  A routed grid holds a thousand links, so the attributes
+    are slots.
     """
+
+    __slots__ = (
+        "context", "name", "bandwidth", "propagation_delay", "buffer_bytes",
+        "impairment", "_ready", "_key_slot", "_seq", "policy",
+        "_queued_bytes", "_busy", "_cut", "_up", "stats", "on_down",
+        "on_up", "_rng", "on_overrun",
+    )
 
     def __init__(
         self,
@@ -97,7 +107,7 @@ class Link:
         self.bandwidth = bandwidth
         self.propagation_delay = propagation_delay
         self.buffer_bytes = buffer_bytes
-        self.impairment = impairment or ImpairmentModel()
+        self.impairment = impairment or CLEAN
         self._ready: list = []
         self._key_slot = key_slot(policy)
         self._seq = itertools.count()
@@ -110,8 +120,8 @@ class Link:
         self._up = True
         self.stats = LinkStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, link=name)
-        self.on_down: Signal = Signal(context.loop)
-        self.on_up: Signal = Signal(context.loop)
+        self.on_down: Signal = Signal()
+        self.on_up: Signal = Signal()
         self._rng: Optional[random.Random] = None
         #: Optional observer of overruns (used by source-quench gateways).
         self.on_overrun: Optional[Callable[[Frame], None]] = None

@@ -124,7 +124,7 @@ class Session:
         self.name = name or f"session{self.session_id}"
         self.state = SessionState.ESTABLISHING
         #: Fired with (session, old_state, new_state, reason).
-        self.on_state_change: Signal = Signal(context.loop)
+        self.on_state_change: Signal = Signal()
         #: Resolves to the underlying channel on first establishment
         #: (or fails when establishment gives up).
         self.established: Future = Future(context.loop)

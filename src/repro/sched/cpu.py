@@ -105,9 +105,9 @@ class HostCpu:
         self.busy_time = 0.0
         self.context_switches = 0
         self.deadline_misses = 0
-        #: Seconds items waited for the CPU; observed only while spans are
-        #: (a distribution has no cheap always-on form).
-        self.queue_wait = Histogram()
+        #: Seconds items waited for the CPU; built and observed only on an
+        #: observed context (a distribution has no cheap always-on form).
+        self.queue_wait = Histogram() if context.obs.enabled else None
         context.obs.metrics.watch(self, _FAMILIES, cpu=name)
 
     def submit(

@@ -598,8 +598,9 @@ class Signal:
     not invoked until the next ``fire``.
     """
 
-    def __init__(self, loop: EventLoop) -> None:
-        self._loop = loop
+    __slots__ = ("_listeners",)
+
+    def __init__(self) -> None:
         self._listeners: List[Callable[..., None]] = []
 
     def listen(self, callback: Callable[..., None]) -> Callable[[], None]:

@@ -33,6 +33,9 @@ class Port:
     waits, so a callback-driven port never holds one.
     """
 
+    __slots__ = ("_loop", "name", "_queue", "_getters", "_on_deliver",
+                 "delivered_count")
+
     def __init__(
         self,
         loop: EventLoop,

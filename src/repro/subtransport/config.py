@@ -26,8 +26,8 @@ from typing import Tuple
 from repro.core.params import DelayBound
 from repro.errors import ParameterError
 
-__all__ = ["STAGE_ALLOWANCE", "StConfig", "network_bounds", "receive_terms",
-           "send_terms", "st_best_delay"]
+__all__ = ["DEFAULT_CONFIG", "STAGE_ALLOWANCE", "StConfig", "network_bounds",
+           "receive_terms", "send_terms", "st_best_delay"]
 
 #: CPU-time allowance reserved out of an ST RMS delay bound for each of
 #: the two protocol stages, send and receive.
@@ -89,9 +89,10 @@ def receive_terms(st_bound: DelayBound) -> Tuple[float, float, bool]:
     return st_bound.a, st_bound.b, False
 
 
-@dataclass
+@dataclass(frozen=True)
 class StConfig:
-    """Tunable behaviour of one host's subtransport layer."""
+    """Tunable behaviour of one host's subtransport layer.  Frozen, so
+    every layer built without one shares :data:`DEFAULT_CONFIG`."""
 
     #: Queue client messages hoping to piggyback (section 4.3.1).
     piggyback_enabled: bool = True
@@ -111,3 +112,7 @@ class StConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.piggyback_window_cap < math.inf:
             raise ParameterError("piggyback_window_cap must be finite and >= 0")
+
+
+#: The configuration of every layer built without one.
+DEFAULT_CONFIG = StConfig()

@@ -85,7 +85,7 @@ class DownwardMux:
         self.stats = DownmuxStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, stream=name)
         self.port = Port(context.loop, name=f"{name}.rx")
-        self.on_failure: Signal = Signal(context.loop)
+        self.on_failure: Signal = Signal()
         self._next_seq = 0
         self._expected = 0
         self._resequence: Dict[int, bytes] = {}

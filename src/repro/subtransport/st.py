@@ -43,7 +43,8 @@ from repro.sim.context import SimContext
 from repro.sim.events import TIMER_FAMILIES, TimerGroup
 from repro.sim.process import Future
 from repro.subtransport.binding import DATA_PORT, NetworkBindings, Peer
-from repro.subtransport.config import StConfig, send_terms, st_best_delay
+from repro.subtransport.config import (
+    DEFAULT_CONFIG, StConfig, send_terms, st_best_delay)
 from repro.subtransport.control import CONTROL_PORT, ControlChannel, Fields
 from repro.subtransport.mux import MuxBinding
 from repro.subtransport.receiver import RxStream
@@ -117,7 +118,7 @@ class SubtransportLayer:
         self.host = host
         self.networks = list(networks)
         self.keys = key_registry or KeyRegistry()
-        self.config = config or StConfig()
+        self.config = config or DEFAULT_CONFIG
         self.stats = StStats()
         context.obs.metrics.watch(self.stats, _FAMILIES, host=host.name)
         self._peers: Dict[str, Peer] = {}

@@ -104,7 +104,7 @@ class StRms(Rms):
         self.send_figures: Optional[Dict[int, Tuple[float, float, float]]] = None
         #: Fired with the acknowledged sequence number when the receiving
         #: ST's fast-acknowledgement service reports delivery (3.2).
-        self.on_fast_ack: Signal = Signal(context.loop)
+        self.on_fast_ack: Signal = Signal()
         StRms.registry[self.rms_id] = self
 
     def _transmit(self, message: Message) -> None:

@@ -186,7 +186,7 @@ class StreamSession:
         self.failed: Optional[str] = None
         #: Fired once, with (session, reason), when the stream fails.
         #: The resilience layer listens here to salvage and re-open.
-        self.on_failed: Signal = Signal(context.loop)
+        self.on_failed: Signal = Signal()
         self.tx_port: Optional[FlowControlledPort] = None
         if config.flow_control.has_sender_fc:
             self.tx_port = FlowControlledPort(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import rpc
@@ -97,7 +99,8 @@ class TestTcpLikeConnection:
         # Prime the datagram paths cleanly, then inject loss.
         connection.send(bytes([0]) * 200)
         context.run(until=1.0)
-        network.segment.impairment.frame_loss_rate = 0.15
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=0.15)
 
         def sender():
             for index in range(1, 25):
@@ -147,7 +150,8 @@ class TestTcpLikeConnection:
             connection.send(bytes([index]) * 200)
         context.run(until=5.0)
         grown = connection.congestion_window
-        network.segment.impairment.frame_loss_rate = 1.0
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=1.0)
         connection.send(bytes([99]) * 200)
         context.run(until=10.0)
         assert connection.stats.timeouts > 0
@@ -172,7 +176,8 @@ class TestDatagramRpc:
         warm = rpc_a.call("b", "echo", b"warm")
         context.run(until=1.0)
         assert warm.result() == b"warm"
-        network.segment.impairment.frame_loss_rate = 0.3
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=0.3)
         futures = [rpc_a.call("b", "echo", bytes([i])) for i in range(8)]
         context.run(until=60.0)
         completed = [f for f in futures if f.done and not f.failed]
@@ -186,7 +191,8 @@ class TestDatagramRpc:
         DatagramRpc(context, dgram_b)  # no handler registered is fine; kill net
         warm = rpc_a.call("b", "missing")
         context.run(until=2.0)
-        network.segment.impairment.frame_loss_rate = 1.0
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=1.0)
         future = rpc_a.call("b", "missing")
         context.run(until=30.0)
         assert future.failed
@@ -203,7 +209,8 @@ class TestDatagramRpc:
         )
         warm = rpc_a.call("b", "once")
         context.run(until=1.0)
-        network.segment.impairment.frame_loss_rate = 0.3
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=0.3)
         futures = [rpc_a.call("b", "once", bytes([i])) for i in range(6)]
         context.run(until=60.0)
         done = [f for f in futures if f.done and not f.failed]

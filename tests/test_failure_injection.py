@@ -7,6 +7,8 @@ crashes, no stuck state) under mid-operation failures.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.message import Label
@@ -190,7 +192,8 @@ class TestStreamFailureRecovery:
         session = system.connect("a", "b", kind="stream")
         system.run(until=system.now + 2.0)
         stream = session.established.result()
-        system.networks["ether0"].segment.impairment.frame_loss_rate = 1.0
+        system.networks["ether0"].segment.impairment = replace(
+            system.networks["ether0"].segment.impairment, frame_loss_rate=1.0)
         session.send(b"into the void" + b"\x00" * 100)
         system.run(until=system.now + 20.0)
         assert stream.failed == "retransmission limit exceeded"
@@ -376,7 +379,8 @@ class TestControlPlaneResilience:
         warm = rkom.call("echo", b"x")
         system.run(until=system.now + 2.0)
         assert not warm.failed
-        system.networks["ether0"].segment.impairment.frame_loss_rate = 1.0
+        system.networks["ether0"].segment.impairment = replace(
+            system.networks["ether0"].segment.impairment, frame_loss_rate=1.0)
         doomed = rkom.call("echo", b"y", timeout=0.05)
         system.run(until=system.now + 30.0)
         assert doomed.done and doomed.failed
@@ -455,7 +459,8 @@ class TestStreamClose:
     def test_close_with_one_unacked_record_on_a_dead_medium(self):
         system = lan_system()
         session, channel = self._stream(system)
-        system.networks["ether0"].segment.impairment.frame_loss_rate = 1.0
+        system.networks["ether0"].segment.impairment = replace(
+            system.networks["ether0"].segment.impairment, frame_loss_rate=1.0)
         session.send(b"x" * 500)
         system.run(until=system.now + 0.1)
         assert len(channel.tx_unacked) == 1 and channel.stats.messages_sent == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -403,7 +404,8 @@ class TestLink:
         with pytest.raises(RuntimeError, match="medium loss"):
             context.run()
         assert link.queued_bytes == second.size + third.size
-        link.impairment.frame_loss_rate = 0.0
+        link.impairment = replace(
+            link.impairment, frame_loss_rate=0.0)
         assert link.transmit(fresh, deliver=delivered.append)
         context.run()
         assert delivered == [second, third, fresh]

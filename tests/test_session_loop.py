@@ -85,7 +85,7 @@ class FakeChannel:
         if network is not None:
             self.binding = SimpleNamespace(network_rms=SimpleNamespace(
                 network=SimpleNamespace(name=network)))
-        self.on_failure = self.on_failed = Signal(rig.context.loop)
+        self.on_failure = self.on_failed = Signal()
         self.state = RmsState.OPEN  # an ST session reads the field
         self.failed = None
         self.sent = []

@@ -557,8 +557,7 @@ class TestCancellationCompaction:
 
 class TestSignal:
     def test_fire_notifies_all_listeners(self):
-        loop = EventLoop()
-        signal = Signal(loop)
+        signal = Signal()
         seen = []
         signal.listen(lambda value: seen.append(("first", value)))
         signal.listen(lambda value: seen.append(("second", value)))
@@ -566,8 +565,7 @@ class TestSignal:
         assert seen == [("first", 42), ("second", 42)]
 
     def test_unsubscribe(self):
-        loop = EventLoop()
-        signal = Signal(loop)
+        signal = Signal()
         seen = []
         unsubscribe = signal.listen(seen.append)
         unsubscribe()
@@ -575,15 +573,13 @@ class TestSignal:
         assert seen == []
 
     def test_unsubscribe_twice_is_harmless(self):
-        loop = EventLoop()
-        signal = Signal(loop)
+        signal = Signal()
         unsubscribe = signal.listen(lambda: None)
         unsubscribe()
         unsubscribe()
 
     def test_fire_count(self):
-        loop = EventLoop()
-        signal = Signal(loop)
+        signal = Signal()
         calls = []
         signal.listen(lambda: calls.append(1))
         signal.fire()
@@ -591,8 +587,7 @@ class TestSignal:
         assert len(calls) == 2
 
     def test_listener_count(self):
-        loop = EventLoop()
-        signal = Signal(loop)
+        signal = Signal()
         signal.listen(lambda: None)
         signal.listen(lambda: None)
         assert len(signal) == 2

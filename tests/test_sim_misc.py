@@ -67,8 +67,7 @@ class TestSimContext:
         assert context.run(while_pending=True) == 1.0
 
     def test_signal_factory(self):
-        context = SimContext()
-        signal = Signal(context.loop)
+        signal = Signal()
         seen = []
         signal.listen(seen.append)
         signal.fire(1)

@@ -240,8 +240,8 @@ class TestPort:
             for item in range(3):
                 port.deliver(item)
             assert len(port) == 0
-            assert not any(isinstance(value, deque)
-                           for value in vars(port).values())
+            assert not any(isinstance(getattr(port, name), deque)
+                           for name in Port.__slots__)
         assert seen == [0, 1, 2] * 2
 
     def test_mailbox_serves_getters_then_items_in_order(self):

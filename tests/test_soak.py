@@ -5,7 +5,7 @@ block of rounds keeps next to nothing of the ``repro`` heap per message
 it delivers.  A stream that failed leaves no receiver behind, and a
 closed session neither its auto-named port nor itself: after trunk flaps
 and re-establishment the grid holds as much per-channel state as it has
-open streams.
+open streams.  A built grid holds a bounded heap per link and per host.
 """
 
 from __future__ import annotations
@@ -67,3 +67,12 @@ def test_figure_tables_follow_the_open_terms():
     assert 0 < state["figure_tables"] == state["open_terms"]
     cap = soak.sim_context.FIGURE_TABLE_CAP
     assert 0 < state["figure_entries"] <= cap * state["open_terms"]
+
+
+def test_a_built_grid_holds_its_bound_per_link_and_host():
+    """No per-hop closure on a route plan, no reservation object per
+    best-effort RMS per hop: what the grid holds once built stays within
+    the soak's bounds."""
+    state = soak.build_state()
+    assert state["links"] == 552 and state["hosts"] == 216
+    assert soak.build_failures(state) == [], state

@@ -64,7 +64,7 @@ class StandInNetwork:
 
     def create_rms(self, source, target, desired, acceptable):
         rms = SimpleNamespace(
-            is_open=True, on_failure=Signal(self.context.loop), send=self._sent
+            is_open=True, on_failure=Signal(), send=self._sent
         )
         self.created.append(rms)
         future = Future(self.context.loop)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -149,7 +150,8 @@ class TestRkomReliability:
     def test_retransmission_recovers_lost_request(self):
         context, network, rkom_a, rkom_b = build(seed=7)
         self._warm(context, rkom_a, rkom_b)
-        network.segment.impairment.frame_loss_rate = 0.25
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=0.25)
         futures = [rkom_a.call("b", "echo", bytes([i]), timeout=0.1) for i in range(10)]
         context.run(until=context.now + 30.0)
         completed = [f for f in futures if f.done and not f.failed]
@@ -160,7 +162,8 @@ class TestRkomReliability:
         """The reply cache gives at-most-once execution."""
         context, network, rkom_a, rkom_b = build(seed=11)
         self._warm(context, rkom_a, rkom_b)
-        network.segment.impairment.frame_loss_rate = 0.3
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=0.3)
         executions = []
 
         def handler(payload, src):
@@ -183,7 +186,8 @@ class TestRkomReliability:
         context.run(until=1.0)
         warm.result()
         # Now make the network eat everything.
-        network.segment.impairment.frame_loss_rate = 1.0
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=1.0)
         future = rkom_a.call("b", "echo", b"lost", timeout=0.05)
         context.run(until=60.0)
         assert future.failed
@@ -399,7 +403,8 @@ class TestCallTimeoutIsValidatedFirst:
     def test_none_is_the_configured_default(self, monkeypatch):
         context, network, rkom_a, rkom_b, executed = self._warm()
         monkeypatch.setattr(rkom, "REQUEST_TIMEOUT", 0.125)
-        network.segment.impairment.frame_loss_rate = 1.0
+        network.segment.impairment = replace(
+            network.segment.impairment, frame_loss_rate=1.0)
         handle = rkom_a.call("b", "echo", b"lost", timeout=None)
         retransmitted = []
         for step in (0.124, 0.126):
@@ -448,7 +453,7 @@ class _Rms:
 
     def __init__(self, rig, host, attempt, name):
         self.rig, self.host, self.attempt, self.name = rig, host, attempt, name
-        self.on_failure = Signal(rig.context.loop)
+        self.on_failure = Signal()
         self.open = True
 
     def send(self, frame):

@@ -352,8 +352,8 @@ class _RigRms:
     def __init__(self, rig, kind):
         self.rig, self.kind = rig, kind
         self.port = _RigPort()
-        self.on_failure = Signal(rig.context.loop)
-        self.on_fast_ack = Signal(rig.context.loop)
+        self.on_failure = Signal()
+        self.on_fast_ack = Signal()
         self.sender = self.receiver = None
 
     def send(self, message):
